@@ -282,26 +282,11 @@ func build(opts Options, d disk.Store, a *alloc.Allocator) *FS {
 		interests: in,
 		collector: gc.NewCollector(ss, in),
 		editor:    rope.NewEditor(mdev, a, rs, opts.TargetCylinders),
-		mgr:       msm.New(mdev, continuity.AdmissionFor(dev)),
 		dev:       dev,
 		text:      textfs.NewStore(d, a),
 		nextStart: g.Cylinders / 7,
 	}
-	if opts.Arch.Arch == continuity.Concurrent {
-		fs.mgr.SetConcurrency(opts.Arch.P)
-	}
-	if opts.CacheMB > 0 {
-		fs.mgr.SetCache(cache.New(int64(opts.CacheMB) << 20))
-	}
-	if opts.FaultPolicy != nil {
-		fs.mgr.SetFaultPolicy(*opts.FaultPolicy)
-	}
-	if opts.QoSMaxStride >= 2 {
-		fs.mgr.SetQoS(msm.QoSPolicy{MaxStride: opts.QoSMaxStride})
-	}
-	if opts.RebuildRate > 0 {
-		fs.mgr.SetRebuildRate(opts.RebuildRate)
-	}
+	fs.mgr = fs.newManager()
 	fs.obsReg = obs.NewRegistry()
 	fs.obsRing = obs.NewTraceRing(obs.DefaultTraceRounds)
 	fs.wireObs()
@@ -507,24 +492,31 @@ func (fs *FS) Manager() *msm.Manager { return fs.mgr }
 // data. Experiments use it to run independent playback trials against
 // one recorded data set.
 func (fs *FS) NewManager() *msm.Manager {
-	fs.mgr = msm.New(fs.mdev, continuity.AdmissionFor(fs.dev))
-	if fs.opts.Arch.Arch == continuity.Concurrent {
-		fs.mgr.SetConcurrency(fs.opts.Arch.P)
-	}
-	if fs.opts.CacheMB > 0 {
-		fs.mgr.SetCache(cache.New(int64(fs.opts.CacheMB) << 20))
-	}
-	if fs.opts.FaultPolicy != nil {
-		fs.mgr.SetFaultPolicy(*fs.opts.FaultPolicy)
-	}
-	if fs.opts.QoSMaxStride >= 2 {
-		fs.mgr.SetQoS(msm.QoSPolicy{MaxStride: fs.opts.QoSMaxStride})
-	}
-	if fs.opts.RebuildRate > 0 {
-		fs.mgr.SetRebuildRate(fs.opts.RebuildRate)
-	}
+	fs.mgr = fs.newManager()
 	fs.wireObs()
 	return fs.mgr
+}
+
+// newManager builds a storage manager over the media device, configured
+// from the options the file system was mounted with.
+func (fs *FS) newManager() *msm.Manager {
+	m := msm.New(fs.mdev, continuity.AdmissionFor(fs.dev))
+	if fs.opts.Arch.Arch == continuity.Concurrent {
+		m.SetConcurrency(fs.opts.Arch.P)
+	}
+	if fs.opts.CacheMB > 0 {
+		m.SetCache(cache.New(int64(fs.opts.CacheMB) << 20))
+	}
+	if fs.opts.FaultPolicy != nil {
+		m.SetFaultPolicy(*fs.opts.FaultPolicy)
+	}
+	if fs.opts.QoSMaxStride >= 2 {
+		m.SetQoS(msm.QoSPolicy{MaxStride: fs.opts.QoSMaxStride})
+	}
+	if fs.opts.RebuildRate > 0 {
+		m.SetRebuildRate(fs.opts.RebuildRate)
+	}
+	return m
 }
 
 // Strands exposes the strand registry.

@@ -179,6 +179,47 @@ func TestFollowerDemotedWhenLeaderStops(t *testing.T) {
 	}
 }
 
+// TestOrphanedFollowersDoNotAdoptEachOther is the demotion-livelock
+// regression: two followers orphaned at the same position by a stopped
+// leader used to re-adopt each other alternately, each missing in turn,
+// with the clock never advancing. A follower that misses again where
+// its previous demotion left it must go through full admission. The
+// rounds are bounded so a regression fails instead of hanging.
+func TestOrphanedFollowersDoNotAdoptEachOther(t *testing.T) {
+	rig := newRig(t, disk.DefaultGeometry())
+	s := rig.recordVideo(t, 300, 18000, 3, 30, 79)
+	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
+	rig.m.SetCache(cache.New(16 << 20))
+
+	ids, cached, rejected := admitStaggered(t, rig, s, 3, 0)
+	if len(ids) != 3 || cached != 2 || rejected != 0 {
+		t.Fatalf("setup: ids=%d cached=%d rejected=%d", len(ids), cached, rejected)
+	}
+	if err := rig.m.Stop(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	const maxRounds = 10000
+	rounds := 0
+	for rig.m.RunRound() {
+		if rounds++; rounds > maxRounds {
+			t.Fatalf("still running after %d rounds at now=%v with %d demotions: orphans re-adopting each other",
+				maxRounds, rig.m.Now(), rig.m.Stats().Demotions)
+		}
+	}
+	if d := rig.m.Stats().Demotions; d != 3 {
+		t.Fatalf("demotions = %d, want 3 (one futile mutual adoption, then one full admission each)", d)
+	}
+	for _, id := range ids[1:] {
+		p, err := rig.m.Progress(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Done || p.BlocksServed != p.BlocksTotal || p.Violations != 0 {
+			t.Fatalf("orphaned follower %d: %+v", id, p)
+		}
+	}
+}
+
 // TestFollowerDemotedToPauseWhenDiskSaturated exercises the last rung
 // of the demotion ladder: the disk carries a full n_max population
 // (the leader among them) when the leader pauses; the follower drains

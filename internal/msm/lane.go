@@ -9,30 +9,36 @@ import (
 	"mmfs/internal/cache"
 	"mmfs/internal/continuity"
 	"mmfs/internal/fault"
+	"mmfs/internal/layout"
 	"mmfs/internal/sim"
 )
 
-// This file implements the paper's concurrent retrieval architecture
-// (§3.1, degree p) inside the service round: over a disk.Array the
-// round splits into one sub-round per spindle, serviced concurrently by
-// per-spindle lanes and joined before the round closes. Each lane owns
-// its spindle exclusively for the round — its requests' next blocks all
-// live on that spindle — runs its own C-SCAN sweep over the spindle's
-// local cylinders, charges service time to a private virtual-time
-// cursor, and spends a private Eq. 18 retry-slack budget computed over
-// the spindle-resident admission set. After the join the manager's
-// clock advances to the slowest lane's cursor (the sub-rounds overlap
-// in virtual time), lane counters merge in spindle order so totals stay
-// deterministic, and whatever could not be parallelized — records,
-// cache-coupled plays, boundary-crossing fetches — is serviced serially
-// at the joined clock.
+// This file is the service round. The paper has one service algorithm —
+// n requests serviced in rounds of k blocks (§3.4) — and its concurrent
+// retrieval architecture (§3.1, degree p) is that same round run once
+// per head, so there is one round body (serviceRound) and one executor
+// (the lane). Over a disk.Array the round splits into one sub-round per
+// spindle, serviced concurrently by per-spindle lanes and joined before
+// the round closes; whatever cannot be parallelized — records,
+// cache-coupled plays, boundary-crossing fetches — is then serviced by
+// the serial lane at the joined clock. A single device is the case of
+// zero parallel lanes: everything rides the serial lane.
+//
+// Each parallel lane owns its spindle exclusively for the round — its
+// requests' next blocks all live on that spindle — runs its own C-SCAN
+// sweep over the spindle's local cylinders, charges service time to a
+// private virtual-time cursor, and spends a private Eq. 18 retry-slack
+// budget computed over the spindle's entry in the resident table. After
+// the join the manager's clock advances to the slowest lane's cursor
+// (the sub-rounds overlap in virtual time) and lane counters merge in
+// spindle order so totals stay deterministic.
 //
 // Shared state discipline: during the parallel phase a lane touches
 // only (a) its own scratch arenas, (b) its requests' private state, (c)
 // its spindle's device state via array routing, and (d) the atomic obs
 // counters. The interval cache is NOT thread-safe, so any request with
-// an open cache stream is kept off the lanes and serviced in the serial
-// phase.
+// an open cache stream is kept off the parallel lanes and serviced by
+// the serial lane.
 
 // laneStats accumulates a lane's contribution to the manager counters;
 // the manager merges them after the join (Stats itself is not safe for
@@ -50,9 +56,10 @@ type laneStats struct {
 }
 
 // lane is one spindle's service context. The manager also keeps one
-// "serial" lane (spindle -1) whose time writes through to the shared
-// clock; it services single-disk rounds and the striped round's serial
-// phase, so every request is serviced by lane code either way.
+// "serial" lane (spindle -1) over the whole logical device, whose time
+// writes through to the shared clock; it services what the round's
+// partition could not hand to a spindle — on a single device, every
+// request.
 type lane struct {
 	m *Manager
 	// spindle is the lane's spindle index, -1 for the serial lane.
@@ -65,17 +72,13 @@ type lane struct {
 	// retrySlack is the lane's round retry budget: Eq. 18's measured
 	// slack over the spindle-resident admission set.
 	retrySlack time.Duration
-	// Per-lane scratch arenas (the satellite fix: round scratch was
-	// manager-global, which parallel sub-rounds would race on).
+	// Per-lane scratch arenas (parallel sub-rounds would race on
+	// manager-global ones): reqs is the round's partition — the requests
+	// this lane services.
 	reqs     []*request
-	admSet   []continuity.Request
 	deg      []bool
 	blockBuf []byte
 	sorter   scanSorter
-	// local spindle shape, cached so the sweep does not re-derive it
-	// per round.
-	spc  int // sectors per local cylinder
-	cyls int // local cylinders
 	// runFn is the pre-bound method value spawned each round: `go
 	// ln.run()` would wrap the receiver in a fresh one-shot closure
 	// (one heap allocation per lane per round); `go ln.runFn()` spawns
@@ -121,39 +124,78 @@ func (ln *lane) flushStats() {
 	ln.stats = laneStats{}
 }
 
-// run services the lane's sub-round: a C-SCAN sweep over the spindle's
-// requests, k blocks each. It is the body of the per-spindle round
-// goroutine; the manager joins every lane through laneWG before the
-// round closes.
+// run is the body of a parallel lane's per-round goroutine; the manager
+// joins every lane through laneWG before the round closes.
 //
 // rt:hotpath
 func (ln *lane) run() {
 	defer ln.m.laneWG.Done()
+	ln.sweep()
+}
+
+// sweep services the lane's sub-round: its requests in C-SCAN order, k
+// blocks each. On a parallel lane the partition guarantees disk-bound
+// plays with no open cache stream, so the dispatch never reaches the
+// (single-threaded) interval cache or the record path there.
+//
+// rt:hotpath
+func (ln *lane) sweep() {
+	ln.worked = false
 	if ln.m.order == ScanOrder {
 		ln.scanSort()
 	}
 	for _, r := range ln.reqs {
-		// Partition invariant: lane requests are disk-bound plays with
-		// no open cache stream, so servicePlay never touches the
-		// (single-threaded) interval cache here.
-		if ln.servicePlay(r, ln.m.k) {
+		if ln.serviceRequest(r, ln.m.k) {
 			ln.worked = true
 		}
 	}
 }
 
-// scanSort orders the lane's requests as a C-SCAN sweep over the
-// spindle's local cylinders, starting from its actuator's position.
+// scanSorter sorts a round's requests by precomputed sweep key; a
+// persistent instance avoids the per-round closure and reflection
+// allocations of sort.SliceStable.
+type scanSorter struct {
+	reqs []*request
+	keys []int
+}
+
+func (s *scanSorter) Len() int           { return len(s.reqs) }
+func (s *scanSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s *scanSorter) Swap(i, j int) {
+	s.reqs[i], s.reqs[j] = s.reqs[j], s.reqs[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+}
+
+// scanSort reorders the lane's requests as a C-SCAN sweep: ascending
+// cylinder of each request's next media block, starting from the
+// actuator's current position and wrapping. A parallel lane sweeps its
+// spindle's local cylinders, the serial lane the logical device's.
+// Requests without a known position (records, pure delays, nothing
+// left) keep their arrival order at the end of the sweep. Keys are
+// computed once per request into the lane's scratch storage, and the
+// typical small round (n ≤ 16) is ordered by a stable insertion sort
+// with no sort.Interface traffic.
 //
 // rt:hotpath
 func (ln *lane) scanSort() {
-	head := ln.m.array.Spindle(ln.spindle).HeadCylinder(0)
-	nc := ln.cyls
+	m := ln.m
+	dev := m.d
+	if ln.spindle >= 0 {
+		dev = m.array.Spindle(ln.spindle)
+	}
+	head := dev.HeadCylinder(0)
+	g := dev.Geometry()
+	nc := g.Cylinders
+	reqs := ln.reqs
 	keys := ln.sorter.keys[:0]
-	for _, r := range ln.reqs {
+	for _, r := range reqs {
 		k := 2 * nc // after every positioned request
-		if cyl, ok := ln.nextLocalCylinder(r); ok {
-			k = cyl - head
+		if e, _, ok := nextMedia(r.position()); ok {
+			sector := int(e.Sector)
+			if ln.spindle >= 0 {
+				_, sector = m.array.Locate(sector)
+			}
+			k = g.CylinderOf(sector) - head
 			if k < 0 {
 				k += nc
 			}
@@ -161,29 +203,31 @@ func (ln *lane) scanSort() {
 		keys = alloc.Append(keys, k)
 	}
 	ln.sorter.keys = keys
-	if len(ln.reqs) <= 16 {
-		for i := 1; i < len(ln.reqs); i++ {
-			k, r := keys[i], ln.reqs[i]
+	if len(reqs) <= 16 {
+		for i := 1; i < len(reqs); i++ {
+			k, r := keys[i], reqs[i]
 			j := i - 1
 			for j >= 0 && keys[j] > k {
-				keys[j+1], ln.reqs[j+1] = keys[j], ln.reqs[j]
+				keys[j+1], reqs[j+1] = keys[j], reqs[j]
 				j--
 			}
-			keys[j+1], ln.reqs[j+1] = k, r
+			keys[j+1], reqs[j+1] = k, r
 		}
 		return
 	}
-	ln.sorter.reqs = ln.reqs
+	ln.sorter.reqs = reqs
 	sort.Stable(&ln.sorter)
 	ln.sorter.reqs = nil
 }
 
-// nextLocalCylinder reports the spindle-local cylinder of the request's
-// next transfer; ok is false when it cannot be known.
-func (ln *lane) nextLocalCylinder(r *request) (int, bool) {
-	ps := r.play
-	for j := ps.nextFetch; j < len(ps.plan.Blocks); j++ {
-		b := ps.plan.Blocks[j]
+// nextMedia returns the strand entry of the first media block at or
+// after plan index from, and its plan index: the next block that costs
+// a disk access, looking through pure delays (nil readers), silence
+// holders, and entries the strand cannot resolve. ok is false when no
+// such block remains.
+func nextMedia(blocks []PlannedBlock, from int) (layout.PrimaryEntry, int, bool) {
+	for j := from; j < len(blocks); j++ {
+		b := blocks[j]
 		if b.Reader == nil {
 			continue
 		}
@@ -191,10 +235,9 @@ func (ln *lane) nextLocalCylinder(r *request) (int, bool) {
 		if err != nil || e.Silent() {
 			continue
 		}
-		_, local := ln.m.array.Locate(int(e.Sector))
-		return local / ln.spc, true
+		return e, j, true
 	}
-	return 0, false
+	return layout.PrimaryEntry{}, 0, false
 }
 
 // serviceRequest transfers up to k blocks for the request; reports
@@ -566,49 +609,43 @@ func (ln *lane) serviceRecord(r *request, k int) bool {
 	return wrote > 0
 }
 
-// runStripedRound services one round over a striped array: partition
-// the active requests onto per-spindle lanes, spawn one goroutine per
-// spindle, join, advance the clock to the slowest lane, then service
-// the serial leftovers. Reports whether any request transferred.
+// serviceRound is the round body: partition the active requests onto
+// the per-spindle lanes, run one goroutine per spindle, join, advance
+// the clock to the slowest lane, service the leftovers on the serial
+// lane, then let online repair spend what slack remains. sets is the
+// round's resident table (built after the round's re-steer). Reports
+// whether anything transferred.
 //
 // rt:hotpath
-func (m *Manager) runStripedRound(act []*request) bool {
+func (m *Manager) serviceRound(act []*request, sets [][]continuity.Request) bool {
 	t0 := m.clock.Now()
-	// Re-steer around health changes before partitioning: the steer
-	// table is frozen for the round (lanes read it concurrently), and a
-	// change means some streams now share a surviving twin's sub-round,
-	// which may need a larger k there.
-	if m.array.RefreshSteering() {
-		m.resteerTransition()
-	}
-	serial := m.scratchSerial[:0]
+	m.serial.reqs = m.serial.reqs[:0]
 	for _, ln := range m.lanes {
 		ln.reqs = ln.reqs[:0]
 		ln.premium = false
 	}
 	for _, r := range act {
+		ln := m.serial
 		if sp, ok := m.laneSpindle(r); ok {
-			m.lanes[sp].reqs = alloc.Append(m.lanes[sp].reqs, r)
+			ln = m.lanes[sp]
 			if r.class == continuity.Premium {
-				m.lanes[sp].premium = true
+				ln.premium = true
 			}
-		} else {
-			serial = alloc.Append(serial, r)
 		}
+		ln.reqs = alloc.Append(ln.reqs, r)
 	}
-	m.scratchSerial = serial
 
-	// Per-spindle Eq. 18 retry budgets over the spindle-resident
-	// admission sets; the manager-level budget reported by RetrySlack
-	// (and charged by the serial phase) is the most constrained lane's.
-	m.fillSpindleAdmissionSets()
-	minSlack := time.Duration(-1)
-	for _, ln := range m.lanes {
+	// Refill the retry budgets: the slack Eq. 18's worst-case charging
+	// leaves unused in this round is what fault retries may spend, per
+	// spindle over its resident set. The manager-level budget reported
+	// by RetrySlack (and charged by the serial lane) is the most
+	// constrained spindle's — on a single device, the one set's.
+	m.retrySlack = m.roundSlack(sets[0])
+	for i, ln := range m.lanes {
 		ln.at = t0
-		ln.worked = false
-		ln.retrySlack = continuity.Duration(m.adm.SlackSeconds(ln.admSet, m.k))
-		if minSlack < 0 || ln.retrySlack < minSlack {
-			minSlack = ln.retrySlack
+		ln.retrySlack = m.roundSlack(sets[i])
+		if ln.retrySlack < m.retrySlack {
+			m.retrySlack = ln.retrySlack
 		}
 	}
 
@@ -636,132 +673,107 @@ func (m *Manager) runStripedRound(act []*request) bool {
 			maxAt = ln.at
 		}
 		ln.flushStats()
-		if ln.retrySlack < minSlack {
-			minSlack = ln.retrySlack
+		if ln.retrySlack < m.retrySlack {
+			m.retrySlack = ln.retrySlack
 		}
 	}
 	if maxAt > m.clock.Now() {
 		m.clock.AdvanceTo(maxAt)
 	}
-	m.retrySlack = minSlack
 
-	// Serial phase at the joined clock: records, cache-coupled plays,
+	// Serial lane at the joined clock: records, cache-coupled plays,
 	// and fetch windows the stripe map splits across spindles.
-	if len(serial) > 0 {
-		m.serial.retrySlack = m.retrySlack
-		if m.order == ScanOrder {
-			m.scanSort(serial)
-		}
-		for _, r := range serial {
-			if m.serial.serviceRequest(r, m.k) {
-				worked = true
-			}
-		}
-		m.serial.flushStats()
-		m.retrySlack = m.serial.retrySlack
-	}
+	m.serial.retrySlack = m.retrySlack
+	m.serial.sweep()
+	m.serial.flushStats()
+	m.retrySlack = m.serial.retrySlack
 	// Online repair rides the leftover slack after every stream has
 	// been serviced (see rebuild.go).
-	return m.repairRound(worked)
+	return m.repairRound(worked || m.serial.worked)
+}
+
+// roundSlack is Eq. 18's measured slack k·γ − n·α − n·k·β for one
+// resident set at the current k, in virtual time.
+func (m *Manager) roundSlack(set []continuity.Request) time.Duration {
+	return continuity.Duration(m.adm.SlackSeconds(set, m.k))
 }
 
 // laneSpindle reports the spindle whose lane can service request r this
 // round: r must be a disk-bound play with no open cache stream, and
 // every media block in its next-k fetch window must lie on that one
 // spindle without crossing a stripe-group boundary. ok=false routes r
-// to the serial phase.
+// to the serial lane — always, on a single device.
 //
 // rt:hotpath
 func (m *Manager) laneSpindle(r *request) (int, bool) {
-	if r.kind != Play || r.cacheServed || r.play.cacheOpen {
+	if len(m.lanes) == 0 || r.kind != Play || r.cacheServed || r.play.cacheOpen {
 		return 0, false
 	}
 	ps := r.play
-	end := ps.nextFetch + m.k
-	if end > len(ps.plan.Blocks) {
-		end = len(ps.plan.Blocks)
+	window := ps.plan.Blocks
+	if end := ps.nextFetch + m.k; end < len(window) {
+		window = window[:end]
 	}
 	sp := -1
-	for j := ps.nextFetch; j < end; j++ {
-		b := ps.plan.Blocks[j]
-		if b.Reader == nil {
-			continue
-		}
-		e, err := b.Reader.Strand().Block(b.Index)
-		if err != nil {
-			return 0, false
-		}
-		if e.Silent() {
-			continue
+	for j := ps.nextFetch; j < len(window); j++ {
+		e, at, ok := nextMedia(window, j)
+		if !ok {
+			break
 		}
 		s, one := m.array.SpindleRange(int(e.Sector), int(e.SectorCount))
 		if !one || (sp >= 0 && s != sp) {
 			return 0, false
 		}
-		sp = s
+		sp, j = s, at
 	}
-	if sp < 0 {
-		// No disk work in the window (pure delay / silence): the serial
-		// phase advances it for free.
-		return 0, false
-	}
-	return sp, true
+	// sp < 0: no disk work in the window (pure delay / silence); the
+	// serial lane advances it for free.
+	return sp, sp >= 0
 }
 
-// requestSpindle reports the spindle an admitted request is currently
-// resident on — the one holding its next media block. ok is false for
-// records, drained plays, and anything else without a knowable
-// position; admission charges those to every spindle.
-func (m *Manager) requestSpindle(r *request) (int, bool) {
-	if m.array == nil || r.kind != Play {
-		return 0, false
+// position is the request's remaining plan: its blocks and the index
+// of the next one to fetch. A record has no plan.
+func (r *request) position() ([]PlannedBlock, int) {
+	if r.kind != Play {
+		return nil, 0
 	}
-	ps := r.play
-	for j := ps.nextFetch; j < len(ps.plan.Blocks); j++ {
-		b := ps.plan.Blocks[j]
-		if b.Reader == nil {
-			continue
-		}
-		e, err := b.Reader.Strand().Block(b.Index)
-		if err != nil || e.Silent() {
-			continue
-		}
-		sp, _ := m.array.Locate(int(e.Sector))
-		return sp, true
-	}
-	return 0, false
+	return r.play.plan.Blocks, r.play.nextFetch
 }
 
-// planSpindle reports the home spindle of a play plan — the spindle
-// holding its first media block — or -1 when unknown (then admission
-// must clear every spindle).
-func (m *Manager) planSpindle(plan PlayPlan) int {
+// homeSpindle reports the spindle holding the first media block at or
+// after plan index from — a play plan's home at admission (from 0), an
+// admitted request's current residence (from its position) — or -1
+// when unknown: records, drained plays, pure delays, and everything on
+// a single device. Admission charges the unknown to every spindle.
+func (m *Manager) homeSpindle(blocks []PlannedBlock, from int) int {
 	if m.array == nil {
 		return -1
 	}
-	for _, b := range plan.Blocks {
-		if b.Reader == nil {
-			continue
-		}
-		e, err := b.Reader.Strand().Block(b.Index)
-		if err != nil || e.Silent() {
-			continue
-		}
-		sp, _ := m.array.Locate(int(e.Sector))
-		return sp
+	e, _, ok := nextMedia(blocks, from)
+	if !ok {
+		return -1
 	}
-	return -1
+	sp, _ := m.array.Locate(int(e.Sector))
+	return sp
 }
 
-// fillSpindleAdmissionSets rebuilds every lane's admission set — the
-// disk-bound requests resident on its spindle — into the lanes' scratch
-// arenas. Requests with unknown placement are charged to every spindle
-// (conservative: Eq. 18 must hold wherever they might land).
+// residentSets rebuilds the resident table — who is charged where: for
+// each spindle (a single device is a table of one set) the requests
+// admission control carries there, at their effective (load-shed)
+// rate. Those are the live disk-bound requests, non-destructively
+// paused ones included (their resources remain allocated); cache-served
+// followers perform no disk work and are absent (CacheServed counts
+// them). A request with no known home is charged to every spindle:
+// Eq. 18 must hold wherever it might land. n counts the distinct
+// requests in the table. The table is scratch, valid until the next
+// call; admission, QoS feasibility, the round's retry slack, re-steer
+// and the trace all read this one table.
 //
 // rt:hotpath
-func (m *Manager) fillSpindleAdmissionSets() {
-	for _, ln := range m.lanes {
-		ln.admSet = ln.admSet[:0]
+func (m *Manager) residentSets() (sets [][]continuity.Request, n int) {
+	sets = m.resident
+	for i := range sets {
+		sets[i] = sets[i][:0]
 	}
 	for _, r := range m.reqs {
 		if r.done || r.cacheServed {
@@ -770,35 +782,35 @@ func (m *Manager) fillSpindleAdmissionSets() {
 		if r.pause != nil && r.pause.destructive {
 			continue
 		}
-		if sp, ok := m.requestSpindle(r); ok {
-			m.lanes[sp].admSet = alloc.Append(m.lanes[sp].admSet, r.effAdm())
-		} else {
-			for _, ln := range m.lanes {
-				ln.admSet = alloc.Append(ln.admSet, r.effAdm())
-			}
+		n++
+		e := r.effAdm()
+		if sp := m.homeSpindle(r.position()); sp >= 0 {
+			sets[sp] = alloc.Append(sets[sp], e)
+			continue
+		}
+		for i := range sets {
+			sets[i] = alloc.Append(sets[i], e)
 		}
 	}
+	return sets, n
 }
 
-// spindleAdmissionSets builds the per-spindle admission sets as fresh
-// slices for the Striped admission controller (a per-request control
-// event, so the allocations are off the hot path).
-func (m *Manager) spindleAdmissionSets() [][]continuity.Request {
-	m.fillSpindleAdmissionSets()
-	//lint:ignore allocpath admission is a per-request control event, not per-round work
-	sets := make([][]continuity.Request, len(m.lanes))
-	for i, ln := range m.lanes {
-		//lint:ignore allocpath admission is a per-request control event, not per-round work
-		sets[i] = append([]continuity.Request(nil), ln.admSet...)
+// growLanes sizes the parallel lanes and the resident table to the
+// device: one lane and one resident set per spindle of a striped array;
+// no parallel lanes and a table of one set on a single device.
+func (m *Manager) growLanes() {
+	if m.array != nil {
+		for i := len(m.lanes); i < m.array.Spindles(); i++ {
+			ln := &lane{m: m, spindle: i}
+			ln.runFn = ln.run
+			m.lanes = append(m.lanes, ln)
+		}
 	}
-	return sets
+	for len(m.resident) < max(1, len(m.lanes)) {
+		m.resident = append(m.resident, nil)
+	}
 }
 
 // StripeSpindles reports the array's spindle count, 1 when the manager
-// drives a single device.
-func (m *Manager) StripeSpindles() int {
-	if m.array == nil {
-		return 1
-	}
-	return m.array.Spindles()
-}
+// drives a single device: the size of the resident table.
+func (m *Manager) StripeSpindles() int { return len(m.resident) }

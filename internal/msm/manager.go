@@ -3,7 +3,6 @@ package msm
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -142,9 +141,14 @@ type Manager struct {
 	// architectures.
 	concurrency int
 	order       ServiceOrder
-	reqs        []*request
-	nextID      RequestID
-	stats       Stats
+	// reqs is the live request table in admission order; finishDrained
+	// moves finished requests to retired, which keeps their progress and
+	// violation reports reachable without the per-round loops paying for
+	// every request the manager has ever seen.
+	reqs    []*request
+	retired map[RequestID]*request
+	nextID  RequestID
+	stats   Stats
 	// cache, when set, serves trailing plays of a strand range from
 	// the blocks a leading play just fetched (interval caching).
 	cache *cache.Cache
@@ -162,19 +166,20 @@ type Manager struct {
 	// scratch (the degraded-block marks and the block-payload buffer)
 	// lives on the lanes, which parallel sub-rounds own exclusively.
 	scratchAct []*request
-	scratchAdm []continuity.Request
-	sorter     scanSorter
-	// serial is the lane that services every request on a single
-	// device, and the striped round's serial phase; its virtual time
-	// writes through to the manager clock.
+	// serial is the lane over the whole logical device: it services what
+	// no parallel lane can take — on a single device, everything — and
+	// its virtual time writes through to the manager clock.
 	serial *lane
-	// array, lanes and laneWG drive the striped parallel round when d
+	// array, lanes and laneWG are the parallel half of the round when d
 	// is a disk.Array of degree > 1: one lane — and one goroutine per
-	// round, joined before the round closes — per spindle.
-	array         *disk.Array
-	lanes         []*lane
-	laneWG        sync.WaitGroup
-	scratchSerial []*request
+	// round, joined before the round closes — per spindle. A single
+	// device has none.
+	array  *disk.Array
+	lanes  []*lane
+	laneWG sync.WaitGroup
+	// resident is the resident table's storage, one set per spindle (one
+	// in all on a single device); see residentSets.
+	resident [][]continuity.Request
 	// obs, when set, receives per-round trace records and mirrors the
 	// counters into a metrics registry (see obs.go).
 	obs *roundObs
@@ -204,19 +209,12 @@ type Manager struct {
 // safe always-on).
 func New(d disk.Device, adm continuity.Admission) *Manager {
 	m := &Manager{d: d, adm: adm, k: 1, concurrency: 1, nextID: 1, ft: DefaultFaultPolicy()}
+	m.retired = make(map[RequestID]*request)
 	m.serial = &lane{m: m, spindle: -1, clk: &m.clock}
 	if a, ok := d.(*disk.Array); ok && a.Spindles() > 1 {
 		m.array = a
-		g := a.Spindle(0).Geometry()
-		for i := 0; i < a.Spindles(); i++ {
-			ln := &lane{
-				m: m, spindle: i,
-				spc: g.SectorsPerCylinder(), cyls: g.Cylinders,
-			}
-			ln.runFn = ln.run
-			m.lanes = append(m.lanes, ln)
-		}
 	}
+	m.growLanes()
 	m.rb.rate = DefaultRebuildRate
 	m.probeAdvancers()
 	return m
@@ -289,29 +287,12 @@ func (m *Manager) SetCache(c *cache.Cache) { m.cache = c }
 // Cache returns the interval cache, nil when disabled.
 func (m *Manager) Cache() *cache.Cache { return m.cache }
 
-// admissionSet lists the requests currently charged by admission
-// control: active and non-destructively paused disk-bound ones (their
-// resources remain allocated). Cache-served followers perform no disk
-// work, so the cache-aware controller excludes them (they are counted
-// separately by CacheServed).
-func (m *Manager) admissionSet() []continuity.Request {
-	out := m.scratchAdm[:0]
-	for _, r := range m.reqs {
-		if r.done || r.cacheServed {
-			continue
-		}
-		if r.pause != nil && r.pause.destructive {
-			continue
-		}
-		out = alloc.Append(out, r.effAdm())
-	}
-	m.scratchAdm = out
-	return out
-}
-
 // ActiveRequests reports how many disk-bound requests admission
 // control is currently carrying.
-func (m *Manager) ActiveRequests() int { return len(m.admissionSet()) }
+func (m *Manager) ActiveRequests() int {
+	_, n := m.residentSets()
+	return n
+}
 
 // CacheServed reports how many live requests are currently served from
 // the interval cache instead of the disk.
@@ -331,15 +312,34 @@ func (m *Manager) CacheServed() int {
 // serve) is admitted at the current k without charging disk time —
 // Eq. 18 is evaluated over the disk-bound population only.
 //
-// spindle is the candidate's home spindle on a striped array — the one
-// holding its first media block — or negative when unknown (records,
-// repositioned plays), in which case the candidate must fit on every
-// spindle. Over an array, Eq. 18 is evaluated per spindle against the
-// spindle-resident population (continuity.Striped), so the aggregate
-// admitted load can reach p times the single-spindle n_max. On a
-// single device spindle is ignored.
+// spindle is the candidate's home spindle (homeSpindle): the one
+// holding its first media block, or negative when unknown (records,
+// repositioned plays, anything on a single device), in which case the
+// candidate must fit on every spindle. Eq. 18 is evaluated per spindle
+// against the spindle-resident population, so over an array the
+// aggregate admitted load can reach p times the single-spindle n_max.
 func (m *Manager) admit(spindle int, candidate continuity.Request, cacheServed bool) (continuity.Decision, error) {
-	dec := m.decideAdmit(spindle, candidate, cacheServed)
+	return m.commit(m.decideAdmit(spindle, candidate, cacheServed))
+}
+
+// decideAdmit evaluates the admission decision for a candidate without
+// side effects: no transition rounds, no counters. The QoS negotiation
+// uses it to probe shed/degrade combinations before committing one.
+// A single device is the striped test at p = 1: one resident set, which
+// a candidate of unknown home must fit.
+func (m *Manager) decideAdmit(spindle int, candidate continuity.Request, cacheServed bool) continuity.Decision {
+	if cacheServed {
+		return continuity.CacheAware{A: m.adm}.Admit(nil, m.k, candidate, true)
+	}
+	sets, _ := m.residentSets()
+	return continuity.Striped{A: m.adm, P: len(sets)}.Admit(sets, spindle, m.k, candidate)
+}
+
+// commit applies a decision decideAdmit reached: the admission
+// counters, and for an accepted disk-bound candidate the k transition
+// (buffer growth plus, under Stepwise, one round at each intermediate
+// k). A rejection comes back wrapped in ErrAdmissionRejected.
+func (m *Manager) commit(dec continuity.Decision) (continuity.Decision, error) {
 	m.noteAdmission(dec.Admitted, dec.CacheServed)
 	if !dec.Admitted {
 		//lint:ignore allocpath admission rejection wraps the reason once, on the error path
@@ -380,18 +380,6 @@ func (m *Manager) admit(spindle int, candidate continuity.Request, cacheServed b
 	return dec, nil
 }
 
-// decideAdmit evaluates the admission decision for a candidate without
-// side effects: no transition rounds, no counters. The QoS negotiation
-// uses it to probe shed/degrade combinations before committing.
-func (m *Manager) decideAdmit(spindle int, candidate continuity.Request, cacheServed bool) continuity.Decision {
-	if m.array != nil && !cacheServed {
-		st := continuity.Striped{A: m.adm, P: len(m.lanes)}
-		return st.Admit(m.spindleAdmissionSets(), spindle, m.k, candidate)
-	}
-	ca := continuity.CacheAware{A: m.adm}
-	return ca.Admit(m.admissionSet(), m.k, candidate, cacheServed)
-}
-
 // growPlayBuffers raises every live play request's buffer grant to at
 // least n blocks.
 func (m *Manager) growPlayBuffers(n int) {
@@ -422,9 +410,9 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 	if m.qosEnabled() && !cacheServed {
 		// Class-ordered negotiation: full rate, then shedding lower
 		// classes, then sub-sampled admission of the candidate itself.
-		dec, err = m.admitClassed(m.planSpindle(plan), plan.Admission, plan.Class)
+		dec, err = m.admitClassed(m.homeSpindle(plan.Blocks, 0), plan.Admission, plan.Class)
 	} else {
-		dec, err = m.admit(m.planSpindle(plan), plan.Admission, cacheServed)
+		dec, err = m.admit(m.homeSpindle(plan.Blocks, 0), plan.Admission, cacheServed)
 	}
 	if err != nil {
 		return 0, dec, err
@@ -516,12 +504,15 @@ func (m *Manager) newID() RequestID {
 	return id
 }
 
-// find returns the request or an error.
+// find returns the request, live or finished, or an error.
 func (m *Manager) find(id RequestID) (*request, error) {
 	for _, r := range m.reqs {
 		if r.id == id {
 			return r, nil
 		}
+	}
+	if r, ok := m.retired[id]; ok {
+		return r, nil
 	}
 	return nil, fmt.Errorf("msm: unknown request %d", id)
 }
@@ -585,11 +576,7 @@ func (m *Manager) Resume(id RequestID) (continuity.Decision, error) {
 			b := r.play.plan.Blocks[r.play.nextFetch]
 			cacheServed = m.cache.Adoptable(r.play.cacheSID, b.Index, r.adm.Rate)
 		}
-		sp := -1
-		if s, ok := m.requestSpindle(r); ok {
-			sp = s
-		}
-		dec, err = m.admit(sp, r.adm, cacheServed)
+		dec, err = m.admit(m.homeSpindle(r.position()), r.adm, cacheServed)
 		if err != nil {
 			return dec, err
 		}
@@ -705,7 +692,7 @@ func (m *Manager) RunRound() bool {
 	m.classPass()
 	m.tickFaultRounds()
 	if m.kTarget > m.k {
-		// One step of a re-steer k transition (see resteerTransition):
+		// One step of a re-steer k transition (see resteer):
 		// the same one-k-per-round growth the paper's admission
 		// transition uses, so continuity holds while the absorbed
 		// population's rounds lengthen.
@@ -720,29 +707,15 @@ func (m *Manager) RunRound() bool {
 		return m.runRepairOnlyRound()
 	}
 	m.stats.Rounds++
-	// Refill the retry budget: the slack Eq. 18's worst-case charging
-	// leaves unused in this round is what fault retries may spend.
-	// (The striped round refines this to per-spindle budgets below.)
-	m.retrySlack = continuity.Duration(m.adm.SlackSeconds(m.admissionSet(), m.k))
+	// Re-steer around health changes first: the steer table is frozen
+	// for the round (lanes read it concurrently), and who is resident
+	// where follows it.
+	m.resteer()
+	sets, resident := m.residentSets()
 	if m.obs != nil {
-		defer m.recordRound(m.clock.Now(), m.k, len(m.admissionSet()), m.CacheServed(), len(act))
+		defer m.recordRound(m.clock.Now(), m.k, resident, m.CacheServed(), len(act))
 	}
-	worked := false
-	if len(m.lanes) > 1 {
-		worked = m.runStripedRound(act)
-	} else {
-		m.serial.retrySlack = m.retrySlack
-		if m.order == ScanOrder {
-			m.scanSort(act)
-		}
-		for _, r := range act {
-			if m.serial.serviceRequest(r, m.k) {
-				worked = true
-			}
-		}
-		m.serial.flushStats()
-		m.retrySlack = m.serial.retrySlack
-	}
+	worked := m.serviceRound(act, sets)
 	if !worked {
 		next, ok := m.nextWorkTime()
 		if !ok {
@@ -779,26 +752,39 @@ func (m *Manager) RunFor(d time.Duration) {
 }
 
 // finishDrained marks play requests done once fully fetched and record
-// requests done once their source is exhausted and flushed.
+// requests done once their source is exhausted and flushed, and retires
+// every finished request from the live table (survivors keep their
+// admission order). It closes every round, the one point no loop over
+// the table is in flight — except a demotion's, whose transition rounds
+// nest inside processDemotions' walk: those leave the retiring to the
+// outer round.
 func (m *Manager) finishDrained() {
+	n := 0
 	for _, r := range m.reqs {
-		if r.done || r.pause != nil {
+		if !r.done && r.pause == nil {
+			switch r.kind {
+			case Play:
+				if r.play.nextFetch >= len(r.play.plan.Blocks) {
+					r.done = true
+					// A finished leader's remaining pins stay with its
+					// follower; the chain is spliced around it.
+					m.closeCacheStream(r)
+				}
+			case Record:
+				if r.rec.exhausted {
+					r.done = true
+				}
+			}
+		}
+		if r.done && !m.inDemote {
+			m.retired[r.id] = r
 			continue
 		}
-		switch r.kind {
-		case Play:
-			if r.play.nextFetch >= len(r.play.plan.Blocks) {
-				r.done = true
-				// A finished leader's remaining pins stay with its
-				// follower; the chain is spliced around it.
-				m.closeCacheStream(r)
-			}
-		case Record:
-			if r.rec.exhausted {
-				r.done = true
-			}
-		}
+		m.reqs[n] = r
+		n++
 	}
+	clear(m.reqs[n:])
+	m.reqs = m.reqs[:n]
 }
 
 // closeCacheStream withdraws the request's play position from the
@@ -848,20 +834,22 @@ func (m *Manager) processDemotions() {
 		if m.obs != nil {
 			m.obs.demotions.Inc()
 		}
+		// Missing again where the previous demotion left it means the
+		// leader adopted then fed it nothing — orphans of one stopped
+		// leader sit at the same position and would adopt each other in
+		// turn forever. No progress: skip re-adoption.
+		stuck := r.demotedAt == r.play.nextFetch+1
+		r.demotedAt = r.play.nextFetch + 1
 		m.closeCacheStream(r)
 		m.reopenCacheStream(r)
-		if r.play.cacheOpen && m.cache.Adopt(uint64(r.id)) {
+		if !stuck && r.play.cacheOpen && m.cache.Adopt(uint64(r.id)) {
 			continue // found a new leader; still cache-served
 		}
 		// Full admission as a disk-bound stream. The transition rounds
 		// recurse into RunRound; r.demoting keeps this request out of
 		// them (it has no admission slot yet).
 		r.demoting = true
-		sp := -1
-		if s, ok := m.requestSpindle(r); ok {
-			sp = s
-		}
-		_, err := m.admit(sp, r.adm, false)
+		_, err := m.admit(m.homeSpindle(r.position()), r.adm, false)
 		r.demoting = false
 		if err != nil {
 			r.cacheServed = false
@@ -872,84 +860,6 @@ func (m *Manager) processDemotions() {
 		}
 		r.cacheServed = false
 	}
-}
-
-// nextCylinder reports the disk cylinder the request's next transfer
-// touches; ok is false when it cannot be known (pure delays, record
-// requests, or nothing left).
-func (m *Manager) nextCylinder(r *request) (int, bool) {
-	if r.kind != Play {
-		return 0, false
-	}
-	ps := r.play
-	g := m.d.Geometry()
-	for j := ps.nextFetch; j < len(ps.plan.Blocks); j++ {
-		b := ps.plan.Blocks[j]
-		if b.Reader == nil {
-			continue
-		}
-		e, err := b.Reader.Strand().Block(b.Index)
-		if err != nil || e.Silent() {
-			continue
-		}
-		return g.CylinderOf(int(e.Sector)), true
-	}
-	return 0, false
-}
-
-// scanSorter sorts a round's requests by precomputed sweep key; a
-// persistent instance avoids the per-round closure and reflection
-// allocations of sort.SliceStable.
-type scanSorter struct {
-	reqs []*request
-	keys []int
-}
-
-func (s *scanSorter) Len() int           { return len(s.reqs) }
-func (s *scanSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *scanSorter) Swap(i, j int) {
-	s.reqs[i], s.reqs[j] = s.reqs[j], s.reqs[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
-// scanSort reorders the round's requests as a C-SCAN sweep: ascending
-// next-block cylinder starting from the head's current position,
-// wrapping. Requests without a known position keep their arrival order
-// at the end of the sweep. Keys are computed once per request into the
-// manager's scratch storage, and the typical small round (n ≤ 16) is
-// ordered by a stable insertion sort with no sort.Interface traffic.
-//
-// rt:hotpath
-func (m *Manager) scanSort(act []*request) {
-	head := m.d.HeadCylinder(0)
-	nc := m.d.Geometry().Cylinders
-	keys := m.sorter.keys[:0]
-	for _, r := range act {
-		k := 2 * nc // after every positioned request
-		if cyl, ok := m.nextCylinder(r); ok {
-			k = cyl - head
-			if k < 0 {
-				k += nc
-			}
-		}
-		keys = alloc.Append(keys, k)
-	}
-	m.sorter.keys = keys
-	if len(act) <= 16 {
-		for i := 1; i < len(act); i++ {
-			k, r := keys[i], act[i]
-			j := i - 1
-			for j >= 0 && keys[j] > k {
-				keys[j+1], act[j+1] = keys[j], act[j]
-				j--
-			}
-			keys[j+1], act[j+1] = k, r
-		}
-		return
-	}
-	m.sorter.reqs = act
-	sort.Stable(&m.sorter)
-	m.sorter.reqs = nil
 }
 
 // isFault reports whether a read error came from the fault-injection

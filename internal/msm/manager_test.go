@@ -143,6 +143,41 @@ func TestRecordThenPlayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFinishedRequestsLeaveLiveTable plays one strand many times in
+// sequence on one manager (the daemon's pattern): the live request
+// table the per-round loops walk must hold only live requests, while
+// every finished play stays reachable for progress and violation
+// reports.
+func TestFinishedRequestsLeaveLiveTable(t *testing.T) {
+	rig := newRig(t, disk.DefaultGeometry())
+	s := rig.recordVideo(t, 60, 18000, 3, 30, 43)
+	var ids []RequestID
+	for i := 0; i < 5; i++ {
+		plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _, err := rig.m.AdmitPlay(plan)
+		if err != nil {
+			t.Fatalf("admit play %d: %v", i, err)
+		}
+		ids = append(ids, id)
+		rig.m.RunUntilDone()
+		if n := len(rig.m.reqs); n != 0 {
+			t.Fatalf("live table holds %d requests after play %d finished", n, i)
+		}
+	}
+	for _, id := range ids {
+		p, err := rig.m.Progress(id)
+		if err != nil {
+			t.Fatalf("finished play %d unreachable: %v", id, err)
+		}
+		if v, _ := rig.m.Violations(id); !p.Done || p.BlocksServed != p.BlocksTotal || len(v) != 0 {
+			t.Fatalf("finished play %d: %+v, %d violations", id, p, len(v))
+		}
+	}
+}
+
 func TestScatteringWithinDerivedBounds(t *testing.T) {
 	rig := newRig(t, disk.DefaultGeometry())
 	s := rig.recordVideo(t, 150, 18000, 3, 30, 7)

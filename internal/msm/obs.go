@@ -151,19 +151,9 @@ func (m *Manager) recordRound(start time.Duration, kAtStart, active, cacheServed
 	o.cacheServedGauge.Set(int64(cacheServed))
 	o.retrySlackGauge.Set(int64(m.retrySlack))
 	if m.qosEnabled() {
-		var act, deg [continuity.NumClasses]int64
-		for _, r := range m.reqs {
-			if r.kind != Play || r.done {
-				continue
-			}
-			act[r.class]++
-			if r.play.stride > 1 {
-				deg[r.class]++
-			}
-		}
-		for c := 0; c < continuity.NumClasses; c++ {
-			o.classActive[c].Set(act[c])
-			o.classDegraded[c].Set(deg[c])
+		for c, st := range m.QoSStats() {
+			o.classActive[c].Set(int64(st.Active))
+			o.classDegraded[c].Set(int64(st.Degraded))
 		}
 	}
 	for i, g := range o.spindleState {

@@ -101,8 +101,9 @@ func TestNextCylinderSkipsDelaysAndSilence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A plan starting with a pure delay: nextCylinder must look
-	// through it to the first real block.
+	// A plan starting with a pure delay: the next-media-block walker
+	// (the C-SCAN key's source) must look through it to the first real
+	// block.
 	blocks := append([]PlannedBlock{{Reader: nil, Duration: expanded[0].Duration}}, expanded...)
 	plan, err := PlanBlocksPlay(rig.d, "delayed", blocks, continuity.Request{
 		Name: "d", Granularity: 3, UnitBits: 18000 * 8, Rate: 30, Scattering: rig.scattering(),
@@ -118,12 +119,16 @@ func TestNextCylinderSkipsDelaysAndSilence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cyl, ok := mgr.nextCylinder(r)
+	next, at, ok := nextMedia(r.position())
 	if !ok {
-		t.Fatal("nextCylinder found nothing despite real blocks")
+		t.Fatal("nextMedia found nothing despite real blocks")
 	}
+	if at != 1 {
+		t.Fatalf("next media block at plan index %d, want 1", at)
+	}
+	g := rig.d.Geometry()
 	e, _ := s.Block(0)
-	if want := rig.d.Geometry().CylinderOf(int(e.Sector)); cyl != want {
+	if cyl, want := g.CylinderOf(int(next.Sector)), g.CylinderOf(int(e.Sector)); cyl != want {
 		t.Fatalf("next cylinder %d, want %d", cyl, want)
 	}
 	mgr.RunUntilDone()

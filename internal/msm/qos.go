@@ -1,8 +1,6 @@
 package msm
 
 import (
-	"fmt"
-
 	"mmfs/internal/alloc"
 	"mmfs/internal/continuity"
 )
@@ -159,14 +157,13 @@ func (m *Manager) admitClassed(sp int, cand continuity.Request, class continuity
 		for i := len(sheds) - 1; i >= 0; i-- {
 			sheds[i].r.play.stride = sheds[i].stride
 		}
-		m.noteAdmission(false, false)
-		//lint:ignore allocpath admission rejection wraps the reason once, on the error path
-		return dec, fmt.Errorf("%w: %s", ErrAdmissionRejected, dec.Reason)
+		return m.commit(dec)
 	}
 
 	// Commit: bookkeep each distinct victim's demotion (its stride is
-	// already at the negotiated value), then run the real admission so
-	// the stepwise k transition and the obs counters engage.
+	// already at the negotiated value), then commit the decision the
+	// negotiation ended on so the stepwise k transition and the obs
+	// counters engage.
 	for i, t := range sheds {
 		first := true
 		for j := 0; j < i; j++ {
@@ -179,11 +176,7 @@ func (m *Manager) admitClassed(sp int, cand continuity.Request, class continuity
 			m.noteDemotion(t.r)
 		}
 	}
-	eff := cand
-	if stride > 1 {
-		eff = continuity.Degraded(cand, stride)
-	}
-	dec, err := m.admit(sp, eff, false)
+	dec, err := m.commit(dec)
 	dec.Stride = stride
 	return dec, err
 }
@@ -262,22 +255,18 @@ func (m *Manager) notePromotion(r *request, stride int) {
 	}
 }
 
-// feasibleNow reports whether Eq. 18 holds at the current k for the
-// current effective admission sets (per spindle over an array).
+// feasibleNow reports whether Eq. 18 holds at the current k for every
+// set of the resident table.
 //
 // rt:hotpath
 func (m *Manager) feasibleNow() bool {
-	if m.array != nil {
-		m.fillSpindleAdmissionSets()
-		for _, ln := range m.lanes {
-			if len(ln.admSet) > 0 && !m.adm.FeasibleTransient(ln.admSet, m.k) {
-				return false
-			}
+	sets, _ := m.residentSets()
+	for _, set := range sets {
+		if len(set) > 0 && !m.adm.FeasibleTransient(set, m.k) {
+			return false
 		}
-		return true
 	}
-	set := m.admissionSet()
-	return len(set) == 0 || m.adm.FeasibleTransient(set, m.k)
+	return true
 }
 
 // strideFeasible probes whether assigning the play the given stride

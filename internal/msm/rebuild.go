@@ -159,15 +159,7 @@ func (m *Manager) AddMirrorPair(d0, d1 disk.Device) error {
 	if err := m.array.AddMirrorPair(d0, d1); err != nil {
 		return err
 	}
-	g := m.array.Spindle(0).Geometry()
-	for i := len(m.lanes); i < m.array.Spindles(); i++ {
-		ln := &lane{
-			m: m, spindle: i,
-			spc: g.SectorsPerCylinder(), cyls: g.Cylinders,
-		}
-		ln.runFn = ln.run
-		m.lanes = append(m.lanes, ln)
-	}
+	m.growLanes()
 	m.probeAdvancers()
 	return nil
 }
@@ -196,29 +188,29 @@ func (m *Manager) ensureRepairBuf() {
 	m.rb.buf = m.rb.buf[:need]
 }
 
-// resteerTransition renegotiates k after a steering change: a dead
-// spindle's streams now share the surviving twin's sub-round, so that
-// spindle's population may need more blocks per round than the current
-// k provides (the same reason fresh admissions can raise k). The
-// growth is applied one k per round by RunRound — §3.4's stepwise
-// transition — and the buffer grants are raised up front so the
-// read-ahead can absorb the transition rounds.
-func (m *Manager) resteerTransition() {
-	m.fillSpindleAdmissionSets()
+// resteer refreshes the array's steer table at the top of a round and,
+// when a health change moved streams, renegotiates k: a dead spindle's
+// streams now share the surviving twin's sub-round, so that spindle's
+// population may need more blocks per round than the current k
+// provides (the same reason fresh admissions can raise k). The need is
+// Eq. 18's solution (KTransient) over each resident set; the growth is
+// applied one k per round by RunRound — §3.4's stepwise transition —
+// and the buffer grants are raised up front so the read-ahead can
+// absorb the transition rounds. A single device has nothing to steer.
+//
+// rt:hotpath
+func (m *Manager) resteer() {
+	if m.array == nil || !m.array.RefreshSteering() {
+		return
+	}
+	sets, _ := m.residentSets()
 	need := m.k
-	for _, ln := range m.lanes {
-		k := need
-		for k <= maxResteerK && m.adm.SlackSeconds(ln.admSet, k) < 0 {
-			k++
-		}
-		if k > maxResteerK {
-			// Infeasible at any bounded k: the absorbed population
-			// exceeds the surviving spindle's n_max. Keep the old k and
-			// let the violations show; admission already refuses new
-			// load against the shrunken capacity.
-			continue
-		}
-		if k > need {
+	for _, set := range sets {
+		// A set infeasible at any k up to the cap — the absorbed
+		// population exceeds the surviving spindle's n_max — keeps the
+		// old k and lets the violations show; admission already refuses
+		// new load against the shrunken capacity.
+		if k, ok := m.adm.KTransient(set); ok && k <= maxResteerK && k > need {
 			need = k
 		}
 	}

@@ -197,6 +197,74 @@ func TestMirroredDegradedService(t *testing.T) {
 	}
 }
 
+// TestResteerRaisesKStepwise loads each twin of a mirror pair with half
+// a spindle's n_max at the k that population needs, then kills one
+// twin: the survivor's sub-round absorbs the whole population, which
+// needs a larger k. The re-steer must find that k through the one
+// Eq. 18 solver (KTransient over the absorbed resident set) and RunRound
+// must grow k toward it by exactly one per round — §3.4's stepwise
+// transition — counting each step.
+func TestResteerRaisesKStepwise(t *testing.T) {
+	const p, stripe, victim = 2, 120, 1
+	rig := newMirroredRig(t, p, stripe, -1, fault.Scenario{})
+	adm := rig.m.Admission()
+
+	first := rig.recordPreferring(t, 0, 0, 300, 9500)
+	plan, err := PlanStrandPlay(rig.arr, first, PlanOptions{ReadAhead: 1, Buffers: 64, Scattering: rig.scattering()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := plan.Admission
+	per := adm.NMax(tmpl) / 2
+	kHalf, kFull := cacheRigK(t, adm, tmpl, per), cacheRigK(t, adm, tmpl, 2*per)
+	if per < 1 || kFull <= kHalf {
+		t.Fatalf("setup: %d streams per twin need k=%d, absorbed %d need k=%d; no transition to observe",
+			per, kHalf, 2*per, kFull)
+	}
+
+	rig.m.ForceK(kHalf)
+	for sp := 0; sp < p; sp++ {
+		for w := 0; w < per; w++ {
+			s := first
+			if sp != 0 || w != 0 {
+				s = rig.recordPreferring(t, sp, w, 300, int64(9500+10*sp+w))
+			}
+			rig.play(t, s, 64)
+		}
+	}
+	if k := rig.m.K(); k != kHalf {
+		t.Fatalf("k = %d after admitting %d streams per twin, want %d", k, per, kHalf)
+	}
+	rig.m.RunRound()
+	if k, steps := rig.m.K(), rig.m.Stats().TransitionSteps; k != kHalf || steps != 0 {
+		t.Fatalf("healthy round moved k to %d (%d steps)", k, steps)
+	}
+
+	rig.arr.SetSpindleState(victim, disk.Dead)
+	// The round that notices the death sets the target; every later
+	// round takes one step until k reaches the absorbed set's need.
+	rig.m.RunRound()
+	for want := kHalf + 1; want <= kFull; want++ {
+		if !rig.m.RunRound() {
+			t.Fatalf("streams drained before k reached %d", kFull)
+		}
+		if k := rig.m.K(); k != want {
+			t.Fatalf("k = %d, want %d: the re-steer transition must raise k by one per round up to %d",
+				k, want, kFull)
+		}
+	}
+	rig.m.RunRound()
+	if k := rig.m.K(); k != kFull {
+		t.Fatalf("k = %d after the transition, want it to rest at %d", k, kFull)
+	}
+	if steps := rig.m.Stats().TransitionSteps; steps != uint64(kFull-kHalf) {
+		t.Fatalf("TransitionSteps = %d, want %d", steps, kFull-kHalf)
+	}
+	if n := rig.m.ActiveRequests(); n != 2*per {
+		t.Fatalf("%d streams resident after the kill, want all %d absorbed", n, 2*per)
+	}
+}
+
 // deadAfterErrsBudget mirrors the disk package's deadAfterErrs
 // threshold for the degraded-burst bound above (the victim stream can
 // degrade one k-window per round while the strikes accumulate).

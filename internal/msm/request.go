@@ -193,6 +193,9 @@ type request struct {
 	// interval broke); processDemotions resolves it at the top of the
 	// next round.
 	needsDemote bool
+	// demotedAt is 1 + the plan position of the request's previous
+	// demotion (0: never demoted); see processDemotions.
+	demotedAt int
 	// demoting excludes the request from service while its own
 	// demotion re-runs admission (whose transition rounds recurse into
 	// RunRound).

@@ -191,6 +191,32 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
+// refusalLinger bounds how long a refused connection is kept half-open
+// so its client can read the refusal.
+const refusalLinger = time.Second
+
+// lingerRefused lets a refused client read its ErrServerBusy frame:
+// closing a socket with the client's request unread — or still in
+// flight — answers it with an RST, which discards the refusal the
+// client has not read yet (it then sees "broken pipe" or "connection
+// reset" instead of the diagnosis). So finish our side of the stream,
+// then swallow what the client sends until it hangs up or the linger
+// deadline passes.
+func (s *Server) lingerRefused(conn net.Conn) {
+	if hc, ok := conn.(interface{ CloseWrite() error }); ok {
+		//lint:ignore noerrdrop half-close is best effort; the caller's Close follows either way
+		_ = hc.CloseWrite()
+	}
+	//lint:ignore simclock,noerrdrop connection deadlines guard real network I/O; a failed set means the conn is already dead
+	_ = conn.SetReadDeadline(time.Now().Add(refusalLinger))
+	var sink [512]byte
+	for {
+		if _, err := conn.Read(sink[:]); err != nil {
+			return // EOF (the client hung up), or the linger deadline
+		}
+	}
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	if !s.registerConn(conn) {
@@ -204,6 +230,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		//lint:ignore noerrdrop best-effort refusal notice; the deferred Close is the real remedy
 		_ = wire.WriteFrame(conn, wire.ErrResponse(ErrServerBusy))
+		s.lingerRefused(conn)
 		return
 	}
 	defer s.unregisterConn(conn)
