@@ -4,7 +4,7 @@ GO ?= go
 # subset keeps CI latency down while still covering every mutex.
 RACE_PKGS = ./internal/server ./internal/msm ./internal/client ./internal/cache ./internal/obs ./internal/fault ./internal/disk
 
-.PHONY: all build test race race-bench lint lint-fix-check bench bench-baseline bench-compare bench-check fuzz chaos clean
+.PHONY: all build test race race-bench lint lint-fix-check bench bench-baseline bench-compare bench-check mmload-pairs fuzz chaos clean
 
 all: build lint test
 
@@ -57,9 +57,12 @@ bench-baseline:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x . | $(GO) run ./cmd/benchjson -strip-wallclock -out bench/baseline.json
 
 # Gate the working tree against the committed baseline (what CI runs).
+# allocs/op is left to bench-check: at one iteration a runtime one-off
+# (a g struct for a lane spawn) reads as a whole allocation per op and
+# fails any zero baseline about one run in three.
 bench-compare:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x . | $(GO) run ./cmd/benchjson -out bench/current.json
-	$(GO) run ./cmd/benchjson -compare -tolerance 0.15 bench/baseline.json bench/current.json
+	$(GO) run ./cmd/benchjson -compare -tolerance 0.15 -skip allocs/op bench/baseline.json bench/current.json
 
 # Allocation-regression gate: the steady-state service rounds
 # (BenchmarkPlaybackRound/steady, BenchmarkQoSClassPass — the round
@@ -77,6 +80,16 @@ bench-check:
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkPlaybackRound bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkQoSClassPass bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkRebuildRound bench/baseline.json bench/allocs.json
+
+# Paired end-to-end runs of the BENCHMARK.json harness: PARENT (a git
+# revision) against the working tree, N alternating pairs of WORKLOAD
+# (a name, a comma list, or "all") on PAIR_SEED, then mmload -compare. A PR
+# that claims a speed-up commits the resulting
+# .bench_build/pairs/trajectory.json as bench/trajectory/PR<n>.json.
+N ?= 10
+PAIR_SEED ?= 1
+mmload-pairs:
+	bash scripts/mmload-pairs.sh $(PARENT) $(WORKLOAD) $(N) $(PAIR_SEED)
 
 # Short fuzz pass over the wire codec and the fault-scenario parser;
 # lengthen -fuzztime locally.

@@ -11,6 +11,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sync"
@@ -36,6 +37,7 @@ func main() {
 		target    = flag.Int("target-cylinders", 32, "placement policy: max cylinders between successive strand blocks")
 		cachemb   = flag.Int("cachemb", 0, "interval cache size in MiB (0 disables caching)")
 		metrics   = flag.String("metrics-addr", "", "observability HTTP listen address serving /metrics (Prometheus text) and /trace (service-round JSON); empty disables")
+		pprofAddr = flag.String("pprof-addr", "", "profiling HTTP listen address serving net/http/pprof under /debug/pprof/ (CPU, heap, goroutine, execution trace); empty disables")
 		scenario  = flag.String("fault-scenario", "off", "fault-injection scenario (e.g. \"seed=42,readerr=0.02,slow=0.05x4,bad=100+50\"); \"off\" disables")
 		connTO    = flag.Duration("conn-timeout", 0, "per-connection idle read and response write deadline (0 disables)")
 		maxConns  = flag.Int("max-conns", 0, "max concurrent client connections; excess are refused with a busy error (0 = unlimited)")
@@ -106,21 +108,31 @@ func main() {
 	}
 	fmt.Printf("mmfsd: serving on %s\n", lis.Addr())
 
-	var mlis net.Listener
-	var metricsWG sync.WaitGroup
-	if *metrics != "" {
-		mlis, err = net.Listen("tcp", *metrics)
+	// Auxiliary HTTP listeners (observability, profiling): each serves
+	// on its own goroutine until the drain closes it; auxWG joins them.
+	var aux []net.Listener
+	var auxWG sync.WaitGroup
+	serveAux := func(name, addr string, h http.Handler) net.Addr {
+		l, err := net.Listen("tcp", addr)
 		if err != nil {
-			log.Fatalf("mmfsd: metrics listen: %v", err)
+			log.Fatalf("mmfsd: %s listen: %v", name, err)
 		}
-		fmt.Printf("mmfsd: metrics on http://%s/metrics (trace at /trace)\n", mlis.Addr())
-		metricsWG.Add(1)
+		aux = append(aux, l)
+		auxWG.Add(1)
 		go func() {
-			defer metricsWG.Done()
-			if err := http.Serve(mlis, obs.Handler(fs.Metrics(), fs.Trace())); err != nil && !errors.Is(err, net.ErrClosed) {
-				log.Printf("mmfsd: metrics serve: %v", err)
+			defer auxWG.Done()
+			if err := http.Serve(l, h); err != nil && !errors.Is(err, net.ErrClosed) {
+				log.Printf("mmfsd: %s serve: %v", name, err)
 			}
 		}()
+		return l.Addr()
+	}
+	if *metrics != "" {
+		a := serveAux("metrics", *metrics, obs.Handler(fs.Metrics(), fs.Trace()))
+		fmt.Printf("mmfsd: metrics on http://%s/metrics (trace at /trace)\n", a)
+	}
+	if *pprofAddr != "" {
+		fmt.Printf("mmfsd: pprof on http://%s/debug/pprof/\n", serveAux("pprof", *pprofAddr, pprofHandler()))
 	}
 
 	srv := server.New(fs)
@@ -134,8 +146,8 @@ func main() {
 	go func() {
 		<-sig
 		fmt.Println("\nmmfsd: draining connections")
-		if mlis != nil {
-			_ = mlis.Close()
+		for _, l := range aux {
+			_ = l.Close()
 		}
 		// Graceful drain: in-flight requests get their responses, new
 		// connections are refused, and Close returns once every
@@ -149,8 +161,21 @@ func main() {
 	}
 	// Serve returns nil only when the drain path closed the listener;
 	// wait for the drain itself to finish before exiting the process.
-	// The drain closes the metrics listener, which unblocks the
-	// metrics goroutine; join it so its final log line is not lost.
+	// The drain closes the auxiliary listeners, which unblocks their
+	// goroutines; join them so a final log line is not lost.
 	<-drained
-	metricsWG.Wait()
+	auxWG.Wait()
+}
+
+// pprofHandler serves the net/http/pprof endpoints on a mux of their
+// own, so profiling is reachable only through -pprof-addr and never
+// through the metrics listener.
+func pprofHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

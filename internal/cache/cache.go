@@ -57,7 +57,8 @@ type blockKey struct {
 
 // entry is one resident block. An entry is either pinned for exactly
 // one claimant stream (the next follower that will consume it), or it
-// sits on the LRU list.
+// sits on the LRU list. A removed entry waits on the free list (linked
+// through next) with its buffer, for the next insert to refill.
 type entry struct {
 	key        blockKey
 	data       []byte
@@ -103,7 +104,14 @@ type Cache struct {
 	intervals int
 	// LRU list of unpinned entries, head = most recent.
 	head, tail *entry
-	stats      Stats
+	// free lists removed entries, buffers attached, for Put to recycle:
+	// at capacity an insert evicts one block and copies into its buffer,
+	// allocating nothing. Only removals feed it and every insert drains
+	// it first, so entries resident plus free never exceed the most the
+	// cache ever held at once; free bytes count in neither bytes nor
+	// pinned.
+	free  *entry
+	stats Stats
 	// obs mirrors the Stats counters into an observability registry;
 	// all fields nil when SetObs was never called.
 	obsHits, obsMisses, obsWaits      *obs.Counter
@@ -275,6 +283,8 @@ func (c *Cache) Adopt(id uint64) bool {
 // stream's position and hands down (or releases) the block's pin. A
 // Wait means the block is not yet produced by the leader; a Miss means
 // the stream has fallen off the cache and must be demoted to disk.
+// The returned slice is the cache's own buffer: read-only, and valid
+// only until the next Put (an eviction recycles it).
 //
 // rt:hotpath
 func (c *Cache) Get(id uint64, index int) ([]byte, Result) {
@@ -347,7 +357,10 @@ func (c *Cache) consume(s *stream, e *entry) {
 
 // Put records a block the stream fetched from disk, making it
 // available to followers (pinned if one needs it) or to the plain LRU.
-// The stream's position advances past the block either way.
+// The stream's position advances past the block either way. data is
+// copied — it is usually lent by the device (strand.ReadBlockInto) and
+// the cache must own what it retains; this is the media path's one
+// copy.
 //
 // rt:hotpath
 func (c *Cache) Put(id uint64, index int, data []byte) {
@@ -364,8 +377,6 @@ func (c *Cache) Put(id uint64, index int, data []byte) {
 	}
 	key := blockKey{s.sid, index}
 	if e := c.entries[key]; e != nil {
-		// Copy into the entry-owned buffer: callers (the msm round
-		// loop) recycle their read buffer the next service slot.
 		e.data = alloc.CopyBytes(e.data, data)
 		c.claimOrTouch(s, e)
 		return
@@ -377,9 +388,15 @@ func (c *Cache) Put(id uint64, index int, data []byte) {
 			return
 		}
 	}
-	//lint:ignore allocpath one entry per cache insert; the cache exists to retain blocks
-	e := &entry{key: key}
-	e.data = alloc.CopyBytes(nil, data)
+	e := c.free
+	if e != nil {
+		c.free, e.next = e.next, nil
+	} else {
+		//lint:ignore allocpath nothing removed yet to recycle: the cache is still growing to its peak residency
+		e = &entry{}
+	}
+	e.key = key
+	e.data = alloc.CopyBytes(e.data, data)
 	c.entries[key] = e
 	c.bytes += size
 	c.stats.Inserts++
@@ -474,7 +491,8 @@ func (c *Cache) InvalidateStrand(sid strand.ID) {
 	}
 }
 
-// removeEntry unlinks and forgets an entry regardless of pin state.
+// removeEntry unlinks and forgets an entry regardless of pin state,
+// keeping the entry and its buffer on the free list.
 func (c *Cache) removeEntry(e *entry) {
 	if e.claimant != nil {
 		e.claimant = nil
@@ -484,6 +502,7 @@ func (c *Cache) removeEntry(e *entry) {
 	}
 	c.bytes -= int64(len(e.data))
 	delete(c.entries, e.key)
+	e.next, c.free = c.free, e
 }
 
 // evictOne drops the least recently used unpinned entry; false when

@@ -50,6 +50,11 @@ func checkInvariants(t *testing.T, c *Cache) {
 			t.Fatalf("unpinned entry %v not on LRU list", k)
 		}
 	}
+	for e := c.free; e != nil; e = e.next {
+		if c.entries[e.key] == e || e.claimant != nil || e.prev != nil {
+			t.Fatalf("free-list entry %v still resident, pinned or LRU-linked", e.key)
+		}
+	}
 	if bytes != c.bytes || pinned != c.pinned {
 		t.Fatalf("accounting: have bytes=%d pinned=%d, recomputed %d/%d",
 			c.bytes, c.pinned, bytes, pinned)
@@ -373,4 +378,51 @@ func TestStatsSnapshot(t *testing.T) {
 			t.Fatalf("Result(%d) = %q", i, got)
 		}
 	}
+}
+
+// A cache at capacity inserts by evicting one block and refilling its
+// entry and buffer: no allocation, no change to the byte accounting,
+// and resident blocks keep their own bytes.
+func TestPutAtCapacityRecyclesEvictedBuffers(t *testing.T) {
+	const n = 8
+	c := New(n * blockSize)
+	sid := strand.ID(3)
+	c.OpenStream(1, sid, 0, 1<<30, 10)
+	next := 0
+	for ; next < n; next++ {
+		c.Put(1, next, block(next))
+	}
+	data := block(0)
+	allocs := testing.AllocsPerRun(500, func() {
+		data[0] = byte(next)
+		c.Put(1, next, data)
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("Put at capacity allocates %v times per insert, want 0", allocs)
+	}
+	checkInvariants(t, c)
+	st := c.Stats()
+	if st.Bytes != n*blockSize || st.Evictions != st.Inserts-n {
+		t.Fatalf("bytes=%d evictions=%d inserts=%d after %d inserts into %d slots",
+			st.Bytes, st.Evictions, st.Inserts, next, n)
+	}
+	c.OpenStream(2, sid, next-n, 1<<30, 10)
+	for i := next - n; i < next; i++ {
+		got, res := c.Get(2, i)
+		if res != Hit || got[0] != byte(i) {
+			t.Fatalf("block %d: %v, first byte %d", i, res, got[0])
+		}
+	}
+
+	// Invalidation feeds the free list too; its bytes are not resident.
+	c.InvalidateStrand(sid)
+	checkInvariants(t, c)
+	if st := c.Stats(); st.Bytes != 0 || st.PinnedBytes != 0 {
+		t.Fatalf("bytes=%d pinned=%d after invalidating everything", st.Bytes, st.PinnedBytes)
+	}
+	if allocs := testing.AllocsPerRun(n-1, func() { c.Put(1, next, data); next++ }); allocs != 0 {
+		t.Fatalf("Put after invalidation allocates %v times per insert, want 0", allocs)
+	}
+	checkInvariants(t, c)
 }

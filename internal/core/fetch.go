@@ -69,12 +69,8 @@ func (fs *FS) FetchUnits(user string, id rope.ID, m rope.Medium, start, dur time
 		if avail := s.UnitCount() - ref.StartUnit; n > avail {
 			n = avail
 		}
-		for u := uint64(0); u < n; u++ {
-			payload, err := rd.Unit(ref.StartUnit + u)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, payload)
+		if out, err = rd.AppendUnits(out, ref.StartUnit, n); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

@@ -236,9 +236,9 @@ func (a *Array) spanAt(lba, n, done int) (sp, local, count int) {
 }
 
 // ReadInto is the allocation-free timed read: data lands in dst (at
-// least n sectors long), and the returned service time is the owning
-// spindle's charge — or, for a boundary-crossing access, the sum of the
-// per-span charges.
+// least n sectors long), which the caller then owns, and the returned
+// service time is the owning spindle's charge — or, for a
+// boundary-crossing access, the sum of the per-span charges.
 //
 // rt:hotpath
 func (a *Array) ReadInto(h, lba, n int, dst []byte) (time.Duration, error) {
@@ -249,14 +249,43 @@ func (a *Array) ReadInto(h, lba, n int, dst []byte) (time.Duration, error) {
 	var total time.Duration
 	for done := 0; done < n; {
 		sp, local, count := a.spanAt(lba, n, done)
-		t, err := a.readSpan(sp, local, count, dst[done*ss:(done+count)*ss])
+		seg := dst[done*ss : (done+count)*ss]
+		data, t, err := a.readSpan(sp, local, count, seg)
 		if err != nil {
 			return 0, err
+		}
+		if &data[0] != &seg[0] {
+			copy(seg, data) // lent by the spindle; the caller must own it
 		}
 		total += t
 		done += count
 	}
 	return total, nil
+}
+
+// ReadView is the lending timed read (see Device.ReadView): an access
+// inside one stripe group is the owning spindle's lending read — same
+// charge, fault stream and mirror health observation as ReadInto, no
+// copy. A boundary-crossing access is assembled in scratch.
+//
+// rt:hotpath
+func (a *Array) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, error) {
+	if err := a.checkRange(lba, n); err != nil {
+		return nil, 0, err
+	}
+	if sp, local, count := a.spanAt(lba, n, 0); n > 0 && count == n {
+		data, t, err := a.readSpan(sp, local, n, scratch)
+		if err != nil {
+			return nil, 0, err // ReadInto reports no charge for a failed array access
+		}
+		return data, t, nil
+	}
+	t, err := a.ReadInto(h, lba, n, scratch)
+	if err != nil {
+		return nil, 0, err
+	}
+	hi := n * a.logical.SectorSize
+	return scratch[:hi:hi], t, nil
 }
 
 // Read performs a timed read of n sectors at the logical address,

@@ -37,8 +37,20 @@ type Device interface {
 	// Timed data path (virtual service times drive the round clock).
 	Read(h, lba, n int) ([]byte, time.Duration, error)
 	// ReadInto is Read without the buffer allocation: dst must hold
-	// n sectors. It is the rt:hotpath entry point (see allocpath).
+	// n sectors. It is for callers that must own the bytes (the
+	// rebuild/rebalance copy engine); playback uses ReadView.
 	ReadInto(h, lba, n int, dst []byte) (time.Duration, error)
+	// ReadView is the lending timed read, the rt:hotpath entry point
+	// (see allocpath): timing, head movement, statistics and fault
+	// behaviour are exactly ReadInto's, but when the access sits in one
+	// materialised cylinder page of one spindle the returned slice
+	// aliases the device's own store instead of a copy. Otherwise
+	// scratch (at least n sectors long) is filled as ReadInto would and
+	// returned. Either way the slice is read-only, has cap == len, and
+	// is valid until the next write to the device or the next call
+	// with the same scratch. On error data is nil and t is what ReadInto
+	// would report.
+	ReadView(h, lba, n int, scratch []byte) (data []byte, t time.Duration, err error)
 	ReadContiguous(h, lba, n int) ([]byte, time.Duration, error)
 	Write(h, lba int, data []byte) (time.Duration, error)
 	PeekServiceTime(h, lba, n int) time.Duration
@@ -300,20 +312,31 @@ func (d *Disk) serviceTime(h, lba, n int, contiguous bool) time.Duration {
 	return t
 }
 
+// chargeRead is the one timing body of the timed read path: range
+// check, positioning and transfer charge, head movement, read counters
+// and the latency histogram.
+func (d *Disk) chargeRead(h, lba, n int, contiguous bool) (time.Duration, error) {
+	if err := d.checkRange(lba, n); err != nil {
+		return 0, err
+	}
+	t := d.serviceTime(h, lba, n, contiguous)
+	d.stats.Reads++
+	d.stats.SectorsRead += uint64(n)
+	if d.readLatency != nil {
+		d.readLatency.Observe(t.Seconds())
+	}
+	return t, nil
+}
+
 // Read performs a timed read by head h of n sectors at lba, returning
 // the data and the service time (seek + average rotational latency +
 // transfer). A read that continues exactly where the head left off
 // would still pay latency here; use ReadContiguous for run
 // continuation.
 func (d *Disk) Read(h, lba, n int) ([]byte, time.Duration, error) {
-	if err := d.checkRange(lba, n); err != nil {
+	t, err := d.chargeRead(h, lba, n, false)
+	if err != nil {
 		return nil, 0, err
-	}
-	t := d.serviceTime(h, lba, n, false)
-	d.stats.Reads++
-	d.stats.SectorsRead += uint64(n)
-	if d.readLatency != nil {
-		d.readLatency.Observe(t.Seconds())
 	}
 	buf, err := d.ReadAt(lba, n)
 	if err != nil {
@@ -324,19 +347,13 @@ func (d *Disk) Read(h, lba, n int) ([]byte, time.Duration, error) {
 
 // ReadInto is the allocation-free variant of Read: the same timing
 // and stats, with the data landing in the caller's buffer (at least
-// n sectors long). The msm service round uses it so steady-state
-// playback recycles one scratch buffer per manager.
+// n sectors long), which the caller then owns.
 //
 // rt:hotpath
 func (d *Disk) ReadInto(h, lba, n int, dst []byte) (time.Duration, error) {
-	if err := d.checkRange(lba, n); err != nil {
+	t, err := d.chargeRead(h, lba, n, false)
+	if err != nil {
 		return 0, err
-	}
-	t := d.serviceTime(h, lba, n, false)
-	d.stats.Reads++
-	d.stats.SectorsRead += uint64(n)
-	if d.readLatency != nil {
-		d.readLatency.Observe(t.Seconds())
 	}
 	if err := d.ReadAtInto(lba, n, dst); err != nil {
 		return 0, err
@@ -344,17 +361,38 @@ func (d *Disk) ReadInto(h, lba, n int, dst []byte) (time.Duration, error) {
 	return t, nil
 }
 
+// ReadView is the lending variant of ReadInto (see Device.ReadView):
+// the same charge, but an access inside one materialised cylinder page
+// is answered with a capacity-clipped slice of the page itself — the
+// transfer is the simulated disk's cost (r_dt), not the host's. An
+// access that crosses a cylinder or touches a page never written
+// (which must read as zeros) fills scratch instead. The msm service
+// round reads through it, so steady-state playback copies nothing.
+//
+// rt:hotpath
+func (d *Disk) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, error) {
+	t, err := d.chargeRead(h, lba, n, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	ss := d.geom.SectorSize
+	spc := d.geom.SectorsPerCylinder()
+	cyl, off := lba/spc, lba%spc
+	if n > 0 && off+n <= spc && d.pages[cyl] != nil {
+		return d.pages[cyl][off*ss : (off+n)*ss : (off+n)*ss], t, nil
+	}
+	if err := d.ReadAtInto(lba, n, scratch); err != nil {
+		return nil, 0, err
+	}
+	return scratch[: n*ss : n*ss], t, nil
+}
+
 // ReadContiguous performs a timed read that is physically contiguous
 // with the head's previous transfer: only transfer time is charged.
 func (d *Disk) ReadContiguous(h, lba, n int) ([]byte, time.Duration, error) {
-	if err := d.checkRange(lba, n); err != nil {
+	t, err := d.chargeRead(h, lba, n, true)
+	if err != nil {
 		return nil, 0, err
-	}
-	t := d.serviceTime(h, lba, n, true)
-	d.stats.Reads++
-	d.stats.SectorsRead += uint64(n)
-	if d.readLatency != nil {
-		d.readLatency.Observe(t.Seconds())
 	}
 	buf, err := d.ReadAt(lba, n)
 	if err != nil {

@@ -306,3 +306,28 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 	}()
 	MustNew(g)
 }
+
+// A one-cylinder ReadView is really lent: it points into the cylinder
+// page itself, clipped so an append cannot reach the platter.
+func TestReadViewLendsThePage(t *testing.T) {
+	d := MustNew(smallGeometry())
+	spc := d.geom.SectorsPerCylinder()
+	if err := d.WriteAt(2*spc+4, bytes.Repeat([]byte{7}, 5*512)); err != nil {
+		t.Fatal(err)
+	}
+	scratch := make([]byte, 5*512)
+	view, _, err := d.ReadView(0, 2*spc+4, 5, scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := d.pages[2]
+	if &view[0] != &page[4*512] || len(view) != 5*512 || cap(view) != len(view) {
+		t.Fatalf("view is not page[4*512 : 9*512 : 9*512] (len %d cap %d)", len(view), cap(view))
+	}
+	if grown := append(view, 1); &grown[0] == &view[0] || page[9*512] != 0 {
+		t.Fatal("append to a lent view wrote into the page")
+	}
+	if scratch[0] != 0 {
+		t.Fatal("a lent read filled scratch as well")
+	}
+}

@@ -274,18 +274,20 @@ func (a *Array) observeRead(sp int, est, t time.Duration, err error) {
 	}
 }
 
-// readSpan performs one group-contained timed read on spindle sp,
-// recording the outcome in the health state machine when mirrored.
+// readSpan performs one group-contained timed read on spindle sp
+// through the spindle's lending read, recording the outcome in the
+// health state machine when mirrored. The returned bytes alias either
+// scratch or the spindle's store (see Device.ReadView).
 //
 // rt:hotpath
-func (a *Array) readSpan(sp, local, count int, dst []byte) (time.Duration, error) {
+func (a *Array) readSpan(sp, local, count int, scratch []byte) ([]byte, time.Duration, error) {
 	if !a.mirrored {
-		return a.spindles[sp].ReadInto(0, local, count, dst)
+		return a.spindles[sp].ReadView(0, local, count, scratch)
 	}
 	est := a.spindles[sp].PeekServiceTime(0, local, count)
-	t, err := a.spindles[sp].ReadInto(0, local, count, dst)
+	data, t, err := a.spindles[sp].ReadView(0, local, count, scratch)
 	a.observeRead(sp, est, t, err)
-	return t, err
+	return data, t, err
 }
 
 // readSpanContiguous mirrors readSpan for the continuing-transfer path.

@@ -182,6 +182,21 @@ func (d *Disk) ReadInto(h, lba, n int, dst []byte) (time.Duration, error) {
 	return t, err
 }
 
+// ReadView performs the lending base read, then injects scenario
+// faults exactly as ReadInto does (same checks, same RNG draws in the
+// same order). It must be declared here: *disk.Disk is embedded, so
+// without it the base method would be promoted and lent reads would
+// bypass the fault stream. A faulted read returns no data.
+//
+// rt:hotpath
+func (d *Disk) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, error) {
+	data, t, err := d.Disk.ReadView(h, lba, n, scratch)
+	if err != nil {
+		return nil, t, err
+	}
+	return d.injectRead(lba, n, data, t)
+}
+
 // ReadContiguous mirrors Read for run-continuation transfers.
 func (d *Disk) ReadContiguous(h, lba, n int) ([]byte, time.Duration, error) {
 	data, t, err := d.Disk.ReadContiguous(h, lba, n)

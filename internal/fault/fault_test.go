@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -276,5 +278,66 @@ func TestDieRoundParseErrors(t *testing.T) {
 		if _, err := ParseScenario(spec); err == nil {
 			t.Errorf("parse %q: expected error", spec)
 		}
+	}
+}
+
+// TestReadViewInjectsLikeReadInto: the lending read draws from the
+// fault stream exactly as the copying one does. Two identically seeded
+// devices, one driven through ReadView and one through ReadInto, must
+// report the same (t, err) sequence and the same fault and disk
+// statistics — bad sectors, forced failures, a scripted death and both
+// RNG draws included — and a faulted read never returns data. (Were
+// ReadView merely promoted from the embedded *disk.Disk, every error
+// here would be missing.)
+func TestReadViewInjectsLikeReadInto(t *testing.T) {
+	sc, err := ParseScenario("seed=11,readerr=0.05,slow=0.1x4,bad=640+32,die=9000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := testGeometry()
+	mk := func() *Disk {
+		base := disk.MustNew(g)
+		payload := make([]byte, 40*g.SectorsPerCylinder()*g.SectorSize)
+		rand.New(rand.NewSource(3)).Read(payload)
+		if err := base.WriteAt(0, payload); err != nil { // cylinders 40.. stay unmaterialised
+			t.Fatal(err)
+		}
+		return New(base, sc)
+	}
+	view, into := mk(), mk()
+	pick := rand.New(rand.NewSource(5))
+	scratch, dst := make([]byte, 16*g.SectorSize), make([]byte, 16*g.SectorSize)
+	failed := 0
+	for i := 0; i < 10000; i++ {
+		view.AdvanceRound()
+		into.AdvanceRound()
+		if i == 2000 {
+			view.FailNextReads(3)
+			into.FailNextReads(3)
+		}
+		h, n := pick.Intn(g.Heads), 1+pick.Intn(16)
+		lba := pick.Intn(g.TotalSectors() - n)
+		data, tv, errv := view.ReadView(h, lba, n, scratch)
+		ti, erri := into.ReadInto(h, lba, n, dst)
+		if tv != ti || errv != erri {
+			t.Fatalf("read %d [%d,+%d): ReadView (%v, %v), ReadInto (%v, %v)", i, lba, n, tv, errv, ti, erri)
+		}
+		if errv != nil {
+			failed++
+			if data != nil {
+				t.Fatalf("read %d: data returned with %v", i, errv)
+			}
+			continue
+		}
+		if !bytes.Equal(data, dst[:n*g.SectorSize]) {
+			t.Fatalf("read %d [%d,+%d): bytes differ", i, lba, n)
+		}
+	}
+	if view.FaultStats() != into.FaultStats() || view.Stats() != into.Stats() {
+		t.Fatalf("stats diverged:\n view %+v %+v\n into %+v %+v", view.FaultStats(), view.Stats(), into.FaultStats(), into.Stats())
+	}
+	st := view.FaultStats()
+	if st.BadSectors == 0 || st.Slowdowns == 0 || st.DeadErrors != 1000 || st.ReadErrors < 1003 || failed == 0 {
+		t.Fatalf("the run did not exercise every fault kind: %+v (failed %d)", st, failed)
 	}
 }

@@ -74,7 +74,11 @@ type lane struct {
 	retrySlack time.Duration
 	// Per-lane scratch arenas (parallel sub-rounds would race on
 	// manager-global ones): reqs is the round's partition — the requests
-	// this lane services.
+	// this lane services. blockBuf is only the fallback scratch of
+	// ReadBlockInto: a block normally arrives lent by the lane's own
+	// spindle (a read-only slice of its store, valid until the round's
+	// writes, which run on the serial lane after the join), and the
+	// lane drops it — or cache.Put copies it — before the next read.
 	reqs     []*request
 	deg      []bool
 	blockBuf []byte

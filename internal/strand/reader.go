@@ -48,12 +48,7 @@ func (r *Reader) ReadBlock(h, i int) (data []byte, t time.Duration, silent bool,
 	}
 	n := r.blockPayloadBytes(i)
 	if e.Silent() {
-		buf := make([]byte, n)
-		fill := SilenceFill(r.s.Medium())
-		for j := range buf {
-			buf[j] = fill
-		}
-		return buf, 0, true, nil
+		return r.fillSilence(make([]byte, n)), 0, true, nil
 	}
 	raw, t, err := r.d.Read(h, int(e.Sector), int(e.SectorCount))
 	if err != nil {
@@ -66,12 +61,17 @@ func (r *Reader) ReadBlock(h, i int) (data []byte, t time.Duration, silent bool,
 	return raw[:n], t, false, nil
 }
 
-// ReadBlockInto is ReadBlock recycling the caller's scratch buffer:
-// *buf is grown (via the alloc scratch arena) to the block's full
-// sector span, refilled, and the returned slice aliases it trimmed to
-// the payload. Steady-state service rounds reuse one buffer per
-// manager, which is what keeps BenchmarkPlaybackRound at zero
-// allocations per round.
+// ReadBlockInto is ReadBlock without the allocation and, almost
+// always, without the copy: the block comes from the device's lending
+// read (disk.Device.ReadView), so the returned slice aliases either the
+// device's own store or, when the block cannot be lent (it crosses a
+// cylinder or stripe group, or is a regenerated silence holder), *buf —
+// grown via the alloc scratch arena to the block's full sector span.
+// The slice is trimmed to the payload, is read-only, has cap == len,
+// and is valid until the next write to the device or the next call
+// with the same buf; a caller that must keep the bytes copies them
+// (cache.Put does). Strands are immutable, so a lent block cannot
+// change while its strand is alive.
 //
 // rt:hotpath
 func (r *Reader) ReadBlockInto(h, i int, buf *[]byte) (data []byte, t time.Duration, silent bool, err error) {
@@ -81,19 +81,12 @@ func (r *Reader) ReadBlockInto(h, i int, buf *[]byte) (data []byte, t time.Durat
 	}
 	n := r.blockPayloadBytes(i)
 	if e.Silent() {
-		b := alloc.Grow(*buf, n)
-		*buf = b
-		fill := SilenceFill(r.s.Medium())
-		for j := range b {
-			b[j] = fill
-		}
-		return b, 0, true, nil
+		*buf = r.fillSilence(alloc.Grow(*buf, n))
+		return (*buf)[:n:n], 0, true, nil
 	}
 	sectors := int(e.SectorCount)
-	ss := r.d.Geometry().SectorSize
-	b := alloc.Grow(*buf, sectors*ss)
-	*buf = b
-	t, err = r.d.ReadInto(h, int(e.Sector), sectors, b)
+	*buf = alloc.Grow(*buf, sectors*r.d.Geometry().SectorSize)
+	b, t, err := r.d.ReadView(h, int(e.Sector), sectors, *buf)
 	if err != nil {
 		return nil, t, false, err
 	}
@@ -101,7 +94,7 @@ func (r *Reader) ReadBlockInto(h, i int, buf *[]byte) (data []byte, t time.Durat
 		// Variable-rate blocks are self-describing; return them raw.
 		return b, t, false, nil
 	}
-	return b[:n], t, false, nil
+	return b[:n:n], t, false, nil
 }
 
 // PeekBlockTime reports the service time head h would pay to read
@@ -143,12 +136,7 @@ func (r *Reader) Unit(u uint64) ([]byte, error) {
 	}
 	ub := r.s.UnitBytes()
 	if e.Silent() {
-		buf := make([]byte, ub)
-		fill := SilenceFill(r.s.Medium())
-		for j := range buf {
-			buf[j] = fill
-		}
-		return buf, nil
+		return r.fillSilence(make([]byte, ub)), nil
 	}
 	raw, err := r.d.ReadAt(int(e.Sector), int(e.SectorCount))
 	if err != nil {
@@ -164,24 +152,98 @@ func (r *Reader) Unit(u uint64) ([]byte, error) {
 	return raw[lo : lo+ub], nil
 }
 
+// AppendUnits appends the payloads of units [start, start+n) to out,
+// untimed: Unit for a range, reading each media block once however
+// many of its units are wanted. The units of one block are slices of
+// one fresh buffer the caller owns (never lent device bytes), each with
+// its capacity clipped so an append cannot run into its neighbour.
+func (r *Reader) AppendUnits(out [][]byte, start, n uint64) ([][]byte, error) {
+	if n == 0 {
+		return out, nil
+	}
+	if _, _, err := r.s.UnitRange(start + n - 1); err != nil {
+		return nil, err
+	}
+	q, ub := uint64(r.s.Granularity()), r.s.UnitBytes()
+	for u, end := start, start+n; u < end; {
+		off, cnt := int(u%q), int(min(q-u%q, end-u)) // the block's units [off, off+cnt)
+		e, err := r.s.Block(int(u / q))
+		if err != nil {
+			return nil, err
+		}
+		if e.Silent() {
+			out = appendFixedUnits(out, r.fillSilence(make([]byte, cnt*ub)), 0, cnt, ub)
+			u += uint64(cnt)
+			continue
+		}
+		raw, err := r.d.ReadAt(int(e.Sector), int(e.SectorCount))
+		if err != nil {
+			return nil, err
+		}
+		if r.s.Variable() {
+			for i, o := 0, 0; i < off+cnt; i++ {
+				var unit []byte
+				if unit, o, err = variableUnitAt(raw, o, r.s.ID(), u-uint64(off)+uint64(i)); err != nil {
+					return nil, err
+				}
+				if i >= off {
+					out = append(out, unit)
+				}
+			}
+		} else {
+			if (off+cnt)*ub > len(raw) {
+				return nil, fmt.Errorf("strand %d: unit %d beyond block payload", r.s.ID(), u+uint64(cnt)-1)
+			}
+			out = appendFixedUnits(out, raw, off, cnt, ub)
+		}
+		u += uint64(cnt)
+	}
+	return out, nil
+}
+
+// appendFixedUnits appends raw's ub-byte units [first, first+cnt),
+// each with its capacity clipped.
+func appendFixedUnits(out [][]byte, raw []byte, first, cnt, ub int) [][]byte {
+	for lo := first * ub; lo < (first+cnt)*ub; lo += ub {
+		out = append(out, raw[lo:lo+ub:lo+ub])
+	}
+	return out
+}
+
+// fillSilence fills b with the strand medium's silence byte.
+func (r *Reader) fillSilence(b []byte) []byte {
+	fill := SilenceFill(r.s.Medium())
+	for j := range b {
+		b[j] = fill
+	}
+	return b
+}
+
 // parseVariableUnit walks a variable-rate block's length-prefixed
 // units to the off-th one.
-func parseVariableUnit(raw []byte, off int, id ID, u uint64) ([]byte, error) {
+func parseVariableUnit(raw []byte, off int, id ID, u uint64) (unit []byte, err error) {
 	o := 0
-	for i := 0; ; i++ {
-		if o+4 > len(raw) {
-			return nil, fmt.Errorf("strand %d: unit %d beyond variable block payload", id, u)
+	for i := 0; i <= off; i++ {
+		if unit, o, err = variableUnitAt(raw, o, id, u); err != nil {
+			return nil, err
 		}
-		n := int(binary.LittleEndian.Uint32(raw[o:]))
-		o += 4
-		if o+n > len(raw) {
-			return nil, fmt.Errorf("strand %d: corrupt variable block (unit %d claims %d bytes)", id, u, n)
-		}
-		if i == off {
-			return raw[o : o+n], nil
-		}
-		o += n
 	}
+	return unit, nil
+}
+
+// variableUnitAt decodes the length-prefixed unit at byte offset o of
+// a variable-rate block, returning it (capacity clipped) and the
+// offset of the next one; u names the unit in errors.
+func variableUnitAt(raw []byte, o int, id ID, u uint64) (unit []byte, next int, err error) {
+	if o+4 > len(raw) {
+		return nil, 0, fmt.Errorf("strand %d: unit %d beyond variable block payload", id, u)
+	}
+	n := int(binary.LittleEndian.Uint32(raw[o:]))
+	o += 4
+	if o+n > len(raw) {
+		return nil, 0, fmt.Errorf("strand %d: corrupt variable block (unit %d claims %d bytes)", id, u, n)
+	}
+	return raw[o : o+n : o+n], o + n, nil
 }
 
 // BlockPayload fetches the full payload of block i untimed; rope

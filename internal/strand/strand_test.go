@@ -150,8 +150,11 @@ func TestTimedReadBlockMatchesDiskModel(t *testing.T) {
 	}
 }
 
-func TestSilenceBlocksInWriter(t *testing.T) {
-	r := newRig(t)
+// writeAudio records an audio strand of `units` 200-sample units at
+// granularity 2 with silence elimination on; about half its blocks
+// come out as silence holders.
+func (r *rig) writeAudio(t *testing.T, units int, seed int64) *Strand {
+	t.Helper()
 	det := media.DefaultSilenceDetector()
 	w, err := NewWriter(r.d, r.a, WriterConfig{
 		ID:          r.st.NewID(),
@@ -165,7 +168,7 @@ func TestSilenceBlocksInWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := media.NewAudioSource(40, 200, 10, 0.5, 10, 9)
+	src := media.NewAudioSource(units, 200, 10, 0.5, 10, seed)
 	for {
 		u, ok := src.Next()
 		if !ok {
@@ -180,6 +183,12 @@ func TestSilenceBlocksInWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.st.Put(s)
+	return s
+}
+
+func TestSilenceBlocksInWriter(t *testing.T) {
+	r := newRig(t)
+	s := r.writeAudio(t, 40, 9)
 	silent := 0
 	for i := 0; i < s.NumBlocks(); i++ {
 		e, _ := s.Block(i)
