@@ -2,9 +2,9 @@ GO ?= go
 
 # Packages whose tests exercise real goroutine concurrency; the race
 # subset keeps CI latency down while still covering every mutex.
-RACE_PKGS = ./internal/server ./internal/msm ./internal/client ./internal/cache ./internal/obs ./internal/fault ./internal/disk
+RACE_PKGS = ./internal/server ./internal/msm ./internal/client ./internal/cache ./internal/obs ./internal/fault ./internal/disk ./internal/core
 
-.PHONY: all build test race race-bench lint lint-fix-check bench bench-baseline bench-compare bench-check mmload-pairs fuzz chaos clean
+.PHONY: all build test race race-bench lint lint-fix-check loc bench bench-baseline bench-compare bench-check mmload-pairs fuzz chaos clean
 
 all: build lint test
 
@@ -43,6 +43,13 @@ lint:
 # GitHub Actions. This is the CI gate: any new finding fails the build.
 lint-fix-check:
 	$(GO) run ./cmd/mmfsvet -github -json mmfsvet.json ./...
+
+# Non-test, non-testdata Go lines per internal/* and cmd/* package — the
+# count ROADMAP item 2's line budget is kept in. With PARENT=<rev> the
+# same count over `git archive PARENT` is printed beside the working
+# tree's; a simplification PR quotes that table in CHANGES.md.
+loc:
+	bash scripts/loc.sh $(PARENT)
 
 # One pass over every benchmark (the experiment tables plus the
 # hot-path micros), archived as JSON for cross-commit diffing.

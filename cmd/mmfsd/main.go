@@ -33,7 +33,6 @@ func main() {
 		surfaces  = flag.Int("surfaces", 8, "disk surfaces per cylinder")
 		sectors   = flag.Int("sectors", 56, "sectors per track")
 		rpm       = flag.Float64("rpm", 3600, "spindle speed")
-		heads     = flag.Int("heads", 1, "independent head assemblies (degree of concurrency)")
 		target    = flag.Int("target-cylinders", 32, "placement policy: max cylinders between successive strand blocks")
 		cachemb   = flag.Int("cachemb", 0, "interval cache size in MiB (0 disables caching)")
 		metrics   = flag.String("metrics-addr", "", "observability HTTP listen address serving /metrics (Prometheus text) and /trace (service-round JSON); empty disables")
@@ -68,7 +67,7 @@ func main() {
 		RPM:             *rpm,
 		MinSeek:         2 * time.Millisecond,
 		MaxSeek:         30 * time.Millisecond,
-		Heads:           *heads,
+		Heads:           1,
 	}
 	fs, err := core.Format(core.Options{
 		Geometry: g, TargetCylinders: *target, CacheMB: *cachemb, Fault: sc,

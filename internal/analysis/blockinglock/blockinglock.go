@@ -241,7 +241,7 @@ func callBlockReason(pass *analysis.Pass, call *ast.CallExpr, blocks map[*types.
 // fault wrappers and future striped arrays included).
 func isTimedDeviceCall(pass *analysis.Pass, recv types.Type, name string) bool {
 	switch name {
-	case "Read", "ReadContiguous", "Write":
+	case "ReadView", "ReadInto", "Write":
 	default:
 		return false
 	}

@@ -57,10 +57,12 @@ func badPropagated() {
 	blocksViaChannel() // want `call to blocksViaChannel, which may block \(channel receive\) while holding mu`
 }
 
-func badDeviceHeld(d disk.Device, m *sync.Mutex) {
+func badDeviceHeld(d disk.Device, m *sync.Mutex, buf []byte) {
 	m.Lock()
 	defer m.Unlock()
-	_, _, _ = d.Read(0, 0, 1) // want `timed disk access Read while holding m`
+	_, _, _ = d.ReadView(0, 0, 1, buf) // want `timed disk access ReadView while holding m`
+	_, _ = d.ReadInto(0, 0, 1, buf)    // want `timed disk access ReadInto while holding m`
+	_, _ = d.Write(0, 0, buf)          // want `timed disk access Write while holding m`
 }
 
 func badNetArgHeld(conn net.Conn, buf []byte) {

@@ -61,15 +61,3 @@ func (s Striped) Admit(perSpindle [][]Request, spindle, kOld int, candidate Requ
 	}
 	return out
 }
-
-// SlackPerSpindle evaluates Eq. 18's measured slack k·γ − n·α − n·k·β
-// for each spindle's resident set at the shared k: the per-spindle
-// in-round retry budgets. The minimum entry is the array-wide bound a
-// conservative caller can charge cross-spindle work against.
-func (s Striped) SlackPerSpindle(dst []float64, perSpindle [][]Request, k int) []float64 {
-	dst = dst[:0]
-	for _, set := range perSpindle {
-		dst = append(dst, s.A.SlackSeconds(set, k))
-	}
-	return dst
-}

@@ -76,28 +76,3 @@ func TestStripedKMonotone(t *testing.T) {
 		}
 	}
 }
-
-func TestStripedSlackPerSpindle(t *testing.T) {
-	a := AdmissionFor(testDevice())
-	tmpl := videoRequest()
-	s := Striped{A: a, P: 2}
-	sets := [][]Request{repeatReq(tmpl, 2), repeatReq(tmpl, 4)}
-	k, ok := a.KTransient(sets[1])
-	if !ok {
-		t.Fatal("set infeasible")
-	}
-	var scratch []float64
-	got := s.SlackPerSpindle(scratch, sets, k)
-	if len(got) != 2 {
-		t.Fatalf("%d entries, want 2", len(got))
-	}
-	// The lighter spindle has more slack left in the same round.
-	if got[0] <= got[1] {
-		t.Fatalf("slack on 2 streams (%g) not above slack on 4 (%g)", got[0], got[1])
-	}
-	for sp, sl := range got {
-		if want := a.SlackSeconds(sets[sp], k); sl != want {
-			t.Fatalf("spindle %d slack %g, want %g", sp, sl, want)
-		}
-	}
-}

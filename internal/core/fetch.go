@@ -64,7 +64,7 @@ func (fs *FS) FetchUnits(user string, id rope.ID, m rope.Medium, start, dur time
 		if !ok {
 			return nil, fmt.Errorf("core: rope %d references unknown strand %d", id, ref.Strand)
 		}
-		rd := strand.NewReader(fs.mdev, s)
+		rd := strand.NewReader(fs.d, s)
 		n := uint64(math.Round(iv.Duration.Seconds() * s.Rate()))
 		if avail := s.UnitCount() - ref.StartUnit; n > avail {
 			n = avail

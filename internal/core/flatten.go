@@ -80,7 +80,7 @@ func (fs *FS) flattenMedium(r *rope.Rope, m rope.Medium) (*rope.ComponentRef, er
 	if tmpl.Variable() {
 		return nil, fmt.Errorf("core: flatten of variable-rate strands is not supported (strand %d)", tmpl.ID())
 	}
-	w, err := strand.NewWriter(fs.mdev, fs.a, strand.WriterConfig{
+	w, err := strand.NewWriter(fs.d, fs.a, strand.WriterConfig{
 		ID:            fs.strands.NewID(),
 		Medium:        tmpl.Medium(),
 		Rate:          tmpl.Rate(),

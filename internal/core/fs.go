@@ -58,10 +58,10 @@ type Options struct {
 	// fetched, admitting more concurrent streams than the disk-only
 	// bound n_max. 0 disables the cache.
 	CacheMB int
-	// Fault configures deterministic fault injection on the media
-	// path (timed strand reads and writes). The zero scenario leaves
-	// the raw disk in place — the fault layer costs nothing when off.
-	// Metadata access always bypasses injection.
+	// Fault configures deterministic fault injection on the timed
+	// accesses (strand reads and writes) of spindle FaultSpindle. The
+	// zero scenario leaves the raw disk in place — the fault layer costs
+	// nothing when off. Metadata access always bypasses injection.
 	Fault fault.Scenario
 	// FaultPolicy overrides the storage manager's fault-tolerant
 	// service policy; nil uses msm.DefaultFaultPolicy.
@@ -79,12 +79,12 @@ type Options struct {
 	// divide Geometry.Cylinders. 0 picks Cylinders/10 when that
 	// divides evenly, else 1. Ignored for a single disk.
 	Stripe int
-	// FaultSpindle selects which spindle of an array the Fault
-	// scenario wraps (a one-degraded-spindle experiment: only streams
-	// resident there degrade). Out-of-range values are a configuration
-	// error (an experiment naming a spindle the array does not have
-	// must fail loudly, not silently degrade spindle 0). With a single
-	// disk the scenario wraps the whole media path as before.
+	// FaultSpindle selects which spindle the Fault scenario wraps (a
+	// one-degraded-spindle experiment: only streams resident there
+	// degrade). Out-of-range values are a configuration error (an
+	// experiment naming a spindle the array does not have must fail
+	// loudly, not silently degrade spindle 0). A single disk is
+	// spindle 0.
 	FaultSpindle int
 	// Mirror pairs the array's spindles into mirror groups (Disks must
 	// be even and >= 2): capacity halves, both twins of a pair hold
@@ -149,13 +149,13 @@ func (o Options) withDefaults() (Options, error) {
 // FS is a mounted multimedia file system.
 type FS struct {
 	opts Options
-	// d is the metadata/identity store: a single simulated disk, or a
-	// striped disk.Array when Options.Disks > 1.
-	d disk.Store
-	// mdev is the media-path device the strand layer, plan compilers,
-	// and storage manager use: the raw disk, or the fault-injection
-	// wrapper when a scenario is active. Metadata always uses d.
-	mdev      disk.Device
+	// d is the device NewStore built: one spindle, or a striped
+	// disk.Array when Options.Disks > 1. Media and metadata share it;
+	// they part ways inside the fault wrapper, which overrides only the
+	// timed methods the media path uses.
+	d disk.Device
+	// faultDisk is the wrapper around spindle Options.FaultSpindle, nil
+	// when no scenario is active.
 	faultDisk *fault.Disk
 	a         *alloc.Allocator
 	strands   *strand.Store
@@ -187,32 +187,41 @@ type FS struct {
 	nextStart int
 }
 
-// newStore builds the option-selected disk substrate: a single
-// simulated disk, or a striped array of Disks identical spindles.
-// With an active fault scenario an array wraps only spindle
-// FaultSpindle, so one degraded spindle degrades only the streams
-// resident on it; the single-disk path wraps the whole media path in
-// build, as before.
-func newStore(opts Options) (disk.Store, error) {
-	if opts.Disks <= 1 {
-		return disk.New(opts.Geometry)
+// NewStore is the one place Options become a device: Disks identical
+// spindles of Geometry, the Fault scenario wrapped around spindle
+// FaultSpindle (so one degraded spindle degrades only the streams
+// resident on it), and — for more than one spindle — a disk.Array over
+// them, striped by Stripe cylinders and mirrored when Mirror is set. A
+// single disk is spindle 0, served bare. The wrapper is returned beside
+// the device; it is nil when no scenario is active. Format builds on
+// it; the experiments that drive a storage manager by hand call it
+// directly.
+func NewStore(opts Options) (disk.Device, *fault.Disk, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, nil, err
 	}
+	var fd *fault.Disk
 	devs := make([]disk.Device, opts.Disks)
 	for i := range devs {
 		d, err := disk.New(opts.Geometry)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		devs[i] = d
 		if opts.Fault.Active() && i == opts.FaultSpindle {
-			devs[i] = fault.New(d, opts.Fault)
-		} else {
-			devs[i] = d
+			fd = fault.New(d, opts.Fault)
+			devs[i] = fd
 		}
 	}
-	if opts.Mirror {
-		return disk.NewMirroredArray(devs, opts.Stripe)
+	if len(devs) == 1 {
+		return devs[0], fd, nil
 	}
-	return disk.NewArray(devs, opts.Stripe)
+	arr, err := disk.NewArray(devs, opts.Stripe, opts.Mirror)
+	if err != nil {
+		return nil, nil, err
+	}
+	return arr, fd, nil
 }
 
 // Format creates a fresh file system on a new simulated disk (or
@@ -222,7 +231,7 @@ func Format(opts Options) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := newStore(opts)
+	d, fd, err := NewStore(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +243,7 @@ func Format(opts Options) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := build(opts, d, a)
+	fs := build(opts, d, fd, a)
 	fs.bitmapLBA = 1
 	fs.bitmapSectors = bitmapSectors
 	if err := fs.Sync(); err != nil {
@@ -243,45 +252,27 @@ func Format(opts Options) (*FS, error) {
 	return fs, nil
 }
 
-// build wires the subsystems over an existing store and allocator.
-func build(opts Options, d disk.Store, a *alloc.Allocator) *FS {
+// build wires the subsystems over an existing device and allocator.
+func build(opts Options, d disk.Device, fd *fault.Disk, a *alloc.Allocator) *FS {
 	g := d.Geometry()
 	dev := continuity.Device{
 		TransferRate: g.TransferRateBits(),
 		MaxAccess:    continuity.Seconds(g.MaxAccessTime()),
 		MinAccess:    continuity.Seconds(g.MinAccessTime()),
 	}
-	var mdev disk.Device = d
-	var fd *fault.Disk
-	if arr, ok := d.(*disk.Array); ok {
-		// An array carries its fault wrapper inside (newStore wraps one
-		// spindle); recover the handle for FaultDisk and obs wiring.
-		for i := 0; i < arr.Spindles(); i++ {
-			if w, ok := arr.Spindle(i).(*fault.Disk); ok {
-				fd = w
-				break
-			}
-		}
-	} else if opts.Fault.Active() {
-		if dd, ok := d.(*disk.Disk); ok {
-			fd = fault.New(dd, opts.Fault)
-			mdev = fd
-		}
-	}
-	ss := strand.NewStore(mdev, a)
+	ss := strand.NewStore(d, a)
 	in := gc.New()
 	rs := rope.NewStore(ss, in)
 	fs := &FS{
 		opts:      opts,
 		d:         d,
-		mdev:      mdev,
 		faultDisk: fd,
 		a:         a,
 		strands:   ss,
 		ropes:     rs,
 		interests: in,
 		collector: gc.NewCollector(ss, in),
-		editor:    rope.NewEditor(mdev, a, rs, opts.TargetCylinders),
+		editor:    rope.NewEditor(d, a, rs, opts.TargetCylinders),
 		dev:       dev,
 		text:      textfs.NewStore(d, a),
 		nextStart: g.Cylinders / 7,
@@ -314,9 +305,12 @@ func (fs *FS) Metrics() *obs.Registry { return fs.obsReg }
 // Trace returns the service-round trace ring.
 func (fs *FS) Trace() *obs.TraceRing { return fs.obsRing }
 
-// Open mounts a previously formatted file system from its disk (or
-// array; the caller reconstructs the array around its spindles).
-func Open(d disk.Store, opts Options) (*FS, error) {
+// Open mounts a previously formatted file system from its device — the
+// one Format built (FS.Disk), fault wrapper included, or an array the
+// caller reconstructed around its spindles. Open wraps nothing: a
+// scenario in opts is live only if spindle FaultSpindle of d already
+// carries its wrapper.
+func Open(d disk.Device, opts Options) (*FS, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -338,7 +332,12 @@ func Open(d disk.Store, opts Options) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := build(opts, d, a)
+	sp := d
+	if arr, ok := d.(*disk.Array); ok && opts.FaultSpindle < arr.Spindles() {
+		sp = arr.Spindle(opts.FaultSpindle)
+	}
+	fd, _ := sp.(*fault.Disk)
+	fs := build(opts, d, fd, a)
 	fs.bitmapLBA = get32(8)
 	fs.bitmapSectors = get32(12)
 	fs.strandTab = alloc.Run{LBA: get32(16), Sectors: get32(20)}
@@ -458,9 +457,10 @@ func (fs *FS) Sync() error {
 // lives in the gaps between media blocks.
 func (fs *FS) Text() *textfs.Store { return fs.text }
 
-// Disk exposes the underlying store: the single simulated disk, or
-// the striped array when the file system was formatted with Disks > 1.
-func (fs *FS) Disk() disk.Store { return fs.d }
+// Disk exposes the underlying device: the single simulated disk (inside
+// its fault wrapper when Options.Fault is active), or the striped array
+// when the file system was formatted with Disks > 1.
+func (fs *FS) Disk() disk.Device { return fs.d }
 
 // Array exposes the striped array, nil on a single-disk system.
 func (fs *FS) Array() *disk.Array {
@@ -470,11 +470,10 @@ func (fs *FS) Array() *disk.Array {
 	return nil
 }
 
-// MediaDevice exposes the media-path device: the raw disk, or the
-// fault-injection wrapper when Options.Fault is active. Plan
-// compilation and playback must go through it so injected faults reach
-// the storage manager.
-func (fs *FS) MediaDevice() disk.Device { return fs.mdev }
+// MediaDevice exposes the device plan compilation and playback go
+// through. It is Disk(): injected faults reach the storage manager
+// through the device's timed methods, which metadata never calls.
+func (fs *FS) MediaDevice() disk.Device { return fs.d }
 
 // FaultDisk exposes the fault-injection wrapper, nil when injection is
 // off.
@@ -500,7 +499,7 @@ func (fs *FS) NewManager() *msm.Manager {
 // newManager builds a storage manager over the media device, configured
 // from the options the file system was mounted with.
 func (fs *FS) newManager() *msm.Manager {
-	m := msm.New(fs.mdev, continuity.AdmissionFor(fs.dev))
+	m := msm.New(fs.d, continuity.AdmissionFor(fs.dev))
 	if fs.opts.Arch.Arch == continuity.Concurrent {
 		m.SetConcurrency(fs.opts.Arch.P)
 	}

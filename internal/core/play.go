@@ -52,7 +52,7 @@ func (fs *FS) Play(user string, id rope.ID, m rope.Medium, start, dur time.Durat
 	hasVideo, hasAudio := r.Components()
 	var h PlayHandle
 	admit := func(mm rope.Medium) (msm.RequestID, error) {
-		plan, err := fs.ropes.CompilePlay(fs.mdev, r, mm, start, dur, opts)
+		plan, err := fs.ropes.CompilePlay(fs.d, r, mm, start, dur, opts)
 		if err != nil {
 			return 0, err
 		}

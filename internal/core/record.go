@@ -119,7 +119,7 @@ func (s *RecordSession) startMedium(m layout.Medium, src media.Source, deviceBuf
 			fs.TargetScattering(), dv.MaxScattering, m)
 	}
 	id := fs.strands.NewID()
-	w, err := strand.NewWriter(fs.mdev, fs.a, strand.WriterConfig{
+	w, err := strand.NewWriter(fs.d, fs.a, strand.WriterConfig{
 		ID:            id,
 		Medium:        m,
 		Rate:          src.Rate(),

@@ -33,7 +33,7 @@ func (fs *FS) ReorganizeStrand(id strand.ID, startCylinder int) (*strand.Strand,
 	if !ok {
 		return nil, fmt.Errorf("core: reorganize of unknown strand %d", id)
 	}
-	rd := strand.NewReader(fs.mdev, old)
+	rd := strand.NewReader(fs.d, old)
 	g := fs.d.Geometry()
 
 	// Stage every payload, then release the old strand's space.

@@ -58,15 +58,19 @@ type Array struct {
 }
 
 var _ Device = (*Array)(nil)
-var _ Store = (*Array)(nil)
 
 // NewArray builds an array over the given spindles with a stripe unit
 // of stripeCylinders. All spindles must share one geometry, and the
 // stripe unit must divide the per-spindle cylinder count so that every
-// group is whole.
-func NewArray(spindles []Device, stripeCylinders int) (*Array, error) {
+// group is whole. With mirror set the spindles — an even number of
+// them — are paired into p/2 mirror groups, each pair holding two
+// copies of its stripe groups (see mirror.go).
+func NewArray(spindles []Device, stripeCylinders int, mirror bool) (*Array, error) {
 	if len(spindles) < 1 {
 		return nil, fmt.Errorf("disk: array needs at least 1 spindle")
+	}
+	if mirror && len(spindles)%2 != 0 {
+		return nil, fmt.Errorf("disk: mirrored array needs an even spindle count >= 2, have %d", len(spindles))
 	}
 	phys := spindles[0].Geometry()
 	for i, sp := range spindles[1:] {
@@ -86,20 +90,29 @@ func NewArray(spindles []Device, stripeCylinders int) (*Array, error) {
 	logical := phys
 	logical.Cylinders = phys.Cylinders * len(spindles)
 	logical.Heads = len(spindles)
-	return &Array{
+	a := &Array{
 		spindles: spindles,
 		phys:     phys,
 		logical:  logical,
 		sc:       stripeCylinders,
 		spc:      phys.SectorsPerCylinder(),
 		groupSec: stripeCylinders * phys.SectorsPerCylinder(),
-	}, nil
+	}
+	if mirror {
+		a.mirrored = true
+		a.mg = len(spindles) / 2
+		a.logical.Cylinders = phys.Cylinders * a.mg
+		a.health = make([]spindleHealth, len(spindles))
+		a.steer = make([]steerMode, a.mg)
+		a.repair = repairState{target: -1}
+	}
+	return a, nil
 }
 
 // MustNewArray is NewArray but panics on invalid configuration; for
 // tests and fixed experiment setups.
-func MustNewArray(spindles []Device, stripeCylinders int) *Array {
-	a, err := NewArray(spindles, stripeCylinders)
+func MustNewArray(spindles []Device, stripeCylinders int, mirror bool) *Array {
+	a, err := NewArray(spindles, stripeCylinders, mirror)
 	if err != nil {
 		panic(err)
 	}
@@ -161,12 +174,6 @@ func (a *Array) ToLogical(spindle, local int) int {
 		group = localGroup*len(a.spindles) + spindle
 	}
 	return (group*a.sc+inGroup)*a.spc + off
-}
-
-// SpindleOf reports the spindle owning the logical sector address.
-func (a *Array) SpindleOf(lba int) int {
-	sp, _ := a.Locate(lba)
-	return sp
 }
 
 // SpindleRange reports the spindle that can service the whole access
@@ -288,45 +295,16 @@ func (a *Array) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, 
 	return scratch[:hi:hi], t, nil
 }
 
-// Read performs a timed read of n sectors at the logical address,
-// allocating the buffer. See ReadInto for the timing model.
-func (a *Array) Read(h, lba, n int) ([]byte, time.Duration, error) {
-	if err := a.checkRange(lba, n); err != nil {
-		return nil, 0, err
-	}
-	buf := make([]byte, n*a.logical.SectorSize)
-	t, err := a.ReadInto(h, lba, n, buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	return buf, t, nil
-}
-
-// ReadContiguous performs a timed read continuing the owning spindle's
-// previous transfer: each span charges only transfer time.
-func (a *Array) ReadContiguous(h, lba, n int) ([]byte, time.Duration, error) {
-	if err := a.checkRange(lba, n); err != nil {
-		return nil, 0, err
-	}
-	ss := a.logical.SectorSize
-	buf := make([]byte, n*ss)
-	var total time.Duration
-	for done := 0; done < n; {
-		sp, local, count := a.spanAt(lba, n, done)
-		b, t, err := a.readSpanContiguous(sp, local, count)
-		if err != nil {
-			return nil, 0, err
-		}
-		copy(buf[done*ss:], b)
-		total += t
-		done += count
-	}
-	return buf, total, nil
-}
-
 // Write performs a timed write at the logical address; spans charge the
 // owning spindles and the total is their sum.
 func (a *Array) Write(h, lba int, data []byte) (time.Duration, error) {
+	return a.write(lba, data, true)
+}
+
+// write is the one write routine behind Write (timed) and WriteAt: the
+// access is split into group-contained spans, and each span goes to its
+// owning spindle — or, when mirrored, to both twins of the owning pair.
+func (a *Array) write(lba int, data []byte, timed bool) (time.Duration, error) {
 	ss := a.logical.SectorSize
 	n := (len(data) + ss - 1) / ss
 	if err := a.checkRange(lba, n); err != nil {
@@ -342,9 +320,9 @@ func (a *Array) Write(h, lba int, data []byte) (time.Duration, error) {
 		var t time.Duration
 		var err error
 		if a.mirrored {
-			t, err = a.writeSpan(lba+done, local, data[done*ss:hi])
+			t, err = a.writeSpan(lba+done, local, data[done*ss:hi], timed)
 		} else {
-			t, err = a.spindles[sp].Write(0, local, data[done*ss:hi])
+			t, err = spindleWrite(a.spindles[sp], local, data[done*ss:hi], timed)
 		}
 		if err != nil {
 			return 0, err
@@ -353,6 +331,15 @@ func (a *Array) Write(h, lba int, data []byte) (time.Duration, error) {
 		done += count
 	}
 	return total, nil
+}
+
+// spindleWrite is one spindle's write at a local address: the timed
+// method (charged, observed, fault-injected) or the untimed one.
+func spindleWrite(d Device, local int, data []byte, timed bool) (time.Duration, error) {
+	if timed {
+		return d.Write(0, local, data)
+	}
+	return 0, d.WriteAt(local, data)
 }
 
 // PeekServiceTime estimates the access cost without moving heads or
@@ -388,49 +375,23 @@ func (a *Array) ReadAt(lba, n int) ([]byte, error) {
 
 // WriteAt stores data at the logical address without charging time.
 func (a *Array) WriteAt(lba int, data []byte) error {
-	ss := a.logical.SectorSize
-	n := (len(data) + ss - 1) / ss
-	if err := a.checkRange(lba, n); err != nil {
-		return err
-	}
-	for done := 0; done < n; {
-		sp, local, count := a.spanAt(lba, n, done)
-		hi := (done + count) * ss
-		if hi > len(data) {
-			hi = len(data)
-		}
-		var err error
-		if a.mirrored {
-			err = a.writeSpanAt(lba+done, local, data[done*ss:hi])
-		} else {
-			err = a.spindles[sp].WriteAt(local, data[done*ss:hi])
-		}
-		if err != nil {
-			return err
-		}
-		done += count
-	}
-	return nil
+	_, err := a.write(lba, data, false)
+	return err
 }
 
-// ResetStats clears every spindle's counters (where the spindle
-// supports it; fault-wrapped spindles forward to their base disk).
+// ResetStats clears every spindle's counters.
 func (a *Array) ResetStats() {
 	for _, sp := range a.spindles {
-		if r, ok := sp.(interface{ ResetStats() }); ok {
-			r.ResetStats()
-		}
+		sp.ResetStats()
 	}
 }
 
 // SetReadLatencyHistogram installs the read-latency histogram on every
-// spindle that supports instrumentation, so the array's reads land in
-// one mmfs_disk_read_seconds series.
+// spindle, so the array's reads land in one mmfs_disk_read_seconds
+// series.
 func (a *Array) SetReadLatencyHistogram(h *obs.Histogram) {
 	for _, sp := range a.spindles {
-		if s, ok := sp.(interface{ SetReadLatencyHistogram(*obs.Histogram) }); ok {
-			s.SetReadLatencyHistogram(h)
-		}
+		sp.SetReadLatencyHistogram(h)
 	}
 }
 
@@ -438,8 +399,6 @@ func (a *Array) SetReadLatencyHistogram(h *obs.Histogram) {
 // timed write path.
 func (a *Array) SetWriteLatencyHistogram(h *obs.Histogram) {
 	for _, sp := range a.spindles {
-		if s, ok := sp.(interface{ SetWriteLatencyHistogram(*obs.Histogram) }); ok {
-			s.SetWriteLatencyHistogram(h)
-		}
+		sp.SetWriteLatencyHistogram(h)
 	}
 }

@@ -30,7 +30,7 @@ func newTestArray(t *testing.T, p, stripe int) *disk.Array {
 	for i := range spindles {
 		spindles[i] = disk.MustNew(arrayGeom())
 	}
-	a, err := disk.NewArray(spindles, stripe)
+	a, err := disk.NewArray(spindles, stripe, false)
 	if err != nil {
 		t.Fatalf("NewArray: %v", err)
 	}
@@ -38,20 +38,20 @@ func newTestArray(t *testing.T, p, stripe int) *disk.Array {
 }
 
 func TestArrayValidation(t *testing.T) {
-	if _, err := disk.NewArray(nil, 4); err == nil {
+	if _, err := disk.NewArray(nil, 4, false); err == nil {
 		t.Fatal("empty spindle list accepted")
 	}
 	// Stripe unit must divide the per-spindle cylinder count.
-	if _, err := disk.NewArray([]disk.Device{disk.MustNew(arrayGeom())}, 5); err == nil {
+	if _, err := disk.NewArray([]disk.Device{disk.MustNew(arrayGeom())}, 5, false); err == nil {
 		t.Fatal("non-dividing stripe unit accepted")
 	}
-	if _, err := disk.NewArray([]disk.Device{disk.MustNew(arrayGeom())}, 0); err == nil {
+	if _, err := disk.NewArray([]disk.Device{disk.MustNew(arrayGeom())}, 0, false); err == nil {
 		t.Fatal("zero stripe unit accepted")
 	}
 	// Mismatched geometries must be rejected.
 	g2 := arrayGeom()
 	g2.SectorsPerTrack = 8
-	_, err := disk.NewArray([]disk.Device{disk.MustNew(arrayGeom()), disk.MustNew(g2)}, 4)
+	_, err := disk.NewArray([]disk.Device{disk.MustNew(arrayGeom()), disk.MustNew(g2)}, 4, false)
 	if err == nil {
 		t.Fatal("mismatched spindle geometries accepted")
 	}
@@ -183,12 +183,12 @@ func TestArrayDataRoundTrip(t *testing.T) {
 	if tInto <= 0 {
 		t.Fatalf("crossing read charged %v, want > 0", tInto)
 	}
-	rdData, tRead, err := a.Read(0, start, 6)
+	view, tView, err := a.ReadView(0, start, 6, make([]byte, 6*ss))
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("ReadView: %v", err)
 	}
-	if !bytes.Equal(rdData, data) || tRead <= 0 {
-		t.Fatalf("Read mismatch (t=%v)", tRead)
+	if !bytes.Equal(view, data) || tView <= 0 {
+		t.Fatalf("ReadView mismatch (t=%v)", tView)
 	}
 }
 
@@ -247,8 +247,8 @@ func TestArrayIndependentHeads(t *testing.T) {
 
 	// Park spindle 0 far from its group-0 data; spindle 1 stays home.
 	a.Spindle(0).(*disk.Disk).ParkHead(0, arrayGeom().Cylinders-1)
-	far := a.PeekServiceTime(0, 0, 4)          // spindle 0, head far away
-	near := a.PeekServiceTime(0, groupSec, 4)  // spindle 1, head at home
+	far := a.PeekServiceTime(0, 0, 4)         // spindle 0, head far away
+	near := a.PeekServiceTime(0, groupSec, 4) // spindle 1, head at home
 	if far <= near {
 		t.Fatalf("far-head access %v not costlier than near-head %v", far, near)
 	}
@@ -262,7 +262,7 @@ func TestArrayFaultWrappedSpindle(t *testing.T) {
 	phys := arrayGeom()
 	base := []*disk.Disk{disk.MustNew(phys), disk.MustNew(phys)}
 	fd := fault.New(base[1], fault.Scenario{Seed: 7})
-	a, err := disk.NewArray([]disk.Device{base[0], fd}, stripe)
+	a, err := disk.NewArray([]disk.Device{base[0], fd}, stripe, false)
 	if err != nil {
 		t.Fatalf("NewArray over fault-wrapped spindle: %v", err)
 	}

@@ -25,19 +25,21 @@ func (s Stats) BusyTime() time.Duration {
 	return s.SeekTime + s.RotationTime + s.TransferTime
 }
 
-// Device is the media-path disk surface: everything the strand layer,
-// the storage manager, and the plan compilers need from a disk. *Disk
-// implements it directly; internal/fault wraps one to inject
-// deterministic failures without the layers above knowing.
+// Device is the one disk surface: everything the strand layer, the
+// storage manager, the plan compilers and the file system facade need
+// from a disk. *Disk and the striped *Array implement it directly;
+// internal/fault wraps a *Disk to inject deterministic failures into
+// the timed methods without the layers above knowing.
 type Device interface {
 	Geometry() Geometry
 	Heads() int
 	HeadCylinder(h int) int
 	Stats() Stats
-	// Timed data path (virtual service times drive the round clock).
-	Read(h, lba, n int) ([]byte, time.Duration, error)
-	// ReadInto is Read without the buffer allocation: dst must hold
-	// n sectors. It is for callers that must own the bytes (the
+	// Timed data path (virtual service times drive the round clock):
+	// one access costs seek + average rotational latency + transfer.
+	//
+	// ReadInto reads n sectors at lba by head h into dst, which must
+	// hold n sectors. It is for callers that must own the bytes (the
 	// rebuild/rebalance copy engine); playback uses ReadView.
 	ReadInto(h, lba, n int, dst []byte) (time.Duration, error)
 	// ReadView is the lending timed read, the rt:hotpath entry point
@@ -51,19 +53,13 @@ type Device interface {
 	// with the same scratch. On error data is nil and t is what ReadInto
 	// would report.
 	ReadView(h, lba, n int, scratch []byte) (data []byte, t time.Duration, err error)
-	ReadContiguous(h, lba, n int) ([]byte, time.Duration, error)
 	Write(h, lba int, data []byte) (time.Duration, error)
 	PeekServiceTime(h, lba, n int) time.Duration
 	// Untimed data path (metadata, verification, editing copies).
 	ReadAt(lba, n int) ([]byte, error)
 	WriteAt(lba int, data []byte) error
-}
-
-// Store is the whole-filesystem disk surface: the media-path Device
-// plus the maintenance hooks core.FS needs to run over either a single
-// *Disk or a striped *Array without caring which it has.
-type Store interface {
-	Device
+	// Maintenance: counters and the latency histograms every timed
+	// access reports to (nil disables one).
 	ResetStats()
 	SetReadLatencyHistogram(*obs.Histogram)
 	SetWriteLatencyHistogram(*obs.Histogram)
@@ -98,7 +94,6 @@ type Disk struct {
 }
 
 var _ Device = (*Disk)(nil)
-var _ Store = (*Disk)(nil)
 
 // New creates a zero-filled disk with the given geometry.
 func New(g Geometry) (*Disk, error) {
@@ -192,26 +187,14 @@ func (d *Disk) page(cyl int, materialize bool) []byte {
 }
 
 // ReadAt copies n sectors starting at lba into a fresh buffer without
-// charging time. Use Read for the timed path.
+// charging time. Use ReadInto or ReadView for the timed path.
 func (d *Disk) ReadAt(lba, n int) ([]byte, error) {
 	if err := d.checkRange(lba, n); err != nil {
 		return nil, err
 	}
-	ss := d.geom.SectorSize
-	spc := d.geom.SectorsPerCylinder()
-	buf := make([]byte, n*ss)
-	for done := 0; done < n; {
-		cur := lba + done
-		cyl := cur / spc
-		inCyl := cur % spc
-		span := spc - inCyl
-		if span > n-done {
-			span = n - done
-		}
-		if p := d.page(cyl, false); p != nil {
-			copy(buf[done*ss:], p[inCyl*ss:(inCyl+span)*ss])
-		}
-		done += span
+	buf := make([]byte, n*d.geom.SectorSize)
+	if err := d.ReadAtInto(lba, n, buf); err != nil {
+		return nil, err
 	}
 	return buf, nil
 }
@@ -284,42 +267,37 @@ func (d *Disk) WriteAt(lba int, data []byte) error {
 
 // serviceTime charges the positioning and transfer costs of an access
 // by head h to lba for n sectors, moves the head, and updates stats.
-func (d *Disk) serviceTime(h, lba, n int, contiguous bool) time.Duration {
+func (d *Disk) serviceTime(h, lba, n int) time.Duration {
 	hs := &d.heads[h]
 	target := d.geom.CylinderOf(lba)
-	var t time.Duration
-	if !contiguous {
-		dist := target - hs.cylinder
-		if dist < 0 {
-			dist = -dist
-		}
-		st := d.geom.SeekTime(dist)
-		rot := d.geom.AvgRotationalLatency()
-		d.stats.Seeks++
-		d.stats.SeekTime += st
-		d.stats.RotationTime += rot
-		t += st + rot
+	dist := target - hs.cylinder
+	if dist < 0 {
+		dist = -dist
 	}
+	st := d.geom.SeekTime(dist)
+	rot := d.geom.AvgRotationalLatency()
 	xfer := d.geom.TransferTime(n)
+	d.stats.Seeks++
+	d.stats.SeekTime += st
+	d.stats.RotationTime += rot
 	d.stats.TransferTime += xfer
-	t += xfer
 	// Leave the head at the cylinder holding the last sector accessed.
 	if n > 0 {
 		hs.cylinder = d.geom.CylinderOf(lba + n - 1)
 	} else {
 		hs.cylinder = target
 	}
-	return t
+	return st + rot + xfer
 }
 
 // chargeRead is the one timing body of the timed read path: range
 // check, positioning and transfer charge, head movement, read counters
 // and the latency histogram.
-func (d *Disk) chargeRead(h, lba, n int, contiguous bool) (time.Duration, error) {
+func (d *Disk) chargeRead(h, lba, n int) (time.Duration, error) {
 	if err := d.checkRange(lba, n); err != nil {
 		return 0, err
 	}
-	t := d.serviceTime(h, lba, n, contiguous)
+	t := d.serviceTime(h, lba, n)
 	d.stats.Reads++
 	d.stats.SectorsRead += uint64(n)
 	if d.readLatency != nil {
@@ -328,30 +306,14 @@ func (d *Disk) chargeRead(h, lba, n int, contiguous bool) (time.Duration, error)
 	return t, nil
 }
 
-// Read performs a timed read by head h of n sectors at lba, returning
-// the data and the service time (seek + average rotational latency +
-// transfer). A read that continues exactly where the head left off
-// would still pay latency here; use ReadContiguous for run
-// continuation.
-func (d *Disk) Read(h, lba, n int) ([]byte, time.Duration, error) {
-	t, err := d.chargeRead(h, lba, n, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	buf, err := d.ReadAt(lba, n)
-	if err != nil {
-		return nil, 0, err
-	}
-	return buf, t, nil
-}
-
-// ReadInto is the allocation-free variant of Read: the same timing
-// and stats, with the data landing in the caller's buffer (at least
-// n sectors long), which the caller then owns.
+// ReadInto performs a timed read by head h of n sectors at lba: the
+// service time is seek + average rotational latency + transfer, and the
+// data lands in the caller's buffer (at least n sectors long), which
+// the caller then owns.
 //
 // rt:hotpath
 func (d *Disk) ReadInto(h, lba, n int, dst []byte) (time.Duration, error) {
-	t, err := d.chargeRead(h, lba, n, false)
+	t, err := d.chargeRead(h, lba, n)
 	if err != nil {
 		return 0, err
 	}
@@ -371,7 +333,7 @@ func (d *Disk) ReadInto(h, lba, n int, dst []byte) (time.Duration, error) {
 //
 // rt:hotpath
 func (d *Disk) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, error) {
-	t, err := d.chargeRead(h, lba, n, false)
+	t, err := d.chargeRead(h, lba, n)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -387,20 +349,6 @@ func (d *Disk) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, e
 	return scratch[: n*ss : n*ss], t, nil
 }
 
-// ReadContiguous performs a timed read that is physically contiguous
-// with the head's previous transfer: only transfer time is charged.
-func (d *Disk) ReadContiguous(h, lba, n int) ([]byte, time.Duration, error) {
-	t, err := d.chargeRead(h, lba, n, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	buf, err := d.ReadAt(lba, n)
-	if err != nil {
-		return nil, 0, err
-	}
-	return buf, t, nil
-}
-
 // Write performs a timed write by head h of data at lba, returning the
 // service time. Disk write and read times are assumed equal, the
 // paper's first simplifying assumption (§3).
@@ -409,7 +357,7 @@ func (d *Disk) Write(h, lba int, data []byte) (time.Duration, error) {
 	if err := d.checkRange(lba, n); err != nil {
 		return 0, err
 	}
-	t := d.serviceTime(h, lba, n, false)
+	t := d.serviceTime(h, lba, n)
 	d.stats.Writes++
 	d.stats.SectorsWritten += uint64(n)
 	if d.writeLatency != nil {
@@ -430,12 +378,4 @@ func (d *Disk) PeekServiceTime(h, lba, n int) time.Duration {
 		dist = -dist
 	}
 	return d.geom.SeekTime(dist) + d.geom.AvgRotationalLatency() + d.geom.TransferTime(n)
-}
-
-// Zero clears n sectors at lba without charging time.
-func (d *Disk) Zero(lba, n int) error {
-	if err := d.checkRange(lba, n); err != nil {
-		return err
-	}
-	return d.WriteAt(lba, make([]byte, n*d.geom.SectorSize))
 }

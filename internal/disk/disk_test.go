@@ -22,6 +22,13 @@ func smallGeometry() Geometry {
 	}
 }
 
+// timedRead is ReadInto with a buffer of its own.
+func timedRead(d *Disk, h, lba, n int) ([]byte, time.Duration, error) {
+	buf := make([]byte, n*d.Geometry().SectorSize)
+	t, err := d.ReadInto(h, lba, n, buf)
+	return buf, t, err
+}
+
 func TestReadWriteRoundTrip(t *testing.T) {
 	d := MustNew(smallGeometry())
 	payload := make([]byte, 3*512)
@@ -105,7 +112,7 @@ func TestRangeChecks(t *testing.T) {
 	if err := d.WriteAt(total-1, make([]byte, 2*512)); err == nil {
 		t.Fatal("write past end accepted")
 	}
-	if _, _, err := d.Read(0, total-1, 2); err == nil {
+	if _, _, err := timedRead(d, 0, total-1, 2); err == nil {
 		t.Fatal("timed read past end accepted")
 	}
 }
@@ -116,7 +123,7 @@ func TestTimedReadChargesSeekLatencyTransfer(t *testing.T) {
 	d.ParkHead(0, 0)
 	spc := g.SectorsPerCylinder()
 	targetCyl := 10
-	_, dur, err := d.Read(0, targetCyl*spc, 4)
+	_, dur, err := timedRead(d, 0, targetCyl*spc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,29 +135,13 @@ func TestTimedReadChargesSeekLatencyTransfer(t *testing.T) {
 		t.Fatalf("head at %d, want %d", d.HeadCylinder(0), targetCyl)
 	}
 	// A second read at the same cylinder pays no seek.
-	_, dur2, err := d.Read(0, targetCyl*spc+8, 1)
+	_, dur2, err := timedRead(d, 0, targetCyl*spc+8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want2 := g.AvgRotationalLatency() + g.TransferTime(1)
 	if dur2 != want2 {
 		t.Fatalf("same-cylinder service %v, want %v", dur2, want2)
-	}
-}
-
-func TestReadContiguousSkipsPositioning(t *testing.T) {
-	g := smallGeometry()
-	d := MustNew(g)
-	_, _, err := d.Read(0, 100, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, dur, err := d.ReadContiguous(0, 102, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dur != g.TransferTime(2) {
-		t.Fatalf("contiguous read charged %v, want transfer-only %v", dur, g.TransferTime(2))
 	}
 }
 
@@ -164,7 +155,7 @@ func TestWriteTimeEqualsReadTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rt, err := d2.Read(0, 300, 4)
+	_, rt, err := timedRead(d2, 0, 300, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +168,10 @@ func TestIndependentHeads(t *testing.T) {
 	g := smallGeometry()
 	d := MustNew(g)
 	spc := g.SectorsPerCylinder()
-	if _, _, err := d.Read(0, 5*spc, 1); err != nil {
+	if _, _, err := timedRead(d, 0, 5*spc, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Read(1, 50*spc, 1); err != nil {
+	if _, _, err := timedRead(d, 1, 50*spc, 1); err != nil {
 		t.Fatal(err)
 	}
 	if d.HeadCylinder(0) != 5 || d.HeadCylinder(1) != 50 {
@@ -197,7 +188,7 @@ func TestPeekServiceTimeDoesNotMoveHead(t *testing.T) {
 	if d.HeadCylinder(0) != before {
 		t.Fatal("peek moved the head")
 	}
-	_, actual, err := d.Read(0, 30*spc, 2)
+	_, actual, err := timedRead(d, 0, 30*spc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +200,7 @@ func TestPeekServiceTimeDoesNotMoveHead(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	g := smallGeometry()
 	d := MustNew(g)
-	if _, _, err := d.Read(0, 10, 2); err != nil {
+	if _, _, err := timedRead(d, 0, 10, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Write(0, 400, make([]byte, g.SectorSize)); err != nil {
@@ -225,22 +216,6 @@ func TestStatsAccumulate(t *testing.T) {
 	d.ResetStats()
 	if d.Stats() != (Stats{}) {
 		t.Fatal("reset did not clear stats")
-	}
-}
-
-func TestZero(t *testing.T) {
-	d := MustNew(smallGeometry())
-	if err := d.WriteAt(7, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Zero(7, 1); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := d.ReadAt(7, 1)
-	for _, b := range got {
-		if b != 0 {
-			t.Fatal("zero left data behind")
-		}
 	}
 }
 

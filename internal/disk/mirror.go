@@ -108,36 +108,6 @@ const (
 
 func readable(s SpindleState) bool { return s == Healthy || s == Suspect }
 
-// NewMirroredArray builds a mirrored array: an even number of spindles
-// paired into p/2 mirror groups, each pair holding two copies of its
-// stripe groups. Geometry and stripe-unit rules match NewArray.
-func NewMirroredArray(spindles []Device, stripeCylinders int) (*Array, error) {
-	if len(spindles) < 2 || len(spindles)%2 != 0 {
-		return nil, fmt.Errorf("disk: mirrored array needs an even spindle count >= 2, have %d", len(spindles))
-	}
-	a, err := NewArray(spindles, stripeCylinders)
-	if err != nil {
-		return nil, err
-	}
-	a.mirrored = true
-	a.mg = len(spindles) / 2
-	a.logical.Cylinders = a.phys.Cylinders * a.mg
-	a.health = make([]spindleHealth, len(spindles))
-	a.steer = make([]steerMode, a.mg)
-	a.repair = repairState{target: -1}
-	return a, nil
-}
-
-// MustNewMirroredArray is NewMirroredArray but panics on invalid
-// configuration; for tests and fixed experiment setups.
-func MustNewMirroredArray(spindles []Device, stripeCylinders int) *Array {
-	a, err := NewMirroredArray(spindles, stripeCylinders)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Mirrored reports whether the array runs the mirrored redundancy
 // layout.
 func (a *Array) Mirrored() bool { return a.mirrored }
@@ -290,36 +260,24 @@ func (a *Array) readSpan(sp, local, count int, scratch []byte) ([]byte, time.Dur
 	return data, t, err
 }
 
-// readSpanContiguous mirrors readSpan for the continuing-transfer path.
-// Contiguous transfers have no seek/rotation baseline, so only errors
-// feed the health machine (est = 0 disables the outlier check).
-func (a *Array) readSpanContiguous(sp, local, count int) ([]byte, time.Duration, error) {
-	if !a.mirrored {
-		return a.spindles[sp].ReadContiguous(0, local, count)
-	}
-	b, t, err := a.spindles[sp].ReadContiguous(0, local, count)
-	a.observeRead(sp, 0, t, err)
-	return b, t, err
-}
-
-// writeSpan duplicates one group-contained timed write onto both twins
-// of the owning pair, charging the slower copy (the twins seek in
+// writeSpan duplicates one group-contained write onto both twins of the
+// owning pair; a timed write charges the slower copy (the twins seek in
 // parallel). A Dead twin is skipped — its contents are reconstructed
 // wholesale by rebuild — and a Rebuilding twin is written through so
 // chunks already copied stay coherent. During a rebalance, a write to
 // the group currently being migrated also lands at the new home, so
 // cylinders copied before the write don't go stale.
-func (a *Array) writeSpan(lba, local int, data []byte) (time.Duration, error) {
+func (a *Array) writeSpan(lba, local int, data []byte, timed bool) (time.Duration, error) {
 	group := lba / a.groupSec
 	pair, _ := a.homeOf(group)
-	t, err := a.writePair(pair, local, data)
+	t, err := a.writePair(pair, local, data, timed)
 	if err != nil {
 		return 0, err
 	}
 	if a.repair.kind == repairRebalance && group == a.repair.group {
 		dstPair, dstSlot := group%a.mg, group/a.mg
 		dstLocal := (dstSlot*a.sc)*a.spc + local%(a.sc*a.spc)
-		if _, err := a.writePair(dstPair, dstLocal, data); err != nil {
+		if _, err := a.writePair(dstPair, dstLocal, data, timed); err != nil {
 			return 0, err
 		}
 	}
@@ -327,8 +285,8 @@ func (a *Array) writeSpan(lba, local int, data []byte) (time.Duration, error) {
 }
 
 // writePair writes data at the pair-local address on every writable
-// twin of the pair, returning the slower charge.
-func (a *Array) writePair(pair, local int, data []byte) (time.Duration, error) {
+// twin of the pair, returning the slower charge (zero when untimed).
+func (a *Array) writePair(pair, local int, data []byte, timed bool) (time.Duration, error) {
 	var max time.Duration
 	var firstErr error
 	wrote := false
@@ -337,7 +295,7 @@ func (a *Array) writePair(pair, local int, data []byte) (time.Duration, error) {
 		if a.health[sp].state == Dead {
 			continue
 		}
-		t, err := a.spindles[sp].Write(0, local, data)
+		t, err := spindleWrite(a.spindles[sp], local, data, timed)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -357,44 +315,4 @@ func (a *Array) writePair(pair, local int, data []byte) (time.Duration, error) {
 		return 0, fmt.Errorf("disk: mirror pair %d has no writable spindle", pair)
 	}
 	return max, nil
-}
-
-// writeSpanAt is writeSpan for the untimed path.
-func (a *Array) writeSpanAt(lba, local int, data []byte) error {
-	group := lba / a.groupSec
-	pair, _ := a.homeOf(group)
-	if err := a.writePairAt(pair, local, data); err != nil {
-		return err
-	}
-	if a.repair.kind == repairRebalance && group == a.repair.group {
-		dstPair, dstSlot := group%a.mg, group/a.mg
-		dstLocal := (dstSlot*a.sc)*a.spc + local%(a.sc*a.spc)
-		return a.writePairAt(dstPair, dstLocal, data)
-	}
-	return nil
-}
-
-func (a *Array) writePairAt(pair, local int, data []byte) error {
-	var firstErr error
-	wrote := false
-	for tw := 0; tw < 2; tw++ {
-		sp := 2*pair + tw
-		if a.health[sp].state == Dead {
-			continue
-		}
-		if err := a.spindles[sp].WriteAt(local, data); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		wrote = true
-	}
-	if !wrote {
-		if firstErr != nil {
-			return firstErr
-		}
-		return fmt.Errorf("disk: mirror pair %d has no writable spindle", pair)
-	}
-	return nil
 }

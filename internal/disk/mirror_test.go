@@ -16,9 +16,9 @@ func newMirrorArray(t *testing.T, p, stripe int) (*disk.Array, []*disk.Disk) {
 		raw[i] = disk.MustNew(arrayGeom())
 		spindles[i] = raw[i]
 	}
-	a, err := disk.NewMirroredArray(spindles, stripe)
+	a, err := disk.NewArray(spindles, stripe, true)
 	if err != nil {
-		t.Fatalf("NewMirroredArray: %v", err)
+		t.Fatalf("NewArray (mirrored): %v", err)
 	}
 	return a, raw
 }
@@ -31,13 +31,13 @@ func TestMirrorValidation(t *testing.T) {
 		}
 		return s
 	}
-	if _, err := disk.NewMirroredArray(mk(3), 4); err == nil {
+	if _, err := disk.NewArray(mk(3), 4, true); err == nil {
 		t.Fatal("odd spindle count accepted")
 	}
-	if _, err := disk.NewMirroredArray(mk(0), 4); err == nil {
+	if _, err := disk.NewArray(mk(0), 4, true); err == nil {
 		t.Fatal("empty spindle list accepted")
 	}
-	if _, err := disk.NewMirroredArray(mk(4), 5); err == nil {
+	if _, err := disk.NewArray(mk(4), 5, true); err == nil {
 		t.Fatal("non-dividing stripe unit accepted")
 	}
 }
@@ -147,9 +147,9 @@ func TestMirrorHealthStateMachine(t *testing.T) {
 	g := arrayGeom()
 	fd := fault.New(disk.MustNew(g), fault.Scenario{})
 	twin := disk.MustNew(g)
-	a, err := disk.NewMirroredArray([]disk.Device{fd, twin}, 4)
+	a, err := disk.NewArray([]disk.Device{fd, twin}, 4, true)
 	if err != nil {
-		t.Fatalf("NewMirroredArray: %v", err)
+		t.Fatalf("NewArray (mirrored): %v", err)
 	}
 	spc := g.SectorsPerCylinder()
 	buf := make([]byte, g.SectorSize)

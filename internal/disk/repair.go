@@ -327,7 +327,7 @@ func (a *Array) rebalanceChunk(buf []byte) (time.Duration, bool, error) {
 	}
 	dstPair, dstSlot := g%a.mg, g/a.mg
 	dstLocal := (dstSlot*a.sc + c) * a.spc
-	wt, err := a.writePair(dstPair, dstLocal, buf)
+	wt, err := a.writePair(dstPair, dstLocal, buf, true)
 	if err != nil {
 		return t, false, err
 	}

@@ -175,7 +175,7 @@ func mirrorPair(t *testing.T) (a, twin *disk.Array, fd, ftwin *fault.Disk) {
 	mk := func() (*disk.Array, *fault.Disk) {
 		f := fault.New(disk.MustNew(arrayGeom()), fault.Scenario{Seed: 1})
 		sp := []disk.Device{f, disk.MustNew(arrayGeom()), disk.MustNew(arrayGeom()), disk.MustNew(arrayGeom())}
-		return disk.MustNewMirroredArray(sp, 4), f
+		return disk.MustNewArray(sp, 4, true), f
 	}
 	a, fd = mk()
 	twin, ftwin = mk()

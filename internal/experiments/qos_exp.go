@@ -5,7 +5,7 @@ import (
 	"math/rand"
 
 	"mmfs/internal/continuity"
-	"mmfs/internal/fault"
+	"mmfs/internal/core"
 	"mmfs/internal/msm"
 	"mmfs/internal/strand"
 )
@@ -24,7 +24,7 @@ type qosArrival struct {
 // EXP-QOS can place an arbitrary arrival mix without strands colliding
 // or straddling stripe groups.
 type qosRig struct {
-	*stripeRig
+	*arrayRig
 	slot []int // next free recording slot per spindle
 	rng  *rand.Rand
 	seq  int64
@@ -32,9 +32,9 @@ type qosRig struct {
 
 func newQoSRig(p int) *qosRig {
 	return &qosRig{
-		stripeRig: newStripeRig(p, -1, fault.Scenario{}),
-		slot:      make([]int, p),
-		rng:       rand.New(rand.NewSource(9300 + seedBase)),
+		arrayRig: newArrayRig(core.Options{Disks: p, Stripe: stripeCyl}),
+		slot:     make([]int, p),
+		rng:      rand.New(rand.NewSource(9300 + seedBase)),
 	}
 }
 
@@ -45,7 +45,7 @@ func newQoSRig(p int) *qosRig {
 func (r *qosRig) record(spindle, frames int) *strand.Strand {
 	sl := r.slot[spindle]
 	r.slot[spindle]++
-	if sl >= r.arr.Geometry().Cylinders/(r.p*stripeCyl) {
+	if sl >= r.d.Geometry().Cylinders/(r.p*stripeCyl) {
 		panic(fmt.Sprintf("experiments: EXP-QOS spindle %d out of recording slots", spindle))
 	}
 	localCyl := sl * stripeCyl
@@ -57,13 +57,7 @@ func (r *qosRig) record(spindle, frames int) *strand.Strand {
 // run (plans hold per-manager state and cannot be reused). Read-ahead
 // and buffering match the forced k, the EXP-FT saturation idiom.
 func (r *qosRig) planClassed(a qosArrival, k int) msm.PlayPlan {
-	plan, err := msm.PlanStrandPlay(r.arr, a.s, msm.PlanOptions{
-		ReadAhead: k, Buffers: 2 * k, Scattering: r.scattering(), Class: a.class,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return plan
+	return r.plan(a.s, msm.PlanOptions{ReadAhead: k, Buffers: 2 * k, Class: a.class})
 }
 
 // qosPhaseA builds the off-peak population: nA long streams per
@@ -114,17 +108,17 @@ func (r *qosRig) qosPeak(spindle, fill, longFrames, shortFrames int) []qosArriva
 // bursts) against a fresh manager and reports per-phase admission
 // outcomes plus the final per-stream progress of everything admitted.
 type qosRunStats struct {
-	admittedA   int
-	admittedB   int
-	rejectedB   int
+	admittedA      int
+	admittedB      int
+	rejectedB      int
 	degradedAtPeak int // streams at stride > 1 right after the last peak arrival
-	shedAtPeak  int    // blocks already skipped at that instant
-	recovered   int    // degraded at some point, finished at full rate
-	finishedShed int   // finished still degraded
-	premLate    int    // CauseLate violations on premium streams
-	premShed    int    // load-shed events on premium streams (must be 0)
-	completed   int
-	stats       msm.Stats
+	shedAtPeak     int // blocks already skipped at that instant
+	recovered      int // degraded at some point, finished at full rate
+	finishedShed   int // finished still degraded
+	premLate       int // CauseLate violations on premium streams
+	premShed       int // load-shed events on premium streams (must be 0)
+	completed      int
+	stats          msm.Stats
 }
 
 func (r *qosRig) qosRun(mgr *msm.Manager, phaseA []qosArrival, peak [][]qosArrival, qos bool, k int) qosRunStats {
@@ -285,7 +279,7 @@ func QoS() Result {
 	}
 
 	// QoS run: load shedding enabled, stride bound 8.
-	mgr := msm.New(r.arr, adm)
+	mgr := msm.New(r.d, adm)
 	mgr.SetPolicy(msm.NaiveJump)
 	mgr.ForceK(k)
 	mgr.SetQoS(msm.QoSPolicy{MaxStride: continuity.DefaultMaxStride})
@@ -301,7 +295,7 @@ func QoS() Result {
 	}
 
 	// Baseline: identical schedule, binary accept/reject admission.
-	bmgr := msm.New(r.arr, adm)
+	bmgr := msm.New(r.d, adm)
 	bmgr.SetPolicy(msm.NaiveJump)
 	bmgr.ForceK(k)
 	base := r.qosRun(bmgr, phaseA, peak, false, k)

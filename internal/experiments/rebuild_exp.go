@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 
-	"mmfs/internal/alloc"
 	"mmfs/internal/continuity"
+	"mmfs/internal/core"
 	"mmfs/internal/disk"
 	"mmfs/internal/fault"
-	"mmfs/internal/layout"
-	"mmfs/internal/media"
 	"mmfs/internal/msm"
 	"mmfs/internal/strand"
 )
@@ -20,119 +18,32 @@ import (
 // admission probe.
 const rebuildStripeCyl = 60
 
-// mirrorRig is a p-spindle mirrored array (p/2 pairs) with the
-// allocator and strand store in its halved logical address space;
-// spindle faultSpindle is fault-wrapped when the scenario is active.
-type mirrorRig struct {
-	raw []*disk.Disk
-	arr *disk.Array
-	a   *alloc.Allocator
-	st  *strand.Store
-	dev continuity.Device
-	p   int
-}
-
-func newMirrorRig(p, faultSpindle int, sc fault.Scenario) *mirrorRig {
-	g := disk.DefaultGeometry()
-	devs := make([]disk.Device, p)
-	raw := make([]*disk.Disk, p)
-	for i := range devs {
-		raw[i] = disk.MustNew(g)
-		if i == faultSpindle && sc.Active() {
-			devs[i] = fault.New(raw[i], sc)
-		} else {
-			devs[i] = raw[i]
-		}
-	}
-	arr := disk.MustNewMirroredArray(devs, rebuildStripeCyl)
-	a, err := alloc.New(arr.Geometry(), 64)
-	if err != nil {
-		panic(err)
-	}
-	lg := arr.Geometry()
-	return &mirrorRig{
-		raw: raw, arr: arr, a: a,
-		st: strand.NewStore(arr, a),
-		dev: continuity.Device{
-			TransferRate: lg.TransferRateBits(),
-			MaxAccess:    continuity.Seconds(lg.MaxAccessTime()),
-			MinAccess:    continuity.Seconds(lg.MinAccessTime()),
-		},
-		p: p,
-	}
-}
-
-func (r *mirrorRig) scattering() float64 {
-	return continuity.Seconds(r.arr.Geometry().AccessTime(32))
-}
-
 // recordPreferring writes a video strand whose blocks the balanced
-// steering reads from exactly the given spindle: stripe-group slot
-// (spindle%2 + 2*within) of mirror pair spindle/2, slot parity picking
-// the preferred twin. The data itself is duplicated on both twins.
-func (r *mirrorRig) recordPreferring(spindle, within, frames int, seed int64) *strand.Strand {
-	mg := r.arr.MirrorGroups()
+// steering of a mirrored rig reads from exactly the given spindle:
+// stripe-group slot (spindle%2 + 2*within) of mirror pair spindle/2,
+// slot parity picking the preferred twin. The data itself is duplicated
+// on both twins.
+func (r *arrayRig) recordPreferring(spindle, within, frames int, seed int64) *strand.Strand {
 	pair, slot := spindle/2, spindle%2+2*within
-	group := slot*mg + pair
-	w, err := strand.NewWriter(r.arr, r.a, strand.WriterConfig{
-		ID:            r.st.NewID(),
-		Medium:        layout.Video,
-		Rate:          30,
-		UnitBytes:     frameBytes,
-		Granularity:   3,
-		Constraint:    alloc.Constraint{MinCylinders: 1, MaxCylinders: 32},
-		StartCylinder: group * rebuildStripeCyl,
-	})
-	if err != nil {
-		panic(err)
-	}
-	src := media.NewVideoSource(frames, frameBytes, 30, seed)
-	for {
-		u, ok := src.Next()
-		if !ok {
-			break
-		}
-		if _, err := w.Append(u); err != nil {
-			panic(err)
-		}
-	}
-	s, err := w.Close()
-	if err != nil {
-		panic(err)
-	}
-	r.st.Put(s)
-	for i := 0; i < s.NumBlocks(); i++ {
-		e, berr := s.Block(i)
-		if berr != nil {
-			panic(berr)
-		}
-		if sp, one := r.arr.SpindleRange(int(e.Sector), int(e.SectorCount)); !one || sp != spindle {
-			panic(fmt.Sprintf("experiments: EXP-REBUILD block %d on spindle %d, want %d", i, sp, spindle))
-		}
-	}
-	return s
+	group := slot*r.arr.MirrorGroups() + pair
+	return r.record(group*r.stripe, spindle, frames, seed)
 }
 
-func (r *mirrorRig) plan(s *strand.Strand, class continuity.Class) msm.PlayPlan {
-	plan, err := msm.PlanStrandPlay(r.arr, s, msm.PlanOptions{
-		ReadAhead: 1, Buffers: 64, Scattering: r.scattering(), Class: class,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return plan
+// rebuildPlan is EXP-REBUILD's per-stream plan shape.
+func rebuildPlan(class continuity.Class) msm.PlanOptions {
+	return msm.PlanOptions{ReadAhead: 1, Buffers: 64, Class: class}
 }
 
 // probeAdmission counts how many of the probe strands a fresh
 // admission-only manager accepts against the array's current steering
 // (a NaiveJump gate runs no service rounds, so the fault clock and the
 // virtual clock stay untouched).
-func (r *mirrorRig) probeAdmission(adm continuity.Admission, probes []*strand.Strand) int {
-	gate := msm.New(r.arr, adm)
+func (r *arrayRig) probeAdmission(adm continuity.Admission, probes []*strand.Strand) int {
+	gate := msm.New(r.d, adm)
 	gate.SetPolicy(msm.NaiveJump)
 	admitted := 0
 	for _, s := range probes {
-		if _, _, err := gate.AdmitPlay(r.plan(s, continuity.Standard)); err != nil {
+		if _, _, err := gate.AdmitPlay(r.plan(s, rebuildPlan(continuity.Standard))); err != nil {
 			if !errors.Is(err, msm.ErrAdmissionRejected) {
 				panic(err)
 			}
@@ -159,7 +70,10 @@ func Rebuild() Result {
 	}
 
 	const p, victim, dieRound = 4, 1, 6
-	r := newMirrorRig(p, victim, fault.Scenario{Seed: 42 + seedBase, DieRound: dieRound})
+	r := newArrayRig(core.Options{
+		Disks: p, Stripe: rebuildStripeCyl, Mirror: true,
+		Fault: fault.Scenario{Seed: 42 + seedBase, DieRound: dieRound}, FaultSpindle: victim,
+	})
 	adm := continuity.AdmissionFor(r.dev)
 	tmpl := continuity.Request{
 		Name: "video", Granularity: 3, UnitBits: frameBytes * 8, Rate: 30,
@@ -196,7 +110,7 @@ func Rebuild() Result {
 	// everywhere except the victim. The victim twin dies mid-run; its
 	// stream must be re-steered to the survivor after a bounded
 	// degraded burst, with zero premium violations and zero aborts.
-	mgr := msm.New(r.arr, adm)
+	mgr := msm.New(r.d, adm)
 	ids := make([]msm.RequestID, p)
 	for sp := 0; sp < p; sp++ {
 		class := continuity.Premium
@@ -204,7 +118,7 @@ func Rebuild() Result {
 			class = continuity.Standard
 		}
 		var err error
-		if ids[sp], _, err = mgr.AdmitPlay(r.plan(probes[sp], class)); err != nil {
+		if ids[sp], _, err = mgr.AdmitPlay(r.plan(probes[sp], rebuildPlan(class))); err != nil {
 			panic(err)
 		}
 	}
@@ -276,7 +190,7 @@ func Rebuild() Result {
 	// the victim stream's replay cleanly, and admission returns to the
 	// full p·n_max bound.
 	r.arr.RefreshSteering()
-	id, _, err := mgr.AdmitPlay(r.plan(probes[victim], continuity.Premium))
+	id, _, err := mgr.AdmitPlay(r.plan(probes[victim], rebuildPlan(continuity.Premium)))
 	if err != nil {
 		panic(err)
 	}

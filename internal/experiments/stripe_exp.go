@@ -6,6 +6,7 @@ import (
 
 	"mmfs/internal/alloc"
 	"mmfs/internal/continuity"
+	"mmfs/internal/core"
 	"mmfs/internal/disk"
 	"mmfs/internal/fault"
 	"mmfs/internal/layout"
@@ -18,58 +19,64 @@ import (
 // default geometry, the same value core.Options picks by default.
 const stripeCyl = 120
 
-// stripeRig is a p-spindle striped array with the allocator and strand
-// store working in the array's logical address space; spindle
-// faultSpindle is fault-wrapped when the scenario is active.
-type stripeRig struct {
-	raw []*disk.Disk
-	arr *disk.Array
-	a   *alloc.Allocator
-	st  *strand.Store
-	dev continuity.Device
-	p   int
+// arrayRig is a hand-driven store for the experiments that run their
+// own storage managers: the device core.NewStore builds from the
+// options (p spindles striped by opts.Stripe cylinders, paired when
+// opts.Mirror is set, spindle opts.FaultSpindle fault-wrapped when the
+// scenario is active), with the allocator and strand store working in
+// its logical address space. arr is nil on a single spindle.
+type arrayRig struct {
+	d      disk.Device
+	arr    *disk.Array
+	a      *alloc.Allocator
+	st     *strand.Store
+	dev    continuity.Device
+	p      int
+	stripe int
 }
 
-func newStripeRig(p, faultSpindle int, sc fault.Scenario) *stripeRig {
-	g := disk.DefaultGeometry()
-	devs := make([]disk.Device, p)
-	raw := make([]*disk.Disk, p)
-	for i := range devs {
-		raw[i] = disk.MustNew(g)
-		if i == faultSpindle && sc.Active() {
-			devs[i] = fault.New(raw[i], sc)
-		} else {
-			devs[i] = raw[i]
-		}
-	}
-	arr := disk.MustNewArray(devs, stripeCyl)
-	a, err := alloc.New(arr.Geometry(), 64)
+func newArrayRig(opts core.Options) *arrayRig {
+	d, _, err := core.NewStore(opts)
 	if err != nil {
 		panic(err)
 	}
-	lg := arr.Geometry()
-	return &stripeRig{
-		raw: raw, arr: arr, a: a,
-		st: strand.NewStore(arr, a),
+	lg := d.Geometry()
+	a, err := alloc.New(lg, 64)
+	if err != nil {
+		panic(err)
+	}
+	arr, _ := d.(*disk.Array)
+	return &arrayRig{
+		d: d, arr: arr, a: a,
+		st: strand.NewStore(d, a),
 		dev: continuity.Device{
 			TransferRate: lg.TransferRateBits(),
 			MaxAccess:    continuity.Seconds(lg.MaxAccessTime()),
 			MinAccess:    continuity.Seconds(lg.MinAccessTime()),
 		},
-		p: p,
+		p:      opts.Disks,
+		stripe: opts.Stripe,
 	}
 }
 
-func (r *stripeRig) scattering() float64 {
-	return continuity.Seconds(r.arr.Geometry().AccessTime(32))
+func (r *arrayRig) scattering() float64 {
+	return continuity.Seconds(r.d.Geometry().AccessTime(32))
 }
 
 // recordOn writes a video strand whose blocks all land on the given
-// spindle, starting at the given spindle-local cylinder (stripe-group
-// aligned placement, as the allocator would do for -disks p).
-func (r *stripeRig) recordOn(spindle, localCyl, frames int, seed int64) *strand.Strand {
-	start := (localCyl/stripeCyl*r.p+spindle)*stripeCyl + localCyl%stripeCyl
-	w, err := strand.NewWriter(r.arr, r.a, strand.WriterConfig{
+// spindle of a striped array, starting at the given spindle-local
+// cylinder (stripe-group aligned placement, as the allocator would do
+// for -disks p).
+func (r *arrayRig) recordOn(spindle, localCyl, frames int, seed int64) *strand.Strand {
+	start := (localCyl/r.stripe*r.p+spindle)*r.stripe + localCyl%r.stripe
+	return r.record(start, spindle, frames, seed)
+}
+
+// record writes a video strand from logical cylinder start and checks
+// that every block of it is read from the one spindle the caller aimed
+// for.
+func (r *arrayRig) record(start, spindle, frames int, seed int64) *strand.Strand {
+	w, err := strand.NewWriter(r.d, r.a, strand.WriterConfig{
 		ID:            r.st.NewID(),
 		Medium:        layout.Video,
 		Rate:          30,
@@ -96,27 +103,34 @@ func (r *stripeRig) recordOn(spindle, localCyl, frames int, seed int64) *strand.
 		panic(err)
 	}
 	r.st.Put(s)
+	if r.arr == nil {
+		return s // one spindle: there is nowhere else to land
+	}
 	for i := 0; i < s.NumBlocks(); i++ {
 		e, berr := s.Block(i)
 		if berr != nil {
 			panic(berr)
 		}
 		if sp, one := r.arr.SpindleRange(int(e.Sector), int(e.SectorCount)); !one || sp != spindle {
-			panic(fmt.Sprintf("experiments: EXP-STRIPE block %d on spindle %d, want %d", i, sp, spindle))
+			panic(fmt.Sprintf("experiments: rig block %d on spindle %d, want %d", i, sp, spindle))
 		}
 	}
 	return s
 }
 
-func (r *stripeRig) plan(s *strand.Strand) msm.PlayPlan {
-	plan, err := msm.PlanStrandPlay(r.arr, s, msm.PlanOptions{
-		ReadAhead: 1, Buffers: 16, Scattering: r.scattering(),
-	})
+// plan compiles a strand's play plan; opts carries everything but the
+// rig's scattering.
+func (r *arrayRig) plan(s *strand.Strand, opts msm.PlanOptions) msm.PlayPlan {
+	opts.Scattering = r.scattering()
+	plan, err := msm.PlanStrandPlay(r.d, s, opts)
 	if err != nil {
 		panic(err)
 	}
 	return plan
 }
+
+// stripePlan is EXP-STRIPE's per-stream plan shape.
+var stripePlan = msm.PlanOptions{ReadAhead: 1, Buffers: 16}
 
 // Stripe drives EXP-STRIPE: a p-spindle cylinder-group-striped array
 // services one concurrent sub-round per spindle each round, with
@@ -139,7 +153,7 @@ func Stripe() Result {
 	// (10 s strands, stripe-group aligned) and play them all.
 	base := 0
 	for _, p := range []int{1, 2, 4} {
-		r := newStripeRig(p, -1, fault.Scenario{})
+		r := newArrayRig(core.Options{Disks: p, Stripe: stripeCyl})
 		adm := continuity.AdmissionFor(r.dev)
 		tmpl := template
 		tmpl.Scattering = r.scattering()
@@ -155,26 +169,26 @@ func Stripe() Result {
 		// admitting (NaiveJump skips the stepwise transition rounds):
 		// all p·n_max streams pass their per-spindle Eq. 18, and one
 		// more on a saturated spindle is rejected.
-		gate := msm.New(r.arr, adm)
+		gate := msm.New(r.d, adm)
 		gate.SetPolicy(msm.NaiveJump)
 		admitted := 0
 		for _, s := range strands {
-			if _, _, err := gate.AdmitPlay(r.plan(s)); err != nil {
+			if _, _, err := gate.AdmitPlay(r.plan(s, stripePlan)); err != nil {
 				break
 			}
 			admitted++
 		}
 		extra := r.recordOn(0, nmax*stripeCyl, 300, seedBase+int64(7900+p))
-		if _, _, err := gate.AdmitPlay(r.plan(extra)); !errors.Is(err, msm.ErrAdmissionRejected) {
+		if _, _, err := gate.AdmitPlay(r.plan(extra, stripePlan)); !errors.Is(err, msm.ErrAdmissionRejected) {
 			panic(fmt.Sprintf("experiments: EXP-STRIPE p=%d: stream %d should exceed the spindle's n_max, got %v", p, total, err))
 		}
 
 		// Service run on a stepwise manager: parallel sub-rounds join
 		// every round, every stream completes violation-free.
-		mgr := msm.New(r.arr, adm)
+		mgr := msm.New(r.d, adm)
 		ids := make([]msm.RequestID, 0, total)
 		for j, s := range strands {
-			id, _, err := mgr.AdmitPlay(r.plan(s))
+			id, _, err := mgr.AdmitPlay(r.plan(s, stripePlan))
 			if err != nil {
 				panic(fmt.Sprintf("experiments: EXP-STRIPE p=%d stream %d: %v", p, j, err))
 			}
@@ -197,14 +211,17 @@ func Stripe() Result {
 	// the degradation ladder (zero-fill, then an escalation stop); the
 	// other spindles' sub-rounds never see the faults.
 	const sick = 1
-	r := newStripeRig(4, sick, fault.Scenario{Seed: 42 + seedBase, ReadErrorRate: 1})
+	r := newArrayRig(core.Options{
+		Disks: 4, Stripe: stripeCyl,
+		Fault: fault.Scenario{Seed: 42 + seedBase, ReadErrorRate: 1}, FaultSpindle: sick,
+	})
 	adm := continuity.AdmissionFor(r.dev)
-	mgr := msm.New(r.arr, adm)
+	mgr := msm.New(r.d, adm)
 	ids := make([]msm.RequestID, 4)
 	for sp := 0; sp < 4; sp++ {
 		s := r.recordOn(sp, 0, 150, seedBase+int64(8400+sp))
 		var err error
-		if ids[sp], _, err = mgr.AdmitPlay(r.plan(s)); err != nil {
+		if ids[sp], _, err = mgr.AdmitPlay(r.plan(s, stripePlan)); err != nil {
 			panic(err)
 		}
 	}

@@ -35,10 +35,12 @@ type Stats struct {
 }
 
 // Disk wraps a simulated disk.Disk behind the disk.Device surface,
-// injecting the Scenario's faults into the timed data path. Untimed
-// metadata access (ReadAt/WriteAt) and PeekServiceTime (a planning
-// estimate, not an access) pass through unmodified. Like the disk it
-// wraps, a Disk is not safe for concurrent use.
+// injecting the Scenario's faults into the timed data path: it
+// overrides every timed method of disk.Device — ReadInto, ReadView and
+// Write — and nothing else. Untimed metadata access (ReadAt/WriteAt),
+// PeekServiceTime (a planning estimate, not an access) and the
+// maintenance hooks are the embedded disk's own, promoted unmodified.
+// Like the disk it wraps, a Disk is not safe for concurrent use.
 type Disk struct {
 	*disk.Disk
 	sc    Scenario
@@ -159,17 +161,8 @@ func (d *Disk) maybeSlow(t time.Duration) time.Duration {
 	return t
 }
 
-// Read performs the base timed read, then injects scenario faults.
-func (d *Disk) Read(h, lba, n int) ([]byte, time.Duration, error) {
-	data, t, err := d.Disk.Read(h, lba, n)
-	if err != nil {
-		return nil, t, err
-	}
-	return d.injectRead(lba, n, data, t)
-}
-
-// ReadInto performs the allocation-free base read, then injects
-// scenario faults. dst already holds the data when a fault is
+// ReadInto performs the base owning read, then injects scenario
+// faults. dst already holds the data when a fault is
 // reported; callers treat the read as failed and retry.
 //
 // rt:hotpath
@@ -191,15 +184,6 @@ func (d *Disk) ReadInto(h, lba, n int, dst []byte) (time.Duration, error) {
 // rt:hotpath
 func (d *Disk) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, error) {
 	data, t, err := d.Disk.ReadView(h, lba, n, scratch)
-	if err != nil {
-		return nil, t, err
-	}
-	return d.injectRead(lba, n, data, t)
-}
-
-// ReadContiguous mirrors Read for run-continuation transfers.
-func (d *Disk) ReadContiguous(h, lba, n int) ([]byte, time.Duration, error) {
-	data, t, err := d.Disk.ReadContiguous(h, lba, n)
 	if err != nil {
 		return nil, t, err
 	}

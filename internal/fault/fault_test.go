@@ -24,6 +24,13 @@ func testGeometry() disk.Geometry {
 	}
 }
 
+// timedRead is ReadInto with a buffer of its own.
+func timedRead(d disk.Device, h, lba, n int) ([]byte, time.Duration, error) {
+	buf := make([]byte, n*d.Geometry().SectorSize)
+	t, err := d.ReadInto(h, lba, n, buf)
+	return buf, t, err
+}
+
 func TestParseScenario(t *testing.T) {
 	sc, err := ParseScenario("seed=7,readerr=0.05,writeerr=0.01,slow=0.1x4,bad=100+50,bad=900+8")
 	if err != nil {
@@ -100,11 +107,11 @@ func TestInactivePassThrough(t *testing.T) {
 	if err := ref.WriteAt(40, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, tGot, err := fd.Read(0, 40, 3)
+	got, tGot, err := timedRead(fd, 0, 40, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, tWant, err := ref.Read(0, 40, 3)
+	want, tWant, err := timedRead(ref, 0, 40, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +133,7 @@ func TestDeterminism(t *testing.T) {
 		fd := New(disk.MustNew(testGeometry()), Scenario{Seed: 42, ReadErrorRate: 0.3, SlowdownRate: 0.2, SlowdownFactor: 2})
 		var errs []bool
 		for i := 0; i < 200; i++ {
-			_, _, err := fd.Read(0, (i*3)%1024, 1)
+			_, _, err := timedRead(fd, 0, (i*3)%1024, 1)
 			errs = append(errs, err != nil)
 		}
 		return errs, fd.FaultStats()
@@ -149,13 +156,13 @@ func TestDeterminism(t *testing.T) {
 func TestBadSectorPersistent(t *testing.T) {
 	fd := New(disk.MustNew(testGeometry()), Scenario{Seed: 1, BadSectors: []SectorRange{{Start: 10, Count: 4}}})
 	for i := 0; i < 5; i++ {
-		_, _, err := fd.Read(0, 12, 2)
+		_, _, err := timedRead(fd, 0, 12, 2)
 		if !errors.Is(err, ErrBadSector) {
 			t.Fatalf("attempt %d: got %v, want ErrBadSector", i, err)
 		}
 	}
 	// Adjacent-but-disjoint access succeeds.
-	if _, _, err := fd.Read(0, 14, 2); err != nil {
+	if _, _, err := timedRead(fd, 0, 14, 2); err != nil {
 		t.Fatalf("disjoint read: %v", err)
 	}
 	// Writes into the defect fail too.
@@ -171,11 +178,11 @@ func TestSlowdownChargesVirtualTime(t *testing.T) {
 	base := disk.MustNew(testGeometry())
 	ref := disk.MustNew(testGeometry())
 	fd := New(base, Scenario{Seed: 1, SlowdownRate: 1, SlowdownFactor: 3})
-	_, tGot, err := fd.Read(0, 100, 2)
+	_, tGot, err := timedRead(fd, 0, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tWant, err := ref.Read(0, 100, 2)
+	_, tWant, err := timedRead(ref, 0, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +201,11 @@ func TestFailNextReadsAndObs(t *testing.T) {
 	fd.SetObs(reg)
 	fd.FailNextReads(2)
 	for i := 0; i < 2; i++ {
-		if _, _, err := fd.Read(0, 0, 1); !errors.Is(err, ErrTransient) {
+		if _, _, err := timedRead(fd, 0, 0, 1); !errors.Is(err, ErrTransient) {
 			t.Fatalf("forced read %d: got %v", i, err)
 		}
 	}
-	if _, _, err := fd.Read(0, 0, 1); err != nil {
+	if _, _, err := timedRead(fd, 0, 0, 1); err != nil {
 		t.Fatalf("after forced failures: %v", err)
 	}
 	if got := reg.Counter("mmfs_fault_read_errors_total").Value(); got != 2 {

@@ -43,7 +43,7 @@ func newMirroredRig(t *testing.T, p, stripe, faultSpindle int, sc fault.Scenario
 			devs[i] = raw[i]
 		}
 	}
-	arr := disk.MustNewMirroredArray(devs, stripe)
+	arr := disk.MustNewArray(devs, stripe, true)
 	a, err := alloc.New(arr.Geometry(), 64)
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func newStripedRig(t *testing.T, p, stripe, faultSpindle int, sc fault.Scenario)
 			devs[i] = raw[i]
 		}
 	}
-	arr := disk.MustNewArray(devs, stripe)
+	arr := disk.MustNewArray(devs, stripe, false)
 	a, err := alloc.New(arr.Geometry(), 64)
 	if err != nil {
 		t.Fatal(err)

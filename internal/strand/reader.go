@@ -34,39 +34,20 @@ func NewReader(d disk.Device, s *Strand) *Reader { return &Reader{s: s, d: d} }
 // Strand returns the strand being read.
 func (r *Reader) Strand() *Strand { return r.s }
 
-// ReadBlock performs the timed read of media block i by head h,
+// ReadBlockInto performs the timed read of media block i by head h,
 // returning the block payload (trimmed to the real unit count for the
 // final partial block), the disk service time, and whether the block
 // was a silence holder (service time zero — a delay holder consumes
 // playback time but no disk time). On a disk error the returned t is
 // the service time the failed access still cost; the storage manager
 // charges it against the round before retrying.
-func (r *Reader) ReadBlock(h, i int) (data []byte, t time.Duration, silent bool, err error) {
-	e, err := r.s.Block(i)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	n := r.blockPayloadBytes(i)
-	if e.Silent() {
-		return r.fillSilence(make([]byte, n)), 0, true, nil
-	}
-	raw, t, err := r.d.Read(h, int(e.Sector), int(e.SectorCount))
-	if err != nil {
-		return nil, t, false, err
-	}
-	if r.s.Variable() {
-		// Variable-rate blocks are self-describing; return them raw.
-		return raw, t, false, nil
-	}
-	return raw[:n], t, false, nil
-}
-
-// ReadBlockInto is ReadBlock without the allocation and, almost
-// always, without the copy: the block comes from the device's lending
-// read (disk.Device.ReadView), so the returned slice aliases either the
-// device's own store or, when the block cannot be lent (it crosses a
-// cylinder or stripe group, or is a regenerated silence holder), *buf —
-// grown via the alloc scratch arena to the block's full sector span.
+//
+// It allocates nothing and, almost always, copies nothing: the block
+// comes from the device's lending read (disk.Device.ReadView), so the
+// returned slice aliases either the device's own store or, when the
+// block cannot be lent (it crosses a cylinder or stripe group, or is a
+// regenerated silence holder), *buf — grown via the alloc scratch arena
+// to the block's full sector span.
 // The slice is trimmed to the payload, is read-only, has cap == len,
 // and is valid until the next write to the device or the next call
 // with the same buf; a caller that must keep the bytes copies them

@@ -10,7 +10,8 @@ import (
 
 // ReadBlockInto lends: for a block the device can lend, the returned
 // slice is the platter's own bytes (not *buf), clipped to the payload;
-// time, silence flag and bytes equal ReadBlock's on a twin rig.
+// time and bytes equal a twin device's owning read (ReadInto) of the
+// block's sectors, trimmed to the payload.
 func TestReadBlockIntoLends(t *testing.T) {
 	r, twin := newRig(t), newRig(t)
 	s := r.writeVideo(t, 32, 1024, 3, 6) // 10 full blocks + a 2-frame tail
@@ -18,10 +19,13 @@ func TestReadBlockIntoLends(t *testing.T) {
 	var buf []byte
 	for i := 0; i < s.NumBlocks(); i++ {
 		data, dur, silent, err := rd.ReadBlockInto(0, i, &buf)
-		want, wdur, wsilent, werr := trd.ReadBlock(0, i)
-		if err != nil || werr != nil || dur != wdur || silent != wsilent || !bytes.Equal(data, want) {
-			t.Fatalf("block %d: ReadBlockInto (%d B, %v, %v, %v), ReadBlock (%d B, %v, %v, %v)",
-				i, len(data), dur, silent, err, len(want), wdur, wsilent, werr)
+		te, _ := trd.s.Block(i)
+		want := make([]byte, int(te.SectorCount)*twin.d.Geometry().SectorSize)
+		wdur, werr := twin.d.ReadInto(0, int(te.Sector), int(te.SectorCount), want)
+		want = want[:trd.blockPayloadBytes(i)]
+		if err != nil || werr != nil || dur != wdur || silent || !bytes.Equal(data, want) {
+			t.Fatalf("block %d: ReadBlockInto (%d B, %v, %v, %v), twin ReadInto (%d B, %v, %v)",
+				i, len(data), dur, silent, err, len(want), wdur, werr)
 		}
 		if cap(data) != len(data) {
 			t.Fatalf("block %d: cap %d > len %d", i, cap(data), len(data))

@@ -103,7 +103,8 @@ func TestPartialFinalBlock(t *testing.T) {
 	}
 	rd := NewReader(r.d, s)
 	// The last block's payload is trimmed to 2 frames.
-	data, _, silent, err := rd.ReadBlock(0, 10)
+	var buf []byte
+	data, _, silent, err := rd.ReadBlockInto(0, 10, &buf)
 	if err != nil || silent {
 		t.Fatalf("read: %v silent=%v", err, silent)
 	}
@@ -141,7 +142,8 @@ func TestTimedReadBlockMatchesDiskModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, actual, _, err := rd.ReadBlock(0, 1)
+	var buf []byte
+	_, actual, _, err := rd.ReadBlockInto(0, 1, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,12 +203,13 @@ func TestSilenceBlocksInWriter(t *testing.T) {
 	}
 	// Silent blocks read back as fill, with zero disk time.
 	rd := NewReader(r.d, s)
+	var buf []byte
 	for i := 0; i < s.NumBlocks(); i++ {
 		e, _ := s.Block(i)
 		if !e.Silent() {
 			continue
 		}
-		data, dur, isSilent, err := rd.ReadBlock(0, i)
+		data, dur, isSilent, err := rd.ReadBlockInto(0, i, &buf)
 		if err != nil || !isSilent || dur != 0 {
 			t.Fatalf("silence read: err=%v silent=%v dur=%v", err, isSilent, dur)
 		}
