@@ -25,11 +25,14 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # One pass of the striped-array benchmarks under the race detector:
-# the per-spindle sub-round goroutines run with 1000 admitted streams
-# (and, in the rebuild benchmark, with the online repair engine riding
-# the rounds' slack), the heaviest concurrency the code base generates.
+# the busy lanes' sub-rounds — one swept by the manager's own goroutine
+# beside the spawned ones — run with 1000 admitted streams (and, in the
+# rebuild benchmark, with the online repair engine riding the rounds'
+# slack), the heaviest concurrency the code base generates; the
+# cache-coupled round is the other end, every lane idle and the serial
+# lane alone with the interval cache.
 race-bench:
-	$(GO) test -race -run '^$$' -bench 'BenchmarkStripedRound|BenchmarkRound1000Streams|BenchmarkRebuildRound' -benchtime=1x .
+	$(GO) test -race -run '^$$' -bench 'BenchmarkStripedRound|BenchmarkRound1000Streams|BenchmarkRebuildRound|BenchmarkCacheCoupledRound' -benchtime=1x .
 
 # lint = the standard vet suite plus mmfsvet, the project's own
 # invariant checkers (see DESIGN.md "Invariants & static analysis" and
@@ -73,9 +76,11 @@ bench-compare:
 
 # Allocation-regression gate: the steady-state service rounds
 # (BenchmarkPlaybackRound/steady, BenchmarkQoSClassPass — the round
-# loop with the QoS class pass engaged on a degraded population — and
+# loop with the QoS class pass engaged on a degraded population —
 # BenchmarkRebuildRound, the round loop with an online rebuild
-# in flight) must hold their baseline allocs/op — zero — and the
+# in flight — and BenchmarkCacheCoupledRound, the round that feeds the
+# interval cache from frames an earlier manager left) must hold their
+# baseline allocs/op — zero — and the
 # full-playback variant must not grow its allocation count past
 # tolerance. The gate measures steady state: over 100 iterations a
 # one-off (the runtime allocating a g struct when a lane spawn finds no
@@ -83,10 +88,11 @@ bench-compare:
 # reads >= 1; the baseline's per-op figures are unaffected by the
 # iteration count. Fast enough to run on every push.
 bench-check:
-	$(GO) test -run '^$$' -bench='BenchmarkPlaybackRound|BenchmarkQoSClassPass|BenchmarkRebuildRound' -benchmem -benchtime=100x . | $(GO) run ./cmd/benchjson -out bench/allocs.json
+	$(GO) test -run '^$$' -bench='BenchmarkPlaybackRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound' -benchmem -benchtime=100x . | $(GO) run ./cmd/benchjson -out bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkPlaybackRound bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkQoSClassPass bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkRebuildRound bench/baseline.json bench/allocs.json
+	$(GO) run ./cmd/benchjson -compare -subset BenchmarkCacheCoupledRound bench/baseline.json bench/allocs.json
 
 # Paired end-to-end runs of the BENCHMARK.json harness: PARENT (a git
 # revision) against the working tree, N alternating pairs of WORKLOAD

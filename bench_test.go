@@ -266,7 +266,13 @@ func BenchmarkIndexBuildLoad(b *testing.B) {
 // benchFS builds a small file system with one recorded AV rope.
 func benchFS(b *testing.B) (*core.FS, *rope.Rope) {
 	b.Helper()
-	fs, err := core.Format(core.Options{})
+	return benchFSWith(b, core.Options{})
+}
+
+// benchFSWith is benchFS on a file system formatted with opts.
+func benchFSWith(b *testing.B, opts core.Options) (*core.FS, *rope.Rope) {
+	b.Helper()
+	fs, err := core.Format(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -376,6 +382,50 @@ func BenchmarkPlaybackRound(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCacheCoupledRound times single service rounds on the path
+// `mmfsd -disks 4 -cachemb 64` runs for a PLAY: a 4-spindle array, the
+// interval cache on, one AV play. Its two requests hold open cache
+// streams, so the partition hands the parallel lanes nothing and the
+// serial lane does the round: miss, lent read, Put. Steady state is
+// reached the way the daemon and the serve workloads reach it — an
+// earlier play has grown the cache to the clip's residency and every
+// later manager is handed those frames — so the measured rounds allocate
+// nothing (CI-gated, like PlaybackRound/steady) and spawn nothing.
+func BenchmarkCacheCoupledRound(b *testing.B) {
+	fs, r := benchFSWith(b, core.Options{Disks: 4, CacheMB: 64})
+	admit := func(b *testing.B) *msm.Manager {
+		mgr := fs.NewManager()
+		if _, err := fs.Play("bench", r.ID, rope.AudioVisual, 0, 0, msm.PlanOptions{ReadAhead: 2}); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if !mgr.RunRound() {
+				b.Fatal("playback drained during warm-up")
+			}
+		}
+		return mgr
+	}
+	admit(b).RunUntilDone()
+	mgr := admit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !mgr.RunRound() {
+			b.StopTimer()
+			mgr = admit(b)
+			b.StartTimer()
+		}
+	}
+	b.StopTimer()
+	st := mgr.Stats()
+	if st.LaneSpawns != 0 || st.Violations != 0 {
+		b.Fatalf("%d lane spawn(s), %d violation(s) in %d cache-coupled rounds", st.LaneSpawns, st.Violations, st.Rounds)
+	}
+	if cs := mgr.Cache().Stats(); cs.Inserts == 0 {
+		b.Fatalf("the play never fed the cache: %+v", cs)
+	}
 }
 
 // BenchmarkCachedConcurrentPlayback plays one rope four times at once

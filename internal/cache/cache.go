@@ -56,20 +56,69 @@ type blockKey struct {
 }
 
 // entry is one resident block. An entry is either pinned for exactly
-// one claimant stream (the next follower that will consume it), or it
-// sits on the LRU list. A removed entry waits on the free list (linked
-// through next) with its buffer, for the next insert to refill.
+// one claimant stream (the next follower that will consume it) and on
+// that stream's pin list, or it sits on the LRU list: one pair of links
+// serves both, since an entry is never on the two at once. A removed
+// entry waits on the free list (linked through next) with its buffer,
+// for the next insert to refill.
 type entry struct {
 	key        blockKey
 	data       []byte
-	claimant   *stream // non-nil ⇒ pinned, off the LRU list
-	prev, next *entry  // LRU links (nil when pinned)
+	claimant   *stream // non-nil ⇒ pinned: on claimant.pins, off the LRU list
+	prev, next *entry  // links of the one list the entry is on
+}
+
+// entryList is an intrusive doubly linked list of entries: the LRU list
+// (head = most recently used) and every stream's pin list (head = lowest
+// block index).
+type entryList struct {
+	head, tail *entry
+}
+
+func (l *entryList) pushFront(e *entry) { l.insertAfter(nil, e) }
+
+// insertAfter links e behind p; a nil p puts e at the head.
+func (l *entryList) insertAfter(p, e *entry) {
+	e.prev = p
+	if p != nil {
+		e.next, p.next = p.next, e
+	} else {
+		e.next, l.head = l.head, e
+	}
+	if e.next != nil {
+		e.next.prev = e
+	} else {
+		l.tail = e
+	}
+}
+
+func (l *entryList) remove(e *entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+func (l *entryList) moveFront(e *entry) {
+	if l.head != e {
+		l.remove(e)
+		l.pushFront(e)
+	}
 }
 
 // stream is one open play position over a strand. pos is the next
 // block index the stream will produce (leader fetching from disk) or
 // consume (follower reading from the cache); leader/follower link the
-// interval chain L ← F1 ← F2 ordered by descending pos.
+// interval chain L ← F1 ← F2 ordered by descending pos. pins lists the
+// entries pinned for the stream in ascending block index, so closing it
+// costs its own pins, not a walk of the cache.
 type stream struct {
 	id               uint64
 	sid              strand.ID
@@ -77,6 +126,7 @@ type stream struct {
 	end              int
 	rate             float64
 	leader, follower *stream
+	pins             entryList
 }
 
 // Stats counts cache activity.
@@ -102,8 +152,8 @@ type Cache struct {
 	// intervals counts leader←follower links, maintained incrementally
 	// by Adopt/CloseStream so the hot path never walks the stream map.
 	intervals int
-	// LRU list of unpinned entries, head = most recent.
-	head, tail *entry
+	// lru lists the unpinned entries, head = most recent.
+	lru entryList
 	// free lists removed entries, buffers attached, for Put to recycle:
 	// at capacity an insert evicts one block and copies into its buffer,
 	// allocating nothing. Only removals feed it and every insert drains
@@ -262,14 +312,11 @@ func (c *Cache) Adopt(id uint64) bool {
 		return false
 	}
 	for i := s.pos; i < l.pos; i++ {
-		e := c.entries[blockKey{s.sid, i}]
-		if e.claimant == nil {
-			c.lruRemove(e)
-			e.claimant = s
-			c.pinned += int64(len(e.data))
+		// A block already claimed by another chain's follower keeps
+		// that claim; it is resident either way.
+		if e := c.entries[blockKey{s.sid, i}]; e.claimant == nil {
+			c.pin(s, e)
 		}
-		// Already claimed by another chain's follower: leave the
-		// claim; the block is resident either way.
 	}
 	s.leader, l.follower = l, s
 	c.intervals++
@@ -337,22 +384,61 @@ func (c *Cache) Peek(id uint64, index int) Result {
 }
 
 // consume handles the pin of a block the stream has read or skipped:
-// a claim held for this stream transfers to its own follower (the next
-// consumer in the chain) or, at the chain tail, unpins to the LRU.
+// a claim held for this stream is handed down, any other pin is left
+// alone, and an unpinned block is touched.
 func (c *Cache) consume(s *stream, e *entry) {
-	if e.claimant != s {
-		if e.claimant == nil {
-			c.lruMoveFront(e)
-		}
+	switch e.claimant {
+	case s:
+		c.handDown(s, e)
+	case nil:
+		c.lru.moveFront(e)
+	}
+}
+
+// wants reports whether the stream (nil for none) has yet to consume the
+// block at index.
+func (s *stream) wants(index int) bool {
+	return s != nil && index >= s.pos && index < s.end
+}
+
+// pin claims the resident entry for s: off the LRU list — or, when the
+// pin is handed down a chain, off its previous claimant's pin list — and
+// onto s's pin list at its place in ascending block index. Streams
+// produce and consume in ascending order, so that place is the tail; the
+// walk back only runs when a re-adoption fills in below pins s kept.
+func (c *Cache) pin(s *stream, e *entry) {
+	if e.claimant != nil {
+		e.claimant.pins.remove(e)
+	} else {
+		c.lru.remove(e)
+		c.pinned += int64(len(e.data))
+	}
+	e.claimant = s
+	p := s.pins.tail
+	for p != nil && p.key.index > e.key.index {
+		p = p.prev
+	}
+	s.pins.insertAfter(p, e)
+}
+
+// handDown disposes of a pin held for s, which has read the block or is
+// closing: the claim transfers to s's own follower (the next consumer
+// in the chain) if it still wants the block, else — at the chain tail —
+// the block unpins to the LRU as its most recently used.
+func (c *Cache) handDown(s *stream, e *entry) {
+	if s.follower.wants(e.key.index) {
+		c.pin(s.follower, e)
 		return
 	}
-	if f := s.follower; f != nil && e.key.index >= f.pos && e.key.index < f.end {
-		e.claimant = f
-		return
-	}
+	c.unpin(e)
+	c.lru.pushFront(e)
+}
+
+// unpin drops the entry's claim, leaving it on no list.
+func (c *Cache) unpin(e *entry) {
+	e.claimant.pins.remove(e)
 	e.claimant = nil
 	c.pinned -= int64(len(e.data))
-	c.lruPushFront(e)
 }
 
 // Put records a block the stream fetched from disk, making it
@@ -379,12 +465,14 @@ func (c *Cache) Put(id uint64, index int, data []byte) {
 	if e := c.entries[key]; e != nil {
 		e.data = alloc.CopyBytes(e.data, data)
 		c.claimOrTouch(s, e)
+		c.syncGauges()
 		return
 	}
 	// Make room by evicting unpinned LRU entries; if the pins leave no
 	// room the insert is skipped (the follower will miss and demote).
 	for c.bytes+size > c.capacity {
 		if !c.evictOne() {
+			c.syncGauges()
 			return
 		}
 	}
@@ -401,7 +489,7 @@ func (c *Cache) Put(id uint64, index int, data []byte) {
 	c.bytes += size
 	c.stats.Inserts++
 	obsInc(c.obsInserts)
-	c.lruPushFront(e)
+	c.lru.pushFront(e)
 	c.claimOrTouch(s, e)
 	c.syncGauges()
 }
@@ -410,15 +498,13 @@ func (c *Cache) Put(id uint64, index int, data []byte) {
 // follower if that follower still needs it, else refreshes its LRU
 // position.
 func (c *Cache) claimOrTouch(s *stream, e *entry) {
-	f := s.follower
-	needs := f != nil && e.key.index >= f.pos && e.key.index < f.end
 	switch {
-	case e.claimant == nil && needs:
-		c.lruRemove(e)
-		e.claimant = f
-		c.pinned += int64(len(e.data))
-	case e.claimant == nil:
-		c.lruMoveFront(e)
+	case e.claimant != nil:
+		// Another chain's claim stands.
+	case s.follower.wants(e.key.index):
+		c.pin(s.follower, e)
+	default:
+		c.lru.moveFront(e)
 	}
 }
 
@@ -433,7 +519,8 @@ func (c *Cache) Produced(id uint64, index int) {
 		return
 	}
 	if e := c.entries[blockKey{s.sid, index}]; e != nil && e.claimant == s {
-		c.consume(s, e)
+		c.handDown(s, e)
+		c.syncGauges()
 	}
 	if index >= s.pos {
 		s.pos = index + 1
@@ -444,7 +531,10 @@ func (c *Cache) Produced(id uint64, index int) {
 // handed down to its follower or released to the LRU, and the chain is
 // spliced around it (the follower now trails the closed stream's
 // leader; the interval survives exactly when the gap blocks remain
-// resident, which they do — they were pinned for the follower). Safe
+// resident, which they do — they were pinned for the follower). Pins
+// are released in ascending block index, so the lowest index ends
+// nearest the LRU tail and is evicted first: the stream's own reading
+// order, the same on every run. The cost is the stream's own pins. Safe
 // to call for unknown ids.
 func (c *Cache) CloseStream(id uint64) {
 	s := c.streams[id]
@@ -452,17 +542,8 @@ func (c *Cache) CloseStream(id uint64) {
 		return
 	}
 	delete(c.streams, id)
-	//lint:ignore boundedwork the entries map is bounded by the configured cache capacity
-	for _, e := range c.entries {
-		if e.claimant == s {
-			if f := s.follower; f != nil && e.key.index >= f.pos && e.key.index < f.end {
-				e.claimant = f
-				continue
-			}
-			e.claimant = nil
-			c.pinned -= int64(len(e.data))
-			c.lruPushFront(e)
-		}
+	for e := s.pins.head; e != nil; e = s.pins.head {
+		c.handDown(s, e)
 	}
 	// Splicing the chain removes exactly one link when the closed
 	// stream participated in any: its own (leader non-nil) or its
@@ -477,6 +558,7 @@ func (c *Cache) CloseStream(id uint64) {
 		s.leader.follower = s.follower
 	}
 	s.leader, s.follower = nil, nil
+	c.syncGauges()
 }
 
 // InvalidateStrand drops every cached block of a strand (the garbage
@@ -489,16 +571,37 @@ func (c *Cache) InvalidateStrand(sid strand.ID) {
 			c.removeEntry(e)
 		}
 	}
+	c.syncGauges()
+}
+
+// Reset empties the cache for a new owner, keeping its frames: every
+// stream is dropped and every entry goes onto the free list with its
+// buffer, so the new owner's inserts allocate nothing the old one's
+// already did. Stats restart from zero exactly as a new cache's would
+// (an emptied entry is not an eviction); the cumulative observability
+// counters, which belong to the registry, run on, and the residency
+// gauges drop to zero. The free list's order follows the entries map's;
+// nothing reads a free buffer before Put overwrites it.
+func (c *Cache) Reset() {
+	for _, e := range c.entries {
+		e.claimant, e.prev = nil, nil
+		e.next, c.free = c.free, e
+	}
+	clear(c.entries)
+	clear(c.streams)
+	c.lru = entryList{}
+	c.bytes, c.pinned, c.intervals = 0, 0, 0
+	c.stats = Stats{}
+	c.syncGauges()
 }
 
 // removeEntry unlinks and forgets an entry regardless of pin state,
 // keeping the entry and its buffer on the free list.
 func (c *Cache) removeEntry(e *entry) {
 	if e.claimant != nil {
-		e.claimant = nil
-		c.pinned -= int64(len(e.data))
+		c.unpin(e)
 	} else {
-		c.lruRemove(e)
+		c.lru.remove(e)
 	}
 	c.bytes -= int64(len(e.data))
 	delete(c.entries, e.key)
@@ -508,7 +611,7 @@ func (c *Cache) removeEntry(e *entry) {
 // evictOne drops the least recently used unpinned entry; false when
 // only pinned entries remain.
 func (c *Cache) evictOne() bool {
-	e := c.tail
+	e := c.lru.tail
 	if e == nil {
 		return false
 	}
@@ -516,39 +619,4 @@ func (c *Cache) evictOne() bool {
 	c.stats.Evictions++
 	obsInc(c.obsEvictions)
 	return true
-}
-
-// --- intrusive LRU list (head = most recently used) ---
-
-func (c *Cache) lruPushFront(e *entry) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache) lruRemove(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *Cache) lruMoveFront(e *entry) {
-	if c.head == e {
-		return
-	}
-	c.lruRemove(e)
-	c.lruPushFront(e)
 }

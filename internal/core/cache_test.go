@@ -1,0 +1,219 @@
+package core
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"mmfs/internal/cache"
+	"mmfs/internal/msm"
+	"mmfs/internal/rope"
+)
+
+// playVideo admits a video-only play of the whole rope on the current
+// manager.
+func playVideo(t *testing.T, fs *FS, r *rope.Rope) PlayHandle {
+	t.Helper()
+	h, err := fs.Play("venkat", r.ID, rope.VideoOnly, 0, 0, msm.PlanOptions{ReadAhead: 2})
+	if err != nil {
+		t.Fatalf("play rope %d: %v", r.ID, err)
+	}
+	return h
+}
+
+// checkCachedFrames reads every block of the rope's video strand the
+// cache holds, through a probe stream, and requires it byte for byte the
+// block the strand stores. It reports how many it found.
+func checkCachedFrames(t *testing.T, fs *FS, c *cache.Cache, r *rope.Rope) int {
+	t.Helper()
+	plan, err := fs.Ropes().CompilePlay(fs.Disk(), r, rope.VideoOnly, 0, r.Length(), msm.PlanOptions{ReadAhead: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const probe = 1 << 40
+	sid := plan.Blocks[0].Reader.Strand().ID()
+	c.OpenStream(probe, sid, 0, len(plan.Blocks), plan.Admission.Rate)
+	defer c.CloseStream(probe)
+	var buf []byte
+	found := 0
+	for _, b := range plan.Blocks {
+		got, res := c.Get(probe, b.Index)
+		if res != cache.Hit {
+			continue
+		}
+		found++
+		want, _, _, err := b.Reader.ReadBlockInto(0, b.Index, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("rope %d: cached block %d is not the strand's block", r.ID, b.Index)
+		}
+	}
+	return found
+}
+
+// The cache's frames pass from manager to manager. A retired manager —
+// here one still holding a leading play and its cache-served follower,
+// whose request ids the next manager's plays reuse — can be run, resumed,
+// stopped or dropped: it never panics, and it never again reads or writes
+// a frame, so what the next manager's plays find in the cache is what
+// their own strands hold.
+func TestRetiredManagerCannotTouchTheNextManagersFrames(t *testing.T) {
+	fs, err := Format(Options{CacheMB: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := recordClip(t, fs, "venkat", 4, 7100)
+	b := recordClip(t, fs, "venkat", 4, 7200)
+
+	// stagger admits a leader, runs it a few rounds ahead, and admits a
+	// second play of the same rope, which must come back cache-served.
+	stagger := func(r *rope.Rope) (leader, follower PlayHandle) {
+		t.Helper()
+		mgr := fs.Manager()
+		leader = playVideo(t, fs, r)
+		for i := 0; i < 3; i++ {
+			mgr.RunRound()
+		}
+		follower = playVideo(t, fs, r)
+		if pr, err := mgr.Progress(follower.VideoReq); err != nil || !pr.CacheServed {
+			t.Fatalf("second play of rope %d: %+v, %v; want cache-served", r.ID, pr, err)
+		}
+		mgr.RunRound()
+		return leader, follower
+	}
+
+	old := fs.NewManager()
+	oldLeader, oldFollower := stagger(a)
+	if old.Cache() == nil || old.Cache().Stats().Intervals != 1 {
+		t.Fatal("the first manager holds no interval to retire")
+	}
+
+	mgr := fs.NewManager()
+	c := mgr.Cache()
+	if old.Cache() != nil {
+		t.Fatal("the retired manager still reaches the cache")
+	}
+	if st := c.Stats(); st != (cache.Stats{Capacity: st.Capacity}) {
+		t.Fatalf("the new manager's cache is not empty: %+v", st)
+	}
+	leader, follower := stagger(b)
+
+	// Drive the retired manager through everything a caller might still
+	// do with it, interleaved with the live one's rounds. Its follower
+	// lost its feed and was paused out; resuming re-runs admission.
+	if pr, err := old.Progress(oldFollower.VideoReq); err != nil || !pr.Paused || pr.CacheServed {
+		t.Fatalf("retired follower: %+v, %v; want paused out of the cache", pr, err)
+	}
+	for i := 0; i < 4; i++ {
+		old.RunRound()
+		mgr.RunRound()
+	}
+	if _, err := old.Resume(oldFollower.VideoReq); err != nil {
+		t.Fatalf("resuming the retired follower: %v", err)
+	}
+	old.RunRound()
+	if err := old.Stop(oldLeader.VideoReq); err != nil {
+		t.Fatal(err)
+	}
+	old.RunUntilDone()
+	if pr, err := old.Progress(oldFollower.VideoReq); err != nil || !pr.Done || pr.BlocksServed != pr.BlocksTotal || pr.CacheHits > 2 {
+		t.Fatalf("retired follower after its manager ran on: %+v, %v", pr, err)
+	}
+	before := c.Stats()
+	if before.Streams != 2 || before.Intervals != 1 {
+		t.Fatalf("the retired manager's rounds disturbed the live streams: %+v", before)
+	}
+	if checkCachedFrames(t, fs, c, a) != 0 {
+		t.Fatal("the retired manager's strand reached the next manager's frames")
+	}
+	if checkCachedFrames(t, fs, c, b) == 0 {
+		t.Fatal("nothing of the live leader's strand is cached")
+	}
+
+	mgr.RunUntilDone()
+	for _, h := range []PlayHandle{leader, follower} {
+		if n, err := fs.PlayViolations(h); err != nil || n != 0 {
+			t.Fatalf("live play: %d violation(s), %v", n, err)
+		}
+	}
+	if pr, _ := mgr.Progress(follower.VideoReq); pr.CacheHits == 0 || pr.CacheHits != pr.BlocksTotal {
+		t.Fatalf("live follower: %+v; want every block from the cache", pr)
+	}
+	checkCachedFrames(t, fs, c, b)
+}
+
+// The cross-manager twin of cache.TestPutAtCapacityRecyclesEvictedBuffers:
+// a play that fills the cache past capacity, a new manager, the same play
+// again — the second fill inserts as many blocks as the first and
+// allocates no frame: under two blocks in all, one being the read buffer
+// the new manager's serial lane grows for the blocks its disk cannot lend.
+func TestCacheFramesOutliveAManager(t *testing.T) {
+	fs, err := Format(Options{CacheMB: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := recordClip(t, fs, "venkat", 4, 7300)
+	fill := func() (inserts, allocated uint64) {
+		mgr := fs.NewManager()
+		h := playVideo(t, fs, r)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mgr.RunUntilDone()
+		runtime.ReadMemStats(&after)
+		if n, err := fs.PlayViolations(h); err != nil || n != 0 {
+			t.Fatalf("play: %d violation(s), %v", n, err)
+		}
+		st := mgr.Cache().Stats()
+		if st.Evictions == 0 {
+			t.Fatalf("the clip fits the cache (%+v): the fill never recycles a frame", st)
+		}
+		return st.Inserts, after.TotalAlloc - before.TotalAlloc
+	}
+	const blockBytes = 3 * 18000 // recordClip's video: 3 frames of 18 000 B a block
+	firstInserts, firstAlloc := fill()
+	if firstAlloc < 10*blockBytes {
+		t.Fatalf("the first fill allocated %d B: the measurement sees no frames", firstAlloc)
+	}
+	inserts, alloc := fill()
+	if inserts != firstInserts {
+		t.Fatalf("second fill inserted %d blocks, first %d: the new manager did not start cold", inserts, firstInserts)
+	}
+	if alloc >= 2*blockBytes {
+		t.Fatalf("second fill allocated %d B (first: %d B); want the lane's one %d B read buffer and no frame", alloc, firstAlloc, blockBytes)
+	}
+}
+
+// On a 4-spindle array a cache-coupled AV play rides the serial lane for
+// its whole life — no parallel lane is handed anything, so no round
+// spawns a goroutine; without the cache its two strands keep at most two
+// lanes busy, which costs at most one spawn a round.
+func TestCachedPlaySpawnsNoLanes(t *testing.T) {
+	for _, cacheMB := range []int{64, 0} {
+		fs, err := Format(Options{Disks: 4, CacheMB: cacheMB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := recordClip(t, fs, "venkat", 4, 7400)
+		mgr := fs.NewManager()
+		h, err := fs.Play("venkat", r.ID, rope.AudioVisual, 0, 0, msm.PlanOptions{ReadAhead: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr.RunUntilDone()
+		if n, err := fs.PlayViolations(h); err != nil || n != 0 {
+			t.Fatalf("cache %d MiB: %d violation(s), %v", cacheMB, n, err)
+		}
+		st := mgr.Stats()
+		if st.Rounds == 0 || st.BlocksFetched == 0 {
+			t.Fatalf("cache %d MiB: nothing played: %+v", cacheMB, st)
+		}
+		if cacheMB > 0 && st.LaneSpawns != 0 {
+			t.Fatalf("a cache-coupled play spawned %d lane goroutine(s) in %d rounds", st.LaneSpawns, st.Rounds)
+		}
+		if st.LaneSpawns > st.Rounds {
+			t.Fatalf("a two-strand play spawned %d lane goroutine(s) in %d rounds", st.LaneSpawns, st.Rounds)
+		}
+	}
+}

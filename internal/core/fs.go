@@ -164,8 +164,12 @@ type FS struct {
 	collector *gc.Collector
 	editor    *rope.Editor
 	mgr       *msm.Manager
-	dev       continuity.Device
-	text      *textfs.Store
+	// cache is the interval cache, nil when Options.CacheMB is 0. Its
+	// frames are the file system's: built once, lent to one storage
+	// manager at a time (see NewManager).
+	cache *cache.Cache
+	dev   continuity.Device
+	text  *textfs.Store
 	// obsReg and obsRing are the file system's observability registry
 	// and service-round trace; they outlive manager replacements
 	// (NewManager re-wires the fresh manager into the same registry so
@@ -277,23 +281,24 @@ func build(opts Options, d disk.Device, fd *fault.Disk, a *alloc.Allocator) *FS 
 		text:      textfs.NewStore(d, a),
 		nextStart: g.Cylinders / 7,
 	}
-	fs.mgr = fs.newManager()
 	fs.obsReg = obs.NewRegistry()
 	fs.obsRing = obs.NewTraceRing(obs.DefaultTraceRounds)
+	if opts.CacheMB > 0 {
+		fs.cache = cache.New(int64(opts.CacheMB) << 20)
+		fs.cache.SetObs(fs.obsReg)
+	}
+	fs.mgr = fs.newManager()
 	fs.wireObs()
 	return fs
 }
 
-// wireObs connects the current disk, cache, and manager to the file
+// wireObs connects the disk and the current manager to the file
 // system's registry and trace ring.
 func (fs *FS) wireObs() {
 	fs.d.SetReadLatencyHistogram(fs.obsReg.Histogram("mmfs_disk_read_seconds", obs.LatencyBuckets))
 	fs.d.SetWriteLatencyHistogram(fs.obsReg.Histogram("mmfs_disk_write_seconds", obs.LatencyBuckets))
 	if fs.faultDisk != nil {
 		fs.faultDisk.SetObs(fs.obsReg)
-	}
-	if c := fs.mgr.Cache(); c != nil {
-		c.SetObs(fs.obsReg)
 	}
 	fs.mgr.SetObs(fs.obsReg, fs.obsRing)
 }
@@ -489,8 +494,13 @@ func (fs *FS) Manager() *msm.Manager { return fs.mgr }
 // NewManager replaces the storage manager with a fresh one (new
 // virtual clock, empty request table) over the same disk and stored
 // data. Experiments use it to run independent playback trials against
-// one recorded data set.
+// one recorded data set. The interval cache's frames pass to the new
+// manager emptied — it starts as cold as behind a new cache, and allocates
+// none of what its predecessor already did — and the retiring manager is
+// detached from them first (msm.SetCache): it can still be run, stopped
+// or dropped, but never again reads or writes a frame.
 func (fs *FS) NewManager() *msm.Manager {
+	fs.mgr.SetCache(nil)
 	fs.mgr = fs.newManager()
 	fs.wireObs()
 	return fs.mgr
@@ -503,8 +513,9 @@ func (fs *FS) newManager() *msm.Manager {
 	if fs.opts.Arch.Arch == continuity.Concurrent {
 		m.SetConcurrency(fs.opts.Arch.P)
 	}
-	if fs.opts.CacheMB > 0 {
-		m.SetCache(cache.New(int64(fs.opts.CacheMB) << 20))
+	if fs.cache != nil {
+		fs.cache.Reset()
+		m.SetCache(fs.cache)
 	}
 	if fs.opts.FaultPolicy != nil {
 		m.SetFaultPolicy(*fs.opts.FaultPolicy)
@@ -557,9 +568,9 @@ func (fs *FS) nextStartCylinder() int {
 // reallocated and rewritten.
 func (fs *FS) Collect() ([]strand.ID, error) {
 	ids, err := fs.collector.Collect()
-	if c := fs.mgr.Cache(); c != nil {
+	if fs.cache != nil {
 		for _, id := range ids {
-			c.InvalidateStrand(id)
+			fs.cache.InvalidateStrand(id)
 		}
 	}
 	return ids, err

@@ -18,8 +18,8 @@ import (
 // retrieval architecture (§3.1, degree p) is that same round run once
 // per head, so there is one round body (serviceRound) and one executor
 // (the lane). Over a disk.Array the round splits into one sub-round per
-// spindle, serviced concurrently by per-spindle lanes and joined before
-// the round closes; whatever cannot be parallelized — records,
+// spindle, the busy ones serviced concurrently by their lanes and joined
+// before the round closes; whatever cannot be parallelized — records,
 // cache-coupled plays, boundary-crossing fetches — is then serviced by
 // the serial lane at the joined clock. A single device is the case of
 // zero parallel lanes: everything rides the serial lane.
@@ -83,10 +83,11 @@ type lane struct {
 	deg      []bool
 	blockBuf []byte
 	sorter   scanSorter
-	// runFn is the pre-bound method value spawned each round: `go
-	// ln.run()` would wrap the receiver in a fresh one-shot closure
-	// (one heap allocation per lane per round); `go ln.runFn()` spawns
-	// the funcval bound once at construction.
+	// runFn is the pre-bound method value a round spawns for a busy lane
+	// the manager does not sweep itself: `go ln.run()` would wrap the
+	// receiver in a fresh one-shot closure (one heap allocation per
+	// spawn); `go ln.runFn()` spawns the funcval bound once at
+	// construction.
 	runFn func()
 	// worked reports whether any request transferred this round.
 	worked bool
@@ -128,8 +129,8 @@ func (ln *lane) flushStats() {
 	ln.stats = laneStats{}
 }
 
-// run is the body of a parallel lane's per-round goroutine; the manager
-// joins every lane through laneWG before the round closes.
+// run is the body of a spawned lane's goroutine; the manager joins every
+// spawn through laneWG before the round closes.
 //
 // rt:hotpath
 func (ln *lane) run() {
@@ -614,7 +615,7 @@ func (ln *lane) serviceRecord(r *request, k int) bool {
 }
 
 // serviceRound is the round body: partition the active requests onto
-// the per-spindle lanes, run one goroutine per spindle, join, advance
+// the per-spindle lanes, sweep the busy lanes concurrently, join, advance
 // the clock to the slowest lane, service the leftovers on the serial
 // lane, then let online repair spend what slack remains. sets is the
 // round's resident table (built after the round's re-steer). Reports
@@ -647,21 +648,39 @@ func (m *Manager) serviceRound(act []*request, sets [][]continuity.Request) bool
 	m.retrySlack = m.roundSlack(sets[0])
 	for i, ln := range m.lanes {
 		ln.at = t0
+		ln.worked = false
 		ln.retrySlack = m.roundSlack(sets[i])
 		if ln.retrySlack < m.retrySlack {
 			m.retrySlack = ln.retrySlack
 		}
 	}
 
-	// One goroutine per spindle per round, joined before the round
-	// closes: laneWG.Add happens-before each spawn, lane.run defers
-	// laneWG.Done, and the Wait below blocks until every sub-round has
+	// A round costs what its work costs: only lanes the partition handed
+	// a request run, and the manager's own goroutine sweeps the first of
+	// them itself, so zero or one busy lane costs no spawn and p busy
+	// lanes cost p − 1. An idle lane presents what the refill above left,
+	// which is what an empty sweep would have: nothing worked, the cursor
+	// at t0, the whole budget.
+	// laneWG.Add happens-before each spawn, lane.run defers laneWG.Done,
+	// and the Wait below blocks until every spawned sub-round has
 	// finished. The spawn goes through the pre-bound funcval so the
 	// steady-state round allocates nothing.
-	m.laneWG.Add(len(m.lanes))
+	var own *lane
 	for _, ln := range m.lanes {
+		if len(ln.reqs) == 0 {
+			continue
+		}
+		if own == nil {
+			own = ln
+			continue
+		}
+		m.stats.LaneSpawns++
+		m.laneWG.Add(1)
 		//lint:ignore gojoin runFn is lane.run bound at construction; it defers laneWG.Done and the Wait below joins it
 		go ln.runFn()
+	}
+	if own != nil {
+		own.sweep()
 	}
 	m.laneWG.Wait()
 

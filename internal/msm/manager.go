@@ -101,6 +101,10 @@ type Stats struct {
 	// copied by the online rebuild/rebalance engine, every one charged
 	// against a round's measured slack.
 	RebuildBlocks uint64
+	// LaneSpawns counts the goroutines service rounds started: one per
+	// busy parallel lane beyond the first, which the manager's own
+	// goroutine sweeps. Always zero on a single device.
+	LaneSpawns uint64
 }
 
 // FaultPolicy configures the manager's fault-tolerant service path.
@@ -171,9 +175,9 @@ type Manager struct {
 	// its virtual time writes through to the manager clock.
 	serial *lane
 	// array, lanes and laneWG are the parallel half of the round when d
-	// is a disk.Array of degree > 1: one lane — and one goroutine per
-	// round, joined before the round closes — per spindle. A single
-	// device has none.
+	// is a disk.Array of degree > 1: one lane per spindle, and in a round
+	// one goroutine per busy lane beyond the first, joined before the
+	// round closes. A single device has none.
 	array  *disk.Array
 	lanes  []*lane
 	laneWG sync.WaitGroup
@@ -281,8 +285,33 @@ func (m *Manager) Stats() Stats { return m.stats }
 func (m *Manager) Admission() continuity.Admission { return m.adm }
 
 // SetCache installs an interval cache; nil disables caching. Intended
-// at manager construction, before requests are admitted.
-func (m *Manager) SetCache(c *cache.Cache) { m.cache = c }
+// at manager construction, before requests are admitted. A manager that
+// gives its cache up (the file system retiring it: the frames go to the
+// next manager) first withdraws every request from it, so nothing it
+// does afterwards reads or writes a frame it no longer owns: open
+// streams are closed and never reopen — those plays run on from the
+// disk — and a cache-served follower, which holds no admission slot, is
+// destructively paused, the state a failed demotion leaves; Resume takes
+// it through full admission.
+func (m *Manager) SetCache(c *cache.Cache) {
+	if m.cache != nil {
+		for _, r := range m.reqs {
+			if r.kind != Play {
+				continue
+			}
+			m.closeCacheStream(r)
+			r.play.cacheEligible = false
+			if r.cacheServed && !r.done {
+				r.cacheServed, r.needsDemote = false, false
+				if r.pause == nil {
+					r.pause = &pauseState{at: m.clock.Now()}
+				}
+				r.pause.destructive = true
+			}
+		}
+	}
+	m.cache = c
+}
 
 // Cache returns the interval cache, nil when disabled.
 func (m *Manager) Cache() *cache.Cache { return m.cache }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mmfs/internal/alloc"
+	"mmfs/internal/cache"
 	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
 	"mmfs/internal/fault"
@@ -306,5 +307,63 @@ func TestStripedSerialFallback(t *testing.T) {
 	}
 	if rig.raw[0].Stats().SectorsRead == 0 || rig.raw[1].Stats().SectorsRead == 0 {
 		t.Fatal("boundary-crossing strand should touch both spindles")
+	}
+}
+
+// TestStripedRoundSpawnsOnlyBusyLanes pins the round's spawn rule: a
+// round starts a goroutine for every lane its partition handed a request
+// beyond the first (which the manager sweeps itself) and none for an
+// idle lane, which still presents an empty sub-round to the join. Four
+// plays of different lengths, one per spindle, walk the round from four
+// busy lanes down to one; with the cache on, the same plays hold open
+// cache streams, ride the serial lane, and spawn nothing at all.
+func TestStripedRoundSpawnsOnlyBusyLanes(t *testing.T) {
+	const p, stripe = 4, 120
+	for _, cached := range []bool{false, true} {
+		rig := newStripedRig(t, p, stripe, -1, fault.Scenario{})
+		if cached {
+			rig.m.SetCache(cache.New(16 << 20))
+		}
+		var ids []RequestID
+		for sp := 0; sp < p; sp++ {
+			s := rig.recordOn(t, sp, 0, 60*(sp+1), int64(9300+sp))
+			plan, err := PlanStrandPlay(rig.arr, s, PlanOptions{ReadAhead: 1, Buffers: 16, Scattering: rig.scattering()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, _, err := rig.m.AdmitPlay(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		seen := make([]int, p+1) // rounds by busy-lane count
+		for before := rig.m.Stats().LaneSpawns; rig.m.RunRound(); {
+			busy := 0
+			for _, ln := range rig.m.lanes {
+				if len(ln.reqs) > 0 {
+					busy++
+				} else if ln.worked || ln.stats != (laneStats{}) {
+					t.Fatalf("idle lane %d presents worked=%v stats=%+v", ln.spindle, ln.worked, ln.stats)
+				}
+			}
+			seen[busy]++
+			after := rig.m.Stats().LaneSpawns
+			if got, want := after-before, uint64(max(0, busy-1)); got != want {
+				t.Fatalf("cached=%v: a round with %d busy lane(s) spawned %d goroutine(s), want %d", cached, busy, got, want)
+			}
+			before = after
+		}
+		for _, id := range ids {
+			if pr, err := rig.m.Progress(id); err != nil || !pr.Done || pr.Violations != 0 {
+				t.Fatalf("cached=%v: request %d: %+v, %v", cached, id, pr, err)
+			}
+		}
+		switch {
+		case cached && (seen[0] == 0 || rig.m.Stats().LaneSpawns != 0):
+			t.Fatalf("cache-coupled plays: rounds by busy lanes %v, %d spawn(s); want every round on the serial lane", seen, rig.m.Stats().LaneSpawns)
+		case !cached && (seen[p] == 0 || seen[1] == 0):
+			t.Fatalf("rounds by busy lanes %v: the plays never covered both a full and a single-lane round", seen)
+		}
 	}
 }
