@@ -9,6 +9,7 @@ package mmfs
 // paper's tables' key values alongside the timing.
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,6 +24,7 @@ import (
 	"mmfs/internal/media"
 	"mmfs/internal/msm"
 	"mmfs/internal/rope"
+	"mmfs/internal/server"
 	"mmfs/internal/strand"
 	"mmfs/internal/wire"
 )
@@ -585,6 +587,85 @@ func BenchmarkWireCodec(b *testing.B) {
 		if d.Err() != nil {
 			b.Fatal(d.Err())
 		}
+	}
+}
+
+// BenchmarkCodecSmall measures a STATS-shaped reply — thirty-odd fixed-
+// width fields, no strings — encoded into a reused encoder, framed in
+// place and decoded in place: the per-RPC codec cost of every small
+// op. Nothing in it allocates (CI-gated at 0 allocs/op).
+func BenchmarkCodecSmall(b *testing.B) {
+	e := wire.NewEncoder()
+	e.Grow(256)
+	var sink uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Reset()
+		e.F64(0.5).U32(5).U32(3).U64(uint64(i)).U32(2).U32(1).U32(1).U64(99).U64(1 << 20).U64(64 << 20).U32(1).
+			U64(3).U64(2).U64(1)
+		for c := 0; c < continuity.NumClasses; c++ {
+			e.U32(1).U32(0).F64(29.97)
+		}
+		e.U64(4).U64(5).U64(6).U32(0).U32(7).U32(120).U64(840)
+		frame, err := e.Frame(wire.StatusOK)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body, err := wire.ParseResponse(frame[4:])
+		if err != nil {
+			b.Fatal(err)
+		}
+		d := wire.NewDecoder(body)
+		sink += uint64(d.F64()) + uint64(d.U32()) + uint64(d.U32()) + d.U64() + uint64(d.U32()) + uint64(d.U32()) +
+			uint64(d.U32()) + d.U64() + d.U64() + d.U64() + uint64(d.U32()) + d.U64() + d.U64() + d.U64()
+		for c := 0; c < continuity.NumClasses; c++ {
+			sink += uint64(d.U32()) + uint64(d.U32()) + uint64(d.F64())
+		}
+		sink += d.U64() + d.U64() + d.U64() + uint64(d.Count(2)) + uint64(d.U32()) + uint64(d.U32()) + d.U64()
+		if d.Err() != nil {
+			b.Fatal(d.Err())
+		}
+	}
+	if sink == 0 {
+		b.Fatal("decoded nothing")
+	}
+}
+
+// BenchmarkFetchReply measures the server's FETCH handler for one
+// second of video on a 4-spindle array, dispatched into a warmed
+// connection encoder: decode, walk the rope, copy each lent frame once
+// into the reply buffer, frame in place. The reply is 540 KB; what a
+// call allocates must not scale with it (gated below 8 KiB/op here, and
+// on allocs/op by make bench-check).
+func BenchmarkFetchReply(b *testing.B) {
+	fs, r := benchFSWith(b, core.Options{Disks: 4})
+	srv := server.New(fs)
+	req := wire.NewEncoder().Str("bench").U64(uint64(r.ID)).U16(server.EncodeMedium(rope.VideoOnly)).
+		I64(0).I64(int64(time.Second)).Bytes()
+	e := wire.NewEncoder()
+	fetch := func() int {
+		frame := srv.Handle(wire.OpFetch, req, e)
+		if _, err := wire.ParseResponse(frame[4:]); err != nil {
+			b.Fatal(err)
+		}
+		return len(frame)
+	}
+	const want = 4 + 2 + 4 + 30*(4+18000)
+	if got := fetch(); got != want { // also warms the encoder
+		b.Fatalf("reply of %d bytes, want %d", got, want)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fetch()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perOp >= 8<<10 {
+		b.Fatalf("%d B/op allocated for a %d-byte reply: something scales with the payload", perOp, want)
 	}
 }
 

@@ -105,13 +105,21 @@ func (c *Client) Close() error {
 }
 
 // call performs one RPC round trip, redialing and retrying transport
-// failures under the client's Options.
-func (c *Client) call(op wire.Op, body []byte) (*wire.Decoder, error) {
+// failures under the client's Options. The request body in e (nil for
+// an op without one) is framed in place; the reply is decoded in place
+// too, so what the decoder's Blob returns are views of the one reply
+// frame, which the caller owns.
+func (c *Client) call(op wire.Op, e *wire.Encoder) (*wire.Decoder, error) {
+	if e == nil {
+		e = wire.NewEncoder()
+	}
+	req, err := e.Frame(uint16(op))
+	if err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	req := wire.Request(op, body)
 	backoff := c.opts.Backoff
-	var err error
 	for attempt := 0; ; attempt++ {
 		if c.conn == nil {
 			// A previous attempt tore the connection down; redial
@@ -153,15 +161,15 @@ func (c *Client) call(op wire.Op, body []byte) (*wire.Decoder, error) {
 	}
 }
 
-// roundTrip writes one request frame and reads its response under the
-// RPC timeout. The caller must hold c.mu.
+// roundTrip sends one framed request in a single Write and reads its
+// response under the RPC timeout. The caller must hold c.mu.
 func (c *Client) roundTrip(req []byte) (*wire.Decoder, error) {
 	if c.opts.RPCTimeout > 0 {
 		//lint:ignore noerrdrop a failed deadline set means a dead conn, which the write below surfaces
 		_ = c.conn.SetDeadline(time.Now().Add(c.opts.RPCTimeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := wire.WriteFrame(c.conn, req); err != nil {
+	if _, err := c.conn.Write(req); err != nil {
 		return nil, err
 	}
 	frame, err := wire.ReadFrame(c.conn)
@@ -238,7 +246,7 @@ func (c *Client) recordStart(creator string, video, audio *MediumSpec, silenceEl
 	}
 	e.Bool(silenceElimination)
 	e.Bool(hetero)
-	d, err := c.call(wire.OpRecordStart, e.Bytes())
+	d, err := c.call(wire.OpRecordStart, e)
 	if err != nil {
 		return nil, err
 	}
@@ -253,16 +261,20 @@ func (c *Client) recordStart(creator string, video, audio *MediumSpec, silenceEl
 // AudioOnly).
 func (s *RecordSession) Append(m rope.Medium, units [][]byte) error {
 	const batch = 64
+	e := wire.NewEncoder()
 	for len(units) > 0 {
-		n := len(units)
-		if n > batch {
-			n = batch
+		n := min(len(units), batch)
+		size := 8 + 2 + 4
+		for _, u := range units[:n] {
+			size += 4 + len(u)
 		}
-		e := wire.NewEncoder().U64(s.id).U16(mediumCode(m)).U32(uint32(n))
+		e.Reset()
+		e.Grow(size) // the batch is copied once, into a buffer sized for it
+		e.U64(s.id).U16(mediumCode(m)).U32(uint32(n))
 		for _, u := range units[:n] {
 			e.Blob(u)
 		}
-		if _, err := s.c.call(wire.OpRecordAppend, e.Bytes()); err != nil {
+		if _, err := s.c.call(wire.OpRecordAppend, e); err != nil {
 			return err
 		}
 		units = units[n:]
@@ -272,7 +284,7 @@ func (s *RecordSession) Append(m rope.Medium, units [][]byte) error {
 
 // Finish completes the RECORD, returning the new rope's ID and length.
 func (s *RecordSession) Finish() (rope.ID, time.Duration, error) {
-	d, err := s.c.call(wire.OpRecordFinish, wire.NewEncoder().U64(s.id).Bytes())
+	d, err := s.c.call(wire.OpRecordFinish, wire.NewEncoder().U64(s.id))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -344,7 +356,7 @@ type PlayResult struct {
 // "best-effort"); "" or "default" uses the server's configured default.
 func (c *Client) Play(user string, id rope.ID, m rope.Medium, start, dur time.Duration, readAhead int, class string) (PlayResult, error) {
 	e := wire.NewEncoder().Str(user).U64(uint64(id)).U16(mediumCode(m)).I64(int64(start)).I64(int64(dur)).U32(uint32(readAhead)).Str(class)
-	d, err := c.call(wire.OpPlay, e.Bytes())
+	d, err := c.call(wire.OpPlay, e)
 	if err != nil {
 		return PlayResult{}, err
 	}
@@ -360,16 +372,18 @@ func (c *Client) Play(user string, id rope.ID, m rope.Medium, start, dur time.Du
 	return res, d.Err()
 }
 
-// Fetch retrieves one medium's unit payloads for an interval.
+// Fetch retrieves one medium's unit payloads for an interval. The
+// units are the caller's: views of the one reply frame this call read
+// (each with cap == len), so keeping any of them keeps that frame.
 func (c *Client) Fetch(user string, id rope.ID, m rope.Medium, start, dur time.Duration) ([][]byte, error) {
 	e := wire.NewEncoder().Str(user).U64(uint64(id)).U16(mediumCode(m)).I64(int64(start)).I64(int64(dur))
-	d, err := c.call(wire.OpFetch, e.Bytes())
+	d, err := c.call(wire.OpFetch, e)
 	if err != nil {
 		return nil, err
 	}
-	n := d.U32()
+	n := d.Count(4)
 	out := make([][]byte, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, d.Blob())
 	}
 	return out, d.Err()
@@ -380,7 +394,7 @@ func (c *Client) Fetch(user string, id rope.ID, m rope.Medium, start, dur time.D
 func (c *Client) Insert(user string, base rope.ID, pos time.Duration, m rope.Medium, with rope.ID, withStart, withDur time.Duration) (int, error) {
 	e := wire.NewEncoder().Str(user).U64(uint64(base)).I64(int64(pos)).U16(mediumCode(m)).
 		U64(uint64(with)).I64(int64(withStart)).I64(int64(withDur))
-	d, err := c.call(wire.OpInsert, e.Bytes())
+	d, err := c.call(wire.OpInsert, e)
 	if err != nil {
 		return 0, err
 	}
@@ -393,7 +407,7 @@ func (c *Client) Replace(user string, base rope.ID, m rope.Medium, baseStart, ba
 	e := wire.NewEncoder().Str(user).U64(uint64(base)).U16(mediumCode(m)).
 		I64(int64(baseStart)).I64(int64(baseDur)).
 		U64(uint64(with)).I64(int64(withStart)).I64(int64(withDur))
-	d, err := c.call(wire.OpReplace, e.Bytes())
+	d, err := c.call(wire.OpReplace, e)
 	if err != nil {
 		return 0, err
 	}
@@ -404,7 +418,7 @@ func (c *Client) Replace(user string, base rope.ID, m rope.Medium, baseStart, ba
 // Substring performs a remote SUBSTRING, returning the new rope ID.
 func (c *Client) Substring(user string, base rope.ID, m rope.Medium, start, dur time.Duration) (rope.ID, error) {
 	e := wire.NewEncoder().Str(user).U64(uint64(base)).U16(mediumCode(m)).I64(int64(start)).I64(int64(dur))
-	d, err := c.call(wire.OpSubstring, e.Bytes())
+	d, err := c.call(wire.OpSubstring, e)
 	if err != nil {
 		return 0, err
 	}
@@ -416,7 +430,7 @@ func (c *Client) Substring(user string, base rope.ID, m rope.Medium, start, dur 
 // blocks copied at the junction.
 func (c *Client) Concate(user string, r1, r2 rope.ID) (rope.ID, int, error) {
 	e := wire.NewEncoder().Str(user).U64(uint64(r1)).U64(uint64(r2))
-	d, err := c.call(wire.OpConcate, e.Bytes())
+	d, err := c.call(wire.OpConcate, e)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -428,7 +442,7 @@ func (c *Client) Concate(user string, r1, r2 rope.ID) (rope.ID, int, error) {
 // DeleteRange performs a remote DELETE of a media interval.
 func (c *Client) DeleteRange(user string, base rope.ID, m rope.Medium, start, dur time.Duration) (int, error) {
 	e := wire.NewEncoder().Str(user).U64(uint64(base)).U16(mediumCode(m)).I64(int64(start)).I64(int64(dur))
-	d, err := c.call(wire.OpDeleteRange, e.Bytes())
+	d, err := c.call(wire.OpDeleteRange, e)
 	if err != nil {
 		return 0, err
 	}
@@ -440,7 +454,7 @@ func (c *Client) DeleteRange(user string, base rope.ID, m rope.Medium, start, du
 // reclaimed.
 func (c *Client) DeleteRope(user string, id rope.ID) (int, error) {
 	e := wire.NewEncoder().Str(user).U64(uint64(id))
-	d, err := c.call(wire.OpDeleteRope, e.Bytes())
+	d, err := c.call(wire.OpDeleteRope, e)
 	if err != nil {
 		return 0, err
 	}
@@ -460,7 +474,7 @@ type RopeInfo struct {
 
 // Info fetches a rope's summary.
 func (c *Client) Info(id rope.ID) (RopeInfo, error) {
-	d, err := c.call(wire.OpRopeInfo, wire.NewEncoder().U64(uint64(id)).Bytes())
+	d, err := c.call(wire.OpRopeInfo, wire.NewEncoder().U64(uint64(id)))
 	if err != nil {
 		return RopeInfo{}, err
 	}
@@ -481,9 +495,9 @@ func (c *Client) ListRopes() ([]rope.ID, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := d.U32()
+	n := d.Count(8)
 	out := make([]rope.ID, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, rope.ID(d.U64()))
 	}
 	return out, d.Err()
@@ -580,9 +594,9 @@ func (c *Client) Stats() (ServerStats, error) {
 	st.Promotions = d.U64()
 	st.LoadDemotions = d.U64()
 	st.ShedBlocks = d.U64()
-	if n := d.U32(); n > 0 && d.Err() == nil {
+	if n := d.Count(2); n > 0 {
 		st.SpindleStates = make([]string, 0, n)
-		for i := uint32(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			st.SpindleStates = append(st.SpindleStates, disk.SpindleState(d.U16()).String())
 		}
 	}
@@ -597,7 +611,7 @@ func (c *Client) Stats() (ServerStats, error) {
 // returning the spindle's final health state and the server's lifetime
 // repair-chunk count.
 func (c *Client) Rebuild(spindle int) (string, uint64, error) {
-	d, err := c.call(wire.OpRebuild, wire.NewEncoder().U32(uint32(spindle)).Bytes())
+	d, err := c.call(wire.OpRebuild, wire.NewEncoder().U32(uint32(spindle)))
 	if err != nil {
 		return "", 0, err
 	}
@@ -628,7 +642,7 @@ func (c *Client) SetAccess(user string, id rope.ID, play, edit []string) error {
 	for _, p := range edit {
 		e.Str(p)
 	}
-	_, err := c.call(wire.OpSetAccess, e.Bytes())
+	_, err := c.call(wire.OpSetAccess, e)
 	return err
 }
 
@@ -636,7 +650,7 @@ func (c *Client) SetAccess(user string, id rope.ID, play, edit []string) error {
 // (Figure 8's trigger information).
 func (c *Client) AddTrigger(user string, id rope.ID, at time.Duration, text string) error {
 	e := wire.NewEncoder().Str(user).U64(uint64(id)).I64(int64(at)).Str(text)
-	_, err := c.call(wire.OpAddTrigger, e.Bytes())
+	_, err := c.call(wire.OpAddTrigger, e)
 	return err
 }
 
@@ -648,13 +662,13 @@ type TriggerAt struct {
 
 // Triggers lists a rope's triggers with resolved rope-relative times.
 func (c *Client) Triggers(user string, id rope.ID) ([]TriggerAt, error) {
-	d, err := c.call(wire.OpTriggers, wire.NewEncoder().Str(user).U64(uint64(id)).Bytes())
+	d, err := c.call(wire.OpTriggers, wire.NewEncoder().Str(user).U64(uint64(id)))
 	if err != nil {
 		return nil, err
 	}
-	n := d.U32()
+	n := d.Count(8 + 4)
 	out := make([]TriggerAt, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, TriggerAt{At: time.Duration(d.I64()), Text: d.Str()})
 	}
 	return out, d.Err()
@@ -664,7 +678,7 @@ func (c *Client) Triggers(user string, id rope.ID) ([]TriggerAt, error) {
 // (§6.2's strand merging), returning how many old strands were
 // reclaimed.
 func (c *Client) Flatten(user string, id rope.ID) (int, error) {
-	d, err := c.call(wire.OpFlatten, wire.NewEncoder().Str(user).U64(uint64(id)).Bytes())
+	d, err := c.call(wire.OpFlatten, wire.NewEncoder().Str(user).U64(uint64(id)))
 	if err != nil {
 		return 0, err
 	}
@@ -679,9 +693,9 @@ func (c *Client) Check() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := d.U32()
+	n := d.Count(4 + 4)
 	out := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		kind := d.Str()
 		detail := d.Str()
 		out = append(out, kind+": "+detail)
@@ -691,13 +705,13 @@ func (c *Client) Check() ([]string, error) {
 
 // TextWrite stores a conventional text file in the media gaps.
 func (c *Client) TextWrite(name string, data []byte) error {
-	_, err := c.call(wire.OpTextWrite, wire.NewEncoder().Str(name).Blob(data).Bytes())
+	_, err := c.call(wire.OpTextWrite, wire.NewEncoder().Str(name).Blob(data))
 	return err
 }
 
 // TextRead fetches a text file.
 func (c *Client) TextRead(name string) ([]byte, error) {
-	d, err := c.call(wire.OpTextRead, wire.NewEncoder().Str(name).Bytes())
+	d, err := c.call(wire.OpTextRead, wire.NewEncoder().Str(name))
 	if err != nil {
 		return nil, err
 	}
@@ -711,9 +725,9 @@ func (c *Client) TextList() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := d.U32()
+	n := d.Count(4)
 	out := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, d.Str())
 	}
 	return out, d.Err()

@@ -189,6 +189,9 @@ type FS struct {
 	// nextStart rotates strand start cylinders so concurrent strands
 	// spread across the disk.
 	nextStart int
+	// unitBuf is VisitUnits' scratch: where a unit the device cannot
+	// lend (or a silence fill) is assembled for the visitor.
+	unitBuf []byte
 }
 
 // NewStore is the one place Options become a device: Disks identical

@@ -359,18 +359,36 @@ func (a *Array) ReadAt(lba, n int) ([]byte, error) {
 	if err := a.checkRange(lba, n); err != nil {
 		return nil, err
 	}
+	return ownedRead(a, lba, n)
+}
+
+// ViewAt is the untimed lending read (see Device.ViewAt): an access
+// inside one stripe group is the owning spindle's lending read; a
+// boundary-crossing access is assembled in scratch, one copy per span.
+func (a *Array) ViewAt(lba, n int, scratch []byte) ([]byte, error) {
+	if err := a.checkRange(lba, n); err != nil {
+		return nil, err
+	}
+	if sp, local, count := a.spanAt(lba, n, 0); n > 0 && count == n {
+		return a.spindles[sp].ViewAt(local, n, scratch)
+	}
 	ss := a.logical.SectorSize
-	buf := make([]byte, n*ss)
+	if len(scratch) < n*ss {
+		return nil, fmt.Errorf("disk: ViewAt scratch holds %d bytes, need %d", len(scratch), n*ss)
+	}
 	for done := 0; done < n; {
 		sp, local, count := a.spanAt(lba, n, done)
-		b, err := a.spindles[sp].ReadAt(local, count)
+		seg := scratch[done*ss : (done+count)*ss]
+		data, err := a.spindles[sp].ViewAt(local, count, seg)
 		if err != nil {
 			return nil, err
 		}
-		copy(buf[done*ss:], b)
+		if &data[0] != &seg[0] {
+			copy(seg, data) // lent by the spindle
+		}
 		done += count
 	}
-	return buf, nil
+	return scratch[: n*ss : n*ss], nil
 }
 
 // WriteAt stores data at the logical address without charging time.

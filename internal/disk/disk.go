@@ -55,8 +55,17 @@ type Device interface {
 	ReadView(h, lba, n int, scratch []byte) (data []byte, t time.Duration, err error)
 	Write(h, lba int, data []byte) (time.Duration, error)
 	PeekServiceTime(h, lba, n int) time.Duration
-	// Untimed data path (metadata, verification, editing copies).
+	// Untimed data path (metadata, verification, editing copies, and
+	// the FETCH reply). ReadAt returns bytes the caller owns; ViewAt is
+	// its lending twin — the same bytes under ReadView's aliasing rules
+	// (a capacity-clipped slice of the device's store when the access
+	// sits in one materialised cylinder page of one spindle, scratch —
+	// at least n sectors long — filled and returned otherwise; read-only,
+	// cap == len, valid until the next write to the device or the next
+	// call with the same scratch), with no charge, no head movement and
+	// no fault injection.
 	ReadAt(lba, n int) ([]byte, error)
+	ViewAt(lba, n int, scratch []byte) ([]byte, error)
 	WriteAt(lba int, data []byte) error
 	// Maintenance: counters and the latency histograms every timed
 	// access reports to (nil disables one).
@@ -192,11 +201,50 @@ func (d *Disk) ReadAt(lba, n int) ([]byte, error) {
 	if err := d.checkRange(lba, n); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, n*d.geom.SectorSize)
-	if err := d.ReadAtInto(lba, n, buf); err != nil {
+	return ownedRead(d, lba, n)
+}
+
+// ownedRead is ReadAt behind both devices: the lending read plus the
+// one copy that makes the bytes the caller's. The caller has checked
+// the range.
+func ownedRead(d Device, lba, n int) ([]byte, error) {
+	buf := make([]byte, n*d.Geometry().SectorSize)
+	v, err := d.ViewAt(lba, n, buf)
+	if err != nil {
 		return nil, err
 	}
+	if len(v) > 0 && &v[0] != &buf[0] {
+		copy(buf, v) // lent by the device
+	}
 	return buf, nil
+}
+
+// ViewAt is the untimed lending read (see Device.ViewAt).
+func (d *Disk) ViewAt(lba, n int, scratch []byte) ([]byte, error) {
+	if err := d.checkRange(lba, n); err != nil {
+		return nil, err
+	}
+	return d.view(lba, n, scratch)
+}
+
+// view is the one lending body behind ViewAt and ReadView: an access
+// inside one materialised cylinder page is answered with a
+// capacity-clipped slice of the page itself; one that crosses a
+// cylinder or touches a page never written (which must read as zeros)
+// fills scratch instead. The caller has checked the range.
+//
+// rt:hotpath
+func (d *Disk) view(lba, n int, scratch []byte) ([]byte, error) {
+	ss := d.geom.SectorSize
+	spc := d.geom.SectorsPerCylinder()
+	cyl, off := lba/spc, lba%spc
+	if n > 0 && off+n <= spc && d.pages[cyl] != nil {
+		return d.pages[cyl][off*ss : (off+n)*ss : (off+n)*ss], nil
+	}
+	if err := d.ReadAtInto(lba, n, scratch); err != nil {
+		return nil, err
+	}
+	return scratch[: n*ss : n*ss], nil
 }
 
 // ReadAtInto copies n sectors starting at lba into dst without
@@ -324,11 +372,8 @@ func (d *Disk) ReadInto(h, lba, n int, dst []byte) (time.Duration, error) {
 }
 
 // ReadView is the lending variant of ReadInto (see Device.ReadView):
-// the same charge, but an access inside one materialised cylinder page
-// is answered with a capacity-clipped slice of the page itself — the
-// transfer is the simulated disk's cost (r_dt), not the host's. An
-// access that crosses a cylinder or touches a page never written
-// (which must read as zeros) fills scratch instead. The msm service
+// the same charge, then the bytes as view lends them — the transfer is
+// the simulated disk's cost (r_dt), not the host's. The msm service
 // round reads through it, so steady-state playback copies nothing.
 //
 // rt:hotpath
@@ -337,16 +382,11 @@ func (d *Disk) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, e
 	if err != nil {
 		return nil, 0, err
 	}
-	ss := d.geom.SectorSize
-	spc := d.geom.SectorsPerCylinder()
-	cyl, off := lba/spc, lba%spc
-	if n > 0 && off+n <= spc && d.pages[cyl] != nil {
-		return d.pages[cyl][off*ss : (off+n)*ss : (off+n)*ss], t, nil
-	}
-	if err := d.ReadAtInto(lba, n, scratch); err != nil {
+	data, err := d.view(lba, n, scratch)
+	if err != nil {
 		return nil, 0, err
 	}
-	return scratch[: n*ss : n*ss], t, nil
+	return data, t, nil
 }
 
 // Write performs a timed write by head h of data at lba, returning the

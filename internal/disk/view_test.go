@@ -69,6 +69,46 @@ func readBoth(t *testing.T, dev, twin disk.Device, h, lba, n int) (view, scratch
 	return view, scratch
 }
 
+// viewAtBoth performs one access through ViewAt and checks it against
+// ReadAt: the same bytes (or both fail), cap == len, and — the read is
+// untimed — counters and heads where they were. scratch goes in holding
+// stale bytes; the view and the scratch are returned for lent.
+func viewAtBoth(t *testing.T, dev disk.Device, lba, n int) (view, scratch []byte) {
+	t.Helper()
+	ss := dev.Geometry().SectorSize
+	scratch = bytes.Repeat([]byte{0xEE}, max(n, 0)*ss)
+	stats, heads := dev.Stats(), make([]int, dev.Heads())
+	for i := range heads {
+		heads[i] = dev.HeadCylinder(i)
+	}
+	view, errv := dev.ViewAt(lba, n, scratch)
+	want, erra := dev.ReadAt(lba, n)
+	if (errv == nil) != (erra == nil) {
+		t.Fatalf("[%d,+%d): ViewAt error %v, ReadAt error %v", lba, n, errv, erra)
+	}
+	if errv != nil {
+		if view != nil {
+			t.Fatalf("[%d,+%d): data returned with error %v", lba, n, errv)
+		}
+		return nil, scratch
+	}
+	if !bytes.Equal(view, want) {
+		t.Fatalf("[%d,+%d): ViewAt bytes differ from ReadAt", lba, n)
+	}
+	if cap(view) != len(view) {
+		t.Fatalf("[%d,+%d): view cap %d > len %d: an append could reach past it", lba, n, cap(view), len(view))
+	}
+	if dev.Stats() != stats {
+		t.Fatalf("[%d,+%d): an untimed read moved the counters: %+v -> %+v", lba, n, stats, dev.Stats())
+	}
+	for i := range heads {
+		if dev.HeadCylinder(i) != heads[i] {
+			t.Fatalf("[%d,+%d): an untimed read moved head %d", lba, n, i)
+		}
+	}
+	return view, scratch
+}
+
 // lent reports whether view aliases dev's store rather than scratch:
 // scratch was left untouched, and a write to the device shows through
 // the view (which is why a view is only valid until the next write).
@@ -127,12 +167,23 @@ func TestReadViewSingleDisk(t *testing.T) {
 		if got := lent(t, dev, c.lba, view, scratch); got != c.want {
 			t.Fatalf("%s: lent = %v, want %v", c.name, got, c.want)
 		}
+		view, scratch = viewAtBoth(t, dev, c.lba, c.n)
+		if got := lent(t, dev, c.lba, view, scratch); got != c.want {
+			t.Fatalf("%s: ViewAt lent = %v, want %v", c.name, got, c.want)
+		}
 	}
 
 	// Zeros from an unmaterialised page even though scratch was stale.
 	view, _ := readBoth(t, dev, twin, 0, 20*spc, 6)
-	if !bytes.Equal(view, make([]byte, 6*g.SectorSize)) {
+	untimed, _ := viewAtBoth(t, dev, 20*spc, 6)
+	if zeros := make([]byte, 6*g.SectorSize); !bytes.Equal(view, zeros) || !bytes.Equal(untimed, zeros) {
 		t.Fatal("unmaterialised cylinder did not read as zeros")
+	}
+	if _, err := dev.ViewAt(4*spc-3, 8, make([]byte, g.SectorSize)); err == nil {
+		t.Fatal("ViewAt filled a short scratch")
+	}
+	if _, err := dev.ViewAt(3*spc, -1, nil); err == nil {
+		t.Fatal("ViewAt accepted a negative count")
 	}
 	// A short scratch is an error on the fill path, as for ReadInto.
 	if _, _, err := dev.ReadView(0, 4*spc-3, 8, make([]byte, g.SectorSize)); err == nil {
@@ -165,6 +216,16 @@ func TestReadViewStripedArray(t *testing.T) {
 		if got := lent(t, a, c.lba, view, scratch); got != c.want {
 			t.Fatalf("%s: lent = %v, want %v", c.name, got, c.want)
 		}
+		view, scratch = viewAtBoth(t, a, c.lba, c.n)
+		if got := lent(t, a, c.lba, view, scratch); got != c.want {
+			t.Fatalf("%s: ViewAt lent = %v, want %v", c.name, got, c.want)
+		}
+	}
+	if _, err := a.ViewAt(group-5, 11, make([]byte, 512)); err == nil {
+		t.Fatal("ViewAt assembled a group-crossing access in a short scratch")
+	}
+	if _, err := a.ViewAt(a.Geometry().TotalSectors()-2, 3, make([]byte, 3*512)); err == nil {
+		t.Fatal("ViewAt accepted an out-of-range access")
 	}
 }
 
@@ -205,6 +266,10 @@ func TestReadViewMirroredArray(t *testing.T) {
 			sameHealth(t, a, twin)
 			if view != nil && lent(t, a, lba, view, scratch) != wantLent {
 				t.Fatalf("lba %d: lent != %v", lba, wantLent)
+			}
+			// The untimed view steers like ReadAt and feeds no health.
+			if view, scratch = viewAtBoth(t, a, lba, 2); lent(t, a, lba, view, scratch) != wantLent {
+				t.Fatalf("lba %d: ViewAt lent != %v", lba, wantLent)
 			}
 		}
 		readBoth(t, a, twin, 0, group-1, 2)

@@ -61,6 +61,9 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 
+// Add adds d, which may be negative.
+func (g *Gauge) Add(d int64) { g.v.Add(d) }
+
 // Value reads the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

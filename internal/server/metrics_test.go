@@ -3,7 +3,9 @@ package server
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"mmfs/internal/client"
 	"mmfs/internal/media"
 	"mmfs/internal/obs"
 	"mmfs/internal/rope"
@@ -142,4 +144,74 @@ func TestMetricsOverWire(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// mmfs_server_conn_buffer_bytes is the memory the open connections'
+// reply buffers retain: each keeps the capacity of its largest reply,
+// the gauge is their sum, and a closed connection gives its share back.
+func TestConnBufferGauge(t *testing.T) {
+	c, fs, addr := startServerAddr(t)
+	gauge := fs.Metrics().Gauge("mmfs_server_conn_buffer_bytes")
+	waitFor := func(what string, ok func(v int64) bool) int64 {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			v := gauge.Value()
+			if ok(v) {
+				return v
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: gauge stuck at %d", what, v)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	id, _, err := c.RecordClip("venkat", media.NewVideoSource(60, 18000, 30, 43), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := gauge.Value()
+	if small <= 0 || small > 4096 {
+		t.Fatalf("gauge %d after small replies only", small)
+	}
+	const second = 30 * (4 + 18000) // one second of frames on the wire
+	if _, err := c.Fetch("venkat", id, rope.VideoOnly, 0, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	one := gauge.Value()
+	if one < second {
+		t.Fatalf("gauge %d after a %d-byte reply", one, second)
+	}
+	// The capacity is kept, not regrown: a smaller reply leaves it be,
+	// and the METRICS reply reports it.
+	if _, err := c.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := snap.Gauge("mmfs_server_conn_buffer_bytes"); !ok || v != one || gauge.Value() != one {
+		t.Fatalf("gauge %d over the wire (%v), %d in the registry, want %d", v, ok, gauge.Value(), one)
+	}
+	// A second connection adds its own buffer; closing it returns it.
+	c2, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Fetch("venkat", id, rope.VideoOnly, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	two := gauge.Value()
+	if two < one+2*second {
+		t.Fatalf("gauge %d with a second connection holding a %d-byte reply beside %d", two, 2*second, one)
+	}
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("after the second connection closed", func(v int64) bool { return v == one })
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("after every connection closed", func(v int64) bool { return v == 0 })
 }

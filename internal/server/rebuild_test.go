@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net"
 	"strings"
 	"testing"
 
@@ -20,18 +19,7 @@ func startMirroredServer(t *testing.T) (*client.Client, *core.FS) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(fs)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(lis) }()
-	t.Cleanup(func() { _ = srv.Close() })
-	c, err := client.Dial(lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
+	_, c, _ := serveFS(t, fs)
 	return c, fs
 }
 

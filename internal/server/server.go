@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,9 +66,17 @@ type Server struct {
 	reg      *obs.Registry
 	inflight *obs.Gauge
 	openConn *obs.Gauge
+	// connBuf sums the capacities of the open connections' reply
+	// encoders: each keeps the room of its largest reply for the
+	// connection's life, so the total is bounded by open connections ×
+	// largest reply ≤ MaxConns × the frame limit. Atomic, like inflight.
+	connBuf  *obs.Gauge
 	opCount  map[wire.Op]*obs.Counter // guarded by mu
 	errCount *obs.Counter
 	rejected *obs.Counter
+	// maxReply is the largest body a FETCH may build: wire.MaxBody
+	// (tests lower it to reach the limit with a small rope).
+	maxReply int
 
 	// Logf, when non-nil, receives operational log lines (abnormal
 	// connection teardown and the like). It must be set before Serve
@@ -100,6 +109,8 @@ func New(fs *core.FS) *Server {
 		reg:      reg,
 		inflight: reg.Gauge("mmfs_server_inflight_requests"),
 		openConn: reg.Gauge("mmfs_server_open_conns"),
+		connBuf:  reg.Gauge("mmfs_server_conn_buffer_bytes"),
+		maxReply: wire.MaxBody,
 		opCount:  make(map[wire.Op]*obs.Counter),
 		errCount: reg.Counter("mmfs_server_errors_total"),
 		rejected: reg.Counter("mmfs_server_rejected_conns_total"),
@@ -234,6 +245,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	defer s.unregisterConn(conn)
+	// The connection's reply encoder: every reply is built, framed and
+	// written from this one buffer, which keeps its capacity from reply
+	// to reply (held tracks what the gauge has been told).
+	e := wire.NewEncoder()
+	held := int64(0)
+	defer func() { s.connBuf.Add(-held) }()
 	for {
 		if s.ReadTimeout > 0 {
 			//lint:ignore simclock,noerrdrop connection deadlines guard real network I/O; a failed set means the conn is already dead
@@ -246,6 +263,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.isDraining() {
 			return
 		}
+		// Request frames are never recycled: recordAppend's units are
+		// views of theirs (wire.Decoder.Blob), kept until RecordFinish.
 		frame, err := wire.ReadFrame(conn)
 		if err != nil {
 			if err != io.EOF && !s.isDraining() {
@@ -259,15 +278,20 @@ func (s *Server) serveConn(conn net.Conn) {
 		op, body, err := wire.ParseRequest(frame)
 		var resp []byte
 		if err != nil {
-			resp = wire.ErrResponse(err)
+			resp = e.FrameError(err)
 		} else {
-			resp = s.handle(op, body)
+			resp = s.Handle(op, body, e)
+		}
+		if c := int64(e.Cap()); c != held {
+			s.connBuf.Add(c - held)
+			held = c
 		}
 		if s.WriteTimeout > 0 {
 			//lint:ignore simclock,noerrdrop connection deadlines guard real network I/O; a failed set means the conn is already dead
 			_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
 		}
-		if err := wire.WriteFrame(conn, resp); err != nil {
+		// Header and body in one Write, outside s.mu.
+		if _, err := conn.Write(resp); err != nil {
 			return
 		}
 		if s.isDraining() {
@@ -278,18 +302,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// handle dispatches one request under the file system lock and returns
-// the framed response. The reply encoder comes from the wire free
-// list; OKResponse copies the body before the encoder is recycled.
-func (s *Server) handle(op wire.Op, body []byte) []byte {
+// Handle dispatches one request under the file system lock and returns
+// the reply as one wire frame, built and framed in place in e (a
+// connection's reply encoder): valid until e's next use, and written
+// by the caller outside the lock.
+func (s *Server) Handle(op wire.Op, body []byte, e *wire.Encoder) []byte {
 	s.inflight.Inc()
 	defer s.inflight.Dec()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.countOp(op)
 	d := wire.NewDecoder(body)
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
+	e.Reset()
 	var err error
 	switch op {
 	case wire.OpRecordStart:
@@ -349,17 +373,22 @@ func (s *Server) handle(op wire.Op, body []byte) []byte {
 		//lint:ignore blockinglock the rebuild runs the virtual clock to completion under s.mu, like recordFinish and play
 		err = s.rebuild(d, e)
 	default:
-		s.errCount.Inc()
-		return wire.ErrResponse(fmt.Errorf("server: unknown op %v", op))
+		err = fmt.Errorf("server: unknown op %v", op)
 	}
 	if err == nil && d.Err() != nil {
 		err = fmt.Errorf("server: malformed %v request: %w", op, d.Err())
 	}
-	if err != nil {
-		s.errCount.Inc()
-		return wire.ErrResponse(err)
+	if err == nil {
+		var frame []byte
+		if frame, err = e.Frame(wire.StatusOK); err == nil {
+			return frame
+		}
+		// A reply past the frame limit is the request's failure, not
+		// the connection's.
+		err = fmt.Errorf("server: %v reply: %w", op, err)
 	}
-	return wire.OKResponse(e.Bytes())
+	s.errCount.Inc()
+	return e.FrameError(err)
 }
 
 // countOp increments the per-op request counter. The caller must hold
@@ -443,7 +472,7 @@ func (s *Server) recordStart(d *wire.Decoder, e *wire.Encoder) error {
 func (s *Server) recordAppend(d *wire.Decoder, e *wire.Encoder) error {
 	id := d.U64()
 	mediumCode := d.U16()
-	count := d.U32()
+	count := d.Count(4)
 	sess, ok := s.sessions[id]
 	if !ok {
 		return fmt.Errorf("server: unknown record session %d", id)
@@ -460,7 +489,10 @@ func (s *Server) recordAppend(d *wire.Decoder, e *wire.Encoder) error {
 	if buf == nil {
 		return fmt.Errorf("server: session %d does not record that medium", id)
 	}
-	for i := uint32(0); i < count; i++ {
+	buf.units = slices.Grow(buf.units, count)
+	for i := 0; i < count; i++ {
+		// A view of the request frame, which the session keeps alive
+		// until RecordFinish has written the unit out.
 		payload := d.Blob()
 		if d.Err() != nil {
 			return d.Err()
@@ -572,14 +604,25 @@ func (s *Server) fetch(d *wire.Decoder, e *wire.Encoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	units, err := s.fs.FetchUnits(user, id, medium, start, dur)
+	// Each unit is lent by the file system — a slice of the platters —
+	// and copied once, here, into the buffer the socket write sends;
+	// nothing lent outlives the visit, which runs under s.mu. The count
+	// goes first on the wire and is known last, so it is patched.
+	at := e.Len()
+	e.U32(0)
+	n := uint32(0)
+	err = s.fs.VisitUnits(user, id, medium, start, dur, func(unit []byte) error {
+		if e.Len()+4+len(unit) > s.maxReply {
+			return fmt.Errorf("server: FETCH reply exceeds %d bytes; fetch a shorter interval", s.maxReply)
+		}
+		e.Blob(unit)
+		n++
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	e.U32(uint32(len(units)))
-	for _, u := range units {
-		e.Blob(u)
-	}
+	e.SetU32(at, n)
 	return nil
 }
 
@@ -839,14 +882,16 @@ func (s *Server) textRead(d *wire.Decoder, e *wire.Encoder) error {
 func (s *Server) setAccess(d *wire.Decoder, e *wire.Encoder) error {
 	user := d.Str()
 	id := rope.ID(d.U64())
-	nPlay := d.U32()
+	// Count bounds each list by what the body can hold before it sizes
+	// an allocation: 23 bytes can claim 2³²−1 names.
+	nPlay := d.Count(4)
 	play := make([]string, 0, nPlay)
-	for i := uint32(0); i < nPlay; i++ {
+	for i := 0; i < nPlay; i++ {
 		play = append(play, d.Str())
 	}
-	nEdit := d.U32()
+	nEdit := d.Count(4)
 	edit := make([]string, 0, nEdit)
-	for i := uint32(0); i < nEdit; i++ {
+	for i := 0; i < nEdit; i++ {
 		edit = append(edit, d.Str())
 	}
 	if d.Err() != nil {

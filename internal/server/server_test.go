@@ -26,6 +26,14 @@ func startServerAddr(t *testing.T) (*client.Client, *core.FS, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, c, addr := serveFS(t, fs)
+	return c, fs, addr
+}
+
+// serveFS serves fs on loopback and returns the server, a connected
+// client and the address.
+func serveFS(t *testing.T, fs *core.FS) (*Server, *client.Client, string) {
+	t.Helper()
 	srv := New(fs)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -38,7 +46,7 @@ func startServerAddr(t *testing.T) (*client.Client, *core.FS, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
-	return c, fs, lis.Addr().String()
+	return srv, c, lis.Addr().String()
 }
 
 func TestNetworkRecordPlayFetch(t *testing.T) {

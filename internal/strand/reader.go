@@ -133,62 +133,71 @@ func (r *Reader) Unit(u uint64) ([]byte, error) {
 	return raw[lo : lo+ub], nil
 }
 
-// AppendUnits appends the payloads of units [start, start+n) to out,
-// untimed: Unit for a range, reading each media block once however
-// many of its units are wanted. The units of one block are slices of
-// one fresh buffer the caller owns (never lent device bytes), each with
-// its capacity clipped so an append cannot run into its neighbour.
-func (r *Reader) AppendUnits(out [][]byte, start, n uint64) ([][]byte, error) {
+// VisitUnits calls fn with the payload of each of units [start,
+// start+n) in order, untimed: the one traversal behind every range
+// read, fetching each media block once however many of its units are
+// wanted. Units are lent, under ReadBlockInto's rules: each aliases the
+// device's own store or, when the block cannot be lent (it crosses a
+// cylinder or stripe group, or is an eliminated silence holder), *buf —
+// grown via the alloc scratch arena — is read-only, has cap == len,
+// and is valid only until fn returns. A caller that must keep a unit
+// copies it (core.FS.FetchUnits does); fn's error stops the walk and is
+// returned as is.
+func (r *Reader) VisitUnits(start, n uint64, buf *[]byte, fn func(unit []byte) error) error {
 	if n == 0 {
-		return out, nil
+		return nil
 	}
 	if _, _, err := r.s.UnitRange(start + n - 1); err != nil {
-		return nil, err
+		return err
 	}
 	q, ub := uint64(r.s.Granularity()), r.s.UnitBytes()
+	ss := r.d.Geometry().SectorSize
 	for u, end := start, start+n; u < end; {
 		off, cnt := int(u%q), int(min(q-u%q, end-u)) // the block's units [off, off+cnt)
 		e, err := r.s.Block(int(u / q))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if e.Silent() {
-			out = appendFixedUnits(out, r.fillSilence(make([]byte, cnt*ub)), 0, cnt, ub)
+			*buf = r.fillSilence(alloc.Grow(*buf, ub))
+			for i := 0; i < cnt; i++ {
+				if err := fn((*buf)[:ub:ub]); err != nil {
+					return err
+				}
+			}
 			u += uint64(cnt)
 			continue
 		}
-		raw, err := r.d.ReadAt(int(e.Sector), int(e.SectorCount))
+		*buf = alloc.Grow(*buf, int(e.SectorCount)*ss)
+		raw, err := r.d.ViewAt(int(e.Sector), int(e.SectorCount), *buf)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if r.s.Variable() {
 			for i, o := 0, 0; i < off+cnt; i++ {
 				var unit []byte
 				if unit, o, err = variableUnitAt(raw, o, r.s.ID(), u-uint64(off)+uint64(i)); err != nil {
-					return nil, err
+					return err
 				}
 				if i >= off {
-					out = append(out, unit)
+					if err := fn(unit); err != nil {
+						return err
+					}
 				}
 			}
 		} else {
 			if (off+cnt)*ub > len(raw) {
-				return nil, fmt.Errorf("strand %d: unit %d beyond block payload", r.s.ID(), u+uint64(cnt)-1)
+				return fmt.Errorf("strand %d: unit %d beyond block payload", r.s.ID(), u+uint64(cnt)-1)
 			}
-			out = appendFixedUnits(out, raw, off, cnt, ub)
+			for lo := off * ub; lo < (off+cnt)*ub; lo += ub {
+				if err := fn(raw[lo : lo+ub : lo+ub]); err != nil {
+					return err
+				}
+			}
 		}
 		u += uint64(cnt)
 	}
-	return out, nil
-}
-
-// appendFixedUnits appends raw's ub-byte units [first, first+cnt),
-// each with its capacity clipped.
-func appendFixedUnits(out [][]byte, raw []byte, first, cnt, ub int) [][]byte {
-	for lo := first * ub; lo < (first+cnt)*ub; lo += ub {
-		out = append(out, raw[lo:lo+ub:lo+ub])
-	}
-	return out
+	return nil
 }
 
 // fillSilence fills b with the strand medium's silence byte.

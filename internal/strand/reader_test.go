@@ -2,7 +2,9 @@ package strand
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+	"unsafe"
 
 	"mmfs/internal/alloc"
 	"mmfs/internal/disk"
@@ -100,55 +102,82 @@ func TestReadBlockIntoFallsBackToScratch(t *testing.T) {
 	}
 }
 
-// AppendUnits returns byte for byte what a loop of Unit calls returns,
-// for ranges that start and end in the middle of blocks, and the bytes
-// are the caller's own.
-func TestAppendUnitsMatchesUnitLoop(t *testing.T) {
+// VisitUnits hands fn byte for byte what a loop of Unit calls returns,
+// for ranges that start and end in the middle of blocks — lent, not
+// copied: a unit of a block the device can lend is a capacity-clipped
+// slice of the platter; a block wider than a cylinder and a silence
+// holder arrive in *buf.
+func TestVisitUnitsMatchesUnitLoop(t *testing.T) {
 	r := newRig(t)
-	strands := map[string]*Strand{
-		"fixed rate, trailing partial block": r.writeVideo(t, 32, 1024, 3, 6),
-		"eliminated silence":                 r.writeAudio(t, 41, 9),
-		"variable rate":                      r.writeVBR(t, 61, 8192, 2048, 10, 3, 99),
+	g := testGeometry()
+	g.Surfaces, g.SectorsPerTrack = 1, 4 // 4-sector cylinders, 6-sector blocks: every read crosses one
+	cd := disk.MustNew(g)
+	ca, err := alloc.New(g, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, s := range strands {
-		rd := NewReader(r.d, s)
-		total := s.UnitCount()
-		q := uint64(s.Granularity())
+	crossing := &rig{d: cd, a: ca, st: NewStore(cd, ca)}
+	cases := []struct {
+		name string
+		d    disk.Device
+		s    *Strand
+	}{
+		{"fixed rate, trailing partial block", r.d, r.writeVideo(t, 32, 1024, 3, 6)},
+		{"eliminated silence", r.d, r.writeAudio(t, 41, 9)},
+		{"variable rate", r.d, r.writeVBR(t, 61, 8192, 2048, 10, 3, 99)},
+		{"blocks that cross a cylinder", cd, crossing.writeVideo(t, 32, 1024, 3, 8)},
+	}
+	for _, c := range cases {
+		rd := NewReader(c.d, c.s)
+		total := c.s.UnitCount()
+		q := uint64(c.s.Granularity())
 		ranges := [][2]uint64{
 			{0, total}, {1, total - 1}, {q - 1, 2}, {q + 1, 3*q + 1}, {2*q + 1, 1},
 			{total - 1, 1}, {total - q - 1, q + 1}, {5, 0},
 		}
+		var buf []byte
 		for _, rg := range ranges {
 			start, n := rg[0], rg[1]
-			prefix := [][]byte{{0xAA}}
-			got, err := rd.AppendUnits(prefix, start, n)
-			if err != nil {
-				t.Fatalf("%s [%d,+%d): %v", name, start, n, err)
-			}
-			if uint64(len(got)) != n+1 || &got[0][0] != &prefix[0][0] {
-				t.Fatalf("%s [%d,+%d): %d units appended, or the prefix was lost", name, start, n, len(got)-1)
-			}
-			for i, u := range got[1:] {
-				want, err := rd.Unit(start + uint64(i))
+			u := start
+			err := rd.VisitUnits(start, n, &buf, func(unit []byte) error {
+				want, err := rd.Unit(u)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(u, want) {
-					t.Fatalf("%s [%d,+%d): unit %d differs from Unit", name, start, n, start+uint64(i))
+				if !bytes.Equal(unit, want) {
+					t.Fatalf("%s [%d,+%d): unit %d differs from Unit", c.name, start, n, u)
 				}
-				if cap(u) != len(u) {
-					t.Fatalf("%s: unit %d cap %d > len %d", name, start+uint64(i), cap(u), len(u))
+				if cap(unit) != len(unit) {
+					t.Fatalf("%s: unit %d cap %d > len %d", c.name, u, cap(unit), len(unit))
 				}
+				blk, _, _ := c.s.UnitRange(u)
+				e, _ := c.s.Block(blk)
+				inBuf := len(buf) > 0 && len(unit) > 0 &&
+					uintptr(unsafe.Pointer(&unit[0])) >= uintptr(unsafe.Pointer(&buf[0])) &&
+					uintptr(unsafe.Pointer(&unit[0])) < uintptr(unsafe.Pointer(&buf[0]))+uintptr(len(buf))
+				spc := c.d.Geometry().SectorsPerCylinder()
+				crosses := int(e.Sector)/spc != int(e.Sector+e.SectorCount-1)/spc
+				if wantLent := !e.Silent() && !crosses; inBuf == wantLent {
+					t.Fatalf("%s: unit %d in scratch = %v, want lent = %v", c.name, u, inBuf, wantLent)
+				}
+				u++
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s [%d,+%d): %v", c.name, start, n, err)
 			}
-			if n > 0 { // owned, not lent: scribbling on a unit leaves the strand alone
-				got[1][0] ^= 0xFF
-				if again, _ := rd.Unit(start); again[0] == got[1][0] {
-					t.Fatalf("%s: unit %d aliases the device's store", name, start)
-				}
+			if u != start+n {
+				t.Fatalf("%s [%d,+%d): %d units visited", c.name, start, n, u-start)
 			}
 		}
-		if _, err := rd.AppendUnits(nil, total-1, 2); err == nil {
-			t.Fatalf("%s: range past the end accepted", name)
+		// fn's error stops the walk and comes back as is.
+		stop := errors.New("stop")
+		calls := 0
+		if err := rd.VisitUnits(0, total, &buf, func([]byte) error { calls++; return stop }); err != stop || calls != 1 {
+			t.Fatalf("%s: err %v after %d call(s), want the visitor's error after 1", c.name, err, calls)
+		}
+		if err := rd.VisitUnits(total-1, 2, &buf, func([]byte) error { return nil }); err == nil {
+			t.Fatalf("%s: range past the end accepted", c.name)
 		}
 	}
 }
