@@ -31,15 +31,20 @@ race:
 # slack), the heaviest concurrency the code base generates; the
 # cache-coupled round is the other end, every lane idle and the serial
 # lane alone with the interval cache. The FETCH handler and the codec
-# ride along: lent platter bytes copied into a reused reply encoder.
+# ride along: lent platter bytes copied into a reused reply encoder. So
+# does the write path: an edit cycle copying blocks lent from the platters
+# it writes to, and Sync encoding into its one scratch buffer.
 race-bench:
-	$(GO) test -race -run '^$$' -bench 'BenchmarkStripedRound|BenchmarkRound1000Streams|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkFetchReply|BenchmarkCodecSmall' -benchtime=1x .
+	$(GO) test -race -run '^$$' -bench 'BenchmarkStripedRound|BenchmarkRound1000Streams|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync' -benchtime=1x .
 
-# lint = the standard vet suite plus mmfsvet, the project's own
+# lint = gofmt (the benchmark's build directory aside), the standard vet
+# suite plus mmfsvet, the project's own
 # invariant checkers (see DESIGN.md "Invariants & static analysis" and
 # "Concurrency invariants"). Findings are also archived to mmfsvet.json
 # so CI can upload them as an artifact.
 lint:
+	@unformatted="$$(gofmt -l . | grep -v '^\.bench_build/')"; \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/mmfsvet -json mmfsvet.json ./...
 
@@ -88,19 +93,25 @@ bench-compare:
 # decoder) at zero, BenchmarkFetchReply (the FETCH handler into a warmed
 # connection encoder) at its handful of small allocations — it also
 # fails itself at 8 KiB/op, so nothing may scale with the 540 KB reply.
+# The write path likewise: BenchmarkEditCycle (INSERT + DELETE + Sync on
+# an aged rope) fails itself at 16 KiB allocated per copied 54 KB block,
+# BenchmarkSync (600 strands, 7 ropes) at 16 KiB/op, and both hold their
+# baseline allocs/op within tolerance.
 # The gate measures steady state: over 100 iterations a
 # one-off (the runtime allocating a g struct when a lane spawn finds no
 # free one) amortises to 0 allocs/op while a per-round allocation still
 # reads >= 1; the baseline's per-op figures are unaffected by the
 # iteration count. Fast enough to run on every push.
 bench-check:
-	$(GO) test -run '^$$' -bench='BenchmarkPlaybackRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkFetchReply|BenchmarkCodecSmall' -benchmem -benchtime=100x . | $(GO) run ./cmd/benchjson -out bench/allocs.json
+	$(GO) test -run '^$$' -bench='BenchmarkPlaybackRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync' -benchmem -benchtime=100x . | $(GO) run ./cmd/benchjson -out bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkPlaybackRound bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkQoSClassPass bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkRebuildRound bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkCacheCoupledRound bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkFetchReply bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkCodecSmall bench/baseline.json bench/allocs.json
+	$(GO) run ./cmd/benchjson -compare -subset BenchmarkEditCycle bench/baseline.json bench/allocs.json
+	$(GO) run ./cmd/benchjson -compare -subset BenchmarkSync bench/baseline.json bench/allocs.json
 
 # Paired end-to-end runs of the BENCHMARK.json harness: PARENT (a git
 # revision) against the working tree, N alternating pairs of WORKLOAD
@@ -112,14 +123,15 @@ PAIR_SEED ?= 1
 mmload-pairs:
 	bash scripts/mmload-pairs.sh $(PARENT) $(WORKLOAD) $(N) $(PAIR_SEED)
 
-# Short fuzz pass over the wire codec, the server's dispatcher and the
-# fault-scenario parser; lengthen -fuzztime locally.
+# Short fuzz pass over the wire codec, the server's dispatcher, the rope
+# table codec and the fault-scenario parser; lengthen -fuzztime locally.
 fuzz:
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzEncodeDecodeRoundTrip -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzDecoderMatchesReference -fuzztime=10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz=FuzzHandle -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz=FuzzRopeTableMatchesReference -fuzztime=10s ./internal/rope
 	$(GO) test -fuzz=FuzzParseScenario -fuzztime=10s ./internal/fault
 
 # Replay the EXP-FT chaos storms, the EXP-STRIPE degraded-spindle run,

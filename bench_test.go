@@ -655,17 +655,144 @@ func BenchmarkFetchReply(b *testing.B) {
 	if got := fetch(); got != want { // also warms the encoder
 		b.Fatalf("reply of %d bytes, want %d", got, want)
 	}
+	if perOp := allocatedPerOp(b, func() { fetch() }); perOp >= 8<<10 {
+		b.Fatalf("%d B/op allocated for a %d-byte reply: something scales with the payload", perOp, want)
+	}
+}
+
+// allocatedPerOp runs fn b.N times under the timer and returns the bytes
+// it allocated per call, from the runtime's own counter (ReportAllocs
+// shows the same figure; a benchmark that gates itself needs it in hand).
+func allocatedPerOp(b *testing.B, fn func()) uint64 {
+	b.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fetch()
+		fn()
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perOp >= 8<<10 {
-		b.Fatalf("%d B/op allocated for a %d-byte reply: something scales with the payload", perOp, want)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(b.N)
+}
+
+// BenchmarkEditCycle is the write path of one wire-edit cycle on the
+// host: INSERT two seconds of a clip into a ten-second rope, DELETE them
+// again, Sync — on a rope aged by 100 earlier cycles, each of which left
+// its splits and its copy strands behind. Every cycle smooths dozens of
+// junctions, and a copied 54 000-byte video block must cost one copy into
+// the platters, not a buffer: the benchmark fails itself at 16 KiB
+// allocated per copied block (a copy strand's three index sectors and
+// its registry entry come to about 7), so neither the smoothing read,
+// nor WriteAt's padding, nor Sync's tables may allocate in proportion to
+// the bytes they move. (The ageing cycles have materialised every
+// cylinder page the copies land in, so the platters no longer grow.)
+func BenchmarkEditCycle(b *testing.B) {
+	fs, base := benchFS(b)
+	sess, err := fs.Record(core.RecordSpec{
+		Creator: "bench",
+		Video:   media.NewVideoSource(150, 18000, 30, 3),
+		Audio:   media.NewAudioSource(50, 800, 10, 0.3, 20, 4),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs.Manager().RunUntilDone()
+	clip, err := sess.Finish()
+	if err != nil {
+		b.Fatal(err)
+	}
+	copied, n := 0, 0
+	cycle := func() {
+		pos := time.Duration(1+n%8) * time.Second
+		from := time.Duration(n%4) * time.Second
+		n++
+		res, err := fs.Insert("bench", base.ID, pos, rope.AudioVisual, clip.ID, from, 2*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		copied += res.CopiedBlocks()
+		if res, err = fs.DeleteRange("bench", base.ID, rope.AudioVisual, pos, 2*time.Second); err != nil {
+			b.Fatal(err)
+		}
+		copied += res.CopiedBlocks()
+		if err := fs.Sync(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	copied = 0
+	perOp := allocatedPerOp(b, cycle)
+	if problems := fs.Check(); len(problems) != 0 {
+		b.Fatalf("fsck after %d cycles: %v", n, problems)
+	}
+	if copied == 0 {
+		b.Fatal("no cycle smoothed a junction; the benchmark must exercise the copy path")
+	}
+	perBlock := perOp * uint64(b.N) / uint64(copied)
+	b.ReportMetric(float64(copied)/float64(b.N), "copied_blocks/op")
+	b.ReportMetric(float64(perBlock), "B/copied_block")
+	if perBlock >= 16<<10 {
+		b.Fatalf("%d B allocated per copied block (%d B/op): something scales with the bytes copied or synced", perBlock, perOp)
+	}
+}
+
+// BenchmarkSync is FS.Sync over the population a wire-edit run ends
+// with — 600 strands, 7 ropes of 80 intervals each — with nothing
+// changed between calls: the wholesale rewrite of the three tables, the
+// bitmap and the superblock. It fails itself at 16 KiB/op: the sorted ID
+// lists are the only allocations left, so a per-field or per-table
+// buffer (the tables are ≈ 40 KB, the bitmap 67 KB) would show.
+func BenchmarkSync(b *testing.B) {
+	fs, _ := benchFS(b)
+	var ids []strand.ID
+	for i := 0; i < 600; i++ {
+		w, err := strand.NewWriter(fs.Disk(), fs.Allocator(), strand.WriterConfig{
+			ID: fs.Strands().NewID(), Medium: layout.Video, Rate: 30, UnitBytes: 2048, Granularity: 1,
+			Constraint:    fs.Constraint(),
+			StartCylinder: (i * 131) % fs.Disk().Geometry().Cylinders,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := w.Append(media.Unit{Payload: media.FramePayload(5, uint64(i), 2048)}); err != nil {
+			b.Fatal(err)
+		}
+		s, err := w.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		fs.Strands().Put(s)
+		ids = append(ids, s.ID())
+	}
+	for r := 0; r < 7; r++ {
+		rp := fs.Ropes().Create("bench")
+		for i := 0; i < 80; i++ {
+			rp.Intervals = append(rp.Intervals, rope.Interval{
+				Video:    &rope.ComponentRef{Strand: ids[(r*80+i)%len(ids)]},
+				Audio:    &rope.ComponentRef{Strand: ids[(r*80+i+300)%len(ids)]},
+				Duration: time.Second / 30,
+				Corr:     []rope.Correspondence{{}},
+			})
+		}
+		fs.Ropes().SyncInterests(rp)
+	}
+	if err := fs.Sync(); err != nil { // sizes the scratch buffer
+		b.Fatal(err)
+	}
+	perOp := allocatedPerOp(b, func() {
+		if err := fs.Sync(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	if problems := fs.Check(); len(problems) != 0 {
+		b.Fatalf("fsck: %v", problems)
+	}
+	if perOp >= 16<<10 {
+		b.Fatalf("%d B/op allocated by a Sync of 600 strands and 7 ropes: something allocates per field or per table", perOp)
 	}
 }
 

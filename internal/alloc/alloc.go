@@ -235,9 +235,9 @@ func (a *Allocator) AllocateNearCylinder(target, n int) (Run, error) {
 	return Run{}, fmt.Errorf("%w: %d sectors near cylinder %d", ErrNoSpace, n, target)
 }
 
-// MarshalBitmap serializes the occupancy bitmap for persistence in the
-// metadata region.
-func (a *Allocator) MarshalBitmap() []byte { return a.bm.marshal() }
+// MarshalBitmap appends the serialized occupancy bitmap to dst, for
+// persistence in the metadata region.
+func (a *Allocator) MarshalBitmap(dst []byte) []byte { return a.bm.marshal(dst) }
 
 // UnmarshalBitmap restores the occupancy bitmap.
 func (a *Allocator) UnmarshalBitmap(data []byte) error { return a.bm.unmarshal(data) }

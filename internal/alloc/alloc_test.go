@@ -234,7 +234,7 @@ func TestBitmapMarshalRoundTrip(t *testing.T) {
 	}
 	a.Free(runs[10])
 	a.Free(runs[20])
-	data := a.MarshalBitmap()
+	data := a.MarshalBitmap(nil)
 
 	b, err := New(testGeometry(), 0)
 	if err != nil {

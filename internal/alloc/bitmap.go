@@ -8,9 +8,16 @@
 // blocks of a media strand to store text files").
 package alloc
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
-// bitmap tracks sector occupancy; a set bit means allocated.
+// bitmap tracks sector occupancy; a set bit means allocated. Ranges are
+// handled a 64-bit word at a time: a media block is a few dozen sectors,
+// a table run or a search window hundreds.
 type bitmap struct {
 	words []uint64
 	n     int // number of valid bits
@@ -25,41 +32,44 @@ func (b *bitmap) get(i int) bool {
 	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-func (b *bitmap) set(i int) {
-	w, m := i>>6, uint64(1)<<(uint(i)&63)
-	if b.words[w]&m == 0 {
-		b.words[w] |= m
-		b.used++
+// span returns the word holding bit lo, the mask of the bits of [lo, hi)
+// inside that word, and where the range continues (hi when it ends
+// there).
+func span(lo, hi int) (w int, mask uint64, next int) {
+	w = lo >> 6
+	mask = ^uint64(0) << (uint(lo) & 63)
+	if next = (w + 1) << 6; next > hi {
+		mask &= ^uint64(0) >> (64 - uint(hi)&63)
+		next = hi
 	}
-}
-
-func (b *bitmap) clear(i int) {
-	w, m := i>>6, uint64(1)<<(uint(i)&63)
-	if b.words[w]&m != 0 {
-		b.words[w] &^= m
-		b.used--
-	}
+	return w, mask, next
 }
 
 // setRange marks [lo, lo+n) allocated; it panics if any bit is already
 // set, catching double allocation early.
 func (b *bitmap) setRange(lo, n int) {
-	for i := lo; i < lo+n; i++ {
-		if b.get(i) {
-			panic(fmt.Sprintf("alloc: double allocation of sector %d", i))
+	for i, hi := lo, lo+n; i < hi; {
+		w, mask, next := span(i, hi)
+		if taken := b.words[w] & mask; taken != 0 {
+			panic(fmt.Sprintf("alloc: double allocation of sector %d", w<<6+bits.TrailingZeros64(taken)))
 		}
-		b.set(i)
+		b.words[w] |= mask
+		b.used += bits.OnesCount64(mask)
+		i = next
 	}
 }
 
 // clearRange marks [lo, lo+n) free; freeing a free sector panics,
 // catching double frees.
 func (b *bitmap) clearRange(lo, n int) {
-	for i := lo; i < lo+n; i++ {
-		if !b.get(i) {
-			panic(fmt.Sprintf("alloc: double free of sector %d", i))
+	for i, hi := lo, lo+n; i < hi; {
+		w, mask, next := span(i, hi)
+		if free := ^b.words[w] & mask; free != 0 {
+			panic(fmt.Sprintf("alloc: double free of sector %d", w<<6+bits.TrailingZeros64(free)))
 		}
-		b.clear(i)
+		b.words[w] &^= mask
+		b.used -= bits.OnesCount64(mask)
+		i = next
 	}
 }
 
@@ -68,12 +78,19 @@ func (b *bitmap) freeRunAt(lo, n int) bool {
 	if lo < 0 || lo+n > b.n {
 		return false
 	}
-	for i := lo; i < lo+n; i++ {
-		if b.get(i) {
-			return false
+	return b.next(lo, lo+n, 0) == lo+n
+}
+
+// next returns the first index in [i, hi) whose bit is set — or, with
+// flip all ones, clear — and hi when there is none.
+func (b *bitmap) next(i, hi int, flip uint64) int {
+	for i < hi {
+		if w := (b.words[i>>6] ^ flip) >> (uint(i) & 63); w != 0 {
+			return min(i+bits.TrailingZeros64(w), hi)
 		}
+		i = (i | 63) + 1
 	}
-	return true
+	return hi
 }
 
 // findRun returns the first index of a free run of length n within
@@ -82,49 +99,42 @@ func (b *bitmap) findRun(lo, hi, n int) int {
 	if hi > b.n {
 		hi = b.n
 	}
-	run := 0
-	for i := lo; i < hi; i++ {
-		if b.get(i) {
-			run = 0
-			continue
+	if n < 1 {
+		return -1
+	}
+	for start := b.next(lo, hi, ^uint64(0)); start+n <= hi; {
+		taken := b.next(start, start+n, 0)
+		if taken == start+n {
+			return start
 		}
-		run++
-		if run == n {
-			return i - n + 1
-		}
+		start = b.next(taken, hi, ^uint64(0))
 	}
 	return -1
 }
 
-// marshal serializes the bitmap's words as little-endian bytes.
-func (b *bitmap) marshal() []byte {
-	out := make([]byte, len(b.words)*8)
+// marshal appends the bitmap's words to dst as little-endian bytes.
+func (b *bitmap) marshal(dst []byte) []byte {
+	off := len(dst)
+	dst = slices.Grow(dst, len(b.words)*8)[:off+len(b.words)*8]
 	for i, w := range b.words {
-		for j := 0; j < 8; j++ {
-			out[i*8+j] = byte(w >> (8 * j))
-		}
+		binary.LittleEndian.PutUint64(dst[off+i*8:], w)
 	}
-	return out
+	return dst
 }
 
 // unmarshal restores the bitmap from marshal's output, recounting the
-// used bits.
+// used bits (those below n).
 func (b *bitmap) unmarshal(data []byte) error {
 	if len(data) < len(b.words)*8 {
 		return fmt.Errorf("alloc: bitmap data %d bytes, need %d", len(data), len(b.words)*8)
 	}
 	b.used = 0
 	for i := range b.words {
-		var w uint64
-		for j := 0; j < 8; j++ {
-			w |= uint64(data[i*8+j]) << (8 * j)
-		}
-		b.words[i] = w
+		b.words[i] = binary.LittleEndian.Uint64(data[i*8:])
+		b.used += bits.OnesCount64(b.words[i])
 	}
-	for i := 0; i < b.n; i++ {
-		if b.get(i) {
-			b.used++
-		}
+	if tail := uint(b.n) & 63; tail != 0 {
+		b.used -= bits.OnesCount64(b.words[len(b.words)-1] >> tail)
 	}
 	return nil
 }

@@ -19,6 +19,26 @@ type Problem struct {
 // String renders the problem.
 func (p Problem) String() string { return fmt.Sprintf("%s: %s", p.Kind, p.Detail) }
 
+// claimant is a structure that claims sectors during Check: one of the
+// fixed metadata regions, a strand's media or index blocks, or a text
+// file.
+type claimant struct {
+	kind   string
+	strand strand.ID
+	file   string
+}
+
+// String renders the claimant as problems name it.
+func (c claimant) String() string {
+	switch c.kind {
+	case "media", "index":
+		return fmt.Sprintf("strand-%d-%s", c.strand, c.kind)
+	case "text":
+		return fmt.Sprintf("text-%q", c.file)
+	}
+	return c.kind
+}
+
 // Check is the file system's integrity checker (fsck): it verifies
 // that every reachable structure — superblock tables, strand media and
 // index blocks, text-file extents — is marked allocated, that no two
@@ -29,58 +49,65 @@ func (p Problem) String() string { return fmt.Sprintf("%s: %s", p.Kind, p.Detail
 func (fs *FS) Check() []Problem {
 	var problems []Problem
 	total := fs.a.TotalSectors()
-	// owner[i] names the structure claiming sector i.
-	owner := make([]string, total)
-
-	claim := func(name string, lba, n int) {
+	// owner[i] is the claimant of sector i, as an index into claimants
+	// plus one; names are formatted only when a problem is reported.
+	owner := make([]uint32, total)
+	var claimants []claimant
+	enrol := func(c claimant) uint32 {
+		claimants = append(claimants, c)
+		return uint32(len(claimants))
+	}
+	claim := func(id uint32, lba, n int) {
 		if lba < 0 || n < 0 || lba+n > total {
 			problems = append(problems, Problem{Kind: "range",
-				Detail: fmt.Sprintf("%s claims sectors [%d,%d) outside the disk", name, lba, lba+n)})
+				Detail: fmt.Sprintf("%s claims sectors [%d,%d) outside the disk", claimants[id-1], lba, lba+n)})
 			return
 		}
 		for i := lba; i < lba+n; i++ {
-			if owner[i] != "" {
+			if owner[i] != 0 {
 				problems = append(problems, Problem{Kind: "overlap",
-					Detail: fmt.Sprintf("sector %d claimed by both %s and %s", i, owner[i], name)})
+					Detail: fmt.Sprintf("sector %d claimed by both %s and %s", i, claimants[owner[i]-1], claimants[id-1])})
 				return
 			}
-			owner[i] = name
+			owner[i] = id
 			if !fs.a.InUse(i) {
 				problems = append(problems, Problem{Kind: "unallocated",
-					Detail: fmt.Sprintf("%s uses sector %d but the allocator marks it free", name, i)})
+					Detail: fmt.Sprintf("%s uses sector %d but the allocator marks it free", claimants[id-1], i)})
 				return
 			}
 		}
 	}
 
 	// Metadata region.
-	claim("superblock", 0, 1)
-	claim("bitmap", fs.bitmapLBA, fs.bitmapSectors)
+	claim(enrol(claimant{kind: "superblock"}), 0, 1)
+	claim(enrol(claimant{kind: "bitmap"}), fs.bitmapLBA, fs.bitmapSectors)
 	if fs.strandTab.Sectors > 0 {
-		claim("strand-table", fs.strandTab.LBA, fs.strandTab.Sectors)
+		claim(enrol(claimant{kind: "strand-table"}), fs.strandTab.LBA, fs.strandTab.Sectors)
 	}
 	if fs.ropeTab.Sectors > 0 {
-		claim("rope-table", fs.ropeTab.LBA, fs.ropeTab.Sectors)
+		claim(enrol(claimant{kind: "rope-table"}), fs.ropeTab.LBA, fs.ropeTab.Sectors)
 	}
 	if fs.textTab.Sectors > 0 {
-		claim("text-table", fs.textTab.LBA, fs.textTab.Sectors)
+		claim(enrol(claimant{kind: "text-table"}), fs.textTab.LBA, fs.textTab.Sectors)
 	}
 
 	// Strands: media blocks and index blocks.
 	for _, id := range fs.strands.IDs() {
 		s := fs.strands.MustGet(id)
+		media, index := enrol(claimant{kind: "media", strand: id}), enrol(claimant{kind: "index", strand: id})
 		for _, run := range s.MediaRuns() {
-			claim(fmt.Sprintf("strand-%d-media", id), run.LBA, run.Sectors)
+			claim(media, run.LBA, run.Sectors)
 		}
 		for _, run := range s.MetaRuns() {
-			claim(fmt.Sprintf("strand-%d-index", id), run.LBA, run.Sectors)
+			claim(index, run.LBA, run.Sectors)
 		}
 	}
 
 	// Text files.
 	for _, name := range fs.text.List() {
+		file := enrol(claimant{kind: "text", file: name})
 		for _, run := range fs.text.Extents(name) {
-			claim(fmt.Sprintf("text-%q", name), run.LBA, run.Sectors)
+			claim(file, run.LBA, run.Sectors)
 		}
 	}
 
@@ -122,7 +149,7 @@ func (fs *FS) Check() []Problem {
 	// Leak detection: allocated sectors nothing claims.
 	leaked := 0
 	for i := 0; i < total; i++ {
-		if fs.a.InUse(i) && owner[i] == "" {
+		if fs.a.InUse(i) && owner[i] == 0 {
 			leaked++
 		}
 	}

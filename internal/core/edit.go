@@ -34,6 +34,10 @@ func (er EditResult) CopiedBlocks() int {
 func (fs *FS) finishEdit(r *rope.Rope) (EditResult, error) {
 	var res EditResult
 	reports, err := fs.editor.SmoothRope(r)
+	for _, j := range reports { // those smoothed before a failure included
+		fs.copiedBlocks.Add(uint64(j.Copied))
+		fs.copiedBytes.Add(uint64(j.CopiedBytes))
+	}
 	if err != nil {
 		return res, err
 	}

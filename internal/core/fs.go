@@ -176,6 +176,12 @@ type FS struct {
 	// counters continue across experiment trials).
 	obsReg  *obs.Registry
 	obsRing *obs.TraceRing
+	// The write path's series: each Sync's host time and the metadata
+	// bytes it rewrote, and what scattering maintenance copied.
+	syncSeconds  *obs.Histogram
+	syncBytes    *obs.Counter
+	copiedBlocks *obs.Counter
+	copiedBytes  *obs.Counter
 
 	// metadata region bookkeeping
 	bitmapLBA     int
@@ -192,6 +198,9 @@ type FS struct {
 	// unitBuf is VisitUnits' scratch: where a unit the device cannot
 	// lend (or a silence fill) is assembled for the visitor.
 	unitBuf []byte
+	// meta is Sync's scratch: each table, the bitmap and the superblock
+	// are encoded into it in turn and written out before the next.
+	meta []byte
 }
 
 // NewStore is the one place Options become a device: Disks identical
@@ -286,6 +295,10 @@ func build(opts Options, d disk.Device, fd *fault.Disk, a *alloc.Allocator) *FS 
 	}
 	fs.obsReg = obs.NewRegistry()
 	fs.obsRing = obs.NewTraceRing(obs.DefaultTraceRounds)
+	fs.syncSeconds = fs.obsReg.Histogram("mmfs_sync_seconds", syncBuckets)
+	fs.syncBytes = fs.obsReg.Counter("mmfs_sync_bytes_total")
+	fs.copiedBlocks = fs.obsReg.Counter("mmfs_edit_copied_blocks_total")
+	fs.copiedBytes = fs.obsReg.Counter("mmfs_edit_copied_bytes_total")
 	if opts.CacheMB > 0 {
 		fs.cache = cache.New(int64(opts.CacheMB) << 20)
 		fs.cache.SetObs(fs.obsReg)
@@ -393,9 +406,14 @@ func Open(d disk.Device, opts Options) (*FS, error) {
 	return fs, nil
 }
 
-// Sync persists the metadata: strand table, rope table, allocator
-// bitmap, and superblock.
+// syncBuckets are mmfs_sync_seconds' bounds: a Sync is untimed
+// metadata work, tens of microseconds to a few milliseconds of host time.
+var syncBuckets = []float64{25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3}
+
+// Sync persists the metadata: strand table, rope table, text table,
+// allocator bitmap, and superblock.
 func (fs *FS) Sync() error {
+	defer obs.StartTimer().ObserveInto(fs.syncSeconds)
 	g := fs.d.Geometry()
 	// Release prior table runs, then write fresh ones.
 	if fs.strandTab.Sectors > 0 {
@@ -410,55 +428,56 @@ func (fs *FS) Sync() error {
 		fs.a.Free(fs.textTab)
 		fs.textTab = alloc.Run{}
 	}
-	write := func(data []byte) (alloc.Run, error) {
-		n := (len(data) + g.SectorSize - 1) / g.SectorSize
+	// Each table is encoded into the one scratch buffer, placed and
+	// written before the next reuses it. The order — strand, rope and text
+	// tables, then the bitmap, then the superblock — is part of the format:
+	// first-fit placement of each table depends on the ones before it.
+	put := func(lba int) error {
+		fs.syncBytes.Add(uint64(len(fs.meta)))
+		return fs.d.WriteAt(lba, fs.meta)
+	}
+	place := func() (alloc.Run, int, error) {
+		n := (len(fs.meta) + g.SectorSize - 1) / g.SectorSize
 		if n == 0 {
 			n = 1
 		}
 		run, err := fs.a.Allocate(n)
 		if err != nil {
-			return alloc.Run{}, err
+			return alloc.Run{}, 0, err
 		}
-		return run, fs.d.WriteAt(run.LBA, data)
+		return run, len(fs.meta), put(run.LBA)
 	}
-	st := fs.strands.Marshal()
-	run, err := write(st)
-	if err != nil {
+	var err error
+	fs.meta = fs.strands.Marshal(fs.meta[:0])
+	if fs.strandTab, fs.strandTabLen, err = place(); err != nil {
 		return err
 	}
-	fs.strandTab, fs.strandTabLen = run, len(st)
-	rt := fs.ropes.Marshal()
-	if run, err = write(rt); err != nil {
+	fs.meta = fs.ropes.Marshal(fs.meta[:0])
+	if fs.ropeTab, fs.ropeTabLen, err = place(); err != nil {
 		return err
 	}
-	fs.ropeTab, fs.ropeTabLen = run, len(rt)
-	tt := fs.text.Marshal()
-	if run, err = write(tt); err != nil {
+	fs.meta = fs.text.Marshal(fs.meta[:0])
+	if fs.textTab, fs.textTabLen, err = place(); err != nil {
 		return err
 	}
-	fs.textTab, fs.textTabLen = run, len(tt)
 
 	// Bitmap last: it must reflect the table allocations above.
-	if err := fs.d.WriteAt(fs.bitmapLBA, fs.a.MarshalBitmap()); err != nil {
+	fs.meta = fs.a.MarshalBitmap(fs.meta[:0])
+	if err := put(fs.bitmapLBA); err != nil {
 		return err
 	}
-	sb := make([]byte, g.SectorSize)
-	put32 := func(off int, v int) { binary.LittleEndian.PutUint32(sb[off:], uint32(v)) }
-	put32(0, int(superMagic))
-	put32(4, superVersion)
-	put32(8, fs.bitmapLBA)
-	put32(12, fs.bitmapSectors)
-	put32(16, fs.strandTab.LBA)
-	put32(20, fs.strandTab.Sectors)
-	put32(24, fs.strandTabLen)
-	put32(28, fs.ropeTab.LBA)
-	put32(32, fs.ropeTab.Sectors)
-	put32(36, fs.ropeTabLen)
-	put32(40, fs.nextStart)
-	put32(44, fs.textTab.LBA)
-	put32(48, fs.textTab.Sectors)
-	put32(52, fs.textTabLen)
-	return fs.d.WriteAt(superLBA, sb)
+	// The superblock's fields; WriteAt zero-fills the rest of its sector.
+	fs.meta = fs.meta[:0]
+	for _, v := range [...]int{
+		superMagic, superVersion, fs.bitmapLBA, fs.bitmapSectors,
+		fs.strandTab.LBA, fs.strandTab.Sectors, fs.strandTabLen,
+		fs.ropeTab.LBA, fs.ropeTab.Sectors, fs.ropeTabLen,
+		fs.nextStart,
+		fs.textTab.LBA, fs.textTab.Sectors, fs.textTabLen,
+	} {
+		fs.meta = binary.LittleEndian.AppendUint32(fs.meta, uint32(v))
+	}
+	return put(superLBA)
 }
 
 // Text exposes the integrated conventional text-file store, which

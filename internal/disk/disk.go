@@ -283,21 +283,19 @@ func (d *Disk) ReadAtInto(lba, n int, dst []byte) error {
 	return nil
 }
 
-// WriteAt stores data (padded to whole sectors with zeros) at lba
-// without charging time. Use Write for the timed path.
+// WriteAt stores data at lba without charging time, padding the last
+// sector with zeros. Use Write for the timed path. Each span is copied
+// once, straight into its cylinder page, and the sector tail is cleared
+// there: a media block is rarely a whole number of sectors (54 000 bytes
+// is 26.4 of them), so the padding must not cost a buffer. data may be a
+// view lent from another, disjoint run of the same device.
 func (d *Disk) WriteAt(lba int, data []byte) error {
-	n := (len(data) + d.geom.SectorSize - 1) / d.geom.SectorSize
+	ss := d.geom.SectorSize
+	n := (len(data) + ss - 1) / ss
 	if err := d.checkRange(lba, n); err != nil {
 		return err
 	}
-	ss := d.geom.SectorSize
 	spc := d.geom.SectorsPerCylinder()
-	padded := data
-	if len(data) != n*ss {
-		//lint:ignore allocpath padding happens only for partial-sector writes; block flushes are sector-aligned
-		padded = make([]byte, n*ss)
-		copy(padded, data)
-	}
 	for done := 0; done < n; {
 		cur := lba + done
 		cyl := cur / spc
@@ -306,8 +304,8 @@ func (d *Disk) WriteAt(lba int, data []byte) error {
 		if span > n-done {
 			span = n - done
 		}
-		p := d.page(cyl, true)
-		copy(p[inCyl*ss:(inCyl+span)*ss], padded[done*ss:(done+span)*ss])
+		dst := d.page(cyl, true)[inCyl*ss : (inCyl+span)*ss]
+		clear(dst[copy(dst, data[done*ss:]):])
 		done += span
 	}
 	return nil

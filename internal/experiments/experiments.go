@@ -121,23 +121,23 @@ func All() []Result {
 // of cmd/mmexperiments).
 func ByID(id string) (func() Result, bool) {
 	m := map[string]func() Result{
-		"f4":     F4,
-		"e1":     E1Sequential,
-		"e2":     E2Pipelined,
-		"e3":     E3Concurrent,
-		"e46":    E46MixedMedia,
-		"nmax":   NMax,
-		"trans":  Transition,
-		"edit":   EditCopy,
-		"ra":     ReadAhead,
-		"sil":    Silence,
-		"hdtv":   HDTV,
-		"ff":     FastForward,
-		"vbr":    VBR,
-		"scan":   Scan,
-		"reorg":  Reorg,
-		"ic":     IntervalCache,
-		"ft":     FaultTolerance,
+		"f4":      F4,
+		"e1":      E1Sequential,
+		"e2":      E2Pipelined,
+		"e3":      E3Concurrent,
+		"e46":     E46MixedMedia,
+		"nmax":    NMax,
+		"trans":   Transition,
+		"edit":    EditCopy,
+		"ra":      ReadAhead,
+		"sil":     Silence,
+		"hdtv":    HDTV,
+		"ff":      FastForward,
+		"vbr":     VBR,
+		"scan":    Scan,
+		"reorg":   Reorg,
+		"ic":      IntervalCache,
+		"ft":      FaultTolerance,
 		"stripe":  Stripe,
 		"qos":     QoS,
 		"rebuild": Rebuild,

@@ -102,14 +102,9 @@ func NewCollector(st *strand.Store, in *Interests) *Collector {
 func (c *Collector) Interests() *Interests { return c.interests }
 
 // Collect removes every strand in the store with zero interests,
-// returning the reclaimed strand IDs.
+// returning the reclaimed strand IDs in ascending order.
 func (c *Collector) Collect() ([]strand.ID, error) {
-	var victims []strand.ID
-	for _, id := range c.store.IDs() {
-		if c.interests.Count(id) == 0 {
-			victims = append(victims, id)
-		}
-	}
+	victims := c.store.IDsWhere(func(id strand.ID) bool { return c.interests.Count(id) == 0 })
 	for _, id := range victims {
 		if err := c.store.Remove(id); err != nil {
 			return nil, fmt.Errorf("gc: %w", err)

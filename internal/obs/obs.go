@@ -23,6 +23,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // LatencyBuckets are the default histogram bounds, in seconds, for
@@ -96,6 +97,19 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
+
+// Timer measures host (wall-clock) time for a histogram: the cost of
+// work the virtual clock does not charge, such as a metadata Sync. It
+// is how simulation-driven packages, which must stay off the wall clock
+// (see the simclock analyzer), report real elapsed time — the reading
+// goes into a histogram and nowhere else.
+type Timer struct{ start time.Time }
+
+// StartTimer starts a timer.
+func StartTimer() Timer { return Timer{start: time.Now()} }
+
+// ObserveInto records the seconds since the timer started.
+func (t Timer) ObserveInto(h *Histogram) { h.Observe(time.Since(t.start).Seconds()) }
 
 // Uppers returns the configured bucket upper bounds.
 func (h *Histogram) Uppers() []float64 { return append([]float64(nil), h.uppers...) }

@@ -1,212 +1,148 @@
 package rope
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"time"
 
 	"mmfs/internal/strand"
+	"mmfs/internal/wire"
 )
 
 // This file persists the rope registry: a compact little-endian binary
 // encoding of every rope's Figure 8 structure, written into the file
-// system's metadata region at sync time.
+// system's metadata region at sync time. Fields are appended with
+// binary.LittleEndian.Append* and read back in place through the wire
+// codec's cursor (the same fixed-width fields and length-prefixed
+// strings); nothing on either side reflects.
 
 const ropeTableMagic = 0x4d4d5254 // "MMRT"
 
-func putString(w *bytes.Buffer, s string) {
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(s)))
-	w.Write(n[:])
-	w.WriteString(s)
+// Smallest encodings of a rope, an interval, a correspondence entry and
+// a trigger: what a count read from the table is checked against before
+// it sizes an allocation.
+const (
+	minRopeBytes     = 8 + 4 + 4 + 4 + 4
+	minIntervalBytes = 16 + 16 + 8 + 4 + 4
+	corrBytes        = 4 + 4
+	minTriggerBytes  = 4 + 4 + 4
+)
+
+var le = binary.LittleEndian
+
+func appendString(b []byte, s string) []byte {
+	return append(le.AppendUint32(b, uint32(len(s))), s...)
 }
 
-func getString(r *bytes.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	if int(n) > r.Len() {
-		return "", fmt.Errorf("rope: string length %d beyond buffer", n)
-	}
-	buf := make([]byte, n)
-	if _, err := r.Read(buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func putStrings(w *bytes.Buffer, list []string) {
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(list)))
-	w.Write(n[:])
+func appendStrings(b []byte, list []string) []byte {
+	b = le.AppendUint32(b, uint32(len(list)))
 	for _, s := range list {
-		putString(w, s)
+		b = appendString(b, s)
 	}
+	return b
 }
 
-func getStrings(r *bytes.Reader) ([]string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
+func getStrings(d *wire.Decoder) []string {
+	out := make([]string, d.Count(4))
+	for i := range out {
+		out[i] = d.Str()
 	}
-	out := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		s, err := getString(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
+	return out
 }
 
-func putRef(w *bytes.Buffer, ref *ComponentRef) {
+func appendRef(b []byte, ref *ComponentRef) []byte {
 	if ref == nil {
-		binary.Write(w, binary.LittleEndian, uint64(strand.Nil))
-		binary.Write(w, binary.LittleEndian, uint64(0))
-		return
+		return le.AppendUint64(le.AppendUint64(b, uint64(strand.Nil)), 0)
 	}
-	binary.Write(w, binary.LittleEndian, uint64(ref.Strand))
-	binary.Write(w, binary.LittleEndian, ref.StartUnit)
+	return le.AppendUint64(le.AppendUint64(b, uint64(ref.Strand)), ref.StartUnit)
 }
 
-func getRef(r *bytes.Reader) (*ComponentRef, error) {
-	var sid, start uint64
-	if err := binary.Read(r, binary.LittleEndian, &sid); err != nil {
-		return nil, err
+func getRef(d *wire.Decoder) *ComponentRef {
+	sid, start := strand.ID(d.U64()), d.U64()
+	if sid == strand.Nil {
+		return nil
 	}
-	if err := binary.Read(r, binary.LittleEndian, &start); err != nil {
-		return nil, err
-	}
-	if strand.ID(sid) == strand.Nil {
-		return nil, nil
-	}
-	return &ComponentRef{Strand: strand.ID(sid), StartUnit: start}, nil
+	return &ComponentRef{Strand: sid, StartUnit: start}
 }
 
-// Marshal serializes the whole rope registry.
-func (s *Store) Marshal() []byte {
-	var w bytes.Buffer
-	binary.Write(&w, binary.LittleEndian, uint32(ropeTableMagic))
-	binary.Write(&w, binary.LittleEndian, uint64(s.nextID))
-	binary.Write(&w, binary.LittleEndian, uint32(len(s.ropes)))
+// Marshal appends the serialized rope registry to dst and returns the
+// extended slice; Sync passes its metadata scratch buffer.
+func (s *Store) Marshal(dst []byte) []byte {
+	b := le.AppendUint32(dst, ropeTableMagic)
+	b = le.AppendUint64(b, uint64(s.nextID))
+	b = le.AppendUint32(b, uint32(len(s.ropes)))
 	for _, id := range s.IDs() {
 		r := s.ropes[id]
-		binary.Write(&w, binary.LittleEndian, uint64(r.ID))
-		putString(&w, r.Creator)
-		putStrings(&w, r.PlayAccess)
-		putStrings(&w, r.EditAccess)
-		binary.Write(&w, binary.LittleEndian, uint32(len(r.Intervals)))
-		for _, iv := range r.Intervals {
-			putRef(&w, iv.Video)
-			putRef(&w, iv.Audio)
-			binary.Write(&w, binary.LittleEndian, int64(iv.Duration))
-			binary.Write(&w, binary.LittleEndian, uint32(len(iv.Corr)))
+		b = le.AppendUint64(b, uint64(r.ID))
+		b = appendString(b, r.Creator)
+		b = appendStrings(b, r.PlayAccess)
+		b = appendStrings(b, r.EditAccess)
+		b = le.AppendUint32(b, uint32(len(r.Intervals)))
+		for i := range r.Intervals {
+			iv := &r.Intervals[i]
+			b = appendRef(b, iv.Video)
+			b = appendRef(b, iv.Audio)
+			b = le.AppendUint64(b, uint64(iv.Duration))
+			b = le.AppendUint32(b, uint32(len(iv.Corr)))
 			for _, c := range iv.Corr {
-				binary.Write(&w, binary.LittleEndian, c.AudioBlock)
-				binary.Write(&w, binary.LittleEndian, c.VideoBlock)
+				b = le.AppendUint32(b, c.AudioBlock)
+				b = le.AppendUint32(b, c.VideoBlock)
 			}
-			binary.Write(&w, binary.LittleEndian, uint32(len(iv.Triggers)))
+			b = le.AppendUint32(b, uint32(len(iv.Triggers)))
 			for _, t := range iv.Triggers {
-				binary.Write(&w, binary.LittleEndian, t.VideoBlock)
-				binary.Write(&w, binary.LittleEndian, t.AudioBlock)
-				putString(&w, t.Text)
+				b = le.AppendUint32(b, t.VideoBlock)
+				b = le.AppendUint32(b, t.AudioBlock)
+				b = appendString(b, t.Text)
 			}
 		}
 	}
-	return w.Bytes()
+	return b
 }
 
 // Unmarshal restores the rope registry and rebuilds the interests
 // table.
 func (s *Store) Unmarshal(data []byte) error {
-	r := bytes.NewReader(data)
-	var magic uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return err
-	}
-	if magic != ropeTableMagic {
+	d := wire.NewDecoder(data)
+	if magic := d.U32(); d.Err() == nil && magic != ropeTableMagic {
 		return fmt.Errorf("rope: bad table magic %#x", magic)
 	}
-	var next uint64
-	if err := binary.Read(r, binary.LittleEndian, &next); err != nil {
-		return err
+	next := d.U64()
+	count := d.Count(minRopeBytes)
+	if d.Err() == nil {
+		s.ropes = make(map[ID]*Rope, count)
+		s.lastStrands = make(map[ID][]strand.ID, count)
+		s.nextID = ID(next)
 	}
-	var count uint32
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return err
-	}
-	s.ropes = make(map[ID]*Rope, count)
-	s.lastStrands = make(map[ID][]strand.ID, count)
-	s.nextID = ID(next)
-	for i := uint32(0); i < count; i++ {
-		var id uint64
-		if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
-			return err
-		}
-		rp := &Rope{ID: ID(id)}
-		var err error
-		if rp.Creator, err = getString(r); err != nil {
-			return err
-		}
-		if rp.PlayAccess, err = getStrings(r); err != nil {
-			return err
-		}
-		if rp.EditAccess, err = getStrings(r); err != nil {
-			return err
-		}
-		var nIv uint32
-		if err := binary.Read(r, binary.LittleEndian, &nIv); err != nil {
-			return err
-		}
-		rp.Intervals = make([]Interval, nIv)
-		for j := uint32(0); j < nIv; j++ {
+	for i := 0; i < count; i++ {
+		rp := &Rope{ID: ID(d.U64()), Creator: d.Str()}
+		rp.PlayAccess = getStrings(d)
+		rp.EditAccess = getStrings(d)
+		rp.Intervals = make([]Interval, d.Count(minIntervalBytes))
+		for j := range rp.Intervals {
 			iv := &rp.Intervals[j]
-			if iv.Video, err = getRef(r); err != nil {
-				return err
-			}
-			if iv.Audio, err = getRef(r); err != nil {
-				return err
-			}
-			var dur int64
-			if err := binary.Read(r, binary.LittleEndian, &dur); err != nil {
-				return err
-			}
-			iv.Duration = time.Duration(dur)
-			var nc uint32
-			if err := binary.Read(r, binary.LittleEndian, &nc); err != nil {
-				return err
-			}
-			iv.Corr = make([]Correspondence, nc)
+			iv.Video = getRef(d)
+			iv.Audio = getRef(d)
+			iv.Duration = time.Duration(d.I64())
+			iv.Corr = make([]Correspondence, d.Count(corrBytes))
 			for k := range iv.Corr {
-				if err := binary.Read(r, binary.LittleEndian, &iv.Corr[k].AudioBlock); err != nil {
-					return err
-				}
-				if err := binary.Read(r, binary.LittleEndian, &iv.Corr[k].VideoBlock); err != nil {
-					return err
-				}
+				iv.Corr[k].AudioBlock = d.U32()
+				iv.Corr[k].VideoBlock = d.U32()
 			}
-			var nt uint32
-			if err := binary.Read(r, binary.LittleEndian, &nt); err != nil {
-				return err
-			}
-			iv.Triggers = make([]Trigger, nt)
+			iv.Triggers = make([]Trigger, d.Count(minTriggerBytes))
 			for k := range iv.Triggers {
-				if err := binary.Read(r, binary.LittleEndian, &iv.Triggers[k].VideoBlock); err != nil {
-					return err
-				}
-				if err := binary.Read(r, binary.LittleEndian, &iv.Triggers[k].AudioBlock); err != nil {
-					return err
-				}
-				if iv.Triggers[k].Text, err = getString(r); err != nil {
-					return err
-				}
+				iv.Triggers[k].VideoBlock = d.U32()
+				iv.Triggers[k].AudioBlock = d.U32()
+				iv.Triggers[k].Text = d.Str()
 			}
+		}
+		if d.Err() != nil {
+			break
 		}
 		s.ropes[rp.ID] = rp
 		s.SyncInterests(rp)
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("rope: table: %w", err)
 	}
 	return nil
 }

@@ -24,7 +24,7 @@ func TestRopeTableMarshalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data := r.rs.Marshal()
+	data := r.rs.Marshal(nil)
 	rs2 := NewStore(r.ss, r.in)
 	if err := rs2.Unmarshal(data); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if err := r.rs.Unmarshal([]byte{1, 2, 3}); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	data := r.rs.Marshal()
+	data := r.rs.Marshal(nil)
 	data[0] ^= 0xff
 	if err := r.rs.Unmarshal(data); err == nil {
 		t.Fatal("bad magic accepted")

@@ -10,6 +10,7 @@ package rope
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mmfs/internal/strand"
@@ -171,22 +172,19 @@ func (r *Rope) allowed(user string, list []string) bool {
 	return false
 }
 
-// Strands lists the distinct strand IDs the rope references.
+// Strands lists the distinct strand IDs the rope references, ascending.
 func (r *Rope) Strands() []strand.ID {
-	seen := make(map[strand.ID]bool)
-	var out []strand.ID
-	add := func(ref *ComponentRef) {
-		if ref == nil || ref.Strand == strand.Nil || seen[ref.Strand] {
-			return
-		}
-		seen[ref.Strand] = true
-		out = append(out, ref.Strand)
-	}
+	out := make([]strand.ID, 0, 2*len(r.Intervals))
 	for i := range r.Intervals {
-		add(r.Intervals[i].Video)
-		add(r.Intervals[i].Audio)
+		if v := r.Intervals[i].Video; v != nil && v.Strand != strand.Nil {
+			out = append(out, v.Strand)
+		}
+		if a := r.Intervals[i].Audio; a != nil && a.Strand != strand.Nil {
+			out = append(out, a.Strand)
+		}
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // clone deep-copies the rope's interval list into a new rope shell.

@@ -29,6 +29,9 @@ type Editor struct {
 	// DenseThreshold is the disk occupancy above which the dense
 	// copy bound (Eq. 20) is reported instead of the sparse one.
 	DenseThreshold float64
+	// scratch is where a source block the device cannot lend is
+	// assembled for the copy (strand.Reader.BlockView).
+	scratch []byte
 }
 
 // NewEditor creates an editor with the given placement policy.
@@ -45,8 +48,10 @@ type JunctionReport struct {
 	// DistCylinders is the junction's pre-smoothing cylinder
 	// distance.
 	DistCylinders int
-	// Copied is the number of non-silent blocks copied.
-	Copied int
+	// Copied is the number of non-silent blocks copied, CopiedBytes
+	// their payload.
+	Copied      int
+	CopiedBytes int
 	// NewStrand is the fresh strand holding the copies (Nil when no
 	// copying was needed).
 	NewStrand strand.ID
@@ -77,8 +82,10 @@ func (e *Editor) Bounds() (sparse, dense int, err error) {
 // SmoothRope walks every junction of every medium in the rope and
 // smooths those whose hop exceeds the placement bound. It returns a
 // report per smoothed junction. The rope's interval list is patched in
-// place; interests are re-synced.
+// place; interests are reconciled with it once, on every exit — a
+// junction that fails leaves the ones before it patched.
 func (e *Editor) SmoothRope(r *Rope) ([]JunctionReport, error) {
+	defer e.ropes.SyncInterests(r)
 	var reports []JunctionReport
 	for _, m := range []Medium{VideoOnly, AudioOnly} {
 		// Junction indices shift as smoothing splits intervals, so
@@ -93,7 +100,6 @@ func (e *Editor) SmoothRope(r *Rope) ([]JunctionReport, error) {
 			}
 		}
 	}
-	e.ropes.SyncInterests(r)
 	return reports, nil
 }
 
@@ -235,15 +241,26 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 		}
 	}
 
-	// Place the copies evenly between cylA and the anchor.
+	// Place the copies evenly between cylA and the anchor. Each source
+	// block is lent by the device and written once, to a run allocated
+	// after the view was taken (so the two cannot overlap). A failure
+	// part-way returns the runs already placed to the allocator.
 	newID := e.ropes.strands.NewID()
 	var entries []layout.PrimaryEntry
-	nsIdx := 0
+	fail := func(err error) (JunctionReport, bool, error) {
+		for _, en := range entries {
+			if !en.Silent() {
+				e.a.Free(alloc.Run{LBA: int(en.Sector), Sectors: int(en.SectorCount)})
+			}
+		}
+		return JunctionReport{}, false, err
+	}
+	nsIdx, copiedBytes := 0, 0
 	rd := strand.NewReader(e.d, ns)
 	for b := 0; b < c; b++ {
-		payload, silent, err := rd.BlockPayload(rawFirst + b)
+		payload, silent, err := rd.BlockView(rawFirst+b, &e.scratch)
 		if err != nil {
-			return JunctionReport{}, false, err
+			return fail(err)
 		}
 		if silent {
 			entries = append(entries, layout.SilenceEntry())
@@ -263,12 +280,13 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 		}
 		run, err := e.a.AllocateNearCylinder(clampCyl(target, g.Cylinders), blockSectors)
 		if err != nil {
-			return JunctionReport{}, false, fmt.Errorf("rope %d: smoothing: %w", r.ID, err)
+			return fail(fmt.Errorf("rope %d: smoothing: %w", r.ID, err))
 		}
 		if err := e.d.WriteAt(run.LBA, payload); err != nil {
 			e.a.Free(run)
-			return JunctionReport{}, false, err
+			return fail(err)
 		}
+		copiedBytes += len(payload)
 		entries = append(entries, layout.PrimaryEntry{Sector: uint32(run.LBA), SectorCount: uint32(run.Sectors)})
 	}
 
@@ -286,7 +304,7 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 		Variable:    ns.Variable(),
 	}, entries)
 	if err != nil {
-		return JunctionReport{}, false, err
+		return fail(fmt.Errorf("rope %d: smoothing: %w", r.ID, err))
 	}
 
 	// Patch the interval list: the covered prefix of interval i+1 now
@@ -306,7 +324,6 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 		a.setComponent(m, &ComponentRef{Strand: copyStrand.ID(), StartUnit: offset})
 		r.Intervals = append(r.Intervals[:i+1], append([]Interval{a, b}, r.Intervals[i+2:]...)...)
 	}
-	e.ropes.SyncInterests(r)
 
 	sparse, dense, err := e.Bounds()
 	if err != nil {
@@ -317,6 +334,7 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 		Interval:      i + 1,
 		DistCylinders: dist,
 		Copied:        copiedNS,
+		CopiedBytes:   copiedBytes,
 		NewStrand:     copyStrand.ID(),
 		BoundSparse:   sparse,
 		BoundDense:    dense,

@@ -3,7 +3,7 @@ package rope
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"mmfs/internal/gc"
@@ -64,7 +64,7 @@ func (s *Store) IDs() []ID {
 	for id := range s.ropes {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -84,18 +84,22 @@ func (s *Store) Remove(id ID) error {
 }
 
 // SyncInterests reconciles the interests table with the rope's current
-// strand references. Every operation that changes an interval list
-// must call it.
+// strand references: one merge of the rope's sorted strand set against
+// the set it held at the last sync registers what is new and releases
+// what is gone. Every operation that changes an interval list must call
+// it before the next collection.
 func (s *Store) SyncInterests(r *Rope) {
-	cur := r.Strands()
-	curSet := make(map[strand.ID]bool, len(cur))
-	for _, sid := range cur {
-		curSet[sid] = true
-		s.interests.Register(uint64(r.ID), sid)
-	}
-	for _, sid := range s.lastStrands[r.ID] {
-		if !curSet[sid] {
-			s.interests.Release(uint64(r.ID), sid)
+	cur, last := r.Strands(), s.lastStrands[r.ID]
+	for i, j := 0, 0; i < len(cur) || j < len(last); {
+		switch {
+		case j == len(last) || (i < len(cur) && cur[i] < last[j]):
+			s.interests.Register(uint64(r.ID), cur[i])
+			i++
+		case i == len(cur) || last[j] < cur[i]:
+			s.interests.Release(uint64(r.ID), last[j])
+			j++
+		default:
+			i, j = i+1, j+1
 		}
 	}
 	s.lastStrands[r.ID] = cur

@@ -84,7 +84,7 @@ func TestTriggerMarshalRoundTrip(t *testing.T) {
 	if err := r.rs.AddTrigger(rp, 500*time.Millisecond, "persisted"); err != nil {
 		t.Fatal(err)
 	}
-	data := r.rs.Marshal()
+	data := r.rs.Marshal(nil)
 	rs2 := NewStore(r.ss, r.in)
 	if err := rs2.Unmarshal(data); err != nil {
 		t.Fatal(err)

@@ -236,8 +236,9 @@ func variableUnitAt(raw []byte, o int, id ID, u uint64) (unit []byte, next int, 
 	return raw[o : o+n : o+n], o + n, nil
 }
 
-// BlockPayload fetches the full payload of block i untimed; rope
-// editing uses it when copying blocks to fresh locations.
+// BlockPayload fetches the full payload of block i untimed, in a buffer
+// the caller owns: reorganization stages every payload of a strand and
+// then frees the source, so it cannot work from views.
 func (r *Reader) BlockPayload(i int) ([]byte, bool, error) {
 	e, err := r.s.Block(i)
 	if err != nil {
@@ -247,6 +248,31 @@ func (r *Reader) BlockPayload(i int) ([]byte, bool, error) {
 		return nil, true, nil
 	}
 	raw, err := r.d.ReadAt(int(e.Sector), int(e.SectorCount))
+	if err != nil {
+		return nil, false, err
+	}
+	return raw, false, nil
+}
+
+// BlockView is BlockPayload's lending twin, for a caller that consumes
+// the block at once (the editor's smoothing copy): the payload aliases
+// the device's own store or, when the block cannot be lent, *buf — grown
+// via the alloc scratch arena. It is read-only, has cap == len, and is
+// valid until the next call with the same buf or the next write to the
+// device that overlaps the block's run; it may therefore be handed to
+// WriteAt only for a run allocated after the view was taken, which
+// cannot overlap a block that is still allocated.
+func (r *Reader) BlockView(i int, buf *[]byte) ([]byte, bool, error) {
+	e, err := r.s.Block(i)
+	if err != nil {
+		return nil, false, err
+	}
+	if e.Silent() {
+		return nil, true, nil
+	}
+	n := int(e.SectorCount)
+	*buf = alloc.Grow(*buf, n*r.d.Geometry().SectorSize)
+	raw, err := r.d.ViewAt(int(e.Sector), n, *buf)
 	if err != nil {
 		return nil, false, err
 	}

@@ -3,7 +3,7 @@ package strand
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mmfs/internal/alloc"
 	"mmfs/internal/disk"
@@ -70,7 +70,21 @@ func (st *Store) IDs() []ID {
 	for id := range st.strands {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
+	return out
+}
+
+// IDsWhere lists, ascending, the registered strand IDs keep accepts. The
+// garbage collector picks its victims through it: only they are sorted,
+// not the whole registry.
+func (st *Store) IDsWhere(keep func(ID) bool) []ID {
+	var out []ID
+	for id := range st.strands {
+		if keep(id) {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
 	return out
 }
 
@@ -95,22 +109,22 @@ func (st *Store) Remove(id ID) error {
 // tableEntrySize is the marshaled size of one strand-table entry.
 const tableEntrySize = 8 + 4 + 4
 
-// Marshal serializes the registry table (ID, header location) plus the
-// next-ID watermark.
-func (st *Store) Marshal() []byte {
+// Marshal appends the registry table (ID, header location) plus the
+// next-ID watermark to dst and returns the extended slice; Sync passes
+// its metadata scratch buffer.
+func (st *Store) Marshal(dst []byte) []byte {
+	le := binary.LittleEndian
 	ids := st.IDs()
-	buf := make([]byte, 8+4+len(ids)*tableEntrySize)
-	binary.LittleEndian.PutUint64(buf, uint64(st.nextID))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(ids)))
-	o := 12
+	b := slices.Grow(dst, 8+4+len(ids)*tableEntrySize)
+	b = le.AppendUint64(b, uint64(st.nextID))
+	b = le.AppendUint32(b, uint32(len(ids)))
 	for _, id := range ids {
 		s := st.strands[id]
-		binary.LittleEndian.PutUint64(buf[o:], uint64(id))
-		binary.LittleEndian.PutUint32(buf[o+8:], s.ix.HeaderRun.Sector)
-		binary.LittleEndian.PutUint32(buf[o+12:], s.ix.HeaderRun.SectorCount)
-		o += tableEntrySize
+		b = le.AppendUint64(b, uint64(id))
+		b = le.AppendUint32(b, s.ix.HeaderRun.Sector)
+		b = le.AppendUint32(b, s.ix.HeaderRun.SectorCount)
 	}
-	return buf
+	return b
 }
 
 // Unmarshal restores the registry by loading each strand's index from
@@ -174,14 +188,21 @@ func (st *Store) BuildFromEntries(meta BuildMeta, entries []layout.PrimaryEntry)
 		Granularity: uint32(meta.Granularity),
 		UnitCount:   meta.UnitCount,
 	}
+	// The index blocks placed so far go back to the allocator when a later
+	// one finds no room: a failed build must not leak sectors.
+	var placed []alloc.Run
 	ix, err := layout.BuildIndex(h, entries, st.d.Geometry().SectorSize, func(n int) (int, error) {
 		r, err := st.a.Allocate(n)
 		if err != nil {
 			return 0, err
 		}
+		placed = append(placed, r)
 		return r.LBA, nil
 	}, st.d)
 	if err != nil {
+		for _, r := range placed {
+			st.a.Free(r)
+		}
 		return nil, err
 	}
 	s := FromIndex(ix)

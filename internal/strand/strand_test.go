@@ -295,7 +295,7 @@ func TestStoreMarshalUnmarshalRoundTrip(t *testing.T) {
 	r := newRig(t)
 	s1 := r.writeVideo(t, 12, 1024, 3, 12)
 	s2 := r.writeVideo(t, 21, 512, 3, 13)
-	data := r.st.Marshal()
+	data := r.st.Marshal(nil)
 
 	st2 := NewStore(r.d, r.a)
 	if err := st2.Unmarshal(data); err != nil {

@@ -94,7 +94,7 @@ func TestVBRBlocksShrinkToContent(t *testing.T) {
 func TestVBRSurvivesStoreRoundTrip(t *testing.T) {
 	r := newRig(t)
 	s := r.writeVBR(t, 30, 4096, 1024, 5, 3, 11)
-	data := r.st.Marshal()
+	data := r.st.Marshal(nil)
 	st2 := NewStore(r.d, r.a)
 	if err := st2.Unmarshal(data); err != nil {
 		t.Fatal(err)

@@ -13,13 +13,13 @@
 package textfs
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
 
 	"mmfs/internal/alloc"
 	"mmfs/internal/disk"
+	"mmfs/internal/wire"
 )
 
 // file is one stored text file.
@@ -170,68 +170,51 @@ func (s *Store) Extents(name string) []alloc.Run {
 
 const tableMagic = 0x4d4d5446 // "MMTF"
 
-// Marshal serializes the file table for the metadata region.
-func (s *Store) Marshal() []byte {
-	var w bytes.Buffer
-	binary.Write(&w, binary.LittleEndian, uint32(tableMagic))
-	binary.Write(&w, binary.LittleEndian, uint32(len(s.files)))
+// Marshal appends the serialized file table to dst and returns the
+// extended slice; Sync passes its metadata scratch buffer.
+func (s *Store) Marshal(dst []byte) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(dst, tableMagic)
+	b = le.AppendUint32(b, uint32(len(s.files)))
 	for _, name := range s.List() {
 		f := s.files[name]
-		binary.Write(&w, binary.LittleEndian, uint32(len(f.name)))
-		w.WriteString(f.name)
-		binary.Write(&w, binary.LittleEndian, uint64(f.size))
-		binary.Write(&w, binary.LittleEndian, uint32(len(f.runs)))
+		b = append(le.AppendUint32(b, uint32(len(f.name))), f.name...)
+		b = le.AppendUint64(b, uint64(f.size))
+		b = le.AppendUint32(b, uint32(len(f.runs)))
 		for _, r := range f.runs {
-			binary.Write(&w, binary.LittleEndian, uint32(r.LBA))
-			binary.Write(&w, binary.LittleEndian, uint32(r.Sectors))
+			b = le.AppendUint32(b, uint32(r.LBA))
+			b = le.AppendUint32(b, uint32(r.Sectors))
 		}
 	}
-	return w.Bytes()
+	return b
 }
 
-// Unmarshal restores the file table.
+// Unmarshal restores the file table, decoding it in place through the
+// wire codec's cursor (the same little-endian fields and length-prefixed
+// strings).
 func (s *Store) Unmarshal(data []byte) error {
-	r := bytes.NewReader(data)
-	var magic, count uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return err
-	}
-	if magic != tableMagic {
+	d := wire.NewDecoder(data)
+	if magic := d.U32(); d.Err() == nil && magic != tableMagic {
 		return fmt.Errorf("textfs: bad table magic %#x", magic)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return err
+	count := d.Count(4 + 8 + 4) // an empty name, a size, no runs
+	if d.Err() == nil {
+		s.files = make(map[string]*file, count)
 	}
-	s.files = make(map[string]*file, count)
-	for i := uint32(0); i < count; i++ {
-		var nameLen uint32
-		if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
-			return err
+	for i := 0; i < count; i++ {
+		f := &file{name: d.Str(), size: int(d.U64())}
+		f.runs = make([]alloc.Run, d.Count(8))
+		for j := range f.runs {
+			f.runs[j].LBA = int(d.U32())
+			f.runs[j].Sectors = int(d.U32())
 		}
-		name := make([]byte, nameLen)
-		if _, err := r.Read(name); err != nil {
-			return err
-		}
-		var size uint64
-		if err := binary.Read(r, binary.LittleEndian, &size); err != nil {
-			return err
-		}
-		var nRuns uint32
-		if err := binary.Read(r, binary.LittleEndian, &nRuns); err != nil {
-			return err
-		}
-		f := &file{name: string(name), size: int(size)}
-		for j := uint32(0); j < nRuns; j++ {
-			var lba, sec uint32
-			if err := binary.Read(r, binary.LittleEndian, &lba); err != nil {
-				return err
-			}
-			if err := binary.Read(r, binary.LittleEndian, &sec); err != nil {
-				return err
-			}
-			f.runs = append(f.runs, alloc.Run{LBA: int(lba), Sectors: int(sec)})
+		if d.Err() != nil {
+			break
 		}
 		s.files[f.name] = f
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("textfs: table: %w", err)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package textfs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -147,7 +148,13 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	data := s.Marshal()
+	data := s.Marshal(nil)
+	if want := refMarshal(s); !bytes.Equal(data, want) {
+		t.Fatalf("table differs from the reflecting encoder's:\n got %x\nwant %x", data, want)
+	}
+	if got := s.Marshal([]byte("head")); !bytes.Equal(got, append([]byte("head"), data...)) {
+		t.Fatal("Marshal does not append to its destination")
+	}
 
 	// Restore into a fresh store over the same disk/allocator.
 	s2 := NewStore(sDisk(s), a)
@@ -163,14 +170,40 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 			t.Fatalf("file %q differs after restore", n)
 		}
 	}
-	if err := s2.Unmarshal(data[:3]); err == nil {
-		t.Fatal("truncated table accepted")
+	if got := s2.Marshal(nil); !bytes.Equal(got, data) {
+		t.Fatal("decode + encode changed the table")
+	}
+	for cut := 0; cut < len(data); cut++ {
+		if err := s2.Unmarshal(data[:cut]); err == nil {
+			t.Fatalf("table truncated to %d of %d bytes accepted", cut, len(data))
+		}
 	}
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xff
 	if err := s2.Unmarshal(bad); err == nil {
 		t.Fatal("corrupt magic accepted")
 	}
+}
+
+// refMarshal is the file-table encoder as it was while it reflected
+// (bytes.Buffer + binary.Write per field): the byte-for-byte reference
+// for the appending one.
+func refMarshal(s *Store) []byte {
+	var w bytes.Buffer
+	binary.Write(&w, binary.LittleEndian, uint32(tableMagic))
+	binary.Write(&w, binary.LittleEndian, uint32(len(s.files)))
+	for _, name := range s.List() {
+		f := s.files[name]
+		binary.Write(&w, binary.LittleEndian, uint32(len(f.name)))
+		w.WriteString(f.name)
+		binary.Write(&w, binary.LittleEndian, uint64(f.size))
+		binary.Write(&w, binary.LittleEndian, uint32(len(f.runs)))
+		for _, r := range f.runs {
+			binary.Write(&w, binary.LittleEndian, uint32(r.LBA))
+			binary.Write(&w, binary.LittleEndian, uint32(r.Sectors))
+		}
+	}
+	return w.Bytes()
 }
 
 // sDisk exposes the store's disk for the restore test.
