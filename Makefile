@@ -4,6 +4,10 @@ GO ?= go
 # subset keeps CI latency down while still covering every mutex.
 RACE_PKGS = ./internal/server ./internal/msm ./internal/client ./internal/cache ./internal/obs ./internal/fault ./internal/disk ./internal/core
 
+# Where the benchmarks with a baseline entry live: the root package's
+# experiment tables and hot-path micros, and the interval cache's own.
+BENCH_PKGS = . ./internal/cache
+
 .PHONY: all build test race race-bench lint lint-fix-check loc bench bench-baseline bench-compare bench-check mmload-pairs fuzz chaos clean
 
 all: build lint test
@@ -30,12 +34,14 @@ race:
 # rebuild benchmark, with the online repair engine riding the rounds'
 # slack), the heaviest concurrency the code base generates; the
 # cache-coupled round is the other end, every lane idle and the serial
-# lane alone with the interval cache. The FETCH handler and the codec
+# lane alone with the interval cache — which retains the views the lane
+# is lent (BenchmarkCachedConcurrentPlayback's leader and followers, and
+# BenchmarkCacheFill's inserts at capacity). The FETCH handler and the codec
 # ride along: lent platter bytes copied into a reused reply encoder. So
 # does the write path: an edit cycle copying blocks lent from the platters
 # it writes to, and Sync encoding into its one scratch buffer.
 race-bench:
-	$(GO) test -race -run '^$$' -bench 'BenchmarkStripedRound|BenchmarkRound1000Streams|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync' -benchtime=1x .
+	$(GO) test -race -run '^$$' -bench 'BenchmarkStripedRound|BenchmarkRound1000Streams|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCachedConcurrentPlayback|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync' -benchtime=1x $(BENCH_PKGS)
 
 # lint = gofmt (the benchmark's build directory aside), the standard vet
 # suite plus mmfsvet, the project's own
@@ -63,21 +69,21 @@ loc:
 # One pass over every benchmark (the experiment tables plus the
 # hot-path micros), archived as JSON for cross-commit diffing.
 bench:
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x . | tee bench.out
+	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x $(BENCH_PKGS) | tee bench.out
 	$(GO) run ./cmd/benchjson -out BENCH_$$(date +%F).json < bench.out
 
 # Refresh the committed regression baseline. Wall-clock ns/op is
 # stripped: only the deterministic simulated-disk metrics (disk busy
 # time, blocks, cache hit ratio) are stable across machines.
 bench-baseline:
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x . | $(GO) run ./cmd/benchjson -strip-wallclock -out bench/baseline.json
+	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -strip-wallclock -out bench/baseline.json
 
 # Gate the working tree against the committed baseline (what CI runs).
 # allocs/op is left to bench-check: at one iteration a runtime one-off
 # (a g struct for a lane spawn) reads as a whole allocation per op and
 # fails any zero baseline about one run in three.
 bench-compare:
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x . | $(GO) run ./cmd/benchjson -out bench/current.json
+	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -out bench/current.json
 	$(GO) run ./cmd/benchjson -compare -tolerance 0.15 -skip allocs/op bench/baseline.json bench/current.json
 
 # Allocation-regression gate: the steady-state service rounds
@@ -96,18 +102,28 @@ bench-compare:
 # The write path likewise: BenchmarkEditCycle (INSERT + DELETE + Sync on
 # an aged rope) fails itself at 16 KiB allocated per copied 54 KB block,
 # BenchmarkSync (600 strands, 7 ropes) at 16 KiB/op, and both hold their
-# baseline allocs/op within tolerance.
+# baseline allocs/op within tolerance. The interval cache's fill is gated
+# where it lives: BenchmarkCacheFill (internal/cache: an insert at capacity
+# of a block the device lent) at zero allocs/op — it fails itself if a byte
+# was copied — and BenchmarkCachedConcurrentPlayback/lent (a leader and
+# three followers on the 4-spindle array, which fails itself if the cache
+# ends owning memory) at its baseline allocs/op; the second runs on its
+# own because a -bench pattern with a slash filters every benchmark's
+# sub-benchmarks.
 # The gate measures steady state: over 100 iterations a
 # one-off (the runtime allocating a g struct when a lane spawn finds no
 # free one) amortises to 0 allocs/op while a per-round allocation still
 # reads >= 1; the baseline's per-op figures are unaffected by the
 # iteration count. Fast enough to run on every push.
 bench-check:
-	$(GO) test -run '^$$' -bench='BenchmarkPlaybackRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync' -benchmem -benchtime=100x . | $(GO) run ./cmd/benchjson -out bench/allocs.json
+	{ $(GO) test -run '^$$' -bench='BenchmarkPlaybackRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync' -benchmem -benchtime=100x $(BENCH_PKGS) && \
+	  $(GO) test -run '^$$' -bench='BenchmarkCachedConcurrentPlayback/lent' -benchmem -benchtime=100x . ; } | $(GO) run ./cmd/benchjson -out bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkPlaybackRound bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkQoSClassPass bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkRebuildRound bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkCacheCoupledRound bench/baseline.json bench/allocs.json
+	$(GO) run ./cmd/benchjson -compare -subset BenchmarkCacheFill bench/baseline.json bench/allocs.json
+	$(GO) run ./cmd/benchjson -compare -subset BenchmarkCachedConcurrentPlayback/lent bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkFetchReply bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkCodecSmall bench/baseline.json bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset BenchmarkEditCycle bench/baseline.json bench/allocs.json

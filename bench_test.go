@@ -433,17 +433,21 @@ func BenchmarkCacheCoupledRound(b *testing.B) {
 // BenchmarkCachedConcurrentPlayback plays one rope four times at once
 // (a leader plus three staggered followers), with and without the
 // interval cache, and reports how much disk work the cache removes at
-// an equal stream count.
+// an equal stream count. The lent variant runs the cached case on the
+// daemon benchmark's 4-spindle array, where a block is lent by a spindle
+// through the array: every block the leader feeds the cache must be
+// retained as a view — the run fails if the cache ends owning a byte.
 func BenchmarkCachedConcurrentPlayback(b *testing.B) {
 	for _, cfg := range []struct {
-		name string
-		mb   int
-	}{{"cache", 16}, {"nocache", 0}} {
+		name  string
+		mb    int
+		disks int
+	}{{"cache", 16, 1}, {"nocache", 0, 1}, {"lent", 16, 4}} {
 		b.Run(cfg.name, func(b *testing.B) {
-			var admitted, diskBlocks, hitPct, obsHitPct float64
+			var admitted, diskBlocks, hitPct, obsHitPct, owned float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				fs, err := core.Format(core.Options{CacheMB: cfg.mb})
+				fs, err := core.Format(core.Options{CacheMB: cfg.mb, Disks: cfg.disks})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -497,8 +501,17 @@ func BenchmarkCachedConcurrentPlayback(b *testing.B) {
 				if of > 0 {
 					obsHitPct += 100 * float64(oh) / float64(of)
 				}
+				if c := mgr.Cache(); c != nil {
+					owned += float64(c.Stats().OwnedBytes)
+				}
 			}
 			n := float64(b.N)
+			if cfg.name == "lent" {
+				b.ReportMetric(owned/n, "cache_owned_B")
+				if owned != 0 {
+					b.Fatalf("the cache copied %.0f B of blocks the array lent", owned/n)
+				}
+			}
 			b.ReportMetric(admitted/n, "n_admitted")
 			b.ReportMetric(diskBlocks/n, "disk_blocks")
 			b.ReportMetric(hitPct/n, "cache_hit_pct")

@@ -34,7 +34,7 @@ func main() {
 		sectors   = flag.Int("sectors", 56, "sectors per track")
 		rpm       = flag.Float64("rpm", 3600, "spindle speed")
 		target    = flag.Int("target-cylinders", 32, "placement policy: max cylinders between successive strand blocks")
-		cachemb   = flag.Int("cachemb", 0, "interval cache size in MiB (0 disables caching)")
+		cachemb   = flag.Int("cachemb", 0, "interval cache size in MiB: bounds the modelled residency (mmfs_cache_bytes); host memory added is mmfs_cache_owned_bytes (0 disables caching)")
 		metrics   = flag.String("metrics-addr", "", "observability HTTP listen address serving /metrics (Prometheus text) and /trace (service-round JSON); empty disables")
 		pprofAddr = flag.String("pprof-addr", "", "profiling HTTP listen address serving net/http/pprof under /debug/pprof/ (CPU, heap, goroutine, execution trace); empty disables")
 		scenario  = flag.String("fault-scenario", "off", "fault-injection scenario (e.g. \"seed=42,readerr=0.02,slow=0.05x4,bad=100+50\"); \"off\" disables")

@@ -59,11 +59,20 @@ type blockKey struct {
 // one claimant stream (the next follower that will consume it) and on
 // that stream's pin list, or it sits on the LRU list: one pair of links
 // serves both, since an entry is never on the two at once. A removed
-// entry waits on the free list (linked through next) with its buffer,
+// entry waits on the free list (linked through next) with its frame,
 // for the next insert to refill.
+//
+// data is what Get returns; frame is a buffer the cache itself
+// allocated. After PutView data is a view of the device's store (lent is
+// set) and frame, if the entry ever had one, idles; after Put data is
+// frame. Keeping the two apart is what makes a recycled entry safe: an
+// owning copy always lands in frame, never through a view onto the
+// platters.
 type entry struct {
 	key        blockKey
 	data       []byte
+	frame      []byte
+	lent       bool
 	claimant   *stream // non-nil ⇒ pinned: on claimant.pins, off the LRU list
 	prev, next *entry  // links of the one list the entry is on
 }
@@ -134,9 +143,14 @@ type Stats struct {
 	Hits, Misses, Waits uint64
 	Inserts, Evictions  uint64
 	Adoptions           uint64
-	// Bytes/PinnedBytes/Capacity describe residency; PinnedBytes ≤
-	// Bytes ≤ Capacity always holds.
+	// Bytes/PinnedBytes/Capacity describe the model's residency — the
+	// block lengths the interval cache accounts for, whoever's memory
+	// holds them; PinnedBytes ≤ Bytes ≤ Capacity always holds.
 	Bytes, PinnedBytes, Capacity int64
+	// OwnedBytes is the host memory the cache itself allocated: the
+	// capacities of its frames, resident or on the free list. Blocks held
+	// as views of the device's store (PutView) add nothing to it.
+	OwnedBytes int64
 	// Streams is the number of open play positions; Intervals the
 	// number of leader←follower links among them.
 	Streams, Intervals int
@@ -154,13 +168,15 @@ type Cache struct {
 	intervals int
 	// lru lists the unpinned entries, head = most recent.
 	lru entryList
-	// free lists removed entries, buffers attached, for Put to recycle:
-	// at capacity an insert evicts one block and copies into its buffer,
-	// allocating nothing. Only removals feed it and every insert drains
-	// it first, so entries resident plus free never exceed the most the
-	// cache ever held at once; free bytes count in neither bytes nor
-	// pinned.
-	free  *entry
+	// free lists removed entries, frames attached, for an insert to
+	// recycle: at capacity it evicts one block and reuses its entry (and,
+	// when it must own the bytes, copies into its frame), allocating
+	// nothing. Only removals feed it and every insert drains it first, so
+	// entries resident plus free never exceed the most the cache ever held
+	// at once; free bytes count in neither bytes nor pinned.
+	free *entry
+	// owned is the sum of the frames' capacities (Stats.OwnedBytes).
+	owned int64
 	stats Stats
 	// obs mirrors the Stats counters into an observability registry;
 	// all fields nil when SetObs was never called.
@@ -168,6 +184,7 @@ type Cache struct {
 	obsInserts, obsEvictions          *obs.Counter
 	obsAdoptions                      *obs.Counter
 	obsBytes, obsPinned, obsIntervals *obs.Gauge
+	obsOwned                          *obs.Gauge
 }
 
 // obsInc bumps an optional observability counter.
@@ -205,6 +222,7 @@ func (c *Cache) SetObs(reg *obs.Registry) {
 	c.obsBytes = reg.Gauge("mmfs_cache_bytes")
 	c.obsPinned = reg.Gauge("mmfs_cache_pinned_bytes")
 	c.obsIntervals = reg.Gauge("mmfs_cache_intervals")
+	c.obsOwned = reg.Gauge("mmfs_cache_owned_bytes")
 	reg.Gauge("mmfs_cache_capacity_bytes").Set(c.capacity)
 }
 
@@ -216,12 +234,14 @@ func (c *Cache) syncGauges() {
 	c.obsBytes.Set(c.bytes)
 	c.obsPinned.Set(c.pinned)
 	c.obsIntervals.Set(int64(c.intervals))
+	c.obsOwned.Set(c.owned)
 }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	s := c.stats
 	s.Bytes, s.PinnedBytes, s.Capacity = c.bytes, c.pinned, c.capacity
+	s.OwnedBytes = c.owned
 	s.Streams = len(c.streams)
 	s.Intervals = c.intervals
 	return s
@@ -330,8 +350,9 @@ func (c *Cache) Adopt(id uint64) bool {
 // stream's position and hands down (or releases) the block's pin. A
 // Wait means the block is not yet produced by the leader; a Miss means
 // the stream has fallen off the cache and must be demoted to disk.
-// The returned slice is the cache's own buffer: read-only, and valid
-// only until the next Put (an eviction recycles it).
+// The returned slice is the entry's bytes — the cache's own frame or a
+// view of the device's store: read-only, and valid only until the next
+// insert (an eviction recycles the entry).
 //
 // rt:hotpath
 func (c *Cache) Get(id uint64, index int) ([]byte, Result) {
@@ -349,7 +370,12 @@ func (c *Cache) Get(id uint64, index int) ([]byte, Result) {
 		obsInc(c.obsWaits)
 		return nil, Wait
 	}
-	e := c.entries[blockKey{s.sid, index}]
+	// A follower's next block is the head of its own ascending pin
+	// list: found without hashing the key.
+	e := s.pins.head
+	if e == nil || e.key.index != index {
+		e = c.entries[blockKey{s.sid, index}]
+	}
 	if e == nil {
 		c.stats.Misses++
 		obsInc(c.obsMisses)
@@ -444,12 +470,33 @@ func (c *Cache) unpin(e *entry) {
 // Put records a block the stream fetched from disk, making it
 // available to followers (pinned if one needs it) or to the plain LRU.
 // The stream's position advances past the block either way. data is
-// copied — it is usually lent by the device (strand.ReadBlockInto) and
-// the cache must own what it retains; this is the media path's one
-// copy.
+// copied into a frame of the cache's own: the insert for bytes that
+// will not outlive the caller's next read (the lane's scratch, when the
+// device could not lend the block) or that the device may relocate.
+// Bytes lent from the device's store go through PutView, which copies
+// nothing.
 //
 // rt:hotpath
 func (c *Cache) Put(id uint64, index int, data []byte) {
+	c.insert(id, index, data, false)
+}
+
+// PutView is Put for a block the device lent (disk.Lent): the entry
+// keeps the view itself — no copy, no frame. The view must stay what it
+// is for as long as the entry is resident, which is the caller's to
+// arrange: strands are immutable, so a view is good until its strand's
+// sectors are freed (InvalidateStrand, wired to strand.Store's removal
+// hook) or relocated (OwnViews first, and Put while the relocation is
+// pending).
+//
+// rt:hotpath
+func (c *Cache) PutView(id uint64, index int, view []byte) {
+	c.insert(id, index, view, true)
+}
+
+// insert is the one bookkeeping body behind Put and PutView; the two
+// differ only in how the entry comes to hold the bytes (hold).
+func (c *Cache) insert(id uint64, index int, data []byte, lent bool) {
 	s := c.streams[id]
 	if s == nil {
 		return
@@ -463,7 +510,7 @@ func (c *Cache) Put(id uint64, index int, data []byte) {
 	}
 	key := blockKey{s.sid, index}
 	if e := c.entries[key]; e != nil {
-		e.data = alloc.CopyBytes(e.data, data)
+		c.hold(e, data, lent)
 		c.claimOrTouch(s, e)
 		c.syncGauges()
 		return
@@ -484,13 +531,41 @@ func (c *Cache) Put(id uint64, index int, data []byte) {
 		e = &entry{}
 	}
 	e.key = key
-	e.data = alloc.CopyBytes(e.data, data)
+	c.hold(e, data, lent)
 	c.entries[key] = e
 	c.bytes += size
 	c.stats.Inserts++
 	obsInc(c.obsInserts)
 	c.lru.pushFront(e)
 	c.claimOrTouch(s, e)
+	c.syncGauges()
+}
+
+// hold makes data the entry's bytes: retained as they are when lent,
+// else copied into the entry's frame (grown only when too small).
+func (c *Cache) hold(e *entry, data []byte, lent bool) {
+	e.lent = lent
+	if lent {
+		e.data = data
+		return
+	}
+	c.owned -= int64(cap(e.frame))
+	e.frame = alloc.CopyBytes(e.frame, data)
+	c.owned += int64(cap(e.frame))
+	e.data = e.frame
+}
+
+// OwnViews turns every retained view into an owned copy, the fence in
+// front of a relocation of the device's store (the array's rebalance
+// writes migrated groups onto pages other groups vacated): afterwards no
+// entry aliases the device, at the cost of the frames that shows up in
+// Stats.OwnedBytes.
+func (c *Cache) OwnViews() {
+	for _, e := range c.entries {
+		if e.lent {
+			c.hold(e, e.data, false)
+		}
+	}
 	c.syncGauges()
 }
 
@@ -561,10 +636,10 @@ func (c *Cache) CloseStream(id uint64) {
 	c.syncGauges()
 }
 
-// InvalidateStrand drops every cached block of a strand (the garbage
-// collector reclaimed it, so the sectors may be rewritten). Streams
-// over the strand are left open; their next Get misses and the manager
-// demotes them.
+// InvalidateStrand drops every cached block of a strand: its sectors
+// are returning to the allocator and may be rewritten, under the copies
+// as under the views. Streams over the strand are left open; their next
+// Get misses and the manager demotes them.
 func (c *Cache) InvalidateStrand(sid strand.ID) {
 	for k, e := range c.entries {
 		if k.sid == sid {
@@ -576,7 +651,7 @@ func (c *Cache) InvalidateStrand(sid strand.ID) {
 
 // Reset empties the cache for a new owner, keeping its frames: every
 // stream is dropped and every entry goes onto the free list with its
-// buffer, so the new owner's inserts allocate nothing the old one's
+// frame, so the new owner's inserts allocate nothing the old one's
 // already did. Stats restart from zero exactly as a new cache's would
 // (an emptied entry is not an eviction); the cumulative observability
 // counters, which belong to the registry, run on, and the residency
@@ -585,7 +660,7 @@ func (c *Cache) InvalidateStrand(sid strand.ID) {
 func (c *Cache) Reset() {
 	for _, e := range c.entries {
 		e.claimant, e.prev = nil, nil
-		e.next, c.free = c.free, e
+		c.release(e)
 	}
 	clear(c.entries)
 	clear(c.streams)
@@ -596,7 +671,7 @@ func (c *Cache) Reset() {
 }
 
 // removeEntry unlinks and forgets an entry regardless of pin state,
-// keeping the entry and its buffer on the free list.
+// keeping the entry and its frame on the free list; a view is let go.
 func (c *Cache) removeEntry(e *entry) {
 	if e.claimant != nil {
 		c.unpin(e)
@@ -605,6 +680,13 @@ func (c *Cache) removeEntry(e *entry) {
 	}
 	c.bytes -= int64(len(e.data))
 	delete(c.entries, e.key)
+	c.release(e)
+}
+
+// release puts an unlinked entry on the free list, dropping what it
+// held: a free entry keeps no view alive and no stale bytes reachable.
+func (c *Cache) release(e *entry) {
+	e.data, e.lent = nil, false
 	e.next, c.free = c.free, e
 }
 

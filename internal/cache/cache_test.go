@@ -17,97 +17,11 @@ func block(i int) []byte {
 	return b
 }
 
-// checkInvariants verifies the structural invariants after every
-// mutation a test makes: each resident entry is on exactly one of the
-// LRU list and one open stream's pin list (pin lists in ascending block
-// index, claimants positioned at or before their claimed blocks), free
-// entries on neither; the byte accounting; pinned ≤ bytes ≤ capacity;
-// and the interval count being the number of leader links.
+// checkInvariants fails the test when CheckInvariants finds a fault.
 func checkInvariants(t *testing.T, c *Cache) {
 	t.Helper()
-	listed := map[*entry]string{}
-	walk := func(name string, l entryList, claimant *stream) {
-		var prev *entry
-		for e := l.head; e != nil; prev, e = e, e.next {
-			if where, dup := listed[e]; dup {
-				t.Fatalf("entry %v on %s and on %s", e.key, where, name)
-			}
-			listed[e] = name
-			if e.prev != prev {
-				t.Fatalf("%s: entry %v has a broken back link", name, e.key)
-			}
-			if e.claimant != claimant {
-				t.Fatalf("%s: entry %v has claimant %v", name, e.key, e.claimant)
-			}
-			if c.entries[e.key] != e {
-				t.Fatalf("%s: entry %v is not resident", name, e.key)
-			}
-			if claimant != nil && prev != nil && prev.key.index >= e.key.index {
-				t.Fatalf("%s: block %d listed before block %d", name, prev.key.index, e.key.index)
-			}
-		}
-		if l.tail != prev {
-			t.Fatalf("%s: tail mismatch", name)
-		}
-	}
-	walk("the LRU list", c.lru, nil)
-	intervals := 0
-	for id, s := range c.streams {
-		if s.id != id {
-			t.Fatalf("stream %d filed under %d", s.id, id)
-		}
-		walk(fmt.Sprintf("stream %d's pin list", id), s.pins, s)
-		if s.leader != nil {
-			intervals++
-			if c.streams[s.leader.id] != s.leader || s.leader.follower != s {
-				t.Fatalf("stream %d trails a stream that is closed or does not lead it", id)
-			}
-		}
-	}
-	if intervals != c.intervals {
-		t.Fatalf("intervals = %d, counted %d leader links", c.intervals, intervals)
-	}
-	var bytes, pinned int64
-	for k, e := range c.entries {
-		if e.key != k {
-			t.Fatalf("entry key %v filed under %v", e.key, k)
-		}
-		if listed[e] == "" {
-			// A pin list reachable from no open stream names a closed one.
-			t.Fatalf("resident entry %v (claimant %v) is on no list of an open stream", k, e.claimant)
-		}
-		bytes += int64(len(e.data))
-		if e.claimant != nil {
-			pinned += int64(len(e.data))
-			if e.key.index < e.claimant.pos {
-				t.Fatalf("entry %v pinned for stream %d already past it (pos %d)",
-					k, e.claimant.id, e.claimant.pos)
-			}
-		}
-	}
-	if len(listed) != len(c.entries) {
-		t.Fatalf("%d entries listed, %d resident", len(listed), len(c.entries))
-	}
-	for e := c.free; e != nil; e = e.next {
-		if c.entries[e.key] == e || e.claimant != nil || e.prev != nil || listed[e] != "" {
-			t.Fatalf("free-list entry %v still resident, pinned or listed", e.key)
-		}
-	}
-	if bytes != c.bytes || pinned != c.pinned {
-		t.Fatalf("accounting: have bytes=%d pinned=%d, recomputed %d/%d",
-			c.bytes, c.pinned, bytes, pinned)
-	}
-	if pinned > c.bytes || c.bytes > c.capacity {
-		t.Fatalf("capacity invariant violated: pinned=%d bytes=%d capacity=%d",
-			pinned, c.bytes, c.capacity)
-	}
-	if st := c.Stats(); st.Bytes != bytes || st.PinnedBytes != pinned || st.Intervals != intervals || st.Streams != len(c.streams) {
-		t.Fatalf("Stats() = %+v, recomputed bytes=%d pinned=%d intervals=%d", st, bytes, pinned, intervals)
-	}
-	if c.obsBytes != nil {
-		if b, p, n := c.obsBytes.Value(), c.obsPinned.Value(), c.obsIntervals.Value(); b != bytes || p != pinned || n != int64(intervals) {
-			t.Fatalf("gauges read bytes=%d pinned=%d intervals=%d, Stats() says %d/%d/%d", b, p, n, bytes, pinned, intervals)
-		}
+	if err := CheckInvariants(c); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -613,8 +527,9 @@ func TestGaugesFollowStats(t *testing.T) {
 }
 
 // Reset hands the frames to a new owner: nothing resident, no stream,
-// Stats as a new cache's, the cumulative registry counters untouched,
-// and refilling allocates nothing.
+// Stats as a new cache's but for the frames it still owns, the cumulative
+// registry counters untouched, and refilling through the owning Put
+// allocates nothing.
 func TestResetKeepsFramesAndRestartsStats(t *testing.T) {
 	const n = 8
 	c := New(n * blockSize)
@@ -635,8 +550,10 @@ func TestResetKeepsFramesAndRestartsStats(t *testing.T) {
 	checkInvariants(t, c)
 	c.Reset()
 	checkInvariants(t, c)
-	if got, want := c.Stats(), New(n*blockSize).Stats(); got != want {
-		t.Fatalf("Stats after Reset = %+v, a new cache's are %+v", got, want)
+	want := New(n * blockSize).Stats()
+	want.OwnedBytes = n * blockSize
+	if got := c.Stats(); got != want {
+		t.Fatalf("Stats after Reset = %+v, want a new cache's and the frames: %+v", got, want)
 	}
 	if v, _ := reg.Snapshot().Counter("mmfs_cache_inserts_total"); v != n {
 		t.Fatalf("cumulative insert counter = %d after Reset, want %d", v, n)
@@ -656,9 +573,118 @@ func TestResetKeepsFramesAndRestartsStats(t *testing.T) {
 	}
 }
 
+// platter stands in for the device's store: blocks laid end to end, each
+// lent as a capacity-clipped slice, the way disk.Device.ReadView lends.
+type platter []byte
+
+func newPlatter(blocks int) platter {
+	p := make(platter, blocks*blockSize)
+	for i := range p {
+		p[i] = byte(i/blockSize + i)
+	}
+	return p
+}
+
+func (p platter) view(i int) []byte {
+	i %= len(p) / blockSize
+	return p[i*blockSize : (i+1)*blockSize : (i+1)*blockSize]
+}
+
+// An entry that held a view is recycled like any other. The owning Put
+// that refills it — or re-puts the same key — must copy into a frame of
+// the cache's own, never through the view onto the platter; and a view
+// the cache has taken ownership of (OwnViews) no longer follows the
+// platter.
+func TestOwningPutAfterViewNeverWritesThePlatter(t *testing.T) {
+	p := newPlatter(4)
+	pristine := string(p)
+	c := New(2 * blockSize)
+	c.SetObs(obs.NewRegistry())
+	sid := strand.ID(4)
+	c.OpenStream(1, sid, 0, 1<<30, 10)
+	c.PutView(1, 0, p.view(0))
+	c.PutView(1, 1, p.view(1))
+	checkInvariants(t, c)
+	if st := c.Stats(); st.Bytes != 2*blockSize || st.OwnedBytes != 0 {
+		t.Fatalf("two views resident: %+v; want their lengths modelled and nothing owned", st)
+	}
+	other := block(200)
+	// At capacity: evicts block 0 and recycles its entry.
+	c.Put(1, 2, other)
+	checkInvariants(t, c)
+	// The same key again, owning this time.
+	c.Put(1, 1, other)
+	checkInvariants(t, c)
+	if string(p) != pristine {
+		t.Fatal("an owning Put wrote through a retained view onto the platter")
+	}
+	c.OpenStream(2, sid, 1, 1<<30, 10)
+	for i := 1; i <= 2; i++ {
+		if got, res := c.Get(2, i); res != Hit || string(got) != string(other) {
+			t.Fatalf("block %d after the owning Put: %v, first byte %d", i, res, got[0])
+		}
+	}
+	if st := c.Stats(); st.OwnedBytes != 2*blockSize {
+		t.Fatalf("two owned blocks: OwnedBytes = %d", st.OwnedBytes)
+	}
+
+	// A view again over the owned entry; then the fence.
+	c.PutView(1, 1, p.view(1))
+	c.OwnViews()
+	checkInvariants(t, c)
+	p.view(1)[0] ^= 0xff // the device relocates something onto the page
+	c.OpenStream(3, sid, 1, 1<<30, 10)
+	if got, res := c.Get(3, 1); res != Hit || got[0] != pristine[blockSize] {
+		t.Fatalf("block 1 after OwnViews and a platter write: %v, first byte %d", res, got[0])
+	}
+	c.VisitEntries(func(_ strand.ID, index int, _ []byte, lent bool) {
+		if lent {
+			t.Errorf("block %d is still a view after OwnViews", index)
+		}
+	})
+}
+
+// mmfs_cache_owned_bytes is the memory the cache allocated — frames'
+// capacities, resident or free — and nothing else: a lent fill leaves it
+// at zero however far past capacity it runs, an unlendable fill grows it
+// to the residency, and it does not fall when blocks leave (the frames
+// wait on the free list) while mmfs_cache_bytes does.
+func TestOwnedBytesGaugeCountsFramesNotViews(t *testing.T) {
+	const n = 8
+	p := newPlatter(3 * n)
+	reg := obs.NewRegistry()
+	c := New(n * blockSize)
+	c.SetObs(reg)
+	gauge := func(name string) int64 {
+		v, _ := reg.Snapshot().Gauge(name)
+		return v
+	}
+	sid := strand.ID(6)
+	c.OpenStream(1, sid, 0, 1<<30, 10)
+	for i := 0; i < 3*n; i++ {
+		c.PutView(1, i, p.view(i))
+	}
+	checkInvariants(t, c)
+	if owned, bytes := gauge("mmfs_cache_owned_bytes"), gauge("mmfs_cache_bytes"); owned != 0 || bytes != n*blockSize {
+		t.Fatalf("after a lent fill: owned=%d bytes=%d, want 0 and %d", owned, bytes, n*blockSize)
+	}
+	for i := 3 * n; i < 4*n; i++ {
+		c.Put(1, i, block(i))
+	}
+	checkInvariants(t, c)
+	if owned := gauge("mmfs_cache_owned_bytes"); owned != n*blockSize {
+		t.Fatalf("after an unlendable fill: owned=%d, want %d", owned, n*blockSize)
+	}
+	c.InvalidateStrand(sid)
+	checkInvariants(t, c)
+	if owned, bytes := gauge("mmfs_cache_owned_bytes"), gauge("mmfs_cache_bytes"); owned != n*blockSize || bytes != 0 {
+		t.Fatalf("after invalidation: owned=%d bytes=%d, want the frames kept and nothing resident", owned, bytes)
+	}
+}
+
 // fuzzBlock is the payload of one block in the random-sequence test:
 // its length and every byte follow from the key, so a Hit can be checked
-// against what was Put however often the frame was recycled since.
+// against what was Put however often the entry was recycled since.
 func fuzzBlock(sid strand.ID, index int) []byte {
 	b := make([]byte, 256+64*((int(sid)+index)%4))
 	for i := range b {
@@ -667,19 +693,41 @@ func fuzzBlock(sid strand.ID, index int) []byte {
 	return b
 }
 
+// fuzzStore lends fuzzBlocks the way a device does: one slice a block,
+// the same one every time, that must read the same at the end of the test
+// as at the start.
+type fuzzStore map[blockKey][]byte
+
+func (fs fuzzStore) view(sid strand.ID, index int) []byte {
+	k := blockKey{sid, index}
+	if fs[k] == nil {
+		fs[k] = fuzzBlock(sid, index)
+	}
+	return fs[k][:len(fs[k]):len(fs[k])]
+}
+
 // Random operation sequences, every invariant checked after every step.
 // Streams are driven the way the storage manager drives them — read at
 // the stream's own position, fetch and Put on a miss when leaderless,
 // reopen at the position (and perhaps adopt again) when a follower's
 // interval broke — and everything else is drawn from the seed: who opens
-// where, who adopts, who closes or is invalidated under whom, when the
-// cache changes owner.
+// where, who adopts, who closes or is invalidated under whom, whether a
+// block arrives lent or must be copied, when the cache takes ownership of
+// its views, when it changes owner.
 func TestRandomOperationSequences(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			c := New(int64(8+rng.Intn(24)) * 320)
 			c.SetObs(obs.NewRegistry())
+			store := fuzzStore{}
+			put := func(id uint64, sid strand.ID, i int) {
+				if rng.Intn(3) == 0 {
+					c.Put(id, i, fuzzBlock(sid, i))
+				} else {
+					c.PutView(id, i, store.view(sid, i))
+				}
+			}
 			var hits, adoptions int
 			for step := 0; step < 4000; step++ {
 				id := uint64(1 + rng.Intn(6))
@@ -702,7 +750,7 @@ func TestRandomOperationSequences(t *testing.T) {
 							t.Fatalf("step %d: Get(%d, %d) returned another block's bytes", step, id, i)
 						}
 					case res == Miss && s.leader == nil:
-						c.Put(id, i, fuzzBlock(s.sid, i))
+						put(id, s.sid, i)
 					case res == Miss:
 						c.OpenStream(id, s.sid, i, s.end, s.rate)
 						if rng.Intn(2) == 0 {
@@ -712,7 +760,7 @@ func TestRandomOperationSequences(t *testing.T) {
 				case op < 74 && s.pos > 0 && s.leader == nil:
 					// A producer re-putting a block behind it.
 					i := rng.Intn(s.pos)
-					c.Put(id, i, fuzzBlock(s.sid, i))
+					put(id, s.sid, i)
 				case op < 78:
 					c.Produced(id, s.pos)
 				case op < 90:
@@ -721,12 +769,19 @@ func TestRandomOperationSequences(t *testing.T) {
 					}
 				case op < 97:
 					c.CloseStream(id)
-				case op < 99:
+				case op < 98:
 					c.InvalidateStrand(s.sid)
+				case op < 99:
+					c.OwnViews()
 				default:
 					c.Reset()
 				}
 				checkInvariants(t, c)
+			}
+			for k, b := range store {
+				if string(b) != string(fuzzBlock(k.sid, k.index)) {
+					t.Fatalf("lent block %v was written to", k)
+				}
 			}
 			if hits == 0 || adoptions == 0 {
 				t.Fatalf("%d hits, %d adoptions: the sequence checked nothing", hits, adoptions)
@@ -760,5 +815,39 @@ func BenchmarkCacheCloseStream(b *testing.B) {
 	b.StopTimer()
 	if st := c.Stats(); st.PinnedBytes != 0 || st.Bytes != frames*blockSize {
 		b.Fatalf("after the run: %+v", st)
+	}
+}
+
+// A leader's fill at capacity, the way the storage manager's lane feeds
+// the cache a block the device lent: 1 200 resident video blocks (64 MiB
+// modelled), every insert evicts the oldest and retains the next view.
+// The host cost is bookkeeping: no allocation (CI-gated) and no byte
+// copied — copies land only in frames, so a run that ends owning any
+// memory copied something, and fails itself.
+func BenchmarkCacheFill(b *testing.B) {
+	const frames, blockBytes = 1200, 54000
+	store := make([]byte, 64*blockBytes)
+	view := func(i int) []byte {
+		o := i % 64 * blockBytes
+		return store[o : o+blockBytes : o+blockBytes]
+	}
+	c := New(frames * blockBytes)
+	c.OpenStream(1, strand.ID(1), 0, 1<<30, 10)
+	for i := 0; i < frames; i++ {
+		c.PutView(1, i, view(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.PutView(1, frames+i, view(frames+i))
+	}
+	b.StopTimer()
+	st := c.Stats()
+	if st.Inserts != uint64(frames+b.N) || st.Evictions != uint64(b.N) || st.Bytes != frames*blockBytes {
+		b.Fatalf("after the run: %+v", st)
+	}
+	b.ReportMetric(float64(st.OwnedBytes)/float64(b.N), "copied_B/op")
+	if st.OwnedBytes != 0 {
+		b.Fatalf("a lent fill copied into %d B of frames", st.OwnedBytes)
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"mmfs/internal/cache"
+	"mmfs/internal/media"
 	"mmfs/internal/msm"
 	"mmfs/internal/rope"
+	"mmfs/internal/strand"
 )
 
 // playVideo admits a video-only play of the whole rope on the current
@@ -144,18 +146,21 @@ func TestRetiredManagerCannotTouchTheNextManagersFrames(t *testing.T) {
 	checkCachedFrames(t, fs, c, b)
 }
 
-// The cross-manager twin of cache.TestPutAtCapacityRecyclesEvictedBuffers:
-// a play that fills the cache past capacity, a new manager, the same play
-// again — the second fill inserts as many blocks as the first and
-// allocates no frame: under two blocks in all, one being the read buffer
-// the new manager's serial lane grows for the blocks its disk cannot lend.
-func TestCacheFramesOutliveAManager(t *testing.T) {
+// A fill the device lends allocates nothing and copies nothing, on the
+// first manager or the next: a play that fills the cache past capacity
+// inserts every block as a view of the platters — no frame is ever
+// allocated (OwnedBytes stays 0, the whole fill allocates under two
+// blocks: the entry records, and the read buffer each manager's serial
+// lane grows for the blocks its disk cannot lend) — and the next manager
+// starts as cold and inserts as many.
+func TestLentFillAllocatesAndCopiesNothing(t *testing.T) {
 	fs, err := Format(Options{CacheMB: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := recordClip(t, fs, "venkat", 4, 7300)
-	fill := func() (inserts, allocated uint64) {
+	const blockBytes = 3 * 18000 // recordClip's video: 3 frames of 18 000 B a block
+	fill := func() (inserts uint64) {
 		mgr := fs.NewManager()
 		h := playVideo(t, fs, r)
 		var before, after runtime.MemStats
@@ -165,23 +170,96 @@ func TestCacheFramesOutliveAManager(t *testing.T) {
 		if n, err := fs.PlayViolations(h); err != nil || n != 0 {
 			t.Fatalf("play: %d violation(s), %v", n, err)
 		}
-		st := mgr.Cache().Stats()
-		if st.Evictions == 0 {
-			t.Fatalf("the clip fits the cache (%+v): the fill never recycles a frame", st)
+		c := mgr.Cache()
+		st := c.Stats()
+		if st.Evictions == 0 || st.Bytes < 10*blockBytes {
+			t.Fatalf("the clip fits the cache (%+v): the fill never recycles an entry", st)
 		}
-		return st.Inserts, after.TotalAlloc - before.TotalAlloc
+		if st.OwnedBytes != 0 {
+			t.Fatalf("a lent fill left the cache owning %d B of frames", st.OwnedBytes)
+		}
+		c.VisitEntries(func(sid strand.ID, index int, _ []byte, lent bool) {
+			if !lent {
+				t.Errorf("strand %d block %d was copied", sid, index)
+			}
+		})
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2*blockBytes {
+			t.Fatalf("the fill allocated %d B; want the lane's one %d B read buffer and no frame", alloc, blockBytes)
+		}
+		if got, _ := fs.Metrics().Snapshot().Gauge("mmfs_cache_owned_bytes"); got != 0 {
+			t.Fatalf("mmfs_cache_owned_bytes = %d after a lent fill", got)
+		}
+		checkCachedFrames(t, fs, c, r)
+		return st.Inserts
 	}
-	const blockBytes = 3 * 18000 // recordClip's video: 3 frames of 18 000 B a block
-	firstInserts, firstAlloc := fill()
-	if firstAlloc < 10*blockBytes {
-		t.Fatalf("the first fill allocated %d B: the measurement sees no frames", firstAlloc)
+	first := fill()
+	if again := fill(); again != first {
+		t.Fatalf("second fill inserted %d blocks, first %d: the new manager did not start cold", again, first)
 	}
-	inserts, alloc := fill()
-	if inserts != firstInserts {
-		t.Fatalf("second fill inserted %d blocks, first %d: the new manager did not start cold", inserts, firstInserts)
+}
+
+// ReorganizeStrand frees a strand's sectors and re-places its blocks
+// under a new ID. The old strand's cached blocks must leave with it —
+// they name an ID nothing will ever play again, and their sectors are
+// about to be rewritten — and the relocated strand must play from the
+// cache byte for byte what it stores.
+func TestReorganizeDropsCachedBlocks(t *testing.T) {
+	fs, err := Format(Options{CacheMB: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if alloc >= 2*blockBytes {
-		t.Fatalf("second fill allocated %d B (first: %d B); want the lane's one %d B read buffer and no frame", alloc, firstAlloc, blockBytes)
+	const seed = 7500
+	r := recordClip(t, fs, "venkat", 3, seed)
+	playVideo(t, fs, r)
+	fs.Manager().RunUntilDone()
+	c := fs.Manager().Cache()
+	old := r.Intervals[0].Video.Strand
+	blocks := fs.Strands().MustGet(old).NumBlocks()
+	if st := c.Stats(); st.Inserts == 0 || st.Bytes == 0 {
+		t.Fatalf("the play cached nothing: %+v", st)
+	}
+
+	if _, err := fs.ReorganizeStrand(old, 900); err != nil {
+		t.Fatal(err)
+	}
+	const probe = 1 << 40
+	c.OpenStream(probe, old, 0, blocks, 10)
+	for i := 0; i < blocks; i++ {
+		if _, res := c.Get(probe, i); res != cache.Miss {
+			t.Fatalf("block %d of the removed strand %d is still cached (%v)", i, old, res)
+		}
+	}
+	c.CloseStream(probe)
+	if st := c.Stats(); st.Bytes != 0 || st.PinnedBytes != 0 {
+		t.Fatalf("the cache still accounts %d B (%d pinned) for a strand that is gone", st.Bytes, st.PinnedBytes)
+	}
+
+	// A leader and its follower over the relocated strand.
+	leader := playVideo(t, fs, r)
+	for i := 0; i < 3; i++ {
+		fs.Manager().RunRound()
+	}
+	follower := playVideo(t, fs, r)
+	fs.Manager().RunUntilDone()
+	for _, h := range []PlayHandle{leader, follower} {
+		if n, err := fs.PlayViolations(h); err != nil || n != 0 {
+			t.Fatalf("play of the relocated strand: %d violation(s), %v", n, err)
+		}
+	}
+	if pr, _ := fs.Manager().Progress(follower.VideoReq); pr.CacheHits == 0 {
+		t.Fatalf("the follower was not served from the cache: %+v", pr)
+	}
+	if checkCachedFrames(t, fs, c, r) == 0 {
+		t.Fatal("nothing of the relocated strand is cached")
+	}
+	frames, err := fs.FetchUnits("venkat", r.ID, rope.VideoOnly, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range frames {
+		if !bytes.Equal(f, media.FramePayload(seed, uint64(i), len(f))) {
+			t.Fatalf("frame %d of the relocated strand is not what was recorded", i)
+		}
 	}
 }
 

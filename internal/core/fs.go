@@ -56,7 +56,10 @@ type Options struct {
 	// CacheMB sizes the interval cache in MiB: trailing plays of a
 	// strand range are served from the blocks a leading play just
 	// fetched, admitting more concurrent streams than the disk-only
-	// bound n_max. 0 disables the cache.
+	// bound n_max. 0 disables the cache. The size bounds the modelled
+	// residency (mmfs_cache_bytes) — what admission and eviction reason
+	// about; cached blocks are normally views of the device's store, so
+	// the host memory the cache adds is what mmfs_cache_owned_bytes reads.
 	CacheMB int
 	// Fault configures deterministic fault injection on the timed
 	// accesses (strand reads and writes) of spindle FaultSpindle. The
@@ -164,9 +167,9 @@ type FS struct {
 	collector *gc.Collector
 	editor    *rope.Editor
 	mgr       *msm.Manager
-	// cache is the interval cache, nil when Options.CacheMB is 0. Its
-	// frames are the file system's: built once, lent to one storage
-	// manager at a time (see NewManager).
+	// cache is the interval cache, nil when Options.CacheMB is 0. It is
+	// the file system's: built once, lent to one storage manager at a
+	// time (see NewManager).
 	cache *cache.Cache
 	dev   continuity.Device
 	text  *textfs.Store
@@ -302,6 +305,9 @@ func build(opts Options, d disk.Device, fd *fault.Disk, a *alloc.Allocator) *FS 
 	if opts.CacheMB > 0 {
 		fs.cache = cache.New(int64(opts.CacheMB) << 20)
 		fs.cache.SetObs(fs.obsReg)
+		// The cache retains views of strands' blocks; a removed strand's
+		// sectors may be rewritten, so its blocks leave the cache first.
+		ss.OnRemove(fs.cache.InvalidateStrand)
 	}
 	fs.mgr = fs.newManager()
 	fs.wireObs()
@@ -585,18 +591,9 @@ func (fs *FS) nextStartCylinder() int {
 	return c
 }
 
-// Collect runs the garbage collector, reclaiming unreferenced strands.
-// Cached blocks of reclaimed strands are dropped: their sectors may be
-// reallocated and rewritten.
-func (fs *FS) Collect() ([]strand.ID, error) {
-	ids, err := fs.collector.Collect()
-	if fs.cache != nil {
-		for _, id := range ids {
-			fs.cache.InvalidateStrand(id)
-		}
-	}
-	return ids, err
-}
+// Collect runs the garbage collector, reclaiming unreferenced strands
+// (the strand store's removal hook drops their cached blocks).
+func (fs *FS) Collect() ([]strand.ID, error) { return fs.collector.Collect() }
 
 // Occupancy reports the allocated fraction of the disk.
 func (fs *FS) Occupancy() float64 { return fs.a.Occupancy() }

@@ -87,3 +87,36 @@ func TestMirroredFormatRecordPlay(t *testing.T) {
 		t.Fatal("no pair saw any writes")
 	}
 }
+
+// A manager built while a rebuild is running (FS.NewManager mid-repair)
+// carries it on: the repair completes in its rounds, and the surviving
+// twin — the copy source — is not struck for the new manager's lack of
+// a chunk buffer.
+func TestNewManagerMidRebuildKeepsRepairing(t *testing.T) {
+	fs, err := Format(Options{Disks: 4, Mirror: true, RebuildRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordClip(t, fs, "venkat", 4, 710)
+	arr := fs.Array()
+	const victim = 2
+	arr.SetSpindleState(victim, disk.Dead)
+	arr.RefreshSteering()
+	if err := fs.Manager().Rebuild(victim); err != nil {
+		t.Fatal(err)
+	}
+	fs.Manager().RunRound()
+	if !arr.RepairActive() {
+		t.Fatal("the rebuild finished in one round: nothing left for the next manager")
+	}
+	mgr := fs.NewManager()
+	for i := 0; i < 4000 && mgr.RunRound(); i++ {
+	}
+	if arr.RepairActive() || arr.SpindleState(victim) != disk.Healthy {
+		done, total := arr.RepairProgress()
+		t.Fatalf("rebuild under the new manager: spindle %d is %v at %d/%d", victim, arr.SpindleState(victim), done, total)
+	}
+	if got := arr.SpindleState(arr.Twin(victim)); got != disk.Healthy {
+		t.Fatalf("the copy source ended %v", got)
+	}
+}

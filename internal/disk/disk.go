@@ -213,10 +213,17 @@ func ownedRead(d Device, lba, n int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(v) > 0 && &v[0] != &buf[0] {
-		copy(buf, v) // lent by the device
+	if Lent(v, buf) {
+		copy(buf, v)
 	}
 	return buf, nil
+}
+
+// Lent reports whether data, as a lending read (ReadView, ViewAt, or
+// the strand reader's block reads above them) returned it when handed
+// scratch, is a view of the device's own store and not scratch filled.
+func Lent(data, scratch []byte) bool {
+	return len(data) > 0 && (len(scratch) == 0 || &data[0] != &scratch[0])
 }
 
 // ViewAt is the untimed lending read (see Device.ViewAt).

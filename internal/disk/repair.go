@@ -156,6 +156,16 @@ func (a *Array) StartRebalance() error {
 	return nil
 }
 
+// Relocating reports whether a rebalance is pending or running — from
+// AddMirrorPair until the last group reaches its new home. It is the one
+// time the array rewrites pages that hold live data in place (a migrated
+// group lands on a page another group vacated), so a view lent before or
+// during it (ReadView, ViewAt) is not good beyond the round: whoever
+// retains lent bytes for longer owns copies for the duration.
+//
+// rt:hotpath
+func (a *Array) Relocating() bool { return a.moved != nil }
+
 // RepairActive reports whether a rebuild or rebalance is in progress.
 func (a *Array) RepairActive() bool { return a.repair.kind != repairNone }
 

@@ -8,6 +8,7 @@ import (
 	"mmfs/internal/alloc"
 	"mmfs/internal/cache"
 	"mmfs/internal/continuity"
+	"mmfs/internal/disk"
 	"mmfs/internal/fault"
 	"mmfs/internal/layout"
 	"mmfs/internal/sim"
@@ -78,7 +79,9 @@ type lane struct {
 	// ReadBlockInto: a block normally arrives lent by the lane's own
 	// spindle (a read-only slice of its store, valid until the round's
 	// writes, which run on the serial lane after the join), and the
-	// lane drops it — or cache.Put copies it — before the next read.
+	// lane drops it — or the interval cache retains the view (feedCache)
+	// — before the next read; only a block that landed in blockBuf is
+	// copied.
 	reqs     []*request
 	deg      []bool
 	blockBuf []byte
@@ -444,9 +447,7 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 					m.cache.Produced(uint64(r.id), b.Index)
 				}
 			} else if ps.cacheOpen {
-				// Feed the interval cache: a follower's pin, or plain
-				// LRU residency for future adoptions.
-				m.cache.Put(uint64(r.id), b.Index, data)
+				ln.feedCache(uint64(r.id), b.Index, data)
 			}
 			if t > maxT {
 				maxT = t
@@ -489,6 +490,26 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 		}
 	}
 	return fetched > 0
+}
+
+// feedCache hands the interval cache a block the lane just read for an
+// open cache stream: a follower's pin, or plain LRU residency for future
+// adoptions. A block the device lent is retained as the view it is —
+// the cache is the third holder of lent bytes, after the lane and the
+// FETCH visitor, and the one that keeps them past the round: a view
+// stays good until its strand is removed (the strand store's removal
+// hook invalidates it) or the array relocates data in place, which is
+// why the cache copies, as it does a block that arrived in the lane's
+// scratch, while a rebalance is pending or running.
+//
+// rt:hotpath
+func (ln *lane) feedCache(id uint64, index int, data []byte) {
+	m := ln.m
+	if disk.Lent(data, ln.blockBuf) && (m.array == nil || !m.array.Relocating()) {
+		m.cache.PutView(id, index, data)
+		return
+	}
+	m.cache.Put(id, index, data)
 }
 
 // retryRead re-attempts a faulted block read, bounded by the policy's

@@ -221,6 +221,12 @@ func New(d disk.Device, adm continuity.Admission) *Manager {
 	m.growLanes()
 	m.rb.rate = DefaultRebuildRate
 	m.probeAdvancers()
+	if m.RepairActive() {
+		// A repair another manager started rides this one's rounds now;
+		// without a chunk buffer every copy would fail, and the array
+		// would count the failures against the healthy source spindle.
+		m.ensureRepairBuf()
+	}
 	return m
 }
 

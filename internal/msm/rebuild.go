@@ -165,13 +165,19 @@ func (m *Manager) AddMirrorPair(d0, d1 disk.Device) error {
 }
 
 // StartRebalance starts the online rebalance that spreads existing
-// stripe groups onto hot-added mirror pairs (disk.AddMirrorPair).
+// stripe groups onto hot-added mirror pairs (disk.AddMirrorPair). The
+// rebalance rewrites pages in place, so the interval cache first takes
+// copies of the blocks it holds as views of them; until the rebalance
+// completes (disk.Array.Relocating) the lanes feed it copies too.
 func (m *Manager) StartRebalance() error {
 	if m.array == nil || !m.array.Mirrored() {
 		return errors.New("msm: rebalance requires a mirrored array")
 	}
 	if err := m.array.StartRebalance(); err != nil {
 		return err
+	}
+	if m.cache != nil {
+		m.cache.OwnViews()
 	}
 	m.rb.fails = 0
 	m.ensureRepairBuf()

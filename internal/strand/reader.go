@@ -50,9 +50,11 @@ func (r *Reader) Strand() *Strand { return r.s }
 // to the block's full sector span.
 // The slice is trimmed to the payload, is read-only, has cap == len,
 // and is valid until the next write to the device or the next call
-// with the same buf; a caller that must keep the bytes copies them
-// (cache.Put does). Strands are immutable, so a lent block cannot
-// change while its strand is alive.
+// with the same buf; a caller that must keep bytes that arrived in *buf
+// copies them (cache.Put does). Strands are immutable, so a lent block
+// (disk.Lent tells) cannot change while its strand's sectors are neither freed
+// (Store.Remove) nor relocated by the device, and may be retained that
+// long (cache.PutView does).
 //
 // rt:hotpath
 func (r *Reader) ReadBlockInto(h, i int, buf *[]byte) (data []byte, t time.Duration, silent bool, err error) {

@@ -20,6 +20,8 @@ type Store struct {
 	a       *alloc.Allocator
 	strands map[ID]*Strand
 	nextID  ID
+	// onRemove, when set, hears of every strand about to lose its sectors.
+	onRemove func(ID)
 }
 
 // NewStore creates an empty registry over the disk and allocator.
@@ -88,6 +90,14 @@ func (st *Store) IDsWhere(keep func(ID) bool) []ID {
 	return out
 }
 
+// OnRemove installs the removal hook: fn is called with a strand's ID
+// inside Remove, before its runs return to the allocator. Remove is the
+// one place a strand's sectors are freed, so whoever retains views of a
+// strand's blocks (the interval cache) lets go of them here, whichever
+// caller — garbage collection, reorganization, an experiment — removes
+// it.
+func (st *Store) OnRemove(fn func(ID)) { st.onRemove = fn }
+
 // Remove unregisters the strand and frees its media blocks and index
 // blocks. The caller (the garbage collector) guarantees no rope still
 // references it.
@@ -95,6 +105,9 @@ func (st *Store) Remove(id ID) error {
 	s, ok := st.strands[id]
 	if !ok {
 		return fmt.Errorf("strand: remove of unknown ID %d", id)
+	}
+	if st.onRemove != nil {
+		st.onRemove(id)
 	}
 	for _, r := range s.MediaRuns() {
 		st.a.Free(r)
