@@ -47,12 +47,14 @@ race-bench:
 # suite plus mmfsvet, the project's own
 # invariant checkers (see DESIGN.md "Invariants & static analysis" and
 # "Concurrency invariants"). Findings are also archived to mmfsvet.json
-# so CI can upload them as an artifact.
+# so CI can upload them as an artifact. Last, scripts/deadexports.sh:
+# exported functions and methods under internal/ that nothing names.
 lint:
 	@unformatted="$$(gofmt -l . | grep -v '^\.bench_build/')"; \
 		if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/mmfsvet -json mmfsvet.json ./...
+	bash scripts/deadexports.sh
 
 # Assert the tree is finding-free, annotating the diff when run under
 # GitHub Actions. This is the CI gate: any new finding fails the build.

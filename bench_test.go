@@ -654,7 +654,7 @@ func BenchmarkCodecSmall(b *testing.B) {
 func BenchmarkFetchReply(b *testing.B) {
 	fs, r := benchFSWith(b, core.Options{Disks: 4})
 	srv := server.New(fs)
-	req := wire.NewEncoder().Str("bench").U64(uint64(r.ID)).U16(server.EncodeMedium(rope.VideoOnly)).
+	req := wire.NewEncoder().Str("bench").U64(uint64(r.ID)).U16(rope.VideoOnly.Code()).
 		I64(0).I64(int64(time.Second)).Bytes()
 	e := wire.NewEncoder()
 	fetch := func() int {
@@ -892,11 +892,7 @@ func newStripedBench(b *testing.B, g disk.Geometry, p, stripe int, mirror bool) 
 	lg := arr.Geometry()
 	return &stripedBench{
 		arr: arr, a: a, p: p,
-		dev: continuity.Device{
-			TransferRate: lg.TransferRateBits(),
-			MaxAccess:    continuity.Seconds(lg.MaxAccessTime()),
-			MinAccess:    continuity.Seconds(lg.MinAccessTime()),
-		},
+		dev: msm.DeviceFor(lg),
 	}
 }
 

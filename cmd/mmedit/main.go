@@ -62,18 +62,6 @@ func (e *editor) lookup(name string) (rope.ID, error) {
 	return id, nil
 }
 
-func parseMedium(s string) (rope.Medium, error) {
-	switch strings.ToLower(s) {
-	case "av", "both", "audiovisual":
-		return rope.AudioVisual, nil
-	case "video", "v":
-		return rope.VideoOnly, nil
-	case "audio", "a":
-		return rope.AudioOnly, nil
-	}
-	return 0, fmt.Errorf("unknown medium %q", s)
-}
-
 func (e *editor) exec(line string) error {
 	fields := strings.Fields(line)
 	if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
@@ -124,7 +112,7 @@ func (e *editor) record(args []string) error {
 	}
 	m := rope.AudioVisual
 	if len(args) > 2 {
-		if m, err = parseMedium(args[2]); err != nil {
+		if m, err = rope.ParseMedium(args[2]); err != nil {
 			return err
 		}
 	}
@@ -160,7 +148,7 @@ func (e *editor) play(args []string) error {
 	}
 	m := rope.AudioVisual
 	if len(args) > 1 {
-		if m, err = parseMedium(args[1]); err != nil {
+		if m, err = rope.ParseMedium(args[1]); err != nil {
 			return err
 		}
 	}
@@ -196,7 +184,7 @@ func (e *editor) substring(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := parseMedium(args[2])
+	m, err := rope.ParseMedium(args[2])
 	if err != nil {
 		return err
 	}
@@ -229,7 +217,7 @@ func (e *editor) insert(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := parseMedium(args[2])
+	m, err := rope.ParseMedium(args[2])
 	if err != nil {
 		return err
 	}
@@ -261,7 +249,7 @@ func (e *editor) replace(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := parseMedium(args[1])
+	m, err := rope.ParseMedium(args[1])
 	if err != nil {
 		return err
 	}
@@ -322,7 +310,7 @@ func (e *editor) delete(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := parseMedium(args[1])
+	m, err := rope.ParseMedium(args[1])
 	if err != nil {
 		return err
 	}

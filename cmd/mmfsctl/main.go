@@ -52,18 +52,6 @@ func usage() {
 	os.Exit(2)
 }
 
-func parseMedium(s string) (rope.Medium, error) {
-	switch strings.ToLower(s) {
-	case "av", "audiovisual", "both":
-		return rope.AudioVisual, nil
-	case "video", "v":
-		return rope.VideoOnly, nil
-	case "audio", "a":
-		return rope.AudioOnly, nil
-	}
-	return 0, fmt.Errorf("unknown medium %q (want av, video, or audio)", s)
-}
-
 func parseRope(s string) (rope.ID, error) {
 	n, err := strconv.ParseUint(s, 10, 64)
 	return rope.ID(n), err
@@ -172,7 +160,7 @@ func main() {
 		if err != nil {
 			die(err)
 		}
-		m, err := parseMedium(args[2])
+		m, err := rope.ParseMedium(args[2])
 		if err != nil {
 			die(err)
 		}
@@ -212,7 +200,7 @@ func main() {
 		if err != nil {
 			die(err)
 		}
-		m, err := parseMedium(args[3])
+		m, err := rope.ParseMedium(args[3])
 		if err != nil {
 			die(err)
 		}
@@ -241,7 +229,7 @@ func main() {
 		if err != nil {
 			die(err)
 		}
-		m, err := parseMedium(args[2])
+		m, err := rope.ParseMedium(args[2])
 		if err != nil {
 			die(err)
 		}
@@ -278,7 +266,7 @@ func main() {
 		if err != nil {
 			die(err)
 		}
-		m, err := parseMedium(args[2])
+		m, err := rope.ParseMedium(args[2])
 		if err != nil {
 			die(err)
 		}
@@ -320,7 +308,7 @@ func main() {
 		if err != nil {
 			die(err)
 		}
-		m, err := parseMedium(args[2])
+		m, err := rope.ParseMedium(args[2])
 		if err != nil {
 			die(err)
 		}

@@ -96,9 +96,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Diagnostics returns the findings recorded so far, in report order.
-func (p *Pass) Diagnostics() []Diagnostic { return p.diagnostics }
-
 // RunPass executes one analyzer over one package against a shared
 // fact store and returns the raw findings, without suppression.
 // Callers that span packages (RunAll, analysistest) apply Suppress

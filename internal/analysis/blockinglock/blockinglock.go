@@ -10,8 +10,8 @@
 // channel, sync.WaitGroup.Wait / sync.Cond.Wait, time.Sleep, net
 // Read/Write/Accept (directly or by passing a net.Conn/net.Listener to
 // another package's Read*/Write*/Serve* function), timed disk.Device
-// data-path calls, and virtual-clock waits (sim.Engine Run/RunUntil/
-// Step, msm.Manager RunRound/RunUntilDone/RunFor) — and propagated
+// data-path calls, and virtual-clock waits (msm.Manager RunRound/
+// RunUntilDone/RunFor) — and propagated
 // through same-package calls to a fixpoint. Lock extents are tracked
 // syntactically per function: x.Lock()/x.RLock() opens one, a matching
 // x.Unlock()/x.RUnlock() closes it, and a deferred unlock holds to the
@@ -184,9 +184,8 @@ func hasDefault(sel *ast.SelectStmt) bool {
 var netReadWrite = map[string]bool{"Read": true, "Write": true, "Accept": true}
 
 // simWaits are the virtual-clock waits: methods that advance simulated
-// time by running queued events, the analogue of sleeping.
+// time by running service rounds, the analogue of sleeping.
 var simWaits = map[string]map[string]bool{
-	analysis.ModulePath + "/internal/sim": {"Run": true, "RunUntil": true, "Step": true},
 	analysis.ModulePath + "/internal/msm": {"RunRound": true, "RunUntilDone": true, "RunFor": true},
 }
 

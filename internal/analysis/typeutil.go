@@ -23,13 +23,6 @@ func Named(t types.Type) (pkgPath, name string) {
 	return obj.Pkg().Path(), obj.Name()
 }
 
-// IsNamed reports whether t (possibly *T) is the named type
-// pkgPath.name.
-func IsNamed(t types.Type, pkgPath, name string) bool {
-	p, n := Named(t)
-	return p == pkgPath && n == name
-}
-
 // Callee resolves the function or method a call expression statically
 // invokes, or nil for calls through function values, built-ins, and
 // type conversions.

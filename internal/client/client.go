@@ -60,8 +60,7 @@ type Client struct {
 	mu sync.Mutex
 	// conn carries one framed RPC at a time. guarded by mu
 	conn net.Conn
-	// addr is non-empty for dialed clients and enables redial-on-retry;
-	// NewFromConn clients have no address to go back to.
+	// addr is where a retry redials.
 	addr string
 	opts Options
 }
@@ -89,10 +88,6 @@ func dial(addr string, opts Options) (net.Conn, error) {
 	}
 	return net.Dial("tcp", addr)
 }
-
-// NewFromConn wraps an existing connection (tests use net.Pipe). The
-// client cannot redial, so transport failures are not retried.
-func NewFromConn(conn net.Conn) *Client { return &Client{conn: conn} }
 
 // Close tears the connection down.
 func (c *Client) Close() error {
@@ -140,14 +135,14 @@ func (c *Client) call(op wire.Op, e *wire.Encoder) (*wire.Decoder, error) {
 			if err == nil {
 				return d, nil
 			}
-			if c.addr != "" && retryable(err) {
+			if retryable(err) {
 				// The connection is suspect after any transport
 				// failure; the redial above replaces it.
 				c.conn.Close()
 				c.conn = nil
 			}
 		}
-		if c.addr == "" || attempt >= c.opts.Retries || !retryable(err) {
+		if attempt >= c.opts.Retries || !retryable(err) {
 			return nil, err
 		}
 		// Retry backoff stays under mu for the same reason: a second
@@ -192,18 +187,6 @@ func retryable(err error) bool {
 	}
 	var nerr net.Error
 	return errors.As(err, &nerr)
-}
-
-// mediumCode converts a rope selector to its wire encoding.
-func mediumCode(m rope.Medium) uint16 {
-	switch m {
-	case rope.VideoOnly:
-		return 1
-	case rope.AudioOnly:
-		return 2
-	default:
-		return 0
-	}
 }
 
 // RecordSession is an in-progress remote RECORD.
@@ -270,7 +253,7 @@ func (s *RecordSession) Append(m rope.Medium, units [][]byte) error {
 		}
 		e.Reset()
 		e.Grow(size) // the batch is copied once, into a buffer sized for it
-		e.U64(s.id).U16(mediumCode(m)).U32(uint32(n))
+		e.U64(s.id).U16(m.Code()).U32(uint32(n))
 		for _, u := range units[:n] {
 			e.Blob(u)
 		}
@@ -355,7 +338,7 @@ type PlayResult struct {
 // statistics. class names the QoS class ("premium", "standard",
 // "best-effort"); "" or "default" uses the server's configured default.
 func (c *Client) Play(user string, id rope.ID, m rope.Medium, start, dur time.Duration, readAhead int, class string) (PlayResult, error) {
-	e := wire.NewEncoder().Str(user).U64(uint64(id)).U16(mediumCode(m)).I64(int64(start)).I64(int64(dur)).U32(uint32(readAhead)).Str(class)
+	e := wire.NewEncoder().Str(user).U64(uint64(id)).U16(m.Code()).I64(int64(start)).I64(int64(dur)).U32(uint32(readAhead)).Str(class)
 	d, err := c.call(wire.OpPlay, e)
 	if err != nil {
 		return PlayResult{}, err
@@ -376,7 +359,7 @@ func (c *Client) Play(user string, id rope.ID, m rope.Medium, start, dur time.Du
 // units are the caller's: views of the one reply frame this call read
 // (each with cap == len), so keeping any of them keeps that frame.
 func (c *Client) Fetch(user string, id rope.ID, m rope.Medium, start, dur time.Duration) ([][]byte, error) {
-	e := wire.NewEncoder().Str(user).U64(uint64(id)).U16(mediumCode(m)).I64(int64(start)).I64(int64(dur))
+	e := wire.NewEncoder().Str(user).U64(uint64(id)).U16(m.Code()).I64(int64(start)).I64(int64(dur))
 	d, err := c.call(wire.OpFetch, e)
 	if err != nil {
 		return nil, err
@@ -392,7 +375,7 @@ func (c *Client) Fetch(user string, id rope.ID, m rope.Medium, start, dur time.D
 // Insert performs a remote INSERT, returning the number of blocks the
 // scattering-maintenance algorithm copied.
 func (c *Client) Insert(user string, base rope.ID, pos time.Duration, m rope.Medium, with rope.ID, withStart, withDur time.Duration) (int, error) {
-	e := wire.NewEncoder().Str(user).U64(uint64(base)).I64(int64(pos)).U16(mediumCode(m)).
+	e := wire.NewEncoder().Str(user).U64(uint64(base)).I64(int64(pos)).U16(m.Code()).
 		U64(uint64(with)).I64(int64(withStart)).I64(int64(withDur))
 	d, err := c.call(wire.OpInsert, e)
 	if err != nil {
@@ -404,7 +387,7 @@ func (c *Client) Insert(user string, base rope.ID, pos time.Duration, m rope.Med
 
 // Replace performs a remote REPLACE.
 func (c *Client) Replace(user string, base rope.ID, m rope.Medium, baseStart, baseDur time.Duration, with rope.ID, withStart, withDur time.Duration) (int, error) {
-	e := wire.NewEncoder().Str(user).U64(uint64(base)).U16(mediumCode(m)).
+	e := wire.NewEncoder().Str(user).U64(uint64(base)).U16(m.Code()).
 		I64(int64(baseStart)).I64(int64(baseDur)).
 		U64(uint64(with)).I64(int64(withStart)).I64(int64(withDur))
 	d, err := c.call(wire.OpReplace, e)
@@ -417,7 +400,7 @@ func (c *Client) Replace(user string, base rope.ID, m rope.Medium, baseStart, ba
 
 // Substring performs a remote SUBSTRING, returning the new rope ID.
 func (c *Client) Substring(user string, base rope.ID, m rope.Medium, start, dur time.Duration) (rope.ID, error) {
-	e := wire.NewEncoder().Str(user).U64(uint64(base)).U16(mediumCode(m)).I64(int64(start)).I64(int64(dur))
+	e := wire.NewEncoder().Str(user).U64(uint64(base)).U16(m.Code()).I64(int64(start)).I64(int64(dur))
 	d, err := c.call(wire.OpSubstring, e)
 	if err != nil {
 		return 0, err
@@ -441,7 +424,7 @@ func (c *Client) Concate(user string, r1, r2 rope.ID) (rope.ID, int, error) {
 
 // DeleteRange performs a remote DELETE of a media interval.
 func (c *Client) DeleteRange(user string, base rope.ID, m rope.Medium, start, dur time.Duration) (int, error) {
-	e := wire.NewEncoder().Str(user).U64(uint64(base)).U16(mediumCode(m)).I64(int64(start)).I64(int64(dur))
+	e := wire.NewEncoder().Str(user).U64(uint64(base)).U16(m.Code()).I64(int64(start)).I64(int64(dur))
 	d, err := c.call(wire.OpDeleteRange, e)
 	if err != nil {
 		return 0, err

@@ -31,17 +31,6 @@ type Request struct {
 	Scattering float64
 }
 
-// RequestFor builds a Request from a derivation.
-func RequestFor(name string, dv Derivation) Request {
-	return Request{
-		Name:        name,
-		Granularity: dv.Granularity,
-		UnitBits:    dv.Media.UnitBits,
-		Rate:        dv.Media.Rate,
-		Scattering:  dv.MaxScattering,
-	}
-}
-
 // BlockBits is q_i·s_i, the request's block size in bits.
 func (r Request) BlockBits() float64 { return float64(r.Granularity) * r.UnitBits }
 

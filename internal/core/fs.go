@@ -47,12 +47,6 @@ type Options struct {
 	// scattering (and the admission-control β) far below the
 	// continuity bound. 0 uses 32.
 	TargetCylinders int
-	// VideoDeviceBufferUnits and AudioDeviceBufferUnits are the
-	// display devices' internal buffer sizes in units, from which
-	// §3.3.4 derives the storage granularity. Zeros use 6 frames and
-	// 8 audio units.
-	VideoDeviceBufferUnits int
-	AudioDeviceBufferUnits int
 	// CacheMB sizes the interval cache in MiB: trailing plays of a
 	// strand range are served from the blocks a leading play just
 	// fetched, admitting more concurrent streams than the disk-only
@@ -66,9 +60,6 @@ type Options struct {
 	// zero scenario leaves the raw disk in place — the fault layer costs
 	// nothing when off. Metadata access always bypasses injection.
 	Fault fault.Scenario
-	// FaultPolicy overrides the storage manager's fault-tolerant
-	// service policy; nil uses msm.DefaultFaultPolicy.
-	FaultPolicy *msm.FaultPolicy
 	// Disks is the number of independent spindles (the paper's degree
 	// of concurrency p). Values above 1 build a striped disk.Array of
 	// identical spindles — Geometry describes one spindle — and the
@@ -121,12 +112,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.TargetCylinders == 0 {
 		o.TargetCylinders = 32
-	}
-	if o.VideoDeviceBufferUnits == 0 {
-		o.VideoDeviceBufferUnits = 6
-	}
-	if o.AudioDeviceBufferUnits == 0 {
-		o.AudioDeviceBufferUnits = 8
 	}
 	if o.Disks < 1 {
 		o.Disks = 1
@@ -274,11 +259,6 @@ func Format(opts Options) (*FS, error) {
 // build wires the subsystems over an existing device and allocator.
 func build(opts Options, d disk.Device, fd *fault.Disk, a *alloc.Allocator) *FS {
 	g := d.Geometry()
-	dev := continuity.Device{
-		TransferRate: g.TransferRateBits(),
-		MaxAccess:    continuity.Seconds(g.MaxAccessTime()),
-		MinAccess:    continuity.Seconds(g.MinAccessTime()),
-	}
 	ss := strand.NewStore(d, a)
 	in := gc.New()
 	rs := rope.NewStore(ss, in)
@@ -292,7 +272,7 @@ func build(opts Options, d disk.Device, fd *fault.Disk, a *alloc.Allocator) *FS 
 		interests: in,
 		collector: gc.NewCollector(ss, in),
 		editor:    rope.NewEditor(d, a, rs, opts.TargetCylinders),
-		dev:       dev,
+		dev:       msm.DeviceFor(g),
 		text:      textfs.NewStore(d, a),
 		nextStart: g.Cylinders / 7,
 	}
@@ -544,9 +524,6 @@ func (fs *FS) newManager() *msm.Manager {
 	if fs.cache != nil {
 		fs.cache.Reset()
 		m.SetCache(fs.cache)
-	}
-	if fs.opts.FaultPolicy != nil {
-		m.SetFaultPolicy(*fs.opts.FaultPolicy)
 	}
 	if fs.opts.QoSMaxStride >= 2 {
 		m.SetQoS(msm.QoSPolicy{MaxStride: fs.opts.QoSMaxStride})

@@ -12,6 +12,13 @@ import (
 	"mmfs/internal/strand"
 )
 
+// The display devices' internal buffer sizes in units, from which
+// §3.3.4 derives the storage granularity.
+const (
+	videoDeviceBufferUnits = 6
+	audioDeviceBufferUnits = 8
+)
+
 // RecordSpec describes a RECORD request (§4.1: "the file system begins
 // recording a new multimedia rope consisting of new media (audio,
 // video or both) strands").
@@ -75,14 +82,14 @@ func (fs *FS) Record(spec RecordSpec) (*RecordSession, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.startMedium(layout.Mixed, mux, fs.opts.VideoDeviceBufferUnits, nil); err != nil {
+		if err := s.startMedium(layout.Mixed, mux, videoDeviceBufferUnits, nil); err != nil {
 			s.abort()
 			return nil, err
 		}
 		return s, nil
 	}
 	if spec.Video != nil {
-		if err := s.startMedium(layout.Video, spec.Video, fs.opts.VideoDeviceBufferUnits, nil); err != nil {
+		if err := s.startMedium(layout.Video, spec.Video, videoDeviceBufferUnits, nil); err != nil {
 			s.abort()
 			return nil, err
 		}
@@ -93,7 +100,7 @@ func (fs *FS) Record(spec RecordSpec) (*RecordSession, error) {
 			d := media.DefaultSilenceDetector()
 			det = &d
 		}
-		if err := s.startMedium(layout.Audio, spec.Audio, fs.opts.AudioDeviceBufferUnits, det); err != nil {
+		if err := s.startMedium(layout.Audio, spec.Audio, audioDeviceBufferUnits, det); err != nil {
 			s.abort()
 			return nil, err
 		}

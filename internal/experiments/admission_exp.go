@@ -39,11 +39,7 @@ func NMax() Result {
 	}
 	const q = 3
 	for _, c := range cases {
-		dev := continuity.Device{
-			TransferRate: c.g.TransferRateBits(),
-			MaxAccess:    continuity.Seconds(c.g.MaxAccessTime()),
-			MinAccess:    continuity.Seconds(c.g.MinAccessTime()),
-		}
+		dev := msm.DeviceFor(c.g)
 		adm := continuity.AdmissionFor(dev)
 		m := ntsc()
 		tmpl := continuity.Request{

@@ -60,7 +60,7 @@ func sequentialViolations(g disk.Geometry, q int, m continuity.Media, dist int) 
 		dist = g.Cylinders - 1
 	}
 	lds := continuity.Seconds(g.AccessTime(dist))
-	dev := continuity.Device{TransferRate: g.TransferRateBits(), MaxAccess: continuity.Seconds(g.MaxAccessTime())}
+	dev := msm.DeviceFor(g)
 	read := lds + dev.TransferTime(m.BlockBits(q))
 	disp := m.DisplayTime(q)
 	dur := m.PlaybackDuration(q)
@@ -204,11 +204,7 @@ func E3Concurrent() Result {
 		cfg := continuity.Config{Arch: continuity.Concurrent, P: p}
 		for _, q := range []int{1, 3} {
 			g := disk.ArrayGeometry(p)
-			dev := continuity.Device{
-				TransferRate: g.TransferRateBits(),
-				MaxAccess:    continuity.Seconds(g.MaxAccessTime()),
-				MinAccess:    continuity.Seconds(g.MinAccessTime()),
-			}
+			dev := msm.DeviceFor(g)
 			lds, ok := continuity.MaxScattering(cfg, q, m, dev)
 			if !ok {
 				res.AddRow(fmt.Sprint(p), fmt.Sprint(q), "infeasible", "-", "-")

@@ -151,12 +151,7 @@ func ntsc() continuity.Media { return continuity.NTSCVideo() }
 
 // stdDevice is the continuity view of the default geometry.
 func stdDevice() continuity.Device {
-	g := disk.DefaultGeometry()
-	return continuity.Device{
-		TransferRate: g.TransferRateBits(),
-		MaxAccess:    continuity.Seconds(g.MaxAccessTime()),
-		MinAccess:    continuity.Seconds(g.MinAccessTime()),
-	}
+	return msm.DeviceFor(disk.DefaultGeometry())
 }
 
 // stdRequest is the admission-control request template used across

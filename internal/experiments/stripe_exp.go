@@ -48,12 +48,8 @@ func newArrayRig(opts core.Options) *arrayRig {
 	arr, _ := d.(*disk.Array)
 	return &arrayRig{
 		d: d, arr: arr, a: a,
-		st: strand.NewStore(d, a),
-		dev: continuity.Device{
-			TransferRate: lg.TransferRateBits(),
-			MaxAccess:    continuity.Seconds(lg.MaxAccessTime()),
-			MinAccess:    continuity.Seconds(lg.MinAccessTime()),
-		},
+		st:     strand.NewStore(d, a),
+		dev:    msm.DeviceFor(lg),
 		p:      opts.Disks,
 		stripe: opts.Stripe,
 	}

@@ -45,9 +45,6 @@ func NewMuxAVSource(video, audio Source) (*MuxAVSource, error) {
 // AudioBytesPerFrame reports the audio share of each composite unit.
 func (m *MuxAVSource) AudioBytesPerFrame() int { return m.audioPerFrame }
 
-// VideoBytes reports the video share of each composite unit.
-func (m *MuxAVSource) VideoBytes() int { return m.video.UnitBytes() }
-
 // Next implements Source: the next composite unit, combining the media
 // at the input as the paper's heterogeneous scheme requires.
 func (m *MuxAVSource) Next() (Unit, bool) {

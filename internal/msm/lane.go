@@ -11,7 +11,6 @@ import (
 	"mmfs/internal/disk"
 	"mmfs/internal/fault"
 	"mmfs/internal/layout"
-	"mmfs/internal/sim"
 )
 
 // This file is the service round. The paper has one service algorithm —
@@ -22,17 +21,18 @@ import (
 // spindle, the busy ones serviced concurrently by their lanes and joined
 // before the round closes; whatever cannot be parallelized — records,
 // cache-coupled plays, boundary-crossing fetches — is then serviced by
-// the serial lane at the joined clock. A single device is the case of
+// the serial lane from where they joined. A single device is the case of
 // zero parallel lanes: everything rides the serial lane.
 //
 // Each parallel lane owns its spindle exclusively for the round — its
 // requests' next blocks all live on that spindle — runs its own C-SCAN
 // sweep over the spindle's local cylinders, charges service time to a
 // private virtual-time cursor, and spends a private Eq. 18 retry-slack
-// budget computed over the spindle's entry in the resident table. After
-// the join the manager's clock advances to the slowest lane's cursor
-// (the sub-rounds overlap in virtual time) and lane counters merge in
-// spindle order so totals stay deterministic.
+// budget computed over the spindle's entry in the resident table. The
+// serial lane is a lane like them; it starts at the slowest lane's cursor
+// (the sub-rounds overlap in virtual time), the manager's clock advances
+// to where it ends, and lane counters merge in spindle order so totals
+// stay deterministic.
 //
 // Shared state discipline: during the parallel phase a lane touches
 // only (a) its own scratch arenas, (b) its requests' private state, (c)
@@ -57,19 +57,17 @@ type laneStats struct {
 }
 
 // lane is one spindle's service context. The manager also keeps one
-// "serial" lane (spindle -1) over the whole logical device, whose time
-// writes through to the shared clock; it services what the round's
+// "serial" lane (spindle -1) over the whole logical device, which starts
+// where the parallel lanes joined; it services what the round's
 // partition could not hand to a spindle — on a single device, every
 // request.
 type lane struct {
 	m *Manager
 	// spindle is the lane's spindle index, -1 for the serial lane.
 	spindle int
-	// clk, when set, makes now/advance write through to the manager's
-	// clock (the serial lane). Parallel lanes advance the private
-	// cursor at; the manager joins the cursors into the clock.
-	clk *sim.Clock
-	at  time.Duration
+	// at is the lane's virtual-time cursor: service time is charged to
+	// it, and the manager joins the cursors into the clock.
+	at time.Duration
 	// retrySlack is the lane's round retry budget: Eq. 18's measured
 	// slack over the spindle-resident admission set.
 	retrySlack time.Duration
@@ -99,21 +97,6 @@ type lane struct {
 	// such lanes (repair yields to the strictest service class).
 	premium bool
 	stats   laneStats
-}
-
-func (ln *lane) now() time.Duration {
-	if ln.clk != nil {
-		return ln.clk.Now()
-	}
-	return ln.at
-}
-
-func (ln *lane) advance(d time.Duration) {
-	if ln.clk != nil {
-		ln.clk.Advance(d)
-		return
-	}
-	ln.at += d
 }
 
 // flushStats merges the lane's counters into the manager's and resets
@@ -253,104 +236,46 @@ func nextMedia(blocks []PlannedBlock, from int) (layout.PrimaryEntry, int, bool)
 //
 // rt:hotpath
 func (ln *lane) serviceRequest(r *request, k int) bool {
-	switch {
-	case r.kind == Play && r.cacheServed:
-		return ln.serviceCached(r, k)
-	case r.kind == Play:
+	if r.kind == Play {
 		return ln.servicePlay(r, k)
-	default:
-		return ln.serviceRecord(r, k)
 	}
+	return ln.serviceRecord(r, k)
 }
 
-// serviceCached serves a cache-served follower: blocks come from the
-// interval cache at zero disk time (silence blocks are regenerated
-// directly from the strand, also free). Display-buffer regulation and
-// deadline bookkeeping are identical to the disk path. A Wait (the
-// leader has not produced the block yet) simply ends this request's
-// turn; a Miss marks the interval broken and the demotion runs at the
-// top of the next round. Cache-served requests only ever reach the
-// serial lane.
-func (ln *lane) serviceCached(r *request, k int) bool {
-	m := ln.m
-	ps := r.play
-	id := uint64(r.id)
-	served := 0
-	for served < k {
-		if ps.nextFetch >= len(ps.plan.Blocks) {
-			break
-		}
-		if ps.started && ps.occupancyAt(ln.now()) >= ps.plan.Buffers {
-			break // regulation: never overflow the display subsystem
-		}
-		b := ps.plan.Blocks[ps.nextFetch]
-		e, err := b.Reader.Strand().Block(b.Index)
-		if err != nil {
-			ln.violate(&ps.violations, Violation{Block: ps.nextFetch, Deadline: ln.now(), Actual: ln.now()})
-			r.done = true
-			m.closeCacheStream(r)
-			return true
-		}
-		if e.Silent() {
-			// Silence blocks cost no disk time on the disk path
-			// either; regenerate directly and advance the position.
-			if _, _, _, rerr := b.Reader.ReadBlockInto(0, b.Index, &ln.blockBuf); rerr != nil {
-				ln.violate(&ps.violations, Violation{Block: ps.nextFetch, Deadline: ln.now(), Actual: ln.now()})
-				r.done = true
-				m.closeCacheStream(r)
-				return true
-			}
-			m.cache.Produced(id, b.Index)
-			ln.stats.silenceBlocks++
-		} else {
-			_, res := m.cache.Get(id, b.Index)
-			switch res {
-			case cache.Wait:
-				return served > 0
-			case cache.Miss:
-				r.needsDemote = true
-				return served > 0
-			case cache.Hit:
-			}
-			ps.cacheHits++
-			ln.stats.cacheHits++
-		}
-		arrival := ln.now()
-		j := ps.nextFetch
-		ps.nextFetch++
-		ln.stats.blocksFetched++
-		if ps.started {
-			if dl := ps.deadline(j); arrival > dl {
-				ln.violate(&ps.violations, Violation{Block: j, Deadline: dl, Actual: arrival})
-			}
-		}
-		ps.fetchDone = arrival
-		served++
-		if !ps.started && ps.nextFetch >= ps.readAhead {
-			ps.started = true
-			ps.startTime = arrival
-		}
-	}
-	return served > 0
-}
-
-// servicePlay fetches up to k blocks for a play request, respecting
+// servicePlay delivers up to k blocks to a play request, respecting
 // the display-buffer regulation, recording arrival-vs-deadline
 // violations, and starting the display once the read-ahead is
 // satisfied. With concurrency p > 1, up to p blocks are fetched in
 // parallel on distinct heads, all arriving when the slowest completes.
 //
+// A block has three sources. Pure delays and silence holders cost
+// nothing and come from the plan and the strand. A request with an open
+// cache stream asks the interval cache first (serial lane only: open
+// cache streams never ride a parallel lane). What the cache does not
+// hold comes from the disk — if the request holds a disk slot. A
+// cache-served follower holds none: a Wait (its leader has not produced
+// the block yet) simply ends its turn with the blocks before it
+// delivered, and a Miss (the interval broke — or its stream is closed,
+// which the cache reports the same way) also flags the demotion that
+// runs at the top of the next round. Either way it never reaches the
+// timed read. A follower takes its blocks one at a time (a hit occupies
+// no head), at full rate (a block that costs no disk time is not worth
+// skipping), and never asks the cache for a silence holder, which no
+// leader inserts.
+//
 // rt:hotpath
 func (ln *lane) servicePlay(r *request, k int) bool {
 	m := ln.m
 	ps := r.play
+	id := uint64(r.id)
+	follower := r.cacheServed
 	fetched := 0
 	for fetched < k {
 		// Load-shed sub-sampling: advance for free past the blocks the
 		// stride drops. The retained neighbor already covers their
 		// display time (it repeats on screen), so they occupy no buffer,
 		// cost no disk time, and can never be late.
-		if ps.stride > 1 {
+		if ps.stride > 1 && !follower {
 			for ps.nextFetch < len(ps.plan.Blocks) && (ps.nextFetch-ps.strideBase)%ps.stride != 0 {
 				ps.nextFetch++
 				ps.shed++
@@ -363,15 +288,12 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 		if ps.nextFetch >= len(ps.plan.Blocks) {
 			break
 		}
-		if ps.started && ps.occupancyAt(ln.now()) >= ps.plan.Buffers {
-			break // regulation: never overflow the display subsystem
-		}
 		// Determine the parallel batch size. A load-shed stream fetches
 		// one block at a time: its plan is only valid at every
 		// stride-th index, so a contiguous multi-head batch would pull
 		// in blocks the stride skips.
 		batch := m.concurrency
-		if ps.stride > 1 {
+		if ps.stride > 1 || follower {
 			batch = 1
 		}
 		if batch > k-fetched {
@@ -381,7 +303,12 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 			batch = rem
 		}
 		if ps.started {
-			if room := ps.plan.Buffers - ps.occupancyAt(ln.now()); batch > room {
+			// Regulation: never overflow the display subsystem.
+			room := ps.plan.Buffers - ps.occupancyAt(ln.at)
+			if room <= 0 {
+				break
+			}
+			if batch > room {
 				batch = room
 			}
 		}
@@ -396,16 +323,21 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 				// absent): consumes playback time, no disk work.
 				continue
 			}
-			if ps.cacheOpen {
-				// Consult the cache before the timed disk read: a
-				// block still resident (pinned by an interval or
-				// retained by the LRU from an earlier play) costs
-				// zero disk time. (Serial lane only: open cache
-				// streams never ride a parallel lane.)
-				if _, res := m.cache.Get(uint64(r.id), b.Index); res == cache.Hit {
+			if (follower && stored(b)) || (!follower && ps.cacheOpen) {
+				// A block still resident (pinned by an interval or
+				// retained by the LRU from an earlier play) costs zero
+				// disk time.
+				_, res := m.cache.Get(id, b.Index)
+				if res == cache.Hit {
 					ps.cacheHits++
 					ln.stats.cacheHits++
 					continue
+				}
+				if follower {
+					if res == cache.Miss {
+						r.needsDemote = true
+					}
+					return fetched > 0
 				}
 			}
 			h := i % m.d.Heads()
@@ -418,7 +350,7 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 					// A broken plan is a programming error in the layers
 					// above; record it as a violation at this block and
 					// stop the request.
-					ln.violate(&ps.violations, Violation{Block: first + i, Deadline: ln.now(), Actual: ln.now()})
+					ln.violate(&ps.violations, Violation{Block: first + i, Deadline: ln.at, Actual: ln.at})
 					r.done = true
 					m.closeCacheStream(r)
 					return true
@@ -432,7 +364,7 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 				// through the demotion path.
 				deg[i] = true
 				if ps.cacheOpen {
-					m.cache.Produced(uint64(r.id), b.Index)
+					m.cache.Produced(id, b.Index)
 				}
 				if t > maxT {
 					maxT = t
@@ -444,17 +376,17 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 				ln.stats.silenceBlocks++
 				if ps.cacheOpen {
 					// Silence is regenerated on read, never cached.
-					m.cache.Produced(uint64(r.id), b.Index)
+					m.cache.Produced(id, b.Index)
 				}
 			} else if ps.cacheOpen {
-				ln.feedCache(uint64(r.id), b.Index, data)
+				ln.feedCache(id, b.Index, data)
 			}
 			if t > maxT {
 				maxT = t
 			}
 		}
-		ln.advance(maxT)
-		arrival := ln.now()
+		ln.at += maxT
+		arrival := ln.at
 		for i := 0; i < batch; i++ {
 			j := first + i
 			ps.nextFetch++
@@ -482,7 +414,6 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 			m.closeCacheStream(r)
 			return true
 		}
-		ps.fetchDone = arrival
 		fetched += batch
 		if !ps.started && ps.nextFetch >= ps.readAhead {
 			ps.started = true
@@ -490,6 +421,15 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 		}
 	}
 	return fetched > 0
+}
+
+// stored reports whether the planned block's bytes live on the platters:
+// it is neither a silence holder (regenerated from the strand on read,
+// at no disk time) nor an entry the strand cannot resolve (which the
+// read reports).
+func stored(b PlannedBlock) bool {
+	e, err := b.Reader.Strand().Block(b.Index)
+	return err == nil && !e.Silent()
 }
 
 // feedCache hands the interval cache a block the lane just read for an
@@ -591,7 +531,7 @@ func (ln *lane) serviceRecord(r *request, k int) bool {
 		}
 		// Block b completes capture at start + (b+1)·blockDur.
 		ready := rs.start + time.Duration(rs.nextWrite+1)*rs.blockDur
-		if ln.now() < ready {
+		if ln.at < ready {
 			break // not yet captured
 		}
 		var flushTime time.Duration
@@ -604,7 +544,7 @@ func (ln *lane) serviceRecord(r *request, k int) bool {
 			}
 			t, err := rs.plan.Writer.Append(unit)
 			if err != nil {
-				ln.violate(&rs.violations, Violation{Block: rs.nextWrite, Deadline: ln.now(), Actual: ln.now()})
+				ln.violate(&rs.violations, Violation{Block: rs.nextWrite, Deadline: ln.at, Actual: ln.at})
 				rs.exhausted = true
 				return true
 			}
@@ -616,8 +556,8 @@ func (ln *lane) serviceRecord(r *request, k int) bool {
 				break // nothing partial pending
 			}
 		}
-		ln.advance(flushTime)
-		finish := ln.now()
+		ln.at += flushTime
+		finish := ln.at
 		// Overflow deadline: the capture device has Buffers block
 		// buffers, so block b must be on disk before block b+Buffers
 		// finishes capture.
@@ -636,22 +576,22 @@ func (ln *lane) serviceRecord(r *request, k int) bool {
 }
 
 // serviceRound is the round body: partition the active requests onto
-// the per-spindle lanes, sweep the busy lanes concurrently, join, advance
-// the clock to the slowest lane, service the leftovers on the serial
-// lane, then let online repair spend what slack remains. sets is the
-// round's resident table (built after the round's re-steer). Reports
-// whether anything transferred.
+// the per-spindle lanes, sweep the busy lanes concurrently, join them,
+// sweep the leftovers on the serial lane from the slowest lane's cursor,
+// advance the clock to where that ends, then let online repair spend
+// what slack remains. sets is the round's resident table (built after
+// the round's re-steer). Reports whether anything transferred.
 //
 // rt:hotpath
 func (m *Manager) serviceRound(act []*request, sets [][]continuity.Request) bool {
-	t0 := m.clock.Now()
-	m.serial.reqs = m.serial.reqs[:0]
+	serial := m.serial
+	serial.reqs = serial.reqs[:0]
 	for _, ln := range m.lanes {
 		ln.reqs = ln.reqs[:0]
 		ln.premium = false
 	}
 	for _, r := range act {
-		ln := m.serial
+		ln := serial
 		if sp, ok := m.laneSpindle(r); ok {
 			ln = m.lanes[sp]
 			if r.class == continuity.Premium {
@@ -663,17 +603,17 @@ func (m *Manager) serviceRound(act []*request, sets [][]continuity.Request) bool
 
 	// Refill the retry budgets: the slack Eq. 18's worst-case charging
 	// leaves unused in this round is what fault retries may spend, per
-	// spindle over its resident set. The manager-level budget reported
-	// by RetrySlack (and charged by the serial lane) is the most
-	// constrained spindle's — on a single device, the one set's.
-	m.retrySlack = m.roundSlack(sets[0])
+	// spindle over its resident set. The serial lane's budget — the one
+	// the trace and the gauge report — is the most constrained spindle's,
+	// before the sub-rounds and again after; on a single device, the one
+	// set's.
+	serial.at = m.clock.Now()
+	serial.retrySlack = m.roundSlack(sets[0])
 	for i, ln := range m.lanes {
-		ln.at = t0
+		ln.at = serial.at
 		ln.worked = false
 		ln.retrySlack = m.roundSlack(sets[i])
-		if ln.retrySlack < m.retrySlack {
-			m.retrySlack = ln.retrySlack
-		}
+		serial.retrySlack = min(serial.retrySlack, ln.retrySlack)
 	}
 
 	// A round costs what its work costs: only lanes the partition handed
@@ -681,7 +621,7 @@ func (m *Manager) serviceRound(act []*request, sets [][]continuity.Request) bool
 	// them itself, so zero or one busy lane costs no spawn and p busy
 	// lanes cost p − 1. An idle lane presents what the refill above left,
 	// which is what an empty sweep would have: nothing worked, the cursor
-	// at t0, the whole budget.
+	// at the round's start, the whole budget.
 	// laneWG.Add happens-before each spawn, lane.run defers laneWG.Done,
 	// and the Wait below blocks until every spawned sub-round has
 	// finished. The spawn goes through the pre-bound funcval so the
@@ -705,35 +645,24 @@ func (m *Manager) serviceRound(act []*request, sets [][]continuity.Request) bool
 	}
 	m.laneWG.Wait()
 
-	// Join the sub-rounds: the round spans the slowest lane, counters
-	// merge in spindle order so totals are deterministic.
+	// Join the sub-rounds: the serial lane — records, cache-coupled
+	// plays, and fetch windows the stripe map splits across spindles —
+	// starts where the slowest lane ended, counters merge in spindle
+	// order so totals are deterministic, and the round ends, for the
+	// clock, where the serial lane does.
 	worked := false
-	maxAt := t0
 	for _, ln := range m.lanes {
-		if ln.worked {
-			worked = true
-		}
-		if ln.at > maxAt {
-			maxAt = ln.at
-		}
+		worked = worked || ln.worked
+		serial.at = max(serial.at, ln.at)
+		serial.retrySlack = min(serial.retrySlack, ln.retrySlack)
 		ln.flushStats()
-		if ln.retrySlack < m.retrySlack {
-			m.retrySlack = ln.retrySlack
-		}
 	}
-	if maxAt > m.clock.Now() {
-		m.clock.AdvanceTo(maxAt)
-	}
-
-	// Serial lane at the joined clock: records, cache-coupled plays,
-	// and fetch windows the stripe map splits across spindles.
-	m.serial.retrySlack = m.retrySlack
-	m.serial.sweep()
-	m.serial.flushStats()
-	m.retrySlack = m.serial.retrySlack
+	serial.sweep()
+	serial.flushStats()
+	m.clock.AdvanceTo(serial.at)
 	// Online repair rides the leftover slack after every stream has
 	// been serviced (see rebuild.go).
-	return m.repairRound(worked || m.serial.worked)
+	return m.repairRound(worked || serial.worked)
 }
 
 // roundSlack is Eq. 18's measured slack k·γ − n·α − n·k·β for one

@@ -1,0 +1,295 @@
+package msm
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"mmfs/internal/alloc"
+	"mmfs/internal/cache"
+	"mmfs/internal/continuity"
+	"mmfs/internal/disk"
+	"mmfs/internal/fault"
+	"mmfs/internal/layout"
+	"mmfs/internal/media"
+	"mmfs/internal/strand"
+)
+
+// roundProbe is a device that calls back at the top of every service
+// round, nested transition rounds included: the manager ticks it as it
+// does a fault layer's round clock (after the round's demotions, before
+// its service).
+type roundProbe struct {
+	disk.Device
+	onRound func()
+}
+
+func (p *roundProbe) AdvanceRound() { p.onRound() }
+
+// followerLedger checks, round by round, that the device's read count
+// moves only by the blocks of requests that held a disk slot when the
+// round's service began, and that a request that was cache-served then
+// received nothing but cache hits. (Video strands only: no silence.)
+type followerLedger struct {
+	t     *testing.T
+	m     *Manager
+	d     *disk.Disk
+	reads uint64
+	was   map[*request][3]int // nextFetch, cacheHits, 1 if cache-served
+	// nested counts rounds that began inside a demotion's re-admission
+	// with a cache-served request still waiting for its own demotion.
+	nested int
+}
+
+func (l *followerLedger) settle() {
+	l.t.Helper()
+	var fromDisk uint64
+	for r, w := range l.was {
+		blocks, hits := r.play.nextFetch-w[0], r.play.cacheHits-w[1]
+		if w[2] == 1 && blocks != hits {
+			l.t.Fatalf("request %d was cache-served when the round began and received %d block(s), only %d from the cache", r.id, blocks, hits)
+		}
+		fromDisk += uint64(blocks - hits)
+	}
+	reads := l.d.Stats().Reads
+	if got := reads - l.reads; got != fromDisk {
+		l.t.Fatalf("the device served %d read(s) in a round whose disk-bound requests received %d block(s) from it", got, fromDisk)
+	}
+	l.reads = reads
+	clear(l.was)
+	for _, r := range l.m.reqs {
+		if r.kind != Play || r.done {
+			continue
+		}
+		served := 0
+		if r.cacheServed {
+			served = 1
+			if l.m.inDemote && r.needsDemote && r.pause == nil {
+				l.nested++
+			}
+		}
+		l.was[r] = [3]int{r.play.nextFetch, r.play.cacheHits, served}
+	}
+}
+
+// probedRig records the strands on the raw disk, then rebuilds the
+// manager over a roundProbe feeding a followerLedger.
+func probedRig(t *testing.T, cacheBytes int64, frames ...int) (*testRig, *followerLedger, []*strand.Strand) {
+	t.Helper()
+	rig := newRig(t, disk.DefaultGeometry())
+	var strands []*strand.Strand
+	for i, f := range frames {
+		strands = append(strands, rig.recordVideo(t, f, 18000, 3, 30, int64(600+i)))
+	}
+	led := &followerLedger{t: t, d: rig.d, reads: rig.d.Stats().Reads, was: map[*request][3]int{}}
+	rig.m = New(&roundProbe{Device: rig.d, onRound: led.settle}, continuity.AdmissionFor(rig.dev))
+	rig.m.SetCache(cache.New(cacheBytes))
+	led.m = rig.m
+	return rig, led, strands
+}
+
+func (r *testRig) admitPlay(t *testing.T, s *strand.Strand) (RequestID, continuity.Decision, error) {
+	t.Helper()
+	plan, err := PlanStrandPlay(r.m.d, s, PlanOptions{ReadAhead: 2, Buffers: 4, Scattering: r.scattering()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.m.AdmitPlay(plan)
+}
+
+// TestFollowerNeverReadsTheDisk walks a seeded interleaving of
+// admissions, stops, both kinds of pause, resumes and rounds over a small
+// cache (so intervals break and followers demote through nested
+// transition rounds), with the ledger checking every round; then the two
+// corners by construction: a follower whose demotion is pending while
+// another's re-admission runs transition rounds, and a follower whose
+// cache stream is closed.
+func TestFollowerNeverReadsTheDisk(t *testing.T) {
+	t.Run("seeded walk", func(t *testing.T) {
+		rig, led, strands := probedRig(t, 3<<20, 450, 300, 240)
+		rng := rand.New(rand.NewSource(20))
+		var live []RequestID
+		pick := func() (RequestID, bool) {
+			if len(live) == 0 {
+				return 0, false
+			}
+			return live[rng.Intn(len(live))], true
+		}
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 3:
+				s := strands[0]
+				if rng.Intn(3) == 0 {
+					s = strands[1+rng.Intn(2)]
+				}
+				if id, _, err := rig.admitPlay(t, s); err == nil {
+					live = append(live, id)
+				}
+			case op == 3:
+				if id, ok := pick(); ok {
+					_ = rig.m.Stop(id) // stopping a finished request is fine
+				}
+			case op == 4:
+				if id, ok := pick(); ok {
+					_ = rig.m.Pause(id, rng.Intn(2) == 0) // may be done or paused already
+				}
+			case op == 5:
+				if id, ok := pick(); ok {
+					_, _ = rig.m.Resume(id) // may be running, or rejected
+				}
+			default:
+				for i := rng.Intn(6); i >= 0; i-- {
+					rig.m.RunRound()
+				}
+			}
+		}
+		for _, id := range live {
+			if p, _ := rig.m.Progress(id); p.Paused {
+				_ = rig.m.Stop(id)
+			}
+		}
+		rig.m.RunUntilDone()
+		led.settle()
+		st := rig.m.Stats()
+		if st.CacheHits == 0 || st.Demotions == 0 || st.TransitionSteps == 0 {
+			t.Fatalf("the walk never exercised followers, demotions and transition rounds: %+v", st)
+		}
+	})
+
+	t.Run("pending demotion in a nested round", func(t *testing.T) {
+		rig, led, strands := probedRig(t, 16<<20, 450, 450, 450)
+		admit := func(s *strand.Strand, wantCached bool) RequestID {
+			id, dec, err := rig.admitPlay(t, s)
+			if err != nil || dec.CacheServed != wantCached {
+				t.Fatalf("admit: cache-served=%v err=%v, want cache-served=%v", dec.CacheServed, err, wantCached)
+			}
+			return id
+		}
+		leader := admit(strands[0], false)
+		rig.m.RunFor(300 * time.Millisecond)
+		f1 := admit(strands[0], true)
+		rig.m.RunFor(300 * time.Millisecond)
+		f2 := admit(strands[0], true)
+		admit(strands[1], false)
+		rig.m.RunFor(300 * time.Millisecond)
+		// Both followers keep their place while paused; with the leader gone
+		// neither finds one on resume (f2 first: f1's stream is still
+		// closed; then f1: f2 is behind it), so both are flagged, and f1's
+		// re-admission — the third disk-bound stream the manager has ever
+		// carried at once, so it raises k — runs its transition rounds with
+		// f2 still flagged.
+		for _, id := range []RequestID{f1, f2} {
+			if err := rig.m.Pause(id, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rig.m.Stop(leader); err != nil {
+			t.Fatal(err)
+		}
+		admit(strands[2], false)
+		for _, id := range []RequestID{f2, f1} {
+			if _, err := rig.m.Resume(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rig.m.RunUntilDone()
+		led.settle()
+		if led.nested == 0 {
+			t.Fatalf("no transition round ran with a follower's demotion pending (stats %+v)", rig.m.Stats())
+		}
+	})
+
+	t.Run("closed cache stream", func(t *testing.T) {
+		rig, led, strands := probedRig(t, 16<<20, 300)
+		if _, _, err := rig.admitPlay(t, strands[0]); err != nil {
+			t.Fatal(err)
+		}
+		rig.m.RunFor(300 * time.Millisecond)
+		id, dec, err := rig.admitPlay(t, strands[0])
+		if err != nil || !dec.CacheServed {
+			t.Fatalf("admit follower: %+v, %v", dec, err)
+		}
+		r, err := rig.m.find(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rig.m.closeCacheStream(r)
+		reads, misses, at := rig.d.Stats().Reads, rig.m.Cache().Stats().Misses, r.play.nextFetch
+		if rig.m.serial.serviceRequest(r, 4) {
+			t.Fatal("a follower with a closed cache stream reported work")
+		}
+		if got := rig.d.Stats().Reads; got != reads {
+			t.Fatalf("the follower reached the device: %d read(s)", got-reads)
+		}
+		if !r.needsDemote || r.play.nextFetch != at || rig.m.Cache().Stats().Misses != misses+1 {
+			t.Fatalf("want one cache miss, no delivery and a pending demotion: needsDemote=%v nextFetch %d→%d misses %d→%d",
+				r.needsDemote, at, r.play.nextFetch, misses, rig.m.Cache().Stats().Misses)
+		}
+		rig.m.RunUntilDone()
+		led.settle()
+	})
+}
+
+// TestSerialLaneJoinsTheClock pins how a round's time is joined: the
+// serial lane starts no earlier than any parallel lane ended, and the
+// clock ends the round where the serial lane did — further only by an
+// idle jump to the next request's work.
+func TestSerialLaneJoinsTheClock(t *testing.T) {
+	const p, stripe = 4, 120
+	rig := newStripedRig(t, p, stripe, -1, fault.Scenario{})
+	opts := PlanOptions{ReadAhead: 1, Buffers: 16, Scattering: rig.scattering()}
+	admit := func(s *strand.Strand) {
+		plan, err := PlanStrandPlay(rig.arr, s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := rig.m.AdmitPlay(plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for sp := 0; sp < p; sp++ {
+		admit(rig.recordOn(t, sp, 0, 60*(sp+1), int64(700+sp)))
+	}
+	admit(writeVideo(t, rig.arr, rig.a, rig.st, rig.logicalStart(0, 112), 240, 710)) // crosses stripe groups
+	w, err := strand.NewWriter(rig.arr, rig.a, strand.WriterConfig{
+		ID: rig.st.NewID(), Medium: layout.Video, Rate: 30, UnitBytes: 18000, Granularity: 3,
+		Constraint:    alloc.Constraint{MinCylinders: 1, MaxCylinders: targetCylinders},
+		StartCylinder: rig.logicalStart(3, 60),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := rig.m.AdmitRecord(PlanRecord("rec", w, media.NewVideoSource(300, 18000, 30, 712), 3, 300, rig.scattering(), 4)); err != nil {
+		t.Fatal(err)
+	}
+
+	parallel, serialOnly, idle := 0, 0, 0
+	for more := true; more; {
+		before := rig.m.Stats()
+		more = rig.m.RunRound()
+		after, now, serial := rig.m.Stats(), rig.m.Now(), rig.m.serial.at
+		if after.Rounds == before.Rounds {
+			continue // nothing was active
+		}
+		busy := false
+		for _, ln := range rig.m.lanes {
+			if ln.at > serial {
+				t.Fatalf("round %d: lane %d ended at %v, after the serial lane's %v", after.Rounds, ln.spindle, ln.at, serial)
+			}
+			busy = busy || len(ln.reqs) > 0
+		}
+		if jump := after.IdleTime - before.IdleTime; now != serial+jump {
+			t.Fatalf("round %d: clock at %v, serial lane ended at %v and the idle jump was %v", after.Rounds, now, serial, jump)
+		} else if jump > 0 {
+			idle++
+		}
+		if busy {
+			parallel++
+		} else {
+			serialOnly++
+		}
+	}
+	if parallel == 0 || serialOnly == 0 || idle == 0 {
+		t.Fatalf("rounds with busy parallel lanes %d, serial only %d, idle jumps %d: want all three", parallel, serialOnly, idle)
+	}
+}

@@ -159,12 +159,9 @@ type Manager struct {
 	// inDemote guards processDemotions against re-entry from the
 	// transition rounds a demotion's re-admission runs.
 	inDemote bool
-	// ft is the fault-tolerant service policy; retrySlack is the
-	// round's remaining retry budget in virtual time, recomputed from
-	// Eq. 18's slack at the top of every round and consumed by each
-	// retry's actual service time.
-	ft         FaultPolicy
-	retrySlack time.Duration
+	// ft is the fault-tolerant service policy. (The retry budget it
+	// spends is per lane: lane.retrySlack.)
+	ft FaultPolicy
 	// Per-round scratch storage, reused to keep the service loop
 	// allocation-free (the round loop is the hot path). Service-time
 	// scratch (the degraded-block marks and the block-payload buffer)
@@ -172,7 +169,7 @@ type Manager struct {
 	scratchAct []*request
 	// serial is the lane over the whole logical device: it services what
 	// no parallel lane can take — on a single device, everything — and
-	// its virtual time writes through to the manager clock.
+	// a round ends, for the clock, where it does.
 	serial *lane
 	// array, lanes and laneWG are the parallel half of the round when d
 	// is a disk.Array of degree > 1: one lane per spindle, and in a round
@@ -207,6 +204,17 @@ type Manager struct {
 	rb repairCtl
 }
 
+// DeviceFor is the continuity model's view of a disk geometry — its
+// transfer rate and the bounds of its positioning time: the one place a
+// geometry becomes the device the admission formulas are evaluated on.
+func DeviceFor(g disk.Geometry) continuity.Device {
+	return continuity.Device{
+		TransferRate: g.TransferRateBits(),
+		MaxAccess:    continuity.Seconds(g.MaxAccessTime()),
+		MinAccess:    continuity.Seconds(g.MinAccessTime()),
+	}
+}
+
 // New creates a manager over the disk with the given admission
 // controller. Concurrency defaults to 1 head and the fault policy to
 // DefaultFaultPolicy (it only engages on injected faults, so it is
@@ -214,7 +222,7 @@ type Manager struct {
 func New(d disk.Device, adm continuity.Admission) *Manager {
 	m := &Manager{d: d, adm: adm, k: 1, concurrency: 1, nextID: 1, ft: DefaultFaultPolicy()}
 	m.retired = make(map[RequestID]*request)
-	m.serial = &lane{m: m, spindle: -1, clk: &m.clock}
+	m.serial = &lane{m: m, spindle: -1}
 	if a, ok := d.(*disk.Array); ok && a.Spindles() > 1 {
 		m.array = a
 	}
@@ -245,11 +253,6 @@ func (m *Manager) SetFaultPolicy(p FaultPolicy) {
 
 // FaultPolicy reports the fault-tolerant service policy in use.
 func (m *Manager) FaultPolicy() FaultPolicy { return m.ft }
-
-// RetrySlack reports the round retry budget remaining: Eq. 18's
-// measured slack at the top of the round minus the service time of the
-// retries performed since.
-func (m *Manager) RetrySlack() time.Duration { return m.retrySlack }
 
 // SetPolicy selects the k-transition policy.
 func (m *Manager) SetPolicy(p TransitionPolicy) { m.policy = p }
@@ -994,11 +997,6 @@ func noteEarliest(best time.Duration, found bool, t time.Duration) (time.Duratio
 // serviceable now (resident, silent, or a miss that triggers
 // demotion) as opposed to waiting on its leader.
 func (m *Manager) cachedCanWork(r *request) bool {
-	ps := r.play
-	b := ps.plan.Blocks[ps.nextFetch]
-	e, err := b.Reader.Strand().Block(b.Index)
-	if err != nil || e.Silent() {
-		return true
-	}
-	return m.cache.Peek(uint64(r.id), b.Index) != cache.Wait
+	b := r.play.plan.Blocks[r.play.nextFetch]
+	return !stored(b) || m.cache.Peek(uint64(r.id), b.Index) != cache.Wait
 }

@@ -27,11 +27,7 @@ func newRig(t *testing.T, g disk.Geometry) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := continuity.Device{
-		TransferRate: g.TransferRateBits(),
-		MaxAccess:    continuity.Seconds(g.MaxAccessTime()),
-		MinAccess:    continuity.Seconds(g.MinAccessTime()),
-	}
+	dev := DeviceFor(g)
 	return &testRig{
 		d:   d,
 		a:   a,

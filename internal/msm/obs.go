@@ -137,7 +137,7 @@ func (m *Manager) recordRound(start time.Duration, kAtStart, active, cacheServed
 		Violations:    m.stats.Violations - o.lastViol,
 		Retries:       m.stats.Retries - o.lastRetries,
 		Degraded:      m.stats.DegradedBlocks - o.lastDegrade,
-		RetrySlackNs:  int64(m.retrySlack),
+		RetrySlackNs:  int64(m.serial.retrySlack),
 		RebuildBlocks: m.stats.RebuildBlocks - o.lastRebuild,
 	}
 	o.rounds.Inc()
@@ -149,7 +149,7 @@ func (m *Manager) recordRound(start time.Duration, kAtStart, active, cacheServed
 	o.kGauge.Set(int64(m.k))
 	o.activeGauge.Set(int64(active))
 	o.cacheServedGauge.Set(int64(cacheServed))
-	o.retrySlackGauge.Set(int64(m.retrySlack))
+	o.retrySlackGauge.Set(int64(m.serial.retrySlack))
 	if m.qosEnabled() {
 		for c, st := range m.QoSStats() {
 			o.classActive[c].Set(int64(st.Active))

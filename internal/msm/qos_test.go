@@ -11,12 +11,7 @@ import (
 // enabled at the given stride bound.
 func qosTestManager(maxStride int) *Manager {
 	g := disk.DefaultGeometry()
-	dev := continuity.Device{
-		TransferRate: g.TransferRateBits(),
-		MaxAccess:    continuity.Seconds(g.MaxAccessTime()),
-		MinAccess:    continuity.Seconds(g.MinAccessTime()),
-	}
-	m := New(disk.MustNew(g), continuity.AdmissionFor(dev))
+	m := New(disk.MustNew(g), continuity.AdmissionFor(DeviceFor(g)))
 	m.SetQoS(QoSPolicy{MaxStride: maxStride})
 	return m
 }

@@ -249,7 +249,7 @@ func (m *Manager) repairRound(streamWorked bool) bool {
 // spend: the leftover Eq. 18 retry slack of the lane the copies load.
 // A rebuild reads only the target's twin, so that lane's leftover
 // governs; a rebalance touches arbitrary spindles, so the most
-// constrained lane's leftover (the manager-level budget) governs.
+// constrained lane's leftover (the serial lane's budget) governs.
 // Lanes that carried premium streams this round yield half — repair is
 // background work and the strictest class keeps its full margin.
 //
@@ -263,7 +263,7 @@ func (m *Manager) repairBudget() time.Duration {
 		}
 		return b
 	}
-	b := m.retrySlack
+	b := m.serial.retrySlack
 	for _, ln := range m.lanes {
 		if ln.premium {
 			b /= 2

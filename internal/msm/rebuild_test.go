@@ -7,8 +7,6 @@ import (
 	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
 	"mmfs/internal/fault"
-	"mmfs/internal/layout"
-	"mmfs/internal/media"
 	"mmfs/internal/strand"
 )
 
@@ -49,11 +47,7 @@ func newMirroredRig(t *testing.T, p, stripe, faultSpindle int, sc fault.Scenario
 		t.Fatal(err)
 	}
 	lg := arr.Geometry()
-	dev := continuity.Device{
-		TransferRate: lg.TransferRateBits(),
-		MaxAccess:    continuity.Seconds(lg.MaxAccessTime()),
-		MinAccess:    continuity.Seconds(lg.MinAccessTime()),
-	}
+	dev := DeviceFor(lg)
 	return &mirroredRig{
 		raw: raw, arr: arr, a: a,
 		st:  strand.NewStore(arr, a),
@@ -76,33 +70,7 @@ func (r *mirroredRig) recordPreferring(t *testing.T, spindle, within, frames int
 	mg := r.arr.MirrorGroups()
 	pair, slot := spindle/2, spindle%2+2*within
 	group := slot*mg + pair
-	w, err := strand.NewWriter(r.arr, r.a, strand.WriterConfig{
-		ID:            r.st.NewID(),
-		Medium:        layout.Video,
-		Rate:          30,
-		UnitBytes:     18000,
-		Granularity:   3,
-		Constraint:    alloc.Constraint{MinCylinders: 1, MaxCylinders: targetCylinders},
-		StartCylinder: group * r.sc,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := media.NewVideoSource(frames, 18000, 30, seed)
-	for {
-		u, ok := src.Next()
-		if !ok {
-			break
-		}
-		if _, err := w.Append(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.st.Put(s)
+	s := writeVideo(t, r.arr, r.a, r.st, group*r.sc, frames, seed)
 	for i := 0; i < s.NumBlocks(); i++ {
 		e, err := s.Block(i)
 		if err != nil {

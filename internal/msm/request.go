@@ -172,9 +172,6 @@ type Violation struct {
 	Cause Cause
 }
 
-// Lateness is how far past the deadline the block was.
-func (v Violation) Lateness() time.Duration { return v.Actual - v.Deadline }
-
 // request is the MSM's per-request state.
 type request struct {
 	id    RequestID
@@ -220,8 +217,6 @@ type playState struct {
 	// as playback starts (and shifted by pauses).
 	deadlines  []time.Duration
 	violations []Violation
-	// fetchDone is when the last fetched block's read completed.
-	fetchDone time.Duration
 	// Interval-cache state: a plan is cacheEligible when it reads one
 	// strand at consecutive block indices (see planCacheRange);
 	// cacheOpen tracks whether the manager currently holds a cache

@@ -9,8 +9,6 @@ import (
 	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
 	"mmfs/internal/fault"
-	"mmfs/internal/layout"
-	"mmfs/internal/media"
 	"mmfs/internal/strand"
 )
 
@@ -50,11 +48,7 @@ func newStripedRig(t *testing.T, p, stripe, faultSpindle int, sc fault.Scenario)
 		t.Fatal(err)
 	}
 	lg := arr.Geometry()
-	dev := continuity.Device{
-		TransferRate: lg.TransferRateBits(),
-		MaxAccess:    continuity.Seconds(lg.MaxAccessTime()),
-		MinAccess:    continuity.Seconds(lg.MinAccessTime()),
-	}
+	dev := DeviceFor(lg)
 	return &stripedRig{
 		raw: raw, arr: arr, a: a,
 		st:  strand.NewStore(arr, a),
@@ -77,33 +71,7 @@ func (r *stripedRig) logicalStart(spindle, localCyl int) int {
 // given spindle, starting at the given spindle-local cylinder.
 func (r *stripedRig) recordOn(t *testing.T, spindle, localCyl, frames int, seed int64) *strand.Strand {
 	t.Helper()
-	w, err := strand.NewWriter(r.arr, r.a, strand.WriterConfig{
-		ID:            r.st.NewID(),
-		Medium:        layout.Video,
-		Rate:          30,
-		UnitBytes:     18000,
-		Granularity:   3,
-		Constraint:    alloc.Constraint{MinCylinders: 1, MaxCylinders: targetCylinders},
-		StartCylinder: r.logicalStart(spindle, localCyl),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := media.NewVideoSource(frames, 18000, 30, seed)
-	for {
-		u, ok := src.Next()
-		if !ok {
-			break
-		}
-		if _, err := w.Append(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.st.Put(s)
+	s := writeVideo(t, r.arr, r.a, r.st, r.logicalStart(spindle, localCyl), frames, seed)
 	// The test's placement assumption: the whole strand must sit on
 	// the intended spindle for per-spindle admission and lane routing
 	// to be exercised as designed.
@@ -265,29 +233,7 @@ func TestStripedSerialFallback(t *testing.T) {
 
 	// ~17 cylinders of data across 4-cylinder groups: blocks hop
 	// spindles within any k-window.
-	w, err := strand.NewWriter(rig.arr, rig.a, strand.WriterConfig{
-		ID: rig.st.NewID(), Medium: layout.Video, Rate: 30,
-		UnitBytes: 18000, Granularity: 3,
-		Constraint: alloc.Constraint{MinCylinders: 1, MaxCylinders: targetCylinders},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := media.NewVideoSource(900, 18000, 30, 9200)
-	for {
-		u, ok := src.Next()
-		if !ok {
-			break
-		}
-		if _, err := w.Append(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig.st.Put(s)
+	s := writeVideo(t, rig.arr, rig.a, rig.st, 0, 900, 9200)
 
 	plan, err := PlanStrandPlay(rig.arr, s, PlanOptions{ReadAhead: 1, Buffers: 64, Scattering: rig.scattering()})
 	if err != nil {

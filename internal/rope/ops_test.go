@@ -2,6 +2,7 @@ package rope
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -442,6 +443,32 @@ func TestAccessChecks(t *testing.T) {
 func TestMediumHelpers(t *testing.T) {
 	if AudioVisual.String() != "audiovisual" || VideoOnly.String() != "video" || AudioOnly.String() != "audio" {
 		t.Fatal("names")
+	}
+	// The wire codes are protocol: 0, 1, 2.
+	for code, m := range []Medium{AudioVisual, VideoOnly, AudioOnly} {
+		if m.Code() != uint16(code) {
+			t.Fatalf("%v travels as %d, want %d", m, m.Code(), code)
+		}
+		if got, err := MediumFromCode(uint16(code)); err != nil || got != m {
+			t.Fatalf("code %d reads as %v, %v", code, got, err)
+		}
+		for _, name := range []string{m.String(), strings.ToUpper(m.String()), []string{"av", "v", "a"}[code]} {
+			if got, err := ParseMedium(name); err != nil || got != m {
+				t.Fatalf("ParseMedium(%q) = %v, %v", name, got, err)
+			}
+		}
+	}
+	if got, err := ParseMedium("both"); err != nil || got != AudioVisual {
+		t.Fatalf(`ParseMedium("both") = %v, %v`, got, err)
+	}
+	if _, err := ParseMedium("smell"); err == nil {
+		t.Fatal("ParseMedium accepted an unknown medium")
+	}
+	if _, err := MediumFromCode(3); err == nil {
+		t.Fatal("MediumFromCode accepted code 3")
+	}
+	if Medium(7).Code() != 0 || Medium(-1).String() != "audiovisual" {
+		t.Fatal("a selector outside the table must travel and print as audiovisual")
 	}
 }
 

@@ -11,6 +11,7 @@ package rope
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"mmfs/internal/strand"
@@ -115,16 +116,45 @@ const (
 	AudioOnly
 )
 
+// mediumNames is the one table of selectors: a selector's index is its
+// code on the wire, its first name is what String prints, and ParseMedium
+// accepts every name.
+var mediumNames = [...][]string{
+	AudioVisual: {"audiovisual", "av", "both"},
+	VideoOnly:   {"video", "v"},
+	AudioOnly:   {"audio", "a"},
+}
+
 // String names the selector.
-func (m Medium) String() string {
-	switch m {
-	case VideoOnly:
-		return "video"
-	case AudioOnly:
-		return "audio"
-	default:
-		return "audiovisual"
+func (m Medium) String() string { return mediumNames[m.Code()][0] }
+
+// Code is the selector's number in the wire protocol; anything that is
+// not a single medium travels as AudioVisual.
+func (m Medium) Code() uint16 {
+	if m < 0 || int(m) >= len(mediumNames) {
+		return uint16(AudioVisual)
 	}
+	return uint16(m)
+}
+
+// MediumFromCode is Code's inverse.
+func MediumFromCode(code uint16) (Medium, error) {
+	if int(code) >= len(mediumNames) {
+		return AudioVisual, fmt.Errorf("rope: unknown medium code %d", code)
+	}
+	return Medium(code), nil
+}
+
+// ParseMedium reads a selector as a person spells it: av, video or
+// audio, their initials, and the long forms.
+func ParseMedium(s string) (Medium, error) {
+	name := strings.ToLower(s)
+	for m, names := range mediumNames {
+		if slices.Contains(names, name) {
+			return Medium(m), nil
+		}
+	}
+	return AudioVisual, fmt.Errorf("unknown medium %q (want av, video, or audio)", s)
 }
 
 // Rope is the Figure 8 data structure: identity, creator, access

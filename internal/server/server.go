@@ -375,6 +375,10 @@ func (s *Server) Handle(op wire.Op, body []byte, e *wire.Encoder) []byte {
 	default:
 		err = fmt.Errorf("server: unknown op %v", op)
 	}
+	if err == nil && mutates(op) {
+		// Durable before acknowledged: a failed Sync fails the op.
+		err = s.fs.Sync()
+	}
 	if err == nil && d.Err() != nil {
 		err = fmt.Errorf("server: malformed %v request: %w", op, d.Err())
 	}
@@ -389,6 +393,25 @@ func (s *Server) Handle(op wire.Op, body []byte, e *wire.Encoder) []byte {
 	}
 	s.errCount.Inc()
 	return e.FrameError(err)
+}
+
+// mutates reports whether an op that succeeded changed what Sync
+// persists — ropes, strands, text files, access lists, triggers — and so
+// must be followed by one before it is acknowledged. (RECORD's start and
+// appends only buffer in the session; CHECK syncs before it looks, not
+// after; REBUILD changes a spindle, not the metadata.)
+func mutates(op wire.Op) bool {
+	switch op {
+	case wire.OpRecordFinish, wire.OpInsert, wire.OpReplace, wire.OpSubstring, wire.OpConcate,
+		wire.OpDeleteRange, wire.OpDeleteRope, wire.OpTextWrite, wire.OpSetAccess,
+		wire.OpAddTrigger, wire.OpFlatten:
+		return true
+	case wire.OpRecordStart, wire.OpRecordAppend, wire.OpPlay, wire.OpFetch, wire.OpRopeInfo,
+		wire.OpListRopes, wire.OpStats, wire.OpTextRead, wire.OpTextList, wire.OpCheck,
+		wire.OpTriggers, wire.OpMetrics, wire.OpRebuild:
+		return false
+	}
+	return false
 }
 
 // countOp increments the per-op request counter. The caller must hold
@@ -407,31 +430,6 @@ func (s *Server) countOp(op wire.Op) {
 func (s *Server) metrics(d *wire.Decoder, e *wire.Encoder) error {
 	wire.EncodeSnapshot(e, s.reg.Snapshot())
 	return nil
-}
-
-// DecodeMedium maps the wire medium code to a rope selector.
-func DecodeMedium(code uint16) (rope.Medium, error) {
-	switch code {
-	case 0:
-		return rope.AudioVisual, nil
-	case 1:
-		return rope.VideoOnly, nil
-	case 2:
-		return rope.AudioOnly, nil
-	}
-	return 0, fmt.Errorf("server: unknown medium code %d", code)
-}
-
-// EncodeMedium maps a rope selector to its wire code.
-func EncodeMedium(m rope.Medium) uint16 {
-	switch m {
-	case rope.VideoOnly:
-		return 1
-	case rope.AudioOnly:
-		return 2
-	default:
-		return 0
-	}
 }
 
 // recordStart opens an upload session. The caller must hold s.mu.
@@ -471,20 +469,20 @@ func (s *Server) recordStart(d *wire.Decoder, e *wire.Encoder) error {
 // recordAppend buffers uploaded units. The caller must hold s.mu.
 func (s *Server) recordAppend(d *wire.Decoder, e *wire.Encoder) error {
 	id := d.U64()
-	mediumCode := d.U16()
+	code := d.U16()
 	count := d.Count(4)
 	sess, ok := s.sessions[id]
 	if !ok {
 		return fmt.Errorf("server: unknown record session %d", id)
 	}
 	var buf *mediaBuf
-	switch mediumCode {
-	case 1:
+	switch m, err := rope.MediumFromCode(code); {
+	case err == nil && m == rope.VideoOnly:
 		buf = sess.video
-	case 2:
+	case err == nil && m == rope.AudioOnly:
 		buf = sess.audio
 	default:
-		return fmt.Errorf("server: append needs a single medium, got code %d", mediumCode)
+		return fmt.Errorf("server: append needs a single medium, got code %d", code)
 	}
 	if buf == nil {
 		return fmt.Errorf("server: session %d does not record that medium", id)
@@ -530,9 +528,6 @@ func (s *Server) recordFinish(d *wire.Decoder, e *wire.Encoder) error {
 	if err != nil {
 		return err
 	}
-	if err := s.fs.Sync(); err != nil {
-		return err
-	}
 	e.U64(uint64(r.ID)).I64(int64(r.Length()))
 	return nil
 }
@@ -540,7 +535,7 @@ func (s *Server) recordFinish(d *wire.Decoder, e *wire.Encoder) error {
 func (s *Server) play(d *wire.Decoder, e *wire.Encoder) error {
 	user := d.Str()
 	id := rope.ID(d.U64())
-	medium, err := DecodeMedium(d.U16())
+	medium, err := rope.MediumFromCode(d.U16())
 	if err != nil {
 		return err
 	}
@@ -595,7 +590,7 @@ func (s *Server) play(d *wire.Decoder, e *wire.Encoder) error {
 func (s *Server) fetch(d *wire.Decoder, e *wire.Encoder) error {
 	user := d.Str()
 	id := rope.ID(d.U64())
-	medium, err := DecodeMedium(d.U16())
+	medium, err := rope.MediumFromCode(d.U16())
 	if err != nil {
 		return err
 	}
@@ -630,7 +625,7 @@ func (s *Server) insert(d *wire.Decoder, e *wire.Encoder) error {
 	user := d.Str()
 	base := rope.ID(d.U64())
 	pos := time.Duration(d.I64())
-	medium, err := DecodeMedium(d.U16())
+	medium, err := rope.MediumFromCode(d.U16())
 	if err != nil {
 		return err
 	}
@@ -644,9 +639,6 @@ func (s *Server) insert(d *wire.Decoder, e *wire.Encoder) error {
 	if err != nil {
 		return err
 	}
-	if err := s.fs.Sync(); err != nil {
-		return err
-	}
 	e.U32(uint32(res.CopiedBlocks()))
 	return nil
 }
@@ -654,7 +646,7 @@ func (s *Server) insert(d *wire.Decoder, e *wire.Encoder) error {
 func (s *Server) replace(d *wire.Decoder, e *wire.Encoder) error {
 	user := d.Str()
 	base := rope.ID(d.U64())
-	medium, err := DecodeMedium(d.U16())
+	medium, err := rope.MediumFromCode(d.U16())
 	if err != nil {
 		return err
 	}
@@ -670,9 +662,6 @@ func (s *Server) replace(d *wire.Decoder, e *wire.Encoder) error {
 	if err != nil {
 		return err
 	}
-	if err := s.fs.Sync(); err != nil {
-		return err
-	}
 	e.U32(uint32(res.CopiedBlocks()))
 	return nil
 }
@@ -680,7 +669,7 @@ func (s *Server) replace(d *wire.Decoder, e *wire.Encoder) error {
 func (s *Server) substring(d *wire.Decoder, e *wire.Encoder) error {
 	user := d.Str()
 	base := rope.ID(d.U64())
-	medium, err := DecodeMedium(d.U16())
+	medium, err := rope.MediumFromCode(d.U16())
 	if err != nil {
 		return err
 	}
@@ -691,9 +680,6 @@ func (s *Server) substring(d *wire.Decoder, e *wire.Encoder) error {
 	}
 	out, _, err := s.fs.Substring(user, base, medium, start, dur)
 	if err != nil {
-		return err
-	}
-	if err := s.fs.Sync(); err != nil {
 		return err
 	}
 	e.U64(uint64(out.ID))
@@ -711,9 +697,6 @@ func (s *Server) concate(d *wire.Decoder, e *wire.Encoder) error {
 	if err != nil {
 		return err
 	}
-	if err := s.fs.Sync(); err != nil {
-		return err
-	}
 	e.U64(uint64(out.ID)).U32(uint32(res.CopiedBlocks()))
 	return nil
 }
@@ -721,7 +704,7 @@ func (s *Server) concate(d *wire.Decoder, e *wire.Encoder) error {
 func (s *Server) deleteRange(d *wire.Decoder, e *wire.Encoder) error {
 	user := d.Str()
 	base := rope.ID(d.U64())
-	medium, err := DecodeMedium(d.U16())
+	medium, err := rope.MediumFromCode(d.U16())
 	if err != nil {
 		return err
 	}
@@ -732,9 +715,6 @@ func (s *Server) deleteRange(d *wire.Decoder, e *wire.Encoder) error {
 	}
 	res, err := s.fs.DeleteRange(user, base, medium, start, dur)
 	if err != nil {
-		return err
-	}
-	if err := s.fs.Sync(); err != nil {
 		return err
 	}
 	e.U32(uint32(res.CopiedBlocks()))
@@ -749,9 +729,6 @@ func (s *Server) deleteRope(d *wire.Decoder, e *wire.Encoder) error {
 	}
 	reclaimed, err := s.fs.DeleteRope(user, id)
 	if err != nil {
-		return err
-	}
-	if err := s.fs.Sync(); err != nil {
 		return err
 	}
 	e.U32(uint32(len(reclaimed)))
@@ -860,10 +837,7 @@ func (s *Server) textWrite(d *wire.Decoder, e *wire.Encoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if err := s.fs.Text().Write(name, data); err != nil {
-		return err
-	}
-	return s.fs.Sync()
+	return s.fs.Text().Write(name, data)
 }
 
 func (s *Server) textRead(d *wire.Decoder, e *wire.Encoder) error {
@@ -906,7 +880,7 @@ func (s *Server) setAccess(d *wire.Decoder, e *wire.Encoder) error {
 	}
 	r.PlayAccess = play
 	r.EditAccess = edit
-	return s.fs.Sync()
+	return nil
 }
 
 func (s *Server) addTrigger(d *wire.Decoder, e *wire.Encoder) error {
@@ -917,10 +891,7 @@ func (s *Server) addTrigger(d *wire.Decoder, e *wire.Encoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if err := s.fs.AddTrigger(user, id, at, text); err != nil {
-		return err
-	}
-	return s.fs.Sync()
+	return s.fs.AddTrigger(user, id, at, text)
 }
 
 func (s *Server) triggers(d *wire.Decoder, e *wire.Encoder) error {
@@ -949,9 +920,6 @@ func (s *Server) flatten(d *wire.Decoder, e *wire.Encoder) error {
 	}
 	res, err := s.fs.Flatten(user, id)
 	if err != nil {
-		return err
-	}
-	if err := s.fs.Sync(); err != nil {
 		return err
 	}
 	e.U32(uint32(len(res.Reclaimed)))

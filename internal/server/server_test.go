@@ -195,3 +195,78 @@ func TestNetworkCheck(t *testing.T) {
 		t.Fatalf("fsck over the wire found: %v", problems)
 	}
 }
+
+// TestMutatingOpsSyncBeforeReply pins the durability policy the
+// dispatcher states once: by the time a mutating op's reply arrives the
+// metadata has been synced exactly once, a mutating op that failed and
+// every other op have synced nothing (CHECK, which syncs before it looks,
+// aside).
+func TestMutatingOpsSyncBeforeReply(t *testing.T) {
+	c, fs := startServer(t)
+	syncs := fs.Metrics().Histogram("mmfs_sync_seconds", nil)
+	step := func(name string, want uint64, err error, before uint64) uint64 {
+		t.Helper()
+		after := syncs.Count()
+		if got := after - before; got != want {
+			t.Fatalf("%s (err=%v): %d sync(s) before the reply, want %d", name, err, got, want)
+		}
+		return after
+	}
+	const user = "venkat"
+	n := syncs.Count()
+	r1, _, err := c.RecordClip(user, media.NewVideoSource(90, 18000, 30, 1), media.NewAudioSource(30, 800, 10, 0.3, 4, 2), false)
+	n = step("record", 1, err, n)
+	r2, _, err := c.RecordClip(user, media.NewVideoSource(60, 18000, 30, 3), nil, false)
+	n = step("record", 1, err, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Insert(user, r1, time.Second, rope.VideoOnly, r2, 0, time.Second)
+	n = step("insert", 1, err, n)
+	_, err = c.Replace(user, r1, rope.VideoOnly, 0, time.Second, r2, 0, time.Second)
+	n = step("replace", 1, err, n)
+	sub, err := c.Substring(user, r1, rope.VideoOnly, 0, time.Second)
+	n = step("substring", 1, err, n)
+	cat, _, err := c.Concate(user, sub, r2)
+	n = step("concate", 1, err, n)
+	_, err = c.DeleteRange(user, cat, rope.VideoOnly, 0, time.Second)
+	n = step("delete range", 1, err, n)
+	n = step("text write", 1, c.TextWrite("notes", []byte("x")), n)
+	n = step("set access", 1, c.SetAccess(user, r1, []string{"harrick"}, nil), n)
+	n = step("add trigger", 1, c.AddTrigger(user, r1, time.Second, "cue"), n)
+	_, err = c.Flatten(user, cat)
+	n = step("flatten", 1, err, n)
+	_, err = c.DeleteRope(user, sub)
+	n = step("delete rope", 1, err, n)
+
+	_, err = c.Insert(user, r1, time.Second, rope.VideoOnly, 9999, 0, time.Second)
+	if err == nil {
+		t.Fatal("insert of an unknown rope succeeded")
+	}
+	n = step("failed insert", 0, err, n)
+	if err = c.SetAccess("mallory", r1, nil, nil); err == nil {
+		t.Fatal("non-creator changed access lists")
+	}
+	n = step("failed set access", 0, err, n)
+
+	_, err = c.Info(r1)
+	n = step("info", 0, err, n)
+	_, err = c.ListRopes()
+	n = step("list", 0, err, n)
+	_, err = c.Play(user, r1, rope.VideoOnly, 0, 0, 2, "")
+	n = step("play", 0, err, n)
+	_, err = c.Fetch(user, r2, rope.VideoOnly, 0, 0)
+	n = step("fetch", 0, err, n)
+	_, err = c.Stats()
+	n = step("stats", 0, err, n)
+	_, err = c.TextRead("notes")
+	n = step("text read", 0, err, n)
+	_, err = c.TextList()
+	n = step("text list", 0, err, n)
+	_, err = c.Triggers(user, r1)
+	n = step("triggers", 0, err, n)
+	_, err = c.Metrics()
+	n = step("metrics", 0, err, n)
+	_, err = c.Check()
+	step("check", 1, err, n)
+}

@@ -1,11 +1,10 @@
-// Package sim provides the virtual time base and discrete-event engine
-// that every timed component of the file system (disk, display devices,
-// service rounds) runs on. Simulated time is decoupled from wall-clock
+// Package sim provides the virtual time base the storage manager's
+// service rounds advance: the devices report how long each access takes,
+// the rounds add it up here. Simulated time is decoupled from wall-clock
 // time so that experiments are deterministic and fast.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -36,128 +35,4 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 		panic(fmt.Sprintf("sim: AdvanceTo %v before current time %v", t, c.now))
 	}
 	c.now = t
-}
-
-// Event is a scheduled callback in an Engine. The callback receives the
-// engine so it can schedule further events.
-type Event struct {
-	At   time.Duration
-	Name string
-	Fn   func(*Engine)
-
-	index int // heap index
-	seq   uint64
-}
-
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
-	}
-	return q[i].seq < q[j].seq // FIFO among simultaneous events
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
-}
-
-// Engine is a discrete-event simulation engine: a virtual clock plus a
-// time-ordered event queue. Events scheduled for the same instant run
-// in the order they were scheduled.
-type Engine struct {
-	clock Clock
-	queue eventQueue
-	seq   uint64
-
-	// Processed counts events that have been dispatched.
-	Processed uint64
-}
-
-// NewEngine returns an engine with an empty queue at time zero.
-func NewEngine() *Engine {
-	return &Engine{}
-}
-
-// Now reports the engine's current virtual time.
-func (e *Engine) Now() time.Duration { return e.clock.Now() }
-
-// Schedule enqueues fn to run at absolute virtual time at. Scheduling
-// in the past panics. The returned event can be cancelled.
-func (e *Engine) Schedule(at time.Duration, name string, fn func(*Engine)) *Event {
-	if at < e.clock.Now() {
-		panic(fmt.Sprintf("sim: Schedule %q at %v before current time %v", name, at, e.clock.Now()))
-	}
-	e.seq++
-	ev := &Event{At: at, Name: name, Fn: fn, seq: e.seq}
-	heap.Push(&e.queue, ev)
-	return ev
-}
-
-// After enqueues fn to run d after the current virtual time.
-func (e *Engine) After(d time.Duration, name string, fn func(*Engine)) *Event {
-	return e.Schedule(e.clock.Now()+d, name, fn)
-}
-
-// Cancel removes ev from the queue if it has not yet fired. It reports
-// whether the event was pending.
-func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.index < 0 || ev.index >= len(e.queue) || e.queue[ev.index] != ev {
-		return false
-	}
-	heap.Remove(&e.queue, ev.index)
-	return true
-}
-
-// Pending reports the number of events waiting to fire.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// Step dispatches the earliest pending event, advancing the clock to
-// its time. It reports false if the queue is empty.
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
-	}
-	ev := heap.Pop(&e.queue).(*Event)
-	e.clock.AdvanceTo(ev.At)
-	e.Processed++
-	ev.Fn(e)
-	return true
-}
-
-// Run dispatches events until the queue is empty.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
-
-// RunUntil dispatches events with times ≤ deadline, then advances the
-// clock to the deadline (if it is ahead of the last event).
-func (e *Engine) RunUntil(deadline time.Duration) {
-	for len(e.queue) > 0 && e.queue[0].At <= deadline {
-		e.Step()
-	}
-	if e.clock.Now() < deadline {
-		e.clock.AdvanceTo(deadline)
-	}
 }

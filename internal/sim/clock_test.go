@@ -38,119 +38,3 @@ func mustPanic(t *testing.T, f func()) {
 	}()
 	f()
 }
-
-func TestEngineOrdersEvents(t *testing.T) {
-	e := NewEngine()
-	var got []string
-	e.Schedule(30*time.Millisecond, "c", func(*Engine) { got = append(got, "c") })
-	e.Schedule(10*time.Millisecond, "a", func(*Engine) { got = append(got, "a") })
-	e.Schedule(20*time.Millisecond, "b", func(*Engine) { got = append(got, "b") })
-	e.Run()
-	want := "abc"
-	if s := join(got); s != want {
-		t.Fatalf("order %q, want %q", s, want)
-	}
-	if e.Now() != 30*time.Millisecond {
-		t.Fatalf("engine at %v", e.Now())
-	}
-	if e.Processed != 3 {
-		t.Fatalf("processed %d", e.Processed)
-	}
-}
-
-func join(ss []string) string {
-	out := ""
-	for _, s := range ss {
-		out += s
-	}
-	return out
-}
-
-func TestEngineFIFOAmongSimultaneous(t *testing.T) {
-	e := NewEngine()
-	var got []string
-	for _, name := range []string{"1", "2", "3", "4"} {
-		name := name
-		e.Schedule(time.Millisecond, name, func(*Engine) { got = append(got, name) })
-	}
-	e.Run()
-	if s := join(got); s != "1234" {
-		t.Fatalf("simultaneous events ran %q, want FIFO", s)
-	}
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(time.Millisecond, "x", func(*Engine) { fired = true })
-	if !e.Cancel(ev) {
-		t.Fatal("cancel of pending event reported false")
-	}
-	if e.Cancel(ev) {
-		t.Fatal("double cancel reported true")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if e.Cancel(nil) {
-		t.Fatal("cancel(nil) reported true")
-	}
-}
-
-func TestEngineEventsScheduleMoreEvents(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	var tick func(*Engine)
-	tick = func(en *Engine) {
-		count++
-		if count < 10 {
-			en.After(time.Millisecond, "tick", tick)
-		}
-	}
-	e.After(time.Millisecond, "tick", tick)
-	e.Run()
-	if count != 10 {
-		t.Fatalf("ticked %d times, want 10", count)
-	}
-	if e.Now() != 10*time.Millisecond {
-		t.Fatalf("engine at %v, want 10ms", e.Now())
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []time.Duration
-	for _, d := range []time.Duration{5, 10, 15, 20} {
-		d := d * time.Millisecond
-		e.Schedule(d, "e", func(*Engine) { fired = append(fired, d) })
-	}
-	e.RunUntil(12 * time.Millisecond)
-	if len(fired) != 2 {
-		t.Fatalf("fired %d events by 12ms, want 2", len(fired))
-	}
-	if e.Now() != 12*time.Millisecond {
-		t.Fatalf("engine at %v, want 12ms", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending %d, want 2", e.Pending())
-	}
-	e.Run()
-	if len(fired) != 4 {
-		t.Fatalf("fired %d total, want 4", len(fired))
-	}
-}
-
-func TestEngineSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(time.Millisecond, "a", func(*Engine) {})
-	e.Run()
-	mustPanic(t, func() { e.Schedule(0, "late", func(*Engine) {}) })
-}
-
-func TestEngineStepEmpty(t *testing.T) {
-	e := NewEngine()
-	if e.Step() {
-		t.Fatal("step on empty queue reported work")
-	}
-}
