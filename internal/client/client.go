@@ -63,6 +63,9 @@ type Client struct {
 	// addr is where a retry redials.
 	addr string
 	opts Options
+	// fetchBuf receives every FETCH reply (see Fetch) and keeps the
+	// largest one's capacity, as a server connection does. guarded by mu
+	fetchBuf []byte
 }
 
 // Dial connects to an MRS server with no timeouts or retries.
@@ -103,8 +106,10 @@ func (c *Client) Close() error {
 // failures under the client's Options. The request body in e (nil for
 // an op without one) is framed in place; the reply is decoded in place
 // too, so what the decoder's Blob returns are views of the one reply
-// frame, which the caller owns.
-func (c *Client) call(op wire.Op, e *wire.Encoder) (*wire.Decoder, error) {
+// frame, which the caller owns. Given a decode (Fetch's), the reply is
+// read into fetchBuf instead and decode runs over it under mu: it must
+// copy what it keeps, and call returns its error and no decoder.
+func (c *Client) call(op wire.Op, e *wire.Encoder, decode ...func(*wire.Decoder) error) (*wire.Decoder, error) {
 	if e == nil {
 		e = wire.NewEncoder()
 	}
@@ -114,6 +119,10 @@ func (c *Client) call(op wire.Op, e *wire.Encoder) (*wire.Decoder, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	into := new([]byte)
+	if len(decode) > 0 {
+		into = &c.fetchBuf
+	}
 	backoff := c.opts.Backoff
 	for attempt := 0; ; attempt++ {
 		if c.conn == nil {
@@ -131,7 +140,10 @@ func (c *Client) call(op wire.Op, e *wire.Encoder) (*wire.Decoder, error) {
 			// calls on the shared conn, so the round trip (bounded by
 			// RPCTimeout deadlines) must happen inside the lock.
 			//lint:ignore blockinglock mu exists to serialize entire RPCs on one conn
-			d, err = c.roundTrip(req)
+			d, err = c.roundTrip(req, into)
+			if err == nil && len(decode) > 0 {
+				return nil, decode[0](d)
+			}
 			if err == nil {
 				return d, nil
 			}
@@ -157,8 +169,8 @@ func (c *Client) call(op wire.Op, e *wire.Encoder) (*wire.Decoder, error) {
 }
 
 // roundTrip sends one framed request in a single Write and reads its
-// response under the RPC timeout. The caller must hold c.mu.
-func (c *Client) roundTrip(req []byte) (*wire.Decoder, error) {
+// response, into *into, under the RPC timeout. The caller must hold c.mu.
+func (c *Client) roundTrip(req []byte, into *[]byte) (*wire.Decoder, error) {
 	if c.opts.RPCTimeout > 0 {
 		//lint:ignore noerrdrop a failed deadline set means a dead conn, which the write below surfaces
 		_ = c.conn.SetDeadline(time.Now().Add(c.opts.RPCTimeout))
@@ -167,10 +179,11 @@ func (c *Client) roundTrip(req []byte) (*wire.Decoder, error) {
 	if _, err := c.conn.Write(req); err != nil {
 		return nil, err
 	}
-	frame, err := wire.ReadFrame(c.conn)
+	frame, err := wire.ReadFrameInto(c.conn, *into)
 	if err != nil {
 		return nil, err
 	}
+	*into = frame
 	resp, err := wire.ParseResponse(frame)
 	if err != nil {
 		return nil, err
@@ -356,20 +369,23 @@ func (c *Client) Play(user string, id rope.ID, m rope.Medium, start, dur time.Du
 }
 
 // Fetch retrieves one medium's unit payloads for an interval. The
-// units are the caller's: views of the one reply frame this call read
-// (each with cap == len), so keeping any of them keeps that frame.
+// units are the caller's: each a copy (cap == len) out of the reply,
+// which lands in a buffer the client keeps — DESIGN's frame-view rule.
 func (c *Client) Fetch(user string, id rope.ID, m rope.Medium, start, dur time.Duration) ([][]byte, error) {
 	e := wire.NewEncoder().Str(user).U64(uint64(id)).U16(m.Code()).I64(int64(start)).I64(int64(dur))
-	d, err := c.call(wire.OpFetch, e)
-	if err != nil {
-		return nil, err
-	}
-	n := d.Count(4)
-	out := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.Blob())
-	}
-	return out, d.Err()
+	var out [][]byte
+	_, err := c.call(wire.OpFetch, e, func(d *wire.Decoder) error {
+		n := d.Count(4)
+		out = make([][]byte, 0, n)
+		for i := 0; i < n; i++ {
+			view := d.Blob()
+			unit := make([]byte, len(view))
+			copy(unit, view)
+			out = append(out, unit)
+		}
+		return d.Err()
+	})
+	return out, err
 }
 
 // Insert performs a remote INSERT, returning the number of blocks the

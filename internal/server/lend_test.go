@@ -19,8 +19,8 @@ import (
 )
 
 // The FETCH path lends: the handler copies each unit once, from the
-// platters into the reply buffer, and the client hands out views of the
-// one reply frame it read. These tests pin what that must not change
+// platters into the reply buffer, and the client hands out copies of the
+// units in the reply it read. These tests pin what that must not change
 // (the bytes) and what it promises (who owns what, for how long).
 
 // recordLocal records a rope straight into fs.
@@ -256,6 +256,70 @@ func TestFetchedUnitsAreTheCallersOwn(t *testing.T) {
 	}
 	third, err := c.Fetch("venkat", r.ID, rope.VideoOnly, 0, 0)
 	check("a Fetch after scribbling on FetchUnits' result", third, err)
+}
+
+// The client reads every FETCH reply into one buffer it keeps, and what
+// Fetch returns are copies out of it: units kept from one Fetch are
+// untouched by later replies — larger, smaller, or another goroutine's
+// on the same client (under -race, a unit that was still a view of the
+// buffer is a reported race; without it, another rope's frame).
+func TestFetchedUnitsSurviveLaterFetches(t *testing.T) {
+	fs, err := core.Format(core.Options{Disks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []int64{650, 651, 652}
+	frames := []int{30, 90, 15}
+	ids := make([]rope.ID, len(seeds))
+	for i := range seeds {
+		ids[i] = recordLocal(t, fs, core.RecordSpec{Video: media.NewVideoSource(frames[i], 18000, 30, seeds[i])}).ID
+	}
+	_, c, _ := serveFS(t, fs)
+	check := func(i int, units [][]byte) error {
+		if len(units) != frames[i] {
+			return fmt.Errorf("rope %d: %d units, want %d", i, len(units), frames[i])
+		}
+		for j, u := range units {
+			if cap(u) != len(u) || !bytes.Equal(u, media.FramePayload(seeds[i], uint64(j), len(u))) {
+				return fmt.Errorf("rope %d: frame %d is not what was recorded (len %d, cap %d)", i, j, len(u), cap(u))
+			}
+		}
+		return nil
+	}
+	kept := make([][][]byte, len(ids))
+	for i, id := range ids {
+		if kept[i], err = c.Fetch("venkat", id, rope.VideoOnly, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range ids {
+		if err := check(i, kept[i]); err != nil {
+			t.Fatalf("after the later fetches: %v", err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(ids))
+	for i := range ids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := 0; n < 20; n++ {
+				units, err := c.Fetch("venkat", ids[i], rope.VideoOnly, 0, 0)
+				if err == nil {
+					err = check(i, units)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
 
 // recordAppend keeps views of its request frames until RecordFinish:

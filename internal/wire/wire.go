@@ -129,7 +129,13 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // ReadFrame receives one length-prefixed frame. The frame is a fresh
 // buffer the caller owns; a Decoder over it hands out views (see
 // Decoder.Blob), so it is never recycled.
-func ReadFrame(r io.Reader) ([]byte, error) {
+func ReadFrame(r io.Reader) ([]byte, error) { return ReadFrameInto(r, nil) }
+
+// ReadFrameInto is ReadFrame into buf's capacity when the frame fits it
+// (and into a fresh buffer when it does not), for the one caller that
+// may recycle a frame: one that copies what it keeps out of the frame
+// before it reads the next into the same buffer.
+func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -138,7 +144,10 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
+	if uint64(cap(buf)) < uint64(n) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
