@@ -8,7 +8,15 @@ RACE_PKGS = ./internal/server ./internal/msm ./internal/client ./internal/cache 
 # experiment tables and hot-path micros, and the interval cache's own.
 BENCH_PKGS = . ./internal/cache
 
-.PHONY: all build test race race-bench lint lint-fix-check loc bench bench-baseline bench-compare bench-check mmload-pairs fuzz chaos clean
+# What race-bench runs one pass of, and what bench-check holds to the
+# baseline's allocs/op (each list once: ci.yml calls the targets). The
+# lent playback is named apart: a -bench pattern with a slash filters
+# every benchmark's sub-benchmarks, so it runs in an invocation of its own.
+RACE_BENCHES = BenchmarkStripedRound|BenchmarkRound1000Streams|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCachedConcurrentPlayback|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
+ALLOC_BENCHES = BenchmarkPlaybackRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
+ALLOC_BENCH_LENT = BenchmarkCachedConcurrentPlayback/lent
+
+.PHONY: all build test race race-bench lint loc bench bench-baseline bench-compare bench-check mmload-pairs fuzz chaos clean
 
 all: build lint test
 
@@ -41,25 +49,22 @@ race:
 # does the write path: an edit cycle copying blocks lent from the platters
 # it writes to, and Sync encoding into its one scratch buffer.
 race-bench:
-	$(GO) test -race -run '^$$' -bench 'BenchmarkStripedRound|BenchmarkRound1000Streams|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCachedConcurrentPlayback|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync' -benchtime=1x $(BENCH_PKGS)
+	$(GO) test -race -run '^$$' -bench '$(RACE_BENCHES)' -benchtime=1x $(BENCH_PKGS)
 
 # lint = gofmt (the benchmark's build directory aside), the standard vet
 # suite plus mmfsvet, the project's own
 # invariant checkers (see DESIGN.md "Invariants & static analysis" and
 # "Concurrency invariants"). Findings are also archived to mmfsvet.json
-# so CI can upload them as an artifact. Last, scripts/deadexports.sh:
-# exported functions and methods under internal/ that nothing names.
+# so CI can upload them as an artifact, and under GitHub Actions (which
+# sets GITHUB_ACTIONS) each one annotates the diff. Last,
+# scripts/deadexports.sh: exported functions and methods under internal/
+# that no product code names. This is the CI gate: ci.yml runs it.
 lint:
 	@unformatted="$$(gofmt -l . | grep -v '^\.bench_build/')"; \
 		if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/mmfsvet -json mmfsvet.json ./...
+	$(GO) run ./cmd/mmfsvet $(if $(GITHUB_ACTIONS),-github) -json mmfsvet.json ./...
 	bash scripts/deadexports.sh
-
-# Assert the tree is finding-free, annotating the diff when run under
-# GitHub Actions. This is the CI gate: any new finding fails the build.
-lint-fix-check:
-	$(GO) run ./cmd/mmfsvet -github -json mmfsvet.json ./...
 
 # Non-test, non-testdata Go lines per internal/* and cmd/* package — the
 # count ROADMAP item 2's line budget is kept in. With PARENT=<rev> the
@@ -109,27 +114,17 @@ bench-compare:
 # of a block the device lent) at zero allocs/op — it fails itself if a byte
 # was copied — and BenchmarkCachedConcurrentPlayback/lent (a leader and
 # three followers on the 4-spindle array, which fails itself if the cache
-# ends owning memory) at its baseline allocs/op; the second runs on its
-# own because a -bench pattern with a slash filters every benchmark's
-# sub-benchmarks.
+# ends owning memory) at its baseline allocs/op. One compare judges them
+# all: -subset takes the pattern the benchmarks were run with.
 # The gate measures steady state: over 100 iterations a
 # one-off (the runtime allocating a g struct when a lane spawn finds no
 # free one) amortises to 0 allocs/op while a per-round allocation still
 # reads >= 1; the baseline's per-op figures are unaffected by the
 # iteration count. Fast enough to run on every push.
 bench-check:
-	{ $(GO) test -run '^$$' -bench='BenchmarkPlaybackRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync' -benchmem -benchtime=100x $(BENCH_PKGS) && \
-	  $(GO) test -run '^$$' -bench='BenchmarkCachedConcurrentPlayback/lent' -benchmem -benchtime=100x . ; } | $(GO) run ./cmd/benchjson -out bench/allocs.json
-	$(GO) run ./cmd/benchjson -compare -subset BenchmarkPlaybackRound bench/baseline.json bench/allocs.json
-	$(GO) run ./cmd/benchjson -compare -subset BenchmarkQoSClassPass bench/baseline.json bench/allocs.json
-	$(GO) run ./cmd/benchjson -compare -subset BenchmarkRebuildRound bench/baseline.json bench/allocs.json
-	$(GO) run ./cmd/benchjson -compare -subset BenchmarkCacheCoupledRound bench/baseline.json bench/allocs.json
-	$(GO) run ./cmd/benchjson -compare -subset BenchmarkCacheFill bench/baseline.json bench/allocs.json
-	$(GO) run ./cmd/benchjson -compare -subset BenchmarkCachedConcurrentPlayback/lent bench/baseline.json bench/allocs.json
-	$(GO) run ./cmd/benchjson -compare -subset BenchmarkFetchReply bench/baseline.json bench/allocs.json
-	$(GO) run ./cmd/benchjson -compare -subset BenchmarkCodecSmall bench/baseline.json bench/allocs.json
-	$(GO) run ./cmd/benchjson -compare -subset BenchmarkEditCycle bench/baseline.json bench/allocs.json
-	$(GO) run ./cmd/benchjson -compare -subset BenchmarkSync bench/baseline.json bench/allocs.json
+	{ $(GO) test -run '^$$' -bench='$(ALLOC_BENCHES)' -benchmem -benchtime=100x $(BENCH_PKGS) && \
+	  $(GO) test -run '^$$' -bench='$(ALLOC_BENCH_LENT)' -benchmem -benchtime=100x . ; } | $(GO) run ./cmd/benchjson -out bench/allocs.json
+	$(GO) run ./cmd/benchjson -compare -subset '$(ALLOC_BENCHES)|$(ALLOC_BENCH_LENT)' bench/baseline.json bench/allocs.json
 
 # Paired end-to-end runs of the BENCHMARK.json harness: PARENT (a git
 # revision) against the working tree, N alternating pairs of WORKLOAD

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -47,14 +48,15 @@ func lowerBetter(metric string) bool {
 // compareReports diffs cur against base and returns one line per
 // regression beyond the tolerance (0.15 = 15%). A benchmark missing
 // from cur is a regression (coverage lost); one missing from base is
-// ignored (new benchmarks cannot regress). A non-empty subset
-// restricts the gate to benchmarks whose name starts with it (and
-// skips the cross-suite summary), so a fast CI job can gate one
-// benchmark family against the full committed baseline. A non-empty
+// ignored (new benchmarks cannot regress). A non-empty subset — the
+// pattern `go test -bench` ran with: a regexp matched anywhere in the
+// name, families joined by | — restricts the gate to what it matches (and
+// skips the cross-suite summary): a fast CI job against the full baseline. A non-empty
 // skip names one metric to leave unjudged: the 1x pass skips allocs/op,
 // where a runtime one-off reads as a whole allocation per op; the 100x
 // allocation gate judges it instead.
 func compareReports(base, cur Report, tol float64, subset, skip string) []string {
+	only := regexp.MustCompile(subset) // the empty pattern matches every name
 	curBy := make(map[string]Benchmark, len(cur.Benchmarks))
 	for _, b := range cur.Benchmarks {
 		curBy[b.Name] = b
@@ -75,7 +77,7 @@ func compareReports(base, cur Report, tol float64, subset, skip string) []string
 		}
 	}
 	for _, bb := range base.Benchmarks {
-		if subset != "" && !strings.HasPrefix(bb.Name, subset) {
+		if !only.MatchString(bb.Name) {
 			continue
 		}
 		cb, ok := curBy[bb.Name]

@@ -133,6 +133,27 @@ func TestAllocGateAndSubset(t *testing.T) {
 	if regs := compareReports(base, cur, 0.15, "BenchmarkPlaybackRound", ""); len(regs) != 0 {
 		t.Fatalf("subset leaked an out-of-scope regression: %v", regs)
 	}
+
+	// The subset is go test -bench's pattern: families join with |, a
+	// sub-benchmark is named through its slash, and a family the pattern
+	// names but the new report lacks is lost coverage.
+	base.Benchmarks = append(base.Benchmarks, Benchmark{Name: "BenchmarkCachedConcurrentPlayback/lent", N: 1, Metrics: map[string]float64{"allocs/op": 10}})
+	cur.Benchmarks = append(cur.Benchmarks, Benchmark{Name: "BenchmarkCachedConcurrentPlayback/lent", N: 1, Metrics: map[string]float64{"allocs/op": 20}})
+	for pattern, want := range map[string]int{
+		"BenchmarkSync|BenchmarkPlaybackRound":                      0,
+		"BenchmarkPlaybackRound|BenchmarkCachedConcurrentPlayback$": 1, // the hit ratio
+		"BenchmarkSync|BenchmarkCachedConcurrentPlayback/lent":      1, // the allocations
+		"BenchmarkCachedConcurrentPlayback":                         2,
+		"PlaybackRound|Playback/le":                                 1,
+	} {
+		if regs := compareReports(base, cur, 0.15, pattern, ""); len(regs) != want {
+			t.Fatalf("-subset %q: %d regression(s), want %d: %v", pattern, len(regs), want, regs)
+		}
+	}
+	cur.Benchmarks = cur.Benchmarks[1:]
+	if regs := compareReports(base, cur, 0.15, "BenchmarkSync|BenchmarkPlaybackRound", ""); len(regs) != 1 || !strings.Contains(regs[0], "missing") {
+		t.Fatalf("a family in the pattern and not in the report: got %v", regs)
+	}
 }
 
 func TestSummarize(t *testing.T) {

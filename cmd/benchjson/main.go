@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"time"
@@ -49,13 +50,13 @@ func main() {
 	compare := flag.Bool("compare", false, "compare two report files (baseline new) instead of reading bench output")
 	tolerance := flag.Float64("tolerance", 0.15, "relative regression tolerance for -compare")
 	stripWallclock := flag.Bool("strip-wallclock", false, "omit ns/op from the written report (for committed baselines: wall clock is not comparable across runners, the simulated-disk metrics are)")
-	subset := flag.String("subset", "", "with -compare, gate only benchmarks whose name has this prefix")
+	subset := flag.String("subset", "", "with -compare, gate only benchmarks whose name matches this pattern (as go test -bench reads it: a regexp matched anywhere in the name, A|B|C for several)")
 	skip := flag.String("skip", "", "with -compare, leave this metric unjudged (e.g. allocs/op on a -benchtime=1x pass)")
 	flag.Parse()
 
 	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: benchjson -compare [-tolerance 0.15] baseline.json new.json")
+		if _, err := regexp.Compile(*subset); err != nil || flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "usage: benchjson -compare [-tolerance 0.15] [-subset 'A|B'] baseline.json new.json")
 			os.Exit(2)
 		}
 		base, err := loadReport(flag.Arg(0))

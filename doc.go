@@ -15,8 +15,7 @@
 //   - internal/msm — the Multimedia Storage Manager (service rounds,
 //     admission control, k transitions, violation detection)
 //   - internal/rope, internal/strand, internal/layout — the data model
-//   - internal/disk, internal/alloc, internal/sim — the simulated
-//     storage substrate
+//   - internal/disk, internal/alloc — the simulated storage substrate
 //   - internal/server, internal/client, internal/wire — the MRS
 //     network protocol
 //   - internal/experiments — regenerates every quantitative artifact

@@ -3,7 +3,6 @@ package alloc
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"mmfs/internal/disk"
 )
@@ -96,18 +95,6 @@ func (a *Allocator) Allocate(n int) (Run, error) {
 	return Run{LBA: lo, Sectors: n}, nil
 }
 
-// AllocateAt claims a specific run, failing if any sector is taken.
-// Format-time layout and tests use it.
-func (a *Allocator) AllocateAt(lba, n int) (Run, error) {
-	if !a.bm.freeRunAt(lba, n) {
-		return Run{}, fmt.Errorf("%w: [%d,%d) not free", ErrNoSpace, lba, lba+n)
-	}
-	a.bm.setRange(lba, n)
-	a.stats.Allocs++
-	a.stats.SectorsAllocated += uint64(n)
-	return Run{LBA: lba, Sectors: n}, nil
-}
-
 // Free releases a run.
 func (a *Allocator) Free(r Run) {
 	a.bm.clearRange(r.LBA, r.Sectors)
@@ -126,34 +113,6 @@ type Constraint struct {
 	// MaxCylinders is the largest allowed cylinder distance (from
 	// the continuity equations' upper bound).
 	MaxCylinders int
-}
-
-// ConstraintFromScattering converts time-valued scattering bounds to a
-// cylinder-distance constraint using the geometry's seek model.
-// lUpper must admit at least the minimum access; lLower below it
-// clamps to distance 1 (blocks of one strand never share a cylinder,
-// so each inter-block access pays at least one seek).
-func ConstraintFromScattering(g disk.Geometry, lLower, lUpper time.Duration) (Constraint, error) {
-	maxD := g.MaxDistanceWithin(lUpper)
-	if maxD < 1 {
-		return Constraint{}, fmt.Errorf("alloc: scattering upper bound %v below minimum access time %v", lUpper, g.MinAccessTime())
-	}
-	minD := 1
-	if lLower > g.MinAccessTime() {
-		d := g.MaxDistanceWithin(lLower)
-		// The smallest distance whose access time is ≥ lLower.
-		if d >= 1 && g.AccessTime(d) < lLower {
-			d++
-		}
-		if d < 1 {
-			d = 1
-		}
-		minD = d
-	}
-	if minD > maxD {
-		return Constraint{}, fmt.Errorf("alloc: scattering bounds invert: min distance %d > max distance %d", minD, maxD)
-	}
-	return Constraint{MinCylinders: minD, MaxCylinders: maxD}, nil
 }
 
 // AllocateConstrained places a media block of n sectors whose cylinder

@@ -87,19 +87,6 @@ func TestDoubleFreePanics(t *testing.T) {
 	a.Free(r)
 }
 
-func TestAllocateAt(t *testing.T) {
-	a := newAlloc(t, 0)
-	if _, err := a.AllocateAt(50, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.AllocateAt(52, 4); err == nil {
-		t.Fatal("overlapping AllocateAt accepted")
-	}
-	if _, err := a.AllocateAt(a.TotalSectors()-2, 4); err == nil {
-		t.Fatal("out-of-range AllocateAt accepted")
-	}
-}
-
 func TestExhaustion(t *testing.T) {
 	a := newAlloc(t, 0)
 	for {
@@ -165,8 +152,8 @@ func TestConstrainedFailsWhenBandFull(t *testing.T) {
 	}
 	// Fill cylinders 48, 49, 51, 52 completely.
 	for _, cyl := range []int{48, 49, 51, 52} {
-		if _, err := a.AllocateAt(cyl*spc, spc); err != nil {
-			t.Fatal(err)
+		if run, err := a.AllocateNearCylinder(cyl, spc); err != nil || run.LBA != cyl*spc {
+			t.Fatalf("filling cylinder %d: run %+v, %v", cyl, run, err)
 		}
 	}
 	_, err = a.AllocateConstrained(prev, 2, Constraint{MinCylinders: 1, MaxCylinders: 2})
@@ -178,38 +165,13 @@ func TestConstrainedFailsWhenBandFull(t *testing.T) {
 	}
 }
 
-func TestConstraintFromScattering(t *testing.T) {
-	g := testGeometry()
-	// A generous bound admits many cylinders.
-	c, err := ConstraintFromScattering(g, g.MinAccessTime(), g.MaxAccessTime())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.MinCylinders != 1 || c.MaxCylinders != g.Cylinders-1 {
-		t.Fatalf("constraint %+v", c)
-	}
-	// A bound below the minimum access time is unusable.
-	if _, err := ConstraintFromScattering(g, 0, g.AvgRotationalLatency()/2); err == nil {
-		t.Fatal("impossible scattering bound accepted")
-	}
-	// The realized access time of the max distance must respect the bound.
-	bound := g.AccessTime(25)
-	c, err = ConstraintFromScattering(g, 0, bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.AccessTime(c.MaxCylinders) > bound {
-		t.Fatalf("distance %d violates bound", c.MaxCylinders)
-	}
-}
-
 func TestAllocateNearCylinderSearchesOutward(t *testing.T) {
 	g := testGeometry()
 	a := newAlloc(t, 0)
 	spc := g.SectorsPerCylinder()
 	// Fill cylinder 30 fully; a near allocation should land at 29 or 31.
-	if _, err := a.AllocateAt(30*spc, spc); err != nil {
-		t.Fatal(err)
+	if run, err := a.AllocateNearCylinder(30, spc); err != nil || run.LBA != 30*spc {
+		t.Fatalf("filling cylinder 30: run %+v, %v", run, err)
 	}
 	run, err := a.AllocateNearCylinder(30, 4)
 	if err != nil {

@@ -73,14 +73,6 @@ func (b *bitmap) clearRange(lo, n int) {
 	}
 }
 
-// freeRunAt reports whether [lo, lo+n) is entirely free and in range.
-func (b *bitmap) freeRunAt(lo, n int) bool {
-	if lo < 0 || lo+n > b.n {
-		return false
-	}
-	return b.next(lo, lo+n, 0) == lo+n
-}
-
 // next returns the first index in [i, hi) whose bit is set — or, with
 // flip all ones, clear — and hi when there is none.
 func (b *bitmap) next(i, hi int, flip uint64) int {

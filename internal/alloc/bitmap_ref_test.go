@@ -42,18 +42,6 @@ func (b *refBitmap) clearRange(lo, n int) {
 	}
 }
 
-func (b *refBitmap) freeRunAt(lo, n int) bool {
-	if lo < 0 || lo+n > b.n {
-		return false
-	}
-	for i := lo; i < lo+n; i++ {
-		if b.get(i) {
-			return false
-		}
-	}
-	return true
-}
-
 func (b *refBitmap) findRun(lo, hi, n int) int {
 	if hi > b.n {
 		hi = b.n
@@ -127,12 +115,9 @@ func TestBitmapMatchesReference(t *testing.T) {
 				held = append(held[:i], held[i+1:]...)
 				ref.clearRange(r[0], r[1])
 				bm.clearRange(r[0], r[1])
-			case op == 5:
-				if got, want := bm.freeRunAt(lo, n), ref.freeRunAt(lo, n); got != want {
-					t.Fatalf("size %d step %d: freeRunAt(%d,%d) = %v, reference %v", size, step, lo, n, got, want)
-				}
-				if bm.freeRunAt(-1, 1) || bm.freeRunAt(size-1, 2) {
-					t.Fatalf("size %d: freeRunAt accepts a range outside the bitmap", size)
+			case op == 5: // probe: is exactly [lo, lo+n) free?
+				if got, want := bm.findRun(lo, lo+n, n), ref.findRun(lo, lo+n, n); got != want {
+					t.Fatalf("size %d step %d: findRun(%d,%d,%d) = %d, reference %d", size, step, lo, lo+n, n, got, want)
 				}
 			default: // an arbitrary range: usually a double allocation or a double free
 				snap := append([]uint64(nil), ref.words...)

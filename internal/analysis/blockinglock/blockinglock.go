@@ -1,6 +1,6 @@
 // Package blockinglock finds calls that may block for an unbounded or
 // service-scale time while a sync.Mutex or sync.RWMutex is visibly
-// held. Lock sharding (ROADMAP item 4) only pays off if critical
+// held. Lock sharding (ROADMAP item 5) only pays off if critical
 // sections stay short: a blocking call under a lock serializes every
 // other goroutine contending for it, and under the virtual clock it
 // can stretch one critical section across a whole service round.

@@ -1,8 +1,9 @@
 // Package simclock keeps simulation-driven packages off the wall
 // clock. Admission control, service rounds, and playback deadlines are
-// all defined in virtual time (internal/sim); a stray time.Now or
-// time.Sleep makes those paths nondeterministic and untestable, and in
-// the worst case mixes wall-clock instants into virtual deadlines.
+// all defined in virtual time (the storage manager's clock); a stray
+// time.Now or time.Sleep makes those paths nondeterministic and
+// untestable, and in the worst case mixes wall-clock instants into
+// virtual deadlines.
 // Code that legitimately needs the wall clock (e.g. operational
 // logging of real elapsed time) opts out with //lint:ignore simclock.
 package simclock
@@ -33,9 +34,8 @@ var wallClock = map[string]bool{
 var Analyzer = &analysis.Analyzer{
 	Name: "simclock",
 	Doc: "flag time.Now/time.Sleep and friends in simulation-driven packages; " +
-		"timed behavior there must use the injectable sim clock for determinism",
+		"timed behavior there must use the storage manager's virtual clock for determinism",
 	PathPrefixes: []string{
-		analysis.ModulePath + "/internal/sim",
 		analysis.ModulePath + "/internal/msm",
 		analysis.ModulePath + "/internal/server",
 		analysis.ModulePath + "/internal/core",
@@ -60,7 +60,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || pkgName.Imported().Path() != "time" {
 				return true
 			}
-			pass.Reportf(sel.Pos(), "time.%s reads the wall clock in a simulation-driven package; use the injectable sim clock (internal/sim) or opt out with //lint:ignore simclock", sel.Sel.Name)
+			pass.Reportf(sel.Pos(), "time.%s reads the wall clock in a simulation-driven package; use the storage manager's virtual clock or opt out with //lint:ignore simclock", sel.Sel.Name)
 			return true
 		})
 	}

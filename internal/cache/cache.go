@@ -179,19 +179,12 @@ type Cache struct {
 	owned int64
 	stats Stats
 	// obs mirrors the Stats counters into an observability registry;
-	// all fields nil when SetObs was never called.
+	// all fields nil, hence inert, when SetObs was never called.
 	obsHits, obsMisses, obsWaits      *obs.Counter
 	obsInserts, obsEvictions          *obs.Counter
 	obsAdoptions                      *obs.Counter
 	obsBytes, obsPinned, obsIntervals *obs.Gauge
 	obsOwned                          *obs.Gauge
-}
-
-// obsInc bumps an optional observability counter.
-func obsInc(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
 }
 
 // New creates a cache with the given capacity in bytes.
@@ -205,9 +198,6 @@ func New(capacity int64) *Cache {
 		streams:  make(map[uint64]*stream),
 	}
 }
-
-// Capacity reports the configured capacity in bytes.
-func (c *Cache) Capacity() int64 { return c.capacity }
 
 // SetObs mirrors the cache's counters into an observability registry
 // (hit/miss/wait lookups, inserts, evictions, interval adoptions, and
@@ -228,9 +218,6 @@ func (c *Cache) SetObs(reg *obs.Registry) {
 
 // syncGauges refreshes the residency gauges after a mutation.
 func (c *Cache) syncGauges() {
-	if c.obsBytes == nil {
-		return
-	}
 	c.obsBytes.Set(c.bytes)
 	c.obsPinned.Set(c.pinned)
 	c.obsIntervals.Set(int64(c.intervals))
@@ -341,7 +328,7 @@ func (c *Cache) Adopt(id uint64) bool {
 	s.leader, l.follower = l, s
 	c.intervals++
 	c.stats.Adoptions++
-	obsInc(c.obsAdoptions)
+	c.obsAdoptions.Inc()
 	c.syncGauges()
 	return true
 }
@@ -359,7 +346,7 @@ func (c *Cache) Get(id uint64, index int) ([]byte, Result) {
 	s := c.streams[id]
 	if s == nil {
 		c.stats.Misses++
-		obsInc(c.obsMisses)
+		c.obsMisses.Inc()
 		return nil, Miss
 	}
 	// Never read at or past the leader's position, even if the block
@@ -367,7 +354,7 @@ func (c *Cache) Get(id uint64, index int) ([]byte, Result) {
 	// level up the chain, and consuming it would reorder the chain).
 	if s.leader != nil && index >= s.leader.pos {
 		c.stats.Waits++
-		obsInc(c.obsWaits)
+		c.obsWaits.Inc()
 		return nil, Wait
 	}
 	// A follower's next block is the head of its own ascending pin
@@ -378,7 +365,7 @@ func (c *Cache) Get(id uint64, index int) ([]byte, Result) {
 	}
 	if e == nil {
 		c.stats.Misses++
-		obsInc(c.obsMisses)
+		c.obsMisses.Inc()
 		return nil, Miss
 	}
 	c.consume(s, e)
@@ -386,7 +373,7 @@ func (c *Cache) Get(id uint64, index int) ([]byte, Result) {
 		s.pos = index + 1
 	}
 	c.stats.Hits++
-	obsInc(c.obsHits)
+	c.obsHits.Inc()
 	c.syncGauges()
 	return e.data, Hit
 }
@@ -535,7 +522,7 @@ func (c *Cache) insert(id uint64, index int, data []byte, lent bool) {
 	c.entries[key] = e
 	c.bytes += size
 	c.stats.Inserts++
-	obsInc(c.obsInserts)
+	c.obsInserts.Inc()
 	c.lru.pushFront(e)
 	c.claimOrTouch(s, e)
 	c.syncGauges()
@@ -699,6 +686,6 @@ func (c *Cache) evictOne() bool {
 	}
 	c.removeEntry(e)
 	c.stats.Evictions++
-	obsInc(c.obsEvictions)
+	c.obsEvictions.Inc()
 	return true
 }

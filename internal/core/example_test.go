@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
 	"time"
@@ -88,10 +89,9 @@ func ExampleFS_Record_heterogeneous() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	frame, audio, err := media.SplitAV(units[0])
-	if err != nil {
-		log.Fatal(err)
-	}
+	// A composite unit is [u32 video length][frame][audio].
+	n := binary.LittleEndian.Uint32(units[0])
+	frame, audio := units[0][4:4+n], units[0][4+n:]
 	fmt.Println("frame bytes:", len(frame), "audio bytes:", len(audio))
 
 	// Output:

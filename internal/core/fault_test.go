@@ -32,9 +32,9 @@ func TestFaultOptionWiring(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fd := fs.FaultDisk()
+			fd := fs.faultDisk
 			if fd == nil {
-				t.Fatal("FaultDisk() is nil with an active scenario")
+				t.Fatal("no fault layer despite an active scenario")
 			}
 			var ropes []*rope.Rope
 			for seed := int64(1); seed <= 4; seed++ {

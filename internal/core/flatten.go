@@ -120,13 +120,3 @@ func (fs *FS) flattenMedium(r *rope.Rope, m rope.Medium) (*rope.ComponentRef, er
 	fs.strands.Put(s)
 	return &rope.ComponentRef{Strand: s.ID()}, nil
 }
-
-// IntervalCount reports how many intervals a rope currently spans; the
-// flattening payoff metric.
-func (fs *FS) IntervalCount(id rope.ID) (int, error) {
-	r, ok := fs.ropes.Get(id)
-	if !ok {
-		return 0, fmt.Errorf("core: unknown rope %d", id)
-	}
-	return len(r.Intervals), nil
-}

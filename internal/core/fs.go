@@ -488,10 +488,6 @@ func (fs *FS) Array() *disk.Array {
 // through the device's timed methods, which metadata never calls.
 func (fs *FS) MediaDevice() disk.Device { return fs.d }
 
-// FaultDisk exposes the fault-injection wrapper, nil when injection is
-// off.
-func (fs *FS) FaultDisk() *fault.Disk { return fs.faultDisk }
-
 // Allocator exposes the block allocator.
 func (fs *FS) Allocator() *alloc.Allocator { return fs.a }
 

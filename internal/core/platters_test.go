@@ -44,7 +44,8 @@ func cacheMatchesPlatters(fs *FS) error {
 			err = fmt.Errorf("block %d of strand %d is cached (lent=%v) but the strand is gone", index, sid, lent)
 			return
 		}
-		want, silent, rerr := strand.NewReader(fs.Disk(), s).BlockPayload(index)
+		var scratch []byte
+		want, silent, rerr := strand.NewReader(fs.Disk(), s).BlockView(index, &scratch)
 		switch {
 		case rerr != nil:
 			err = fmt.Errorf("strand %d block %d: %v", sid, index, rerr)

@@ -37,7 +37,8 @@ type RecordSpec struct {
 	// both media are combined into composite units and stored in ONE
 	// strand, giving implicit inter-media synchronization and one
 	// disk access per block, at the cost of combining on storage and
-	// separating on retrieval (use media.SplitAV on fetched units).
+	// separating on retrieval (media.MuxAVSource documents the unit
+	// layout).
 	// Requires both Video and Audio sources with rates that divide
 	// evenly.
 	Heterogeneous bool

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"mmfs/internal/alloc"
@@ -42,12 +43,13 @@ func (fs *FS) ReorganizeStrand(id strand.ID, startCylinder int) (*strand.Strand,
 		silent  bool
 	}
 	blocks := make([]staged, old.NumBlocks())
+	var scratch []byte
 	for b := range blocks {
-		payload, silent, err := rd.BlockPayload(b)
+		view, silent, err := rd.BlockView(b, &scratch)
 		if err != nil {
 			return nil, err
 		}
-		blocks[b] = staged{payload: payload, silent: silent}
+		blocks[b] = staged{payload: bytes.Clone(view), silent: silent}
 	}
 	meta := strand.BuildMeta{
 		ID:          fs.strands.NewID(),

@@ -32,10 +32,10 @@ func TestReorganizeStrandPreservesDataAndRopes(t *testing.T) {
 		t.Fatalf("rope still references %d", r.Intervals[0].Video.Strand)
 	}
 	// Interests moved with it.
-	if fs.Ropes().Interests().Count(relocated.ID()) != 1 {
+	if fs.interests.Count(relocated.ID()) != 1 {
 		t.Fatal("interest not transferred")
 	}
-	if fs.Ropes().Interests().Count(oldVideo) != 0 {
+	if fs.interests.Count(oldVideo) != 0 {
 		t.Fatal("stale interest on removed strand")
 	}
 	// Data survives, and playback is still continuous.

@@ -158,24 +158,6 @@ func (a *Array) Locate(lba int) (spindle, local int) {
 	return group % p, localCyl*a.spc + off
 }
 
-// ToLogical maps a spindle-local sector address back to the logical
-// address space; it inverts Locate. For a mirrored array both twins
-// map to the same logical address, and the post-expansion mapping is
-// used during a pending rebalance.
-func (a *Array) ToLogical(spindle, local int) int {
-	cyl := local / a.spc
-	off := local % a.spc
-	localGroup := cyl / a.sc
-	inGroup := cyl % a.sc
-	var group int
-	if a.mirrored {
-		group = localGroup*a.mg + spindle/2
-	} else {
-		group = localGroup*len(a.spindles) + spindle
-	}
-	return (group*a.sc+inGroup)*a.spc + off
-}
-
 // SpindleRange reports the spindle that can service the whole access
 // [lba, lba+n) on its own, or ok=false when the access crosses a stripe
 // group boundary and must be split across spindles. The MSM uses it to

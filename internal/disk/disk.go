@@ -156,19 +156,6 @@ func (d *Disk) SetWriteLatencyHistogram(h *obs.Histogram) { d.writeLatency = h }
 // HeadCylinder reports the current cylinder of head h.
 func (d *Disk) HeadCylinder(h int) int { return d.heads[h].cylinder }
 
-// ParkHead moves head h to the given cylinder without charging time;
-// experiments use it to establish worst- or best-case starting
-// positions.
-func (d *Disk) ParkHead(h, cylinder int) {
-	if cylinder < 0 {
-		cylinder = 0
-	}
-	if cylinder >= d.geom.Cylinders {
-		cylinder = d.geom.Cylinders - 1
-	}
-	d.heads[h].cylinder = cylinder
-}
-
 func (d *Disk) checkRange(lba, n int) error {
 	if n < 0 || lba < 0 || lba+n > d.geom.TotalSectors() {
 		//lint:ignore allocpath range errors abort the access; the error path is cold
@@ -353,9 +340,7 @@ func (d *Disk) chargeRead(h, lba, n int) (time.Duration, error) {
 	t := d.serviceTime(h, lba, n)
 	d.stats.Reads++
 	d.stats.SectorsRead += uint64(n)
-	if d.readLatency != nil {
-		d.readLatency.Observe(t.Seconds())
-	}
+	d.readLatency.Observe(t.Seconds())
 	return t, nil
 }
 
@@ -405,9 +390,7 @@ func (d *Disk) Write(h, lba int, data []byte) (time.Duration, error) {
 	t := d.serviceTime(h, lba, n)
 	d.stats.Writes++
 	d.stats.SectorsWritten += uint64(n)
-	if d.writeLatency != nil {
-		d.writeLatency.Observe(t.Seconds())
-	}
+	d.writeLatency.Observe(t.Seconds())
 	if err := d.WriteAt(lba, data); err != nil {
 		return 0, err
 	}

@@ -120,7 +120,6 @@ func TestRangeChecks(t *testing.T) {
 func TestTimedReadChargesSeekLatencyTransfer(t *testing.T) {
 	g := smallGeometry()
 	d := MustNew(g)
-	d.ParkHead(0, 0)
 	spc := g.SectorsPerCylinder()
 	targetCyl := 10
 	_, dur, err := timedRead(d, 0, targetCyl*spc, 4)
@@ -216,18 +215,6 @@ func TestStatsAccumulate(t *testing.T) {
 	d.ResetStats()
 	if d.Stats() != (Stats{}) {
 		t.Fatal("reset did not clear stats")
-	}
-}
-
-func TestParkHeadClamps(t *testing.T) {
-	d := MustNew(smallGeometry())
-	d.ParkHead(0, -5)
-	if d.HeadCylinder(0) != 0 {
-		t.Fatal("negative park not clamped")
-	}
-	d.ParkHead(0, 9999)
-	if d.HeadCylinder(0) != d.Geometry().Cylinders-1 {
-		t.Fatal("oversized park not clamped")
 	}
 }
 

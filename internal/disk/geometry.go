@@ -8,7 +8,8 @@
 // model exposes: the data transfer rate r_dt, the bounded inter-block
 // access time (the scattering parameter l_ds), and the maximum
 // seek-plus-latency time l_max_seek. All service times are virtual
-// (time.Duration on a sim.Clock), making experiments deterministic.
+// (time.Duration on the storage manager's clock), making experiments
+// deterministic.
 package disk
 
 import (
@@ -173,29 +174,6 @@ func (g Geometry) MaxDistanceWithin(budget time.Duration) int {
 		return -1
 	}
 	return lo
-}
-
-// CHS identifies a sector by cylinder, surface (head), and sector
-// index within the track.
-type CHS struct {
-	Cylinder int
-	Surface  int
-	Sector   int
-}
-
-// ToCHS converts a linear block address to cylinder/surface/sector.
-// The mapping fills a whole cylinder before moving the actuator, so
-// consecutive LBAs are seek-free.
-func (g Geometry) ToCHS(lba int) CHS {
-	spc := g.SectorsPerCylinder()
-	cyl := lba / spc
-	rem := lba % spc
-	return CHS{Cylinder: cyl, Surface: rem / g.SectorsPerTrack, Sector: rem % g.SectorsPerTrack}
-}
-
-// ToLBA converts cylinder/surface/sector to a linear block address.
-func (g Geometry) ToLBA(c CHS) int {
-	return c.Cylinder*g.SectorsPerCylinder() + c.Surface*g.SectorsPerTrack + c.Sector
 }
 
 // CylinderOf reports the cylinder holding the given linear address.

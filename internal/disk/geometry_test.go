@@ -111,34 +111,14 @@ func TestMaxDistanceWithinInvertsAccessTime(t *testing.T) {
 	}
 }
 
-func TestCHSRoundTrip(t *testing.T) {
-	g := DefaultGeometry()
-	f := func(raw int) bool {
-		lba := raw % g.TotalSectors()
-		if lba < 0 {
-			lba = -lba
-		}
-		chs := g.ToCHS(lba)
-		if chs.Cylinder < 0 || chs.Cylinder >= g.Cylinders ||
-			chs.Surface < 0 || chs.Surface >= g.Surfaces ||
-			chs.Sector < 0 || chs.Sector >= g.SectorsPerTrack {
-			return false
-		}
-		return g.ToLBA(chs) == lba && g.CylinderOf(lba) == chs.Cylinder
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConsecutiveLBAsAreSeekFree(t *testing.T) {
 	g := DefaultGeometry()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		lba := rng.Intn(g.TotalSectors() - 1)
-		a, b := g.ToCHS(lba), g.ToCHS(lba+1)
-		if b.Cylinder != a.Cylinder && b.Cylinder != a.Cylinder+1 {
-			t.Fatalf("lba %d→%d jumps cylinder %d→%d", lba, lba+1, a.Cylinder, b.Cylinder)
+		a, b := g.CylinderOf(lba), g.CylinderOf(lba+1)
+		if b != a && b != a+1 {
+			t.Fatalf("lba %d→%d jumps cylinder %d→%d", lba, lba+1, a, b)
 		}
 	}
 }

@@ -54,6 +54,7 @@ type Disk struct {
 	// Scenario.DieRound the device is dead.
 	round int
 
+	// Registry mirrors of stats; nil, hence inert, until SetObs.
 	readErrs, writeErrs *obs.Counter
 	badSectors          *obs.Counter
 	slowdowns           *obs.Counter
@@ -66,12 +67,6 @@ var _ disk.Device = (*Disk)(nil)
 func New(base *disk.Disk, sc Scenario) *Disk {
 	return &Disk{Disk: base, sc: sc, rng: rand.New(rand.NewSource(sc.Seed))}
 }
-
-// Base returns the wrapped disk.
-func (d *Disk) Base() *disk.Disk { return d.Disk }
-
-// Scenario returns the active scenario.
-func (d *Disk) Scenario() Scenario { return d.sc }
 
 // FaultStats returns a snapshot of the injected-fault counters.
 func (d *Disk) FaultStats() Stats { return d.stats }
@@ -93,14 +88,10 @@ func (d *Disk) dieError(read bool) error {
 	d.stats.DeadErrors++
 	if read {
 		d.stats.ReadErrors++
-		if d.readErrs != nil {
-			d.readErrs.Inc()
-		}
+		d.readErrs.Inc()
 	} else {
 		d.stats.WriteErrors++
-		if d.writeErrs != nil {
-			d.writeErrs.Inc()
-		}
+		d.writeErrs.Inc()
 	}
 	return ErrDeviceDead
 }
@@ -123,24 +114,18 @@ func (d *Disk) injectRead(lba, n int, data []byte, t time.Duration) ([]byte, tim
 	}
 	if d.sc.badSector(lba, n) {
 		d.stats.BadSectors++
-		if d.badSectors != nil {
-			d.badSectors.Inc()
-		}
+		d.badSectors.Inc()
 		return nil, t, ErrBadSector
 	}
 	if d.forcedFails > 0 {
 		d.forcedFails--
 		d.stats.ReadErrors++
-		if d.readErrs != nil {
-			d.readErrs.Inc()
-		}
+		d.readErrs.Inc()
 		return nil, t, ErrTransient
 	}
 	if d.sc.ReadErrorRate > 0 && d.rng.Float64() < d.sc.ReadErrorRate {
 		d.stats.ReadErrors++
-		if d.readErrs != nil {
-			d.readErrs.Inc()
-		}
+		d.readErrs.Inc()
 		return nil, t, ErrTransient
 	}
 	return data, d.maybeSlow(t), nil
@@ -152,10 +137,8 @@ func (d *Disk) maybeSlow(t time.Duration) time.Duration {
 		spiked := time.Duration(float64(t) * d.sc.SlowdownFactor)
 		d.stats.Slowdowns++
 		d.stats.SpikeTime += spiked - t
-		if d.slowdowns != nil {
-			d.slowdowns.Inc()
-			d.spikeNs.Add(uint64(spiked - t))
-		}
+		d.slowdowns.Inc()
+		d.spikeNs.Add(uint64(spiked - t))
 		return spiked
 	}
 	return t
@@ -204,16 +187,12 @@ func (d *Disk) Write(h, lba int, data []byte) (time.Duration, error) {
 	n := (len(data) + d.Geometry().SectorSize - 1) / d.Geometry().SectorSize
 	if d.sc.badSector(lba, n) {
 		d.stats.BadSectors++
-		if d.badSectors != nil {
-			d.badSectors.Inc()
-		}
+		d.badSectors.Inc()
 		return t, ErrBadSector
 	}
 	if d.sc.WriteErrorRate > 0 && d.rng.Float64() < d.sc.WriteErrorRate {
 		d.stats.WriteErrors++
-		if d.writeErrs != nil {
-			d.writeErrs.Inc()
-		}
+		d.writeErrs.Inc()
 		return t, ErrTransient
 	}
 	return d.maybeSlow(t), nil

@@ -13,7 +13,6 @@ package gc
 
 import (
 	"fmt"
-	"sort"
 
 	"mmfs/internal/strand"
 )
@@ -64,26 +63,6 @@ func (in *Interests) Release(holder uint64, s strand.ID) bool {
 // Count reports how many holders are interested in the strand.
 func (in *Interests) Count(s strand.ID) int { return len(in.byStrand[s]) }
 
-// Holders lists the holders interested in the strand, ascending.
-func (in *Interests) Holders(s strand.ID) []uint64 {
-	out := make([]uint64, 0, len(in.byStrand[s]))
-	for h := range in.byStrand[s] {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Referenced lists all strands with at least one interest, ascending.
-func (in *Interests) Referenced() []strand.ID {
-	out := make([]strand.ID, 0, len(in.byStrand))
-	for s := range in.byStrand {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Collector sweeps a strand store, reclaiming every registered strand
 // no interest refers to.
 type Collector struct {
@@ -97,9 +76,6 @@ type Collector struct {
 func NewCollector(st *strand.Store, in *Interests) *Collector {
 	return &Collector{store: st, interests: in}
 }
-
-// Interests exposes the interest table.
-func (c *Collector) Interests() *Interests { return c.interests }
 
 // Collect removes every strand in the store with zero interests,
 // returning the reclaimed strand IDs in ascending order.

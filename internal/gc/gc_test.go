@@ -39,26 +39,11 @@ func TestRegisterReleaseCounts(t *testing.T) {
 func TestNilStrandIgnored(t *testing.T) {
 	in := New()
 	in.Register(1, strand.Nil)
-	if len(in.Referenced()) != 0 {
+	if in.Count(strand.Nil) != 0 {
 		t.Fatal("nil strand tracked")
 	}
 	if in.Release(1, strand.Nil) {
 		t.Fatal("nil strand released")
-	}
-}
-
-func TestHoldersAndReferencedSorted(t *testing.T) {
-	in := New()
-	in.Register(3, 7)
-	in.Register(1, 7)
-	in.Register(2, 9)
-	h := in.Holders(7)
-	if len(h) != 2 || h[0] != 1 || h[1] != 3 {
-		t.Fatalf("holders %v", h)
-	}
-	r := in.Referenced()
-	if len(r) != 2 || r[0] != 7 || r[1] != 9 {
-		t.Fatalf("referenced %v", r)
 	}
 }
 
@@ -196,8 +181,5 @@ func TestCollectorIdempotent(t *testing.T) {
 	}
 	if len(victims) != 0 {
 		t.Fatalf("second collect found %v", victims)
-	}
-	if c.Interests() != in {
-		t.Fatal("interests accessor")
 	}
 }

@@ -14,8 +14,10 @@ import (
 // synchronization.").
 //
 // Each composite unit carries one video frame followed by that frame's
-// share of audio samples; both media ride one strand, one index, and
-// one disk access per block.
+// share of audio samples — [u32 little-endian video length][frame][audio],
+// so whoever fetches the units separates the media without out-of-band
+// metadata; both media ride one strand, one index, and one disk access
+// per block.
 type MuxAVSource struct {
 	video Source
 	audio Source
@@ -42,9 +44,6 @@ func NewMuxAVSource(video, audio Source) (*MuxAVSource, error) {
 	return &MuxAVSource{video: video, audio: audio, audioPerFrame: int(perFrame)}, nil
 }
 
-// AudioBytesPerFrame reports the audio share of each composite unit.
-func (m *MuxAVSource) AudioBytesPerFrame() int { return m.audioPerFrame }
-
 // Next implements Source: the next composite unit, combining the media
 // at the input as the paper's heterogeneous scheme requires.
 func (m *MuxAVSource) Next() (Unit, bool) {
@@ -69,8 +68,6 @@ func (m *MuxAVSource) Next() (Unit, bool) {
 		//lint:ignore allocpath the pending audio backlog stays under one frame share once warm
 		m.pending = append(m.pending, au.Payload...)
 	}
-	// Self-describing layout: [u32 video length][frame][audio], so
-	// retrieval can separate the media without out-of-band metadata.
 	//lint:ignore allocpath each muxed payload is retained by the strand writer until its block flushes
 	payload := make([]byte, 0, 4+m.video.UnitBytes()+m.audioPerFrame)
 	var hdr [4]byte
@@ -94,16 +91,3 @@ func (m *MuxAVSource) Rate() float64 { return m.video.Rate() }
 // UnitBytes implements Source (4-byte split header + frame + audio
 // share).
 func (m *MuxAVSource) UnitBytes() int { return 4 + m.video.UnitBytes() + m.audioPerFrame }
-
-// SplitAV separates a composite unit back into its frame and audio
-// share — the "separating them during retrieval" step.
-func SplitAV(payload []byte) (frame, audio []byte, err error) {
-	if len(payload) < 4 {
-		return nil, nil, fmt.Errorf("media: composite unit of %d bytes has no split header", len(payload))
-	}
-	n := int(binary.LittleEndian.Uint32(payload))
-	if 4+n > len(payload) {
-		return nil, nil, fmt.Errorf("media: composite unit claims %d video bytes of %d", n, len(payload)-4)
-	}
-	return payload[4 : 4+n], payload[4+n:], nil
-}

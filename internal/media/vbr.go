@@ -59,11 +59,6 @@ func (v *VBRVideoSource) UnitBytes() int { return v.peakBytes }
 // Variable implements VariableSource.
 func (v *VBRVideoSource) Variable() bool { return true }
 
-// AvgBytes is the long-run mean frame size under the GOP pattern.
-func (v *VBRVideoSource) AvgBytes() float64 {
-	return (float64(v.peakBytes) + float64(v.gop-1)*float64(v.diffBytes)) / float64(v.gop)
-}
-
 // VBRFrameSize is the size of frame seq under the GOP pattern, without
 // generating the payload. Deterministic jitter of ±12.5% applies to
 // difference frames.

@@ -68,12 +68,12 @@ func TestCacheAdmitsFollowersPastNMax(t *testing.T) {
 		Name: "video", Granularity: 3, UnitBits: 18000 * 8, Rate: 30,
 		Scattering: rig.scattering(),
 	}
-	nmax := rig.m.Admission().NMax(tmpl)
+	nmax := rig.m.adm.NMax(tmpl)
 	if nmax < 2 {
 		t.Fatalf("degenerate n_max = %d", nmax)
 	}
 	want := nmax + 2
-	k := cacheRigK(t, rig.m.Admission(), tmpl, nmax)
+	k := cacheRigK(t, rig.m.adm, tmpl, nmax)
 	s := rig.recordVideo(t, 600, 18000, 3, 30, 77)
 
 	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
@@ -233,11 +233,11 @@ func TestFollowerDemotedToPauseWhenDiskSaturated(t *testing.T) {
 		Name: "video", Granularity: 3, UnitBits: 18000 * 8, Rate: 30,
 		Scattering: rig.scattering(),
 	}
-	nmax := rig.m.Admission().NMax(tmpl)
+	nmax := rig.m.adm.NMax(tmpl)
 	if nmax < 2 {
 		t.Fatalf("degenerate n_max = %d", nmax)
 	}
-	k := cacheRigK(t, rig.m.Admission(), tmpl, nmax)
+	k := cacheRigK(t, rig.m.adm, tmpl, nmax)
 	// Long ropes: every admitted play is re-provisioned to 2k buffers,
 	// so rounds move ~2k blocks of virtual time per stream and short
 	// ropes would finish during the staggered admissions.
@@ -318,8 +318,8 @@ func TestCacheRejectionIsCleanError(t *testing.T) {
 		Name: "video", Granularity: 3, UnitBits: 18000 * 8, Rate: 30,
 		Scattering: rig.scattering(),
 	}
-	nmax := rig.m.Admission().NMax(tmpl)
-	k := cacheRigK(t, rig.m.Admission(), tmpl, nmax)
+	nmax := rig.m.adm.NMax(tmpl)
+	k := cacheRigK(t, rig.m.adm, tmpl, nmax)
 	strands := make([]*strand.Strand, nmax+1)
 	for i := range strands {
 		strands[i] = rig.recordVideo(t, 120, 18000, 3, 30, int64(300+i))

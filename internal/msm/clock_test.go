@@ -1,4 +1,4 @@
-package sim
+package msm
 
 import (
 	"testing"
@@ -6,7 +6,7 @@ import (
 )
 
 func TestClockAdvance(t *testing.T) {
-	var c Clock
+	var c virtualClock
 	if c.Now() != 0 {
 		t.Fatalf("fresh clock at %v", c.Now())
 	}
@@ -23,7 +23,7 @@ func TestClockAdvance(t *testing.T) {
 }
 
 func TestClockPanicsOnBackwardsTime(t *testing.T) {
-	var c Clock
+	var c virtualClock
 	c.Advance(time.Second)
 	mustPanic(t, func() { c.Advance(-time.Nanosecond) })
 	mustPanic(t, func() { c.AdvanceTo(999 * time.Millisecond) })

@@ -90,7 +90,7 @@ func TestRetryRecoversTransient(t *testing.T) {
 // completion — no abort, no admission churn.
 func TestDegradationKeepsStreamAdmitted(t *testing.T) {
 	rig, fd, s := newFaultRig(t, inertScenario())
-	rig.m.SetFaultPolicy(FaultPolicy{MaxRetries: 0, ConsecFailLimit: 0})
+	rig.m.ft = FaultPolicy{MaxRetries: 0, ConsecFailLimit: 0}
 	id := admitFaultPlay(t, rig, fd, s)
 	fd.FailNextReads(3)
 	rig.m.RunUntilDone()
@@ -161,7 +161,7 @@ func TestBadSectorDegradesWithoutRetry(t *testing.T) {
 func TestEscalationStopsStream(t *testing.T) {
 	rig, fd, s := newFaultRig(t, fault.Scenario{Seed: 1, ReadErrorRate: 1})
 	_ = fd
-	rig.m.SetFaultPolicy(FaultPolicy{MaxRetries: 0, ConsecFailLimit: 3})
+	rig.m.ft = FaultPolicy{MaxRetries: 0, ConsecFailLimit: 3}
 	id := admitFaultPlay(t, rig, fd, s)
 	rig.m.RunUntilDone()
 
@@ -188,7 +188,7 @@ func TestEscalationStopsStream(t *testing.T) {
 func TestPauseResumeResetsConsecFails(t *testing.T) {
 	rig, fd, s := newFaultRig(t, fault.Scenario{Seed: 1, ReadErrorRate: 1})
 	_ = fd
-	rig.m.SetFaultPolicy(FaultPolicy{MaxRetries: 0, ConsecFailLimit: 50})
+	rig.m.ft = FaultPolicy{MaxRetries: 0, ConsecFailLimit: 50}
 	id := admitFaultPlay(t, rig, fd, s)
 
 	// Degrade a few deliveries, then pause mid-storm.
@@ -236,7 +236,7 @@ func TestPauseResumeResetsConsecFails(t *testing.T) {
 func TestStopMidDegradation(t *testing.T) {
 	rig, fd, s := newFaultRig(t, fault.Scenario{Seed: 1, ReadErrorRate: 1})
 	_ = fd
-	rig.m.SetFaultPolicy(FaultPolicy{MaxRetries: 0, ConsecFailLimit: 0})
+	rig.m.ft = FaultPolicy{MaxRetries: 0, ConsecFailLimit: 0}
 	id := admitFaultPlay(t, rig, fd, s)
 	for i := 0; i < 5; i++ {
 		rig.m.RunRound()
@@ -265,7 +265,7 @@ func TestStopMidDegradation(t *testing.T) {
 func TestFollowerFallsBackWhenLeaderDegrades(t *testing.T) {
 	rig, fd, s := newFaultRig(t, inertScenario())
 	rig.m.SetCache(cache.New(16 << 20))
-	rig.m.SetFaultPolicy(FaultPolicy{MaxRetries: 0, ConsecFailLimit: 8})
+	rig.m.ft = FaultPolicy{MaxRetries: 0, ConsecFailLimit: 8}
 
 	leader := admitFaultPlay(t, rig, fd, s)
 	rig.m.RunFor(400 * time.Millisecond)

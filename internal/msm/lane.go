@@ -280,9 +280,7 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 				ps.nextFetch++
 				ps.shed++
 				ln.stats.shedBlocks++
-				if m.obs != nil {
-					m.obs.shedBlocks.Inc()
-				}
+				m.obs.shedBlocks.Inc()
 			}
 		}
 		if ps.nextFetch >= len(ps.plan.Blocks) {
@@ -407,9 +405,7 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 			// the shared slack round after round. Stop it; its slot
 			// returns to the admission pool.
 			ln.stats.faultStops++
-			if m.obs != nil {
-				m.obs.faultStops.Inc()
-			}
+			m.obs.faultStops.Inc()
 			r.done = true
 			m.closeCacheStream(r)
 			return true
@@ -477,9 +473,7 @@ func (ln *lane) retryRead(b PlannedBlock, h int, t0 time.Duration, err0 error) (
 			ln.retrySlack -= t
 		}
 		ln.stats.retries++
-		if m.obs != nil {
-			m.obs.retries.Inc()
-		}
+		m.obs.retries.Inc()
 		if rerr == nil {
 			return data, total, silent, nil
 		}
@@ -501,9 +495,7 @@ func (ln *lane) degradeBlock(r *request, j int, arrival time.Duration) {
 	ps.degraded++
 	r.consecFails++
 	ln.stats.degradedBlocks++
-	if ln.m.obs != nil {
-		ln.m.obs.degraded.Inc()
-	}
+	ln.m.obs.degraded.Inc()
 }
 
 // violate records one continuity violation on a request and in the
@@ -783,7 +775,3 @@ func (m *Manager) growLanes() {
 		m.resident = append(m.resident, nil)
 	}
 }
-
-// StripeSpindles reports the array's spindle count, 1 when the manager
-// drives a single device: the size of the resident table.
-func (m *Manager) StripeSpindles() int { return len(m.resident) }

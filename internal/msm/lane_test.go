@@ -1,6 +1,7 @@
 package msm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -291,5 +292,80 @@ func TestSerialLaneJoinsTheClock(t *testing.T) {
 	}
 	if parallel == 0 || serialOnly == 0 || idle == 0 {
 		t.Fatalf("rounds with busy parallel lanes %d, serial only %d, idle jumps %d: want all three", parallel, serialOnly, idle)
+	}
+}
+
+// TestFollowerOnManyHeadsTakesOneBlockAtATime pins what ROADMAP item 1(a)
+// is to change on purpose, not by accident. With p > 1 heads a disk-bound
+// play fetches p blocks a batch; a cache-served follower still takes its
+// blocks one at a time — so a Wait ends its turn with every earlier hit
+// already delivered, and each delivered block is exactly one cache hit —
+// and a load-shed stride it carries is ignored: it plays every block, at
+// full rate, and sheds none.
+func TestFollowerOnManyHeadsTakesOneBlockAtATime(t *testing.T) {
+	for _, stride := range []int{1, 2} {
+		t.Run(fmt.Sprintf("stride %d", stride), func(t *testing.T) { followerOnManyHeads(t, stride) })
+	}
+}
+
+func followerOnManyHeads(t *testing.T, stride int) {
+	const p = 4
+	rig := newRig(t, disk.ArrayGeometry(p))
+	s := rig.recordVideo(t, 450, 18000, 3, 30, 620)
+	c := cache.New(16 << 20)
+	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
+	rig.m.SetCache(c)
+	rig.m.SetConcurrency(p)
+	if rig.m.concurrency != p {
+		t.Fatalf("concurrency %d: the rig is not on p = %d heads", rig.m.concurrency, p)
+	}
+	rig.m.ForceK(p)
+	admit := func(buffers int) (RequestID, continuity.Decision, error) {
+		plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: p, Buffers: buffers, Scattering: rig.scattering()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rig.m.AdmitPlay(plan)
+	}
+
+	if _, _, err := admit(2 * p); err != nil {
+		t.Fatal(err)
+	}
+	rig.m.RunFor(300 * time.Millisecond)
+	// Room for more blocks than the leader is ahead by: the follower
+	// catches it up and waits.
+	follower, dec, err := admit(8 * p)
+	if err != nil || !dec.CacheServed {
+		t.Fatalf("second play of the strand: cache-served %v, err %v", dec.CacheServed, err)
+	}
+	fr, err := rig.m.find(follower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.play.stride, fr.play.strideBase = stride, fr.play.nextFetch
+
+	waits := c.Stats().Waits
+	for more := true; more; {
+		blocks, hits := fr.play.nextFetch, fr.play.cacheHits
+		more = rig.m.RunRound()
+		if blocks, hits = fr.play.nextFetch-blocks, fr.play.cacheHits-hits; blocks != hits {
+			t.Fatalf("round %d: the follower received %d block(s) for %d cache hit(s)", rig.m.Stats().Rounds, blocks, hits)
+		}
+	}
+	if c.Stats().Waits == waits {
+		t.Fatal("the follower never caught its leader up: no turn ended on a Wait")
+	}
+	pr, err := rig.m.Progress(follower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pr.Done || !pr.CacheServed || pr.BlocksServed != pr.BlocksTotal || pr.CacheHits != pr.BlocksTotal {
+		t.Fatalf("follower: %+v, want every block served from the cache", pr)
+	}
+	if pr.Stride != stride || pr.ShedBlocks != 0 {
+		t.Fatalf("follower carries stride %d and shed %d block(s), want stride %d ignored", pr.Stride, pr.ShedBlocks, stride)
+	}
+	if got := c.Stats().Hits; got != uint64(pr.BlocksTotal) {
+		t.Fatalf("the cache counted %d hit(s) for the %d blocks it delivered", got, pr.BlocksTotal)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
 	"mmfs/internal/fault"
-	"mmfs/internal/sim"
 )
 
 // ErrAdmissionRejected reports that accepting the request would
@@ -136,7 +135,7 @@ func DefaultFaultPolicy() FaultPolicy {
 // in rounds of k blocks per request.
 type Manager struct {
 	d      disk.Device
-	clock  sim.Clock
+	clock  virtualClock
 	adm    continuity.Admission
 	k      int
 	policy TransitionPolicy
@@ -183,7 +182,7 @@ type Manager struct {
 	resident [][]continuity.Request
 	// obs, when set, receives per-round trace records and mirrors the
 	// counters into a metrics registry (see obs.go).
-	obs *roundObs
+	obs roundObs
 	// qos enables load-driven graceful degradation (see qos.go); the
 	// zero policy keeps admission binary. inQoS guards the per-round
 	// class pass against re-entry from an admission negotiation's
@@ -238,22 +237,6 @@ func New(d disk.Device, adm continuity.Admission) *Manager {
 	return m
 }
 
-// SetFaultPolicy overrides the fault-tolerant service policy.
-// Negative fields are clamped to zero (zero MaxRetries degrades on the
-// first fault; zero ConsecFailLimit never escalates).
-func (m *Manager) SetFaultPolicy(p FaultPolicy) {
-	if p.MaxRetries < 0 {
-		p.MaxRetries = 0
-	}
-	if p.ConsecFailLimit < 0 {
-		p.ConsecFailLimit = 0
-	}
-	m.ft = p
-}
-
-// FaultPolicy reports the fault-tolerant service policy in use.
-func (m *Manager) FaultPolicy() FaultPolicy { return m.ft }
-
 // SetPolicy selects the k-transition policy.
 func (m *Manager) SetPolicy(p TransitionPolicy) { m.policy = p }
 
@@ -289,9 +272,6 @@ func (m *Manager) ForceK(k int) {
 
 // Stats returns a snapshot of the counters.
 func (m *Manager) Stats() Stats { return m.stats }
-
-// Admission returns the admission controller in use.
-func (m *Manager) Admission() continuity.Admission { return m.adm }
 
 // SetCache installs an interval cache; nil disables caching. Intended
 // at manager construction, before requests are admitted. A manager that
@@ -401,9 +381,7 @@ func (m *Manager) commit(dec continuity.Decision) (continuity.Decision, error) {
 		for _, step := range dec.Steps {
 			m.k = step
 			m.stats.TransitionSteps++
-			if m.obs != nil {
-				m.obs.transitions.Inc()
-			}
+			m.obs.transitions.Inc()
 			//lint:ignore boundedwork transition rounds re-enter the round loop a bounded len(dec.Steps) times; inDemote blocks deeper nesting
 			m.RunRound()
 		}
@@ -487,10 +465,8 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 	}
 	r := &request{id: m.newID(), kind: Play, name: plan.Name, adm: plan.Admission, play: ps, class: plan.Class}
 	m.reqs = append(m.reqs, r)
-	if m.obs != nil {
-		m.obs.classAdmitted[r.class].Inc()
-		m.obs.effRate.Observe(plan.Admission.Rate / float64(stride))
-	}
+	m.obs.classAdmitted[r.class].Inc()
+	m.obs.effRate.Observe(plan.Admission.Rate / float64(stride))
 	if eligible && stride == 1 {
 		// Register the play position: disk-bound eligible requests
 		// become potential leaders (their fetches feed the cache). A
@@ -736,9 +712,7 @@ func (m *Manager) RunRound() bool {
 		// population's rounds lengthen.
 		m.k++
 		m.stats.TransitionSteps++
-		if m.obs != nil {
-			m.obs.transitions.Inc()
-		}
+		m.obs.transitions.Inc()
 	}
 	act := m.active()
 	if len(act) == 0 {
@@ -750,9 +724,7 @@ func (m *Manager) RunRound() bool {
 	// where follows it.
 	m.resteer()
 	sets, resident := m.residentSets()
-	if m.obs != nil {
-		defer m.recordRound(m.clock.Now(), m.k, resident, m.CacheServed(), len(act))
-	}
+	defer m.recordRound(m.clock.Now(), m.k, resident, m.CacheServed(), len(act))
 	worked := m.serviceRound(act, sets)
 	if !worked {
 		next, ok := m.nextWorkTime()
@@ -869,9 +841,7 @@ func (m *Manager) processDemotions() {
 		}
 		r.needsDemote = false
 		m.stats.Demotions++
-		if m.obs != nil {
-			m.obs.demotions.Inc()
-		}
+		m.obs.demotions.Inc()
 		// Missing again where the previous demotion left it means the
 		// leader adopted then fed it nothing — orphans of one stopped
 		// leader sit at the same position and would adopt each other in

@@ -105,15 +105,13 @@ func TestRecordThenPlayRoundTrip(t *testing.T) {
 	}
 
 	// Verify payload integrity frame by frame.
-	rd := strand.NewReader(rig.d, s)
-	for f := uint64(0); f < frames; f++ {
-		got, err := rd.Unit(f)
-		if err != nil {
-			t.Fatalf("unit %d: %v", f, err)
-		}
-		if err := media.ValidateFrameSeq(got, f); err != nil {
-			t.Fatalf("unit %d: %v", f, err)
-		}
+	var buf []byte
+	f := uint64(0)
+	if err := strand.NewReader(rig.d, s).VisitUnits(0, frames, &buf, func(got []byte) error {
+		f++
+		return media.ValidateFrameSeq(got, f-1)
+	}); err != nil {
+		t.Fatalf("unit %d: %v", f-1, err)
 	}
 
 	// Play it back with strict continuity; expect zero violations.
@@ -182,10 +180,12 @@ func TestScatteringWithinDerivedBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, st := range s.ScatterTimes(rig.d.Geometry()) {
-		if sec := continuity.Seconds(st); sec > dv.MaxScattering {
-			t.Fatalf("gap %d: scattering %.4fs exceeds bound %.4fs", i, sec, dv.MaxScattering)
-		}
+	plan, err := PlanStrandPlay(rig.d, s, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sec := plan.Admission.Scattering; sec > dv.MaxScattering {
+		t.Fatalf("realized scattering %.4fs exceeds bound %.4fs", sec, dv.MaxScattering)
 	}
 }
 
@@ -193,7 +193,7 @@ func TestAdmissionRejectsBeyondNMax(t *testing.T) {
 	rig := newRig(t, disk.DefaultGeometry())
 	// A demanding request template: large blocks, modest device.
 	tmpl := continuity.Request{Name: "tmpl", Granularity: 3, UnitBits: 18000 * 8, Rate: 30, Scattering: 0.02}
-	nmax := rig.m.Admission().NMax(tmpl)
+	nmax := rig.m.adm.NMax(tmpl)
 	if nmax < 1 {
 		t.Fatalf("nmax = %d; geometry too slow for even one stream", nmax)
 	}
@@ -335,7 +335,7 @@ func TestPauseSemanticsAtCapacity(t *testing.T) {
 	// admission — and can be rejected.
 	rig := newRig(t, disk.DefaultGeometry())
 	tmpl := continuity.Request{Name: "tmpl", Granularity: 3, UnitBits: 18000 * 8, Rate: 30, Scattering: rig.scattering()}
-	nmax := rig.m.Admission().NMax(tmpl)
+	nmax := rig.m.adm.NMax(tmpl)
 	if nmax < 2 {
 		t.Skip("device too slow for the scenario")
 	}

@@ -9,7 +9,9 @@ import (
 )
 
 // roundObs holds the manager's observability handles plus the
-// cumulative snapshot the per-round deltas are computed against.
+// cumulative snapshot the per-round deltas are computed against. The
+// zero value is off: nil handles ignore their updates (package obs) and
+// recordRound returns at once.
 // Rounds can nest (a demotion's re-admission runs transition rounds
 // inside RunRound); delta-since-last-record accounting keeps the trace
 // exact under nesting — inner rounds record first, the outer round
@@ -65,7 +67,7 @@ type roundObs struct {
 // cumulative state). ring may be nil to record metrics without a
 // trace.
 func (m *Manager) SetObs(reg *obs.Registry, ring *obs.TraceRing) {
-	o := &roundObs{
+	m.obs = roundObs{
 		ring:             ring,
 		rounds:           reg.Counter("mmfs_rounds_total"),
 		blocks:           reg.Counter("mmfs_blocks_fetched_total"),
@@ -90,6 +92,7 @@ func (m *Manager) SetObs(reg *obs.Registry, ring *obs.TraceRing) {
 		rebuildRatio:     reg.Gauge("mmfs_rebuild_done_permille"),
 		rebuildBlocks:    reg.Counter("mmfs_rebuild_blocks_total"),
 	}
+	o := &m.obs
 	if m.array != nil && m.array.Mirrored() {
 		for i := 0; i < m.array.Spindles(); i++ {
 			o.spindleState = append(o.spindleState,
@@ -111,7 +114,6 @@ func (m *Manager) SetObs(reg *obs.Registry, ring *obs.TraceRing) {
 	o.lastRebuild = m.stats.RebuildBlocks
 	o.lastBusy = m.d.Stats().BusyTime()
 	o.kGauge.Set(int64(m.k))
-	m.obs = o
 }
 
 // recordRound attributes everything since the previous record to one
@@ -119,8 +121,8 @@ func (m *Manager) SetObs(reg *obs.Registry, ring *obs.TraceRing) {
 //
 // rt:hotpath
 func (m *Manager) recordRound(start time.Duration, kAtStart, active, cacheServed, streamsServed int) {
-	o := m.obs
-	if o == nil {
+	o := &m.obs
+	if o.rounds == nil {
 		return
 	}
 	busy := m.d.Stats().BusyTime()
@@ -159,29 +161,22 @@ func (m *Manager) recordRound(start time.Duration, kAtStart, active, cacheServed
 	for i, g := range o.spindleState {
 		g.Set(int64(m.array.SpindleState(i)))
 	}
-	if o.rebuildRatio != nil {
-		if done, total := m.RepairProgress(); total > 0 {
-			o.rebuildRatio.Set(int64(done) * 1000 / int64(total))
-		} else {
-			o.rebuildRatio.Set(0)
-		}
+	if done, total := m.RepairProgress(); total > 0 {
+		o.rebuildRatio.Set(int64(done) * 1000 / int64(total))
+	} else {
+		o.rebuildRatio.Set(0)
 	}
 	o.lastBlocks, o.lastWritten = m.stats.BlocksFetched, m.stats.BlocksWritten
 	o.lastHits, o.lastViol = m.stats.CacheHits, m.stats.Violations
 	o.lastRetries, o.lastDegrade = m.stats.Retries, m.stats.DegradedBlocks
 	o.lastRebuild = m.stats.RebuildBlocks
 	o.lastBusy = busy
-	if o.ring != nil {
-		o.ring.Append(tr)
-	}
+	o.ring.Append(tr)
 }
 
 // noteAdmission counts an admission decision.
 func (m *Manager) noteAdmission(admitted, cacheServed bool) {
-	o := m.obs
-	if o == nil {
-		return
-	}
+	o := &m.obs
 	switch {
 	case admitted && cacheServed:
 		o.admAccepted.Inc()

@@ -2,6 +2,7 @@ package msm
 
 import (
 	"testing"
+	"time"
 
 	"mmfs/internal/layout"
 	"mmfs/internal/media"
@@ -97,17 +98,13 @@ func TestNextCylinderSkipsDelaysAndSilence(t *testing.T) {
 	rig := newRig(t, disk.DefaultGeometry())
 	s := rig.recordVideo(t, 30, 18000, 3, 30, 7100)
 	mgr := New(rig.d, continuity.AdmissionFor(rig.dev))
-	expanded, err := ExpandInterval(rig.d, s, 0, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A plan starting with a pure delay: the next-media-block walker
 	// (the C-SCAN key's source) must look through it to the first real
 	// block.
-	blocks := append([]PlannedBlock{{Reader: nil, Duration: expanded[0].Duration}}, expanded...)
-	plan, err := PlanBlocksPlay(rig.d, "delayed", blocks, continuity.Request{
-		Name: "d", Granularity: 3, UnitBits: 18000 * 8, Rate: 30, Scattering: rig.scattering(),
-	}, PlanOptions{ReadAhead: 2})
+	plan, err := PlanPlay(rig.d, "delayed", []Interval{
+		{Gap: 100 * time.Millisecond},
+		{Strand: s, NumUnits: 30},
+	}, PlanOptions{ReadAhead: 2, Scattering: rig.scattering()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package msm
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mmfs/internal/continuity"
@@ -38,123 +39,105 @@ type PlanOptions struct {
 // (adjusted for fast-forward), plus the admission-control description
 // of the request.
 func PlanStrandPlay(d disk.Device, s *strand.Strand, opts PlanOptions) (PlayPlan, error) {
-	return PlanIntervalPlay(d, []IntervalRef{{Strand: s, StartUnit: 0, NumUnits: s.UnitCount()}}, opts)
+	return PlanPlay(d, fmt.Sprintf("strand-%d", s.ID()), []Interval{{Strand: s, NumUnits: s.UnitCount()}}, opts)
 }
 
-// IntervalRef names a run of units within one strand; rope playback
-// compiles interval lists into plans with one IntervalRef per rope
-// interval. Edge blocks covered only partially contribute pro-rated
-// playback durations.
-type IntervalRef struct {
+// Interval is one entry of a play's interval list: NumUnits units of
+// Strand from StartUnit on. An entry without units — a nil Strand where
+// the medium is absent, or the sub-unit residue duration rounding leaves
+// — plays as a pure delay of Gap.
+type Interval struct {
 	Strand    *strand.Strand
 	StartUnit uint64
 	NumUnits  uint64
+	Gap       time.Duration
 }
 
-// PlanIntervalPlay compiles a PLAY plan over a sequence of strand
-// intervals (the shape an edited rope produces). All intervals must
-// share one medium; the admission description uses the first strand's
-// parameters and the worst realized scattering across the intervals
-// (including the junction hops between intervals).
-func PlanIntervalPlay(d disk.Device, ivs []IntervalRef, opts PlanOptions) (PlayPlan, error) {
-	if len(ivs) == 0 {
-		return PlayPlan{}, fmt.Errorf("msm: empty interval list")
-	}
+// PlanPlay is the play-plan compiler: an interval list (a whole strand,
+// or what one medium of an edited rope's range flattens to) becomes one
+// planned block per covered media block — edge blocks covered only
+// partially play for their pro-rated share — with a delay block per gap.
+// The admission description takes the first strand's parameters and,
+// unless opts.Scattering overrides it, the worst positioning time between
+// successive stored blocks of the compiled sequence, hops across interval
+// junctions included.
+func PlanPlay(d disk.Device, name string, ivs []Interval, opts PlanOptions) (PlayPlan, error) {
 	speed := opts.Speed
 	if speed == 0 {
 		speed = 1
 	}
-	skipStride := 1
+	// Skipping keeps every stride-th block, each standing for its whole
+	// stride's share of playback, so blocks arrive at the recording rate.
+	stride := 1
 	if opts.Skip && speed > 1 {
-		skipStride = int(speed + 0.999999)
+		stride = int(speed + 0.999999)
 	}
 
-	first := ivs[0].Strand
+	g := d.Geometry()
+	var first *strand.Strand
 	var blocks []PlannedBlock
 	var maxScatter time.Duration
+	prevCyl := -1
 	for _, iv := range ivs {
 		s := iv.Strand
-		if s.Medium() != first.Medium() {
-			return PlayPlan{}, fmt.Errorf("msm: interval list mixes %v and %v strands", first.Medium(), s.Medium())
+		if first == nil {
+			first = s
 		}
-		if iv.NumUnits == 0 {
+		if s == nil || iv.NumUnits == 0 {
+			if iv.Gap > 0 {
+				blocks = append(blocks, PlannedBlock{Duration: time.Duration(math.Round(float64(iv.Gap) / speed))})
+			}
 			continue
 		}
-		if iv.StartUnit+iv.NumUnits > s.UnitCount() {
+		end := iv.StartUnit + iv.NumUnits
+		if end > s.UnitCount() {
 			return PlayPlan{}, fmt.Errorf("msm: interval [%d,%d) outside strand %d (%d units)",
-				iv.StartUnit, iv.StartUnit+iv.NumUnits, s.ID(), s.UnitCount())
+				iv.StartUnit, end, s.ID(), s.UnitCount())
 		}
 		r := strand.NewReader(d, s)
 		q := uint64(s.Granularity())
-		firstBlock := int(iv.StartUnit / q)
-		lastBlock := int((iv.StartUnit + iv.NumUnits - 1) / q)
-		for b := firstBlock; b <= lastBlock; b += skipStride {
-			// Units of this block that the interval actually covers.
-			blkLo := uint64(b) * q
-			blkHi := blkLo + q
-			lo := max64(blkLo, iv.StartUnit)
-			hi := min64(blkHi, iv.StartUnit+iv.NumUnits)
-			units := hi - lo
-			if opts.Skip && speed > 1 {
-				// Skipping: the retained block covers its whole
-				// stride's share of interval playback.
-				strideHi := blkLo + q*uint64(skipStride)
-				hi = min64(strideHi, iv.StartUnit+iv.NumUnits)
-				units = hi - lo
-			}
-			dur := continuity.Duration(float64(units) / s.Rate() / speed)
+		lastBlock := int((end - 1) / q)
+		for b := int(iv.StartUnit / q); b <= lastBlock; b += stride {
+			// Units of this block (of its stride, when skipping) that
+			// the interval actually covers.
+			lo := max(uint64(b)*q, iv.StartUnit)
+			hi := min((uint64(b)+uint64(stride))*q, end)
+			dur := continuity.Duration(float64(hi-lo) / s.Rate() / speed)
 			if dur <= 0 {
 				continue
 			}
 			blocks = append(blocks, PlannedBlock{Reader: r, Index: b, Duration: dur})
-		}
-		if st := s.MaxScatterTime(d.Geometry()); st > maxScatter {
-			maxScatter = st
-		}
-	}
-	// Junction hops between consecutive plan blocks from different
-	// strands also bound the request's scattering.
-	g := d.Geometry()
-	for i := 1; i < len(blocks); i++ {
-		a, b := blocks[i-1], blocks[i]
-		ea, erra := a.Reader.Strand().Block(a.Index)
-		eb, errb := b.Reader.Strand().Block(b.Index)
-		if erra != nil || errb != nil || ea.Silent() || eb.Silent() {
-			continue
-		}
-		dist := g.CylinderOf(int(eb.Sector)) - g.CylinderOf(int(ea.Sector))
-		if dist < 0 {
-			dist = -dist
-		}
-		if t := g.AccessTime(dist); t > maxScatter {
-			maxScatter = t
+			if e, err := s.Block(b); err == nil && !e.Silent() {
+				cyl := g.CylinderOf(int(e.Sector))
+				if prevCyl >= 0 {
+					maxScatter = max(maxScatter, g.AccessTime(cyl-prevCyl))
+				}
+				prevCyl = cyl
+			}
 		}
 	}
-	if len(blocks) == 0 {
-		return PlayPlan{}, fmt.Errorf("msm: interval list compiles to zero blocks")
+	if first == nil || len(blocks) == 0 {
+		return PlayPlan{}, fmt.Errorf("msm: plan %q compiles to zero blocks", name)
 	}
 
 	lds := opts.Scattering
 	if lds == 0 {
 		lds = continuity.Seconds(maxScatter)
 	}
-	rate := first.Rate() * speed
-	if opts.Skip && speed > 1 {
-		rate = first.Rate() // skipping leaves the block arrival rate unchanged
+	rate := first.Rate()
+	if stride == 1 {
+		rate *= speed
 	}
-	ra := opts.ReadAhead
-	if ra < 1 {
-		ra = 1
-	}
+	ra := max(opts.ReadAhead, 1)
 	buffers := opts.Buffers
 	if buffers == 0 {
 		buffers = 2 * ra
 	}
 	return PlayPlan{
-		Name:   fmt.Sprintf("play-strand-%d", first.ID()),
+		Name:   "play-" + name,
 		Blocks: blocks,
 		Admission: continuity.Request{
-			Name:        fmt.Sprintf("strand-%d", first.ID()),
+			Name:        name,
 			Granularity: first.Granularity(),
 			UnitBits:    float64(first.UnitBits()),
 			Rate:        rate,
@@ -164,114 +147,6 @@ func PlanIntervalPlay(d disk.Device, ivs []IntervalRef, opts PlanOptions) (PlayP
 		ReadAhead: ra,
 		Class:     opts.Class,
 	}, nil
-}
-
-// ExpandInterval compiles one strand unit-range into planned blocks at
-// normal speed, pro-rating edge blocks covered only partially. Rope
-// playback uses it to assemble multi-interval plans.
-func ExpandInterval(d disk.Device, s *strand.Strand, startUnit, numUnits uint64) ([]PlannedBlock, error) {
-	if numUnits == 0 {
-		return nil, nil
-	}
-	if startUnit+numUnits > s.UnitCount() {
-		return nil, fmt.Errorf("msm: interval [%d,%d) outside strand %d (%d units)",
-			startUnit, startUnit+numUnits, s.ID(), s.UnitCount())
-	}
-	r := strand.NewReader(d, s)
-	q := uint64(s.Granularity())
-	firstBlock := int(startUnit / q)
-	lastBlock := int((startUnit + numUnits - 1) / q)
-	var out []PlannedBlock
-	for b := firstBlock; b <= lastBlock; b++ {
-		blkLo := uint64(b) * q
-		lo := max64(blkLo, startUnit)
-		hi := min64(blkLo+q, startUnit+numUnits)
-		dur := continuity.Duration(float64(hi-lo) / s.Rate())
-		if dur <= 0 {
-			continue
-		}
-		out = append(out, PlannedBlock{Reader: r, Index: b, Duration: dur})
-	}
-	return out, nil
-}
-
-// MaxPlanScatter computes the worst inter-block positioning time over
-// a block sequence, including hops across strand boundaries; it is the
-// honest scattering estimate for admission control of compiled plans.
-func MaxPlanScatter(d disk.Device, blocks []PlannedBlock) time.Duration {
-	g := d.Geometry()
-	var maxT time.Duration
-	prevCyl := -1
-	for _, b := range blocks {
-		if b.Reader == nil {
-			continue
-		}
-		e, err := b.Reader.Strand().Block(b.Index)
-		if err != nil || e.Silent() {
-			continue
-		}
-		cyl := g.CylinderOf(int(e.Sector))
-		if prevCyl >= 0 {
-			if t := g.AccessTime(absInt(cyl - prevCyl)); t > maxT {
-				maxT = t
-			}
-		}
-		prevCyl = cyl
-	}
-	return maxT
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// PlanBlocksPlay assembles a PlayPlan from an explicit block sequence
-// (the rope layer's compile target). The admission request supplies
-// granularity/rate/unit size; a zero Scattering is replaced by the
-// measured worst hop of the sequence.
-func PlanBlocksPlay(d disk.Device, name string, blocks []PlannedBlock, adm continuity.Request, opts PlanOptions) (PlayPlan, error) {
-	if len(blocks) == 0 {
-		return PlayPlan{}, fmt.Errorf("msm: plan %q compiles to zero blocks", name)
-	}
-	if adm.Scattering == 0 {
-		adm.Scattering = continuity.Seconds(MaxPlanScatter(d, blocks))
-	}
-	if opts.Scattering != 0 {
-		adm.Scattering = opts.Scattering
-	}
-	ra := opts.ReadAhead
-	if ra < 1 {
-		ra = 1
-	}
-	buffers := opts.Buffers
-	if buffers == 0 {
-		buffers = 2 * ra
-	}
-	return PlayPlan{
-		Name:      name,
-		Blocks:    blocks,
-		Admission: adm,
-		Buffers:   buffers,
-		ReadAhead: ra,
-		Class:     opts.Class,
-	}, nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // PlanRecord compiles a RECORD plan for a writer/source pair.

@@ -176,20 +176,16 @@ func TestStopHaltsService(t *testing.T) {
 func TestRopeStylePlanWithDelayBlocks(t *testing.T) {
 	rig := newRig(t, disk.DefaultGeometry())
 	s := rig.recordVideo(t, 30, 18000, 3, 30, 56)
-	expanded, err := ExpandInterval(rig.d, s, 0, 30)
+	// Sandwich a one-second pure delay between two copies of the
+	// strand (an interval whose medium is absent).
+	whole := Interval{Strand: s, NumUnits: 30}
+	plan, err := PlanPlay(rig.d, "gap", []Interval{whole, {Gap: time.Second}, whole},
+		PlanOptions{ReadAhead: 2, Scattering: rig.scattering()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sandwich a one-second pure delay between two copies of the
-	// strand (an interval whose medium is absent).
-	blocks := append([]PlannedBlock{}, expanded...)
-	blocks = append(blocks, PlannedBlock{Reader: nil, Duration: time.Second})
-	blocks = append(blocks, expanded...)
-	plan, err := PlanBlocksPlay(rig.d, "gap", blocks, continuity.Request{
-		Name: "gap", Granularity: 3, UnitBits: 18000 * 8, Rate: 30, Scattering: rig.scattering(),
-	}, PlanOptions{ReadAhead: 2})
-	if err != nil {
-		t.Fatal(err)
+	if n := len(plan.Blocks); n != 21 || plan.Blocks[10].Reader != nil || plan.Blocks[10].Duration != time.Second {
+		t.Fatalf("%d blocks, middle one %+v: want 10 + a 1 s delay + 10", n, plan.Blocks[10])
 	}
 	id, _, err := rig.m.AdmitPlay(plan)
 	if err != nil {
@@ -210,10 +206,11 @@ func TestExpandIntervalPartialEdges(t *testing.T) {
 	rig := newRig(t, disk.DefaultGeometry())
 	s := rig.recordVideo(t, 30, 18000, 3, 30, 57)
 	// Units 2..10: covers blocks 0..3 with partial edges.
-	blocks, err := ExpandInterval(rig.d, s, 2, 9)
+	plan, err := PlanPlay(rig.d, "edges", []Interval{{Strand: s, StartUnit: 2, NumUnits: 9}}, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	blocks := plan.Blocks
 	if len(blocks) != 4 {
 		t.Fatalf("%d blocks", len(blocks))
 	}
@@ -232,8 +229,51 @@ func TestExpandIntervalPartialEdges(t *testing.T) {
 	if blocks[3].Duration != continuity.Duration(2.0/30) {
 		t.Fatalf("last block %v", blocks[3].Duration)
 	}
-	if _, err := ExpandInterval(rig.d, s, 25, 10); err == nil {
+	if _, err := PlanPlay(rig.d, "past", []Interval{{Strand: s, StartUnit: 25, NumUnits: 10}}, PlanOptions{}); err == nil {
 		t.Fatal("interval past end accepted")
+	}
+}
+
+// TestPlanPlayMeasuresTheCompiledSequence pins the one scattering
+// measure: the worst hop between successive stored blocks of the plan —
+// within a strand, and across a junction the hop from the last block of
+// one interval to the first of the next, gaps looked through.
+func TestPlanPlayMeasuresTheCompiledSequence(t *testing.T) {
+	rig := newRig(t, disk.DefaultGeometry())
+	g := rig.d.Geometry()
+	a := rig.recordVideo(t, 30, 18000, 3, 30, 59)
+	b := rig.recordVideo(t, 30, 18000, 3, 30, 60)
+	whole, err := PlanStrandPlay(rig.d, a, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var worst time.Duration
+	for i := 1; i < a.NumBlocks(); i++ {
+		from, _ := a.Block(i - 1)
+		to, _ := a.Block(i)
+		worst = max(worst, g.AccessTime(g.CylinderOf(int(to.Sector))-g.CylinderOf(int(from.Sector))))
+	}
+	if got := whole.Admission.Scattering; got != continuity.Seconds(worst) {
+		t.Fatalf("whole-strand scattering %v, want the strand's worst hop %v", got, worst)
+	}
+	// b's tail, a gap, then a's head: the junction runs backwards over
+	// both recordings.
+	joined, err := PlanPlay(rig.d, "joined", []Interval{
+		{Strand: b, StartUnit: 27, NumUnits: 3},
+		{Gap: time.Second},
+		{Strand: a, NumUnits: 3},
+	}, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, _ := b.Block(9)
+	first, _ := a.Block(0)
+	hop := g.AccessTime(g.CylinderOf(int(first.Sector)) - g.CylinderOf(int(last.Sector)))
+	if got := joined.Admission.Scattering; got != continuity.Seconds(hop) {
+		t.Fatalf("junction scattering %v, want the %v hop between the two strands", got, hop)
+	}
+	if over, _ := PlanPlay(rig.d, "joined", []Interval{{Strand: a, NumUnits: 3}}, PlanOptions{Scattering: 0.5}); over.Admission.Scattering != 0.5 {
+		t.Fatalf("Scattering override ignored: %v", over.Admission.Scattering)
 	}
 }
 
@@ -246,7 +286,11 @@ func TestPlanValidation(t *testing.T) {
 	}
 	rig := newRig(t, disk.DefaultGeometry())
 	s := rig.recordVideo(t, 6, 18000, 3, 30, 58)
-	blocks, _ := ExpandInterval(rig.d, s, 0, 6)
+	plan, err := PlanStrandPlay(rig.d, s, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := plan.Blocks
 	p := PlayPlan{Name: "x", Blocks: blocks, Buffers: 0,
 		Admission: continuity.Request{Granularity: 3, UnitBits: 8, Rate: 30}}
 	if err := p.Validate(); err == nil {

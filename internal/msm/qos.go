@@ -52,9 +52,6 @@ func (m *Manager) SetQoS(p QoSPolicy) {
 	m.qos = p
 }
 
-// QoS reports the policy in use.
-func (m *Manager) QoS() QoSPolicy { return m.qos }
-
 func (m *Manager) qosEnabled() bool { return m.qos.MaxStride >= 2 }
 
 // effAdm is the admission-control view of the request: a load-shed
@@ -232,11 +229,9 @@ func (m *Manager) noteDemotion(r *request) {
 	m.stats.Violations++
 	m.stats.LoadDemotions++
 	m.closeCacheStream(r)
-	if m.obs != nil {
-		m.obs.violations.Inc()
-		m.obs.classDemotions[r.class].Inc()
-		m.obs.effRate.Observe(r.adm.Rate / float64(strideOf(ps)))
-	}
+	m.obs.violations.Inc()
+	m.obs.classDemotions[r.class].Inc()
+	m.obs.effRate.Observe(r.adm.Rate / float64(strideOf(ps)))
 }
 
 // notePromotion records a promotion to the given stride (1 = full
@@ -249,10 +244,8 @@ func (m *Manager) notePromotion(r *request, stride int) {
 	if stride == 1 {
 		m.reopenCacheStream(r)
 	}
-	if m.obs != nil {
-		m.obs.promotions[r.class].Inc()
-		m.obs.effRate.Observe(r.adm.Rate / float64(stride))
-	}
+	m.obs.promotions[r.class].Inc()
+	m.obs.effRate.Observe(r.adm.Rate / float64(stride))
 }
 
 // feasibleNow reports whether Eq. 18 holds at the current k for every

@@ -187,7 +187,7 @@ func TestClassPassDemotionOrder(t *testing.T) {
 			// A standard stream may only degrade once every
 			// best-effort stream is at the cap.
 			for _, o := range m.reqs {
-				if o.class == continuity.BestEffort && strideOf(o.play) < m.QoS().MaxStride {
+				if o.class == continuity.BestEffort && strideOf(o.play) < m.qos.MaxStride {
 					t.Fatalf("standard demoted to %d while best-effort id %d at stride %d has headroom",
 						r.play.stride, o.id, o.play.stride)
 				}

@@ -145,6 +145,11 @@ func (m *Manager) StartRebuild(target int) error {
 	m.rb.fails = 0
 	m.ensureRepairBuf()
 	m.probeAdvancers()
+	// The target may have been only Suspect a moment ago, with the frozen
+	// steer table still leaving it a share of reads: re-steer now (no
+	// round is running here), or an untimed read before the next round
+	// finds the empty replacement.
+	m.resteer()
 	return nil
 }
 
@@ -182,6 +187,11 @@ func (m *Manager) StartRebalance() error {
 	m.rb.fails = 0
 	m.ensureRepairBuf()
 	m.probeAdvancers()
+	// The target may have been only Suspect a moment ago, with the frozen
+	// steer table still leaving it a share of reads: re-steer now (no
+	// round is running here), or an untimed read before the next round
+	// finds the empty replacement.
+	m.resteer()
 	return nil
 }
 
@@ -308,9 +318,7 @@ func (m *Manager) repairStep(budget time.Duration) (spent time.Duration, copied 
 		m.rb.fails = 0
 		copied++
 		m.stats.RebuildBlocks++
-		if m.obs != nil {
-			m.obs.rebuildBlocks.Inc()
-		}
+		m.obs.rebuildBlocks.Inc()
 		if done {
 			break
 		}
@@ -330,9 +338,7 @@ func (m *Manager) runRepairOnlyRound() bool {
 	start := m.clock.Now()
 	spent, copied := m.repairStep(repairIdleBudget)
 	m.clock.Advance(spent)
-	if m.obs != nil {
-		m.recordRound(start, m.k, 0, 0, 0)
-	}
+	m.recordRound(start, m.k, 0, 0, 0)
 	// spent > 0 with copied == 0 is the error path: keep rounds coming
 	// until the fail limit aborts the repair.
 	return copied > 0 || spent > 0

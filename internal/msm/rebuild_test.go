@@ -7,6 +7,7 @@ import (
 	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
 	"mmfs/internal/fault"
+	"mmfs/internal/media"
 	"mmfs/internal/strand"
 )
 
@@ -175,7 +176,7 @@ func TestMirroredDegradedService(t *testing.T) {
 func TestResteerRaisesKStepwise(t *testing.T) {
 	const p, stripe, victim = 2, 120, 1
 	rig := newMirroredRig(t, p, stripe, -1, fault.Scenario{})
-	adm := rig.m.Admission()
+	adm := rig.m.adm
 
 	first := rig.recordPreferring(t, 0, 0, 300, 9500)
 	plan, err := PlanStrandPlay(rig.arr, first, PlanOptions{ReadAhead: 1, Buffers: 64, Scattering: rig.scattering()})
@@ -286,6 +287,33 @@ func TestMirroredRebuildRestoresService(t *testing.T) {
 	}
 }
 
+// TestRebuildOfSuspectSpindleResteersAtOnce: the operator replaces a
+// spindle that is only Suspect — the steer table still leaves it one slot
+// in four — and fetches before any round has run. The untimed read must
+// come from the twin, not from the empty replacement.
+func TestRebuildOfSuspectSpindleResteersAtOnce(t *testing.T) {
+	const p, stripe, victim = 4, 120, 1
+	rig := newMirroredRig(t, p, stripe, -1, fault.Scenario{})
+	s := rig.recordPreferring(t, victim, 1, 30, 9450) // slot 3: the probe slot
+	rig.arr.SetSpindleState(victim, disk.Suspect)
+	rig.arr.RefreshSteering()
+	e, _ := s.Block(0)
+	if sp, _ := rig.arr.SpindleRange(int(e.Sector), int(e.SectorCount)); sp != victim {
+		t.Fatalf("block 0 steered to spindle %d: the strand does not sit in the suspect's probe slot", sp)
+	}
+	if err := rig.m.Rebuild(victim); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	f := uint64(0)
+	if err := strand.NewReader(rig.arr, s).VisitUnits(0, s.UnitCount(), &buf, func(unit []byte) error {
+		f++
+		return media.ValidateFrameSeq(unit, f-1)
+	}); err != nil {
+		t.Fatalf("fetch straight after the rebuild started, unit %d: %v", f-1, err)
+	}
+}
+
 // TestMirroredHotAddRebalance doubles a 2-spindle mirrored array to 4
 // spindles online, rebalances, and verifies (a) existing data replays
 // violation-free afterwards and (b) the new pair actually serves part
@@ -310,8 +338,8 @@ func TestMirroredHotAddRebalance(t *testing.T) {
 	if err := rig.m.AddMirrorPair(disk.MustNew(g), disk.MustNew(g)); err != nil {
 		t.Fatal(err)
 	}
-	if got := rig.m.StripeSpindles(); got != 4 {
-		t.Fatalf("lanes did not grow with the array: StripeSpindles = %d", got)
+	if got := len(rig.m.resident); got != 4 {
+		t.Fatalf("lanes did not grow with the array: resident table has %d sets", got)
 	}
 	if err := rig.m.StartRebalance(); err != nil {
 		t.Fatal(err)

@@ -22,10 +22,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/round_trace.golden from the current tree")
 
-// traced wires a manager to a trace ring large enough to keep every
-// round of a scenario.
+// traceRounds is a trace ring large enough to keep every round of a
+// scenario (dumpTrace fails one that fills it).
+const traceRounds = 1 << 14
+
+// traced wires a manager to such a ring.
 func traced(m *Manager) *obs.TraceRing {
-	ring := obs.NewTraceRing(1 << 14)
+	ring := obs.NewTraceRing(traceRounds)
 	m.SetObs(obs.NewRegistry(), ring)
 	return ring
 }
@@ -35,11 +38,12 @@ func traced(m *Manager) *obs.TraceRing {
 // counters, and every request's progress and violations.
 func dumpTrace(t *testing.T, w *bytes.Buffer, name string, m *Manager, ring *obs.TraceRing, ids []RequestID) {
 	t.Helper()
-	if ring.Total() > uint64(ring.Len()) {
-		t.Fatalf("%s: the trace ring wrapped (%d rounds)", name, ring.Total())
+	rounds := ring.Snapshot()
+	if len(rounds) == traceRounds {
+		t.Fatalf("%s: the trace ring is full (%d rounds) and may have wrapped", name, len(rounds))
 	}
 	fmt.Fprintf(w, "== %s\n# round start k active cached served blocks busy hits viol retries degraded slack rebuild\n", name)
-	for _, tr := range ring.Snapshot() {
+	for _, tr := range rounds {
 		fmt.Fprintln(w, tr.Round, tr.Start, tr.K, tr.Active, tr.CacheServed, tr.StreamsServed, tr.BlocksRead, tr.DiskBusyNs,
 			tr.CacheHits, tr.Violations, tr.Retries, tr.Degraded, tr.RetrySlackNs, tr.RebuildBlocks)
 	}
@@ -114,7 +118,7 @@ func traceIntervalLifecycle(t *testing.T, w *bytes.Buffer, forceK bool) {
 	if forceK {
 		name = "interval lifecycle, k forced"
 		tmpl := continuity.Request{Name: "video", Granularity: 3, UnitBits: 18000 * 8, Rate: 30, Scattering: rig.scattering()}
-		rig.m.ForceK(cacheRigK(t, rig.m.Admission(), tmpl, 4))
+		rig.m.ForceK(cacheRigK(t, rig.m.adm, tmpl, 4))
 	}
 	ring := traced(rig.m)
 	opts := PlanOptions{ReadAhead: 2, Buffers: 4, Scattering: rig.scattering()}
@@ -300,8 +304,8 @@ func traceMirroredRebuild(t *testing.T, w *bytes.Buffer) {
 func traceQoS(t *testing.T, w *bytes.Buffer) {
 	rig := newRig(t, disk.DefaultGeometry())
 	tmpl := continuity.Request{Name: "video", Granularity: 3, UnitBits: 18000 * 8, Rate: 30, Scattering: rig.scattering()}
-	nmax := rig.m.Admission().NMax(tmpl)
-	k := cacheRigK(t, rig.m.Admission(), tmpl, nmax)
+	nmax := rig.m.adm.NMax(tmpl)
+	k := cacheRigK(t, rig.m.adm, tmpl, nmax)
 	var strands []*strand.Strand
 	for i := 0; i < 3; i++ {
 		strands = append(strands, writeVideo(t, rig.d, rig.a, rig.st, 100+300*i, 600+150*i, int64(550+i)))

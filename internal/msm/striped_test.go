@@ -94,15 +94,15 @@ func (r *stripedRig) recordOn(t *testing.T, spindle, localCyl, frames int, seed 
 func TestStripedRoundParallelService(t *testing.T) {
 	const p, stripe = 4, 120
 	rig := newStripedRig(t, p, stripe, -1, fault.Scenario{})
-	if got := rig.m.StripeSpindles(); got != p {
-		t.Fatalf("StripeSpindles = %d, want %d", got, p)
+	if got := len(rig.m.resident); got != p {
+		t.Fatalf("resident table has %d sets, want %d", got, p)
 	}
 
 	template := continuity.Request{
 		Name: "tmpl", Granularity: 3, UnitBits: 18000 * 8, Rate: 30,
 		Scattering: rig.scattering(),
 	}
-	nmax := rig.m.Admission().NMax(template)
+	nmax := rig.m.adm.NMax(template)
 	if nmax < 2 {
 		t.Fatalf("single-spindle n_max = %d; geometry too tight for the test", nmax)
 	}

@@ -34,16 +34,23 @@ var LatencyBuckets = []float64{
 	0.001, 0.002, 0.005, 0.010, 0.015, 0.020, 0.030, 0.050, 0.075, 0.100,
 }
 
-// Counter is a monotonically increasing uint64 metric.
+// Counter is a monotonically increasing uint64 metric. Like every
+// handle in this package a nil one is inert — its updates are no-ops —
+// so a subsystem that was never wired to a registry publishes through
+// the same statements as one that was.
 type Counter struct {
 	v atomic.Uint64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
@@ -54,16 +61,24 @@ type Gauge struct {
 }
 
 // Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+func (g *Gauge) Set(v int64) {
+	if g != nil {
+		g.v.Store(v)
+	}
+}
 
 // Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
+func (g *Gauge) Inc() { g.Add(1) }
 
 // Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
+func (g *Gauge) Dec() { g.Add(-1) }
 
 // Add adds d, which may be negative.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
+func (g *Gauge) Add(d int64) {
+	if g != nil {
+		g.v.Add(d)
+	}
+}
 
 // Value reads the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -81,6 +96,9 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	// Binary search for the first upper bound ≥ v.
 	i := sort.SearchFloat64s(h.uppers, v)
 	if i < len(h.uppers) {

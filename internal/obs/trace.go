@@ -56,10 +56,9 @@ const DefaultTraceRounds = 1024
 // rounds. Safe for concurrent use: the round loop appends under the
 // server's lock while HTTP scrapes snapshot concurrently.
 type TraceRing struct {
-	mu    sync.Mutex
-	buf   []RoundTrace
-	next  int // buf index the next Append writes
-	total uint64
+	mu   sync.Mutex
+	buf  []RoundTrace
+	next int // buf index the next Append writes
 }
 
 // NewTraceRing creates a ring holding the last n rounds (n < 1 uses
@@ -74,10 +73,13 @@ func NewTraceRing(n int) *TraceRing {
 // Append records one round, evicting the oldest when full. The ring's
 // full capacity is reserved at construction, so appending is a
 // reslice, never an allocation — Append sits on the msm recordRound
-// hot path.
+// hot path. A nil ring records nothing.
 //
 // rt:hotpath
 func (t *TraceRing) Append(r RoundTrace) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if n := len(t.buf); n < cap(t.buf) {
@@ -87,21 +89,6 @@ func (t *TraceRing) Append(r RoundTrace) {
 		t.buf[t.next] = r
 		t.next = (t.next + 1) % cap(t.buf)
 	}
-	t.total++
-}
-
-// Len reports how many rounds are currently held.
-func (t *TraceRing) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buf)
-}
-
-// Total reports how many rounds were ever appended.
-func (t *TraceRing) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }
 
 // Snapshot copies the held rounds oldest-first.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
 	"mmfs/internal/msm"
 	"mmfs/internal/strand"
@@ -29,21 +28,19 @@ func (s *Store) CompilePlay(d disk.Device, r *Rope, m Medium, start, dur time.Du
 	if err != nil {
 		return msm.PlayPlan{}, err
 	}
-	var blocks []msm.PlannedBlock
-	var tmpl *strand.Strand
+	ivs := make([]msm.Interval, 0, len(part))
+	hasStrand := false
 	for _, iv := range part {
 		ref := iv.Component(m)
 		if ref == nil || ref.Strand == strand.Nil {
-			blocks = append(blocks, msm.PlannedBlock{Reader: nil, Duration: iv.Duration})
+			ivs = append(ivs, msm.Interval{Gap: iv.Duration})
 			continue
 		}
 		st, ok := s.strands.Get(ref.Strand)
 		if !ok {
 			return msm.PlayPlan{}, fmt.Errorf("rope %d: unknown strand %d", r.ID, ref.Strand)
 		}
-		if tmpl == nil {
-			tmpl = st
-		}
+		hasStrand = true
 		units, err := s.unitsIn(ref, iv.Duration)
 		if err != nil {
 			return msm.PlayPlan{}, err
@@ -52,33 +49,20 @@ func (s *Store) CompilePlay(d disk.Device, r *Rope, m Medium, start, dur time.Du
 		if ref.StartUnit < st.UnitCount() {
 			avail = st.UnitCount() - ref.StartUnit
 		}
-		if units > avail {
-			units = avail
-		}
-		if units == 0 {
+		piece := msm.Interval{Strand: st, StartUnit: ref.StartUnit, NumUnits: min(units, avail)}
+		if piece.NumUnits == 0 {
 			// Duration rounding can leave a sub-unit residue (or a
 			// ref exactly at the strand end); preserve the timing
 			// with a pure delay so later intervals keep their
 			// deadlines.
-			blocks = append(blocks, msm.PlannedBlock{Reader: nil, Duration: iv.Duration})
-			continue
+			piece.Gap = iv.Duration
 		}
-		expanded, err := msm.ExpandInterval(d, st, ref.StartUnit, units)
-		if err != nil {
-			return msm.PlayPlan{}, err
-		}
-		blocks = append(blocks, expanded...)
+		ivs = append(ivs, piece)
 	}
-	if tmpl == nil {
+	if !hasStrand {
 		return msm.PlayPlan{}, fmt.Errorf("rope %d has no %v component in [%v, %v)", r.ID, m, start, start+dur)
 	}
-	adm := continuity.Request{
-		Name:        fmt.Sprintf("rope-%d-%v", r.ID, m),
-		Granularity: tmpl.Granularity(),
-		UnitBits:    float64(tmpl.UnitBits()),
-		Rate:        tmpl.Rate(),
-	}
-	return msm.PlanBlocksPlay(d, fmt.Sprintf("play-rope-%d-%v", r.ID, m), blocks, adm, opts)
+	return msm.PlanPlay(d, fmt.Sprintf("rope-%d-%v", r.ID, m), ivs, opts)
 }
 
 // Components reports which media the rope actually contains.

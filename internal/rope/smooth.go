@@ -189,7 +189,8 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 	if err != nil {
 		return JunctionReport{}, false, err
 	}
-	dist := absInt(g.CylinderOf(int(eFirst.Sector)) - cylA)
+	dist := g.CylinderOf(int(eFirst.Sector)) - cylA
+	dist = max(dist, -dist)
 	if dist <= e.MaxCylinders {
 		return JunctionReport{}, false, nil // within bounds already
 	}
@@ -234,7 +235,7 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 		}
 		anchorCyl = g.CylinderOf(int(ea.Sector))
 		if copiedNS > 0 {
-			gap := int(math.Ceil(float64(absInt(anchorCyl-cylA)) / float64(copiedNS+1)))
+			gap := int(math.Ceil(math.Abs(float64(anchorCyl-cylA)) / float64(copiedNS+1)))
 			if gap <= e.MaxCylinders {
 				break
 			}
@@ -278,7 +279,7 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 			}
 			target = cylA + nsIdx*step
 		}
-		run, err := e.a.AllocateNearCylinder(clampCyl(target, g.Cylinders), blockSectors)
+		run, err := e.a.AllocateNearCylinder(min(max(target, 0), g.Cylinders-1), blockSectors)
 		if err != nil {
 			return fail(fmt.Errorf("rope %d: smoothing: %w", r.ID, err))
 		}
@@ -339,21 +340,4 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 		BoundSparse:   sparse,
 		BoundDense:    dense,
 	}, true, nil
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func clampCyl(c, n int) int {
-	if c < 0 {
-		return 0
-	}
-	if c >= n {
-		return n - 1
-	}
-	return c
 }

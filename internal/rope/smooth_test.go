@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mmfs/internal/continuity"
 	"mmfs/internal/msm"
 )
 
@@ -156,7 +157,7 @@ func TestSmoothedRopeCompilesAndBounds(t *testing.T) {
 	// The compiled plan's measured scattering respects the policy
 	// bound (plus the policy's realized access time).
 	bound := r.d.Geometry().AccessTime(16)
-	if got := msm.MaxPlanScatter(r.d, plan.Blocks); got > bound {
+	if got := continuity.Duration(plan.Admission.Scattering); got > bound {
 		t.Fatalf("plan scattering %v exceeds policy bound %v", got, bound)
 	}
 }

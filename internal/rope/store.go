@@ -38,9 +38,6 @@ func NewStore(ss *strand.Store, in *gc.Interests) *Store {
 // Strands exposes the strand store ropes resolve against.
 func (s *Store) Strands() *strand.Store { return s.strands }
 
-// Interests exposes the interests table.
-func (s *Store) Interests() *gc.Interests { return s.interests }
-
 // Create registers a new empty rope owned by creator.
 func (s *Store) Create(creator string) *Rope {
 	r := &Rope{ID: s.nextID, Creator: creator}
@@ -243,8 +240,8 @@ func (s *Store) slice(r *Rope, m Medium, start, dur time.Duration) ([]Interval, 
 	end := start + dur
 	for _, iv := range r.Intervals {
 		ivEnd := acc + iv.Duration
-		lo := maxDur(acc, start)
-		hi := minDur(ivEnd, end)
+		lo := max(acc, start)
+		hi := min(ivEnd, end)
 		if hi > lo {
 			part := iv.clone()
 			var err error
@@ -269,18 +266,4 @@ func (s *Store) slice(r *Rope, m Medium, start, dur time.Duration) ([]Interval, 
 		}
 	}
 	return out, nil
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

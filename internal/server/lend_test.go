@@ -39,8 +39,8 @@ func recordLocal(t *testing.T, fs *core.FS, spec core.RecordSpec) *rope.Rope {
 	return r
 }
 
-// unitLoop is the reference reading of a rope range: one Reader.Unit
-// call (an owning, whole-block read) per unit, silence for the gaps.
+// unitLoop is the reference reading of a rope range: one one-unit visit,
+// copied out, per unit; silence for the gaps.
 func unitLoop(t *testing.T, fs *core.FS, id rope.ID, m rope.Medium, start, dur time.Duration) [][]byte {
 	t.Helper()
 	r, ok := fs.Ropes().Get(id)
@@ -75,12 +75,15 @@ func unitLoop(t *testing.T, fs *core.FS, id rope.ID, m rope.Medium, start, dur t
 		rd := strand.NewReader(fs.MediaDevice(), s)
 		n := uint64(math.Round(iv.Duration.Seconds() * s.Rate()))
 		n = min(n, s.UnitCount()-ref.StartUnit)
+		var buf []byte
 		for i := uint64(0); i < n; i++ {
-			u, err := rd.Unit(ref.StartUnit + i)
+			err := rd.VisitUnits(ref.StartUnit+i, 1, &buf, func(u []byte) error {
+				out = append(out, bytes.Clone(u))
+				return nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, u)
 		}
 	}
 	return out
@@ -98,7 +101,7 @@ func sameUnits(a, b [][]byte) error {
 	return nil
 }
 
-// client.Fetch == core.FetchUnits == a Reader.Unit loop, for every kind
+// client.Fetch == core.FetchUnits == a loop of one-unit visits, for every kind
 // of rope the file system stores, on one disk and on a striped array.
 func TestFetchByteIdentity(t *testing.T) {
 	for name, opts := range map[string]core.Options{"one disk": {}, "4-spindle array": {Disks: 4}} {
@@ -181,10 +184,10 @@ func TestFetchByteIdentity(t *testing.T) {
 							t.Fatalf("%s: Fetch: %v", what, err)
 						}
 						if err := sameUnits(local, want); err != nil {
-							t.Fatalf("%s: FetchUnits vs Unit loop: %v", what, err)
+							t.Fatalf("%s: FetchUnits vs the unit-at-a-time loop: %v", what, err)
 						}
 						if err := sameUnits(remote, want); err != nil {
-							t.Fatalf("%s: client.Fetch vs Unit loop: %v", what, err)
+							t.Fatalf("%s: client.Fetch vs the unit-at-a-time loop: %v", what, err)
 						}
 						for i := range want {
 							if cap(local[i]) != len(local[i]) || cap(remote[i]) != len(remote[i]) {

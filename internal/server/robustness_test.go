@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -205,10 +206,8 @@ func TestNetworkHeterogeneousRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, audio, err := media.SplitAV(units[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := binary.LittleEndian.Uint32(units[0]) // [u32 video length][frame][audio]
+	frame, audio := units[0][4:4+n], units[0][4+n:]
 	if err := media.ValidateFrameSeq(frame, 0); err != nil {
 		t.Fatal(err)
 	}

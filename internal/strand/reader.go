@@ -22,7 +22,8 @@ func SilenceFill(m layout.Medium) byte {
 
 // Reader retrieves a strand's media blocks from disk. Timed reads are
 // the continuity-bearing path used by the storage manager's service
-// rounds; untimed unit access serves verification and editing.
+// rounds; the untimed views (VisitUnits, BlockView) serve FETCH and
+// editing.
 type Reader struct {
 	s *Strand
 	d disk.Device
@@ -106,35 +107,6 @@ func (r *Reader) blockPayloadBytes(i int) int {
 	return int(remaining) * r.s.UnitBytes()
 }
 
-// Unit fetches one unit's payload by global unit number, untimed.
-// Units inside eliminated silent blocks come back as silence fill.
-func (r *Reader) Unit(u uint64) ([]byte, error) {
-	blk, off, err := r.s.UnitRange(u)
-	if err != nil {
-		return nil, err
-	}
-	e, err := r.s.Block(blk)
-	if err != nil {
-		return nil, err
-	}
-	ub := r.s.UnitBytes()
-	if e.Silent() {
-		return r.fillSilence(make([]byte, ub)), nil
-	}
-	raw, err := r.d.ReadAt(int(e.Sector), int(e.SectorCount))
-	if err != nil {
-		return nil, err
-	}
-	if r.s.Variable() {
-		return parseVariableUnit(raw, off, r.s.ID(), u)
-	}
-	lo := off * ub
-	if lo+ub > len(raw) {
-		return nil, fmt.Errorf("strand %d: unit %d beyond block payload", r.s.ID(), u)
-	}
-	return raw[lo : lo+ub], nil
-}
-
 // VisitUnits calls fn with the payload of each of units [start,
 // start+n) in order, untimed: the one traversal behind every range
 // read, fetching each media block once however many of its units are
@@ -211,18 +183,6 @@ func (r *Reader) fillSilence(b []byte) []byte {
 	return b
 }
 
-// parseVariableUnit walks a variable-rate block's length-prefixed
-// units to the off-th one.
-func parseVariableUnit(raw []byte, off int, id ID, u uint64) (unit []byte, err error) {
-	o := 0
-	for i := 0; i <= off; i++ {
-		if unit, o, err = variableUnitAt(raw, o, id, u); err != nil {
-			return nil, err
-		}
-	}
-	return unit, nil
-}
-
 // variableUnitAt decodes the length-prefixed unit at byte offset o of
 // a variable-rate block, returning it (capacity clipped) and the
 // offset of the next one; u names the unit in errors.
@@ -238,28 +198,11 @@ func variableUnitAt(raw []byte, o int, id ID, u uint64) (unit []byte, next int, 
 	return raw[o : o+n : o+n], o + n, nil
 }
 
-// BlockPayload fetches the full payload of block i untimed, in a buffer
-// the caller owns: reorganization stages every payload of a strand and
-// then frees the source, so it cannot work from views.
-func (r *Reader) BlockPayload(i int) ([]byte, bool, error) {
-	e, err := r.s.Block(i)
-	if err != nil {
-		return nil, false, err
-	}
-	if e.Silent() {
-		return nil, true, nil
-	}
-	raw, err := r.d.ReadAt(int(e.Sector), int(e.SectorCount))
-	if err != nil {
-		return nil, false, err
-	}
-	return raw, false, nil
-}
-
-// BlockView is BlockPayload's lending twin, for a caller that consumes
-// the block at once (the editor's smoothing copy): the payload aliases
-// the device's own store or, when the block cannot be lent, *buf — grown
-// via the alloc scratch arena. It is read-only, has cap == len, and is
+// BlockView lends the full payload of block i untimed (silent reports an
+// eliminated silence holder, which has none): the payload aliases the
+// device's own store or, when the block cannot be lent, *buf — grown via
+// the alloc scratch arena. A caller that must keep it past that copies it
+// (reorganization does: it frees the source before re-placing). It is read-only, has cap == len, and is
 // valid until the next call with the same buf or the next write to the
 // device that overlaps the block's run; it may therefore be handed to
 // WriteAt only for a run allocated after the view was taken, which

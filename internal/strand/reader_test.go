@@ -76,7 +76,8 @@ func TestReadBlockIntoFallsBackToScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := rd.BlockPayload(i)
+		e, _ := s.Block(i)
+		want, err := d.ReadAt(int(e.Sector), int(e.SectorCount))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,8 +103,8 @@ func TestReadBlockIntoFallsBackToScratch(t *testing.T) {
 	}
 }
 
-// VisitUnits hands fn byte for byte what a loop of Unit calls returns,
-// for ranges that start and end in the middle of blocks — lent, not
+// VisitUnits hands fn byte for byte what a loop of one-unit visits
+// returns, for ranges that start and end in the middle of blocks — lent, not
 // copied: a unit of a block the device can lend is a capacity-clipped
 // slice of the platter; a block wider than a cylinder and a silence
 // holder arrive in *buf.
@@ -140,12 +141,12 @@ func TestVisitUnitsMatchesUnitLoop(t *testing.T) {
 			start, n := rg[0], rg[1]
 			u := start
 			err := rd.VisitUnits(start, n, &buf, func(unit []byte) error {
-				want, err := rd.Unit(u)
+				want, err := unitAt(rd, u)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(unit, want) {
-					t.Fatalf("%s [%d,+%d): unit %d differs from Unit", c.name, start, n, u)
+					t.Fatalf("%s [%d,+%d): unit %d differs from the one-unit visit", c.name, start, n, u)
 				}
 				if cap(unit) != len(unit) {
 					t.Fatalf("%s: unit %d cap %d > len %d", c.name, u, cap(unit), len(unit))

@@ -10,10 +10,8 @@ package strand
 
 import (
 	"fmt"
-	"time"
 
 	"mmfs/internal/alloc"
-	"mmfs/internal/disk"
 	"mmfs/internal/layout"
 )
 
@@ -100,43 +98,6 @@ func (s *Strand) MetaRuns() []alloc.Run {
 		runs = append(runs, alloc.Run{LBA: int(m.Sector), Sectors: int(m.SectorCount)})
 	}
 	return runs
-}
-
-// ScatterTimes reports the positioning time (seek + average rotational
-// latency) between each pair of successive non-silent media blocks —
-// the realized scattering parameters, which must lie within the
-// strand's derived bounds. Experiments verify layout correctness with
-// it.
-func (s *Strand) ScatterTimes(g disk.Geometry) []time.Duration {
-	var out []time.Duration
-	prev := -1
-	for _, e := range s.ix.Entries {
-		if e.Silent() {
-			continue
-		}
-		cyl := g.CylinderOf(int(e.Sector))
-		if prev >= 0 {
-			d := cyl - prev
-			if d < 0 {
-				d = -d
-			}
-			out = append(out, g.AccessTime(d))
-		}
-		prev = cyl
-	}
-	return out
-}
-
-// MaxScatterTime is the largest realized inter-block access time, or
-// zero for strands with fewer than two stored blocks.
-func (s *Strand) MaxScatterTime(g disk.Geometry) time.Duration {
-	var max time.Duration
-	for _, t := range s.ScatterTimes(g) {
-		if t > max {
-			max = t
-		}
-	}
-	return max
 }
 
 // UnitRange describes which media block holds unit u and at what

@@ -73,6 +73,14 @@ func (r *rig) writeVideo(t *testing.T, frames, frameBytes, q int, seed int64) *S
 	return s
 }
 
+// unitAt reads unit u on its own through the range traversal and copies
+// it out.
+func unitAt(rd *Reader, u uint64) (unit []byte, err error) {
+	var buf []byte
+	err = rd.VisitUnits(u, 1, &buf, func(b []byte) error { unit = bytes.Clone(b); return nil })
+	return unit, err
+}
+
 func TestWriterReaderRoundTrip(t *testing.T) {
 	r := newRig(t)
 	s := r.writeVideo(t, 30, 1024, 3, 5)
@@ -81,7 +89,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	}
 	rd := NewReader(r.d, s)
 	for f := uint64(0); f < 30; f++ {
-		got, err := rd.Unit(f)
+		got, err := unitAt(rd, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,10 +119,10 @@ func TestPartialFinalBlock(t *testing.T) {
 	if len(data) != 2*1024 {
 		t.Fatalf("tail block payload %d bytes, want %d", len(data), 2*1024)
 	}
-	if _, err := rd.Unit(31); err != nil {
+	if _, err := unitAt(rd, 31); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rd.Unit(32); err == nil {
+	if _, err := unitAt(rd, 32); err == nil {
 		t.Fatal("unit past end accepted")
 	}
 }
@@ -124,13 +132,12 @@ func TestScatterTimesRespectConstraint(t *testing.T) {
 	s := r.writeVideo(t, 60, 1024, 3, 7)
 	g := r.d.Geometry()
 	bound := g.AccessTime(16)
-	for i, st := range s.ScatterTimes(g) {
-		if st > bound {
+	for i := 1; i < s.NumBlocks(); i++ {
+		a, _ := s.Block(i - 1)
+		b, _ := s.Block(i)
+		if st := g.AccessTime(g.CylinderOf(int(b.Sector)) - g.CylinderOf(int(a.Sector))); st > bound {
 			t.Fatalf("gap %d: %v exceeds constraint bound %v", i, st, bound)
 		}
-	}
-	if s.MaxScatterTime(g) > bound {
-		t.Fatal("max scatter exceeds bound")
 	}
 }
 
@@ -359,8 +366,9 @@ func TestBuildFromEntries(t *testing.T) {
 	// Copy the first two blocks to fresh locations.
 	rd := NewReader(r.d, src)
 	var entries []layout.PrimaryEntry
+	var scratch []byte
 	for b := 0; b < 2; b++ {
-		payload, silent, err := rd.BlockPayload(b)
+		payload, silent, err := rd.BlockView(b, &scratch)
 		if err != nil || silent {
 			t.Fatal(err)
 		}
@@ -381,11 +389,11 @@ func TestBuildFromEntries(t *testing.T) {
 	}
 	crd := NewReader(r.d, copyStrand)
 	for u := uint64(0); u < 6; u++ {
-		got, err := crd.Unit(u)
+		got, err := unitAt(crd, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := rd.Unit(u)
+		want, err := unitAt(rd, u)
 		if err != nil {
 			t.Fatal(err)
 		}

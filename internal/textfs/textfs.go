@@ -136,15 +136,6 @@ func (s *Store) release(f *file) {
 	f.runs = nil
 }
 
-// Size reports a file's length in bytes.
-func (s *Store) Size(name string) (int, error) {
-	f, ok := s.files[name]
-	if !ok {
-		return 0, fmt.Errorf("textfs: no such file %q", name)
-	}
-	return f.size, nil
-}
-
 // List names all files, sorted.
 func (s *Store) List() []string {
 	out := make([]string, 0, len(s.files))

@@ -39,9 +39,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("round trip mismatch")
 	}
-	if n, err := s.Size("readme.txt"); err != nil || n != len(data) {
-		t.Fatalf("size %d err %v", n, err)
-	}
 }
 
 func TestMultiExtentFile(t *testing.T) {
