@@ -44,7 +44,7 @@ func main() {
 		stripe    = flag.Int("stripe", 0, "striping unit in cylinders (must divide -cylinders); 0 picks cylinders/10")
 		faultSp   = flag.Int("fault-spindle", 0, "spindle the fault scenario wraps when -disks > 1 (single-spindle degradation)")
 		mirror    = flag.Bool("mirror", false, "pair the array's spindles into mirror groups: capacity halves, a whole-spindle loss degrades to the twin and REBUILD restores redundancy online")
-		rbRate    = flag.Int("rebuild-rate", 0, "max rebuild/rebalance chunks (spindle cylinders) copied per service round (0 = built-in default)")
+		rbRate    = flag.Int("rebuild-rate", 0, "max rebuild chunks (spindle cylinders) copied per service round (0 = built-in default)")
 		qosMax    = flag.Int("qos-max-stride", 0, "QoS load shedding: max sub-sampling stride for standard/best-effort plays under overload (≥2 enables, 0 keeps admission binary accept/reject)")
 		qosDef    = flag.String("qos-default", "standard", "QoS class for PLAY requests that do not name one: premium, standard, or best-effort")
 	)

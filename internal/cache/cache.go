@@ -459,9 +459,8 @@ func (c *Cache) unpin(e *entry) {
 // The stream's position advances past the block either way. data is
 // copied into a frame of the cache's own: the insert for bytes that
 // will not outlive the caller's next read (the lane's scratch, when the
-// device could not lend the block) or that the device may relocate.
-// Bytes lent from the device's store go through PutView, which copies
-// nothing.
+// device could not lend the block). Bytes lent from the device's store
+// go through PutView, which copies nothing.
 //
 // rt:hotpath
 func (c *Cache) Put(id uint64, index int, data []byte) {
@@ -471,10 +470,9 @@ func (c *Cache) Put(id uint64, index int, data []byte) {
 // PutView is Put for a block the device lent (disk.Lent): the entry
 // keeps the view itself — no copy, no frame. The view must stay what it
 // is for as long as the entry is resident, which is the caller's to
-// arrange: strands are immutable, so a view is good until its strand's
-// sectors are freed (InvalidateStrand, wired to strand.Store's removal
-// hook) or relocated (OwnViews first, and Put while the relocation is
-// pending).
+// arrange: strands are immutable and never relocated, so a view is good
+// until its strand is removed (InvalidateStrand, wired to strand.Store's
+// removal hook).
 //
 // rt:hotpath
 func (c *Cache) PutView(id uint64, index int, view []byte) {
@@ -540,20 +538,6 @@ func (c *Cache) hold(e *entry, data []byte, lent bool) {
 	e.frame = alloc.CopyBytes(e.frame, data)
 	c.owned += int64(cap(e.frame))
 	e.data = e.frame
-}
-
-// OwnViews turns every retained view into an owned copy, the fence in
-// front of a relocation of the device's store (the array's rebalance
-// writes migrated groups onto pages other groups vacated): afterwards no
-// entry aliases the device, at the cost of the frames that shows up in
-// Stats.OwnedBytes.
-func (c *Cache) OwnViews() {
-	for _, e := range c.entries {
-		if e.lent {
-			c.hold(e, e.data, false)
-		}
-	}
-	c.syncGauges()
 }
 
 // claimOrTouch pins the (resident) entry for the producing stream's

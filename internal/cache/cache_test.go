@@ -592,9 +592,7 @@ func (p platter) view(i int) []byte {
 
 // An entry that held a view is recycled like any other. The owning Put
 // that refills it — or re-puts the same key — must copy into a frame of
-// the cache's own, never through the view onto the platter; and a view
-// the cache has taken ownership of (OwnViews) no longer follows the
-// platter.
+// the cache's own, never through the view onto the platter.
 func TestOwningPutAfterViewNeverWritesThePlatter(t *testing.T) {
 	p := newPlatter(4)
 	pristine := string(p)
@@ -627,21 +625,6 @@ func TestOwningPutAfterViewNeverWritesThePlatter(t *testing.T) {
 	if st := c.Stats(); st.OwnedBytes != 2*blockSize {
 		t.Fatalf("two owned blocks: OwnedBytes = %d", st.OwnedBytes)
 	}
-
-	// A view again over the owned entry; then the fence.
-	c.PutView(1, 1, p.view(1))
-	c.OwnViews()
-	checkInvariants(t, c)
-	p.view(1)[0] ^= 0xff // the device relocates something onto the page
-	c.OpenStream(3, sid, 1, 1<<30, 10)
-	if got, res := c.Get(3, 1); res != Hit || got[0] != pristine[blockSize] {
-		t.Fatalf("block 1 after OwnViews and a platter write: %v, first byte %d", res, got[0])
-	}
-	c.VisitEntries(func(_ strand.ID, index int, _ []byte, lent bool) {
-		if lent {
-			t.Errorf("block %d is still a view after OwnViews", index)
-		}
-	})
 }
 
 // mmfs_cache_owned_bytes is the memory the cache allocated — frames'
@@ -769,10 +752,8 @@ func TestRandomOperationSequences(t *testing.T) {
 					}
 				case op < 97:
 					c.CloseStream(id)
-				case op < 98:
-					c.InvalidateStrand(s.sid)
 				case op < 99:
-					c.OwnViews()
+					c.InvalidateStrand(s.sid)
 				default:
 					c.Reset()
 				}

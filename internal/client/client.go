@@ -542,7 +542,7 @@ type ServerStats struct {
 	// ("healthy", "suspect", "dead", "rebuilding"); empty when the
 	// server does not mirror.
 	SpindleStates []string
-	// RebuildDone and RebuildTotal are the running rebuild/rebalance's
+	// RebuildDone and RebuildTotal are the running rebuild's
 	// chunk cursor; both zero when no repair is active.
 	RebuildDone  int
 	RebuildTotal int

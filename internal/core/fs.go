@@ -88,7 +88,7 @@ type Options struct {
 	// rebuilt online in the service rounds' leftover slack.
 	Mirror bool
 	// RebuildRate caps the repair chunks (one spindle cylinder each)
-	// the online rebuild/rebalance engine copies per service round.
+	// the online rebuild engine copies per service round.
 	// 0 uses the storage manager's default.
 	RebuildRate int
 	// QoSMaxStride enables QoS load shedding when ≥ 2: under overload,

@@ -182,8 +182,8 @@ func runLifecycle(t *testing.T, seed int64) {
 			name := fmt.Sprintf("note-%d", rng.Intn(4))
 			if rng.Intn(3) == 0 && fs.Text().Len() > 0 {
 				names := fs.Text().List()
-				if err := fs.Text().Delete(names[rng.Intn(len(names))]); err != nil {
-					t.Fatalf("text delete: %v", err)
+				if err := fs.Text().Write(names[rng.Intn(len(names))], nil); err != nil {
+					t.Fatalf("text truncate: %v", err)
 				}
 			} else {
 				data := make([]byte, rng.Intn(8192))

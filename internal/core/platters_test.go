@@ -20,9 +20,8 @@ import (
 type walkMutation int
 
 const (
-	intact           walkMutation = iota
-	noRemovalHook                 // the strand store tells nobody of a removal
-	noRebalanceFence              // a rebalance starts with the cache still holding views
+	intact        walkMutation = iota
+	noRemovalHook              // the strand store tells nobody of a removal
 )
 
 // cacheMatchesPlatters is the integrity oracle of a cache that retains
@@ -63,9 +62,8 @@ func cacheMatchesPlatters(fs *FS) error {
 // interval cache — staggered plays (leaders and the followers that
 // trail them), rounds, RECORD, rope DELETE with its garbage collection,
 // ReorganizeStrand, Compact, NewManager and, on a mirrored array, a
-// scripted spindle death, operator kills, ReplaceSpindle + online
-// rebuild and AddMirrorPair + online rebalance, all with plays running
-// — and asks the oracle after every step. It returns the oracle's first
+// scripted spindle death, operator kills and ReplaceSpindle + online
+// rebuild, all with plays running — and asks the oracle after every step. It returns the oracle's first
 // complaint. Operations that free sectors first let the running plays
 // finish: a play that outlives its strand is a use-after-free above the
 // cache, not the subject here. A mutation takes one of the cache's
@@ -75,8 +73,7 @@ func platterWalk(seed int64, mirrored bool, steps int, mut walkMutation) error {
 	opts := Options{CacheMB: 1}
 	if mirrored {
 		// Small spindles and a fine stripe, so that the clips fill a good
-		// part of the stripe groups and the rebalance has live data to move
-		// onto pages other live data just left.
+		// part of the stripe groups and every rebuild has live data to copy.
 		g := disk.DefaultGeometry()
 		g.Cylinders = 120
 		opts = Options{CacheMB: 1, Geometry: g, Disks: 4, Mirror: true, Stripe: 2, RebuildRate: 16, FaultSpindle: 1}
@@ -136,7 +133,7 @@ func platterWalk(seed int64, mirrored bool, steps int, mut walkMutation) error {
 			fs.Array().RefreshSteering()
 		}
 	}
-	rebalanced := false
+	rebuilt := false
 	for step := 0; step < steps; step++ {
 		settle()
 		var what string
@@ -154,9 +151,7 @@ func platterWalk(seed int64, mirrored bool, steps int, mut walkMutation) error {
 			for i := rng.Intn(6); i >= 0; i-- {
 				fs.Manager().RunRound()
 			}
-		case op < 66 && !rebalanced:
-			// After a hot-add the device is larger than the allocator
-			// was formatted for; the walk records only before it.
+		case op < 66:
 			what = "record"
 			if err := record(); err != nil {
 				return fmt.Errorf("step %d (%s): %w", step, what, err)
@@ -204,33 +199,10 @@ func platterWalk(seed int64, mirrored bool, steps int, mut walkMutation) error {
 					if err := fs.Manager().Rebuild(v); err != nil {
 						return fmt.Errorf("step %d (%s): %w", step, what, err)
 					}
+					rebuilt = true
 					break
 				}
 			}
-		case !rebalanced:
-			// The pair is added, a few rounds may pass with the rebalance
-			// pending, and it starts — over whatever views the cache took
-			// before the pair arrived.
-			what = "hot-add + rebalance"
-			if fs.Array().RepairActive() {
-				continue
-			}
-			g := fs.Array().Spindle(0).Geometry()
-			if err := fs.Manager().AddMirrorPair(disk.MustNew(g), disk.MustNew(g)); err != nil {
-				return fmt.Errorf("step %d (%s): %w", step, what, err)
-			}
-			for i := rng.Intn(3); i > 0; i-- {
-				fs.Manager().RunRound()
-			}
-			if mut == noRebalanceFence {
-				err = fs.Array().StartRebalance() // past the manager and its OwnViews
-			} else {
-				err = fs.Manager().StartRebalance()
-			}
-			if err != nil {
-				return fmt.Errorf("step %d (%s): %w", step, what, err)
-			}
-			rebalanced = true
 		default:
 			continue
 		}
@@ -244,8 +216,8 @@ func platterWalk(seed int64, mirrored bool, steps int, mut walkMutation) error {
 	if err := cacheMatchesPlatters(fs); err != nil {
 		return fmt.Errorf("seed %d, after the last rounds: %w", seed, err)
 	}
-	if mirrored && !rebalanced {
-		return fmt.Errorf("seed %d: the walk never rebalanced", seed)
+	if mirrored && !rebuilt {
+		return fmt.Errorf("seed %d: the walk never rebuilt a spindle", seed)
 	}
 	snap := fs.Metrics().Snapshot()
 	for _, name := range []string{"mmfs_cache_inserts_total", "mmfs_cache_hits_total", "mmfs_cache_adoptions_total", "mmfs_cache_evictions_total"} {
@@ -274,22 +246,19 @@ func TestCachedBytesAlwaysMatchThePlatters(t *testing.T) {
 }
 
 // The oracle bites: a walk with one protection taken away fails it, in
-// the way that protection exists to prevent. (The seeds are ones whose
-// walk meets the hazard: a removal with the strand's blocks cached; a
-// page vacated by the rebalance and written again under a retained view.)
+// the way that protection exists to prevent. (The seed is one whose
+// walk meets the hazard: a removal with the strand's blocks cached.)
 func TestPlatterOracleCatchesSeededMutations(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		mut      walkMutation
-		mirrored bool
-		seed     int64
-		want     string
+		name string
+		mut  walkMutation
+		seed int64
+		want string
 	}{
-		{"no invalidation on removal", noRemovalHook, false, 1, "the strand is gone"},
-		{"no fence before a rebalance", noRebalanceFence, true, 2, "are not the platters'"},
+		{"no invalidation on removal", noRemovalHook, 1, "the strand is gone"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := platterWalk(tc.seed, tc.mirrored, 250, tc.mut)
+			err := platterWalk(tc.seed, false, 250, tc.mut)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("mutated walk: %v; want an oracle failure saying %q", err, tc.want)
 			}

@@ -57,7 +57,7 @@ func TestSmoothingFailureLeaksNothing(t *testing.T) {
 	if len(hole) != 2 || hole[0].End() != hole[1].LBA {
 		t.Fatalf("the hole file is not one contiguous run: %v", hole)
 	}
-	if err := fs.Text().Delete("hole"); err != nil {
+	if err := fs.Text().Write("hole", nil); err != nil { // emptied: its sectors go back
 		t.Fatal(err)
 	}
 	if free := fs.Allocator().FreeSectors(); free != 32 {
@@ -73,7 +73,7 @@ func TestSmoothingFailureLeaksNothing(t *testing.T) {
 		t.Fatalf("%d sectors free after the failed INSERT, want 32", free)
 	}
 
-	if err := fs.Text().Delete("fill"); err != nil {
+	if err := fs.Text().Write("fill", nil); err != nil {
 		t.Fatal(err)
 	}
 	res, err := fs.Insert("venkat", r1.ID, 2*time.Second, rope.AudioVisual, r2.ID, time.Second, time.Second)

@@ -40,19 +40,17 @@ type Array struct {
 	spc      int      // sectors per cylinder (same on every spindle)
 	groupSec int      // sectors per stripe group: sc * spc
 
-	// Mirrored redundancy mode (see mirror.go). When mirrored, the
-	// p spindles form mg = p/2 pairs, logical capacity is mg spindles'
-	// worth, and reads steer between twins by the frozen steer table.
-	mirrored bool
-	mg       int // mirror pairs (p/2; 0 when not mirrored)
-	health   []spindleHealth
-	steer    []steerMode
-
-	// Hot-add expansion state (see repair.go): until a rebalance
-	// migrates them, stripe groups with moved[g]==false still live at
-	// their pre-expansion home computed with oldMg pairs.
-	oldMg int
-	moved []bool
+	// The one address map: the p spindles form sets = p/r replica sets of
+	// r spindles each (r = 1 striped; r = 2 mirrored, see mirror.go), and
+	// stripe group g lives in slot g/sets of set g%sets, at the same local
+	// address on every replica. Logical capacity is sets spindles' worth.
+	// The map is fixed here, at construction: a stored byte never moves.
+	// A read goes to the replica the set's frozen steer entry names; a
+	// write goes to every writable replica of the set.
+	r      int
+	sets   int
+	health []spindleHealth // per spindle; observed only when r = 2
+	steer  []steerMode     // per set
 
 	repair repairState
 }
@@ -87,8 +85,13 @@ func NewArray(spindles []Device, stripeCylinders int, mirror bool) (*Array, erro
 		return nil, fmt.Errorf("disk: stripe unit %d does not divide %d cylinders per spindle",
 			stripeCylinders, phys.Cylinders)
 	}
+	r := 1
+	if mirror {
+		r = 2
+	}
+	sets := len(spindles) / r
 	logical := phys
-	logical.Cylinders = phys.Cylinders * len(spindles)
+	logical.Cylinders = phys.Cylinders * sets
 	logical.Heads = len(spindles)
 	a := &Array{
 		spindles: spindles,
@@ -97,15 +100,13 @@ func NewArray(spindles []Device, stripeCylinders int, mirror bool) (*Array, erro
 		sc:       stripeCylinders,
 		spc:      phys.SectorsPerCylinder(),
 		groupSec: stripeCylinders * phys.SectorsPerCylinder(),
+		r:        r,
+		sets:     sets,
+		health:   make([]spindleHealth, len(spindles)),
+		steer:    make([]steerMode, sets),
+		repair:   repairState{target: -1},
 	}
-	if mirror {
-		a.mirrored = true
-		a.mg = len(spindles) / 2
-		a.logical.Cylinders = phys.Cylinders * a.mg
-		a.health = make([]spindleHealth, len(spindles))
-		a.steer = make([]steerMode, a.mg)
-		a.repair = repairState{target: -1}
-	}
+	a.RefreshSteering()
 	return a, nil
 }
 
@@ -148,14 +149,9 @@ func (a *Array) Locate(lba int) (spindle, local int) {
 	off := lba % a.spc
 	group := cyl / a.sc
 	inGroup := cyl % a.sc
-	if a.mirrored {
-		pair, slot := a.homeOf(group)
-		localCyl := slot*a.sc + inGroup
-		return a.readSpindle(pair, slot), localCyl*a.spc + off
-	}
-	p := len(a.spindles)
-	localCyl := (group/p)*a.sc + inGroup
-	return group % p, localCyl*a.spc + off
+	set, slot := group%a.sets, group/a.sets
+	localCyl := slot*a.sc + inGroup
+	return a.readSpindle(set, slot), localCyl*a.spc + off
 }
 
 // SpindleRange reports the spindle that can service the whole access
@@ -179,10 +175,7 @@ func (a *Array) HeadCylinder(h int) int {
 	localCyl := a.spindles[h].HeadCylinder(0)
 	localGroup := localCyl / a.sc
 	inGroup := localCyl % a.sc
-	if a.mirrored {
-		return (localGroup*a.mg+h/2)*a.sc + inGroup
-	}
-	return (localGroup*len(a.spindles)+h)*a.sc + inGroup
+	return (localGroup*a.sets+h/a.r)*a.sc + inGroup
 }
 
 // Stats returns the sum of every spindle's counters; BusyTime() over it
@@ -284,8 +277,8 @@ func (a *Array) Write(h, lba int, data []byte) (time.Duration, error) {
 }
 
 // write is the one write routine behind Write (timed) and WriteAt: the
-// access is split into group-contained spans, and each span goes to its
-// owning spindle — or, when mirrored, to both twins of the owning pair.
+// access is split into group-contained spans, and each span goes to
+// every writable replica of its owning set.
 func (a *Array) write(lba int, data []byte, timed bool) (time.Duration, error) {
 	ss := a.logical.SectorSize
 	n := (len(data) + ss - 1) / ss
@@ -299,13 +292,7 @@ func (a *Array) write(lba int, data []byte, timed bool) (time.Duration, error) {
 		if hi > len(data) {
 			hi = len(data)
 		}
-		var t time.Duration
-		var err error
-		if a.mirrored {
-			t, err = a.writeSpan(lba+done, local, data[done*ss:hi], timed)
-		} else {
-			t, err = spindleWrite(a.spindles[sp], local, data[done*ss:hi], timed)
-		}
+		t, err := a.writeSet(sp/a.r, local, data[done*ss:hi], timed)
 		if err != nil {
 			return 0, err
 		}

@@ -122,6 +122,81 @@ func TestArrayAddressRoundTrip(t *testing.T) {
 	}
 }
 
+// TestArrayLayoutTable pins the one address map against the two layouts
+// it replaced, written out here as they were: striped, group g on
+// spindle g%p in slot g/p; mirrored, group g on pair g%(p/2) in slot
+// g/(p/2), read from twin slot&1 while both are healthy. Locate must be
+// a bijection from logical cylinders onto (replica set, local cylinder),
+// and HeadCylinder must invert it for the spindle a read moved.
+func TestArrayLayoutTable(t *testing.T) {
+	const stripe = 4
+	phys := arrayGeom()
+	spc := phys.SectorsPerCylinder()
+	buf := make([]byte, phys.SectorSize)
+	for _, r := range []int{1, 2} {
+		for _, p := range []int{2, 4} {
+			spindles := make([]disk.Device, p)
+			for i := range spindles {
+				spindles[i] = disk.MustNew(phys)
+			}
+			a := disk.MustNewArray(spindles, stripe, r == 2)
+			sets := p / r
+			if got := a.Geometry().Cylinders; got != sets*phys.Cylinders {
+				t.Fatalf("r=%d p=%d: %d logical cylinders, want %d", r, p, got, sets*phys.Cylinders)
+			}
+			seen := make(map[[2]int]bool)
+			for cyl := 0; cyl < a.Geometry().Cylinders; cyl++ {
+				group, inGroup := cyl/stripe, cyl%stripe
+				var wantSp, wantCyl int
+				if r == 1 {
+					wantSp, wantCyl = group%p, (group/p)*stripe+inGroup
+				} else {
+					pair, slot := group%(p/2), group/(p/2)
+					wantSp, wantCyl = 2*pair+slot&1, slot*stripe+inGroup
+				}
+				off := cyl % spc
+				sp, local := a.Locate(cyl*spc + off)
+				if sp != wantSp || local != wantCyl*spc+off {
+					t.Fatalf("r=%d p=%d cylinder %d: Locate = (%d, %d), want (%d, %d)",
+						r, p, cyl, sp, local, wantSp, wantCyl*spc+off)
+				}
+				if seen[[2]int{sp / r, wantCyl}] {
+					t.Fatalf("r=%d p=%d cylinder %d: set %d cylinder %d already holds another", r, p, cyl, sp/r, wantCyl)
+				}
+				seen[[2]int{sp / r, wantCyl}] = true
+				if _, err := a.ReadInto(0, cyl*spc+off, 1, buf); err != nil {
+					t.Fatal(err)
+				}
+				if got := a.HeadCylinder(sp); got != cyl {
+					t.Fatalf("r=%d p=%d: HeadCylinder(%d) = %d after a read of cylinder %d", r, p, sp, got, cyl)
+				}
+			}
+			if len(seen) != sets*phys.Cylinders {
+				t.Fatalf("r=%d p=%d: %d physical cylinders mapped, want %d", r, p, len(seen), sets*phys.Cylinders)
+			}
+		}
+	}
+}
+
+// TestPlainArrayHasNoRepair: a striped, unmirrored array is idle the way
+// a mirrored one is — the repair cursor's idle state is target < 0, not
+// the zero value, which would name spindle 0.
+func TestPlainArrayHasNoRepair(t *testing.T) {
+	a := newTestArray(t, 2, 4)
+	if a.RepairActive() {
+		t.Error("a plain array reports a repair running")
+	}
+	if est, ok := a.PeekRepairChunk(); ok {
+		t.Errorf("a plain array has a repair chunk to copy (estimate %v)", est)
+	}
+	if got := a.RebuildTarget(); got != -1 {
+		t.Errorf("RebuildTarget() = %d, want -1", got)
+	}
+	if done, total := a.RepairProgress(); done != 0 || total != 0 {
+		t.Errorf("RepairProgress() = %d/%d, want 0/0", done, total)
+	}
+}
+
 func TestArraySpindleRange(t *testing.T) {
 	const p, stripe = 2, 4
 	a := newTestArray(t, p, stripe)

@@ -40,7 +40,7 @@ type Device interface {
 	//
 	// ReadInto reads n sectors at lba by head h into dst, which must
 	// hold n sectors. It is for callers that must own the bytes (the
-	// rebuild/rebalance copy engine); playback uses ReadView.
+	// rebuild copy engine); playback uses ReadView.
 	ReadInto(h, lba, n int, dst []byte) (time.Duration, error)
 	// ReadView is the lending timed read, the rt:hotpath entry point
 	// (see allocpath): timing, head movement, statistics and fault

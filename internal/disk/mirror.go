@@ -110,53 +110,41 @@ func readable(s SpindleState) bool { return s == Healthy || s == Suspect }
 
 // Mirrored reports whether the array runs the mirrored redundancy
 // layout.
-func (a *Array) Mirrored() bool { return a.mirrored }
+func (a *Array) Mirrored() bool { return a.r == 2 }
 
 // MirrorGroups reports the number of mirror pairs (p/2; 0 when not
 // mirrored).
-func (a *Array) MirrorGroups() int { return a.mg }
+func (a *Array) MirrorGroups() int {
+	if !a.Mirrored() {
+		return 0
+	}
+	return a.sets
+}
 
 // Twin reports the mirror twin of spindle i.
 func (a *Array) Twin(i int) int { return i ^ 1 }
 
 // SpindleState reports spindle i's health state. Non-mirrored arrays
-// report every spindle Healthy.
-func (a *Array) SpindleState(i int) SpindleState {
-	if !a.mirrored {
-		return Healthy
-	}
-	return a.health[i].state
-}
+// report every spindle Healthy: nothing observes their reads.
+func (a *Array) SpindleState(i int) SpindleState { return a.health[i].state }
 
 // SetSpindleState forces spindle i's health state, clearing its strike
 // counters: the operator's (and tests') hook for marking a drive dead
 // without waiting for the error thresholds. Call RefreshSteering (or
 // let the MSM's next round do it) afterwards.
 func (a *Array) SetSpindleState(i int, s SpindleState) {
-	if !a.mirrored {
+	if !a.Mirrored() {
 		return
 	}
 	a.health[i] = spindleHealth{state: s}
 }
 
-// homeOf maps a logical stripe group to its (mirror pair, local slot).
-// During a pending rebalance after AddMirrorPair, groups not yet moved
-// still live at their pre-expansion home.
+// readSpindle applies the set's frozen steering decision to one slot.
 //
 // rt:hotpath
-func (a *Array) homeOf(group int) (pair, slot int) {
-	if a.moved != nil && group < len(a.moved) && !a.moved[group] {
-		return group % a.oldMg, group / a.oldMg
-	}
-	return group % a.mg, group / a.mg
-}
-
-// readSpindle applies the pair's frozen steering decision to one slot.
-//
-// rt:hotpath
-func (a *Array) readSpindle(pair, slot int) int {
-	base := 2 * pair
-	switch a.steer[pair] {
+func (a *Array) readSpindle(set, slot int) int {
+	base := a.r * set
+	switch a.steer[set] {
 	case steerTo0:
 		return base
 	case steerTo1:
@@ -176,19 +164,16 @@ func (a *Array) readSpindle(pair, slot int) int {
 	}
 }
 
-// RefreshSteering recomputes the per-pair steering table from the
+// RefreshSteering recomputes the per-set steering table from the
 // current health states and reports whether any entry changed. The MSM
 // calls it from the single-threaded partition phase at each round
 // boundary; between calls the table is frozen, which is what makes the
 // lanes' concurrent Locate calls race-free against health transitions.
 func (a *Array) RefreshSteering() (changed bool) {
-	if !a.mirrored {
-		return false
-	}
-	for pair := range a.steer {
-		m := a.steerFor(pair)
-		if m != a.steer[pair] {
-			a.steer[pair] = m
+	for set := range a.steer {
+		m := a.steerFor(set)
+		if m != a.steer[set] {
+			a.steer[set] = m
 			changed = true
 		}
 	}
@@ -196,6 +181,9 @@ func (a *Array) RefreshSteering() (changed bool) {
 }
 
 func (a *Array) steerFor(pair int) steerMode {
+	if !a.Mirrored() {
+		return steerTo0 // a set of one has one replica to read
+	}
 	s0 := a.health[2*pair].state
 	s1 := a.health[2*pair+1].state
 	r0, r1 := readable(s0), readable(s1)
@@ -246,12 +234,13 @@ func (a *Array) observeRead(sp int, est, t time.Duration, err error) {
 
 // readSpan performs one group-contained timed read on spindle sp
 // through the spindle's lending read, recording the outcome in the
-// health state machine when mirrored. The returned bytes alias either
-// scratch or the spindle's store (see Device.ReadView).
+// health state machine when the spindle has a twin to steer to. The
+// returned bytes alias either scratch or the spindle's store (see
+// Device.ReadView).
 //
 // rt:hotpath
 func (a *Array) readSpan(sp, local, count int, scratch []byte) ([]byte, time.Duration, error) {
-	if !a.mirrored {
+	if !a.Mirrored() {
 		return a.spindles[sp].ReadView(0, local, count, scratch)
 	}
 	est := a.spindles[sp].PeekServiceTime(0, local, count)
@@ -260,38 +249,17 @@ func (a *Array) readSpan(sp, local, count int, scratch []byte) ([]byte, time.Dur
 	return data, t, err
 }
 
-// writeSpan duplicates one group-contained write onto both twins of the
-// owning pair; a timed write charges the slower copy (the twins seek in
-// parallel). A Dead twin is skipped — its contents are reconstructed
-// wholesale by rebuild — and a Rebuilding twin is written through so
-// chunks already copied stay coherent. During a rebalance, a write to
-// the group currently being migrated also lands at the new home, so
-// cylinders copied before the write don't go stale.
-func (a *Array) writeSpan(lba, local int, data []byte, timed bool) (time.Duration, error) {
-	group := lba / a.groupSec
-	pair, _ := a.homeOf(group)
-	t, err := a.writePair(pair, local, data, timed)
-	if err != nil {
-		return 0, err
-	}
-	if a.repair.kind == repairRebalance && group == a.repair.group {
-		dstPair, dstSlot := group%a.mg, group/a.mg
-		dstLocal := (dstSlot*a.sc)*a.spc + local%(a.sc*a.spc)
-		if _, err := a.writePair(dstPair, dstLocal, data, timed); err != nil {
-			return 0, err
-		}
-	}
-	return t, nil
-}
-
-// writePair writes data at the pair-local address on every writable
-// twin of the pair, returning the slower charge (zero when untimed).
-func (a *Array) writePair(pair, local int, data []byte, timed bool) (time.Duration, error) {
+// writeSet writes data at the set-local address on every writable
+// replica of the set; a timed write charges the slowest copy (the
+// replicas seek in parallel). A Dead twin is skipped — its contents are
+// reconstructed wholesale by rebuild — and a Rebuilding twin is written
+// through so chunks already copied stay coherent.
+func (a *Array) writeSet(set, local int, data []byte, timed bool) (time.Duration, error) {
 	var max time.Duration
 	var firstErr error
 	wrote := false
-	for tw := 0; tw < 2; tw++ {
-		sp := 2*pair + tw
+	for tw := 0; tw < a.r; tw++ {
+		sp := a.r*set + tw
 		if a.health[sp].state == Dead {
 			continue
 		}
@@ -312,7 +280,7 @@ func (a *Array) writePair(pair, local int, data []byte, timed bool) (time.Durati
 			return 0, firstErr
 		}
 		//lint:ignore allocpath double-failure path is cold
-		return 0, fmt.Errorf("disk: mirror pair %d has no writable spindle", pair)
+		return 0, fmt.Errorf("disk: mirror pair %d has no writable spindle", set)
 	}
 	return max, nil
 }

@@ -254,82 +254,6 @@ func TestMirrorRebuild(t *testing.T) {
 	_ = raw
 }
 
-// AddMirrorPair + rebalance must migrate stripe groups to the widened
-// mapping while every logical address keeps its contents, and the
-// logical capacity must grow by one spindle's worth.
-func TestMirrorHotAddRebalance(t *testing.T) {
-	a, _ := newMirrorArray(t, 2, 4)
-	g := arrayGeom()
-	spc := g.SectorsPerCylinder()
-	ss := g.SectorSize
-	oldCyls := a.Geometry().Cylinders
-	// Fill every old logical cylinder's first sector with its index.
-	for c := 0; c < oldCyls; c++ {
-		data := bytes.Repeat([]byte{byte(c + 1)}, ss)
-		if err := a.WriteAt(c*spc, data); err != nil {
-			t.Fatalf("seed write: %v", err)
-		}
-	}
-	if err := a.AddMirrorPair(disk.MustNew(g), disk.MustNew(g)); err != nil {
-		t.Fatalf("AddMirrorPair: %v", err)
-	}
-	if got := a.Geometry().Cylinders; got != oldCyls*2 {
-		t.Fatalf("capacity after hot-add = %d cylinders, want %d", got, oldCyls*2)
-	}
-	// Data is still readable from the old homes before any migration.
-	for c := 0; c < oldCyls; c++ {
-		b, err := a.ReadAt(c*spc, 1)
-		if err != nil || b[0] != byte(c+1) {
-			t.Fatalf("pre-rebalance cylinder %d holds %d (%v)", c, b[0], err)
-		}
-	}
-	if err := a.StartRebalance(); err != nil {
-		t.Fatalf("StartRebalance: %v", err)
-	}
-	buf := make([]byte, a.RepairBufferSectors()*ss)
-	for i := 0; ; i++ {
-		if _, ok := a.PeekRepairChunk(); !ok {
-			break
-		}
-		if _, done, err := a.RepairChunk(buf); err != nil {
-			t.Fatalf("RepairChunk: %v", err)
-		} else if done {
-			break
-		}
-		if i > 4*oldCyls {
-			t.Fatal("rebalance did not terminate")
-		}
-	}
-	if a.RepairActive() {
-		t.Fatal("repair still active after rebalance")
-	}
-	// Every logical address still reads its pattern, now via the
-	// widened mapping, and the new pair carries some of the load.
-	seenNew := false
-	for c := 0; c < oldCyls; c++ {
-		b, err := a.ReadAt(c*spc, 1)
-		if err != nil || b[0] != byte(c+1) {
-			t.Fatalf("post-rebalance cylinder %d holds %d (%v)", c, b[0], err)
-		}
-		if sp, _ := a.Locate(c * spc); sp >= 2 {
-			seenNew = true
-		}
-	}
-	if !seenNew {
-		t.Fatal("no stripe group migrated onto the added pair")
-	}
-	// The grown address space is writable end to end.
-	top := (a.Geometry().Cylinders - 1) * spc
-	data := bytes.Repeat([]byte{0xEE}, ss)
-	if err := a.WriteAt(top, data); err != nil {
-		t.Fatalf("write to grown space: %v", err)
-	}
-	b, err := a.ReadAt(top, 1)
-	if err != nil || b[0] != 0xEE {
-		t.Fatalf("read back from grown space: %v %v", b[0], err)
-	}
-}
-
 // Guard-rail checks on the repair API.
 func TestMirrorRepairValidation(t *testing.T) {
 	a, _ := newMirrorArray(t, 2, 4)
@@ -342,12 +266,6 @@ func TestMirrorRepairValidation(t *testing.T) {
 	plain := newTestArray(t, 2, 4)
 	if err := plain.StartRebuild(0); err == nil {
 		t.Fatal("rebuild on a non-mirrored array accepted")
-	}
-	if err := plain.AddMirrorPair(disk.MustNew(arrayGeom()), disk.MustNew(arrayGeom())); err == nil {
-		t.Fatal("hot-add on a non-mirrored array accepted")
-	}
-	if err := a.StartRebalance(); err == nil {
-		t.Fatal("rebalance with no pending expansion accepted")
 	}
 	// Abort drops a rebuild target back to Dead.
 	a.SetSpindleState(1, disk.Dead)

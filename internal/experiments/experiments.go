@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"mmfs/internal/continuity"
 	"mmfs/internal/core"
@@ -251,9 +250,6 @@ func (r *rig) playStrands(strands []*strand.Strand, readAhead, buffers, forceK i
 
 // ms formats seconds as milliseconds.
 func ms(sec float64) string { return fmt.Sprintf("%.2f", sec*1000) }
-
-// durMS formats a duration as milliseconds.
-func durMS(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()*1000) }
 
 func yesno(b bool) string {
 	if b {

@@ -432,20 +432,18 @@ func stored(b PlannedBlock) bool {
 // open cache stream: a follower's pin, or plain LRU residency for future
 // adoptions. A block the device lent is retained as the view it is —
 // the cache is the third holder of lent bytes, after the lane and the
-// FETCH visitor, and the one that keeps them past the round: a view
-// stays good until its strand is removed (the strand store's removal
-// hook invalidates it) or the array relocates data in place, which is
-// why the cache copies, as it does a block that arrived in the lane's
-// scratch, while a rebalance is pending or running.
+// FETCH visitor, and the one that keeps them past the round: strands
+// are immutable and never relocated, so a view is good until its strand
+// is removed (the strand store's removal hook invalidates it). A block
+// that arrived in the lane's scratch is copied.
 //
 // rt:hotpath
 func (ln *lane) feedCache(id uint64, index int, data []byte) {
-	m := ln.m
-	if disk.Lent(data, ln.blockBuf) && (m.array == nil || !m.array.Relocating()) {
-		m.cache.PutView(id, index, data)
+	if disk.Lent(data, ln.blockBuf) {
+		ln.m.cache.PutView(id, index, data)
 		return
 	}
-	m.cache.Put(id, index, data)
+	ln.m.cache.Put(id, index, data)
 }
 
 // retryRead re-attempts a faulted block read, bounded by the policy's
@@ -758,20 +756,4 @@ func (m *Manager) residentSets() (sets [][]continuity.Request, n int) {
 		}
 	}
 	return sets, n
-}
-
-// growLanes sizes the parallel lanes and the resident table to the
-// device: one lane and one resident set per spindle of a striped array;
-// no parallel lanes and a table of one set on a single device.
-func (m *Manager) growLanes() {
-	if m.array != nil {
-		for i := len(m.lanes); i < m.array.Spindles(); i++ {
-			ln := &lane{m: m, spindle: i}
-			ln.runFn = ln.run
-			m.lanes = append(m.lanes, ln)
-		}
-	}
-	for len(m.resident) < max(1, len(m.lanes)) {
-		m.resident = append(m.resident, nil)
-	}
 }

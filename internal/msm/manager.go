@@ -97,7 +97,7 @@ type Stats struct {
 	// display time.
 	ShedBlocks uint64
 	// RebuildBlocks counts repair chunks (one spindle cylinder each)
-	// copied by the online rebuild/rebalance engine, every one charged
+	// copied by the online rebuild engine, every one charged
 	// against a round's measured slack.
 	RebuildBlocks uint64
 	// LaneSpawns counts the goroutines service rounds started: one per
@@ -199,7 +199,7 @@ type Manager struct {
 	// dead spindle's streams absorbed by the surviving twin can push
 	// that spindle's population past what the current k sustains.
 	kTarget int
-	// rb drives the online rebuild/rebalance engine (see rebuild.go).
+	// rb drives the online rebuild engine (see rebuild.go).
 	rb repairCtl
 }
 
@@ -222,10 +222,18 @@ func New(d disk.Device, adm continuity.Admission) *Manager {
 	m := &Manager{d: d, adm: adm, k: 1, concurrency: 1, nextID: 1, ft: DefaultFaultPolicy()}
 	m.retired = make(map[RequestID]*request)
 	m.serial = &lane{m: m, spindle: -1}
+	// One lane and one resident set per spindle of a striped array; no
+	// parallel lanes and a table of one set on a single device.
 	if a, ok := d.(*disk.Array); ok && a.Spindles() > 1 {
 		m.array = a
+		m.lanes = make([]*lane, a.Spindles())
+		for i := range m.lanes {
+			ln := &lane{m: m, spindle: i}
+			ln.runFn = ln.run
+			m.lanes[i] = ln
+		}
 	}
-	m.growLanes()
+	m.resident = make([][]continuity.Request, max(1, len(m.lanes)))
 	m.rb.rate = DefaultRebuildRate
 	m.probeAdvancers()
 	if m.RepairActive() {

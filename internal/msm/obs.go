@@ -46,7 +46,7 @@ type roundObs struct {
 
 	// Mirror resilience: per-spindle health gauges (values are the
 	// disk.SpindleState enum; registered only over a mirrored array),
-	// the rebuild/rebalance progress gauge in permille (gauges are
+	// the rebuild progress gauge in permille (gauges are
 	// integers), and the copied repair-chunk counter.
 	spindleState  []*obs.Gauge
 	rebuildRatio  *obs.Gauge

@@ -12,7 +12,7 @@ import (
 // ticks the fault layer's round clocks (so scripted die=<round>
 // scenarios fire on round boundaries), renegotiates k when the mirror
 // layer re-steers a dead spindle's streams onto the surviving twin,
-// and drives the disk layer's rebuild/rebalance cursor in the slack
+// and drives the disk layer's rebuild cursor in the slack
 // each service round leaves over — Eq. 18 reserves k·γ − n·α − n·k·β
 // of every round for worst-case positioning that rarely happens, and
 // the repair engine spends what the retries did not.
@@ -34,7 +34,7 @@ const repairFailLimit = 8
 // the old k and honestly shows violations instead.
 const maxResteerK = 64
 
-// repairCtl is the manager-side rebuild/rebalance engine state.
+// repairCtl is the manager-side rebuild engine state.
 type repairCtl struct {
 	// rate caps chunks copied per round (SetRebuildRate).
 	rate int
@@ -90,7 +90,7 @@ func (m *Manager) SetRebuildRate(n int) {
 // RebuildRate reports the per-round repair chunk cap.
 func (m *Manager) RebuildRate() int { return m.rb.rate }
 
-// RepairActive reports whether a rebuild or rebalance is running.
+// RepairActive reports whether a rebuild is running.
 func (m *Manager) RepairActive() bool {
 	return m.array != nil && m.array.RepairActive()
 }
@@ -141,48 +141,6 @@ func (m *Manager) StartRebuild(target int) error {
 	}
 	if err := m.array.StartRebuild(target); err != nil {
 		return err
-	}
-	m.rb.fails = 0
-	m.ensureRepairBuf()
-	m.probeAdvancers()
-	// The target may have been only Suspect a moment ago, with the frozen
-	// steer table still leaving it a share of reads: re-steer now (no
-	// round is running here), or an untimed read before the next round
-	// finds the empty replacement.
-	m.resteer()
-	return nil
-}
-
-// AddMirrorPair hot-adds a mirror pair to the array and grows the
-// per-spindle service lanes (and the per-spindle admission tables that
-// size with them) to match. The new pair holds no data until
-// StartRebalance migrates stripe groups onto it.
-func (m *Manager) AddMirrorPair(d0, d1 disk.Device) error {
-	if m.array == nil || !m.array.Mirrored() {
-		return errors.New("msm: hot-add requires a mirrored array")
-	}
-	if err := m.array.AddMirrorPair(d0, d1); err != nil {
-		return err
-	}
-	m.growLanes()
-	m.probeAdvancers()
-	return nil
-}
-
-// StartRebalance starts the online rebalance that spreads existing
-// stripe groups onto hot-added mirror pairs (disk.AddMirrorPair). The
-// rebalance rewrites pages in place, so the interval cache first takes
-// copies of the blocks it holds as views of them; until the rebalance
-// completes (disk.Array.Relocating) the lanes feed it copies too.
-func (m *Manager) StartRebalance() error {
-	if m.array == nil || !m.array.Mirrored() {
-		return errors.New("msm: rebalance requires a mirrored array")
-	}
-	if err := m.array.StartRebalance(); err != nil {
-		return err
-	}
-	if m.cache != nil {
-		m.cache.OwnViews()
 	}
 	m.rb.fails = 0
 	m.ensureRepairBuf()
@@ -258,27 +216,16 @@ func (m *Manager) repairRound(streamWorked bool) bool {
 // repairBudget is the virtual time this round's repair step may
 // spend: the leftover Eq. 18 retry slack of the lane the copies load.
 // A rebuild reads only the target's twin, so that lane's leftover
-// governs; a rebalance touches arbitrary spindles, so the most
-// constrained lane's leftover (the serial lane's budget) governs.
-// Lanes that carried premium streams this round yield half — repair is
-// background work and the strictest class keeps its full margin.
+// governs; if it carried premium streams this round it yields half —
+// repair is background work and the strictest class keeps its full
+// margin.
 //
 // rt:hotpath
 func (m *Manager) repairBudget() time.Duration {
-	if t := m.array.RebuildTarget(); t >= 0 {
-		ln := m.lanes[m.array.Twin(t)]
-		b := ln.retrySlack
-		if ln.premium {
-			b /= 2
-		}
-		return b
-	}
-	b := m.serial.retrySlack
-	for _, ln := range m.lanes {
-		if ln.premium {
-			b /= 2
-			break
-		}
+	ln := m.lanes[m.array.Twin(m.array.RebuildTarget())]
+	b := ln.retrySlack
+	if ln.premium {
+		b /= 2
 	}
 	return b
 }
@@ -326,7 +273,7 @@ func (m *Manager) repairStep(budget time.Duration) (spent time.Duration, copied 
 	return spent, copied
 }
 
-// runRepairOnlyRound keeps a rebuild/rebalance progressing when no
+// runRepairOnlyRound keeps a rebuild progressing when no
 // active request remains: the spindles are otherwise idle, so the
 // round copies up to the rate cap and the clock advances by exactly
 // the time spent.

@@ -313,69 +313,3 @@ func TestRebuildOfSuspectSpindleResteersAtOnce(t *testing.T) {
 		t.Fatalf("fetch straight after the rebuild started, unit %d: %v", f-1, err)
 	}
 }
-
-// TestMirroredHotAddRebalance doubles a 2-spindle mirrored array to 4
-// spindles online, rebalances, and verifies (a) existing data replays
-// violation-free afterwards and (b) the new pair actually serves part
-// of it — the ROADMAP's hot-add rebalance, driven through the manager.
-func TestMirroredHotAddRebalance(t *testing.T) {
-	const stripe = 60
-	rig := newMirroredRig(t, 2, stripe, -1, fault.Scenario{})
-
-	// Two strands in adjacent slots: after doubling, odd groups move to
-	// the new pair.
-	s0 := rig.recordPreferring(t, 0, 0, 150, 9500)
-	s1 := rig.recordPreferring(t, 1, 0, 150, 9501)
-	id0, id1 := rig.play(t, s0, 64), rig.play(t, s1, 64)
-	rig.m.RunUntilDone()
-	for _, id := range []RequestID{id0, id1} {
-		if pr, _ := rig.m.Progress(id); !pr.Done || pr.Violations != 0 {
-			t.Fatalf("pre-rebalance play: %+v", pr)
-		}
-	}
-
-	g := disk.DefaultGeometry()
-	if err := rig.m.AddMirrorPair(disk.MustNew(g), disk.MustNew(g)); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(rig.m.resident); got != 4 {
-		t.Fatalf("lanes did not grow with the array: resident table has %d sets", got)
-	}
-	if err := rig.m.StartRebalance(); err != nil {
-		t.Fatal(err)
-	}
-	rig.m.RunUntilDone()
-	if rig.m.RepairActive() {
-		done, total := rig.m.RepairProgress()
-		t.Fatalf("rebalance stalled at %d/%d", done, total)
-	}
-
-	// Replays must be clean, and the hot-added pair must carry its
-	// remapped share of the groups.
-	id0, id1 = rig.play(t, s0, 64), rig.play(t, s1, 64)
-	rig.m.RunUntilDone()
-	for _, id := range []RequestID{id0, id1} {
-		pr, err := rig.m.Progress(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pr.Done || pr.Violations != 0 || pr.DegradedBlocks != 0 {
-			t.Fatalf("post-rebalance replay: %+v", pr)
-		}
-	}
-	if rig.raw[0].Stats().SectorsRead == 0 {
-		t.Fatal("original pair served nothing after the rebalance")
-	}
-	if got := rig.m.Stats().RebuildBlocks; got == 0 {
-		t.Fatal("rebalance copied no chunks")
-	}
-	newReads := false
-	for sp := 2; sp < 4; sp++ {
-		if rig.arr.Spindle(sp).Stats().SectorsRead > 0 {
-			newReads = true
-		}
-	}
-	if !newReads {
-		t.Fatal("hot-added pair served no reads after the rebalance")
-	}
-}

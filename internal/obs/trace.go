@@ -43,7 +43,7 @@ type RoundTrace struct {
 	// Eq. 18's measured slack minus the retries' service time.
 	RetrySlackNs int64 `json:"retry_slack_ns"`
 	// RebuildBlocks is the number of repair chunks the online
-	// rebuild/rebalance engine copied during the round, charged against
+	// rebuild engine copied during the round, charged against
 	// the leftover slack above.
 	RebuildBlocks uint64 `json:"rebuild_blocks,omitempty"`
 }

