@@ -37,13 +37,11 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # One pass of the striped-array benchmarks under the race detector:
-# the busy lanes' sub-rounds — one swept by the manager's own goroutine
-# beside the spawned ones — run with 1000 admitted streams (and, in the
+# the busy lanes' sub-rounds run with 1000 admitted streams (and, in the
 # rebuild benchmark, with the online repair engine riding the rounds'
-# slack), the heaviest concurrency the code base generates; the
-# cache-coupled round is the other end, every lane idle and the serial
-# lane alone with the interval cache — which retains the views the lane
-# is lent (BenchmarkCachedConcurrentPlayback's leader and followers, and
+# slack); the cache-coupled round is the other end, every lane idle and
+# the serial lane alone with the interval cache — which retains the views
+# the lane is lent (BenchmarkCachedConcurrentPlayback's leader and followers, and
 # BenchmarkCacheFill's inserts at capacity). The FETCH handler and the codec
 # ride along: lent platter bytes copied into a reused reply encoder. So
 # does the write path: an edit cycle copying blocks lent from the platters
@@ -85,13 +83,12 @@ bench:
 bench-baseline:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -strip-wallclock -out bench/baseline.json
 
-# Gate the working tree against the committed baseline (what CI runs).
-# allocs/op is left to bench-check: at one iteration a runtime one-off
-# (a g struct for a lane spawn) reads as a whole allocation per op and
-# fails any zero baseline about one run in three.
+# Gate the working tree against the committed baseline (what CI runs):
+# every metric, allocs/op included — a round starts no goroutine, so one
+# iteration allocates what a hundred do per op.
 bench-compare:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -out bench/current.json
-	$(GO) run ./cmd/benchjson -compare -tolerance 0.15 -skip allocs/op bench/baseline.json bench/current.json
+	$(GO) run ./cmd/benchjson -compare -tolerance 0.15 bench/baseline.json bench/current.json
 
 # Allocation-regression gate: the steady-state service rounds
 # (BenchmarkPlaybackRound/steady, BenchmarkQoSClassPass — the round
@@ -116,11 +113,11 @@ bench-compare:
 # three followers on the 4-spindle array, which fails itself if the cache
 # ends owning memory) at its baseline allocs/op. One compare judges them
 # all: -subset takes the pattern the benchmarks were run with.
-# The gate measures steady state: over 100 iterations a
-# one-off (the runtime allocating a g struct when a lane spawn finds no
-# free one) amortises to 0 allocs/op while a per-round allocation still
-# reads >= 1; the baseline's per-op figures are unaffected by the
-# iteration count. Fast enough to run on every push.
+# The gate measures steady state: over 100 iterations a warm-up one-off
+# (a scratch arena growing to its working size) amortises to 0 allocs/op
+# while a per-round allocation still reads >= 1; the baseline's per-op
+# figures are unaffected by the iteration count. Fast enough to run on
+# every push.
 bench-check:
 	{ $(GO) test -run '^$$' -bench='$(ALLOC_BENCHES)' -benchmem -benchtime=100x $(BENCH_PKGS) && \
 	  $(GO) test -run '^$$' -bench='$(ALLOC_BENCH_LENT)' -benchmem -benchtime=100x . ; } | $(GO) run ./cmd/benchjson -out bench/allocs.json

@@ -51,11 +51,8 @@ func lowerBetter(metric string) bool {
 // ignored (new benchmarks cannot regress). A non-empty subset — the
 // pattern `go test -bench` ran with: a regexp matched anywhere in the
 // name, families joined by | — restricts the gate to what it matches (and
-// skips the cross-suite summary): a fast CI job against the full baseline. A non-empty
-// skip names one metric to leave unjudged: the 1x pass skips allocs/op,
-// where a runtime one-off reads as a whole allocation per op; the 100x
-// allocation gate judges it instead.
-func compareReports(base, cur Report, tol float64, subset, skip string) []string {
+// skips the cross-suite summary): a fast CI job against the full baseline.
+func compareReports(base, cur Report, tol float64, subset string) []string {
 	only := regexp.MustCompile(subset) // the empty pattern matches every name
 	curBy := make(map[string]Benchmark, len(cur.Benchmarks))
 	for _, b := range cur.Benchmarks {
@@ -101,7 +98,7 @@ func compareReports(base, cur Report, tol float64, subset, skip string) []string
 		for _, metric := range metrics {
 			bv := bb.Metrics[metric]
 			cv, ok := cb.Metrics[metric]
-			if !ok || metric == skip {
+			if !ok {
 				continue
 			}
 			switch {

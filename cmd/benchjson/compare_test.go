@@ -27,10 +27,10 @@ func report(busy float64) Report {
 // compare, and an identical report must pass.
 func TestSyntheticDiskBusyRegression(t *testing.T) {
 	base := report(100)
-	if regs := compareReports(base, report(100), 0.15, "", ""); len(regs) != 0 {
+	if regs := compareReports(base, report(100), 0.15, ""); len(regs) != 0 {
 		t.Fatalf("identical reports flagged: %v", regs)
 	}
-	regs := compareReports(base, report(120), 0.15, "", "")
+	regs := compareReports(base, report(120), 0.15, "")
 	if len(regs) == 0 {
 		t.Fatal("20%% disk-busy regression passed a 15%% tolerance")
 	}
@@ -44,7 +44,7 @@ func TestSyntheticDiskBusyRegression(t *testing.T) {
 		t.Fatalf("no disk_busy regression line in %v", regs)
 	}
 	// 20% is inside a 25% tolerance.
-	if regs := compareReports(base, report(120), 0.25, "", ""); len(regs) != 0 {
+	if regs := compareReports(base, report(120), 0.25, ""); len(regs) != 0 {
 		t.Fatalf("20%% regression flagged at 25%% tolerance: %v", regs)
 	}
 }
@@ -55,21 +55,21 @@ func TestCompareDirections(t *testing.T) {
 	cur := report(100)
 	cur.Benchmarks[1].Metrics["cache_hit_pct"] = 40 // -33%: higher-is-better drop
 	cur.Summary.CacheHitPct = 40
-	if regs := compareReports(base, cur, 0.15, "", ""); len(regs) != 2 {
+	if regs := compareReports(base, cur, 0.15, ""); len(regs) != 2 {
 		// Per-benchmark metric and the summary mirror of it.
 		t.Fatalf("hit-ratio drop: got %v", regs)
 	}
 
 	cur = report(100)
 	cur.Benchmarks[0].NsPerOp = 1e6 * 1.5
-	if regs := compareReports(base, cur, 0.15, "", ""); len(regs) != 1 || !strings.Contains(regs[0], "ns/op") {
+	if regs := compareReports(base, cur, 0.15, ""); len(regs) != 1 || !strings.Contains(regs[0], "ns/op") {
 		t.Fatalf("ns/op regression: got %v", regs)
 	}
 
 	// Improvements in lower-better metrics never flag.
 	cur = report(50)
 	cur.Benchmarks[0].NsPerOp = 1
-	if regs := compareReports(base, cur, 0.15, "", ""); len(regs) != 0 {
+	if regs := compareReports(base, cur, 0.15, ""); len(regs) != 0 {
 		t.Fatalf("improvement flagged: %v", regs)
 	}
 
@@ -78,14 +78,14 @@ func TestCompareDirections(t *testing.T) {
 	for i := range stripped.Benchmarks {
 		stripped.Benchmarks[i].NsPerOp = 0
 	}
-	if regs := compareReports(stripped, report(100), 0.15, "", ""); len(regs) != 0 {
+	if regs := compareReports(stripped, report(100), 0.15, ""); len(regs) != 0 {
 		t.Fatalf("stripped baseline flagged ns/op: %v", regs)
 	}
 
 	// A benchmark disappearing from the new report is lost coverage.
 	cur = report(100)
 	cur.Benchmarks = cur.Benchmarks[:1]
-	if regs := compareReports(base, cur, 0.15, "", ""); len(regs) != 1 || !strings.Contains(regs[0], "missing") {
+	if regs := compareReports(base, cur, 0.15, ""); len(regs) != 1 || !strings.Contains(regs[0], "missing") {
 		t.Fatalf("missing benchmark: got %v", regs)
 	}
 
@@ -93,7 +93,7 @@ func TestCompareDirections(t *testing.T) {
 	cur = report(100)
 	base.Benchmarks[0].Metrics["disk_busy_ms/op"] = 0
 	base.Summary.DiskBusyMs = 0
-	if regs := compareReports(base, cur, 0.15, "", ""); len(regs) != 2 {
+	if regs := compareReports(base, cur, 0.15, ""); len(regs) != 2 {
 		t.Fatalf("zero-baseline growth: got %v", regs)
 	}
 }
@@ -107,30 +107,21 @@ func TestAllocGateAndSubset(t *testing.T) {
 
 	cur := report(100)
 	cur.Benchmarks[0].Metrics["allocs/op"] = 2
-	regs := compareReports(base, cur, 0.15, "", "")
+	regs := compareReports(base, cur, 0.15, "")
 	if len(regs) != 1 || !strings.Contains(regs[0], "allocs/op") || !strings.Contains(regs[0], "grew from 0") {
 		t.Fatalf("alloc growth past a zero baseline: got %v", regs)
 	}
 
 	// The same growth inside the subset still flags.
-	if regs := compareReports(base, cur, 0.15, "BenchmarkPlaybackRound", ""); len(regs) != 1 {
+	if regs := compareReports(base, cur, 0.15, "BenchmarkPlaybackRound"); len(regs) != 1 {
 		t.Fatalf("alloc growth under subset: got %v", regs)
-	}
-
-	// -skip leaves the named metric unjudged and nothing else.
-	if regs := compareReports(base, cur, 0.15, "", "allocs/op"); len(regs) != 0 {
-		t.Fatalf("skipped metric still judged: %v", regs)
-	}
-	cur.Benchmarks[0].Metrics["disk_busy_ms/op"] *= 1.5
-	if regs := compareReports(base, cur, 0.15, "", "allocs/op"); len(regs) == 0 || strings.Contains(strings.Join(regs, "\n"), "allocs/op") {
-		t.Fatalf("skip hid a disk-busy regression, or judged allocs/op: %v", regs)
 	}
 
 	// A regression outside the subset is out of the gate's scope.
 	cur = report(100)
 	cur.Benchmarks[1].Metrics["cache_hit_pct"] = 40
 	cur.Summary.CacheHitPct = 40
-	if regs := compareReports(base, cur, 0.15, "BenchmarkPlaybackRound", ""); len(regs) != 0 {
+	if regs := compareReports(base, cur, 0.15, "BenchmarkPlaybackRound"); len(regs) != 0 {
 		t.Fatalf("subset leaked an out-of-scope regression: %v", regs)
 	}
 
@@ -146,12 +137,12 @@ func TestAllocGateAndSubset(t *testing.T) {
 		"BenchmarkCachedConcurrentPlayback":                         2,
 		"PlaybackRound|Playback/le":                                 1,
 	} {
-		if regs := compareReports(base, cur, 0.15, pattern, ""); len(regs) != want {
+		if regs := compareReports(base, cur, 0.15, pattern); len(regs) != want {
 			t.Fatalf("-subset %q: %d regression(s), want %d: %v", pattern, len(regs), want, regs)
 		}
 	}
 	cur.Benchmarks = cur.Benchmarks[1:]
-	if regs := compareReports(base, cur, 0.15, "BenchmarkSync|BenchmarkPlaybackRound", ""); len(regs) != 1 || !strings.Contains(regs[0], "missing") {
+	if regs := compareReports(base, cur, 0.15, "BenchmarkSync|BenchmarkPlaybackRound"); len(regs) != 1 || !strings.Contains(regs[0], "missing") {
 		t.Fatalf("a family in the pattern and not in the report: got %v", regs)
 	}
 }

@@ -51,7 +51,6 @@ func main() {
 	tolerance := flag.Float64("tolerance", 0.15, "relative regression tolerance for -compare")
 	stripWallclock := flag.Bool("strip-wallclock", false, "omit ns/op from the written report (for committed baselines: wall clock is not comparable across runners, the simulated-disk metrics are)")
 	subset := flag.String("subset", "", "with -compare, gate only benchmarks whose name matches this pattern (as go test -bench reads it: a regexp matched anywhere in the name, A|B|C for several)")
-	skip := flag.String("skip", "", "with -compare, leave this metric unjudged (e.g. allocs/op on a -benchtime=1x pass)")
 	flag.Parse()
 
 	if *compare {
@@ -69,7 +68,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 			os.Exit(1)
 		}
-		regs := compareReports(base, cur, *tolerance, *subset, *skip)
+		regs := compareReports(base, cur, *tolerance, *subset)
 		if len(regs) > 0 {
 			for _, r := range regs {
 				fmt.Fprintf(os.Stderr, "benchjson: REGRESSION %s\n", r)

@@ -3,6 +3,7 @@ package alloc
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"mmfs/internal/disk"
 )
@@ -89,10 +90,7 @@ func (a *Allocator) Allocate(n int) (Run, error) {
 	if lo < 0 {
 		return Run{}, fmt.Errorf("%w: %d contiguous sectors", ErrNoSpace, n)
 	}
-	a.bm.setRange(lo, n)
-	a.stats.Allocs++
-	a.stats.SectorsAllocated += uint64(n)
-	return Run{LBA: lo, Sectors: n}, nil
+	return a.take(lo, n), nil
 }
 
 // Free releases a run.
@@ -115,12 +113,37 @@ type Constraint struct {
 	MaxCylinders int
 }
 
+// RunPlacement is the strand placement policy as a constraint: the next
+// block goes into the previous block's cylinder while a free run exists
+// there (distance 0) and hops — forward first — to the nearest cylinder
+// within maxCylinders only when it is full. A cylinder holds many blocks
+// (sixteen 27-sector video blocks on the default geometry), so a strand
+// fills one before it moves on.
+func RunPlacement(maxCylinders int) Constraint {
+	return Constraint{MinCylinders: runMinCylinders, MaxCylinders: maxCylinders}
+}
+
+// runMinCylinders is the run placement's smallest hop: none — successive
+// blocks may share a cylinder.
+const runMinCylinders = 0
+
+// MinAccessTime is l_lower under RunPlacement: the smallest positioning
+// time the disk model charges between two successive blocks of a strand.
+// Blocks that share a cylinder pay no seek, so it is the average
+// rotational latency alone. The scattering lower bound (§3.3.4) and the
+// editing copy bounds (Eqs. 19/20) are derived from it.
+func MinAccessTime(g disk.Geometry) time.Duration {
+	return g.AccessTime(runMinCylinders)
+}
+
 // AllocateConstrained places a media block of n sectors whose cylinder
 // distance from the cylinder of prev (the strand's previous block)
 // falls within c. Forward placement (ascending cylinders) is preferred
 // at the smallest admissible distance — keeping the strand sweeping in
 // one direction and leaving maximal gaps — falling back to backward
 // placement, then to larger distances, before failing with ErrNoSpace.
+// A block that fits a cylinder never straddles one while a run wholly
+// inside some admissible cylinder exists (see findNear).
 func (a *Allocator) AllocateConstrained(prev Run, n int, c Constraint) (Run, error) {
 	if n < 1 {
 		return Run{}, fmt.Errorf("alloc: allocate %d sectors", n)
@@ -130,34 +153,54 @@ func (a *Allocator) AllocateConstrained(prev Run, n int, c Constraint) (Run, err
 	}
 	prevCyl := a.geom.CylinderOf(prev.LBA)
 	a.stats.ConstrainedAllocs++
-	for dist := c.MinCylinders; dist <= c.MaxCylinders; dist++ {
-		for _, cyl := range []int{prevCyl + dist, prevCyl - dist} {
-			if cyl < 0 || cyl >= a.geom.Cylinders {
-				continue
-			}
-			if lo := a.findRunInCylinder(cyl, n); lo >= 0 {
-				a.bm.setRange(lo, n)
-				a.stats.Allocs++
-				a.stats.SectorsAllocated += uint64(n)
-				return Run{LBA: lo, Sectors: n}, nil
-			}
-			if dist == 0 {
-				break // +0 and −0 are the same cylinder
+	lo := a.findNear(prevCyl, n, c.MinCylinders, c.MaxCylinders)
+	if lo < 0 {
+		a.stats.ConstrainedFails++
+		return Run{}, fmt.Errorf("%w: %d sectors within %d..%d cylinders of cylinder %d",
+			ErrNoSpace, n, c.MinCylinders, c.MaxCylinders, prevCyl)
+	}
+	return a.take(lo, n), nil
+}
+
+// findNear finds a free run of n sectors starting in a cylinder minDist
+// to maxDist away from center: the nearest such cylinder, forward before
+// backward. A block that fits a cylinder is first sought wholly inside
+// one — a straddling block is two cylinder pages to the device, which can
+// lend neither (DESIGN §12) — and only when no admissible cylinder has
+// such a run, or the block is larger than a cylinder, may the run spill
+// into the cylinders that follow. It reports -1 when neither exists.
+func (a *Allocator) findNear(center, n, minDist, maxDist int) int {
+	for _, whole := range [...]bool{true, false} {
+		if whole && n > a.geom.SectorsPerCylinder() {
+			continue
+		}
+		for dist := minDist; dist <= maxDist; dist++ {
+			for _, cyl := range [...]int{center + dist, center - dist} {
+				if cyl < 0 || cyl >= a.geom.Cylinders {
+					continue
+				}
+				if lo := a.findRunInCylinder(cyl, n, whole); lo >= 0 {
+					return lo
+				}
+				if dist == 0 {
+					break // +0 and −0 are the same cylinder
+				}
 			}
 		}
 	}
-	a.stats.ConstrainedFails++
-	return Run{}, fmt.Errorf("%w: %d sectors within %d..%d cylinders of cylinder %d",
-		ErrNoSpace, n, c.MinCylinders, c.MaxCylinders, prevCyl)
+	return -1
 }
 
 // findRunInCylinder finds a free run of n sectors starting within the
-// cylinder (it may spill into following cylinders when a block is
-// larger than a cylinder), or -1.
-func (a *Allocator) findRunInCylinder(cyl, n int) int {
+// cylinder, or -1. With whole set the run must also end there; without,
+// it may spill into the following cylinders.
+func (a *Allocator) findRunInCylinder(cyl, n int, whole bool) int {
 	spc := a.geom.SectorsPerCylinder()
 	lo := cyl * spc
-	hi := lo + spc + n - 1 // allow a run starting in-cylinder to spill over
+	hi := lo + spc
+	if !whole {
+		hi += n - 1 // a run starting in-cylinder may spill over
+	}
 	if hi > a.bm.n {
 		hi = a.bm.n
 	}
@@ -168,6 +211,14 @@ func (a *Allocator) findRunInCylinder(cyl, n int) int {
 	return start
 }
 
+// take marks the run found at lo allocated.
+func (a *Allocator) take(lo, n int) Run {
+	a.bm.setRange(lo, n)
+	a.stats.Allocs++
+	a.stats.SectorsAllocated += uint64(n)
+	return Run{LBA: lo, Sectors: n}
+}
+
 // AllocateNearCylinder places a run of n sectors as close as possible
 // to the target cylinder, searching outward. The first block of a
 // strand and redistribution copies during editing use it.
@@ -175,23 +226,11 @@ func (a *Allocator) AllocateNearCylinder(target, n int) (Run, error) {
 	if n < 1 {
 		return Run{}, fmt.Errorf("alloc: allocate %d sectors", n)
 	}
-	for dist := 0; dist < a.geom.Cylinders; dist++ {
-		for _, cyl := range []int{target + dist, target - dist} {
-			if cyl < 0 || cyl >= a.geom.Cylinders {
-				continue
-			}
-			if lo := a.findRunInCylinder(cyl, n); lo >= 0 {
-				a.bm.setRange(lo, n)
-				a.stats.Allocs++
-				a.stats.SectorsAllocated += uint64(n)
-				return Run{LBA: lo, Sectors: n}, nil
-			}
-			if dist == 0 {
-				break
-			}
-		}
+	lo := a.findNear(target, n, 0, a.geom.Cylinders-1)
+	if lo < 0 {
+		return Run{}, fmt.Errorf("%w: %d sectors near cylinder %d", ErrNoSpace, n, target)
 	}
-	return Run{}, fmt.Errorf("%w: %d sectors near cylinder %d", ErrNoSpace, n, target)
+	return a.take(lo, n), nil
 }
 
 // MarshalBitmap appends the serialized occupancy bitmap to dst, for

@@ -274,3 +274,93 @@ func TestBadArguments(t *testing.T) {
 		t.Fatal("negative reservation accepted")
 	}
 }
+
+// Under the run placement a strand fills a cylinder before it hops: six
+// 5-sector blocks to a 32-sector cylinder, the seventh one cylinder on,
+// none straddling, and no hop beyond the policy's bound.
+func TestRunPlacementFillsACylinderBeforeHopping(t *testing.T) {
+	g := testGeometry()
+	a := newAlloc(t, 0)
+	spc := g.SectorsPerCylinder()
+	const n, maxCyl = 5, 4
+	prev, err := a.AllocateNearCylinder(20, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perCyl := map[int]int{g.CylinderOf(prev.LBA): 1}
+	for i := 1; i < 40; i++ {
+		run, err := a.AllocateConstrained(prev, n, RunPlacement(maxCyl))
+		if err != nil {
+			t.Fatal(err)
+		}
+		from, to := g.CylinderOf(prev.LBA), g.CylinderOf(run.LBA)
+		if g.CylinderOf(run.End()-1) != to {
+			t.Fatalf("block %d [%d,%d) straddles cylinders %d and %d", i, run.LBA, run.End(), to, to+1)
+		}
+		switch hop := to - from; {
+		case hop == 0:
+		case hop < 0 || hop > maxCyl:
+			t.Fatalf("block %d hops %d cylinders, want forward and at most %d", i, hop, maxCyl)
+		case perCyl[from] != spc/n:
+			t.Fatalf("block %d left cylinder %d with %d of %d blocks placed", i, from, perCyl[from], spc/n)
+		}
+		perCyl[to]++
+		prev = run
+	}
+	if got := MinAccessTime(g); got != g.AvgRotationalLatency() {
+		t.Fatalf("l_lower under the run placement is %v, want the latency alone, %v", got, g.AvgRotationalLatency())
+	}
+}
+
+// A block that fits a cylinder never straddles one while a run wholly
+// inside an admissible cylinder exists — even when a straddling run is
+// nearer — and still places, spilling, when no such run is left.
+func TestNoStraddleWhileAnInCylinderRunExists(t *testing.T) {
+	g := testGeometry()
+	spc := g.SectorsPerCylinder()
+	const n = 8
+	fill := func(a *Allocator, lba, sectors int) {
+		t.Helper()
+		a.bm.setRange(lba, sectors)
+	}
+	// Cylinder 50 keeps its last 4 sectors free, cylinder 51 is free from
+	// its start: a run of 8 from sector 50·spc+28 straddles the two.
+	a := newAlloc(t, 0)
+	fill(a, 50*spc, spc-4)
+	prev := Run{LBA: 50 * spc, Sectors: n}
+	run, err := a.AllocateConstrained(prev, n, RunPlacement(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.LBA != 51*spc {
+		t.Fatalf("block placed at %d (cylinder %d), want the start of cylinder 51", run.LBA, g.CylinderOf(run.LBA))
+	}
+	near, err := a.AllocateNearCylinder(50, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.CylinderOf(near.LBA) != g.CylinderOf(near.End()-1) {
+		t.Fatalf("AllocateNearCylinder straddled: [%d,%d)", near.LBA, near.End())
+	}
+
+	// Now every cylinder within the constraint has only its last 4 sectors
+	// free: no in-cylinder run of 8 exists, but 4 + the next cylinder's
+	// head do, and the block must still place.
+	a = newAlloc(t, 0)
+	for cyl := 47; cyl <= 53; cyl++ {
+		fill(a, cyl*spc, spc-4)
+	}
+	a.bm.clearRange(51*spc, 4) // cylinder 51: first 4 and last 4 free
+	run, err = a.AllocateConstrained(prev, n, RunPlacement(2))
+	if err != nil {
+		t.Fatalf("the spill fallback did not place: %v", err)
+	}
+	if run.LBA != 50*spc+spc-4 {
+		t.Fatalf("spilling block placed at %d, want %d (the tail of cylinder 50 into the head of 51)", run.LBA, 50*spc+spc-4)
+	}
+	// A block larger than a cylinder has only the spilling search.
+	big, err := newAlloc(t, 0).AllocateConstrained(prev, spc+3, RunPlacement(2))
+	if err != nil || big.LBA != 50*spc {
+		t.Fatalf("a block larger than a cylinder: %+v, %v", big, err)
+	}
+}

@@ -263,10 +263,11 @@ func TestReorganizeDropsCachedBlocks(t *testing.T) {
 	}
 }
 
-// On a 4-spindle array a cache-coupled AV play rides the serial lane for
-// its whole life — no parallel lane is handed anything, so no round
-// spawns a goroutine; without the cache its two strands keep at most two
-// lanes busy, which costs at most one spawn a round.
+// On a 4-spindle array an AV play runs clean both ways through a round:
+// cache-coupled it rides the serial lane for its whole life, without the
+// cache its two strands keep up to two lanes busy. (The test once counted
+// the goroutines rounds spawned for busy lanes; lanes are swept inline
+// now and there is nothing left to count.)
 func TestCachedPlaySpawnsNoLanes(t *testing.T) {
 	for _, cacheMB := range []int{64, 0} {
 		fs, err := Format(Options{Disks: 4, CacheMB: cacheMB})
@@ -286,12 +287,6 @@ func TestCachedPlaySpawnsNoLanes(t *testing.T) {
 		st := mgr.Stats()
 		if st.Rounds == 0 || st.BlocksFetched == 0 {
 			t.Fatalf("cache %d MiB: nothing played: %+v", cacheMB, st)
-		}
-		if cacheMB > 0 && st.LaneSpawns != 0 {
-			t.Fatalf("a cache-coupled play spawned %d lane goroutine(s) in %d rounds", st.LaneSpawns, st.Rounds)
-		}
-		if st.LaneSpawns > st.Rounds {
-			t.Fatalf("a two-strand play spawned %d lane goroutine(s) in %d rounds", st.LaneSpawns, st.Rounds)
 		}
 	}
 }

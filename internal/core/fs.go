@@ -552,15 +552,34 @@ func (fs *FS) TargetScattering() float64 {
 }
 
 // Constraint is the allocator constraint implementing the placement
-// policy.
+// policy: fill the previous block's cylinder, then hop at most
+// TargetCylinders.
 func (fs *FS) Constraint() alloc.Constraint {
-	return alloc.Constraint{MinCylinders: 1, MaxCylinders: fs.opts.TargetCylinders}
+	return alloc.RunPlacement(fs.opts.TargetCylinders)
 }
 
-// nextStartCylinder rotates strand start positions across the disk.
+// nextStartCylinder rotates strand start positions across the disk: a
+// fifth of the way on, plus a drift that keeps the bands from lining up.
+// On an array that step alone is a near-whole number of stripe rows, and
+// consecutive recordings — played together more often than not — would
+// pile onto one spindle; there the step is whole rows plus one stripe
+// group, so successive strands start on successive spindles, and a start
+// closer than a strand's usual extent to its group's end moves to the
+// next group, so a strand that short stays on the spindle it started on
+// (admission charges it on every spindle it touches).
 func (fs *FS) nextStartCylinder() int {
 	c := fs.nextStart
-	fs.nextStart = (fs.nextStart + fs.d.Geometry().Cylinders/5 + 13) % fs.d.Geometry().Cylinders
+	cyls := fs.d.Geometry().Cylinders
+	step := cyls/5 + 13
+	if arr := fs.Array(); arr != nil {
+		sc := arr.StripeCylinders()
+		if clear := min(fs.opts.TargetCylinders, sc/2); sc-c%sc <= clear {
+			c = (c + sc - c%sc) % cyls
+		}
+		row := sc * (cyls / arr.Spindle(0).Geometry().Cylinders) // one group on every replica set
+		step = cyls/5/row*row + sc + 13
+	}
+	fs.nextStart = (c + step) % cyls
 	return c
 }
 

@@ -154,6 +154,20 @@ func (a *Array) Locate(lba int) (spindle, local int) {
 	return a.readSpindle(set, slot), localCyl*a.spc + off
 }
 
+// SteerClasses reports after how many stripe groups the group → spindle
+// map repeats, whatever the steering: group g is read from the spindle
+// group g mod SteerClasses() is read from. A set of one reads its one
+// replica; a mirror pair's steering looks at the low two bits of the
+// slot (readSpindle). The storage manager keys a play's extent on the
+// class, which is fixed when the strand is placed, and asks Locate for
+// the class's spindle under the steering of the moment.
+func (a *Array) SteerClasses() int {
+	if a.r == 1 {
+		return a.sets
+	}
+	return 4 * a.sets
+}
+
 // SpindleRange reports the spindle that can service the whole access
 // [lba, lba+n) on its own, or ok=false when the access crosses a stripe
 // group boundary and must be split across spindles. The MSM uses it to

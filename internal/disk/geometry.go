@@ -137,12 +137,6 @@ func (g Geometry) MaxAccessTime() time.Duration {
 	return g.SeekTime(g.Cylinders-1) + g.AvgRotationalLatency()
 }
 
-// MinAccessTime is the smallest positioning cost charged for a
-// discontiguous access: a one-cylinder seek plus average latency.
-func (g Geometry) MinAccessTime() time.Duration {
-	return g.MinSeek + g.AvgRotationalLatency()
-}
-
 // TransferTime is the time to transfer n sectors once positioned.
 // Track and cylinder switches during a sequential run are assumed free,
 // consistent with the model's single transfer-rate parameter.

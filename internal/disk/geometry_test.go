@@ -125,7 +125,7 @@ func TestConsecutiveLBAsAreSeekFree(t *testing.T) {
 
 func TestAccessTimeBounds(t *testing.T) {
 	g := DefaultGeometry()
-	if g.MinAccessTime() >= g.MaxAccessTime() {
+	if g.AccessTime(0) >= g.MaxAccessTime() {
 		t.Fatal("min access must be below max access")
 	}
 	if g.MaxAccessTime() != g.SeekTime(g.Cylinders-1)+g.AvgRotationalLatency() {

@@ -22,14 +22,14 @@ import (
 //	Dead    --StartRebuild--> Rebuilding --copy complete--> Healthy
 //
 // Health fields are single-owner by convention: spindle i's counters
-// are written only by the goroutine servicing spindle i's reads (the
-// MSM's per-spindle lane during parallel sub-rounds, the sole caller
-// otherwise). Steering reads them only from single-threaded context —
-// RefreshSteering between rounds — and the steering table is frozen
-// during parallel sub-rounds, so a mid-round health transition never
-// redirects a lane onto another lane's spindle. The round in which a
-// spindle dies therefore still degrades up to one k-window per victim
-// stream; the re-steer takes effect at the next round boundary.
+// are written only by whoever services spindle i's reads (the MSM's
+// per-spindle lane during the sub-rounds, the sole caller otherwise).
+// Steering reads them only between rounds — RefreshSteering — and the
+// steering table is frozen during the sub-rounds, which overlap in
+// virtual time, so a mid-round health transition never redirects a lane
+// onto another lane's spindle. The round in which a spindle dies
+// therefore still degrades up to one k-window per victim stream; the
+// re-steer takes effect at the next round boundary.
 
 // SpindleState is one spindle's position in the mirror health state
 // machine.
@@ -202,8 +202,8 @@ func (a *Array) steerFor(pair int) steerMode {
 }
 
 // observeRead feeds one timed read's outcome into the owning spindle's
-// health counters. Single-owner: called only from the goroutine
-// servicing spindle sp (see the package comment above).
+// health counters. Single-owner: called only by whoever services
+// spindle sp's reads (see the package comment above).
 //
 // rt:hotpath
 func (a *Array) observeRead(sp int, est, t time.Duration, err error) {

@@ -254,7 +254,7 @@ func concurrentViolations(p, q, distLo, distHi int) int {
 	plan, err := msm.PlanStrandPlay(fs.Disk(), s, msm.PlanOptions{
 		ReadAhead:  p,
 		Buffers:    2 * p,
-		Scattering: continuity.Seconds(fs.Disk().Geometry().MinAccessTime()),
+		Scattering: continuity.Seconds(alloc.MinAccessTime(fs.Disk().Geometry())),
 	})
 	if err != nil {
 		panic(err)

@@ -2,6 +2,7 @@ package msm
 
 import (
 	"errors"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -18,32 +19,33 @@ import (
 // retrieval architecture (§3.1, degree p) is that same round run once
 // per head, so there is one round body (serviceRound) and one executor
 // (the lane). Over a disk.Array the round splits into one sub-round per
-// spindle, the busy ones serviced concurrently by their lanes and joined
-// before the round closes; whatever cannot be parallelized — records,
-// cache-coupled plays, boundary-crossing fetches — is then serviced by
-// the serial lane from where they joined. A single device is the case of
-// zero parallel lanes: everything rides the serial lane.
+// spindle, and the sub-rounds run concurrently in *virtual* time: each
+// starts at the round's opening clock and they are joined at the slowest
+// one's end. Whatever cannot ride one spindle — records, cache-coupled
+// plays, boundary-crossing fetches — is then serviced by the serial lane
+// from where they joined. A single device is the case of zero parallel
+// lanes: everything rides the serial lane.
 //
-// Each parallel lane owns its spindle exclusively for the round — its
-// requests' next blocks all live on that spindle — runs its own C-SCAN
-// sweep over the spindle's local cylinders, charges service time to a
-// private virtual-time cursor, and spends a private Eq. 18 retry-slack
-// budget computed over the spindle's entry in the resident table. The
-// serial lane is a lane like them; it starts at the slowest lane's cursor
-// (the sub-rounds overlap in virtual time), the manager's clock advances
-// to where it ends, and lane counters merge in spindle order so totals
-// stay deterministic.
+// Each parallel lane owns its spindle for the round — its requests' next
+// blocks all live on that spindle — runs its own C-SCAN sweep over the
+// spindle's local cylinders, charges service time to a private
+// virtual-time cursor, and spends a private Eq. 18 retry-slack budget
+// computed over the spindle's entry in the resident table. The serial
+// lane is a lane like them; it starts at the slowest lane's cursor, the
+// manager's clock advances to where it ends, and lane counters merge in
+// spindle order.
 //
-// Shared state discipline: during the parallel phase a lane touches
-// only (a) its own scratch arenas, (b) its requests' private state, (c)
-// its spindle's device state via array routing, and (d) the atomic obs
-// counters. The interval cache is NOT thread-safe, so any request with
-// an open cache stream is kept off the parallel lanes and serviced by
-// the serial lane.
+// In host time the manager sweeps the busy lanes one after another on its
+// own goroutine. A sweep lends rather than copies and is under a
+// microsecond of bookkeeping; handing it to a goroutine cost a spawn and a
+// futex wake that together outweighed the sweep (DESIGN §13), and the
+// virtual numbers — cursors, join, merge order — cannot tell the two
+// apart. The interval cache keeps one timeline for plays on every spindle,
+// so a request with an open cache stream rides the serial lane, after the
+// join.
 
 // laneStats accumulates a lane's contribution to the manager counters;
-// the manager merges them after the join (Stats itself is not safe for
-// concurrent writes).
+// the manager merges them after the join, in spindle order.
 type laneStats struct {
 	blocksFetched  uint64
 	blocksWritten  uint64
@@ -71,8 +73,7 @@ type lane struct {
 	// retrySlack is the lane's round retry budget: Eq. 18's measured
 	// slack over the spindle-resident admission set.
 	retrySlack time.Duration
-	// Per-lane scratch arenas (parallel sub-rounds would race on
-	// manager-global ones): reqs is the round's partition — the requests
+	// Per-lane scratch arenas: reqs is the round's partition — the requests
 	// this lane services. blockBuf is only the fallback scratch of
 	// ReadBlockInto: a block normally arrives lent by the lane's own
 	// spindle (a read-only slice of its store, valid until the round's
@@ -84,12 +85,6 @@ type lane struct {
 	deg      []bool
 	blockBuf []byte
 	sorter   scanSorter
-	// runFn is the pre-bound method value a round spawns for a busy lane
-	// the manager does not sweep itself: `go ln.run()` would wrap the
-	// receiver in a fresh one-shot closure (one heap allocation per
-	// spawn); `go ln.runFn()` spawns the funcval bound once at
-	// construction.
-	runFn func()
 	// worked reports whether any request transferred this round.
 	worked bool
 	// premium reports whether the round's partition assigned the lane
@@ -115,19 +110,10 @@ func (ln *lane) flushStats() {
 	ln.stats = laneStats{}
 }
 
-// run is the body of a spawned lane's goroutine; the manager joins every
-// spawn through laneWG before the round closes.
-//
-// rt:hotpath
-func (ln *lane) run() {
-	defer ln.m.laneWG.Done()
-	ln.sweep()
-}
-
 // sweep services the lane's sub-round: its requests in C-SCAN order, k
 // blocks each. On a parallel lane the partition guarantees disk-bound
 // plays with no open cache stream, so the dispatch never reaches the
-// (single-threaded) interval cache or the record path there.
+// interval cache or the record path there.
 //
 // rt:hotpath
 func (ln *lane) sweep() {
@@ -566,7 +552,7 @@ func (ln *lane) serviceRecord(r *request, k int) bool {
 }
 
 // serviceRound is the round body: partition the active requests onto
-// the per-spindle lanes, sweep the busy lanes concurrently, join them,
+// the per-spindle lanes, sweep the busy lanes, join their cursors,
 // sweep the leftovers on the serial lane from the slowest lane's cursor,
 // advance the clock to where that ends, then let online repair spend
 // what slack remains. sets is the round's resident table (built after
@@ -607,39 +593,20 @@ func (m *Manager) serviceRound(act []*request, sets [][]continuity.Request) bool
 	}
 
 	// A round costs what its work costs: only lanes the partition handed
-	// a request run, and the manager's own goroutine sweeps the first of
-	// them itself, so zero or one busy lane costs no spawn and p busy
-	// lanes cost p − 1. An idle lane presents what the refill above left,
-	// which is what an empty sweep would have: nothing worked, the cursor
-	// at the round's start, the whole budget.
-	// laneWG.Add happens-before each spawn, lane.run defers laneWG.Done,
-	// and the Wait below blocks until every spawned sub-round has
-	// finished. The spawn goes through the pre-bound funcval so the
-	// steady-state round allocates nothing.
-	var own *lane
+	// a request are swept, in spindle order. An idle lane presents what the
+	// refill above left, which is what an empty sweep would have: nothing
+	// worked, the cursor at the round's start, the whole budget.
 	for _, ln := range m.lanes {
-		if len(ln.reqs) == 0 {
-			continue
+		if len(ln.reqs) > 0 {
+			ln.sweep()
 		}
-		if own == nil {
-			own = ln
-			continue
-		}
-		m.stats.LaneSpawns++
-		m.laneWG.Add(1)
-		//lint:ignore gojoin runFn is lane.run bound at construction; it defers laneWG.Done and the Wait below joins it
-		go ln.runFn()
 	}
-	if own != nil {
-		own.sweep()
-	}
-	m.laneWG.Wait()
 
 	// Join the sub-rounds: the serial lane — records, cache-coupled
 	// plays, and fetch windows the stripe map splits across spindles —
 	// starts where the slowest lane ended, counters merge in spindle
-	// order so totals are deterministic, and the round ends, for the
-	// clock, where the serial lane does.
+	// order, and the round ends, for the clock, where the serial lane
+	// does.
 	worked := false
 	for _, ln := range m.lanes {
 		worked = worked || ln.worked
@@ -703,21 +670,59 @@ func (r *request) position() ([]PlannedBlock, int) {
 	return r.play.plan.Blocks, r.play.nextFetch
 }
 
-// homeSpindle reports the spindle holding the first media block at or
-// after plan index from — a play plan's home at admission (from 0), an
-// admitted request's current residence (from its position) — or -1
-// when unknown: records, drained plays, pure delays, and everything on
-// a single device. Admission charges the unknown to every spindle.
-func (m *Manager) homeSpindle(blocks []PlannedBlock, from int) int {
-	if m.array == nil {
-		return -1
+// extentTable is a play plan's suffix table: entry j is the set of stripe
+// group classes (disk.Array.SteerClasses) the stored blocks of plan[j:]
+// occupy, a block that straddles groups counting in each. A class is
+// fixed when the strand is placed and stored bytes never move, so the
+// table is built once, at admission, and read at the request's position
+// from then on. nil — a single device, or more classes than a word has
+// bits — means the extent is unknown.
+func (m *Manager) extentTable(blocks []PlannedBlock) []uint64 {
+	if m.classes == 0 {
+		return nil
 	}
-	e, _, ok := nextMedia(blocks, from)
-	if !ok {
-		return -1
+	t := make([]uint64, len(blocks)+1)
+	for j := len(blocks) - 1; j >= 0; j-- {
+		t[j] = t[j+1]
+		if e, _, ok := nextMedia(blocks[j:j+1], 0); ok {
+			first := int(e.Sector) / m.groupSec
+			last := (int(e.Sector) + int(e.SectorCount) - 1) / m.groupSec
+			for g := first; g <= last; g++ {
+				t[j] |= 1 << (g % m.classes)
+			}
+		}
 	}
-	sp, _ := m.array.Locate(int(e.Sector))
-	return sp
+	return t
+}
+
+// extent reports the spindles the request's remaining plan reads from
+// under the steering of the moment, as a bit set. Zero is unknown, which
+// admission charges to every spindle: a record, a play with no stored
+// block left, anything on a single device.
+//
+// rt:hotpath
+func (m *Manager) extent(r *request) uint64 {
+	if r.kind != Play {
+		return 0
+	}
+	return m.spindlesAt(r.play.extents, r.play.nextFetch)
+}
+
+// spindlesAt reads an extent table at plan position j and maps the
+// classes there to the spindles that serve them now; a nil table reads
+// as unknown.
+//
+// rt:hotpath
+func (m *Manager) spindlesAt(extents []uint64, j int) uint64 {
+	if extents == nil {
+		return 0
+	}
+	var sps uint64
+	for c := extents[j]; c != 0; c &= c - 1 {
+		sp, _ := m.array.Locate(bits.TrailingZeros64(c) * m.groupSec)
+		sps |= 1 << sp
+	}
+	return sps
 }
 
 // residentSets rebuilds the resident table — who is charged where: for
@@ -726,11 +731,12 @@ func (m *Manager) homeSpindle(blocks []PlannedBlock, from int) int {
 // rate. Those are the live disk-bound requests, non-destructively
 // paused ones included (their resources remain allocated); cache-served
 // followers perform no disk work and are absent (CacheServed counts
-// them). A request with no known home is charged to every spindle:
-// Eq. 18 must hold wherever it might land. n counts the distinct
-// requests in the table. The table is scratch, valid until the next
-// call; admission, QoS feasibility, the round's retry slack, re-steer
-// and the trace all read this one table.
+// them). A play is charged on every spindle its remaining plan touches
+// (extent) — Eq. 18 must hold on each spindle it will walk onto, not only
+// where its next block lies — and a request of unknown extent on every
+// spindle. n counts the distinct requests in the table. The table is
+// scratch, valid until the next call; admission, QoS feasibility, the
+// round's retry slack, re-steer and the trace all read this one table.
 //
 // rt:hotpath
 func (m *Manager) residentSets() (sets [][]continuity.Request, n int) {
@@ -747,12 +753,16 @@ func (m *Manager) residentSets() (sets [][]continuity.Request, n int) {
 		}
 		n++
 		e := r.effAdm()
-		if sp := m.homeSpindle(r.position()); sp >= 0 {
-			sets[sp] = alloc.Append(sets[sp], e)
+		sps := m.extent(r)
+		if sps == 0 {
+			for i := range sets {
+				sets[i] = alloc.Append(sets[i], e)
+			}
 			continue
 		}
-		for i := range sets {
-			sets[i] = alloc.Append(sets[i], e)
+		for ; sps != 0; sps &= sps - 1 {
+			sp := bits.TrailingZeros64(sps)
+			sets[sp] = alloc.Append(sets[sp], e)
 		}
 	}
 	return sets, n

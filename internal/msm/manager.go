@@ -3,7 +3,7 @@ package msm
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"math/bits"
 	"time"
 
 	"mmfs/internal/alloc"
@@ -100,10 +100,6 @@ type Stats struct {
 	// copied by the online rebuild engine, every one charged
 	// against a round's measured slack.
 	RebuildBlocks uint64
-	// LaneSpawns counts the goroutines service rounds started: one per
-	// busy parallel lane beyond the first, which the manager's own
-	// goroutine sweeps. Always zero on a single device.
-	LaneSpawns uint64
 }
 
 // FaultPolicy configures the manager's fault-tolerant service path.
@@ -170,16 +166,21 @@ type Manager struct {
 	// no parallel lane can take — on a single device, everything — and
 	// a round ends, for the clock, where it does.
 	serial *lane
-	// array, lanes and laneWG are the parallel half of the round when d
-	// is a disk.Array of degree > 1: one lane per spindle, and in a round
-	// one goroutine per busy lane beyond the first, joined before the
-	// round closes. A single device has none.
-	array  *disk.Array
-	lanes  []*lane
-	laneWG sync.WaitGroup
+	// array and lanes are the parallel half of the round when d is a
+	// disk.Array of degree > 1: one lane per spindle, its sub-round
+	// overlapping the others' in virtual time. A single device has none.
+	array *disk.Array
+	lanes []*lane
 	// resident is the resident table's storage, one set per spindle (one
-	// in all on a single device); see residentSets.
-	resident [][]continuity.Request
+	// in all on a single device); see residentSets. scratchSets is where
+	// decideAdmit lists the sets a candidate touches.
+	resident    [][]continuity.Request
+	scratchSets [][]continuity.Request
+	// classes and groupSec key a play's extent (extentTable): the array's
+	// steering classes and the sectors in a stripe group. Zero on a single
+	// device, and when a word cannot hold a bit per class.
+	classes  int
+	groupSec int
 	// obs, when set, receives per-round trace records and mirrors the
 	// counters into a metrics registry (see obs.go).
 	obs roundObs
@@ -210,7 +211,7 @@ func DeviceFor(g disk.Geometry) continuity.Device {
 	return continuity.Device{
 		TransferRate: g.TransferRateBits(),
 		MaxAccess:    continuity.Seconds(g.MaxAccessTime()),
-		MinAccess:    continuity.Seconds(g.MinAccessTime()),
+		MinAccess:    continuity.Seconds(alloc.MinAccessTime(g)),
 	}
 }
 
@@ -228,9 +229,11 @@ func New(d disk.Device, adm continuity.Admission) *Manager {
 		m.array = a
 		m.lanes = make([]*lane, a.Spindles())
 		for i := range m.lanes {
-			ln := &lane{m: m, spindle: i}
-			ln.runFn = ln.run
-			m.lanes[i] = ln
+			m.lanes[i] = &lane{m: m, spindle: i}
+		}
+		if c := a.SteerClasses(); c <= 64 {
+			m.classes = c
+			m.groupSec = a.StripeCylinders() * a.Geometry().SectorsPerCylinder()
 		}
 	}
 	m.resident = make([][]continuity.Request, max(1, len(m.lanes)))
@@ -338,27 +341,35 @@ func (m *Manager) CacheServed() int {
 // serve) is admitted at the current k without charging disk time —
 // Eq. 18 is evaluated over the disk-bound population only.
 //
-// spindle is the candidate's home spindle (homeSpindle): the one
-// holding its first media block, or negative when unknown (records,
-// repositioned plays, anything on a single device), in which case the
-// candidate must fit on every spindle. Eq. 18 is evaluated per spindle
-// against the spindle-resident population, so over an array the
-// aggregate admitted load can reach p times the single-spindle n_max.
-func (m *Manager) admit(spindle int, candidate continuity.Request, cacheServed bool) (continuity.Decision, error) {
-	return m.commit(m.decideAdmit(spindle, candidate, cacheServed))
+// spindles is the candidate's extent (Manager.extent): the spindles its
+// remaining plan reads from, or zero when unknown (records, anything on
+// a single device), in which case the candidate must fit on every
+// spindle. Eq. 18 is evaluated per spindle against the spindle-resident
+// population, so over an array the aggregate admitted load can reach p
+// times the single-spindle n_max.
+func (m *Manager) admit(spindles uint64, candidate continuity.Request, cacheServed bool) (continuity.Decision, error) {
+	return m.commit(m.decideAdmit(spindles, candidate, cacheServed))
 }
 
 // decideAdmit evaluates the admission decision for a candidate without
 // side effects: no transition rounds, no counters. The QoS negotiation
 // uses it to probe shed/degrade combinations before committing one.
-// A single device is the striped test at p = 1: one resident set, which
-// a candidate of unknown home must fit.
-func (m *Manager) decideAdmit(spindle int, candidate continuity.Request, cacheServed bool) continuity.Decision {
+// The candidate must pass Eq. 18 on every spindle it touches, and the
+// decision's K is the largest any of them needs. A single device is the
+// striped test at p = 1: one resident set, which every candidate must fit.
+func (m *Manager) decideAdmit(spindles uint64, candidate continuity.Request, cacheServed bool) continuity.Decision {
 	if cacheServed {
 		return continuity.CacheAware{A: m.adm}.Admit(nil, m.k, candidate, true)
 	}
 	sets, _ := m.residentSets()
-	return continuity.Striped{A: m.adm, P: len(sets)}.Admit(sets, spindle, m.k, candidate)
+	if spindles != 0 {
+		touched := m.scratchSets[:0]
+		for ; spindles != 0; spindles &= spindles - 1 {
+			touched = alloc.Append(touched, sets[bits.TrailingZeros64(spindles)])
+		}
+		m.scratchSets, sets = touched, touched
+	}
+	return continuity.Striped{A: m.adm, P: len(m.resident)}.Admit(sets, -1, m.k, candidate)
 }
 
 // commit applies a decision decideAdmit reached: the admission
@@ -426,6 +437,8 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 	if err := plan.Validate(); err != nil {
 		return 0, continuity.Decision{}, err
 	}
+	extents := m.extentTable(plan.Blocks)
+	spindles := m.spindlesAt(extents, 0)
 	sid, first, end, eligible := planCacheRange(plan)
 	eligible = eligible && m.cache != nil
 	cacheServed := eligible && m.cache.Adoptable(sid, first, plan.Admission.Rate)
@@ -434,9 +447,9 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 	if m.qosEnabled() && !cacheServed {
 		// Class-ordered negotiation: full rate, then shedding lower
 		// classes, then sub-sampled admission of the candidate itself.
-		dec, err = m.admitClassed(m.homeSpindle(plan.Blocks, 0), plan.Admission, plan.Class)
+		dec, err = m.admitClassed(spindles, plan.Admission, plan.Class)
 	} else {
-		dec, err = m.admit(m.homeSpindle(plan.Blocks, 0), plan.Admission, cacheServed)
+		dec, err = m.admit(spindles, plan.Admission, cacheServed)
 	}
 	if err != nil {
 		return 0, dec, err
@@ -460,7 +473,7 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 		// it for those rounds.
 		plan.Buffers = 2 * m.k
 	}
-	ps := &playState{plan: plan, readAhead: ra, stride: stride}
+	ps := &playState{plan: plan, readAhead: ra, stride: stride, extents: extents}
 	ps.deadlines = make([]time.Duration, len(plan.Blocks)+1)
 	var sum time.Duration
 	for i, b := range plan.Blocks {
@@ -505,7 +518,7 @@ func (m *Manager) AdmitRecord(plan RecordPlan) (RequestID, continuity.Decision, 
 	if err := plan.Validate(); err != nil {
 		return 0, continuity.Decision{}, err
 	}
-	dec, err := m.admit(-1, plan.Admission, false)
+	dec, err := m.admit(0, plan.Admission, false)
 	if err != nil {
 		return 0, dec, err
 	}
@@ -598,7 +611,7 @@ func (m *Manager) Resume(id RequestID) (continuity.Decision, error) {
 			b := r.play.plan.Blocks[r.play.nextFetch]
 			cacheServed = m.cache.Adoptable(r.play.cacheSID, b.Index, r.adm.Rate)
 		}
-		dec, err = m.admit(m.homeSpindle(r.position()), r.adm, cacheServed)
+		dec, err = m.admit(m.extent(r), r.adm, cacheServed)
 		if err != nil {
 			return dec, err
 		}
@@ -728,8 +741,8 @@ func (m *Manager) RunRound() bool {
 	}
 	m.stats.Rounds++
 	// Re-steer around health changes first: the steer table is frozen
-	// for the round (lanes read it concurrently), and who is resident
-	// where follows it.
+	// for the round (every lane's sub-round reads the same one), and who
+	// is resident where follows it.
 	m.resteer()
 	sets, resident := m.residentSets()
 	defer m.recordRound(m.clock.Now(), m.k, resident, m.CacheServed(), len(act))
@@ -865,7 +878,7 @@ func (m *Manager) processDemotions() {
 		// recurse into RunRound; r.demoting keeps this request out of
 		// them (it has no admission slot yet).
 		r.demoting = true
-		_, err := m.admit(m.homeSpindle(r.position()), r.adm, false)
+		_, err := m.admit(m.extent(r), r.adm, false)
 		r.demoting = false
 		if err != nil {
 			r.cacheServed = false

@@ -3,6 +3,7 @@ package msm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"mmfs/internal/continuity"
@@ -76,8 +77,10 @@ func PlanPlay(d disk.Device, name string, ivs []Interval, opts PlanOptions) (Pla
 	g := d.Geometry()
 	var first *strand.Strand
 	var blocks []PlannedBlock
-	var maxScatter time.Duration
-	prevCyl := -1
+	// The scattering measure: SeekTime is monotone in distance, so the
+	// widest hop between successive stored blocks is the slowest, and it is
+	// converted to a time once. -1: no hop seen.
+	prevCyl, maxHop := -1, -1
 	for _, iv := range ivs {
 		s := iv.Strand
 		if first == nil {
@@ -96,8 +99,9 @@ func PlanPlay(d disk.Device, name string, ivs []Interval, opts PlanOptions) (Pla
 		}
 		r := strand.NewReader(d, s)
 		q := uint64(s.Granularity())
-		lastBlock := int((end - 1) / q)
-		for b := int(iv.StartUnit / q); b <= lastBlock; b += stride {
+		firstBlock, lastBlock := int(iv.StartUnit/q), int((end-1)/q)
+		blocks = slices.Grow(blocks, (lastBlock-firstBlock)/stride+1)
+		for b := firstBlock; b <= lastBlock; b += stride {
 			// Units of this block (of its stride, when skipping) that
 			// the interval actually covers.
 			lo := max(uint64(b)*q, iv.StartUnit)
@@ -110,7 +114,7 @@ func PlanPlay(d disk.Device, name string, ivs []Interval, opts PlanOptions) (Pla
 			if e, err := s.Block(b); err == nil && !e.Silent() {
 				cyl := g.CylinderOf(int(e.Sector))
 				if prevCyl >= 0 {
-					maxScatter = max(maxScatter, g.AccessTime(cyl-prevCyl))
+					maxHop = max(maxHop, cyl-prevCyl, prevCyl-cyl)
 				}
 				prevCyl = cyl
 			}
@@ -121,8 +125,8 @@ func PlanPlay(d disk.Device, name string, ivs []Interval, opts PlanOptions) (Pla
 	}
 
 	lds := opts.Scattering
-	if lds == 0 {
-		lds = continuity.Seconds(maxScatter)
+	if lds == 0 && maxHop >= 0 {
+		lds = continuity.Seconds(g.AccessTime(maxHop))
 	}
 	rate := first.Rate()
 	if stride == 1 {

@@ -1,6 +1,7 @@
 package msm
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -274,6 +275,87 @@ func TestPlanPlayMeasuresTheCompiledSequence(t *testing.T) {
 	}
 	if over, _ := PlanPlay(rig.d, "joined", []Interval{{Strand: a, NumUnits: 3}}, PlanOptions{Scattering: 0.5}); over.Admission.Scattering != 0.5 {
 		t.Fatalf("Scattering override ignored: %v", over.Admission.Scattering)
+	}
+}
+
+// PlanPlay tracks the widest cylinder hop and converts it to a time once;
+// on seeded random interval lists — junctions between strands laid out
+// forwards, in runs and with silence holders, gaps, sub-ranges, skipping —
+// that equals the maximum of the per-hop access times over the compiled
+// sequence, and is zero when the sequence has no hop at all.
+func TestPlanPlayScatteringIsThePerHopMaximum(t *testing.T) {
+	rig := newRig(t, disk.DefaultGeometry())
+	g := rig.d.Geometry()
+	strands := []*strand.Strand{
+		writeVideo(t, rig.d, rig.a, rig.st, 100, 90, 61), // a cylinder a block
+		writeVideo(t, rig.d, rig.a, rig.st, 900, 60, 62),
+	}
+	det := media.DefaultSilenceDetector()
+	for _, cfg := range []strand.WriterConfig{
+		{Medium: layout.Video, Rate: 30, UnitBytes: 18000, Granularity: 3, StartCylinder: 400},
+		{Medium: layout.Audio, Rate: 10, UnitBytes: 800, Granularity: 4, StartCylinder: 30, Silence: &det},
+	} {
+		cfg.ID, cfg.Constraint = rig.st.NewID(), alloc.RunPlacement(targetCylinders) // sixteen blocks a cylinder
+		w, err := strand.NewWriter(rig.d, rig.a, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var src media.Source = media.NewVideoSource(150, 18000, 30, 63)
+		if cfg.Silence != nil {
+			src = media.NewAudioSource(200, 800, 10, 0.5, 8, 64)
+		}
+		for u, ok := src.Next(); ok; u, ok = src.Next() {
+			if _, err := w.Append(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := w.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rig.st.Put(s)
+		strands = append(strands, s)
+	}
+	rng := rand.New(rand.NewSource(7))
+	hopless := 0
+	for trial := 0; trial < 300; trial++ {
+		var ivs []Interval
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			if rng.Intn(4) == 0 {
+				ivs = append(ivs, Interval{Gap: time.Duration(1+rng.Intn(500)) * time.Millisecond})
+				continue
+			}
+			s := strands[rng.Intn(len(strands))]
+			start := uint64(rng.Int63n(int64(s.UnitCount())))
+			ivs = append(ivs, Interval{Strand: s, StartUnit: start, NumUnits: 1 + uint64(rng.Int63n(int64(s.UnitCount()-start)))})
+		}
+		opts := []PlanOptions{{}, {Speed: 3, Skip: true}, {Speed: 0.5}}[rng.Intn(3)]
+		plan, err := PlanPlay(rig.d, "walk", ivs, opts)
+		if err != nil {
+			continue // nothing but gaps before the first strand
+		}
+		var worst time.Duration
+		prev := -1
+		for _, b := range plan.Blocks {
+			if b.Reader == nil || !stored(b) {
+				continue
+			}
+			e, _ := b.Reader.Strand().Block(b.Index)
+			cyl := g.CylinderOf(int(e.Sector))
+			if prev >= 0 {
+				worst = max(worst, g.AccessTime(cyl-prev))
+			}
+			prev = cyl
+		}
+		if worst == 0 {
+			hopless++
+		}
+		if got := plan.Admission.Scattering; got != continuity.Seconds(worst) {
+			t.Fatalf("trial %d (%+v): scattering %v, want the per-hop maximum %v", trial, ivs, got, worst)
+		}
+	}
+	if hopless == 0 {
+		t.Fatal("no trial compiled to a sequence without a hop: the zero case went untested")
 	}
 }
 

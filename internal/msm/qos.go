@@ -110,7 +110,7 @@ func (m *Manager) QoSStats() [continuity.NumClasses]ClassStats {
 // admitClassed runs the class-ordered admission negotiation for a
 // disk-bound play candidate. It returns the admission decision with
 // Stride set to the granted quality (1 = full rate).
-func (m *Manager) admitClassed(sp int, cand continuity.Request, class continuity.Class) (continuity.Decision, error) {
+func (m *Manager) admitClassed(sp uint64, cand continuity.Request, class continuity.Class) (continuity.Decision, error) {
 	// Block the nested transition rounds' classPass: promoting the
 	// freshly shed victims before the candidate lands would undo the
 	// negotiation mid-flight.

@@ -1,6 +1,7 @@
 package msm
 
 import (
+	"math/bits"
 	"testing"
 
 	"mmfs/internal/alloc"
@@ -311,5 +312,36 @@ func TestRebuildOfSuspectSpindleResteersAtOnce(t *testing.T) {
 		return media.ValidateFrameSeq(unit, f-1)
 	}); err != nil {
 		t.Fatalf("fetch straight after the rebuild started, unit %d: %v", f-1, err)
+	}
+}
+
+// A play's extent is keyed on where its strand was placed, not on the
+// spindle that served it at admission: when steering moves a dead twin's
+// reads to the survivor the charge follows at once, whoever refreshed the
+// steer table, and comes back with the spindle.
+func TestExtentFollowsSteering(t *testing.T) {
+	const p, stripe, victim = 4, 120, 3
+	rig := newMirroredRig(t, p, stripe, -1, fault.Scenario{})
+	id := rig.play(t, rig.recordPreferring(t, victim, 0, 90, 9600), 16)
+	r, err := rig.m.find(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		state disk.SpindleState
+		want  uint64
+	}{
+		{disk.Healthy, 1 << victim},
+		{disk.Dead, 1 << (victim ^ 1)},
+		{disk.Healthy, 1 << victim},
+	} {
+		rig.arr.SetSpindleState(victim, step.state)
+		rig.arr.RefreshSteering()
+		if got := rig.m.extent(r); got != step.want {
+			t.Fatalf("spindle %d %v: the play is charged on spindles %04b, want %04b", victim, step.state, got, step.want)
+		}
+		if sets, _ := rig.m.residentSets(); len(sets[bits.TrailingZeros64(step.want)]) != 1 {
+			t.Fatalf("spindle %d %v: resident sets %v", victim, step.state, sets)
+		}
 	}
 }

@@ -217,6 +217,9 @@ type playState struct {
 	// as playback starts (and shifted by pauses).
 	deadlines  []time.Duration
 	violations []Violation
+	// extents is the plan's suffix table of touched stripe-group classes
+	// (Manager.extentTable), nil when the extent is unknown.
+	extents []uint64
 	// Interval-cache state: a plan is cacheEligible when it reads one
 	// strand at consecutive block indices (see planCacheRange);
 	// cacheOpen tracks whether the manager currently holds a cache

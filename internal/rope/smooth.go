@@ -61,13 +61,13 @@ type JunctionReport struct {
 }
 
 // Bounds computes the analytic copy bounds (Eqs. 19/20) under the
-// editor's placement policy: l_lower is the minimum realizable access
-// time (adjacent-cylinder seek plus latency) and l_max_seek the
-// worst-case access.
+// editor's placement policy: l_lower is the smallest positioning time
+// between two blocks of a strand (alloc.MinAccessTime: they may share a
+// cylinder, so latency alone) and l_max_seek the worst-case access.
 func (e *Editor) Bounds() (sparse, dense int, err error) {
 	g := e.d.Geometry()
 	maxSeek := continuity.Seconds(g.MaxAccessTime())
-	lLower := continuity.Seconds(g.MinAccessTime())
+	lLower := continuity.Seconds(alloc.MinAccessTime(g))
 	sparse, err = continuity.CopyBound(continuity.SparseDisk, maxSeek, lLower)
 	if err != nil {
 		return 0, 0, err
