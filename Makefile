@@ -1,7 +1,10 @@
 GO ?= go
 
-# Packages whose tests exercise real goroutine concurrency; the race
-# subset keeps CI latency down while still covering every mutex.
+# The race subset (nightly.yml races the whole tree). server, client and
+# obs are where goroutines meet: connections, the drain, the metrics
+# registry's atomics. The rest is what the server drives under s.mu; a
+# service round starts no goroutine (the lanes are swept inline), so
+# there the detector guards against one coming back unannounced.
 RACE_PKGS = ./internal/server ./internal/msm ./internal/client ./internal/cache ./internal/obs ./internal/fault ./internal/disk ./internal/core
 
 # Where the benchmarks with a baseline entry live: the root package's
@@ -36,12 +39,15 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# One pass of the striped-array benchmarks under the race detector:
-# the busy lanes' sub-rounds run with 1000 admitted streams (and, in the
-# rebuild benchmark, with the online repair engine riding the rounds'
-# slack); the cache-coupled round is the other end, every lane idle and
-# the serial lane alone with the interval cache — which retains the views
-# the lane is lent (BenchmarkCachedConcurrentPlayback's leader and followers, and
+# One pass of the striped-array benchmarks under the race detector. A
+# round is one goroutine's work, so what the detector watches here is
+# the state a round shares with the rest of the process — the metrics
+# registry's atomics, the trace ring — under the heaviest rounds there
+# are: 1000 admitted streams over the busy lanes (and, in the rebuild
+# benchmark, the online repair engine riding the rounds' slack); the
+# cache-coupled round is the other end, every lane idle and the serial
+# lane alone with the interval cache — which retains the views the lane
+# is lent (BenchmarkCachedConcurrentPlayback's leader and followers, and
 # BenchmarkCacheFill's inserts at capacity). The FETCH handler and the codec
 # ride along: lent platter bytes copied into a reused reply encoder. So
 # does the write path: an edit cycle copying blocks lent from the platters
@@ -50,11 +56,12 @@ race-bench:
 	$(GO) test -race -run '^$$' -bench '$(RACE_BENCHES)' -benchtime=1x $(BENCH_PKGS)
 
 # lint = gofmt (the benchmark's build directory aside), the standard vet
-# suite plus mmfsvet, the project's own
-# invariant checkers (see DESIGN.md "Invariants & static analysis" and
-# "Concurrency invariants"). Findings are also archived to mmfsvet.json
-# so CI can upload them as an artifact, and under GitHub Actions (which
-# sets GITHUB_ACTIONS) each one annotates the diff. Last,
+# suite plus mmfsvet, the project's own eight invariant checkers (see
+# DESIGN.md "Invariants & static analysis") — a //lint:ignore that names
+# no analyzer or suppresses no finding is a finding too. Findings are
+# also archived to mmfsvet.json so CI can upload them as an artifact,
+# and under GitHub Actions (which sets GITHUB_ACTIONS) each one
+# annotates the diff. Last,
 # scripts/deadexports.sh: exported functions and methods under internal/
 # that no product code names. This is the CI gate: ci.yml runs it.
 lint:
@@ -114,7 +121,7 @@ bench-compare:
 # ends owning memory) at its baseline allocs/op. One compare judges them
 # all: -subset takes the pattern the benchmarks were run with.
 # The gate measures steady state: over 100 iterations a warm-up one-off
-# (a scratch arena growing to its working size) amortises to 0 allocs/op
+# (a scratch slice growing to its working size) amortises to 0 allocs/op
 # while a per-round allocation still reads >= 1; the baseline's per-op
 # figures are unaffected by the iteration count. Fast enough to run on
 # every push.

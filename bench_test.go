@@ -313,8 +313,8 @@ func BenchmarkRopePlanCompile(b *testing.B) {
 // have a disk-bound baseline. The steady variant times single service
 // rounds on a warmed manager — admission, plan compilation, and
 // re-admission all happen off the clock — and its allocs/op must be
-// zero: that is the real-time path discipline the allocpath analyzer
-// enforces statically, verified dynamically and gated in CI.
+// zero: that is the real-time path discipline (DESIGN.md §12), which
+// this measurement is the proof of, gated in CI.
 func BenchmarkPlaybackRound(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		fs, r := benchFS(b)
@@ -1332,10 +1332,9 @@ func BenchmarkRebuildRound(b *testing.B) {
 	// kill replaces the victim with a factory-fresh disk and starts the
 	// online rebuild, like Manager.Rebuild — but it pre-materializes
 	// the replacement's cylinder pages first: a simulated disk's
-	// backing page allocates once on first write (see disk.page's
-	// allocpath pragma), and the gated invariant is the service
-	// round's own zero-alloc hot path, not the simulator's lazy
-	// backing store.
+	// backing page allocates once on first write (disk.page), and the
+	// gated invariant is the service round's own zero-alloc hot path,
+	// not the simulator's lazy backing store.
 	zeros := make([]byte, sb.arr.RepairBufferSectors()*g.SectorSize)
 	mat := sb.arr.Spindle(sb.arr.Twin(victim)).(interface{ CylinderMaterialized(int) bool })
 	spc := g.SectorsPerCylinder()

@@ -17,8 +17,10 @@
 // The exit status is 0 when the tree is clean, 1 when findings were
 // reported, and 2 when loading or analysis failed. Individual findings
 // are suppressed with a `//lint:ignore <analyzer> reason` comment on
-// the flagged line or the line above it; DESIGN.md documents the
-// checked invariants.
+// the flagged line or the line above it, and a directive that names no
+// registered analyzer or suppresses no finding is itself a finding
+// ([staleignore]; judged over the packages loaded, so meaningful over
+// ./...). DESIGN.md documents the checked invariants.
 package main
 
 import (

@@ -7,13 +7,9 @@ package all
 
 import (
 	"mmfs/internal/analysis"
-	"mmfs/internal/analysis/allocpath"
-	"mmfs/internal/analysis/atomicguard"
-	"mmfs/internal/analysis/blockinglock"
 	"mmfs/internal/analysis/boundedwork"
 	"mmfs/internal/analysis/deadlineguard"
 	"mmfs/internal/analysis/detmap"
-	"mmfs/internal/analysis/gojoin"
 	"mmfs/internal/analysis/lockguard"
 	"mmfs/internal/analysis/noerrdrop"
 	"mmfs/internal/analysis/simclock"
@@ -22,9 +18,8 @@ import (
 )
 
 // Analyzers returns the full suite in reporting order: the model and
-// protocol invariants first (PR 1), then the concurrency & determinism
-// suite guarding the multi-spindle work, then the interprocedural
-// real-time path suite (allocpath, boundedwork).
+// protocol invariants first (PR 1), then the determinism and deadline
+// checks, then the interprocedural real-time path check (boundedwork).
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		unitsafety.Analyzer,
@@ -32,12 +27,8 @@ func Analyzers() []*analysis.Analyzer {
 		wireswitch.Analyzer,
 		noerrdrop.Analyzer,
 		simclock.Analyzer,
-		blockinglock.Analyzer,
-		gojoin.Analyzer,
-		atomicguard.Analyzer,
 		detmap.Analyzer,
 		deadlineguard.Analyzer,
-		allocpath.Analyzer,
 		boundedwork.Analyzer,
 	}
 }

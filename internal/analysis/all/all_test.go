@@ -16,8 +16,8 @@ import (
 // file under internal/analysis/testdata/src/<name>/.
 func TestRegistry(t *testing.T) {
 	analyzers := all.Analyzers()
-	if len(analyzers) < 12 {
-		t.Fatalf("expected the full suite (>=12 analyzers), got %d", len(analyzers))
+	if len(analyzers) < 8 {
+		t.Fatalf("expected the full suite (>=8 analyzers), got %d", len(analyzers))
 	}
 	seen := make(map[string]bool)
 	for _, a := range analyzers {
@@ -53,15 +53,13 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestFactTypes asserts the interprocedural analyzers declare their
+// TestFactTypes asserts the interprocedural analyzer declares its
 // fact prototypes and that every declared fact type survives a gob
 // round trip — the encodability contract ExportFact enforces at run
 // time, checked here before any pass runs.
 func TestFactTypes(t *testing.T) {
 	mustExport := map[string]bool{
-		"blockinglock": true,
-		"allocpath":    true,
-		"boundedwork":  true,
+		"boundedwork": true,
 	}
 	for _, a := range all.Analyzers() {
 		if mustExport[a.Name] && len(a.FactTypes) == 0 {

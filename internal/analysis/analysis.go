@@ -10,7 +10,8 @@
 //	//lint:ignore <analyzer> reason
 //
 // placed either on the flagged line or on the line immediately above
-// it. The analyzer name "all" suppresses every analyzer.
+// it. The analyzer name "all" suppresses every analyzer. A directive
+// that suppresses nothing is itself a finding (RunAll).
 package analysis
 
 import (
@@ -20,6 +21,7 @@ import (
 	"go/types"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -117,24 +119,17 @@ func RunPass(a *Analyzer, pkg *Package, store *FactStore) ([]Diagnostic, error) 
 	return pass.diagnostics, nil
 }
 
-// Run executes one analyzer over a loaded package in isolation (fresh
-// fact store) and returns its findings with //lint:ignore suppressions
-// already applied.
-func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	diags, err := RunPass(a, pkg, NewFactStore())
-	if err != nil {
-		return nil, err
-	}
-	return Suppress(pkg.Fset, pkg.Files, diags), nil
-}
-
 // RunAll executes every applicable analyzer over every package in
 // dependency order — so facts exported by a package are visible to
 // the packages importing it — and returns the surviving findings
 // sorted by position. Suppression is applied globally: an interprocedural
 // diagnostic anchored in a dependency's file is covered by the
 // //lint:ignore directive in that file, whichever package's pass
-// reported it.
+// reported it. A directive name that is not one of analyzers (or
+// "all"), or that covered no finding, comes back as a "staleignore"
+// finding at the directive — so over a subset of the module a
+// directive whose finding is reached from an unloaded package's root
+// reads as stale.
 func RunAll(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 	ordered := dependencyOrder(pkgs)
 	store := NewFactStore()
@@ -155,37 +150,49 @@ func RunAll(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 			all = append(all, diags...)
 		}
 	}
-	if fset != nil {
-		all = Suppress(fset, files, all)
-		sort.SliceStable(all, func(i, j int) bool {
-			pi, pj := fset.Position(all[i].Pos), fset.Position(all[j].Pos)
-			if pi.Filename != pj.Filename {
-				return pi.Filename < pj.Filename
-			}
-			if pi.Line != pj.Line {
-				return pi.Line < pj.Line
-			}
-			return all[i].Analyzer < all[j].Analyzer
-		})
-		// Interprocedural analyzers can reach one site from roots in
-		// several packages; one diagnostic per (analyzer, site) is
-		// enough for a human or CI.
-		type siteKey struct {
-			analyzer string
-			pos      token.Pos
-		}
-		dedup := all[:0]
-		seen := make(map[siteKey]bool, len(all))
-		for _, d := range all {
-			k := siteKey{d.Analyzer, d.Pos}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			dedup = append(dedup, d)
-		}
-		all = dedup
+	if fset == nil {
+		return nil, nil
 	}
+	all, unused := suppress(fset, files, all)
+	// Interprocedural analyzers can reach one site from roots in
+	// several packages; one diagnostic per (analyzer, site) is
+	// enough for a human or CI.
+	type siteKey struct {
+		analyzer string
+		pos      token.Pos
+	}
+	dedup := all[:0]
+	seen := make(map[siteKey]bool, len(all))
+	for _, d := range all {
+		k := siteKey{d.Analyzer, d.Pos}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		dedup = append(dedup, d)
+	}
+	all = dedup
+	registered := map[string]bool{"all": true}
+	for _, a := range analyzers {
+		registered[a.Name] = true
+	}
+	for _, u := range unused {
+		msg := "//lint:ignore " + u.name + " suppresses no finding — delete it"
+		if !registered[u.name] {
+			msg = "//lint:ignore names no registered analyzer " + strconv.Quote(u.name)
+		}
+		all = append(all, Diagnostic{Pos: u.pos, Analyzer: staleIgnore, Message: msg})
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		pi, pj := fset.Position(all[i].Pos), fset.Position(all[j].Pos)
+		if pi.Filename != pj.Filename {
+			return pi.Filename < pj.Filename
+		}
+		if pi.Line != pj.Line {
+			return pi.Line < pj.Line
+		}
+		return all[i].Analyzer < all[j].Analyzer
+	})
 	return all, nil
 }
 
@@ -225,34 +232,50 @@ func dependencyOrder(pkgs []*Package) []*Package {
 
 var ignoreRe = regexp.MustCompile(`^//lint:ignore\s+(\S+)`)
 
+// staleIgnore is the Analyzer name RunAll gives the finding for a
+// //lint:ignore that names no registered analyzer or suppresses
+// nothing. It is no analyzer, so it cannot itself be ignored.
+const staleIgnore = "staleignore"
+
+// ignore is one analyzer name of one //lint:ignore directive.
+type ignore struct {
+	pos  token.Pos // the directive comment
+	name string    // the analyzer name as the directive spells it
+	used bool      // it covered a diagnostic
+}
+
 // Suppress drops diagnostics covered by //lint:ignore directives in
 // the given files. A directive on line L covers findings on line L
 // (trailing comment) and line L+1 (comment above the statement).
 func Suppress(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
-	// ignored maps file name -> line -> analyzer names suppressed there.
-	ignored := make(map[string]map[int]map[string]bool)
-	add := func(pos token.Position, names string) {
-		byLine := ignored[pos.Filename]
-		if byLine == nil {
-			byLine = make(map[int]map[string]bool)
-			ignored[pos.Filename] = byLine
-		}
-		for _, line := range []int{pos.Line, pos.Line + 1} {
-			set := byLine[line]
-			if set == nil {
-				set = make(map[string]bool)
-				byLine[line] = set
-			}
-			for _, n := range strings.Split(names, ",") {
-				set[strings.TrimSpace(n)] = true
-			}
-		}
-	}
+	kept, _ := suppress(fset, files, diags)
+	return kept
+}
+
+// suppress is Suppress, returning beside the surviving diagnostics each
+// name of each directive that covered none, in file and source order.
+func suppress(fset *token.FileSet, files []*ast.File, diags []Diagnostic) ([]Diagnostic, []*ignore) {
+	var ignores []*ignore
+	// byLine maps file name -> line -> the directive names covering it.
+	byLine := make(map[string]map[int][]*ignore)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if m := ignoreRe.FindStringSubmatch(c.Text); m != nil {
-					add(fset.Position(c.Pos()), m[1])
+				m := ignoreRe.FindStringSubmatch(c.Text)
+				if m == nil {
+					continue
+				}
+				pos := fset.Position(c.Pos())
+				lines := byLine[pos.Filename]
+				if lines == nil {
+					lines = make(map[int][]*ignore)
+					byLine[pos.Filename] = lines
+				}
+				for _, n := range strings.Split(m[1], ",") {
+					ig := &ignore{pos: c.Pos(), name: strings.TrimSpace(n)}
+					ignores = append(ignores, ig)
+					lines[pos.Line] = append(lines[pos.Line], ig)
+					lines[pos.Line+1] = append(lines[pos.Line+1], ig)
 				}
 			}
 		}
@@ -260,10 +283,21 @@ func Suppress(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diag
 	var kept []Diagnostic
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
-		if set := ignored[pos.Filename][pos.Line]; set[d.Analyzer] || set["all"] {
-			continue
+		covered := false
+		for _, ig := range byLine[pos.Filename][pos.Line] {
+			if ig.name == d.Analyzer || ig.name == "all" {
+				ig.used, covered = true, true
+			}
 		}
-		kept = append(kept, d)
+		if !covered {
+			kept = append(kept, d)
+		}
 	}
-	return kept
+	unused := ignores[:0]
+	for _, ig := range ignores {
+		if !ig.used {
+			unused = append(unused, ig)
+		}
+	}
+	return kept, unused
 }

@@ -10,10 +10,10 @@
 // Seeds are unconditional `for` loops, ranges over maps, and ranges
 // over channels; loops over slices, arrays, strings, integers, or with
 // an explicit condition are taken as bounded (the condition is the
-// author's stated bound). Summaries propagate exactly like allocpath's
-// — same-package fixpoint, cross-package PathFacts, interface joins —
-// and, additionally, same-package call-graph cycles that re-enter a
-// hot-path root are reported at the call that closes the cycle.
+// author's stated bound). Summaries propagate by same-package
+// fixpoint, cross-package PathFacts and interface joins
+// (analysis.RunPath), and same-package call-graph cycles that re-enter
+// a hot-path root are reported at the call that closes the cycle.
 // Deliberate exceptions carry a reasoned //lint:ignore boundedwork.
 package boundedwork
 
@@ -54,7 +54,7 @@ func seeds(pass *analysis.Pass, fd *ast.FuncDecl) []analysis.Site {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			// Closure bodies run in contexts this analyzer cannot
-			// attribute; allocpath already flags their creation.
+			// attribute.
 			return false
 		case *ast.ForStmt:
 			if n.Cond == nil {

@@ -7,14 +7,13 @@ import (
 	"strings"
 )
 
-// This file is the shared interprocedural layer under the real-time
-// path analyzers (allocpath, boundedwork). A function's summary is a
-// PathFact: the set of offending sites (allocations, unbounded loops)
-// reachable from its body, each carrying the call chain that reaches
-// it. Summaries propagate through same-package calls to a fixpoint and
-// across package boundaries as exported Facts, so an allocation buried
-// in internal/strand is still charged to the msm round loop that can
-// reach it.
+// This file is the interprocedural layer under the real-time path
+// analyzer (boundedwork). A function's summary is a PathFact: the set
+// of offending sites (unbounded loops) reachable from its body, each
+// carrying the call chain that reaches it. Summaries propagate through
+// same-package calls to a fixpoint and across package boundaries as
+// exported Facts, so a map range buried in internal/cache is still
+// charged to the msm round loop that can reach it.
 //
 // Roots are declared in source with a doc-comment directive line:
 //
@@ -24,24 +23,24 @@ import (
 // is itself a root is not descended into (nearest-root attribution:
 // every site is reported exactly once, from its closest enclosing
 // root). Sites are reported at the offending statement, so the
-// //lint:ignore escape hatch is applied where the allocation lives,
-// next to the reasoning for it.
+// //lint:ignore escape hatch is applied where the loop lives, next to
+// the reasoning for it.
 
 // Site is one offending program point in a function's may-reach
-// summary: an allocation or a potentially unbounded loop, plus the
-// call chain from the summarized function down to it.
+// summary: a potentially unbounded loop, plus the call chain from the
+// summarized function down to it.
 type Site struct {
 	// Pos locates the offending expression or statement.
 	Pos token.Pos
-	// What names the construct ("make", "range over map", ...).
+	// What names the construct ("range over map", ...).
 	What string
 	// Chain lists function display names from the summarized function
 	// (first element) down to the one containing the site (last).
 	Chain []string
 }
 
-// PathFact is the exported per-function summary shared by the path
-// analyzers. Root marks rt:hotpath functions so importing packages
+// PathFact is the exported per-function summary of the path
+// analyzer. Root marks rt:hotpath functions so importing packages
 // apply nearest-root attribution instead of double-reporting.
 type PathFact struct {
 	Root  bool
@@ -116,15 +115,12 @@ func FirstParty(path string) bool {
 	return path == ModulePath || strings.HasPrefix(path, ModulePath+"/")
 }
 
-// PathConfig parameterizes the shared reachability engine for one path
+// PathConfig parameterizes the reachability engine for a path
 // analyzer.
 type PathConfig struct {
 	// Seeds returns the intrinsic offending sites of one function body
 	// (Chain is filled in by the engine).
 	Seeds func(pass *Pass, fd *ast.FuncDecl) []Site
-	// SkipCall, if non-nil, exempts a call edge from traversal
-	// (sanctioned escapes such as the internal/alloc scratch arena).
-	SkipCall func(pass *Pass, call *ast.CallExpr, callee *types.Func) bool
 	// RootCycleWhat, when non-empty, additionally reports same-package
 	// call-graph cycles that re-enter a hot-path root, at the call
 	// that closes the cycle.
@@ -139,7 +135,7 @@ type callRef struct {
 	pos    token.Pos
 }
 
-// RunPath executes the shared engine: seed per-function summaries,
+// RunPath executes the engine: seed per-function summaries,
 // propagate through calls to a fixpoint, export PathFacts (joining
 // method summaries into the first-party interfaces they implement),
 // and report every site reachable from a hot-path root.
@@ -162,7 +158,7 @@ func RunPath(pass *Pass, cfg PathConfig) error {
 		}
 		summaries[d.Fn] = sum
 		seen[d.Fn] = posSet
-		calls[d.Fn] = collectCalls(pass, cfg, d.Decl.Body)
+		calls[d.Fn] = collectCalls(pass, d.Decl.Body)
 	}
 
 	// Fixpoint: absorb callee summaries (same-package bodies and
@@ -231,9 +227,9 @@ func RunPath(pass *Pass, cfg PathConfig) error {
 }
 
 // collectCalls resolves the call edges of one body. Function literals
-// are not descended into: their creation is the closure-capture seed,
-// and their execution context is not statically known.
-func collectCalls(pass *Pass, cfg PathConfig, body *ast.BlockStmt) []callRef {
+// are not descended into: their execution context is not statically
+// known.
+func collectCalls(pass *Pass, body *ast.BlockStmt) []callRef {
 	var out []callRef
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
@@ -245,9 +241,6 @@ func collectCalls(pass *Pass, cfg PathConfig, body *ast.BlockStmt) []callRef {
 		}
 		callee := Callee(pass.TypesInfo, call)
 		if callee == nil {
-			return true
-		}
-		if cfg.SkipCall != nil && cfg.SkipCall(pass, call, callee) {
 			return true
 		}
 		out = append(out, callRef{callee: callee, pos: call.Pos()})

@@ -28,9 +28,7 @@ type factKey struct {
 
 // FactStore holds the facts exported while running a suite of
 // analyzers over a dependency-ordered package list. One store is
-// shared across all packages of a RunAll invocation; Run uses a fresh
-// store per package, which is why intra-package analyzers keep working
-// unchanged.
+// shared across all packages of a RunAll invocation.
 type FactStore struct {
 	facts map[factKey]Fact
 	// encodable caches gob-encodability per concrete fact type, so the
@@ -81,7 +79,7 @@ func (s *FactStore) get(analyzer, key string) (Fact, bool) {
 // FuncKey renders a function as a stable cross-package identifier:
 // pkgpath.Name for package functions, pkgpath.Type.Name for methods.
 // Interface methods key on the interface type, which is how the path
-// analyzers publish a join over all known implementations.
+// analyzer publishes a join over all known implementations.
 func FuncKey(fn *types.Func) string {
 	key := fn.Name()
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
@@ -103,11 +101,4 @@ func (p *Pass) ExportFact(fn *types.Func, f Fact) {
 	if err := p.facts.put(p.Analyzer.Name, FuncKey(fn), f); err != nil {
 		panic(fmt.Sprintf("%s: ExportFact(%s): %v", p.Analyzer.Name, FuncKey(fn), err))
 	}
-}
-
-// ImportFact retrieves the summary a previous pass of this analyzer
-// exported for fn, if any. fn is typically an export-data object from
-// an imported package; the string key makes that equivalence work.
-func (p *Pass) ImportFact(fn *types.Func) (Fact, bool) {
-	return p.facts.get(p.Analyzer.Name, FuncKey(fn))
 }

@@ -55,37 +55,12 @@ func Receiver(info *types.Info, call *ast.CallExpr) types.Type {
 	return s.Recv()
 }
 
-// IsMutex reports whether t (possibly *T) is sync.Mutex or
-// sync.RWMutex.
-func IsMutex(t types.Type) bool {
-	p, n := Named(t)
-	return p == "sync" && (n == "Mutex" || n == "RWMutex")
-}
-
 // IsFromPackage reports whether t (possibly *T) is any named type
 // declared in the package with the given import path (net.Conn,
 // *net.TCPConn, ... for "net").
 func IsFromPackage(t types.Type, pkgPath string) bool {
 	p, _ := Named(t)
 	return p == pkgPath
-}
-
-// ImportedInterface finds the named interface path.name among pkg's
-// direct imports, or nil when the package cannot name it. Analyzers
-// use it to test types.Implements against first-party interfaces
-// (e.g. disk.Device) without importing the package themselves.
-func ImportedInterface(pkg *types.Package, path, name string) *types.Interface {
-	for _, imp := range pkg.Imports() {
-		if imp.Path() != path {
-			continue
-		}
-		if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok {
-			if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
-				return iface
-			}
-		}
-	}
-	return nil
 }
 
 // IsBuiltin reports whether the call invokes the named builtin

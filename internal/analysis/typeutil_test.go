@@ -73,19 +73,6 @@ func TestIsFromPackage(t *testing.T) {
 	}
 }
 
-func TestImportedInterface(t *testing.T) {
-	_, p := checkTypeutilFixture(t)
-	if ImportedInterface(p.Types, ModulePath+"/internal/disk", "Device") == nil {
-		t.Error("disk.Device interface not found through the import graph")
-	}
-	if ImportedInterface(p.Types, ModulePath+"/internal/disk", "NoSuchType") != nil {
-		t.Error("nonexistent type reported as an interface")
-	}
-	if ImportedInterface(p.Types, ModulePath+"/internal/nosuchpkg", "Device") != nil {
-		t.Error("unimported package reported an interface")
-	}
-}
-
 func TestIsBuiltinAndRootName(t *testing.T) {
 	_, p := checkTypeutilFixture(t)
 	var appendCall, lenCall *ast.CallExpr

@@ -18,7 +18,6 @@
 package cache
 
 import (
-	"mmfs/internal/alloc"
 	"mmfs/internal/obs"
 	"mmfs/internal/strand"
 )
@@ -242,7 +241,6 @@ func (c *Cache) OpenStream(id uint64, sid strand.ID, first, end int, rate float6
 	if _, ok := c.streams[id]; ok {
 		c.CloseStream(id)
 	}
-	//lint:ignore allocpath one stream record per open play, retained until CloseStream
 	c.streams[id] = &stream{id: id, sid: sid, pos: first, end: end, rate: rate}
 }
 
@@ -512,7 +510,6 @@ func (c *Cache) insert(id uint64, index int, data []byte, lent bool) {
 	if e != nil {
 		c.free, e.next = e.next, nil
 	} else {
-		//lint:ignore allocpath nothing removed yet to recycle: the cache is still growing to its peak residency
 		e = &entry{}
 	}
 	e.key = key
@@ -534,9 +531,12 @@ func (c *Cache) hold(e *entry, data []byte, lent bool) {
 		e.data = data
 		return
 	}
-	c.owned -= int64(cap(e.frame))
-	e.frame = alloc.CopyBytes(e.frame, data)
-	c.owned += int64(cap(e.frame))
+	if cap(e.frame) < len(data) {
+		c.owned += int64(len(data) - cap(e.frame))
+		e.frame = make([]byte, len(data))
+	}
+	e.frame = e.frame[:len(data)]
+	copy(e.frame, data)
 	e.data = e.frame
 }
 

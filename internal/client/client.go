@@ -139,7 +139,6 @@ func (c *Client) call(op wire.Op, e *wire.Encoder, decode ...func(*wire.Decoder)
 			// The stub is a blocking RPC client: mu serializes whole
 			// calls on the shared conn, so the round trip (bounded by
 			// RPCTimeout deadlines) must happen inside the lock.
-			//lint:ignore blockinglock mu exists to serialize entire RPCs on one conn
 			d, err = c.roundTrip(req, into)
 			if err == nil && len(decode) > 0 {
 				return nil, decode[0](d)
@@ -160,7 +159,6 @@ func (c *Client) call(op wire.Op, e *wire.Encoder, decode ...func(*wire.Decoder)
 		// Retry backoff stays under mu for the same reason: a second
 		// caller must not interleave a request into a half-recovered
 		// connection mid-retry.
-		//lint:ignore blockinglock mu exists to serialize entire RPCs on one conn
 		time.Sleep(backoff)
 		if backoff *= 2; backoff > c.opts.MaxBackoff {
 			backoff = c.opts.MaxBackoff

@@ -43,16 +43,12 @@ func (r Request) BlockDuration() float64 { return float64(r.Granularity) / r.Rat
 func (r Request) Validate() error {
 	switch {
 	case r.Granularity < 1:
-		//lint:ignore allocpath validation failures reject the request; the error path is cold
 		return fmt.Errorf("continuity: request %q granularity %d < 1", r.Name, r.Granularity)
 	case r.UnitBits <= 0:
-		//lint:ignore allocpath validation failures reject the request; the error path is cold
 		return fmt.Errorf("continuity: request %q unit size %g ≤ 0", r.Name, r.UnitBits)
 	case r.Rate <= 0:
-		//lint:ignore allocpath validation failures reject the request; the error path is cold
 		return fmt.Errorf("continuity: request %q rate %g ≤ 0", r.Name, r.Rate)
 	case r.Scattering < 0:
-		//lint:ignore allocpath validation failures reject the request; the error path is cold
 		return fmt.Errorf("continuity: request %q scattering %g < 0", r.Name, r.Scattering)
 	}
 	return nil
@@ -272,21 +268,16 @@ func (a Admission) Admit(current []Request, kOld int, candidate Request) Decisio
 	if err := candidate.Validate(); err != nil {
 		return Decision{Reason: err.Error()}
 	}
-	//lint:ignore allocpath admission is a per-request control event, not per-round work
 	next := make([]Request, 0, len(current)+1)
-	//lint:ignore allocpath admission is a per-request control event, not per-round work
 	next = append(next, current...)
-	//lint:ignore allocpath admission is a per-request control event, not per-round work
 	next = append(next, candidate)
 	kNew, ok := a.KTransient(next)
 	if !ok {
-		//lint:ignore allocpath admission is a per-request control event, not per-round work
 		return Decision{Reason: fmt.Sprintf("γ ≤ n·β for n=%d: device saturated (n_max exceeded)", len(next))}
 	}
 	d := Decision{Admitted: true, K: kNew}
 	if kNew > kOld {
 		for k := kOld + 1; k <= kNew; k++ {
-			//lint:ignore allocpath admission is a per-request control event, not per-round work
 			d.Steps = append(d.Steps, k)
 		}
 	}

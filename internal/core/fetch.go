@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"mmfs/internal/alloc"
 	"mmfs/internal/rope"
 	"mmfs/internal/strand"
 )
@@ -58,7 +57,9 @@ func (fs *FS) VisitUnits(user string, id rope.ID, m rope.Medium, start, dur time
 		if ref == nil || ref.Strand == strand.Nil {
 			n := int(math.Round(iv.Duration.Seconds() * tmpl.Rate()))
 			ub := tmpl.UnitBytes()
-			fs.unitBuf = alloc.Grow(fs.unitBuf, ub)
+			if cap(fs.unitBuf) < ub {
+				fs.unitBuf = make([]byte, ub)
+			}
 			silence := fs.unitBuf[:ub:ub]
 			for j := range silence {
 				silence[j] = fill

@@ -213,7 +213,6 @@ func (a *Array) Stats() Stats {
 
 func (a *Array) checkRange(lba, n int) error {
 	if n < 0 || lba < 0 || lba+n > a.logical.TotalSectors() {
-		//lint:ignore allocpath range errors abort the access; the error path is cold
 		return fmt.Errorf("disk: array access [%d,%d) outside %d sectors", lba, lba+n, a.logical.TotalSectors())
 	}
 	return nil

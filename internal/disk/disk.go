@@ -42,9 +42,9 @@ type Device interface {
 	// hold n sectors. It is for callers that must own the bytes (the
 	// rebuild copy engine); playback uses ReadView.
 	ReadInto(h, lba, n int, dst []byte) (time.Duration, error)
-	// ReadView is the lending timed read, the rt:hotpath entry point
-	// (see allocpath): timing, head movement, statistics and fault
-	// behaviour are exactly ReadInto's, but when the access sits in one
+	// ReadView is the lending timed read, the rt:hotpath entry point:
+	// timing, head movement, statistics and fault behaviour are
+	// exactly ReadInto's, but when the access sits in one
 	// materialised cylinder page of one spindle the returned slice
 	// aliases the device's own store instead of a copy. Otherwise
 	// scratch (at least n sectors long) is filled as ReadInto would and
@@ -158,7 +158,6 @@ func (d *Disk) HeadCylinder(h int) int { return d.heads[h].cylinder }
 
 func (d *Disk) checkRange(lba, n int) error {
 	if n < 0 || lba < 0 || lba+n > d.geom.TotalSectors() {
-		//lint:ignore allocpath range errors abort the access; the error path is cold
 		return fmt.Errorf("disk: access [%d,%d) outside %d sectors", lba, lba+n, d.geom.TotalSectors())
 	}
 	return nil
@@ -176,7 +175,6 @@ func (d *Disk) CylinderMaterialized(cyl int) bool {
 
 func (d *Disk) page(cyl int, materialize bool) []byte {
 	if d.pages[cyl] == nil && materialize {
-		//lint:ignore allocpath a cylinder page materializes once; steady-state rounds hit warm pages
 		d.pages[cyl] = make([]byte, d.geom.SectorsPerCylinder()*d.geom.SectorSize)
 	}
 	return d.pages[cyl]
@@ -250,7 +248,6 @@ func (d *Disk) ReadAtInto(lba, n int, dst []byte) error {
 	ss := d.geom.SectorSize
 	spc := d.geom.SectorsPerCylinder()
 	if len(dst) < n*ss {
-		//lint:ignore allocpath short-buffer errors abort the access; the error path is cold
 		return fmt.Errorf("disk: ReadAtInto buffer holds %d bytes, need %d", len(dst), n*ss)
 	}
 	for done := 0; done < n; {

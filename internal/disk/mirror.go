@@ -21,15 +21,14 @@ import (
 //	Suspect --8 consecutive errors--> Dead
 //	Dead    --StartRebuild--> Rebuilding --copy complete--> Healthy
 //
-// Health fields are single-owner by convention: spindle i's counters
-// are written only by whoever services spindle i's reads (the MSM's
-// per-spindle lane during the sub-rounds, the sole caller otherwise).
-// Steering reads them only between rounds — RefreshSteering — and the
-// steering table is frozen during the sub-rounds, which overlap in
-// virtual time, so a mid-round health transition never redirects a lane
-// onto another lane's spindle. The round in which a spindle dies
-// therefore still degrades up to one k-window per victim stream; the
-// re-steer takes effect at the next round boundary.
+// An Array is used from one goroutine (the MSM sweeps its per-spindle
+// lanes one after another), so the health fields need no lock. Steering
+// reads them only between rounds — RefreshSteering — and the steering
+// table is frozen during the sub-rounds, which overlap in virtual time,
+// so a mid-round health transition never redirects a lane onto another
+// lane's spindle. The round in which a spindle dies therefore still
+// degrades up to one k-window per victim stream; the re-steer takes
+// effect at the next round boundary.
 
 // SpindleState is one spindle's position in the mirror health state
 // machine.
@@ -202,8 +201,8 @@ func (a *Array) steerFor(pair int) steerMode {
 }
 
 // observeRead feeds one timed read's outcome into the owning spindle's
-// health counters. Single-owner: called only by whoever services
-// spindle sp's reads (see the package comment above).
+// health counters; steering sees the result at the next
+// RefreshSteering (see the package comment above).
 //
 // rt:hotpath
 func (a *Array) observeRead(sp int, est, t time.Duration, err error) {
@@ -279,7 +278,6 @@ func (a *Array) writeSet(set, local int, data []byte, timed bool) (time.Duration
 		if firstErr != nil {
 			return 0, firstErr
 		}
-		//lint:ignore allocpath double-failure path is cold
 		return 0, fmt.Errorf("disk: mirror pair %d has no writable spindle", set)
 	}
 	return max, nil

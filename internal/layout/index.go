@@ -22,7 +22,6 @@ type Index struct {
 // Block returns the primary entry for media block i.
 func (ix *Index) Block(i int) (PrimaryEntry, error) {
 	if i < 0 || i >= len(ix.Entries) {
-		//lint:ignore allocpath an out-of-range block is a planning bug; the error path is cold
 		return PrimaryEntry{}, fmt.Errorf("layout: block %d outside strand of %d blocks", i, len(ix.Entries))
 	}
 	return ix.Entries[i], nil

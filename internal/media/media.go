@@ -84,7 +84,6 @@ func (v *VideoSource) UnitBytes() int { return v.frameSize }
 // FramePayload deterministically regenerates frame seq's payload so
 // tests can verify retrieved data without retaining the original.
 func FramePayload(seed int64, seq uint64, size int) []byte {
-	//lint:ignore allocpath each captured payload is retained by the strand writer until its block flushes
 	buf := make([]byte, size)
 	rng := rand.New(rand.NewSource(seed ^ int64(seq*0x9e3779b97f4a7c15)))
 	// Stamp the sequence number, then fill with PRNG bytes.
@@ -175,7 +174,6 @@ func (a *AudioSource) UnitSilent(seq uint64) bool {
 }
 
 func (a *AudioSource) payload(seq uint64) []byte {
-	//lint:ignore allocpath each captured payload is retained by the strand writer until its block flushes
 	buf := make([]byte, a.unitSamples)
 	rng := rand.New(rand.NewSource(a.seed ^ int64(seq*0x9e3779b97f4a7c15)))
 	silent := a.UnitSilent(seq)

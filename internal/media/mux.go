@@ -56,27 +56,20 @@ func (m *MuxAVSource) Next() (Unit, bool) {
 		if !ok {
 			// Audio ran dry: pad with silence so the composite
 			// stream stays fixed-size.
-			//lint:ignore allocpath audio padding happens once, when the audio source runs dry
 			pad := make([]byte, m.audioPerFrame-len(m.pending))
 			for i := range pad {
 				pad[i] = 128
 			}
-			//lint:ignore allocpath the pending audio backlog stays under one frame share once warm
 			m.pending = append(m.pending, pad...)
 			break
 		}
-		//lint:ignore allocpath the pending audio backlog stays under one frame share once warm
 		m.pending = append(m.pending, au.Payload...)
 	}
-	//lint:ignore allocpath each muxed payload is retained by the strand writer until its block flushes
 	payload := make([]byte, 0, 4+m.video.UnitBytes()+m.audioPerFrame)
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(vu.Payload)))
-	//lint:ignore allocpath fills the payload sized above; these appends never grow it
 	payload = append(payload, hdr[:]...)
-	//lint:ignore allocpath fills the payload sized above; these appends never grow it
 	payload = append(payload, vu.Payload...)
-	//lint:ignore allocpath fills the payload sized above; these appends never grow it
 	payload = append(payload, m.pending[:m.audioPerFrame]...)
 	m.pending = m.pending[m.audioPerFrame:]
 	u := Unit{Seq: m.next, Payload: payload}

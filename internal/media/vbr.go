@@ -87,7 +87,6 @@ func VBRFrameSize(seed int64, seq uint64, peakBytes, diffBytes, gop int) int {
 // VBRFramePayload deterministically regenerates frame seq's payload.
 func VBRFramePayload(seed int64, seq uint64, peakBytes, diffBytes, gop int) []byte {
 	size := VBRFrameSize(seed, seq, peakBytes, diffBytes, gop)
-	//lint:ignore allocpath each captured payload is retained by the strand writer until its block flushes
 	buf := make([]byte, size)
 	binary.LittleEndian.PutUint64(buf, seq)
 	rng := rand.New(rand.NewSource(^seed ^ int64(seq*0x9e3779b97f4a7c15)))

@@ -3,10 +3,10 @@ package msm
 import (
 	"errors"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
-	"mmfs/internal/alloc"
 	"mmfs/internal/cache"
 	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
@@ -31,32 +31,18 @@ import (
 // spindle's local cylinders, charges service time to a private
 // virtual-time cursor, and spends a private Eq. 18 retry-slack budget
 // computed over the spindle's entry in the resident table. The serial
-// lane is a lane like them; it starts at the slowest lane's cursor, the
-// manager's clock advances to where it ends, and lane counters merge in
-// spindle order.
+// lane is a lane like them; it starts at the slowest lane's cursor and
+// the manager's clock advances to where it ends. Every lane counts
+// straight into the manager's counters: one goroutine sweeps them all.
 //
 // In host time the manager sweeps the busy lanes one after another on its
 // own goroutine. A sweep lends rather than copies and is under a
 // microsecond of bookkeeping; handing it to a goroutine cost a spawn and a
 // futex wake that together outweighed the sweep (DESIGN §13), and the
-// virtual numbers — cursors, join, merge order — cannot tell the two
+// virtual numbers — cursors, join, counters — cannot tell the two
 // apart. The interval cache keeps one timeline for plays on every spindle,
 // so a request with an open cache stream rides the serial lane, after the
 // join.
-
-// laneStats accumulates a lane's contribution to the manager counters;
-// the manager merges them after the join, in spindle order.
-type laneStats struct {
-	blocksFetched  uint64
-	blocksWritten  uint64
-	silenceBlocks  uint64
-	cacheHits      uint64
-	retries        uint64
-	degradedBlocks uint64
-	faultStops     uint64
-	violations     uint64
-	shedBlocks     uint64
-}
 
 // lane is one spindle's service context. The manager also keeps one
 // "serial" lane (spindle -1) over the whole logical device, which starts
@@ -91,23 +77,6 @@ type lane struct {
 	// any premium-class stream; the rebuild engine halves its budget on
 	// such lanes (repair yields to the strictest service class).
 	premium bool
-	stats   laneStats
-}
-
-// flushStats merges the lane's counters into the manager's and resets
-// them; called after the join, in spindle order.
-func (ln *lane) flushStats() {
-	s := &ln.m.stats
-	s.BlocksFetched += ln.stats.blocksFetched
-	s.BlocksWritten += ln.stats.blocksWritten
-	s.SilenceBlocks += ln.stats.silenceBlocks
-	s.CacheHits += ln.stats.cacheHits
-	s.Retries += ln.stats.retries
-	s.DegradedBlocks += ln.stats.degradedBlocks
-	s.FaultStops += ln.stats.faultStops
-	s.Violations += ln.stats.violations
-	s.ShedBlocks += ln.stats.shedBlocks
-	ln.stats = laneStats{}
 }
 
 // sweep services the lane's sub-round: its requests in C-SCAN order, k
@@ -177,7 +146,7 @@ func (ln *lane) scanSort() {
 				k += nc
 			}
 		}
-		keys = alloc.Append(keys, k)
+		keys = append(keys, k)
 	}
 	ln.sorter.keys = keys
 	if len(reqs) <= 16 {
@@ -265,7 +234,7 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 			for ps.nextFetch < len(ps.plan.Blocks) && (ps.nextFetch-ps.strideBase)%ps.stride != 0 {
 				ps.nextFetch++
 				ps.shed++
-				ln.stats.shedBlocks++
+				ln.m.stats.ShedBlocks++
 				m.obs.shedBlocks.Inc()
 			}
 		}
@@ -298,7 +267,8 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 		}
 		var maxT time.Duration
 		first := ps.nextFetch
-		deg := alloc.Zeroed(ln.deg, batch)
+		deg := slices.Grow(ln.deg[:0], batch)[:batch]
+		clear(deg)
 		ln.deg = deg
 		for i := 0; i < batch; i++ {
 			b := ps.plan.Blocks[first+i]
@@ -314,7 +284,7 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 				_, res := m.cache.Get(id, b.Index)
 				if res == cache.Hit {
 					ps.cacheHits++
-					ln.stats.cacheHits++
+					ln.m.stats.CacheHits++
 					continue
 				}
 				if follower {
@@ -357,7 +327,7 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 			}
 			r.consecFails = 0
 			if silent {
-				ln.stats.silenceBlocks++
+				ln.m.stats.SilenceBlocks++
 				if ps.cacheOpen {
 					// Silence is regenerated on read, never cached.
 					m.cache.Produced(id, b.Index)
@@ -374,7 +344,7 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 		for i := 0; i < batch; i++ {
 			j := first + i
 			ps.nextFetch++
-			ln.stats.blocksFetched++
+			ln.m.stats.BlocksFetched++
 			if deg[i] {
 				ln.degradeBlock(r, j, arrival)
 				continue
@@ -390,7 +360,7 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 			// stream's output is unusable and its retries are eating
 			// the shared slack round after round. Stop it; its slot
 			// returns to the admission pool.
-			ln.stats.faultStops++
+			ln.m.stats.FaultStops++
 			m.obs.faultStops.Inc()
 			r.done = true
 			m.closeCacheStream(r)
@@ -456,7 +426,7 @@ func (ln *lane) retryRead(b PlannedBlock, h int, t0 time.Duration, err0 error) (
 		} else {
 			ln.retrySlack -= t
 		}
-		ln.stats.retries++
+		ln.m.stats.Retries++
 		m.obs.retries.Inc()
 		if rerr == nil {
 			return data, total, silent, nil
@@ -478,16 +448,15 @@ func (ln *lane) degradeBlock(r *request, j int, arrival time.Duration) {
 	ln.violate(&ps.violations, Violation{Block: j, Deadline: dl, Actual: arrival, Cause: CauseDegraded})
 	ps.degraded++
 	r.consecFails++
-	ln.stats.degradedBlocks++
+	ln.m.stats.DegradedBlocks++
 	ln.m.obs.degraded.Inc()
 }
 
 // violate records one continuity violation on a request and in the
 // lane counter the manager folds into the published total.
 func (ln *lane) violate(dst *[]Violation, v Violation) {
-	//lint:ignore allocpath violations are rare by design and must be retained for the caller's report
 	*dst = append(*dst, v)
-	ln.stats.violations++
+	ln.m.stats.Violations++
 }
 
 // serviceRecord writes up to k captured blocks for a record request,
@@ -542,7 +511,7 @@ func (ln *lane) serviceRecord(r *request, k int) bool {
 			ln.violate(&rs.violations, Violation{Block: rs.nextWrite, Deadline: dl, Actual: finish})
 		}
 		rs.nextWrite++
-		ln.stats.blocksWritten++
+		ln.m.stats.BlocksWritten++
 		wrote++
 		if !full {
 			break
@@ -574,7 +543,7 @@ func (m *Manager) serviceRound(act []*request, sets [][]continuity.Request) bool
 				ln.premium = true
 			}
 		}
-		ln.reqs = alloc.Append(ln.reqs, r)
+		ln.reqs = append(ln.reqs, r)
 	}
 
 	// Refill the retry budgets: the slack Eq. 18's worst-case charging
@@ -604,18 +573,15 @@ func (m *Manager) serviceRound(act []*request, sets [][]continuity.Request) bool
 
 	// Join the sub-rounds: the serial lane — records, cache-coupled
 	// plays, and fetch windows the stripe map splits across spindles —
-	// starts where the slowest lane ended, counters merge in spindle
-	// order, and the round ends, for the clock, where the serial lane
-	// does.
+	// starts where the slowest lane ended, and the round ends, for the
+	// clock, where the serial lane does.
 	worked := false
 	for _, ln := range m.lanes {
 		worked = worked || ln.worked
 		serial.at = max(serial.at, ln.at)
 		serial.retrySlack = min(serial.retrySlack, ln.retrySlack)
-		ln.flushStats()
 	}
 	serial.sweep()
-	serial.flushStats()
 	m.clock.AdvanceTo(serial.at)
 	// Online repair rides the leftover slack after every stream has
 	// been serviced (see rebuild.go).
@@ -756,13 +722,13 @@ func (m *Manager) residentSets() (sets [][]continuity.Request, n int) {
 		sps := m.extent(r)
 		if sps == 0 {
 			for i := range sets {
-				sets[i] = alloc.Append(sets[i], e)
+				sets[i] = append(sets[i], e)
 			}
 			continue
 		}
 		for ; sps != 0; sps &= sps - 1 {
 			sp := bits.TrailingZeros64(sps)
-			sets[sp] = alloc.Append(sets[sp], e)
+			sets[sp] = append(sets[sp], e)
 		}
 	}
 	return sets, n

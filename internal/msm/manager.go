@@ -160,7 +160,7 @@ type Manager struct {
 	// Per-round scratch storage, reused to keep the service loop
 	// allocation-free (the round loop is the hot path). Service-time
 	// scratch (the degraded-block marks and the block-payload buffer)
-	// lives on the lanes, which parallel sub-rounds own exclusively.
+	// lives on the lanes (lane.deg, lane.blockBuf).
 	scratchAct []*request
 	// serial is the lane over the whole logical device: it services what
 	// no parallel lane can take — on a single device, everything — and
@@ -365,7 +365,7 @@ func (m *Manager) decideAdmit(spindles uint64, candidate continuity.Request, cac
 	if spindles != 0 {
 		touched := m.scratchSets[:0]
 		for ; spindles != 0; spindles &= spindles - 1 {
-			touched = alloc.Append(touched, sets[bits.TrailingZeros64(spindles)])
+			touched = append(touched, sets[bits.TrailingZeros64(spindles)])
 		}
 		m.scratchSets, sets = touched, touched
 	}
@@ -379,7 +379,6 @@ func (m *Manager) decideAdmit(spindles uint64, candidate continuity.Request, cac
 func (m *Manager) commit(dec continuity.Decision) (continuity.Decision, error) {
 	m.noteAdmission(dec.Admitted, dec.CacheServed)
 	if !dec.Admitted {
-		//lint:ignore allocpath admission rejection wraps the reason once, on the error path
 		return dec, fmt.Errorf("%w: %s", ErrAdmissionRejected, dec.Reason)
 	}
 	if dec.CacheServed {
@@ -709,7 +708,7 @@ func (m *Manager) active() []*request {
 	out := m.scratchAct[:0]
 	for _, r := range m.reqs {
 		if !r.done && r.pause == nil && !r.demoting {
-			out = alloc.Append(out, r)
+			out = append(out, r)
 		}
 	}
 	m.scratchAct = out
@@ -854,7 +853,6 @@ func (m *Manager) processDemotions() {
 		return
 	}
 	m.inDemote = true
-	//lint:ignore allocpath the deferred reset captures only the receiver; escape analysis keeps it on the stack
 	defer func() { m.inDemote = false }()
 	for _, r := range m.reqs {
 		if !r.needsDemote || r.done || r.pause != nil {
@@ -883,7 +881,6 @@ func (m *Manager) processDemotions() {
 		if err != nil {
 			r.cacheServed = false
 			m.closeCacheStream(r)
-			//lint:ignore allocpath a destructive pause is a rare terminal event; its state is retained
 			r.pause = &pauseState{at: m.clock.Now(), destructive: true}
 			continue
 		}

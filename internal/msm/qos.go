@@ -1,7 +1,6 @@
 package msm
 
 import (
-	"mmfs/internal/alloc"
 	"mmfs/internal/continuity"
 )
 
@@ -115,7 +114,6 @@ func (m *Manager) admitClassed(sp uint64, cand continuity.Request, class continu
 	// freshly shed victims before the candidate lands would undo the
 	// negotiation mid-flight.
 	m.inQoS = true
-	//lint:ignore allocpath admission is a per-request control event; the deferred reset captures only the receiver
 	defer func() { m.inQoS = false }()
 
 	// Dry run: probe pure decisions (no transitions, no obs traffic)
@@ -132,7 +130,6 @@ func (m *Manager) admitClassed(sp uint64, cand continuity.Request, class continu
 		if v == nil {
 			break
 		}
-		//lint:ignore allocpath admission is a per-request control event, not per-round work
 		sheds = append(sheds, trial{v, strideOf(v.play)})
 		v.play.stride = m.nextStride(strideOf(v.play))
 		dec = m.decideAdmit(sp, cand, false)
@@ -224,7 +221,6 @@ func (m *Manager) noteDemotion(r *request) {
 	ps := r.play
 	ps.strideBase = ps.nextFetch
 	now := m.clock.Now()
-	//lint:ignore allocpath demotions are rare load events; the violation is retained for the caller's report
 	ps.violations = append(ps.violations, Violation{Block: ps.nextFetch, Deadline: now, Actual: now, Cause: CauseLoadShed})
 	m.stats.Violations++
 	m.stats.LoadDemotions++
@@ -311,7 +307,7 @@ func (m *Manager) promotePass() {
 	sq := m.scratchQoS[:0]
 	for _, r := range m.reqs {
 		if r.kind == Play && !r.done && r.pause == nil && !r.cacheServed && r.play.stride > 1 {
-			sq = alloc.Append(sq, r)
+			sq = append(sq, r)
 		}
 	}
 	m.scratchQoS = sq

@@ -255,8 +255,8 @@ func (m *Manager) repairStep(budget time.Duration) (spent time.Duration, copied 
 			m.rb.fails++
 			if m.rb.fails >= repairFailLimit {
 				// The copy source is failing too: stop spending slack
-				// on a pair this engine cannot save. A rebuild target
-				// drops back to Dead; a rebalance keeps its progress.
+				// on a pair this engine cannot save. The rebuild target
+				// drops back to Dead.
 				a.AbortRepair()
 				m.rb.fails = 0
 			}

@@ -381,8 +381,8 @@ func TestStripedRoundSpawnsOnlyBusyLanes(t *testing.T) {
 			for _, ln := range rig.m.lanes {
 				if len(ln.reqs) > 0 {
 					busy++
-				} else if ln.worked || ln.stats != (laneStats{}) {
-					t.Fatalf("idle lane %d presents worked=%v stats=%+v", ln.spindle, ln.worked, ln.stats)
+				} else if ln.worked {
+					t.Fatalf("idle lane %d presents worked=%v", ln.spindle, ln.worked)
 				}
 			}
 			seen[busy]++

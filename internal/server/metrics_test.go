@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -214,4 +215,80 @@ func TestConnBufferGauge(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor("after every connection closed", func(v int64) bool { return v == 0 })
+}
+
+// TestUnknownOpcodesShareOneSeries: the opcode is the client's to
+// choose, so a series per opcode would be 65 535 series — and a METRICS
+// reply that grows with them — from one hostile connection. A thousand
+// distinct opcodes outside the protocol each get their error frame and
+// together add one series, op="unknown"; every opcode the protocol
+// defines keeps a series of its own.
+func TestUnknownOpcodesShareOneSeries(t *testing.T) {
+	c, _, addr := startServerAddr(t)
+	requestSeries := func() map[string]uint64 {
+		t.Helper()
+		snap, err := c.Metrics()
+		if err != nil {
+			t.Fatalf("metrics: %v", err)
+		}
+		out := make(map[string]uint64)
+		for _, cv := range snap.Counters {
+			if strings.HasPrefix(cv.Name, "mmfs_requests_total{") {
+				out[cv.Name] = cv.Value
+			}
+		}
+		return out
+	}
+	before := requestSeries()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const bad = 1000
+	for i := 0; i < bad; i++ {
+		op := wire.Op(0)
+		if i > 0 {
+			op = wire.Op(65535 - i)
+		}
+		if err := wire.WriteFrame(conn, wire.Request(op, nil)); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("opcode %d: connection died: %v", op, err)
+		}
+		if _, err := wire.ParseResponse(frame); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Fatalf("opcode %d: reply %v, want an unknown-op error frame", op, err)
+		}
+	}
+	after := requestSeries()
+	if got := after[`mmfs_requests_total{op="unknown"}`]; got != bad {
+		t.Fatalf(`op="unknown" counts %d requests, want %d`, got, bad)
+	}
+	if len(after) != len(before)+1 {
+		t.Fatalf("%d bad opcodes took the request series from %d to %d, want one more", bad, len(before), len(after))
+	}
+
+	// The bound countOp tests must cover the whole protocol: an opcode
+	// with a name has a series under that name.
+	var named []string
+	for op := wire.Op(0); op < 256; op++ {
+		if name := op.String(); !strings.HasPrefix(name, "Op(") {
+			named = append(named, name)
+			if err := wire.WriteFrame(conn, wire.Request(op, nil)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := wire.ReadFrame(conn); err != nil {
+				t.Fatalf("%s: connection died: %v", name, err)
+			}
+		}
+	}
+	after = requestSeries()
+	for _, name := range named {
+		if after[`mmfs_requests_total{op="`+name+`"}`] == 0 {
+			t.Errorf("protocol op %s has no request series of its own", name)
+		}
+	}
 }

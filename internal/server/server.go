@@ -325,10 +325,8 @@ func (s *Server) Handle(op wire.Op, body []byte, e *wire.Encoder) []byte {
 		// clock to completion under s.mu: the paper's storage manager
 		// is single-ported (§5.2), so all FS access is serialized by
 		// design. Lock sharding is ROADMAP item 5.
-		//lint:ignore blockinglock single-ported storage manager serializes FS access by design
 		err = s.recordFinish(d, e)
 	case wire.OpPlay:
-		//lint:ignore blockinglock single-ported storage manager serializes FS access by design
 		err = s.play(d, e)
 	case wire.OpFetch:
 		err = s.fetch(d, e)
@@ -365,12 +363,10 @@ func (s *Server) Handle(op wire.Op, body []byte, e *wire.Encoder) []byte {
 	case wire.OpTriggers:
 		err = s.triggers(d, e)
 	case wire.OpFlatten:
-		//lint:ignore blockinglock the server intentionally runs every op to completion under s.mu; disk time is virtual (see the mutex doc)
 		err = s.flatten(d, e)
 	case wire.OpMetrics:
 		err = s.metrics(d, e)
 	case wire.OpRebuild:
-		//lint:ignore blockinglock the rebuild runs the virtual clock to completion under s.mu, like recordFinish and play
 		err = s.rebuild(d, e)
 	default:
 		err = fmt.Errorf("server: unknown op %v", op)
@@ -415,11 +411,20 @@ func mutates(op wire.Op) bool {
 }
 
 // countOp increments the per-op request counter. The caller must hold
-// s.mu (the counter map is populated lazily as ops arrive).
+// s.mu (the counter map is populated lazily as ops arrive). The opcode
+// is the client's to choose: everything outside the protocol counts
+// under op="unknown", so no connection can mint series.
 func (s *Server) countOp(op wire.Op) {
+	if op < wire.OpRecordStart || op > wire.OpRebuild {
+		op = 0
+	}
 	c := s.opCount[op]
 	if c == nil {
-		c = s.reg.Counter(fmt.Sprintf("mmfs_requests_total{op=%q}", op))
+		label := "unknown"
+		if op != 0 {
+			label = op.String()
+		}
+		c = s.reg.Counter(fmt.Sprintf("mmfs_requests_total{op=%q}", label))
 		s.opCount[op] = c
 	}
 	c.Inc()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"mmfs/internal/alloc"
 	"mmfs/internal/disk"
 	"mmfs/internal/layout"
 )
@@ -47,8 +46,8 @@ func (r *Reader) Strand() *Strand { return r.s }
 // comes from the device's lending read (disk.Device.ReadView), so the
 // returned slice aliases either the device's own store or, when the
 // block cannot be lent (it crosses a cylinder or stripe group, or is a
-// regenerated silence holder), *buf — grown via the alloc scratch arena
-// to the block's full sector span.
+// regenerated silence holder), *buf — grown to the block's full sector
+// span.
 // The slice is trimmed to the payload, is read-only, has cap == len,
 // and is valid until the next write to the device or the next call
 // with the same buf; a caller that must keep bytes that arrived in *buf
@@ -65,12 +64,11 @@ func (r *Reader) ReadBlockInto(h, i int, buf *[]byte) (data []byte, t time.Durat
 	}
 	n := r.blockPayloadBytes(i)
 	if e.Silent() {
-		*buf = r.fillSilence(alloc.Grow(*buf, n))
+		r.fillSilence(sized(buf, n))
 		return (*buf)[:n:n], 0, true, nil
 	}
 	sectors := int(e.SectorCount)
-	*buf = alloc.Grow(*buf, sectors*r.d.Geometry().SectorSize)
-	b, t, err := r.d.ReadView(h, int(e.Sector), sectors, *buf)
+	b, t, err := r.d.ReadView(h, int(e.Sector), sectors, sized(buf, sectors*r.d.Geometry().SectorSize))
 	if err != nil {
 		return nil, t, false, err
 	}
@@ -112,8 +110,8 @@ func (r *Reader) blockPayloadBytes(i int) int {
 // read, fetching each media block once however many of its units are
 // wanted. Units are lent, under ReadBlockInto's rules: each aliases the
 // device's own store or, when the block cannot be lent (it crosses a
-// cylinder or stripe group, or is an eliminated silence holder), *buf —
-// grown via the alloc scratch arena — is read-only, has cap == len,
+// cylinder or stripe group, or is an eliminated silence holder), *buf,
+// grown to fit — is read-only, has cap == len,
 // and is valid only until fn returns. A caller that must keep a unit
 // copies it (core.FS.FetchUnits does); fn's error stops the walk and is
 // returned as is.
@@ -133,7 +131,7 @@ func (r *Reader) VisitUnits(start, n uint64, buf *[]byte, fn func(unit []byte) e
 			return err
 		}
 		if e.Silent() {
-			*buf = r.fillSilence(alloc.Grow(*buf, ub))
+			r.fillSilence(sized(buf, ub))
 			for i := 0; i < cnt; i++ {
 				if err := fn((*buf)[:ub:ub]); err != nil {
 					return err
@@ -142,8 +140,7 @@ func (r *Reader) VisitUnits(start, n uint64, buf *[]byte, fn func(unit []byte) e
 			u += uint64(cnt)
 			continue
 		}
-		*buf = alloc.Grow(*buf, int(e.SectorCount)*ss)
-		raw, err := r.d.ViewAt(int(e.Sector), int(e.SectorCount), *buf)
+		raw, err := r.d.ViewAt(int(e.Sector), int(e.SectorCount), sized(buf, int(e.SectorCount)*ss))
 		if err != nil {
 			return err
 		}
@@ -175,12 +172,21 @@ func (r *Reader) VisitUnits(start, n uint64, buf *[]byte, fn func(unit []byte) e
 }
 
 // fillSilence fills b with the strand medium's silence byte.
-func (r *Reader) fillSilence(b []byte) []byte {
+func (r *Reader) fillSilence(b []byte) {
 	fill := SilenceFill(r.s.Medium())
 	for j := range b {
 		b[j] = fill
 	}
-	return b
+}
+
+// sized makes *buf n bytes long, contents unspecified, with a new
+// backing array only when the one it has is too small.
+func sized(buf *[]byte, n int) []byte {
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // variableUnitAt decodes the length-prefixed unit at byte offset o of
@@ -200,8 +206,8 @@ func variableUnitAt(raw []byte, o int, id ID, u uint64) (unit []byte, next int, 
 
 // BlockView lends the full payload of block i untimed (silent reports an
 // eliminated silence holder, which has none): the payload aliases the
-// device's own store or, when the block cannot be lent, *buf — grown via
-// the alloc scratch arena. A caller that must keep it past that copies it
+// device's own store or, when the block cannot be lent, *buf, grown to
+// fit. A caller that must keep it past that copies it
 // (reorganization does: it frees the source before re-placing). It is read-only, has cap == len, and is
 // valid until the next call with the same buf or the next write to the
 // device that overlaps the block's run; it may therefore be handed to
@@ -216,8 +222,7 @@ func (r *Reader) BlockView(i int, buf *[]byte) ([]byte, bool, error) {
 		return nil, true, nil
 	}
 	n := int(e.SectorCount)
-	*buf = alloc.Grow(*buf, n*r.d.Geometry().SectorSize)
-	raw, err := r.d.ViewAt(int(e.Sector), n, *buf)
+	raw, err := r.d.ViewAt(int(e.Sector), n, sized(buf, n*r.d.Geometry().SectorSize))
 	if err != nil {
 		return nil, false, err
 	}

@@ -91,19 +91,16 @@ func NewWriter(d disk.Device, a *alloc.Allocator, cfg WriterConfig) (*Writer, er
 // these times against the same per-round budget as reads.
 func (w *Writer) Append(u media.Unit) (time.Duration, error) {
 	if w.closed {
-		//lint:ignore allocpath malformed appends abort the request; the error path is cold
 		return 0, fmt.Errorf("strand %d: append after close", w.cfg.ID)
 	}
 	if w.cfg.Variable {
 		if len(u.Payload) < 1 || len(u.Payload) > w.cfg.UnitBytes {
-			//lint:ignore allocpath malformed appends abort the request; the error path is cold
 			return 0, fmt.Errorf("strand %d: variable unit %d is %d bytes, want 1..%d", w.cfg.ID, u.Seq, len(u.Payload), w.cfg.UnitBytes)
 		}
 	} else if len(u.Payload) != w.cfg.UnitBytes {
-		//lint:ignore allocpath malformed appends abort the request; the error path is cold
 		return 0, fmt.Errorf("strand %d: unit %d is %d bytes, want %d", w.cfg.ID, u.Seq, len(u.Payload), w.cfg.UnitBytes)
 	}
-	w.pending = alloc.Append(w.pending, u)
+	w.pending = append(w.pending, u)
 	w.units++
 	if len(w.pending) < w.cfg.Granularity {
 		return 0, nil
@@ -116,13 +113,11 @@ func (w *Writer) flush() (time.Duration, error) {
 	if len(w.pending) == 0 {
 		return 0, nil
 	}
-	//lint:ignore allocpath the deferred reset captures only the receiver; escape analysis keeps it on the stack
 	defer func() { w.pending = w.pending[:0] }()
 
 	if w.cfg.Silence != nil && w.allPendingSilent() {
 		// §4: no audio data is stored for a silent block; a NULL
 		// pointer in the primary block represents the delay.
-		//lint:ignore allocpath the index is the strand's durable state; it must grow
 		w.entries = append(w.entries, layout.SilenceEntry())
 		return 0, nil
 	}
@@ -135,12 +130,12 @@ func (w *Writer) flush() (time.Duration, error) {
 		for _, u := range w.pending {
 			var hdr [4]byte
 			binary.LittleEndian.PutUint32(hdr[:], uint32(len(u.Payload)))
-			buf = alloc.AppendBytes(buf, hdr[:])
-			buf = alloc.AppendBytes(buf, u.Payload)
+			buf = append(buf, hdr[:]...)
+			buf = append(buf, u.Payload...)
 		}
 	} else {
 		for _, u := range w.pending {
-			buf = alloc.AppendBytes(buf, u.Payload)
+			buf = append(buf, u.Payload...)
 		}
 	}
 	w.blockBuf = buf
@@ -159,7 +154,6 @@ func (w *Writer) flush() (time.Duration, error) {
 		w.units -= uint64(len(w.pending))
 		return 0, err
 	}
-	//lint:ignore allocpath the index is the strand's durable state; it must grow
 	w.entries = append(w.entries, layout.PrimaryEntry{Sector: uint32(run.LBA), SectorCount: uint32(run.Sectors)})
 	w.prev = run
 	w.havePrev = true
