@@ -184,6 +184,9 @@ type Cache struct {
 	obsAdoptions                      *obs.Counter
 	obsBytes, obsPinned, obsIntervals *obs.Gauge
 	obsOwned                          *obs.Gauge
+	// unpublished marks residency changes the gauges do not show yet:
+	// set by the per-block paths, cleared by PublishGauges.
+	unpublished bool
 }
 
 // New creates a cache with the given capacity in bytes.
@@ -215,8 +218,15 @@ func (c *Cache) SetObs(reg *obs.Registry) {
 	reg.Gauge("mmfs_cache_capacity_bytes").Set(c.capacity)
 }
 
-// syncGauges refreshes the residency gauges after a mutation.
-func (c *Cache) syncGauges() {
+// PublishGauges copies the residency figures (Stats' Bytes,
+// PinnedBytes, Intervals and OwnedBytes) into the registry's gauges. The
+// per-block paths — Get, Put, PutView, Produced — leave the gauges to
+// the storage manager, which publishes them once at the end of every
+// service round; the cache's entry points a round never calls alone
+// (Adopt and CloseStream, which admission, STOP and PAUSE reach;
+// InvalidateStrand; Reset) publish as they return.
+func (c *Cache) PublishGauges() {
+	c.unpublished = false
 	c.obsBytes.Set(c.bytes)
 	c.obsPinned.Set(c.pinned)
 	c.obsIntervals.Set(int64(c.intervals))
@@ -327,7 +337,7 @@ func (c *Cache) Adopt(id uint64) bool {
 	c.intervals++
 	c.stats.Adoptions++
 	c.obsAdoptions.Inc()
-	c.syncGauges()
+	c.PublishGauges()
 	return true
 }
 
@@ -367,12 +377,12 @@ func (c *Cache) Get(id uint64, index int) ([]byte, Result) {
 		return nil, Miss
 	}
 	c.consume(s, e)
+	c.unpublished = true
 	if index >= s.pos {
 		s.pos = index + 1
 	}
 	c.stats.Hits++
 	c.obsHits.Inc()
-	c.syncGauges()
 	return e.data, Hit
 }
 
@@ -387,6 +397,10 @@ func (c *Cache) Peek(id uint64, index int) Result {
 	}
 	if s.leader != nil && index >= s.leader.pos {
 		return Wait
+	}
+	// As in Get: a follower's next block heads its pin list.
+	if e := s.pins.head; e != nil && e.key.index == index {
+		return Hit
 	}
 	if c.entries[blockKey{s.sid, index}] == nil {
 		return Miss
@@ -491,18 +505,17 @@ func (c *Cache) insert(id uint64, index int, data []byte, lent bool) {
 	if size == 0 || size > c.capacity {
 		return
 	}
+	c.unpublished = true
 	key := blockKey{s.sid, index}
 	if e := c.entries[key]; e != nil {
 		c.hold(e, data, lent)
 		c.claimOrTouch(s, e)
-		c.syncGauges()
 		return
 	}
 	// Make room by evicting unpinned LRU entries; if the pins leave no
 	// room the insert is skipped (the follower will miss and demote).
 	for c.bytes+size > c.capacity {
 		if !c.evictOne() {
-			c.syncGauges()
 			return
 		}
 	}
@@ -520,7 +533,6 @@ func (c *Cache) insert(id uint64, index int, data []byte, lent bool) {
 	c.obsInserts.Inc()
 	c.lru.pushFront(e)
 	c.claimOrTouch(s, e)
-	c.syncGauges()
 }
 
 // hold makes data the entry's bytes: retained as they are when lent,
@@ -566,7 +578,7 @@ func (c *Cache) Produced(id uint64, index int) {
 	}
 	if e := c.entries[blockKey{s.sid, index}]; e != nil && e.claimant == s {
 		c.handDown(s, e)
-		c.syncGauges()
+		c.unpublished = true
 	}
 	if index >= s.pos {
 		s.pos = index + 1
@@ -604,7 +616,7 @@ func (c *Cache) CloseStream(id uint64) {
 		s.leader.follower = s.follower
 	}
 	s.leader, s.follower = nil, nil
-	c.syncGauges()
+	c.PublishGauges()
 }
 
 // InvalidateStrand drops every cached block of a strand: its sectors
@@ -617,7 +629,7 @@ func (c *Cache) InvalidateStrand(sid strand.ID) {
 			c.removeEntry(e)
 		}
 	}
-	c.syncGauges()
+	c.PublishGauges()
 }
 
 // Reset empties the cache for a new owner, keeping its frames: every
@@ -638,7 +650,7 @@ func (c *Cache) Reset() {
 	c.lru = entryList{}
 	c.bytes, c.pinned, c.intervals = 0, 0, 0
 	c.stats = Stats{}
-	c.syncGauges()
+	c.PublishGauges()
 }
 
 // removeEntry unlinks and forgets an entry regardless of pin state,

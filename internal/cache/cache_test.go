@@ -639,6 +639,7 @@ func TestOwnedBytesGaugeCountsFramesNotViews(t *testing.T) {
 	c := New(n * blockSize)
 	c.SetObs(reg)
 	gauge := func(name string) int64 {
+		c.PublishGauges() // what a round's end publishes
 		v, _ := reg.Snapshot().Gauge(name)
 		return v
 	}

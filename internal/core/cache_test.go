@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -288,5 +289,56 @@ func TestCachedPlaySpawnsNoLanes(t *testing.T) {
 		if st.Rounds == 0 || st.BlocksFetched == 0 {
 			t.Fatalf("cache %d MiB: nothing played: %+v", cacheMB, st)
 		}
+	}
+}
+
+// The interval cache's residency gauges are published once a round, not
+// on every hit and insert: after every RunRound — and after the STOP and
+// the admission that adopt and close streams between rounds — what
+// METRICS reports equals Cache.Stats(). The cache is small enough that
+// the leader's blocks are evicted while followers hold pins.
+func TestCacheGaugesMatchStatsAfterEveryRound(t *testing.T) {
+	fs, err := Format(Options{CacheMB: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := recordClip(t, fs, "venkat", 8, 7700)
+	mgr := fs.Manager()
+	c := mgr.Cache()
+	check := func(when string) {
+		t.Helper()
+		snap, st := fs.Metrics().Snapshot(), c.Stats()
+		for name, want := range map[string]int64{
+			"mmfs_cache_bytes":        st.Bytes,
+			"mmfs_cache_pinned_bytes": st.PinnedBytes,
+			"mmfs_cache_owned_bytes":  st.OwnedBytes,
+			"mmfs_cache_intervals":    int64(st.Intervals),
+		} {
+			if got, _ := snap.Gauge(name); got != want {
+				t.Fatalf("%s: %s = %d, Cache.Stats() says %d", when, name, got, want)
+			}
+		}
+	}
+	var plays []PlayHandle
+	rounds := 0
+	for i := 0; i < 3; i++ {
+		plays = append(plays, playVideo(t, fs, r))
+		check("after an admission")
+		for j := 0; j < 4; j++ {
+			mgr.RunRound()
+			rounds++
+			check(fmt.Sprintf("after round %d", rounds))
+		}
+	}
+	if err := fs.StopPlay(plays[1]); err != nil {
+		t.Fatal(err)
+	}
+	check("after a STOP")
+	for mgr.RunRound() {
+		rounds++
+		check(fmt.Sprintf("after round %d", rounds))
+	}
+	if st := c.Stats(); st.Hits == 0 || st.Evictions == 0 || st.Adoptions == 0 {
+		t.Fatalf("the walk never served a follower, adopted or evicted: %+v", st)
 	}
 }

@@ -23,13 +23,15 @@ func TestFaultOptionWiring(t *testing.T) {
 		opts                       Options
 		retries, degraded, readErr uint64
 	}{
-		// Re-pinned with the run placement (PR 23): strands start on other
-		// spindles and are a sixteenth as many cylinders long, so other reads
-		// meet the seeded fault stream, and spindle 1 now carries three
-		// strands at k = 2, whose Eq. 18 slack funds one retry, not ten.
-		{"single disk", Options{Fault: sc}, 35, 0, 35},
-		{"striped, spindle 1", Options{Disks: 4, Fault: sc, FaultSpindle: 1}, 1, 7, 8},
-		{"mirrored, spindle 1", Options{Disks: 4, Mirror: true, Fault: sc, FaultSpindle: 1}, 1, 0, 1},
+		// Re-pinned with run reads: a turn reads a clip's back-to-back
+		// blocks as one access, so the fault stream meets a fraction of the
+		// reads it met, and a faulted run is retried block by block (one
+		// retry; its failed access spends slack). Four clips left the
+		// mirrored spindle 1 no faulted read at all; eight give every row
+		// faults to handle.
+		{"single disk", Options{Fault: sc}, 22, 7, 29},
+		{"striped, spindle 1", Options{Disks: 4, Fault: sc, FaultSpindle: 1}, 16, 2, 18},
+		{"mirrored, spindle 1", Options{Disks: 4, Mirror: true, Fault: sc, FaultSpindle: 1}, 7, 0, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs, err := Format(tc.opts)
@@ -41,7 +43,7 @@ func TestFaultOptionWiring(t *testing.T) {
 				t.Fatal("no fault layer despite an active scenario")
 			}
 			var ropes []*rope.Rope
-			for seed := int64(1); seed <= 4; seed++ {
+			for seed := int64(1); seed <= 8; seed++ {
 				ropes = append(ropes, recordClip(t, fs, "venkat", 3, seed))
 			}
 			var handles []PlayHandle

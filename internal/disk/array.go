@@ -275,11 +275,14 @@ func (a *Array) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, 
 		}
 		return data, t, nil
 	}
+	hi := n * a.logical.SectorSize
+	if len(scratch) < hi {
+		return nil, 0, fmt.Errorf("disk: ReadView scratch holds %d bytes, need %d", len(scratch), hi)
+	}
 	t, err := a.ReadInto(h, lba, n, scratch)
 	if err != nil {
 		return nil, 0, err
 	}
-	hi := n * a.logical.SectorSize
 	return scratch[:hi:hi], t, nil
 }
 

@@ -46,12 +46,12 @@ type Device interface {
 	// timing, head movement, statistics and fault behaviour are
 	// exactly ReadInto's, but when the access sits in one
 	// materialised cylinder page of one spindle the returned slice
-	// aliases the device's own store instead of a copy. Otherwise
-	// scratch (at least n sectors long) is filled as ReadInto would and
-	// returned. Either way the slice is read-only, has cap == len, and
-	// is valid until the next write to the device or the next call
-	// with the same scratch. On error data is nil and t is what ReadInto
-	// would report.
+	// aliases the device's own store instead of a copy, and scratch is
+	// not touched. Otherwise scratch (at least n sectors long, or the
+	// read fails) is filled as ReadInto would and returned. Either way
+	// the slice is read-only, has cap == len, and is valid until the
+	// next write to the device or the next call with the same scratch.
+	// On error data is nil and t is what ReadInto would report.
 	ReadView(h, lba, n int, scratch []byte) (data []byte, t time.Duration, err error)
 	Write(h, lba int, data []byte) (time.Duration, error)
 	PeekServiceTime(h, lba, n int) time.Duration

@@ -116,8 +116,15 @@ func Transition() Result {
 	run := func(policy msm.TransitionPolicy) (steps uint64, violations int) {
 		r := newRig()
 		strands := make([]*strand.Strand, nmax)
+		// The paper's scattered model: successive blocks of a strand
+		// 1 to 32 cylinders apart, so every block pays a positioning and
+		// the disk runs at the Eq. 18 limit the experiment is about.
+		// Run-placed recordings would be read a cylinder's run at a time,
+		// finishing rounds well inside the charge: then no k is too small.
+		// 20 s a strand: a scattered block touches a cylinder page of its
+		// own, so this holds what 40 s of run-placed video did.
 		for i := range strands {
-			_, strands[i] = r.recordVideoRope(40, int64(2500+i))
+			strands[i] = r.recordStrandAtDistance(3, 1, 32, 200)
 		}
 		mgr := r.fs.NewManager()
 		mgr.SetPolicy(msm.Stepwise)
@@ -186,6 +193,7 @@ func Transition() Result {
 	}
 	res.Note("paper: \"Equation (15) guarantees continuity only in steady state, and not during transitions\"; Eq. 18's stepwise growth \"guarantees both transient and steady state continuity\"")
 	res.Note("the naive jump's violations all fall in the first rounds after admission, on the streams serviced last in the round")
+	res.Note("strands recorded scattered, 1 to 32 cylinders a block (the paper's model): every block pays a positioning, so the disk works at the Eq. 18 limit")
 	return res
 }
 

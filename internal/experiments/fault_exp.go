@@ -60,7 +60,8 @@ func FaultTolerance() Result {
 		if row.spec == "" {
 			// Grown defect: one sector pair inside stream 0's sixth
 			// block persistently fails, so exactly that block degrades
-			// (bad sectors are never retried).
+			// (its run is re-read block by block; the block itself is
+			// never retried).
 			e, berr := strands[0].Block(5)
 			if berr != nil {
 				panic(berr)
@@ -126,9 +127,10 @@ func FaultTolerance() Result {
 	}
 
 	res.Note("n_max = %d (Eq. 17), k = %d (Eq. 18); each stream plays a 10 s strand (100 blocks)", nmax, k)
-	res.Note("retry budget per round is Eq. 18's measured slack k·γ − n·α − n·k·β: at n_max it is thin and faults mostly degrade to zero-fill; at half load retries absorb them")
+	res.Note("retry budget per round is Eq. 18's measured slack k·γ − n·α − n·k·β: thin at n_max, where a fault may degrade to zero-fill; at half load retries absorb them")
+	res.Note("a turn reads a stream's back-to-back blocks as one access, so a storm draws once per run, not once per block; a faulted run is re-read block by block — one retry, its failed access paid from the slack — and a block whose own read fails again climbs the ladder alone")
 	res.Note("degraded blocks glitch one block of one stream each — the play finishes and the admission set is untouched (zero aborted plays at realistic error rates)")
-	res.Note("persistent defects (grown bad sectors) skip the retry tier: re-reading cannot succeed, so the block degrades directly every time it is played")
+	res.Note("persistent defects (grown bad sectors) skip the retry tier: once the run is re-read block by block, re-reading the defective block cannot succeed, so it degrades directly every time it is played")
 	res.Note("extension beyond the paper: Rangan & Vin assume a fault-free drive; the ladder spends only slack the worst-case admission charging already reserved")
 	return res
 }

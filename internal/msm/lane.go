@@ -3,7 +3,6 @@ package msm
 import (
 	"errors"
 	"math/bits"
-	"slices"
 	"sort"
 	"time"
 
@@ -60,15 +59,16 @@ type lane struct {
 	// slack over the spindle-resident admission set.
 	retrySlack time.Duration
 	// Per-lane scratch arenas: reqs is the round's partition — the requests
-	// this lane services. blockBuf is only the fallback scratch of
-	// ReadBlockInto: a block normally arrives lent by the lane's own
-	// spindle (a read-only slice of its store, valid until the round's
-	// writes, which run on the serial lane after the join), and the
-	// lane drops it — or the interval cache retains the view (feedCache)
-	// — before the next read; only a block that landed in blockBuf is
-	// copied.
+	// this lane services; got is a step's per-block arrivals. blockBuf is
+	// only the fallback scratch of the run read: a run normally arrives
+	// lent by the lane's own spindle (a read-only slice of its store,
+	// valid until the round's writes, which run on the serial lane after
+	// the join), and the lane drops it — or the interval cache retains
+	// views of its blocks (feedCache) — before the next read; only a
+	// block that landed in blockBuf (a run of one that crosses a
+	// cylinder) is copied.
 	reqs     []*request
-	deg      []bool
+	got      []arrival
 	blockBuf []byte
 	sorter   scanSorter
 	// worked reports whether any request transferred this round.
@@ -200,7 +200,12 @@ func (ln *lane) serviceRequest(r *request, k int) bool {
 // servicePlay delivers up to k blocks to a play request, respecting
 // the display-buffer regulation, recording arrival-vs-deadline
 // violations, and starting the display once the read-ahead is
-// satisfied. With concurrency p > 1, up to p blocks are fetched in
+// satisfied. The turn proceeds in steps. A step is one run (readRun): the
+// request's next plan blocks, as many as lie back to back in one
+// cylinder, read as one timed access — one positioning, then the
+// transfer — each block arriving as the transfer passes its last sector,
+// so deadlines, the display start and the cache's feed stay per block.
+// With concurrency p > 1 a step is instead p runs of one block, fetched in
 // parallel on distinct heads, all arriving when the slowest completes.
 //
 // A block has three sources. Pure delays and silence holders cost
@@ -216,21 +221,21 @@ func (ln *lane) serviceRequest(r *request, k int) bool {
 // timed read. A follower takes its blocks one at a time (a hit occupies
 // no head), at full rate (a block that costs no disk time is not worth
 // skipping), and never asks the cache for a silence holder, which no
-// leader inserts.
+// leader inserts. A load-shed stream reads one block a step too: its plan
+// is only valid at every stride-th index.
 //
 // rt:hotpath
 func (ln *lane) servicePlay(r *request, k int) bool {
 	m := ln.m
 	ps := r.play
-	id := uint64(r.id)
-	follower := r.cacheServed
+	single := ps.stride > 1 || r.cacheServed
 	fetched := 0
 	for fetched < k {
 		// Load-shed sub-sampling: advance for free past the blocks the
 		// stride drops. The retained neighbor already covers their
 		// display time (it repeats on screen), so they occupy no buffer,
 		// cost no disk time, and can never be late.
-		if ps.stride > 1 && !follower {
+		if ps.stride > 1 && !r.cacheServed {
 			for ps.nextFetch < len(ps.plan.Blocks) && (ps.nextFetch-ps.strideBase)%ps.stride != 0 {
 				ps.nextFetch++
 				ps.shed++
@@ -241,118 +246,66 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 		if ps.nextFetch >= len(ps.plan.Blocks) {
 			break
 		}
-		// Determine the parallel batch size. A load-shed stream fetches
-		// one block at a time: its plan is only valid at every
-		// stride-th index, so a contiguous multi-head batch would pull
-		// in blocks the stride skips.
-		batch := m.concurrency
-		if ps.stride > 1 || follower {
-			batch = 1
-		}
-		if batch > k-fetched {
-			batch = k - fetched
-		}
-		if rem := len(ps.plan.Blocks) - ps.nextFetch; batch > rem {
-			batch = rem
-		}
+		// The step's bound: the turn's k, the plan's end, and — once the
+		// display runs — the free display buffers (regulation: never
+		// overflow the display subsystem). Before the display starts a
+		// run still stops at the buffers it would fill.
+		most := min(k-fetched, len(ps.plan.Blocks)-ps.nextFetch)
+		room := ps.plan.Buffers - ps.occupancyAt(ln.at)
 		if ps.started {
-			// Regulation: never overflow the display subsystem.
-			room := ps.plan.Buffers - ps.occupancyAt(ln.at)
 			if room <= 0 {
 				break
 			}
-			if batch > room {
-				batch = room
-			}
+			most = min(most, room)
 		}
-		var maxT time.Duration
 		first := ps.nextFetch
-		deg := slices.Grow(ln.deg[:0], batch)[:batch]
-		clear(deg)
-		ln.deg = deg
-		for i := 0; i < batch; i++ {
-			b := ps.plan.Blocks[first+i]
-			if b.Reader == nil {
-				// Pure delay block (an interval whose medium is
-				// absent): consumes playback time, no disk work.
-				continue
-			}
-			if (follower && stored(b)) || (!follower && ps.cacheOpen) {
-				// A block still resident (pinned by an interval or
-				// retained by the LRU from an earlier play) costs zero
-				// disk time.
-				_, res := m.cache.Get(id, b.Index)
-				if res == cache.Hit {
-					ps.cacheHits++
-					ln.m.stats.CacheHits++
-					continue
-				}
-				if follower {
-					if res == cache.Miss {
-						r.needsDemote = true
-					}
-					return fetched > 0
-				}
-			}
-			h := i % m.d.Heads()
-			data, t, silent, err := b.Reader.ReadBlockInto(h, b.Index, &ln.blockBuf)
-			if err != nil && isFault(err) {
-				data, t, silent, err = ln.retryRead(b, h, t, err)
-			}
-			if err != nil {
-				if !isFault(err) {
-					// A broken plan is a programming error in the layers
-					// above; record it as a violation at this block and
-					// stop the request.
-					ln.violate(&ps.violations, Violation{Block: first + i, Deadline: ln.at, Actual: ln.at})
-					r.done = true
-					m.closeCacheStream(r)
+		got := ln.arrivals(most)
+		var n int
+		var span time.Duration
+		if heads := m.concurrency; heads > 1 && !single {
+			n = min(heads, most)
+			for i := 0; i < n; i++ {
+				_, t, next := ln.readRun(r, i%m.d.Heads(), first+i, 1, got[i:])
+				if next == stopRequest {
 					return true
 				}
-				// Graceful degradation: the retry budget is exhausted
-				// (or the sector is a persistent defect), so a
-				// zero-filled block stands in for the unreadable data —
-				// the display glitches for one block instead of the
-				// play aborting. The zero-fill is never cached: a
-				// following stream misses here and falls back to disk
-				// through the demotion path.
-				deg[i] = true
-				if ps.cacheOpen {
-					m.cache.Produced(id, b.Index)
-				}
-				if t > maxT {
-					maxT = t
-				}
-				continue
+				span = max(span, t)
 			}
-			r.consecFails = 0
-			if silent {
-				ln.m.stats.SilenceBlocks++
-				if ps.cacheOpen {
-					// Silence is regenerated on read, never cached.
-					m.cache.Produced(id, b.Index)
-				}
-			} else if ps.cacheOpen {
-				ln.feedCache(id, b.Index, data)
+			for i := range got[:n] {
+				got[i].at = span
 			}
-			if t > maxT {
-				maxT = t
+		} else {
+			if single {
+				most = 1
+			} else if !ps.started {
+				most = min(most, max(room, 1))
+			}
+			var next turnStep
+			n, span, next = ln.readRun(r, 0, first, most, got)
+			switch next {
+			case stopRequest:
+				return true
+			case endTurn:
+				return fetched > 0
 			}
 		}
-		ln.at += maxT
-		arrival := ln.at
-		for i := 0; i < batch; i++ {
+		start := ln.at
+		ln.at += span
+		for i, a := range got[:n] {
 			j := first + i
+			arrival := start + a.at
 			ps.nextFetch++
 			ln.m.stats.BlocksFetched++
-			if deg[i] {
+			if a.degraded {
 				ln.degradeBlock(r, j, arrival)
-				continue
-			}
-			if ps.started {
+			} else if ps.started {
 				if dl := ps.deadline(j); arrival > dl {
 					ln.violate(&ps.violations, Violation{Block: j, Deadline: dl, Actual: arrival})
 				}
+			}
+			if !ps.started && ps.nextFetch >= ps.readAhead {
+				ps.started = true
+				ps.startTime = arrival
 			}
 		}
 		if m.ft.ConsecFailLimit > 0 && r.consecFails >= m.ft.ConsecFailLimit {
@@ -366,13 +319,207 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 			m.closeCacheStream(r)
 			return true
 		}
-		fetched += batch
-		if !ps.started && ps.nextFetch >= ps.readAhead {
-			ps.started = true
-			ps.startTime = arrival
-		}
+		fetched += n
 	}
 	return fetched > 0
+}
+
+// arrival is one block's delivery in a step: when it became available,
+// as an offset from the step's start, and whether a zero-fill stood in
+// for it. For a stored block of a run, at is the end of the transfer of
+// the run's sectors up to and including the block's; in the meantime
+// end holds that sector count.
+type arrival struct {
+	at       time.Duration
+	end      int
+	degraded bool
+}
+
+// arrivals is the lane's per-step scratch, n entries long and zeroed.
+// It is sized to a step's blocks (at most k, and grown by doubling as k
+// steps up), never to bytes: the bytes of a run are lent.
+func (ln *lane) arrivals(n int) []arrival {
+	if cap(ln.got) < n {
+		ln.got = make([]arrival, max(n, 2*cap(ln.got)))
+	}
+	ln.got = ln.got[:n]
+	clear(ln.got)
+	return ln.got
+}
+
+// turnStep says how a request's turn goes on after a readRun.
+type turnStep int
+
+const (
+	// nextStep: the blocks were delivered; the turn goes on.
+	nextStep turnStep = iota
+	// endTurn: a follower must wait for (or demote from) its leader;
+	// nothing was delivered.
+	endTurn
+	// stopRequest: the plan is broken; the request was stopped.
+	stopRequest
+)
+
+// readRun is the one read body of the service round: it delivers plan
+// block j and, when j is a stored block the disk must supply, the blocks
+// stored back to back after it — at most most blocks in all — as one
+// timed access by head h. It reports how many blocks it delivered, the
+// step's service time, and how the turn goes on; got[i] receives block
+// j+i's arrival. A lone block is simply a run of one.
+//
+// A run grows while the next plan block is the next one the same reader
+// stores: its first sector follows the run's last, the run stays inside
+// the cylinder it started in (so the whole run is one lent view, DESIGN
+// §12), and — for a leader feeding the interval cache — the cache does
+// not already hold it. Pure delays, silence holders, cache hits, reader
+// changes, gaps and cylinder crossings each end a run; so do most's
+// bounds (k, the plan's end, the display buffers), and a follower or a
+// load-shed stream passes most = 1. Each block of a run is handed to the
+// cache as a view of the run.
+//
+// A run access that faults is retried block by block: a fault does not
+// say which block it hit, so each block is read again on its own — a run
+// of one, through retryRead and degradation — and a fault costs exactly
+// the blocks it touches. The re-read pass is the run's retry: it counts
+// as one, and the failed access's time comes out of the round's retry
+// slack (the blocks' own Eq. 18 charges pay for their re-reads).
+//
+// rt:hotpath
+func (ln *lane) readRun(r *request, h, j, most int, got []arrival) (int, time.Duration, turnStep) {
+	m := ln.m
+	ps := r.play
+	id := uint64(r.id)
+	b := ps.plan.Blocks[j]
+	if b.Reader == nil {
+		// Pure delay block (an interval whose medium is absent):
+		// consumes playback time, no disk work.
+		return 1, 0, nextStep
+	}
+	e, err := b.Reader.Strand().Block(b.Index)
+	if err != nil {
+		// A broken plan is a programming error in the layers above;
+		// record it as a violation at this block and stop the request.
+		ln.violate(&ps.violations, Violation{Block: j, Deadline: ln.at, Actual: ln.at})
+		r.done = true
+		m.closeCacheStream(r)
+		return 0, 0, stopRequest
+	}
+	if (r.cacheServed && !e.Silent()) || (!r.cacheServed && ps.cacheOpen) {
+		// A block still resident (pinned by an interval or retained by
+		// the LRU from an earlier play) costs zero disk time.
+		if _, res := m.cache.Get(id, b.Index); res == cache.Hit {
+			ps.cacheHits++
+			ln.m.stats.CacheHits++
+			return 1, 0, nextStep
+		} else if r.cacheServed {
+			if res == cache.Miss {
+				r.needsDemote = true
+			}
+			return 0, 0, endTurn
+		}
+	}
+	if e.Silent() {
+		r.consecFails = 0
+		ln.m.stats.SilenceBlocks++
+		if ps.cacheOpen {
+			// Silence is regenerated on read, never cached.
+			m.cache.Produced(id, b.Index)
+		}
+		return 1, 0, nextStep
+	}
+	n, end := 1, e.Sector+e.SectorCount
+	cyl := int(e.Sector) / m.spc
+	got[0].end = int(e.SectorCount)
+	for n < most {
+		nb := ps.plan.Blocks[j+n]
+		if nb.Reader != b.Reader {
+			break
+		}
+		ne, err := b.Reader.Strand().Block(nb.Index)
+		if err != nil || ne.Sector != end || int(end+ne.SectorCount-1)/m.spc != cyl {
+			break // a silence holder's NULL sector never follows a run
+		}
+		if ps.cacheOpen && m.cache.Peek(id, nb.Index) == cache.Hit {
+			break
+		}
+		end += ne.SectorCount
+		got[n].end = int(end - e.Sector)
+		n++
+	}
+	t, next, faulted := ln.readStored(r, h, j, n, got)
+	if !faulted {
+		return n, t, next
+	}
+	ln.spendSlack(t)
+	ln.m.stats.Retries++
+	m.obs.retries.Inc()
+	span, lo := t, 0
+	for i := 0; i < n; i++ {
+		hi := got[i].end
+		got[i].end = hi - lo // the block alone
+		ti, next, _ := ln.readStored(r, h, j+i, 1, got[i:])
+		if next != nextStep {
+			return i, span, next
+		}
+		span += ti
+		got[i].at = span
+		lo = hi
+	}
+	return n, span, nextStep
+}
+
+// readStored is the timed read of the stored blocks [j, j+n), which
+// readRun found back to back (got[i].end is the run's sector count
+// through block j+i), and their delivery: arrivals into got, views of
+// the run to the interval cache. A run of one that faults is retried
+// (retryRead) and, failing that, degraded; a longer run that faults
+// reports faulted, with the failed access's time, and delivers nothing.
+//
+// rt:hotpath
+func (ln *lane) readStored(r *request, h, j, n int, got []arrival) (time.Duration, turnStep, bool) {
+	m := ln.m
+	ps := r.play
+	id := uint64(r.id)
+	b := ps.plan.Blocks[j]
+	run, t, err := b.Reader.ReadRun(h, b.Index, n, &ln.blockBuf)
+	if err != nil && isFault(err) {
+		if n > 1 {
+			return t, nextStep, true
+		}
+		run, t, err = ln.retryRead(b, h, t, err)
+	}
+	if err != nil {
+		if !isFault(err) {
+			ln.violate(&ps.violations, Violation{Block: j, Deadline: ln.at, Actual: ln.at})
+			r.done = true
+			m.closeCacheStream(r)
+			return 0, stopRequest, false
+		}
+		// Graceful degradation: the retry budget is exhausted (or the
+		// sector is a persistent defect), so a zero-filled block stands
+		// in for the unreadable data — the display glitches for one
+		// block instead of the play aborting. The zero-fill is never
+		// cached: a following stream misses here and falls back to disk
+		// through the demotion path.
+		got[0].at, got[0].degraded = t, true
+		if ps.cacheOpen {
+			m.cache.Produced(id, b.Index)
+		}
+		return t, nextStep, false
+	}
+	r.consecFails = 0
+	sectors := got[n-1].end
+	lent, lo := disk.Lent(run, ln.blockBuf), 0
+	ss := len(run) / sectors // a run is whole sectors
+	for i := range got[:n] {
+		got[i].at = t - time.Duration(sectors-got[i].end)*m.sectorTime
+		if ps.cacheOpen {
+			pb := ps.plan.Blocks[j+i]
+			ln.feedCache(id, pb.Index, b.Reader.Payload(run[lo*ss:got[i].end*ss], pb.Index), lent)
+		}
+		lo = got[i].end
+	}
+	return t, nextStep, false
 }
 
 // stored reports whether the planned block's bytes live on the platters:
@@ -394,21 +541,26 @@ func stored(b PlannedBlock) bool {
 // that arrived in the lane's scratch is copied.
 //
 // rt:hotpath
-func (ln *lane) feedCache(id uint64, index int, data []byte) {
-	if disk.Lent(data, ln.blockBuf) {
+func (ln *lane) feedCache(id uint64, index int, data []byte, lent bool) {
+	if lent {
 		ln.m.cache.PutView(id, index, data)
 		return
 	}
 	ln.m.cache.Put(id, index, data)
 }
 
+// spendSlack takes t out of the lane's retry budget, down to zero.
+func (ln *lane) spendSlack(t time.Duration) {
+	ln.retrySlack = max(ln.retrySlack-t, 0)
+}
+
 // retryRead re-attempts a faulted block read, bounded by the policy's
 // MaxRetries and by the lane's remaining slack: an attempt is made
 // only while its estimated service time fits the budget, and each
 // attempt's actual service time is deducted. The returned t is the
-// total time across all attempts (the caller's batch charges it to the
+// total time across all attempts (the caller's step charges it to the
 // lane cursor); persistent defects (ErrBadSector) are never retried.
-func (ln *lane) retryRead(b PlannedBlock, h int, t0 time.Duration, err0 error) ([]byte, time.Duration, bool, error) {
+func (ln *lane) retryRead(b PlannedBlock, h int, t0 time.Duration, err0 error) ([]byte, time.Duration, error) {
 	m := ln.m
 	total, err := t0, err0
 	for attempt := 0; attempt < m.ft.MaxRetries; attempt++ {
@@ -419,21 +571,17 @@ func (ln *lane) retryRead(b PlannedBlock, h int, t0 time.Duration, err0 error) (
 		if perr != nil || est > ln.retrySlack {
 			break
 		}
-		data, t, silent, rerr := b.Reader.ReadBlockInto(h, b.Index, &ln.blockBuf)
+		run, t, rerr := b.Reader.ReadRun(h, b.Index, 1, &ln.blockBuf)
 		total += t
-		if t >= ln.retrySlack {
-			ln.retrySlack = 0
-		} else {
-			ln.retrySlack -= t
-		}
+		ln.spendSlack(t)
 		ln.m.stats.Retries++
 		m.obs.retries.Inc()
 		if rerr == nil {
-			return data, total, silent, nil
+			return run, total, nil
 		}
 		err = rerr
 	}
-	return nil, total, false, err
+	return nil, total, err
 }
 
 // degradeBlock records one zero-fill delivery: a Degraded violation at
@@ -610,17 +758,26 @@ func (m *Manager) laneSpindle(r *request) (int, bool) {
 	if end := ps.nextFetch + m.k; end < len(window) {
 		window = window[:end]
 	}
-	sp := -1
+	// A stripe group lies on one spindle, so the spindle is looked up
+	// only when the window enters another group.
+	sp, group := -1, -1
 	for j := ps.nextFetch; j < len(window); j++ {
 		e, at, ok := nextMedia(window, j)
 		if !ok {
 			break
 		}
-		s, one := m.array.SpindleRange(int(e.Sector), int(e.SectorCount))
-		if !one || (sp >= 0 && s != sp) {
+		g := int(e.Sector) / m.groupSec
+		if (int(e.Sector)+int(e.SectorCount)-1)/m.groupSec != g {
 			return 0, false
 		}
-		sp, j = s, at
+		if g != group {
+			s, _ := m.array.Locate(g * m.groupSec)
+			if sp >= 0 && s != sp {
+				return 0, false
+			}
+			sp, group = s, g
+		}
+		j = at
 	}
 	// sp < 0: no disk work in the window (pure delay / silence); the
 	// serial lane advances it for free.

@@ -77,7 +77,8 @@ type Stats struct {
 	// across all requests (each one is also in the per-request lists).
 	Violations uint64
 	// Retries counts block reads re-attempted within a round after a
-	// transient disk fault, each charged against the round's slack.
+	// transient disk fault, each charged against the round's slack; a
+	// faulted run's block-by-block re-read counts as one.
 	Retries uint64
 	// DegradedBlocks counts blocks delivered as zero-fill because
 	// faults exhausted the retry budget (graceful degradation).
@@ -176,9 +177,10 @@ type Manager struct {
 	// decideAdmit lists the sets a candidate touches.
 	resident    [][]continuity.Request
 	scratchSets [][]continuity.Request
-	// classes and groupSec key a play's extent (extentTable): the array's
-	// steering classes and the sectors in a stripe group. Zero on a single
-	// device, and when a word cannot hold a bit per class.
+	// classes and groupSec key a play's extent (extentTable) and its
+	// lane (laneSpindle): the array's steering classes and the sectors in
+	// a stripe group. Zero on a single device; classes is zero too when a
+	// word cannot hold a bit per class.
 	classes  int
 	groupSec int
 	// obs, when set, receives per-round trace records and mirrors the
@@ -202,6 +204,12 @@ type Manager struct {
 	kTarget int
 	// rb drives the online rebuild engine (see rebuild.go).
 	rb repairCtl
+	// spc and sectorTime are the device's sectors per cylinder and the
+	// time one sector takes past the head: a run never leaves the
+	// cylinder it starts in, and its blocks arrive as its transfer passes
+	// their last sectors (lane.readRun).
+	spc        int
+	sectorTime time.Duration
 }
 
 // DeviceFor is the continuity model's view of a disk geometry — its
@@ -220,7 +228,9 @@ func DeviceFor(g disk.Geometry) continuity.Device {
 // DefaultFaultPolicy (it only engages on injected faults, so it is
 // safe always-on).
 func New(d disk.Device, adm continuity.Admission) *Manager {
-	m := &Manager{d: d, adm: adm, k: 1, concurrency: 1, nextID: 1, ft: DefaultFaultPolicy()}
+	g := d.Geometry()
+	m := &Manager{d: d, adm: adm, k: 1, concurrency: 1, nextID: 1, ft: DefaultFaultPolicy(),
+		spc: g.SectorsPerCylinder(), sectorTime: g.SectorTime()}
 	m.retired = make(map[RequestID]*request)
 	m.serial = &lane{m: m, spindle: -1}
 	// One lane and one resident set per spindle of a striped array; no
@@ -231,9 +241,9 @@ func New(d disk.Device, adm continuity.Admission) *Manager {
 		for i := range m.lanes {
 			m.lanes[i] = &lane{m: m, spindle: i}
 		}
+		m.groupSec = a.StripeCylinders() * a.Geometry().SectorsPerCylinder()
 		if c := a.SteerClasses(); c <= 64 {
 			m.classes = c
-			m.groupSec = a.StripeCylinders() * a.Geometry().SectorsPerCylinder()
 		}
 	}
 	m.resident = make([][]continuity.Request, max(1, len(m.lanes)))
@@ -912,12 +922,30 @@ func (ps *playState) occupancyAt(now time.Duration) int {
 }
 
 // releasedBlocks counts the fetched blocks whose display has completed
-// by elapsed: the smallest i with deadlines[i+1] > elapsed. Blocks are
-// released when their display completes — block i at offset
-// deadlines[i+1]. (Open-coded binary search: this runs several times
-// per serviced block, and the sort.Search closure was a measurable
-// share of the round loop.)
+// by elapsed: the smallest i with deadlines[i+1] > elapsed, at most
+// nextFetch. Blocks are released when their display completes — block i
+// at offset deadlines[i+1]. It runs several times per serviced block and
+// for every idle play in nextWorkTime, so it walks on from its previous
+// answer (ps.released): the blocks before that were released by then
+// and, while time only moves forward, still are, so a play's calls cost
+// O(1) amortised. When time moved back past the cursor — a resume shifts
+// the display start — it falls back to the binary search.
 func (ps *playState) releasedBlocks(elapsed time.Duration) int {
+	i := ps.released
+	if i > 0 && ps.deadlines[i] > elapsed {
+		i = ps.searchReleased(elapsed)
+	} else {
+		for i < ps.nextFetch && ps.deadlines[i+1] <= elapsed {
+			i++
+		}
+	}
+	ps.released = i
+	return i
+}
+
+// searchReleased is releasedBlocks by binary search over the fetched
+// blocks.
+func (ps *playState) searchReleased(elapsed time.Duration) int {
 	lo, hi := 0, ps.nextFetch
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

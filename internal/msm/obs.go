@@ -117,10 +117,15 @@ func (m *Manager) SetObs(reg *obs.Registry, ring *obs.TraceRing) {
 }
 
 // recordRound attributes everything since the previous record to one
-// completed service round and appends its trace entry.
+// completed service round and appends its trace entry. It is also where
+// the interval cache's residency gauges are published, once a round: the
+// round's hits and inserts leave them to it.
 //
 // rt:hotpath
 func (m *Manager) recordRound(start time.Duration, kAtStart, active, cacheServed, streamsServed int) {
+	if m.cache != nil {
+		m.cache.PublishGauges()
+	}
 	o := &m.obs
 	if o.rounds == nil {
 		return

@@ -215,7 +215,9 @@ type playState struct {
 	readAhead int
 	// deadlines[i] is the display start time of plan block i, filled
 	// as playback starts (and shifted by pauses).
-	deadlines  []time.Duration
+	deadlines []time.Duration
+	// released is releasedBlocks' cursor: its previous answer.
+	released   int
 	violations []Violation
 	// extents is the plan's suffix table of touched stripe-group classes
 	// (Manager.extentTable), nil when the extent is unknown.

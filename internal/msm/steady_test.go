@@ -35,6 +35,32 @@ func TestSteadyRoundsAllocateNothing(t *testing.T) {
 			}
 			return rig.m, nil
 		}},
+		{"single disk, turns read runs", func(t *testing.T) (*Manager, func() bool) {
+			// Two plays over back-to-back strands, filling a deep
+			// read-ahead: every turn reads its k blocks as one access.
+			const k = 4
+			rig := newRig(t, disk.DefaultGeometry())
+			var strands []*strand.Strand
+			for i := 0; i < 2; i++ {
+				strands = append(strands, writeBackToBack(t, rig.d, rig.a, rig.st, 200+100*i, 160, int64(650+i)))
+			}
+			rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
+			rig.m.SetPolicy(NaiveJump)
+			rig.m.ForceK(k)
+			for _, s := range strands {
+				plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: 160, Buffers: 160, Scattering: rig.scattering()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := rig.m.AdmitPlay(plan); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reads, blocks := rig.d.Stats().Reads, rig.m.Stats().BlocksFetched
+			return rig.m, func() bool {
+				return rig.m.Stats().BlocksFetched-blocks >= 2*(rig.d.Stats().Reads-reads)
+			}
+		}},
 		{"4-spindle striped round", func(t *testing.T) (*Manager, func() bool) {
 			const p, stripe = 4, 120
 			rig := newStripedRig(t, p, stripe, -1, fault.Scenario{})

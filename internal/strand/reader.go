@@ -42,12 +42,11 @@ func (r *Reader) Strand() *Strand { return r.s }
 // the service time the failed access still cost; the storage manager
 // charges it against the round before retrying.
 //
-// It allocates nothing and, almost always, copies nothing: the block
-// comes from the device's lending read (disk.Device.ReadView), so the
-// returned slice aliases either the device's own store or, when the
-// block cannot be lent (it crosses a cylinder or stripe group, or is a
-// regenerated silence holder), *buf — grown to the block's full sector
-// span.
+// It allocates nothing and, almost always, copies nothing: it is a run
+// of one (ReadRun), so the returned slice aliases either the device's
+// own store or, when the block cannot be lent (it crosses a cylinder or
+// stripe group, or is a regenerated silence holder), *buf — grown to
+// the block's full sector span.
 // The slice is trimmed to the payload, is read-only, has cap == len,
 // and is valid until the next write to the device or the next call
 // with the same buf; a caller that must keep bytes that arrived in *buf
@@ -62,21 +61,62 @@ func (r *Reader) ReadBlockInto(h, i int, buf *[]byte) (data []byte, t time.Durat
 	if err != nil {
 		return nil, 0, false, err
 	}
-	n := r.blockPayloadBytes(i)
 	if e.Silent() {
+		n := r.blockPayloadBytes(i)
 		r.fillSilence(sized(buf, n))
 		return (*buf)[:n:n], 0, true, nil
 	}
-	sectors := int(e.SectorCount)
-	b, t, err := r.d.ReadView(h, int(e.Sector), sectors, sized(buf, sectors*r.d.Geometry().SectorSize))
+	run, t, err := r.ReadRun(h, i, 1, buf)
 	if err != nil {
 		return nil, t, false, err
 	}
-	if r.s.Variable() {
-		// Variable-rate blocks are self-describing; return them raw.
-		return b, t, false, nil
+	return r.Payload(run, i), t, false, nil
+}
+
+// ReadRun performs the timed read of the n media blocks from block i
+// on, which the caller has found stored back to back (each block's first
+// sector follows its predecessor's last), as ONE access by head h: one
+// positioning, then the transfer of every sector of the run — the
+// amortisation FFS's chunking buys (seeks traded for throughput). A run
+// of more than one block must lie inside one cylinder: the device lends
+// it whole, and *buf is neither grown for it nor touched (scratch sized
+// to a run would be a run's worth of zeroed memory for every new
+// buffer). A run of one is ReadBlockInto's read: lent when it can be,
+// else filled into *buf, grown to the block's sector span. The lending
+// rules are ReadBlockInto's, and Payload trims each block's sectors in
+// the result to its payload. On a disk error run is nil and t is what
+// the failed access cost.
+//
+// rt:hotpath
+func (r *Reader) ReadRun(h, i, n int, buf *[]byte) (run []byte, t time.Duration, err error) {
+	first, err := r.s.Block(i)
+	if err != nil {
+		return nil, 0, err
 	}
-	return b[:n:n], t, false, nil
+	last, err := r.s.Block(i + n - 1)
+	if err != nil {
+		return nil, 0, err
+	}
+	sectors := int(last.Sector) + int(last.SectorCount) - int(first.Sector)
+	scratch := *buf
+	if n == 1 {
+		scratch = sized(buf, sectors*r.d.Geometry().SectorSize)
+	}
+	return r.d.ReadView(h, int(first.Sector), sectors, scratch)
+}
+
+// Payload trims block j's sector span, as a timed read returned it (a
+// run's bytes sliced at the block's sectors), to the block's payload:
+// the real unit count, or — for a variable-rate block, which is
+// self-describing — the whole span. Read-only, cap == len.
+//
+// rt:hotpath
+func (r *Reader) Payload(raw []byte, j int) []byte {
+	n := len(raw)
+	if !r.s.Variable() {
+		n = r.blockPayloadBytes(j)
+	}
+	return raw[:n:n]
 }
 
 // PeekBlockTime reports the service time head h would pay to read
