@@ -67,40 +67,3 @@ func CopyBound(occ Occupancy, maxSeek, lLower float64) (int, error) {
 	}
 	return n, nil
 }
-
-// JunctionCopyPlan chooses which side of an edit junction to
-// redistribute: the last C_a blocks of the preceding strand or the
-// first C_b blocks of the following strand — "in practice, the actual
-// number of blocks that needs to be copied is the minimum of C_a and
-// C_b" (§4.2).
-type JunctionCopyPlan struct {
-	// CopyPreceding is true when the tail of the preceding strand is
-	// the cheaper side to copy.
-	CopyPreceding bool
-	// Blocks is the number of blocks to copy, min(C_a, C_b).
-	Blocks int
-	// CA and CB are the per-side bounds.
-	CA, CB int
-}
-
-// PlanJunctionCopy computes the copy plan for a junction between a
-// preceding strand with scattering lower bound aLower and a following
-// strand with lower bound bLower, under the given occupancy.
-func PlanJunctionCopy(occ Occupancy, maxSeek, aLower, bLower float64) (JunctionCopyPlan, error) {
-	ca, err := CopyBound(occ, maxSeek, aLower)
-	if err != nil {
-		return JunctionCopyPlan{}, fmt.Errorf("preceding strand: %w", err)
-	}
-	cb, err := CopyBound(occ, maxSeek, bLower)
-	if err != nil {
-		return JunctionCopyPlan{}, fmt.Errorf("following strand: %w", err)
-	}
-	p := JunctionCopyPlan{CA: ca, CB: cb}
-	if ca < cb {
-		p.CopyPreceding = true
-		p.Blocks = ca
-	} else {
-		p.Blocks = cb
-	}
-	return p, nil
-}

@@ -57,41 +57,6 @@ func TestDenseIsTwiceSparse(t *testing.T) {
 	}
 }
 
-func TestPlanJunctionCopyPicksCheaperSide(t *testing.T) {
-	// The preceding strand has a looser lower bound, so its tail is
-	// cheaper to copy: min(C_a, C_b) = C_a (§4.2).
-	p, err := PlanJunctionCopy(SparseDisk, 0.040, 0.020, 0.005)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.CopyPreceding {
-		t.Fatal("should copy the preceding strand's tail")
-	}
-	if p.Blocks != p.CA || p.CA > p.CB {
-		t.Fatalf("plan %+v", p)
-	}
-	// Symmetric case.
-	p, err = PlanJunctionCopy(SparseDisk, 0.040, 0.005, 0.020)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.CopyPreceding {
-		t.Fatal("should copy the following strand's head")
-	}
-	if p.Blocks != p.CB {
-		t.Fatalf("plan %+v", p)
-	}
-}
-
-func TestPlanJunctionCopyErrors(t *testing.T) {
-	if _, err := PlanJunctionCopy(SparseDisk, 0.04, 0, 0.01); err == nil {
-		t.Fatal("bad preceding bound accepted")
-	}
-	if _, err := PlanJunctionCopy(SparseDisk, 0.04, 0.01, 0); err == nil {
-		t.Fatal("bad following bound accepted")
-	}
-}
-
 func TestOccupancyString(t *testing.T) {
 	if SparseDisk.String() != "sparse" || DenseDisk.String() != "dense" {
 		t.Fatal("occupancy names")
@@ -110,22 +75,6 @@ func TestSwitchReadAhead(t *testing.T) {
 	}
 	if h := SwitchReadAhead(0, 1, m); h != 0 {
 		t.Fatalf("h = %d, want 0", h)
-	}
-}
-
-func TestAvgContinuity(t *testing.T) {
-	ac := AvgContinuity{K: 4, Config: Config{Arch: Pipelined}}
-	if ac.ReadAheadBlocks() != 4 || ac.Buffers() != 8 {
-		t.Fatal("pipelined average-continuity provisioning")
-	}
-	m := NTSCVideo()
-	d := testDevice()
-	bound, _ := MaxScattering(ac.Config, 3, m, d)
-	if !ac.GroupFeasible(3, bound/2, m, d) {
-		t.Fatal("group feasibility below bound")
-	}
-	if ac.GroupFeasible(3, bound*2, m, d) {
-		t.Fatal("group feasibility above bound")
 	}
 }
 
@@ -175,16 +124,5 @@ func TestFastForwardModel(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no crossover speed found")
-	}
-}
-
-func TestSlowMotionAccumulationRate(t *testing.T) {
-	m := NTSCVideo()
-	// q=3 → 10 blocks/s; half speed consumes 5 → accumulates 5.
-	if got := SlowMotionAccumulationRate(3, m, 0.5); got != 5 {
-		t.Fatalf("accumulation %g", got)
-	}
-	if got := SlowMotionAccumulationRate(3, m, 1); got != 0 {
-		t.Fatalf("full speed accumulates %g", got)
 	}
 }

@@ -1,9 +1,6 @@
 package continuity
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Arch selects one of the three retrieval architectures of §3.1.
 type Arch int
@@ -53,20 +50,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("continuity: unknown architecture %d", int(c.Arch))
 	}
 	return nil
-}
-
-// StrictBuffers is the number of device buffers needed to satisfy the
-// strict continuity requirement: 1 (sequential), 2 (pipelined), or p
-// (concurrent) — §3.3.2.
-func (c Config) StrictBuffers() int {
-	switch c.Arch {
-	case Sequential:
-		return 1
-	case Pipelined:
-		return 2
-	default:
-		return c.P
-	}
 }
 
 // AvgBuffers is the number of buffers needed when continuity is
@@ -152,51 +135,6 @@ func MaxScattering(cfg Config, q int, m Media, d Device) (float64, bool) {
 	return lds, true
 }
 
-// MinGranularity finds the smallest granularity q (units/block) whose
-// continuity equation is satisfied with scattering parameter lds. The
-// second result is false when no granularity works: larger blocks only
-// help when the per-unit budget is positive, so infeasibility at any q
-// implies infeasibility at all q.
-func MinGranularity(cfg Config, lds float64, m Media, d Device) (int, bool) {
-	// Per-unit slack: each unit contributes (1/R − s/r_dt − [s/R_dp])
-	// [scaled by (p−1) on the playback side for concurrent]; the block
-	// must amortize the constant cost lds.
-	perUnit := perUnitBudget(cfg, m, d)
-	if perUnit <= 0 {
-		return 0, false
-	}
-	q := int(math.Ceil(lds / perUnit))
-	if q < 1 {
-		q = 1
-	}
-	// Guard against floating-point edge: ensure feasibility, walking
-	// up at most a few steps.
-	for !Feasible(cfg, q, lds, m, d) {
-		q++
-		if q > 1<<30 {
-			return 0, false
-		}
-	}
-	return q, true
-}
-
-func perUnitBudget(cfg Config, m Media, d Device) float64 {
-	playPerUnit := 1 / m.Rate
-	xferPerUnit := d.TransferTime(m.UnitBits)
-	switch cfg.Arch {
-	case Sequential:
-		disp := 0.0
-		if m.DisplayRate != 0 {
-			disp = m.UnitBits / m.DisplayRate
-		}
-		return playPerUnit - xferPerUnit - disp
-	case Pipelined:
-		return playPerUnit - xferPerUnit
-	default:
-		return float64(cfg.P-1)*playPerUnit - xferPerUnit
-	}
-}
-
 // GranularityFromBuffers applies §3.3.4's device-buffer rule for
 // direct (disk-to-device) transfer: with an internal display buffer of
 // f frames, sequential retrieval admits q ≤ f, pipelined q ≤ f/2, and
@@ -267,15 +205,4 @@ func Derive(cfg Config, deviceBufferUnits int, m Media, d Device) (Derivation, e
 		MaxScattering: lds,
 		MinScattering: min,
 	}, nil
-}
-
-// BlockDuration is the playback duration of one block under this
-// derivation.
-func (dv Derivation) BlockDuration() float64 {
-	return dv.Media.PlaybackDuration(dv.Granularity)
-}
-
-// BlockBits is the size of one media block in bits.
-func (dv Derivation) BlockBits() float64 {
-	return dv.Media.BlockBits(dv.Granularity)
 }

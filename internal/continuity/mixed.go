@@ -69,47 +69,18 @@ func AVSlack(layout AVLayout, qv int, video Media, qa int, audio Media, lds floa
 	}
 }
 
-// AVFeasible reports whether the mixed audio+video continuity
-// requirement holds. The comparison carries a picosecond tolerance:
-// AVMaxScattering solves the linear slack equation by division and
-// AVSlack re-multiplies, so the solved bound can land a few ULPs below
-// exact zero slack without being infeasible in any physical sense.
-func AVFeasible(layout AVLayout, qv int, video Media, qa int, audio Media, lds float64, d Device) bool {
-	const eps = 1e-12 // seconds
-	return AVSlack(layout, qv, video, qa, audio, lds, d) >= -eps
-}
-
 // AVMaxScattering solves the mixed-media continuity equation for the
-// largest admissible scattering parameter. The second result is false
-// when even contiguous blocks cannot sustain the pair.
+// largest admissible scattering parameter: the slack at l_ds = 0 spread
+// over the accesses a period pays it on, n+1 for homogeneous blocks and
+// one for heterogeneous. The second result is false when even contiguous
+// blocks cannot sustain the pair.
 func AVMaxScattering(layout AVLayout, qv int, video Media, qa int, audio Media, d Device) (float64, bool) {
-	var lds float64
-	switch layout {
-	case HomogeneousBlocks:
-		n := AVDurationRatio(qv, video, qa, audio)
-		budget := n*video.PlaybackDuration(qv) -
-			d.TransferTime(n*video.BlockBits(qv)) -
-			d.TransferTime(audio.BlockBits(qa))
-		lds = budget / (n + 1)
-	default:
-		lds = video.PlaybackDuration(qv) -
-			d.TransferTime(video.BlockBits(qv)+audio.BlockBits(qa))
+	gaps := 1.0
+	if layout == HomogeneousBlocks {
+		gaps += AVDurationRatio(qv, video, qa, audio)
 	}
-	if lds < 0 {
-		return lds, false
-	}
-	return lds, true
-}
-
-// MatchedAudioGranularity returns the audio granularity q_a whose block
-// duration equals that of a video block of granularity q_v (the n = 1
-// case of Eq. 5, and the natural pairing for heterogeneous blocks).
-func MatchedAudioGranularity(qv int, video Media, audio Media) int {
-	qa := int(math.Round(video.PlaybackDuration(qv) * audio.Rate))
-	if qa < 1 {
-		qa = 1
-	}
-	return qa
+	lds := AVSlack(layout, qv, video, qa, audio, 0, d) / gaps
+	return lds, lds >= 0
 }
 
 // AVDerivation is the outcome of deriving a mixed audio+video layout.

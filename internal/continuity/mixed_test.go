@@ -18,16 +18,21 @@ func TestAVDurationRatio(t *testing.T) {
 	}
 }
 
+// matchedAudio is the audio granularity whose block lasts as long as a
+// video block of qv units: the n = 1 pairing of Eq. 5.
+func matchedAudio(qv int, video, audio Media) int {
+	return int(math.Round(video.PlaybackDuration(qv) * audio.Rate))
+}
+
+// DeriveAV at duration ratio 1 matches the audio block to the video
+// block.
 func TestMatchedAudioGranularity(t *testing.T) {
-	video := NTSCVideo()
-	audio := TelephoneAudio()
-	if qa := MatchedAudioGranularity(3, video, audio); qa != 800 {
-		t.Fatalf("matched q_a %d, want 800", qa)
+	dv, err := DeriveAV(HeterogeneousBlocks, 3, NTSCVideo(), TelephoneAudio(), 1, testDevice())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Tiny video blocks still yield at least one sample.
-	fast := Media{Name: "v", UnitBits: 8, Rate: 1e9}
-	if qa := MatchedAudioGranularity(1, fast, audio); qa != 1 {
-		t.Fatalf("matched q_a %d, want clamp to 1", qa)
+	if dv.AudioGran != 800 || dv.DurationRatio != 1 {
+		t.Fatalf("matched q_a %d at ratio %g, want 800 at 1", dv.AudioGran, dv.DurationRatio)
 	}
 }
 
@@ -38,7 +43,7 @@ func TestHeterogeneousDominatesHomogeneous(t *testing.T) {
 	audio := TelephoneAudio()
 	d := testDevice()
 	for _, qv := range []int{1, 2, 3, 6, 12} {
-		qa := MatchedAudioGranularity(qv, video, audio)
+		qa := matchedAudio(qv, video, audio)
 		hom, okH := AVMaxScattering(HomogeneousBlocks, qv, video, qa, audio, d)
 		het, okT := AVMaxScattering(HeterogeneousBlocks, qv, video, qa, audio, d)
 		if !okH || !okT {
@@ -57,7 +62,7 @@ func TestEq5ReducesToEq4AtN1(t *testing.T) {
 	audio := TelephoneAudio()
 	d := testDevice()
 	qv := 3
-	qa := MatchedAudioGranularity(qv, video, audio)
+	qa := matchedAudio(qv, video, audio)
 	bound, ok := AVMaxScattering(HomogeneousBlocks, qv, video, qa, audio, d)
 	if !ok {
 		t.Fatal("infeasible")
@@ -78,14 +83,15 @@ func TestAVFeasibleMatchesBound(t *testing.T) {
 		if rawLayout {
 			layout = HeterogeneousBlocks
 		}
-		qa := MatchedAudioGranularity(qv, video, audio)
+		qa := matchedAudio(qv, video, audio)
 		bound, ok := AVMaxScattering(layout, qv, video, qa, audio, d)
 		if !ok {
 			return true
 		}
+		// The solved bound may land a few ULPs below exact zero slack.
 		frac := float64(rawFrac) / 255
-		return AVFeasible(layout, qv, video, qa, audio, bound*frac, d) &&
-			!AVFeasible(layout, qv, video, qa, audio, bound+0.001, d)
+		return AVSlack(layout, qv, video, qa, audio, bound*frac, d) >= -1e-12 &&
+			AVSlack(layout, qv, video, qa, audio, bound+0.001, d) < 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -95,19 +95,6 @@ func TelephoneAudio() Media {
 	}
 }
 
-// HDTVVideo models the paper's motivating example of an HDTV-quality
-// strand requiring data transfer rates of up to 2.5 Gigabit/s
-// (uncompressed, 60 frames/s).
-func HDTVVideo() Media {
-	const bitRate = 2.5e9
-	const rate = 60
-	return Media{
-		Name:     "hdtv",
-		UnitBits: bitRate / rate,
-		Rate:     rate,
-	}
-}
-
 // Device carries the disk characteristics the model consumes.
 type Device struct {
 	// TransferRate is r_dt, the rate of data transfer from disk in

@@ -2,10 +2,10 @@ package continuity
 
 import "math"
 
-// This file implements the rest of §3.3.2: anti-jitter read-ahead for
-// average-case continuity, the read-ahead needed before the disk
-// switches away during slow-motion playback, and the continuity and
-// buffering effects of fast-forward.
+// This file implements the rest of §3.3.2: the read-ahead needed before
+// the disk switches away during slow-motion playback, and the continuity
+// and buffering effects of fast-forward. (Average-case continuity's
+// read-ahead and buffers are Config.ReadAhead and Config.AvgBuffers.)
 
 // SwitchReadAhead is §3.3.2's h: when buffers fill during slow-motion
 // (or pause) the disk switches to another task, after which its head
@@ -23,38 +23,6 @@ func SwitchReadAhead(maxSeek float64, q int, m Media) int {
 		h = 0
 	}
 	return h
-}
-
-// AvgContinuity describes relaxed, average-case continuity (§3.3.1):
-// instead of requiring every block to arrive by its deadline, the
-// requirement is satisfied over groups of K successive blocks, with an
-// anti-jitter delay (read-ahead of K blocks) absorbing seek and
-// scheduling variation within each group.
-type AvgContinuity struct {
-	// K is the group size over which continuity is averaged.
-	K int
-	// Config is the retrieval architecture.
-	Config Config
-}
-
-// ReadAheadBlocks is the read-ahead needed before playback starts:
-// K for sequential and pipelined, p·K for concurrent (§3.3.2).
-func (ac AvgContinuity) ReadAheadBlocks() int { return ac.Config.ReadAhead(ac.K) }
-
-// Buffers is the buffer count: equal to the read-ahead for sequential
-// and concurrent, and twice it for pipelined (one set holding blocks
-// being displayed, one set receiving transfers) — §3.3.2.
-func (ac AvgContinuity) Buffers() int { return ac.Config.AvgBuffers(ac.K) }
-
-// GroupFeasible reports whether a group of K blocks can be retrieved
-// within the playback duration of the previous group of K blocks:
-// K·(l_ds + q·s/r_dt) ≤ K·(q/R) for pipelined, with the architecture
-// adjustments of Eqs. 1–3 applied per block. Because both sides scale
-// by K, the group test equals the strict per-block test on averages;
-// the value of K lies in absorbing jitter, which the simulator
-// (internal/msm) measures.
-func (ac AvgContinuity) GroupFeasible(q int, lds float64, m Media, d Device) bool {
-	return Feasible(ac.Config, q, lds, m, d)
 }
 
 // FastForward describes accelerated playback at Speed× the recording
@@ -105,16 +73,4 @@ func (ff FastForward) BufferMultiplier() float64 {
 		return 1
 	}
 	return ff.Speed
-}
-
-// SlowMotionAccumulationRate is the rate (blocks/second) at which
-// retrieved blocks accumulate in buffers during slow-motion playback
-// at factor slow < 1 of the recording rate, when retrieval proceeds at
-// the full continuity-satisfying rate: retrieval delivers R/q blocks
-// per second while display consumes slow·R/q (§3.3.2: continuity
-// "over-satisfied … leading to accumulation of media blocks in
-// buffers").
-func SlowMotionAccumulationRate(q int, m Media, slow float64) float64 {
-	full := m.Rate / float64(q)
-	return full - slow*full
 }

@@ -26,12 +26,6 @@ type Striped struct {
 	P int
 }
 
-// NMax is the aggregate stream bound: P spindles each carrying up to
-// the single-spindle n_max of Eq. 17 for the template request.
-func (s Striped) NMax(template Request) int {
-	return s.P * s.A.NMax(template)
-}
-
 // Admit decides admission for a disk-bound candidate on an array.
 // perSpindle lists the disk-bound requests currently resident on each
 // spindle (cache-served followers excluded by the caller). spindle is

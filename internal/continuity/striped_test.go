@@ -2,14 +2,29 @@ package continuity
 
 import "testing"
 
+// The aggregate bound is p times Eq. 17's n_max: with n_max streams
+// resident on each of p spindles every spindle's Eq. 18 holds, and one
+// more on any spindle fails.
 func TestStripedNMaxAggregate(t *testing.T) {
 	a := AdmissionFor(testDevice())
 	tmpl := videoRequest()
 	single := a.NMax(tmpl)
 	for _, p := range []int{1, 2, 4} {
 		s := Striped{A: a, P: p}
-		if got := s.NMax(tmpl); got != p*single {
-			t.Fatalf("p=%d: aggregate n_max = %d, want %d", p, got, p*single)
+		sets := make([][]Request, p)
+		for sp := range sets {
+			sets[sp] = repeatReq(tmpl, single-1)
+		}
+		for sp := range sets {
+			if d := s.Admit(sets, sp, 1, tmpl); !d.Admitted {
+				t.Fatalf("p=%d: stream %d on spindle %d rejected: %s", p, single, sp, d.Reason)
+			}
+			sets[sp] = append(sets[sp], tmpl)
+		}
+		for sp := range sets {
+			if d := s.Admit(sets, sp, 1, tmpl); d.Admitted {
+				t.Fatalf("p=%d: spindle %d admitted past n_max = %d", p, sp, single)
+			}
 		}
 	}
 }

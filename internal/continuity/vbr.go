@@ -37,16 +37,6 @@ func (p VBRProfile) AvgMedia(name string) Media {
 	return Media{Name: name + "-avg", UnitBits: p.AvgUnitBits, Rate: p.Rate}
 }
 
-// CompressionGain is the storage (and bandwidth) ratio between peak
-// and average provisioning; the fraction 1 − 1/gain of a
-// peak-provisioned store is reclaimed by variable-rate storage.
-func (p VBRProfile) CompressionGain() float64 {
-	if p.AvgUnitBits == 0 {
-		return 1
-	}
-	return p.PeakUnitBits / p.AvgUnitBits
-}
-
 // VBRMaxScattering evaluates the continuity equation under both
 // provisioning profiles, returning the peak-based (strict) and
 // average-based (anti-jitter-buffered) scattering bounds. ok is false

@@ -17,12 +17,6 @@ func TestVBRProfileMedia(t *testing.T) {
 	if p.PeakMedia("v").Rate != 30 || p.AvgMedia("v").Rate != 30 {
 		t.Fatal("profile media rates")
 	}
-	if g := p.CompressionGain(); g != 2.5 {
-		t.Fatalf("gain %g, want 2.5", g)
-	}
-	if (VBRProfile{PeakUnitBits: 1}).CompressionGain() != 1 {
-		t.Fatal("zero-average gain should clamp to 1")
-	}
 }
 
 func TestVBRMaxScatteringOrdering(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"mmfs/internal/fault"
 	"mmfs/internal/msm"
@@ -23,15 +24,16 @@ func TestFaultOptionWiring(t *testing.T) {
 		opts                       Options
 		retries, degraded, readErr uint64
 	}{
-		// Re-pinned with run reads: a turn reads a clip's back-to-back
-		// blocks as one access, so the fault stream meets a fraction of the
-		// reads it met, and a faulted run is retried block by block (one
-		// retry; its failed access spends slack). Four clips left the
-		// mirrored spindle 1 no faulted read at all; eight give every row
-		// faults to handle.
-		{"single disk", Options{Fault: sc}, 22, 7, 29},
-		{"striped, spindle 1", Options{Disks: 4, Fault: sc, FaultSpindle: 1}, 16, 2, 18},
-		{"mirrored, spindle 1", Options{Disks: 4, Mirror: true, Fault: sc, FaultSpindle: 1}, 7, 0, 7},
+		// A turn reads a clip's back-to-back blocks as one access, and a
+		// faulted run is retried block by block (one retry; its failed
+		// access spends slack). Four clips left the mirrored spindle 1 no
+		// faulted read at all; eight give every row faults to handle. A
+		// PLAY runs no round, so the clock runs half a second between
+		// PLAYs, as a caller's would: eight clips at once would exceed
+		// the single disk's n_max.
+		{"single disk", Options{Fault: sc}, 27, 3, 30},
+		{"striped, spindle 1", Options{Disks: 4, Fault: sc, FaultSpindle: 1}, 19, 1, 20},
+		{"mirrored, spindle 1", Options{Disks: 4, Mirror: true, Fault: sc, FaultSpindle: 1}, 8, 0, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs, err := Format(tc.opts)
@@ -53,6 +55,7 @@ func TestFaultOptionWiring(t *testing.T) {
 					t.Fatalf("play: %v", err)
 				}
 				handles = append(handles, h)
+				fs.Manager().RunFor(500 * time.Millisecond)
 			}
 			fs.Manager().RunUntilDone()
 			for _, h := range handles {

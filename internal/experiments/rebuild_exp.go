@@ -36,11 +36,10 @@ func rebuildPlan(class continuity.Class) msm.PlanOptions {
 
 // probeAdmission counts how many of the probe strands a fresh
 // admission-only manager accepts against the array's current steering
-// (a NaiveJump gate runs no service rounds, so the fault clock and the
-// virtual clock stay untouched).
+// (admitting runs no service round, so the fault clock and the virtual
+// clock stay untouched).
 func (r *arrayRig) probeAdmission(adm continuity.Admission, probes []*strand.Strand) int {
 	gate := msm.New(r.d, adm)
-	gate.SetPolicy(msm.NaiveJump)
 	admitted := 0
 	for _, s := range probes {
 		if _, _, err := gate.AdmitPlay(r.plan(s, rebuildPlan(continuity.Standard))); err != nil {

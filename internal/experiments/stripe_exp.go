@@ -161,12 +161,10 @@ func Stripe() Result {
 			strands[j] = r.recordOn(j%p, (j/p)*stripeCyl, 300, seedBase+int64(7000+100*p+j))
 		}
 
-		// Admission math on a gate manager that runs no rounds while
-		// admitting (NaiveJump skips the stepwise transition rounds):
-		// all p·n_max streams pass their per-spindle Eq. 18, and one
-		// more on a saturated spindle is rejected.
+		// Admission math on a gate manager, which runs no rounds: all
+		// p·n_max streams pass their per-spindle Eq. 18, and one more on a
+		// saturated spindle is rejected.
 		gate := msm.New(r.d, adm)
-		gate.SetPolicy(msm.NaiveJump)
 		admitted := 0
 		for _, s := range strands {
 			if _, _, err := gate.AdmitPlay(r.plan(s, stripePlan)); err != nil {

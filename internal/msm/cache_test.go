@@ -13,9 +13,8 @@ import (
 
 // cacheRigK computes the steady blocks-per-round for a saturated
 // homogeneous population of n template requests. Pinning k there up
-// front (ForceK) keeps admissions step-free, so no transition rounds
-// fast-forward virtual time mid-test and the population really is
-// concurrent.
+// front (ForceK) keeps admissions step-free, so every admitted request
+// joins the next round and the population really is concurrent.
 func cacheRigK(t *testing.T, a continuity.Admission, tmpl continuity.Request, n int) int {
 	t.Helper()
 	reqs := make([]continuity.Request, n)

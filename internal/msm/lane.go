@@ -859,16 +859,18 @@ func (m *Manager) spindlesAt(extents []uint64, j int) uint64 {
 // where its next block lies — and a request of unknown extent on every
 // spindle. n counts the distinct requests in the table. The table is
 // scratch, valid until the next call; admission, QoS feasibility, the
-// round's retry slack, re-steer and the trace all read this one table.
+// round's retry slack, re-steer and the trace all read this one table:
+// admission's view with the requests waiting to join (pending), a round's
+// without.
 //
 // rt:hotpath
-func (m *Manager) residentSets() (sets [][]continuity.Request, n int) {
+func (m *Manager) residentSets(pending bool) (sets [][]continuity.Request, n int) {
 	sets = m.resident
 	for i := range sets {
 		sets[i] = sets[i][:0]
 	}
 	for _, r := range m.reqs {
-		if r.done || r.cacheServed {
+		if r.done || r.cacheServed || (r.pendingK > 0 && !pending) {
 			continue
 		}
 		if r.pause != nil && r.pause.destructive {

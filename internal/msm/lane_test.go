@@ -17,9 +17,9 @@ import (
 )
 
 // roundProbe is a device that calls back at the top of every service
-// round, nested transition rounds included: the manager ticks it as it
-// does a fault layer's round clock (after the round's demotions, before
-// its service).
+// round, transition rounds included: the manager ticks it as it does a
+// fault layer's round clock (after the round's demotions and joins,
+// before its service).
 type roundProbe struct {
 	disk.Device
 	onRound func()
@@ -29,17 +29,18 @@ func (p *roundProbe) AdvanceRound() { p.onRound() }
 
 // followerLedger checks, round by round, that the device's read count
 // moves only by the blocks of requests that held a disk slot when the
-// round's service began, and that a request that was cache-served then
-// received nothing but cache hits. (Video strands only: no silence.)
+// round's service began, that a request that was cache-served then
+// received nothing but cache hits, and that one still waiting for its k
+// received nothing at all. (Video strands only: no silence.)
 type followerLedger struct {
 	t     *testing.T
 	m     *Manager
 	d     *disk.Disk
 	reads uint64
-	was   map[*request][3]int // nextFetch, cacheHits, 1 if cache-served
-	// nested counts rounds that began inside a demotion's re-admission
-	// with a cache-served request still waiting for its own demotion.
-	nested int
+	was   map[*request][3]int // nextFetch, cacheHits, 1 if cache-served, 2 if waiting
+	// waiting counts rounds that began with a demoted follower waiting
+	// for the k its re-admission needs.
+	waiting int
 }
 
 func (l *followerLedger) settle() {
@@ -49,6 +50,9 @@ func (l *followerLedger) settle() {
 		blocks, hits := r.play.nextFetch-w[0], r.play.cacheHits-w[1]
 		if w[2] == 1 && blocks != hits {
 			l.t.Fatalf("request %d was cache-served when the round began and received %d block(s), only %d from the cache", r.id, blocks, hits)
+		}
+		if w[2] == 2 && blocks != 0 {
+			l.t.Fatalf("request %d was waiting for its k when the round began and received %d block(s)", r.id, blocks)
 		}
 		fromDisk += uint64(blocks - hits)
 	}
@@ -62,14 +66,17 @@ func (l *followerLedger) settle() {
 		if r.kind != Play || r.done {
 			continue
 		}
-		served := 0
-		if r.cacheServed {
-			served = 1
-			if l.m.inDemote && r.needsDemote && r.pause == nil {
-				l.nested++
+		state := 0
+		switch {
+		case r.cacheServed:
+			state = 1
+		case r.pendingK > 0:
+			state = 2
+			if r.demotedAt > 0 && r.pause == nil {
+				l.waiting++
 			}
 		}
-		l.was[r] = [3]int{r.play.nextFetch, r.play.cacheHits, served}
+		l.was[r] = [3]int{r.play.nextFetch, r.play.cacheHits, state}
 	}
 }
 
@@ -100,11 +107,10 @@ func (r *testRig) admitPlay(t *testing.T, s *strand.Strand) (RequestID, continui
 
 // TestFollowerNeverReadsTheDisk walks a seeded interleaving of
 // admissions, stops, both kinds of pause, resumes and rounds over a small
-// cache (so intervals break and followers demote through nested
-// transition rounds), with the ledger checking every round; then the two
-// corners by construction: a follower whose demotion is pending while
-// another's re-admission runs transition rounds, and a follower whose
-// cache stream is closed.
+// cache (so intervals break and followers demote through transition
+// rounds), with the ledger checking every round; then the two corners by
+// construction: a demoted follower waiting across the transition rounds
+// its re-admission scheduled, and a follower whose cache stream is closed.
 func TestFollowerNeverReadsTheDisk(t *testing.T) {
 	t.Run("seeded walk", func(t *testing.T) {
 		rig, led, strands := probedRig(t, 3<<20, 450, 300, 240)
@@ -157,7 +163,7 @@ func TestFollowerNeverReadsTheDisk(t *testing.T) {
 		}
 	})
 
-	t.Run("pending demotion in a nested round", func(t *testing.T) {
+	t.Run("pending demotion across transition rounds", func(t *testing.T) {
 		rig, led, strands := probedRig(t, 16<<20, 450, 450, 450)
 		admit := func(s *strand.Strand, wantCached bool) RequestID {
 			id, dec, err := rig.admitPlay(t, s)
@@ -177,8 +183,8 @@ func TestFollowerNeverReadsTheDisk(t *testing.T) {
 		// neither finds one on resume (f2 first: f1's stream is still
 		// closed; then f1: f2 is behind it), so both are flagged, and f1's
 		// re-admission — the third disk-bound stream the manager has ever
-		// carried at once, so it raises k — runs its transition rounds with
-		// f2 still flagged.
+		// carried at once, so it raises k — waits out its transition rounds
+		// without a block, from the disk or anywhere else.
 		for _, id := range []RequestID{f1, f2} {
 			if err := rig.m.Pause(id, false); err != nil {
 				t.Fatal(err)
@@ -195,8 +201,8 @@ func TestFollowerNeverReadsTheDisk(t *testing.T) {
 		}
 		rig.m.RunUntilDone()
 		led.settle()
-		if led.nested == 0 {
-			t.Fatalf("no transition round ran with a follower's demotion pending (stats %+v)", rig.m.Stats())
+		if led.waiting == 0 {
+			t.Fatalf("no transition round ran with a demoted follower waiting for its k (stats %+v)", rig.m.Stats())
 		}
 	})
 

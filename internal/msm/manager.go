@@ -152,9 +152,6 @@ type Manager struct {
 	// cache, when set, serves trailing plays of a strand range from
 	// the blocks a leading play just fetched (interval caching).
 	cache *cache.Cache
-	// inDemote guards processDemotions against re-entry from the
-	// transition rounds a demotion's re-admission runs.
-	inDemote bool
 	// ft is the fault-tolerant service policy. (The retry budget it
 	// spends is per lane: lane.retrySlack.)
 	ft FaultPolicy
@@ -187,21 +184,18 @@ type Manager struct {
 	// counters into a metrics registry (see obs.go).
 	obs roundObs
 	// qos enables load-driven graceful degradation (see qos.go); the
-	// zero policy keeps admission binary. inQoS guards the per-round
-	// class pass against re-entry from an admission negotiation's
-	// transition rounds; scratchQoS is the promotion queue's arena.
+	// zero policy keeps admission binary. scratchQoS is the promotion
+	// queue's arena.
 	qos        QoSPolicy
-	inQoS      bool
 	scratchQoS []*request
 	// advancers are the fault layers wrapping the device(s); RunRound
 	// ticks their virtual round counters so die=<round> scenarios fire
 	// exactly on round boundaries (see rebuild.go).
 	advancers []roundAdvancer
-	// kTarget, when above k, grows the blocks-per-round by one per
-	// round — the §3.4 stepwise transition applied to a re-steer: a
-	// dead spindle's streams absorbed by the surviving twin can push
-	// that spindle's population past what the current k sustains.
+	// kTarget, when above k, grows k by one per round (§3.4; raiseK).
+	// pending counts the requests waiting to join at their k (hold).
 	kTarget int
+	pending int
 	// rb drives the online rebuild engine (see rebuild.go).
 	rb repairCtl
 	// spc and sectorTime are the device's sectors per cylinder and the
@@ -283,13 +277,14 @@ func (m *Manager) Now() time.Duration { return m.clock.Now() }
 func (m *Manager) K() int { return m.k }
 
 // ForceK overrides the blocks-per-round; experiments use it to search
-// for the minimal feasible k independently of the admission formulas.
+// for the minimal feasible k independently of the admission formulas. It
+// ends any transition: a request waiting for its k joins next round.
 func (m *Manager) ForceK(k int) {
-	if k < 1 {
-		k = 1
-	}
-	m.k = k
+	m.k, m.kTarget = max(k, 1), 0
 }
+
+// kSched is the k the schedule is heading for, which admission charges.
+func (m *Manager) kSched() int { return max(m.k, m.kTarget) }
 
 // Stats returns a snapshot of the counters.
 func (m *Manager) Stats() Stats { return m.stats }
@@ -329,7 +324,7 @@ func (m *Manager) Cache() *cache.Cache { return m.cache }
 // ActiveRequests reports how many disk-bound requests admission
 // control is currently carrying.
 func (m *Manager) ActiveRequests() int {
-	_, n := m.residentSets()
+	_, n := m.residentSets(true)
 	return n
 }
 
@@ -345,33 +340,19 @@ func (m *Manager) CacheServed() int {
 	return n
 }
 
-// admit runs the admission decision and k transition for a candidate,
-// returning the decision. On acceptance the caller appends the
-// request. A cacheServed candidate (one the interval cache can fully
-// serve) is admitted at the current k without charging disk time —
-// Eq. 18 is evaluated over the disk-bound population only.
-//
-// spindles is the candidate's extent (Manager.extent): the spindles its
-// remaining plan reads from, or zero when unknown (records, anything on
-// a single device), in which case the candidate must fit on every
-// spindle. Eq. 18 is evaluated per spindle against the spindle-resident
-// population, so over an array the aggregate admitted load can reach p
-// times the single-spindle n_max.
-func (m *Manager) admit(spindles uint64, candidate continuity.Request, cacheServed bool) (continuity.Decision, error) {
-	return m.commit(m.decideAdmit(spindles, candidate, cacheServed))
-}
-
 // decideAdmit evaluates the admission decision for a candidate without
-// side effects: no transition rounds, no counters. The QoS negotiation
-// uses it to probe shed/degrade combinations before committing one.
-// The candidate must pass Eq. 18 on every spindle it touches, and the
-// decision's K is the largest any of them needs. A single device is the
-// striped test at p = 1: one resident set, which every candidate must fit.
+// side effects (the QoS negotiation probes with it). A cacheServed
+// candidate charges no disk time. Any other must pass Eq. 18 on every
+// spindle of its extent (Manager.extent; zero, as for a record, means
+// all) against the population admitted there, requests waiting to join
+// included — so an array admits up to p times the single-spindle n_max —
+// and K is the largest any spindle needs; Steps start at kSched. A single
+// device is the striped test at p = 1.
 func (m *Manager) decideAdmit(spindles uint64, candidate continuity.Request, cacheServed bool) continuity.Decision {
 	if cacheServed {
-		return continuity.CacheAware{A: m.adm}.Admit(nil, m.k, candidate, true)
+		return continuity.CacheAware{A: m.adm}.Admit(nil, m.kSched(), candidate, true)
 	}
-	sets, _ := m.residentSets()
+	sets, _ := m.residentSets(true)
 	if spindles != 0 {
 		touched := m.scratchSets[:0]
 		for ; spindles != 0; spindles &= spindles - 1 {
@@ -379,13 +360,14 @@ func (m *Manager) decideAdmit(spindles uint64, candidate continuity.Request, cac
 		}
 		m.scratchSets, sets = touched, touched
 	}
-	return continuity.Striped{A: m.adm, P: len(m.resident)}.Admit(sets, -1, m.k, candidate)
+	return continuity.Striped{A: m.adm, P: len(m.resident)}.Admit(sets, -1, m.kSched(), candidate)
 }
 
-// commit applies a decision decideAdmit reached: the admission
-// counters, and for an accepted disk-bound candidate the k transition
-// (buffer growth plus, under Stepwise, one round at each intermediate
-// k). A rejection comes back wrapped in ErrAdmissionRejected.
+// commit applies a decision decideAdmit reached: the admission counters
+// and, for an accepted disk-bound candidate, its k — scheduled, or under
+// NaiveJump set at once. A rejection comes back wrapped in
+// ErrAdmissionRejected; on acceptance the caller registers the request
+// and holds it (hold).
 func (m *Manager) commit(dec continuity.Decision) (continuity.Decision, error) {
 	m.noteAdmission(dec.Admitted, dec.CacheServed)
 	if !dec.Admitted {
@@ -394,54 +376,86 @@ func (m *Manager) commit(dec continuity.Decision) (continuity.Decision, error) {
 	if dec.CacheServed {
 		return dec, nil
 	}
-	switch m.policy {
-	case Stepwise:
-		// Larger k means larger rounds: renegotiate every stream's
-		// buffer grant to the §3.3.2 provisioning (2k for pipelined
-		// retrieval) before the transition rounds run, so the
-		// stepwise growth can actually accumulate the read-ahead
-		// each longer round needs.
-		if dec.K > m.k {
-			m.growPlayBuffers(2 * dec.K)
-		}
-		// One round at each intermediate k before the new request
-		// begins to be serviced (§3.4's transparent transition).
-		for _, step := range dec.Steps {
-			m.k = step
-			m.stats.TransitionSteps++
-			m.obs.transitions.Inc()
-			//lint:ignore boundedwork transition rounds re-enter the round loop a bounded len(dec.Steps) times; inDemote blocks deeper nesting
-			m.RunRound()
-		}
-	case NaiveJump:
-		if dec.K > m.k {
-			m.k = dec.K
-		}
-	}
-	if dec.K > m.k {
-		m.k = dec.K
+	if m.policy == NaiveJump {
+		m.k = max(m.k, dec.K)
+	} else {
+		m.raiseK(dec.K)
 	}
 	return dec, nil
 }
 
-// growPlayBuffers raises every live play request's buffer grant to at
-// least n blocks.
-func (m *Manager) growPlayBuffers(n int) {
+// raiseK schedules k up to at least k: every live play's buffer grant
+// grows now to the §3.3.2 provisioning (2k for pipelined retrieval), so
+// the read-ahead can absorb the longer rounds, and RunRound steps k
+// towards kTarget one unit a round (§3.4).
+func (m *Manager) raiseK(k int) {
+	if k <= m.k {
+		return
+	}
 	for _, r := range m.reqs {
-		if r.done || r.kind != Play {
-			continue
+		if !r.done && r.kind == Play && r.play.plan.Buffers < 2*k {
+			r.play.plan.Buffers = 2 * k
 		}
-		if r.play.plan.Buffers < n {
-			r.play.plan.Buffers = n
+	}
+	m.kTarget = max(m.kTarget, k)
+}
+
+// hold keeps an admitted request out of the sweep until a round opens at
+// its decision's K, so the transition rounds run without it (§3.4); one
+// the current k covers joins at once. clockWaits: its clock stops while
+// it waits (a record, a resumed play; not a demoted follower's display).
+func (m *Manager) hold(r *request, dec continuity.Decision, clockWaits bool) {
+	r.pendingK = 0
+	if dec.CacheServed || dec.K <= m.k {
+		return
+	}
+	r.pendingK, r.pendingAt, r.clockWaits = dec.K, m.clock.Now(), clockWaits
+	m.pending++
+}
+
+// joinPending admits to the round every waiting request whose K it opens
+// at, or all once no step is left to take (ForceK), and recounts the
+// rest; a paused one is left to Resume to count.
+func (m *Manager) joinPending() {
+	n := 0
+	for _, r := range m.reqs {
+		switch {
+		case r.pendingK == 0 || r.done || r.pause != nil:
+		case r.pendingK > m.k && m.kTarget > m.k:
+			n++
+		default:
+			r.endWait(m.clock.Now())
+			r.pendingK = 0
 		}
+	}
+	m.pending = n
+}
+
+// endWait closes the stretch of a wait begun at pendingAt: a request's
+// clock starts when it joins, so it moves by the rounds it waited.
+func (r *request) endWait(now time.Duration) {
+	if r.clockWaits {
+		r.shiftClock(now - r.pendingAt)
 	}
 }
 
-// AdmitPlay admits and registers a PLAY request. The request begins
-// receiving service in the next round. When an interval cache is
-// installed and a leading play of the same strand range can feed this
-// one, the request is admitted cache-served: it charges no disk time,
-// so the total population may exceed Eq. 17's n_max.
+// shiftClock moves a record's capture start or a started play's display
+// start d later.
+func (r *request) shiftClock(d time.Duration) {
+	switch {
+	case r.kind == Record:
+		r.rec.start += d
+	case r.play.started:
+		r.play.startTime += d
+	}
+}
+
+// AdmitPlay admits and registers a PLAY request. It runs no round: the
+// request joins the first round that opens at the k it needs. When an
+// interval cache is installed and a leading play of the same strand
+// range can feed this one, the request is admitted cache-served: it
+// charges no disk time, so the total population may exceed Eq. 17's
+// n_max.
 func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, error) {
 	if err := plan.Validate(); err != nil {
 		return 0, continuity.Decision{}, err
@@ -458,7 +472,7 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 		// classes, then sub-sampled admission of the candidate itself.
 		dec, err = m.admitClassed(spindles, plan.Admission, plan.Class)
 	} else {
-		dec, err = m.admit(spindles, plan.Admission, cacheServed)
+		dec, err = m.commit(m.decideAdmit(spindles, plan.Admission, cacheServed))
 	}
 	if err != nil {
 		return 0, dec, err
@@ -477,10 +491,10 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 	if ra > len(plan.Blocks) {
 		ra = len(plan.Blocks)
 	}
-	if m.policy == Stepwise && plan.Buffers < 2*m.k {
-		// The request joins a system already running at k; provision
-		// it for those rounds.
-		plan.Buffers = 2 * m.k
+	if m.policy == Stepwise && plan.Buffers < 2*m.kSched() {
+		// The request joins a system running at the k the schedule is
+		// heading for; provision it for those rounds.
+		plan.Buffers = 2 * m.kSched()
 	}
 	ps := &playState{plan: plan, readAhead: ra, stride: stride, extents: extents}
 	ps.deadlines = make([]time.Duration, len(plan.Blocks)+1)
@@ -495,6 +509,7 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 	}
 	r := &request{id: m.newID(), kind: Play, name: plan.Name, adm: plan.Admission, play: ps, class: plan.Class}
 	m.reqs = append(m.reqs, r)
+	m.hold(r, dec, true)
 	m.obs.classAdmitted[r.class].Inc()
 	m.obs.effRate.Observe(plan.Admission.Rate / float64(stride))
 	if eligible && stride == 1 {
@@ -520,14 +535,14 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 	return r.id, dec, nil
 }
 
-// AdmitRecord admits and registers a RECORD request. Capture starts
-// immediately (virtual now); the first block becomes writable one
-// block-duration later.
+// AdmitRecord admits and registers a RECORD request, joining as a play
+// does. Capture starts when it joins; the first block becomes writable
+// one block-duration later.
 func (m *Manager) AdmitRecord(plan RecordPlan) (RequestID, continuity.Decision, error) {
 	if err := plan.Validate(); err != nil {
 		return 0, continuity.Decision{}, err
 	}
-	dec, err := m.admit(0, plan.Admission, false)
+	dec, err := m.commit(m.decideAdmit(0, plan.Admission, false))
 	if err != nil {
 		return 0, dec, err
 	}
@@ -539,6 +554,7 @@ func (m *Manager) AdmitRecord(plan RecordPlan) (RequestID, continuity.Decision, 
 	rs := &recordState{plan: plan, start: m.clock.Now(), blockDur: blockDur, totalBlks: total}
 	r := &request{id: m.newID(), kind: Record, name: plan.Name, adm: plan.Admission, rec: rs}
 	m.reqs = append(m.reqs, r)
+	m.hold(r, dec, true)
 	return r.id, dec, nil
 }
 
@@ -590,6 +606,9 @@ func (m *Manager) Pause(id RequestID, destructive bool) error {
 	if r.pause != nil {
 		return fmt.Errorf("msm: request %d already paused", id)
 	}
+	if r.pendingK > 0 {
+		r.endWait(m.clock.Now()) // the pause holds its clock from here
+	}
 	r.pause = &pauseState{at: m.clock.Now(), destructive: destructive}
 	// A paused producer stops feeding its followers either way; close
 	// its cache stream so they demote instead of waiting forever. A
@@ -601,7 +620,7 @@ func (m *Manager) Pause(id RequestID, destructive bool) error {
 
 // Resume restarts a paused request, shifting its deadlines by the
 // pause duration. Resuming a destructively paused request re-runs
-// admission control and may be rejected.
+// admission control and may be rejected; it rejoins as AdmitPlay's does.
 func (m *Manager) Resume(id RequestID) (continuity.Decision, error) {
 	r, err := m.find(id)
 	if err != nil {
@@ -620,20 +639,18 @@ func (m *Manager) Resume(id RequestID) (continuity.Decision, error) {
 			b := r.play.plan.Blocks[r.play.nextFetch]
 			cacheServed = m.cache.Adoptable(r.play.cacheSID, b.Index, r.adm.Rate)
 		}
-		dec, err = m.admit(m.extent(r), r.adm, cacheServed)
+		dec, err = m.commit(m.decideAdmit(m.extent(r), r.adm, cacheServed))
 		if err != nil {
 			return dec, err
 		}
 		r.cacheServed = dec.CacheServed
 	}
-	shift := m.clock.Now() - r.pause.at
-	switch r.kind {
-	case Play:
-		if r.play.started {
-			r.play.startTime += shift
-		}
-	case Record:
-		r.rec.start += shift
+	r.shiftClock(m.clock.Now() - r.pause.at)
+	if r.pause.destructive {
+		m.hold(r, dec, true)
+	} else if r.pendingK > 0 { // paused while it waited: wait on
+		r.pendingAt = m.clock.Now()
+		m.pending++
 	}
 	r.pause = nil
 	// A resume is an operator-visible fresh start: give the request a
@@ -717,7 +734,7 @@ func (m *Manager) Progress(id RequestID) (Progress, error) {
 func (m *Manager) active() []*request {
 	out := m.scratchAct[:0]
 	for _, r := range m.reqs {
-		if !r.done && r.pause == nil && !r.demoting {
+		if !r.done && r.pause == nil && r.pendingK == 0 {
 			out = append(out, r)
 		}
 	}
@@ -728,32 +745,33 @@ func (m *Manager) active() []*request {
 // RunRound services one round: each active request in turn receives up
 // to k blocks of transfer. If no request had work, the clock advances
 // to the next time one will. It reports false when no active request
-// remains.
+// remains and none waits to join. It alone moves k (ForceK and NaiveJump
+// aside), one step a round towards kTarget; a transition round with
+// nobody to serve counts no round and advances no clock.
 //
 // rt:hotpath
 func (m *Manager) RunRound() bool {
 	m.processDemotions()
 	m.classPass()
+	if m.pending > 0 {
+		m.joinPending()
+	}
 	m.tickFaultRounds()
 	if m.kTarget > m.k {
-		// One step of a re-steer k transition (see resteer):
-		// the same one-k-per-round growth the paper's admission
-		// transition uses, so continuity holds while the absorbed
-		// population's rounds lengthen.
 		m.k++
 		m.stats.TransitionSteps++
 		m.obs.transitions.Inc()
 	}
 	act := m.active()
 	if len(act) == 0 {
-		return m.runRepairOnlyRound()
+		return m.runRepairOnlyRound() || m.pending > 0
 	}
 	m.stats.Rounds++
 	// Re-steer around health changes first: the steer table is frozen
 	// for the round (every lane's sub-round reads the same one), and who
-	// is resident where follows it.
+	// is resident where follows it. The round charges what it serves.
 	m.resteer()
-	sets, resident := m.residentSets()
+	sets, resident := m.residentSets(false)
 	defer m.recordRound(m.clock.Now(), m.k, resident, m.CacheServed(), len(act))
 	worked := m.serviceRound(act, sets)
 	if !worked {
@@ -762,7 +780,7 @@ func (m *Manager) RunRound() bool {
 			// Requests remain (e.g. display draining) but the disk
 			// has nothing left to do for them; finish them.
 			m.finishDrained()
-			return len(m.active()) > 0
+			return len(m.active()) > 0 || m.pending > 0
 		}
 		if next > m.clock.Now() {
 			m.stats.IdleTime += next - m.clock.Now()
@@ -795,9 +813,7 @@ func (m *Manager) RunFor(d time.Duration) {
 // requests done once their source is exhausted and flushed, and retires
 // every finished request from the live table (survivors keep their
 // admission order). It closes every round, the one point no loop over
-// the table is in flight — except a demotion's, whose transition rounds
-// nest inside processDemotions' walk: those leave the retiring to the
-// outer round.
+// the table is in flight.
 func (m *Manager) finishDrained() {
 	n := 0
 	for _, r := range m.reqs {
@@ -816,7 +832,7 @@ func (m *Manager) finishDrained() {
 				}
 			}
 		}
-		if r.done && !m.inDemote {
+		if r.done {
 			m.retired[r.id] = r
 			continue
 		}
@@ -855,15 +871,13 @@ func (m *Manager) reopenCacheStream(r *request) {
 // processDemotions resolves requests whose interval broke (cache miss
 // while cache-served): each one first tries to adopt a new leader, and
 // failing that goes back through full disk admission — Eq. 18 with its
-// stepwise transition rounds, exactly as a fresh request would. When
-// even that fails the request is destructively paused rather than
-// allowed to violate the admitted population's continuity.
+// stepwise transition, exactly as a fresh request would. When even that
+// fails the request is destructively paused rather than allowed to
+// violate the admitted population's continuity.
 func (m *Manager) processDemotions() {
-	if m.cache == nil || m.inDemote {
+	if m.cache == nil {
 		return
 	}
-	m.inDemote = true
-	defer func() { m.inDemote = false }()
 	for _, r := range m.reqs {
 		if !r.needsDemote || r.done || r.pause != nil {
 			continue
@@ -882,19 +896,15 @@ func (m *Manager) processDemotions() {
 		if !stuck && r.play.cacheOpen && m.cache.Adopt(uint64(r.id)) {
 			continue // found a new leader; still cache-served
 		}
-		// Full admission as a disk-bound stream. The transition rounds
-		// recurse into RunRound; r.demoting keeps this request out of
-		// them (it has no admission slot yet).
-		r.demoting = true
-		_, err := m.admit(m.extent(r), r.adm, false)
-		r.demoting = false
+		// Full admission as a disk-bound stream.
+		dec, err := m.commit(m.decideAdmit(m.extent(r), r.adm, false))
+		r.cacheServed = false
 		if err != nil {
-			r.cacheServed = false
 			m.closeCacheStream(r)
 			r.pause = &pauseState{at: m.clock.Now(), destructive: true}
 			continue
 		}
-		r.cacheServed = false
+		m.hold(r, dec, false)
 	}
 }
 
@@ -965,7 +975,7 @@ func (m *Manager) nextWorkTime() (time.Duration, bool) {
 	var best time.Duration
 	found := false
 	for _, r := range m.reqs {
-		if r.done || r.pause != nil || r.demoting {
+		if r.done || r.pause != nil || r.pendingK > 0 {
 			continue
 		}
 		switch r.kind {

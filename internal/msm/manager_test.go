@@ -198,9 +198,8 @@ func TestAdmissionRejectsBeyondNMax(t *testing.T) {
 		t.Fatalf("nmax = %d; geometry too slow for even one stream", nmax)
 	}
 	s := rig.recordVideo(t, 60, 18000, 3, 30, 1)
-	// NaiveJump keeps the clock frozen across admissions so no stream
-	// can finish mid-test and free its slot.
-	rig.m.SetPolicy(NaiveJump)
+	// Admitting runs no round: the clock stays frozen across admissions,
+	// so no stream can finish mid-test and free its slot.
 	admitted := 0
 	for i := 0; i <= nmax; i++ {
 		plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: 2, Scattering: 0.02})
@@ -340,7 +339,6 @@ func TestPauseSemanticsAtCapacity(t *testing.T) {
 		t.Skip("device too slow for the scenario")
 	}
 	s := rig.recordVideo(t, 120, 18000, 3, 30, 77)
-	rig.m.SetPolicy(NaiveJump) // keep the clock frozen across admissions
 
 	var ids []RequestID
 	for i := 0; i < nmax; i++ {

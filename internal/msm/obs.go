@@ -12,11 +12,9 @@ import (
 // cumulative snapshot the per-round deltas are computed against. The
 // zero value is off: nil handles ignore their updates (package obs) and
 // recordRound returns at once.
-// Rounds can nest (a demotion's re-admission runs transition rounds
-// inside RunRound); delta-since-last-record accounting keeps the trace
-// exact under nesting — inner rounds record first, the outer round
-// records the remainder — at the cost of trace entries appearing in
-// completion order.
+// Rounds never nest, so the trace is in round order. An entry is the
+// counters' delta since the previous one: what happens between rounds
+// (disk time a command's untimed reads spend) lands in the next entry.
 type roundObs struct {
 	ring *obs.TraceRing
 

@@ -110,12 +110,6 @@ func (m *Manager) QoSStats() [continuity.NumClasses]ClassStats {
 // disk-bound play candidate. It returns the admission decision with
 // Stride set to the granted quality (1 = full rate).
 func (m *Manager) admitClassed(sp uint64, cand continuity.Request, class continuity.Class) (continuity.Decision, error) {
-	// Block the nested transition rounds' classPass: promoting the
-	// freshly shed victims before the candidate lands would undo the
-	// negotiation mid-flight.
-	m.inQoS = true
-	defer func() { m.inQoS = false }()
-
 	// Dry run: probe pure decisions (no transitions, no obs traffic)
 	// while tentatively demoting victims, so a rejection can roll the
 	// strides back untouched.
@@ -156,8 +150,8 @@ func (m *Manager) admitClassed(sp uint64, cand continuity.Request, class continu
 
 	// Commit: bookkeep each distinct victim's demotion (its stride is
 	// already at the negotiated value), then commit the decision the
-	// negotiation ended on so the stepwise k transition and the obs
-	// counters engage.
+	// negotiation ended on so the k schedule and the obs counters engage.
+	// Counted while it waits, the candidate keeps the victims shed.
 	for i, t := range sheds {
 		first := true
 		for j := 0; j < i; j++ {
@@ -198,7 +192,7 @@ func (m *Manager) nextStride(s int) int {
 func (m *Manager) shedVictim(class continuity.Class) *request {
 	var best *request
 	for _, r := range m.reqs {
-		if r.kind != Play || r.done || r.pause != nil || r.cacheServed || r.demoting {
+		if r.kind != Play || r.done || r.pause != nil || r.cacheServed {
 			continue
 		}
 		if r.class >= class || strideOf(r.play) >= m.qos.MaxStride {
@@ -244,14 +238,14 @@ func (m *Manager) notePromotion(r *request, stride int) {
 	m.obs.effRate.Observe(r.adm.Rate / float64(stride))
 }
 
-// feasibleNow reports whether Eq. 18 holds at the current k for every
-// set of the resident table.
+// feasibleNow reports whether Eq. 18 holds for every set of the resident
+// table, waiting requests included, at the k the schedule is heading for.
 //
 // rt:hotpath
 func (m *Manager) feasibleNow() bool {
-	sets, _ := m.residentSets()
+	sets, _ := m.residentSets(true)
 	for _, set := range sets {
-		if len(set) > 0 && !m.adm.FeasibleTransient(set, m.k) {
+		if len(set) > 0 && !m.adm.FeasibleTransient(set, m.kSched()) {
 			return false
 		}
 	}
@@ -277,7 +271,7 @@ func (m *Manager) strideFeasible(r *request, stride int) bool {
 //
 // rt:hotpath
 func (m *Manager) classPass() {
-	if !m.qosEnabled() || m.inQoS {
+	if !m.qosEnabled() {
 		return
 	}
 	// Rising load: while the effective set no longer satisfies Eq. 18

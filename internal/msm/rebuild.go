@@ -167,17 +167,15 @@ func (m *Manager) ensureRepairBuf() {
 // streams now share the surviving twin's sub-round, so that spindle's
 // population may need more blocks per round than the current k
 // provides (the same reason fresh admissions can raise k). The need is
-// Eq. 18's solution (KTransient) over each resident set; the growth is
-// applied one k per round by RunRound — §3.4's stepwise transition —
-// and the buffer grants are raised up front so the read-ahead can
-// absorb the transition rounds. A single device has nothing to steer.
+// Eq. 18's solution (KTransient) over each resident set, scheduled as an
+// admission's is (raiseK). A single device has nothing to steer.
 //
 // rt:hotpath
 func (m *Manager) resteer() {
 	if m.array == nil || !m.array.RefreshSteering() {
 		return
 	}
-	sets, _ := m.residentSets()
+	sets, _ := m.residentSets(true)
 	need := m.k
 	for _, set := range sets {
 		// A set infeasible at any k up to the cap — the absorbed
@@ -188,12 +186,7 @@ func (m *Manager) resteer() {
 			need = k
 		}
 	}
-	if need > m.k {
-		m.growPlayBuffers(2 * need)
-		if need > m.kTarget {
-			m.kTarget = need
-		}
-	}
+	m.raiseK(need)
 }
 
 // repairRound runs the slack-charged repair step after a striped

@@ -340,7 +340,7 @@ func TestExtentFollowsSteering(t *testing.T) {
 		if got := rig.m.extent(r); got != step.want {
 			t.Fatalf("spindle %d %v: the play is charged on spindles %04b, want %04b", victim, step.state, got, step.want)
 		}
-		if sets, _ := rig.m.residentSets(); len(sets[bits.TrailingZeros64(step.want)]) != 1 {
+		if sets, _ := rig.m.residentSets(true); len(sets[bits.TrailingZeros64(step.want)]) != 1 {
 			t.Fatalf("spindle %d %v: resident sets %v", victim, step.state, sets)
 		}
 	}

@@ -193,10 +193,11 @@ type request struct {
 	// demotedAt is 1 + the plan position of the request's previous
 	// demotion (0: never demoted); see processDemotions.
 	demotedAt int
-	// demoting excludes the request from service while its own
-	// demotion re-runs admission (whose transition rounds recurse into
-	// RunRound).
-	demoting bool
+	// pendingK, when non-zero, is the k the request waits for to join
+	// the sweep (Manager.hold) since pendingAt; clockWaits: see endWait.
+	pendingK   int
+	pendingAt  time.Duration
+	clockWaits bool
 	// consecFails counts consecutive degraded block deliveries; it
 	// resets on every clean disk read and on Resume, and reaching
 	// FaultPolicy.ConsecFailLimit escalates degradation to a stop.

@@ -107,7 +107,7 @@ func writeVideo(t *testing.T, d disk.Device, a *alloc.Allocator, st *strand.Stor
 // strand plus an unrelated disk-bound play; a follower is paused and
 // resumed both ways, then the leader stops and the orphans demote.
 // forceK pins k so the population is concurrent; without it every
-// admission and demotion runs §3.4's transition rounds, nested.
+// admission and demotion schedules §3.4's transition rounds.
 func traceIntervalLifecycle(t *testing.T, w *bytes.Buffer, forceK bool) {
 	rig := newRig(t, disk.DefaultGeometry())
 	s := rig.recordVideo(t, 450, 18000, 3, 30, 501)
@@ -151,8 +151,8 @@ func traceIntervalLifecycle(t *testing.T, w *bytes.Buffer, forceK bool) {
 
 // traceOrphans: three plays of one strand admitted at the same instant,
 // the leader stopped before a round runs — the orphans sit at one
-// position, adopt each other once, then each takes full admission with
-// its transition rounds nested in the demotion walk.
+// position, adopt each other once, then each takes full admission and
+// waits out its transition rounds.
 func traceOrphans(t *testing.T, w *bytes.Buffer) {
 	rig := newRig(t, disk.DefaultGeometry())
 	s := rig.recordVideo(t, 300, 18000, 3, 30, 511)

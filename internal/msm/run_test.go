@@ -60,8 +60,8 @@ func writeBackToBack(t *testing.T, d disk.Device, a *alloc.Allocator, st *strand
 }
 
 // runRig is a fresh manager at a forced k over a disk holding one
-// back-to-back strand, with NaiveJump so admission runs no transition
-// rounds.
+// back-to-back strand, with NaiveJump so an admission's k is in force at
+// once.
 func runRig(t *testing.T, k, blocks int) (*testRig, *strand.Strand) {
 	t.Helper()
 	rig := newRig(t, disk.DefaultGeometry())

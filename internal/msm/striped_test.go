@@ -123,13 +123,10 @@ func TestStripedRoundParallelService(t *testing.T) {
 		return plan
 	}
 
-	// Admission math first, on a manager that runs no rounds during
-	// admission (NaiveJump skips the transition rounds, which would
-	// otherwise start draining the early streams): the full p·n_max
-	// population is admitted, and the next candidate on a saturated
-	// spindle fails its per-spindle Eq. 18.
+	// Admission math first, on a manager that runs no rounds: the full
+	// p·n_max population is admitted, and the next candidate on a
+	// saturated spindle fails its per-spindle Eq. 18.
 	gate := New(rig.arr, continuity.AdmissionFor(rig.dev))
-	gate.SetPolicy(NaiveJump)
 	for j, s := range strands {
 		if _, _, err := gate.AdmitPlay(mkPlan(s)); err != nil {
 			t.Fatalf("stream %d (spindle %d): %v — aggregate should reach p·n_max = %d", j, j%p, err, total)
@@ -198,9 +195,8 @@ func TestStraddlingStrand(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The admission decisions, on a manager whose admissions run no rounds.
+	// The admission decisions, on a manager that runs no rounds.
 	gate := New(rig.arr, continuity.AdmissionFor(rig.dev))
-	gate.SetPolicy(NaiveJump)
 	if ext := gate.spindlesAt(gate.extentTable(plan.Blocks), 0); ext != 0b0011 {
 		t.Fatalf("the straddler's plan touches spindles %04b, want 0 and 1", ext)
 	}
@@ -225,7 +221,7 @@ func TestStraddlingStrand(t *testing.T) {
 	if _, _, err := gate.AdmitPlay(plan); err != nil {
 		t.Fatalf("spindle 1 has room, the straddler: %v", err)
 	}
-	if sets, n := gate.residentSets(); n != nmax || len(sets[0]) != 1 || len(sets[1]) != nmax || len(sets[2])+len(sets[3]) != 0 {
+	if sets, n := gate.residentSets(true); n != nmax || len(sets[0]) != 1 || len(sets[1]) != nmax || len(sets[2])+len(sets[3]) != 0 {
 		t.Fatalf("resident sets hold %d, %d, %d, %d request(s) of %d; want the straddler on spindles 0 and 1",
 			len(sets[0]), len(sets[1]), len(sets[2]), len(sets[3]), n)
 	}
