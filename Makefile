@@ -16,7 +16,7 @@ BENCH_PKGS = . ./internal/cache
 # lent playback is named apart: a -bench pattern with a slash filters
 # every benchmark's sub-benchmarks, so it runs in an invocation of its own.
 RACE_BENCHES = BenchmarkStripedRound|BenchmarkRound1000Streams|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCachedConcurrentPlayback|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
-ALLOC_BENCHES = BenchmarkPlaybackRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
+ALLOC_BENCHES = BenchmarkPlaybackRound|BenchmarkStripedRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
 ALLOC_BENCH_LENT = BenchmarkCachedConcurrentPlayback/lent
 
 .PHONY: all build test race race-bench lint loc bench bench-baseline bench-compare bench-check mmload-pairs fuzz chaos clean
@@ -98,13 +98,15 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare -tolerance 0.15 bench/baseline.json bench/current.json
 
 # Allocation-regression gate: the steady-state service rounds
-# (BenchmarkPlaybackRound/steady, BenchmarkQoSClassPass — the round
+# (BenchmarkPlaybackRound/steady, BenchmarkStripedRound/steady — a
+# 4-spindle array's lane rounds at the k admission stepped to —
+# BenchmarkQoSClassPass — the round
 # loop with the QoS class pass engaged on a degraded population —
 # BenchmarkRebuildRound, the round loop with an online rebuild
 # in flight — and BenchmarkCacheCoupledRound, the round that feeds the
 # interval cache from frames an earlier manager left) must hold their
 # baseline allocs/op — zero — and the
-# full-playback variant must not grow its allocation count past
+# full-playback variants must not grow their allocation counts past
 # tolerance. The wire path is gated the same way: BenchmarkCodecSmall
 # (a STATS-shaped body through a reused encoder and the in-place
 # decoder) at zero, BenchmarkFetchReply (the FETCH handler into a warmed

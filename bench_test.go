@@ -900,8 +900,14 @@ func newStripedBench(b *testing.B, g disk.Geometry, p, stripe int, mirror bool) 
 // spindle-local cylinder of a stripe-group (stripe cylinders wide).
 func (sb *stripedBench) record(b *testing.B, cfg strand.WriterConfig, spindle, localCyl, stripe, units int, payload int) *strand.Strand {
 	b.Helper()
-	cfg.StartCylinder = (localCyl/stripe*sb.p+spindle)*stripe + localCyl%stripe
-	return sb.write(b, cfg, units, payload, int64(1000*spindle+localCyl))
+	cfg.StartCylinder = sb.start(spindle, localCyl, stripe)
+	return sb.write(b, cfg, media.NewVideoSource(units, payload, cfg.Rate, int64(1000*spindle+localCyl)))
+}
+
+// start is the logical cylinder a strand starts at to land on the given
+// spindle at the given spindle-local cylinder.
+func (sb *stripedBench) start(spindle, localCyl, stripe int) int {
+	return (localCyl/stripe*sb.p+spindle)*stripe + localCyl%stripe
 }
 
 // recordMirrored writes one strand into the within'th stripe group
@@ -911,18 +917,17 @@ func (sb *stripedBench) recordMirrored(b *testing.B, cfg strand.WriterConfig, sp
 	b.Helper()
 	group := (spindle%2+2*within)*sb.arr.MirrorGroups() + spindle/2
 	cfg.StartCylinder = group * sb.arr.StripeCylinders()
-	return sb.write(b, cfg, units, payload, int64(1000*spindle+within))
+	return sb.write(b, cfg, media.NewVideoSource(units, payload, cfg.Rate, int64(1000*spindle+within)))
 }
 
-// write appends units payload-byte units to a fresh strand at
+// write records the source's units into a fresh strand at
 // cfg.StartCylinder.
-func (sb *stripedBench) write(b *testing.B, cfg strand.WriterConfig, units, payload int, seed int64) *strand.Strand {
+func (sb *stripedBench) write(b *testing.B, cfg strand.WriterConfig, src media.Source) *strand.Strand {
 	b.Helper()
 	w, err := strand.NewWriter(sb.arr, sb.a, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := media.NewVideoSource(units, payload, cfg.Rate, seed)
 	for {
 		u, ok := src.Next()
 		if !ok {
@@ -941,10 +946,14 @@ func (sb *stripedBench) write(b *testing.B, cfg strand.WriterConfig, units, payl
 
 // BenchmarkStripedRound saturates a 4-spindle striped array with the
 // per-spindle n_max on every spindle — 4× the single-disk admissible
-// population — and plays the whole set to completion per op. The
-// scaling_x metric (admitted / single-spindle n_max) is the headline:
-// the committed baseline gates it at 4.0, and the benchmark itself
-// fails below 3.6× (the 10%-of-ideal floor).
+// population, five plays a spindle. The full variant plays the whole set
+// of 10 s plays to completion per op; its scaling_x metric (admitted /
+// single-spindle n_max) is the headline: the committed baseline gates it
+// at 4.0, and the benchmark itself fails below 3.6× (the 10%-of-ideal
+// floor). The steady variant times single service rounds at the k
+// admission steps to once every play has joined: a round's host cost
+// must follow the blocks it moves, not k, and its allocs/op is CI-gated
+// at zero like the other steady rounds'.
 func BenchmarkStripedRound(b *testing.B) {
 	const p, stripe = 4, 120
 	sb := newStripedBench(b, disk.DefaultGeometry(), p, stripe, false)
@@ -959,58 +968,142 @@ func BenchmarkStripedRound(b *testing.B) {
 		Medium: layout.Video, Rate: 30, UnitBytes: 18000, Granularity: 3,
 		Constraint: alloc.Constraint{MinCylinders: 1, MaxCylinders: 32},
 	}
+	opts := msm.PlanOptions{ReadAhead: 1, Buffers: 16, Scattering: scattering}
+	// The full variant's strands hop a cylinder or more a block, which is
+	// what admission charges. The steady variant's are run-placed, the
+	// layout serve-striped plays, and 50 s long, so its rounds settle
+	// where serve-striped's do and stay there: a block costs far less
+	// than its charge, k is at what admission stepped to, every play's
+	// buffers are full, and a round moves only what the display freed.
+	// Each spindle holds its five of either kind, in stripe groups of
+	// their own; the long ones repeat one frame (their bytes are never
+	// looked at, and generating them would dominate the set-up).
+	run := cfg
+	run.Constraint = alloc.RunPlacement(32)
+	frame := media.FramePayload(1, 0, 18000)
+	frames := make([]media.Unit, 1500)
+	for i := range frames {
+		frames[i] = media.Unit{Seq: uint64(i), Payload: frame}
+	}
 	plans := make([]msm.PlayPlan, total)
-	for j := range plans {
-		cfg.ID = strand.ID(j + 1)
-		s := sb.record(b, cfg, j%p, (j/p)*stripe, stripe, 300, 18000)
-		plan, err := msm.PlanStrandPlay(sb.arr, s, msm.PlanOptions{
-			ReadAhead: 1, Buffers: 16, Scattering: scattering,
-		})
+	runs := make([]msm.PlayPlan, total)
+	planOf := func(s *strand.Strand) msm.PlayPlan {
+		plan, err := msm.PlanStrandPlay(sb.arr, s, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		plans[j] = plan
+		return plan
 	}
-	before := sb.arr.Stats()
-	var admitted, violations, rounds float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for j := range plans {
+		cfg.ID, run.ID = strand.ID(j+1), strand.ID(total+j+1)
+		plans[j] = planOf(sb.record(b, cfg, j%p, (j/p)*stripe, stripe, 300, 18000))
+		run.StartCylinder = sb.start(j%p, (nmax+j/p)*stripe, stripe)
+		runs[j] = planOf(sb.write(b, run, media.NewSliceSource(frames, 30, 18000)))
+	}
+	// admitAll admits a population to a fresh manager and reports the k
+	// admission stepped to.
+	admitAll := func(b *testing.B, plans []msm.PlayPlan) (*msm.Manager, []msm.RequestID, int) {
 		mgr := msm.New(sb.arr, adm)
 		ids := make([]msm.RequestID, 0, total)
+		k := 0
 		for _, plan := range plans {
-			id, _, err := mgr.AdmitPlay(plan)
+			id, dec, err := mgr.AdmitPlay(plan)
 			if err != nil {
 				b.Fatalf("admission lost capacity at n=%d: %v", len(ids), err)
 			}
 			ids = append(ids, id)
+			k = max(k, dec.K)
 		}
-		mgr.RunUntilDone()
-		admitted += float64(len(ids))
-		for _, id := range ids {
-			v, err := mgr.Violations(id)
-			if err != nil {
-				b.Fatal(err)
+		return mgr, ids, k
+	}
+	b.Run("full", func(b *testing.B) {
+		before := sb.arr.Stats()
+		var admitted, violations, rounds float64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mgr, ids, _ := admitAll(b, plans)
+			mgr.RunUntilDone()
+			admitted += float64(len(ids))
+			for _, id := range ids {
+				v, err := mgr.Violations(id)
+				if err != nil {
+					b.Fatal(err)
+				}
+				violations += float64(len(v))
 			}
-			violations += float64(len(v))
+			rounds += float64(mgr.Stats().Rounds)
 		}
-		rounds += float64(mgr.Stats().Rounds)
-	}
-	b.StopTimer()
-	after := sb.arr.Stats()
-	n := float64(b.N)
-	scaling := admitted / n / float64(nmax)
-	b.ReportMetric(float64(nmax), "nmax_single")
-	b.ReportMetric(admitted/n, "n_admitted")
-	b.ReportMetric(scaling, "scaling_x")
-	b.ReportMetric(violations/n, "viol")
-	b.ReportMetric(rounds/n, "rounds/op")
-	b.ReportMetric(float64(after.Reads-before.Reads)/n, "disk_blocks/op")
-	if scaling < 3.6 {
-		b.Fatalf("aggregate admission scaled only %.2f× the single-disk n_max (want ≥ 3.6×)", scaling)
-	}
-	if violations != 0 {
-		b.Fatalf("%v continuity violations at p·n_max", violations)
-	}
+		b.StopTimer()
+		after := sb.arr.Stats()
+		n := float64(b.N)
+		scaling := admitted / n / float64(nmax)
+		b.ReportMetric(float64(nmax), "nmax_single")
+		b.ReportMetric(admitted/n, "n_admitted")
+		b.ReportMetric(scaling, "scaling_x")
+		b.ReportMetric(violations/n, "viol")
+		b.ReportMetric(rounds/n, "rounds/op")
+		b.ReportMetric(float64(after.Reads-before.Reads)/n, "disk_blocks/op")
+		if scaling < 3.6 {
+			b.Fatalf("aggregate admission scaled only %.2f× the single-disk n_max (want ≥ 3.6×)", scaling)
+		}
+		if violations != 0 {
+			b.Fatalf("%v continuity violations at p·n_max", violations)
+		}
+	})
+	b.Run("steady", func(b *testing.B) {
+		// join admits the population, runs the transition rounds, and
+		// warms the scratch arenas: the measured rounds run at the k
+		// admission stepped to, with every play in the sweep.
+		join := func(b *testing.B) (*msm.Manager, []msm.RequestID, int) {
+			mgr, ids, k := admitAll(b, runs)
+			for mgr.K() < k {
+				mgr.RunRound()
+			}
+			for i := 0; i < 4; i++ {
+				mgr.RunRound()
+			}
+			return mgr, ids, k
+		}
+		// The rounds are virtual-time deterministic, so a probe finds how
+		// many rounds after the warm-up every play is still fetching; a
+		// manager is replaced, off the clock, after that many.
+		mgr, ids, k := join(b)
+		steady := 0
+		for running := true; running; steady++ {
+			mgr.RunRound()
+			for _, id := range ids {
+				if pr, _ := mgr.Progress(id); pr.BlocksServed == pr.BlocksTotal {
+					running = false
+				}
+			}
+		}
+		mgr, _, _ = join(b)
+		var rounds, blocks uint64
+		st0 := mgr.Stats()
+		tally := func() {
+			st := mgr.Stats()
+			if st.Violations != 0 {
+				b.Fatalf("%d continuity violations", st.Violations)
+			}
+			rounds, blocks = rounds+st.Rounds-st0.Rounds, blocks+st.BlocksFetched-st0.BlocksFetched
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i, left := 0, steady; i < b.N; i, left = i+1, left-1 {
+			if left == 0 {
+				b.StopTimer()
+				tally()
+				mgr, _, _ = join(b)
+				st0, left = mgr.Stats(), steady
+				b.StartTimer()
+			}
+			mgr.RunRound()
+		}
+		b.StopTimer()
+		tally()
+		b.ReportMetric(float64(k), "k")
+		b.ReportMetric(float64(blocks)/float64(rounds), "blocks/round")
+	})
 }
 
 // BenchmarkRound1000Streams times single service rounds with 1000

@@ -194,12 +194,27 @@ func (a Admission) KTransient(reqs []Request) (int, bool) {
 // this much measured slack per round; the storage manager's
 // fault-tolerant service path spends it on in-round retries without
 // endangering any admitted stream's continuity.
+//
+// The storage manager asks for it for every spindle every round, so α,
+// β and γ come out of one pass over the set: the same sums in the same
+// order as Alpha, Beta and Gamma, hence the same digits.
 func (a Admission) SlackSeconds(reqs []Request, k int) float64 {
 	if len(reqs) == 0 || k < 1 {
 		return 0
 	}
+	var bits, lds float64
+	gamma := math.Inf(1)
+	for _, r := range reqs {
+		bits += r.BlockBits()
+		lds += r.Scattering
+		if d := r.BlockDuration(); d < gamma {
+			gamma = d
+		}
+	}
 	n := float64(len(reqs))
-	s := float64(k)*a.Gamma(reqs) - (n*a.Alpha(reqs) + n*float64(k)*a.Beta(reqs))
+	xfer := bits / n / a.TransferRate
+	alpha, beta := a.MaxAccess+xfer, lds/n+xfer
+	s := float64(k)*gamma - (n*alpha + n*float64(k)*beta)
 	if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 		return 0
 	}

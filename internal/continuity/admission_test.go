@@ -268,3 +268,35 @@ func TestEmptyRequestSet(t *testing.T) {
 		t.Fatal("empty round should cost nothing")
 	}
 }
+
+// SlackSeconds takes α, β and γ from one pass over the set; its digits
+// must be those of Eq. 18's slack written with Alpha, Beta and Gamma.
+func TestSlackSecondsIsEq18Slack(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	a := Admission{MaxAccess: 0.035, TransferRate: 27.5e6}
+	positive := 0
+	for trial := 0; trial < 2000; trial++ {
+		reqs := make([]Request, 1+rng.Intn(12))
+		for i := range reqs {
+			reqs[i] = Request{
+				Granularity: 1 + rng.Intn(6), UnitBits: float64(8 * (1000 + rng.Intn(30000))),
+				Rate: float64(1+rng.Intn(60)) / float64(1+rng.Intn(4)), Scattering: rng.Float64() * 0.03,
+			}
+		}
+		k := 1 + rng.Intn(60)
+		n := float64(len(reqs))
+		want := float64(k)*a.Gamma(reqs) - (n*a.Alpha(reqs) + n*float64(k)*a.Beta(reqs))
+		if want < 0 {
+			want = 0
+		}
+		if got := a.SlackSeconds(reqs, k); got != want {
+			t.Fatalf("trial %d: SlackSeconds = %v, Eq. 18 says %v", trial, got, want)
+		}
+		if want > 0 {
+			positive++
+		}
+	}
+	if positive < 300 {
+		t.Fatalf("only %d of 2000 sets left slack: the comparison is mostly of zeros", positive)
+	}
+}

@@ -88,6 +88,12 @@ type headState struct {
 // access, which mirrors a real single-ported drive.
 type Disk struct {
 	geom Geometry
+	// The geometry's derived constants, computed once in New because
+	// every timed access reads them.
+	spc        int
+	total      int
+	avgRot     time.Duration
+	sectorTime time.Duration
 	// pages holds sector data one cylinder at a time, allocated on
 	// first write so that large simulated disks cost memory only for
 	// the sectors actually used. A nil page reads as zeros.
@@ -114,9 +120,13 @@ func New(g Geometry) (*Disk, error) {
 		nh = 1
 	}
 	d := &Disk{
-		geom:  g,
-		pages: make([][]byte, g.Cylinders),
-		heads: make([]headState, nh),
+		geom:       g,
+		spc:        g.SectorsPerCylinder(),
+		total:      g.TotalSectors(),
+		avgRot:     g.AvgRotationalLatency(),
+		sectorTime: g.SectorTime(),
+		pages:      make([][]byte, g.Cylinders),
+		heads:      make([]headState, nh),
 	}
 	return d, nil
 }
@@ -157,8 +167,8 @@ func (d *Disk) SetWriteLatencyHistogram(h *obs.Histogram) { d.writeLatency = h }
 func (d *Disk) HeadCylinder(h int) int { return d.heads[h].cylinder }
 
 func (d *Disk) checkRange(lba, n int) error {
-	if n < 0 || lba < 0 || lba+n > d.geom.TotalSectors() {
-		return fmt.Errorf("disk: access [%d,%d) outside %d sectors", lba, lba+n, d.geom.TotalSectors())
+	if n < 0 || lba < 0 || lba+n > d.total {
+		return fmt.Errorf("disk: access [%d,%d) outside %d sectors", lba, lba+n, d.total)
 	}
 	return nil
 }
@@ -175,7 +185,7 @@ func (d *Disk) CylinderMaterialized(cyl int) bool {
 
 func (d *Disk) page(cyl int, materialize bool) []byte {
 	if d.pages[cyl] == nil && materialize {
-		d.pages[cyl] = make([]byte, d.geom.SectorsPerCylinder()*d.geom.SectorSize)
+		d.pages[cyl] = make([]byte, d.spc*d.geom.SectorSize)
 	}
 	return d.pages[cyl]
 }
@@ -227,8 +237,7 @@ func (d *Disk) ViewAt(lba, n int, scratch []byte) ([]byte, error) {
 //
 // rt:hotpath
 func (d *Disk) view(lba, n int, scratch []byte) ([]byte, error) {
-	ss := d.geom.SectorSize
-	spc := d.geom.SectorsPerCylinder()
+	ss, spc := d.geom.SectorSize, d.spc
 	cyl, off := lba/spc, lba%spc
 	if n > 0 && off+n <= spc && d.pages[cyl] != nil {
 		return d.pages[cyl][off*ss : (off+n)*ss : (off+n)*ss], nil
@@ -246,7 +255,7 @@ func (d *Disk) ReadAtInto(lba, n int, dst []byte) error {
 		return err
 	}
 	ss := d.geom.SectorSize
-	spc := d.geom.SectorsPerCylinder()
+	spc := d.spc
 	if len(dst) < n*ss {
 		return fmt.Errorf("disk: ReadAtInto buffer holds %d bytes, need %d", len(dst), n*ss)
 	}
@@ -286,7 +295,7 @@ func (d *Disk) WriteAt(lba int, data []byte) error {
 	if err := d.checkRange(lba, n); err != nil {
 		return err
 	}
-	spc := d.geom.SectorsPerCylinder()
+	spc := d.spc
 	for done := 0; done < n; {
 		cur := lba + done
 		cyl := cur / spc
@@ -306,21 +315,17 @@ func (d *Disk) WriteAt(lba int, data []byte) error {
 // by head h to lba for n sectors, moves the head, and updates stats.
 func (d *Disk) serviceTime(h, lba, n int) time.Duration {
 	hs := &d.heads[h]
-	target := d.geom.CylinderOf(lba)
-	dist := target - hs.cylinder
-	if dist < 0 {
-		dist = -dist
-	}
-	st := d.geom.SeekTime(dist)
-	rot := d.geom.AvgRotationalLatency()
-	xfer := d.geom.TransferTime(n)
+	target := lba / d.spc
+	st := d.geom.SeekTime(target - hs.cylinder)
+	rot := d.avgRot
+	xfer := time.Duration(n) * d.sectorTime
 	d.stats.Seeks++
 	d.stats.SeekTime += st
 	d.stats.RotationTime += rot
 	d.stats.TransferTime += xfer
 	// Leave the head at the cylinder holding the last sector accessed.
 	if n > 0 {
-		hs.cylinder = d.geom.CylinderOf(lba + n - 1)
+		hs.cylinder = (lba + n - 1) / d.spc
 	} else {
 		hs.cylinder = target
 	}
@@ -397,10 +402,5 @@ func (d *Disk) Write(h, lba int, data []byte) (time.Duration, error) {
 // PeekServiceTime computes the service time head h would pay to access
 // n sectors at lba, without moving the head or updating statistics.
 func (d *Disk) PeekServiceTime(h, lba, n int) time.Duration {
-	target := d.geom.CylinderOf(lba)
-	dist := target - d.heads[h].cylinder
-	if dist < 0 {
-		dist = -dist
-	}
-	return d.geom.SeekTime(dist) + d.geom.AvgRotationalLatency() + d.geom.TransferTime(n)
+	return d.geom.SeekTime(lba/d.spc-d.heads[h].cylinder) + d.avgRot + time.Duration(n)*d.sectorTime
 }

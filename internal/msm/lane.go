@@ -10,7 +10,6 @@ import (
 	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
 	"mmfs/internal/fault"
-	"mmfs/internal/layout"
 )
 
 // This file is the service round. The paper has one service algorithm —
@@ -113,7 +112,7 @@ func (s *scanSorter) Swap(i, j int) {
 }
 
 // scanSort reorders the lane's requests as a C-SCAN sweep: ascending
-// cylinder of each request's next media block, starting from the
+// cylinder of each request's next stored block, starting from the
 // actuator's current position and wrapping. A parallel lane sweeps its
 // spindle's local cylinders, the serial lane the logical device's.
 // Requests without a known position (records, pure delays, nothing
@@ -136,8 +135,8 @@ func (ln *lane) scanSort() {
 	keys := ln.sorter.keys[:0]
 	for _, r := range reqs {
 		k := 2 * nc // after every positioned request
-		if e, _, ok := nextMedia(r.position()); ok {
-			sector := int(e.Sector)
+		if p, ok := r.nextStored(); ok {
+			sector := int(p.sector)
 			if ln.spindle >= 0 {
 				_, sector = m.array.Locate(sector)
 			}
@@ -164,26 +163,6 @@ func (ln *lane) scanSort() {
 	ln.sorter.reqs = reqs
 	sort.Stable(&ln.sorter)
 	ln.sorter.reqs = nil
-}
-
-// nextMedia returns the strand entry of the first media block at or
-// after plan index from, and its plan index: the next block that costs
-// a disk access, looking through pure delays (nil readers), silence
-// holders, and entries the strand cannot resolve. ok is false when no
-// such block remains.
-func nextMedia(blocks []PlannedBlock, from int) (layout.PrimaryEntry, int, bool) {
-	for j := from; j < len(blocks); j++ {
-		b := blocks[j]
-		if b.Reader == nil {
-			continue
-		}
-		e, err := b.Reader.Strand().Block(b.Index)
-		if err != nil || e.Silent() {
-			continue
-		}
-		return e, j, true
-	}
-	return layout.PrimaryEntry{}, 0, false
 }
 
 // serviceRequest transfers up to k blocks for the request; reports
@@ -522,15 +501,6 @@ func (ln *lane) readStored(r *request, h, j, n int, got []arrival) (time.Duratio
 	return t, nextStep, false
 }
 
-// stored reports whether the planned block's bytes live on the platters:
-// it is neither a silence holder (regenerated from the strand on read,
-// at no disk time) nor an entry the strand cannot resolve (which the
-// read reports).
-func stored(b PlannedBlock) bool {
-	e, err := b.Reader.Strand().Block(b.Index)
-	return err == nil && !e.Silent()
-}
-
 // feedCache hands the interval cache a block the lane just read for an
 // open cache stream: a follower's pin, or plain LRU residency for future
 // adoptions. A block the device lent is retained as the view it is —
@@ -744,9 +714,12 @@ func (m *Manager) roundSlack(set []continuity.Request) time.Duration {
 
 // laneSpindle reports the spindle whose lane can service request r this
 // round: r must be a disk-bound play with no open cache stream, and
-// every media block in its next-k fetch window must lie on that one
-// spindle without crossing a stripe-group boundary. ok=false routes r
-// to the serial lane — always, on a single device.
+// every stored block in its turn's window (window) must lie on that one
+// spindle without straddling a stripe-group boundary. The plan map has
+// cut the plan into stretches of one stripe group, so the walk asks
+// Locate once per stretch the window crosses — usually once — and never
+// looks at a strand index: its cost follows the groups, not k. ok=false
+// routes r to the serial lane — always, on a single device.
 //
 // rt:hotpath
 func (m *Manager) laneSpindle(r *request) (int, bool) {
@@ -754,72 +727,125 @@ func (m *Manager) laneSpindle(r *request) (int, bool) {
 		return 0, false
 	}
 	ps := r.play
-	window := ps.plan.Blocks
-	if end := ps.nextFetch + m.k; end < len(window) {
-		window = window[:end]
-	}
-	// A stripe group lies on one spindle, so the spindle is looked up
-	// only when the window enters another group.
-	sp, group := -1, -1
-	for j := ps.nextFetch; j < len(window); j++ {
-		e, at, ok := nextMedia(window, j)
-		if !ok {
-			break
-		}
-		g := int(e.Sector) / m.groupSec
-		if (int(e.Sector)+int(e.SectorCount)-1)/m.groupSec != g {
+	end := min(ps.nextFetch+ps.window(m.k), len(ps.plan.Blocks))
+	sp := -1
+	for j := int(ps.pm[ps.nextFetch].next); j < end; {
+		p := ps.pm[j]
+		if p.group < 0 {
 			return 0, false
 		}
-		if g != group {
-			s, _ := m.array.Locate(g * m.groupSec)
-			if sp >= 0 && s != sp {
-				return 0, false
-			}
-			sp, group = s, g
+		s, _ := m.array.Locate(int(p.group) * m.groupSec)
+		if sp >= 0 && s != sp {
+			return 0, false
 		}
-		j = at
+		sp, j = s, int(p.other)
 	}
 	// sp < 0: no disk work in the window (pure delay / silence); the
 	// serial lane advances it for free.
 	return sp, sp >= 0
 }
 
-// position is the request's remaining plan: its blocks and the index
-// of the next one to fetch. A record has no plan.
-func (r *request) position() ([]PlannedBlock, int) {
-	if r.kind != Play {
-		return nil, 0
+// window is how many plan positions from nextFetch a turn of k fetches
+// can reach: k, or — for a load-shed stream, which fetches only the
+// positions a whole number of strides from strideBase — the blocks it
+// skips to its first such position and its k fetches stride apart.
+func (ps *playState) window(k int) int {
+	s := ps.stride
+	if s <= 1 {
+		return k
 	}
-	return r.play.plan.Blocks, r.play.nextFetch
+	skip := ((ps.strideBase-ps.nextFetch)%s + s) % s
+	return skip + (k-1)*s + 1
 }
 
-// extentTable is a play plan's suffix table: entry j is the set of stripe
-// group classes (disk.Array.SteerClasses) the stored blocks of plan[j:]
-// occupy, a block that straddles groups counting in each. A class is
-// fixed when the strand is placed and stored bytes never move, so the
-// table is built once, at admission, and read at the request's position
-// from then on. nil — a single device, or more classes than a word has
-// bits — means the extent is unknown.
-func (m *Manager) extentTable(blocks []PlannedBlock) []uint64 {
-	if m.classes == 0 {
-		return nil
+// planPos is what the service round needs to know about plan position j.
+// The plan and the strands it reads are immutable and stored bytes never
+// move (DESIGN §12), so a play's plan map — one entry per position and
+// one past the end — is built once, at admission (Manager.planMap), and
+// only read from then on.
+type planPos struct {
+	// offset is block j's display offset from the display start: its
+	// deadline once the display runs. Past the end it is the plan's
+	// duration.
+	offset time.Duration
+	// classes is the suffix set of stripe-group classes
+	// (disk.Array.SteerClasses) the stored blocks of plan[j:] occupy, a
+	// block that straddles groups counting in each; zero — unknown — on
+	// a single device or with more classes than a word has bits.
+	classes uint64
+	// next is the first position at or after j whose block is stored: a
+	// disk access, not a pure delay, a silence holder or an entry its
+	// strand cannot resolve. The plan's length when none is left.
+	next int32
+	// The rest describes a stored block j. sector is its first sector on
+	// the logical device; group is its stripe group, -1 when it straddles
+	// two. For a block inside one group, other is the first later stored
+	// position whose block lies in another group or straddles, the plan's
+	// length when none does.
+	sector uint32
+	group  int32
+	other  int32
+}
+
+// planMap builds a play plan's map in one allocation: the display
+// offsets forward, then the layout in one backward pass over the strand
+// index.
+func (m *Manager) planMap(blocks []PlannedBlock) []planPos {
+	n := len(blocks)
+	pm := make([]planPos, n+1)
+	var sum time.Duration
+	for i, b := range blocks {
+		pm[i].offset = sum
+		sum += b.Duration
 	}
-	t := make([]uint64, len(blocks)+1)
-	for j := len(blocks) - 1; j >= 0; j-- {
-		t[j] = t[j+1]
-		if e, _, ok := nextMedia(blocks[j:j+1], 0); ok {
-			first := int(e.Sector) / m.groupSec
-			last := (int(e.Sector) + int(e.SectorCount) - 1) / m.groupSec
+	pm[n].offset, pm[n].next = sum, int32(n)
+	for j := n - 1; j >= 0; j-- {
+		after, p := pm[j+1], &pm[j]
+		p.classes, p.next = after.classes, after.next
+		b := blocks[j]
+		if b.Reader == nil {
+			continue
+		}
+		e, err := b.Reader.Strand().Block(b.Index)
+		if err != nil || e.Silent() {
+			continue
+		}
+		p.next, p.sector, p.other = int32(j), e.Sector, after.next
+		if m.groupSec == 0 {
+			continue // a single device: no lanes, no classes
+		}
+		first := int(e.Sector) / m.groupSec
+		last := (int(e.Sector) + int(e.SectorCount) - 1) / m.groupSec
+		p.group = int32(first)
+		if last != first {
+			p.group = -1
+		}
+		if int(after.next) < n && pm[after.next].group == p.group {
+			p.other = pm[after.next].other
+		}
+		if m.classes > 0 {
 			for g := first; g <= last; g++ {
-				t[j] |= 1 << (g % m.classes)
+				p.classes |= 1 << (g % m.classes)
 			}
 		}
 	}
-	return t
+	return pm
+}
+
+// nextStored is the map entry of the request's next stored block; ok is
+// false for a record and for a play with none left.
+func (r *request) nextStored() (planPos, bool) {
+	if r.kind != Play {
+		return planPos{}, false
+	}
+	ps := r.play
+	j := ps.pm[ps.nextFetch].next
+	return ps.pm[j], int(j) < len(ps.plan.Blocks)
 }
 
 // extent reports the spindles the request's remaining plan reads from
-// under the steering of the moment, as a bit set. Zero is unknown, which
+// under the steering of the moment, as a bit set: the plan map's class
+// set at its position, through spindlesAt. Zero is unknown, which
 // admission charges to every spindle: a record, a play with no stored
 // block left, anything on a single device.
 //
@@ -828,20 +854,16 @@ func (m *Manager) extent(r *request) uint64 {
 	if r.kind != Play {
 		return 0
 	}
-	return m.spindlesAt(r.play.extents, r.play.nextFetch)
+	return m.spindlesAt(r.play.pm[r.play.nextFetch].classes)
 }
 
-// spindlesAt reads an extent table at plan position j and maps the
-// classes there to the spindles that serve them now; a nil table reads
-// as unknown.
+// spindlesAt maps a set of stripe-group classes to the spindles that
+// serve them now.
 //
 // rt:hotpath
-func (m *Manager) spindlesAt(extents []uint64, j int) uint64 {
-	if extents == nil {
-		return 0
-	}
+func (m *Manager) spindlesAt(classes uint64) uint64 {
 	var sps uint64
-	for c := extents[j]; c != 0; c &= c - 1 {
+	for c := classes; c != 0; c &= c - 1 {
 		sp, _ := m.array.Locate(bits.TrailingZeros64(c) * m.groupSec)
 		sps |= 1 << sp
 	}

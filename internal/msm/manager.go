@@ -174,10 +174,10 @@ type Manager struct {
 	// decideAdmit lists the sets a candidate touches.
 	resident    [][]continuity.Request
 	scratchSets [][]continuity.Request
-	// classes and groupSec key a play's extent (extentTable) and its
-	// lane (laneSpindle): the array's steering classes and the sectors in
-	// a stripe group. Zero on a single device; classes is zero too when a
-	// word cannot hold a bit per class.
+	// classes and groupSec key a play's plan map (planMap), which its
+	// extent and its lane (laneSpindle) read: the array's steering
+	// classes and the sectors in a stripe group. Zero on a single device;
+	// classes is zero too when a word cannot hold a bit per class.
 	classes  int
 	groupSec int
 	// obs, when set, receives per-round trace records and mirrors the
@@ -460,8 +460,8 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 	if err := plan.Validate(); err != nil {
 		return 0, continuity.Decision{}, err
 	}
-	extents := m.extentTable(plan.Blocks)
-	spindles := m.spindlesAt(extents, 0)
+	pm := m.planMap(plan.Blocks)
+	spindles := m.spindlesAt(pm[0].classes)
 	sid, first, end, eligible := planCacheRange(plan)
 	eligible = eligible && m.cache != nil
 	cacheServed := eligible && m.cache.Adoptable(sid, first, plan.Admission.Rate)
@@ -496,14 +496,7 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 		// heading for; provision it for those rounds.
 		plan.Buffers = 2 * m.kSched()
 	}
-	ps := &playState{plan: plan, readAhead: ra, stride: stride, extents: extents}
-	ps.deadlines = make([]time.Duration, len(plan.Blocks)+1)
-	var sum time.Duration
-	for i, b := range plan.Blocks {
-		ps.deadlines[i] = sum
-		sum += b.Duration
-	}
-	ps.deadlines[len(plan.Blocks)] = sum
+	ps := &playState{plan: plan, readAhead: ra, stride: stride, pm: pm}
 	if eligible {
 		ps.cacheEligible, ps.cacheSID, ps.cacheEnd = true, sid, end
 	}
@@ -919,7 +912,7 @@ func isFault(err error) bool {
 
 // deadline is the display start time of plan block j.
 func (ps *playState) deadline(j int) time.Duration {
-	return ps.startTime + ps.deadlines[j]
+	return ps.startTime + ps.pm[j].offset
 }
 
 // occupancyAt is the number of fetched blocks not yet fully displayed
@@ -932,9 +925,9 @@ func (ps *playState) occupancyAt(now time.Duration) int {
 }
 
 // releasedBlocks counts the fetched blocks whose display has completed
-// by elapsed: the smallest i with deadlines[i+1] > elapsed, at most
+// by elapsed: the smallest i with pm[i+1].offset > elapsed, at most
 // nextFetch. Blocks are released when their display completes — block i
-// at offset deadlines[i+1]. It runs several times per serviced block and
+// at offset pm[i+1].offset. It runs several times per serviced block and
 // for every idle play in nextWorkTime, so it walks on from its previous
 // answer (ps.released): the blocks before that were released by then
 // and, while time only moves forward, still are, so a play's calls cost
@@ -942,10 +935,10 @@ func (ps *playState) occupancyAt(now time.Duration) int {
 // the display start — it falls back to the binary search.
 func (ps *playState) releasedBlocks(elapsed time.Duration) int {
 	i := ps.released
-	if i > 0 && ps.deadlines[i] > elapsed {
+	if i > 0 && ps.pm[i].offset > elapsed {
 		i = ps.searchReleased(elapsed)
 	} else {
-		for i < ps.nextFetch && ps.deadlines[i+1] <= elapsed {
+		for i < ps.nextFetch && ps.pm[i+1].offset <= elapsed {
 			i++
 		}
 	}
@@ -959,7 +952,7 @@ func (ps *playState) searchReleased(elapsed time.Duration) int {
 	lo, hi := 0, ps.nextFetch
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if ps.deadlines[mid+1] > elapsed {
+		if ps.pm[mid+1].offset > elapsed {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -997,7 +990,7 @@ func (m *Manager) nextWorkTime() (time.Duration, bool) {
 			// Next buffer release: the oldest unreleased block
 			// finishes display.
 			released := ps.releasedBlocks(m.clock.Now() - ps.startTime)
-			best, found = noteEarliest(best, found, ps.startTime+ps.deadlines[released+1])
+			best, found = noteEarliest(best, found, ps.startTime+ps.pm[released+1].offset)
 		case Record:
 			rs := r.rec
 			if rs.exhausted || (rs.totalBlks > 0 && rs.nextWrite >= rs.totalBlks) {
@@ -1023,6 +1016,7 @@ func noteEarliest(best time.Duration, found bool, t time.Duration) (time.Duratio
 // serviceable now (resident, silent, or a miss that triggers
 // demotion) as opposed to waiting on its leader.
 func (m *Manager) cachedCanWork(r *request) bool {
-	b := r.play.plan.Blocks[r.play.nextFetch]
-	return !stored(b) || m.cache.Peek(uint64(r.id), b.Index) != cache.Wait
+	ps := r.play
+	j := ps.nextFetch
+	return int(ps.pm[j].next) != j || m.cache.Peek(uint64(r.id), ps.plan.Blocks[j].Index) != cache.Wait
 }

@@ -98,9 +98,9 @@ func TestNextCylinderSkipsDelaysAndSilence(t *testing.T) {
 	rig := newRig(t, disk.DefaultGeometry())
 	s := rig.recordVideo(t, 30, 18000, 3, 30, 7100)
 	mgr := New(rig.d, continuity.AdmissionFor(rig.dev))
-	// A plan starting with a pure delay: the next-media-block walker
-	// (the C-SCAN key's source) must look through it to the first real
-	// block.
+	// A plan starting with a pure delay: the plan map's next stored
+	// block (the C-SCAN key's source) must look through it to the first
+	// real block.
 	plan, err := PlanPlay(rig.d, "delayed", []Interval{
 		{Gap: 100 * time.Millisecond},
 		{Strand: s, NumUnits: 30},
@@ -116,16 +116,16 @@ func TestNextCylinderSkipsDelaysAndSilence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, at, ok := nextMedia(r.position())
+	next, ok := r.nextStored()
 	if !ok {
-		t.Fatal("nextMedia found nothing despite real blocks")
+		t.Fatal("the plan map found no stored block despite real blocks")
 	}
-	if at != 1 {
-		t.Fatalf("next media block at plan index %d, want 1", at)
+	if at := r.play.pm[0].next; at != 1 {
+		t.Fatalf("next stored block at plan index %d, want 1", at)
 	}
 	g := rig.d.Geometry()
 	e, _ := s.Block(0)
-	if cyl, want := g.CylinderOf(int(next.Sector)), g.CylinderOf(int(e.Sector)); cyl != want {
+	if cyl, want := g.CylinderOf(int(next.sector)), g.CylinderOf(int(e.Sector)); cyl != want {
 		t.Fatalf("next cylinder %d, want %d", cyl, want)
 	}
 	mgr.RunUntilDone()

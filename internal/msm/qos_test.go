@@ -29,11 +29,11 @@ func qosTmpl(m *Manager) continuity.Request {
 // addSyntheticPlay injects a live disk-bound play directly into the
 // manager's request table — the ordering passes only look at class,
 // id, stride, and the admission request, so no plan or disk I/O is
-// needed.
+// needed: its plan map is that of a plan with no blocks.
 func addSyntheticPlay(m *Manager, id RequestID, class continuity.Class, stride int) *request {
 	r := &request{
 		id: id, kind: Play, class: class, adm: qosTmpl(m),
-		play: &playState{stride: stride},
+		play: &playState{stride: stride, pm: m.planMap(nil)},
 	}
 	m.reqs = append(m.reqs, r)
 	return r

@@ -15,13 +15,13 @@ func TestReleasedCursorMatchesSearch(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(300)
-		ps := &playState{deadlines: make([]time.Duration, n+1)}
+		ps := &playState{pm: make([]planPos, n+1)}
 		var sum time.Duration
 		for i := 0; i < n; i++ {
-			ps.deadlines[i] = sum
+			ps.pm[i].offset = sum
 			sum += time.Duration(1+rng.Intn(100)) * time.Millisecond
 		}
-		ps.deadlines[n] = sum
+		ps.pm[n].offset = sum
 		monotone := seed%2 == 0
 		elapsed := -time.Duration(rng.Intn(200)) * time.Millisecond
 		for q := 0; q < 3000; q++ {

@@ -214,15 +214,13 @@ type playState struct {
 	started   bool          // playback (display) has begun
 	startTime time.Duration // display start
 	readAhead int
-	// deadlines[i] is the display start time of plan block i, filled
-	// as playback starts (and shifted by pauses).
-	deadlines []time.Duration
+	// pm is the plan map (Manager.planMap): per plan position, the
+	// block's display offset and where the plan's stored blocks lie from
+	// there on.
+	pm []planPos
 	// released is releasedBlocks' cursor: its previous answer.
 	released   int
 	violations []Violation
-	// extents is the plan's suffix table of touched stripe-group classes
-	// (Manager.extentTable), nil when the extent is unknown.
-	extents []uint64
 	// Interval-cache state: a plan is cacheEligible when it reads one
 	// strand at consecutive block indices (see planCacheRange);
 	// cacheOpen tracks whether the manager currently holds a cache
