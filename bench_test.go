@@ -169,7 +169,7 @@ func BenchmarkDiskAccessModel(b *testing.B) {
 	spc := d.Geometry().SectorsPerCylinder()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = d.PeekServiceTime(0, (i%1000)*spc, 9)
+		_ = d.PeekServiceTime((i%1000)*spc, 9)
 	}
 }
 
@@ -1123,7 +1123,7 @@ func BenchmarkRound1000Streams(b *testing.B) {
 	)
 	g := disk.Geometry{
 		Cylinders: 2000, Surfaces: 1, SectorsPerTrack: 32, SectorSize: 2048,
-		RPM: 36000, MinSeek: 200 * time.Microsecond, MaxSeek: 5 * time.Millisecond, Heads: 1,
+		RPM: 36000, MinSeek: 200 * time.Microsecond, MaxSeek: 5 * time.Millisecond,
 	}
 	sb := newStripedBench(b, g, p, stripe, false)
 	adm := continuity.AdmissionFor(sb.dev)
@@ -1219,7 +1219,7 @@ func BenchmarkQoSClassPass(b *testing.B) {
 	)
 	g := disk.Geometry{
 		Cylinders: 2000, Surfaces: 1, SectorsPerTrack: 32, SectorSize: 2048,
-		RPM: 36000, MinSeek: 200 * time.Microsecond, MaxSeek: 5 * time.Millisecond, Heads: 1,
+		RPM: 36000, MinSeek: 200 * time.Microsecond, MaxSeek: 5 * time.Millisecond,
 	}
 	sb := newStripedBench(b, g, p, stripe, false)
 	adm := continuity.AdmissionFor(sb.dev)
@@ -1344,7 +1344,7 @@ func BenchmarkRebuildRound(b *testing.B) {
 	)
 	g := disk.Geometry{
 		Cylinders: 2000, Surfaces: 1, SectorsPerTrack: 32, SectorSize: 2048,
-		RPM: 36000, MinSeek: 200 * time.Microsecond, MaxSeek: 5 * time.Millisecond, Heads: 1,
+		RPM: 36000, MinSeek: 200 * time.Microsecond, MaxSeek: 5 * time.Millisecond,
 	}
 	sb := newStripedBench(b, g, p, stripe, true)
 	adm := continuity.AdmissionFor(sb.dev)

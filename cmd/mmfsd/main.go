@@ -67,7 +67,6 @@ func main() {
 		RPM:             *rpm,
 		MinSeek:         2 * time.Millisecond,
 		MaxSeek:         30 * time.Millisecond,
-		Heads:           1,
 	}
 	fs, err := core.Format(core.Options{
 		Geometry: g, TargetCylinders: *target, CacheMB: *cachemb, Fault: sc,

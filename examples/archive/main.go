@@ -30,7 +30,6 @@ func main() {
 		RPM:             3600,
 		MinSeek:         2 * time.Millisecond,
 		MaxSeek:         25 * time.Millisecond,
-		Heads:           1,
 	}
 	fs, err := core.Format(core.Options{Geometry: g, TargetCylinders: 16})
 	if err != nil {

@@ -252,13 +252,9 @@ type Decision struct {
 	// Admitted reports whether the request set is serviceable.
 	Admitted bool
 	// K is the steady-state blocks-per-round after the transition
-	// (Eq. 18's k for the new set), 0 if rejected.
+	// (Eq. 18's k for the new set), 0 if rejected. The server's round
+	// loop steps k to it one unit a round (§3.4).
 	K int
-	// Steps is the sequence of k values the server must pass
-	// through, one round (at least) each, to reach K from the
-	// current k without transient discontinuity. Empty when k need
-	// not change.
-	Steps []int
 	// Reason explains a rejection.
 	Reason string
 	// CacheServed reports that the request was admitted as an
@@ -275,10 +271,10 @@ type Decision struct {
 }
 
 // Admit runs the paper's admission control algorithm: given the
-// currently serviced requests (with current blocks-per-round kOld) and
-// a candidate, it determines whether the expanded set is serviceable
-// and, if so, the stepwise k transition plan (kOld+1, kOld+2, …, kNew)
-// that preserves continuity during the transition.
+// currently serviced requests and a candidate, it determines whether
+// the expanded set is serviceable and, if so, the k it needs. The
+// current blocks-per-round kOld does not enter the decision: how k gets
+// from kOld to K is the round loop's business.
 func (a Admission) Admit(current []Request, kOld int, candidate Request) Decision {
 	if err := candidate.Validate(); err != nil {
 		return Decision{Reason: err.Error()}
@@ -290,13 +286,7 @@ func (a Admission) Admit(current []Request, kOld int, candidate Request) Decisio
 	if !ok {
 		return Decision{Reason: fmt.Sprintf("γ ≤ n·β for n=%d: device saturated (n_max exceeded)", len(next))}
 	}
-	d := Decision{Admitted: true, K: kNew}
-	if kNew > kOld {
-		for k := kOld + 1; k <= kNew; k++ {
-			d.Steps = append(d.Steps, k)
-		}
-	}
-	return d
+	return Decision{Admitted: true, K: kNew}
 }
 
 // StartupDelay estimates the worst-case delay before a newly admitted

@@ -34,8 +34,7 @@ type Striped struct {
 // plays), in which case the candidate must fit on every spindle.
 //
 // The returned K is the global round granularity: the maximum of the
-// per-spindle Eq. 18 solutions, with Steps rebuilt from kOld so the
-// caller's stepwise transition covers the whole array.
+// per-spindle Eq. 18 solutions.
 func (s Striped) Admit(perSpindle [][]Request, spindle, kOld int, candidate Request) Decision {
 	if spindle >= len(perSpindle) {
 		return Decision{Reason: "striped admission: spindle index out of range"}

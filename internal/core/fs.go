@@ -39,9 +39,6 @@ type Options struct {
 	// Geometry describes the disk; zero value uses
 	// disk.DefaultGeometry.
 	Geometry disk.Geometry
-	// Arch is the retrieval architecture assumed when deriving
-	// granularity and scattering; zero value is pipelined.
-	Arch continuity.Config
 	// TargetCylinders is the placement policy: successive blocks of
 	// a strand stay within this many cylinders, keeping the realized
 	// scattering (and the admission-control β) far below the
@@ -106,9 +103,6 @@ type Options struct {
 func (o Options) withDefaults() (Options, error) {
 	if o.Geometry.Cylinders == 0 {
 		o.Geometry = disk.DefaultGeometry()
-	}
-	if o.Arch.Arch == continuity.Concurrent && o.Arch.P < 2 {
-		o.Arch.P = o.Geometry.Heads
 	}
 	if o.TargetCylinders == 0 {
 		o.TargetCylinders = 32
@@ -514,9 +508,6 @@ func (fs *FS) NewManager() *msm.Manager {
 // from the options the file system was mounted with.
 func (fs *FS) newManager() *msm.Manager {
 	m := msm.New(fs.d, continuity.AdmissionFor(fs.dev))
-	if fs.opts.Arch.Arch == continuity.Concurrent {
-		m.SetConcurrency(fs.opts.Arch.P)
-	}
 	if fs.cache != nil {
 		fs.cache.Reset()
 		m.SetCache(fs.cache)

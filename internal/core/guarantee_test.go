@@ -164,8 +164,9 @@ func TestAdmittedStreamsAreOnTimeOnTheArray(t *testing.T) {
 // are within Eq. 18's k·γ, but the two services are 0.80 s apart and the
 // seven blocks buffered between them play for 0.70 s. Eq. 18 bounds a
 // round, not the gap between a stream's turns in consecutive rounds when
-// the sweep order changes (EXP-SCAN's note; ROADMAP item 4 and 7(a)'s
-// deadline-margin histogram are where it is to be taken up).
+// the sweep order changes (EXP-SCAN's note; ROADMAP item 1(a)'s per-turn
+// oracle and item 7's deadline-margin histogram are where it is to be
+// taken up).
 func TestSlotDriftAcrossAKTransition(t *testing.T) {
 	t.Skip("known residual: C-SCAN service-slot drift while k steps up; see the comment")
 	fs, cat := walkCatalogue(t)

@@ -118,7 +118,7 @@ func (s *RecordSession) startMedium(m layout.Medium, src media.Source, deviceBuf
 		UnitBits: float64(src.UnitBytes() * 8),
 		Rate:     src.Rate(),
 	}
-	dv, err := continuity.Derive(fs.opts.Arch, deviceBufUnits, md, fs.dev)
+	dv, err := continuity.Derive(continuity.Config{Arch: continuity.Pipelined}, deviceBufUnits, md, fs.dev)
 	if err != nil {
 		return err
 	}

@@ -72,9 +72,7 @@ func NewArray(spindles []Device, stripeCylinders int, mirror bool) (*Array, erro
 	}
 	phys := spindles[0].Geometry()
 	for i, sp := range spindles[1:] {
-		g := sp.Geometry()
-		g.Heads = phys.Heads
-		if g != phys {
+		if sp.Geometry() != phys {
 			return nil, fmt.Errorf("disk: spindle %d geometry differs from spindle 0", i+1)
 		}
 	}
@@ -92,7 +90,6 @@ func NewArray(spindles []Device, stripeCylinders int, mirror bool) (*Array, erro
 	sets := len(spindles) / r
 	logical := phys
 	logical.Cylinders = phys.Cylinders * sets
-	logical.Heads = len(spindles)
 	a := &Array{
 		spindles: spindles,
 		phys:     phys,
@@ -121,16 +118,13 @@ func MustNewArray(spindles []Device, stripeCylinders int, mirror bool) *Array {
 }
 
 // Geometry returns the array's logical geometry: one spindle's shape
-// with Cylinders multiplied by the spindle count and Heads = p. Its
-// MaxAccessTime and TransferRateBits equal a single spindle's, which is
-// what makes the per-spindle continuity equations read straight off it.
+// with Cylinders multiplied by the replica-set count. Its MaxAccessTime
+// and TransferRateBits equal a single spindle's, which is what makes the
+// per-spindle continuity equations read straight off it.
 func (a *Array) Geometry() Geometry { return a.logical }
 
-// Heads reports the degree of concurrency p: one independent actuator
-// per spindle.
-func (a *Array) Heads() int { return len(a.spindles) }
-
-// Spindles reports the number of spindles p.
+// Spindles reports the number of spindles: the degree of concurrency p,
+// one actuator each.
 func (a *Array) Spindles() int { return len(a.spindles) }
 
 // Spindle returns spindle i's device; the MSM's per-spindle lanes
@@ -184,12 +178,12 @@ func (a *Array) SpindleRange(lba, n int) (spindle int, ok bool) {
 	return sp, first == last
 }
 
-// HeadCylinder reports the logical cylinder under spindle h's actuator.
-func (a *Array) HeadCylinder(h int) int {
-	localCyl := a.spindles[h].HeadCylinder(0)
-	localGroup := localCyl / a.sc
-	inGroup := localCyl % a.sc
-	return (localGroup*a.sets+h/a.r)*a.sc + inGroup
+// HeadCylinder reports the logical cylinder under spindle 0's actuator,
+// where the serial lane's C-SCAN starts its sweep. Spindle 0 is the
+// first replica of set 0, so its local group g is logical group g·sets.
+func (a *Array) HeadCylinder() int {
+	localCyl := a.spindles[0].HeadCylinder()
+	return (localCyl/a.sc*a.sets)*a.sc + localCyl%a.sc
 }
 
 // Stats returns the sum of every spindle's counters; BusyTime() over it
@@ -233,7 +227,8 @@ func (a *Array) spanAt(lba, n, done int) (sp, local, count int) {
 // ReadInto is the allocation-free timed read: data lands in dst (at
 // least n sectors long), which the caller then owns, and the returned
 // service time is the owning spindle's charge — or, for a
-// boundary-crossing access, the sum of the per-span charges.
+// boundary-crossing access, the sum of the per-span charges. h is
+// ignored (see Device.ReadInto).
 //
 // rt:hotpath
 func (a *Array) ReadInto(h, lba, n int, dst []byte) (time.Duration, error) {
@@ -264,7 +259,7 @@ func (a *Array) ReadInto(h, lba, n int, dst []byte) (time.Duration, error) {
 // copy. A boundary-crossing access is assembled in scratch.
 //
 // rt:hotpath
-func (a *Array) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, error) {
+func (a *Array) ReadView(lba, n int, scratch []byte) ([]byte, time.Duration, error) {
 	if err := a.checkRange(lba, n); err != nil {
 		return nil, 0, err
 	}
@@ -279,7 +274,7 @@ func (a *Array) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, 
 	if len(scratch) < hi {
 		return nil, 0, fmt.Errorf("disk: ReadView scratch holds %d bytes, need %d", len(scratch), hi)
 	}
-	t, err := a.ReadInto(h, lba, n, scratch)
+	t, err := a.ReadInto(0, lba, n, scratch)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -288,7 +283,7 @@ func (a *Array) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, 
 
 // Write performs a timed write at the logical address; spans charge the
 // owning spindles and the total is their sum.
-func (a *Array) Write(h, lba int, data []byte) (time.Duration, error) {
+func (a *Array) Write(lba int, data []byte) (time.Duration, error) {
 	return a.write(lba, data, true)
 }
 
@@ -322,18 +317,18 @@ func (a *Array) write(lba int, data []byte, timed bool) (time.Duration, error) {
 // method (charged, observed, fault-injected) or the untimed one.
 func spindleWrite(d Device, local int, data []byte, timed bool) (time.Duration, error) {
 	if timed {
-		return d.Write(0, local, data)
+		return d.Write(local, data)
 	}
 	return 0, d.WriteAt(local, data)
 }
 
 // PeekServiceTime estimates the access cost without moving heads or
 // touching statistics.
-func (a *Array) PeekServiceTime(h, lba, n int) time.Duration {
+func (a *Array) PeekServiceTime(lba, n int) time.Duration {
 	var total time.Duration
 	for done := 0; done < n; {
 		sp, local, count := a.spanAt(lba, n, done)
-		total += a.spindles[sp].PeekServiceTime(0, local, count)
+		total += a.spindles[sp].PeekServiceTime(local, count)
 		done += count
 	}
 	return total

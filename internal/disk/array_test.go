@@ -20,7 +20,6 @@ func arrayGeom() disk.Geometry {
 		RPM:             3600,
 		MinSeek:         2 * time.Millisecond,
 		MaxSeek:         30 * time.Millisecond,
-		Heads:           1,
 	}
 }
 
@@ -65,8 +64,8 @@ func TestArrayLogicalGeometry(t *testing.T) {
 	if g.Cylinders != p*phys.Cylinders {
 		t.Fatalf("logical cylinders = %d, want %d", g.Cylinders, p*phys.Cylinders)
 	}
-	if a.Heads() != p || g.Heads != p {
-		t.Fatalf("Heads() = %d / geometry Heads = %d, want %d", a.Heads(), g.Heads, p)
+	if a.Spindles() != p {
+		t.Fatalf("Spindles() = %d, want %d", a.Spindles(), p)
 	}
 	// The continuity parameters the admission controller reads must be
 	// one spindle's, not scaled by p: full-stroke seek saturates at
@@ -127,7 +126,8 @@ func TestArrayAddressRoundTrip(t *testing.T) {
 // spindle g%p in slot g/p; mirrored, group g on pair g%(p/2) in slot
 // g/(p/2), read from twin slot&1 while both are healthy. Locate must be
 // a bijection from logical cylinders onto (replica set, local cylinder),
-// and HeadCylinder must invert it for the spindle a read moved.
+// a read must leave the spindle it moved on the local cylinder, and
+// HeadCylinder must invert the map when that spindle is spindle 0.
 func TestArrayLayoutTable(t *testing.T) {
 	const stripe = 4
 	phys := arrayGeom()
@@ -167,8 +167,11 @@ func TestArrayLayoutTable(t *testing.T) {
 				if _, err := a.ReadInto(0, cyl*spc+off, 1, buf); err != nil {
 					t.Fatal(err)
 				}
-				if got := a.HeadCylinder(sp); got != cyl {
-					t.Fatalf("r=%d p=%d: HeadCylinder(%d) = %d after a read of cylinder %d", r, p, sp, got, cyl)
+				if got := a.Spindle(sp).HeadCylinder(); got != wantCyl {
+					t.Fatalf("r=%d p=%d: spindle %d head at %d after a read of its cylinder %d", r, p, sp, got, wantCyl)
+				}
+				if got := a.HeadCylinder(); sp == 0 && got != cyl {
+					t.Fatalf("r=%d p=%d: HeadCylinder() = %d after a read of cylinder %d", r, p, got, cyl)
 				}
 			}
 			if len(seen) != sets*phys.Cylinders {
@@ -260,7 +263,7 @@ func TestArrayDataRoundTrip(t *testing.T) {
 	if tInto <= 0 {
 		t.Fatalf("crossing read charged %v, want > 0", tInto)
 	}
-	view, tView, err := a.ReadView(0, start, 6, make([]byte, 6*ss))
+	view, tView, err := a.ReadView(start, 6, make([]byte, 6*ss))
 	if err != nil {
 		t.Fatalf("ReadView: %v", err)
 	}
@@ -279,8 +282,8 @@ func TestArrayTimedRouting(t *testing.T) {
 
 	// Group 2 lives on spindle 2.
 	lba := 2 * groupSec
-	want := a.Spindle(2).PeekServiceTime(0, 0, 8)
-	if got := a.PeekServiceTime(0, lba, 8); got != want {
+	want := a.Spindle(2).PeekServiceTime(0, 8)
+	if got := a.PeekServiceTime(lba, 8); got != want {
 		t.Fatalf("PeekServiceTime = %v, want spindle charge %v", got, want)
 	}
 	buf := make([]byte, 8*g.SectorSize)
@@ -299,17 +302,16 @@ func TestArrayTimedRouting(t *testing.T) {
 			}
 			continue
 		}
-		if st.Reads != 0 || a.Spindle(i).HeadCylinder(0) != 0 {
-			t.Fatalf("idle spindle %d moved (reads=%d head=%d)", i, st.Reads, a.Spindle(i).HeadCylinder(0))
+		if st.Reads != 0 || a.Spindle(i).HeadCylinder() != 0 {
+			t.Fatalf("idle spindle %d moved (reads=%d head=%d)", i, st.Reads, a.Spindle(i).HeadCylinder())
 		}
 	}
 	if total := a.Stats(); total.Reads != 1 || total.SectorsRead != 8 {
 		t.Fatalf("aggregate stats = %+v, want 1 read of 8 sectors", total)
 	}
-	// HeadCylinder reports in logical cylinders: spindle 2's head sits
-	// on its local cylinder 0..., whose logical home is group 2.
-	if hc := a.HeadCylinder(2); g.CylinderOf(lba) != hc {
-		t.Fatalf("HeadCylinder(2) = %d, want %d", hc, g.CylinderOf(lba))
+	// HeadCylinder reports spindle 0's actuator, which did not move.
+	if hc := a.HeadCylinder(); hc != 0 {
+		t.Fatalf("HeadCylinder() = %d, want 0", hc)
 	}
 }
 
@@ -324,11 +326,11 @@ func TestArrayIndependentHeads(t *testing.T) {
 
 	// A read of spindle 0's last sector leaves its head far from its
 	// group-0 data; spindle 1 stays home.
-	if _, _, err := a.Spindle(0).ReadView(0, arrayGeom().TotalSectors()-1, 1, make([]byte, 512)); err != nil {
+	if _, _, err := a.Spindle(0).ReadView(arrayGeom().TotalSectors()-1, 1, make([]byte, 512)); err != nil {
 		t.Fatal(err)
 	}
-	far := a.PeekServiceTime(0, 0, 4)         // spindle 0, head far away
-	near := a.PeekServiceTime(0, groupSec, 4) // spindle 1, head at home
+	far := a.PeekServiceTime(0, 4)         // spindle 0, head far away
+	near := a.PeekServiceTime(groupSec, 4) // spindle 1, head at home
 	if far <= near {
 		t.Fatalf("far-head access %v not costlier than near-head %v", far, near)
 	}

@@ -32,15 +32,17 @@ func (s Stats) BusyTime() time.Duration {
 // the timed methods without the layers above knowing.
 type Device interface {
 	Geometry() Geometry
-	Heads() int
-	HeadCylinder(h int) int
+	// HeadCylinder reports the cylinder under the actuator.
+	HeadCylinder() int
 	Stats() Stats
 	// Timed data path (virtual service times drive the round clock):
 	// one access costs seek + average rotational latency + transfer.
 	//
-	// ReadInto reads n sectors at lba by head h into dst, which must
-	// hold n sectors. It is for callers that must own the bytes (the
-	// rebuild copy engine); playback uses ReadView.
+	// ReadInto reads n sectors at lba into dst, which must hold n
+	// sectors. It is for callers that must own the bytes (the rebuild
+	// copy engine); playback uses ReadView. h is ignored — a disk has
+	// one actuator — and stays only for the load generator's layer
+	// probe, which compiles against this signature.
 	ReadInto(h, lba, n int, dst []byte) (time.Duration, error)
 	// ReadView is the lending timed read, the rt:hotpath entry point:
 	// timing, head movement, statistics and fault behaviour are
@@ -52,9 +54,9 @@ type Device interface {
 	// the slice is read-only, has cap == len, and is valid until the
 	// next write to the device or the next call with the same scratch.
 	// On error data is nil and t is what ReadInto would report.
-	ReadView(h, lba, n int, scratch []byte) (data []byte, t time.Duration, err error)
-	Write(h, lba int, data []byte) (time.Duration, error)
-	PeekServiceTime(h, lba, n int) time.Duration
+	ReadView(lba, n int, scratch []byte) (data []byte, t time.Duration, err error)
+	Write(lba int, data []byte) (time.Duration, error)
+	PeekServiceTime(lba, n int) time.Duration
 	// Untimed data path (metadata, verification, editing copies, and
 	// the FETCH reply). ReadAt returns bytes the caller owns; ViewAt is
 	// its lending twin — the same bytes under ReadView's aliasing rules
@@ -72,11 +74,6 @@ type Device interface {
 	ResetStats()
 	SetReadLatencyHistogram(*obs.Histogram)
 	SetWriteLatencyHistogram(*obs.Histogram)
-}
-
-// headState tracks one independent actuator.
-type headState struct {
-	cylinder int
 }
 
 // Disk is an in-memory simulated disk: a sector store plus a timing
@@ -98,7 +95,8 @@ type Disk struct {
 	// first write so that large simulated disks cost memory only for
 	// the sectors actually used. A nil page reads as zeros.
 	pages [][]byte
-	heads []headState
+	// head is the cylinder under the one actuator.
+	head  int
 	stats Stats
 	// readLatency, when set, receives every timed read's service time
 	// in seconds (the mmfs_disk_read_seconds series).
@@ -115,10 +113,6 @@ func New(g Geometry) (*Disk, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	nh := g.Heads
-	if nh < 1 {
-		nh = 1
-	}
 	d := &Disk{
 		geom:       g,
 		spc:        g.SectorsPerCylinder(),
@@ -126,7 +120,6 @@ func New(g Geometry) (*Disk, error) {
 		avgRot:     g.AvgRotationalLatency(),
 		sectorTime: g.SectorTime(),
 		pages:      make([][]byte, g.Cylinders),
-		heads:      make([]headState, nh),
 	}
 	return d, nil
 }
@@ -144,9 +137,6 @@ func MustNew(g Geometry) *Disk {
 // Geometry returns the disk's geometry.
 func (d *Disk) Geometry() Geometry { return d.geom }
 
-// Heads reports the number of independent actuators (p).
-func (d *Disk) Heads() int { return len(d.heads) }
-
 // Stats returns a snapshot of the accumulated counters.
 func (d *Disk) Stats() Stats { return d.stats }
 
@@ -163,8 +153,8 @@ func (d *Disk) SetReadLatencyHistogram(h *obs.Histogram) { d.readLatency = h }
 // nil disables the instrumentation.
 func (d *Disk) SetWriteLatencyHistogram(h *obs.Histogram) { d.writeLatency = h }
 
-// HeadCylinder reports the current cylinder of head h.
-func (d *Disk) HeadCylinder(h int) int { return d.heads[h].cylinder }
+// HeadCylinder reports the cylinder under the actuator.
+func (d *Disk) HeadCylinder() int { return d.head }
 
 func (d *Disk) checkRange(lba, n int) error {
 	if n < 0 || lba < 0 || lba+n > d.total {
@@ -312,11 +302,10 @@ func (d *Disk) WriteAt(lba int, data []byte) error {
 }
 
 // serviceTime charges the positioning and transfer costs of an access
-// by head h to lba for n sectors, moves the head, and updates stats.
-func (d *Disk) serviceTime(h, lba, n int) time.Duration {
-	hs := &d.heads[h]
+// to lba for n sectors, moves the head, and updates stats.
+func (d *Disk) serviceTime(lba, n int) time.Duration {
 	target := lba / d.spc
-	st := d.geom.SeekTime(target - hs.cylinder)
+	st := d.geom.SeekTime(target - d.head)
 	rot := d.avgRot
 	xfer := time.Duration(n) * d.sectorTime
 	d.stats.Seeks++
@@ -325,9 +314,9 @@ func (d *Disk) serviceTime(h, lba, n int) time.Duration {
 	d.stats.TransferTime += xfer
 	// Leave the head at the cylinder holding the last sector accessed.
 	if n > 0 {
-		hs.cylinder = (lba + n - 1) / d.spc
+		d.head = (lba + n - 1) / d.spc
 	} else {
-		hs.cylinder = target
+		d.head = target
 	}
 	return st + rot + xfer
 }
@@ -335,25 +324,25 @@ func (d *Disk) serviceTime(h, lba, n int) time.Duration {
 // chargeRead is the one timing body of the timed read path: range
 // check, positioning and transfer charge, head movement, read counters
 // and the latency histogram.
-func (d *Disk) chargeRead(h, lba, n int) (time.Duration, error) {
+func (d *Disk) chargeRead(lba, n int) (time.Duration, error) {
 	if err := d.checkRange(lba, n); err != nil {
 		return 0, err
 	}
-	t := d.serviceTime(h, lba, n)
+	t := d.serviceTime(lba, n)
 	d.stats.Reads++
 	d.stats.SectorsRead += uint64(n)
 	d.readLatency.Observe(t.Seconds())
 	return t, nil
 }
 
-// ReadInto performs a timed read by head h of n sectors at lba: the
-// service time is seek + average rotational latency + transfer, and the
-// data lands in the caller's buffer (at least n sectors long), which
-// the caller then owns.
+// ReadInto performs a timed read of n sectors at lba: the service time
+// is seek + average rotational latency + transfer, and the data lands in
+// the caller's buffer (at least n sectors long), which the caller then
+// owns. h is ignored (see Device.ReadInto).
 //
 // rt:hotpath
 func (d *Disk) ReadInto(h, lba, n int, dst []byte) (time.Duration, error) {
-	t, err := d.chargeRead(h, lba, n)
+	t, err := d.chargeRead(lba, n)
 	if err != nil {
 		return 0, err
 	}
@@ -369,8 +358,8 @@ func (d *Disk) ReadInto(h, lba, n int, dst []byte) (time.Duration, error) {
 // round reads through it, so steady-state playback copies nothing.
 //
 // rt:hotpath
-func (d *Disk) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, error) {
-	t, err := d.chargeRead(h, lba, n)
+func (d *Disk) ReadView(lba, n int, scratch []byte) ([]byte, time.Duration, error) {
+	t, err := d.chargeRead(lba, n)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -381,15 +370,15 @@ func (d *Disk) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, e
 	return data, t, nil
 }
 
-// Write performs a timed write by head h of data at lba, returning the
-// service time. Disk write and read times are assumed equal, the
-// paper's first simplifying assumption (§3).
-func (d *Disk) Write(h, lba int, data []byte) (time.Duration, error) {
+// Write performs a timed write of data at lba, returning the service
+// time. Disk write and read times are assumed equal, the paper's first
+// simplifying assumption (§3).
+func (d *Disk) Write(lba int, data []byte) (time.Duration, error) {
 	n := (len(data) + d.geom.SectorSize - 1) / d.geom.SectorSize
 	if err := d.checkRange(lba, n); err != nil {
 		return 0, err
 	}
-	t := d.serviceTime(h, lba, n)
+	t := d.serviceTime(lba, n)
 	d.stats.Writes++
 	d.stats.SectorsWritten += uint64(n)
 	d.writeLatency.Observe(t.Seconds())
@@ -399,8 +388,8 @@ func (d *Disk) Write(h, lba int, data []byte) (time.Duration, error) {
 	return t, nil
 }
 
-// PeekServiceTime computes the service time head h would pay to access
-// n sectors at lba, without moving the head or updating statistics.
-func (d *Disk) PeekServiceTime(h, lba, n int) time.Duration {
-	return d.geom.SeekTime(lba/d.spc-d.heads[h].cylinder) + d.avgRot + time.Duration(n)*d.sectorTime
+// PeekServiceTime computes the service time an access to n sectors at
+// lba would pay, without moving the head or updating statistics.
+func (d *Disk) PeekServiceTime(lba, n int) time.Duration {
+	return d.geom.SeekTime(lba/d.spc-d.head) + d.avgRot + time.Duration(n)*d.sectorTime
 }

@@ -18,14 +18,13 @@ func smallGeometry() Geometry {
 		RPM:             3600,
 		MinSeek:         2 * time.Millisecond,
 		MaxSeek:         30 * time.Millisecond,
-		Heads:           2,
 	}
 }
 
 // timedRead is ReadInto with a buffer of its own.
-func timedRead(d *Disk, h, lba, n int) ([]byte, time.Duration, error) {
+func timedRead(d *Disk, lba, n int) ([]byte, time.Duration, error) {
 	buf := make([]byte, n*d.Geometry().SectorSize)
-	t, err := d.ReadInto(h, lba, n, buf)
+	t, err := d.ReadInto(0, lba, n, buf)
 	return buf, t, err
 }
 
@@ -112,7 +111,7 @@ func TestRangeChecks(t *testing.T) {
 	if err := d.WriteAt(total-1, make([]byte, 2*512)); err == nil {
 		t.Fatal("write past end accepted")
 	}
-	if _, _, err := timedRead(d, 0, total-1, 2); err == nil {
+	if _, _, err := timedRead(d, total-1, 2); err == nil {
 		t.Fatal("timed read past end accepted")
 	}
 }
@@ -122,7 +121,7 @@ func TestTimedReadChargesSeekLatencyTransfer(t *testing.T) {
 	d := MustNew(g)
 	spc := g.SectorsPerCylinder()
 	targetCyl := 10
-	_, dur, err := timedRead(d, 0, targetCyl*spc, 4)
+	_, dur, err := timedRead(d, targetCyl*spc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +129,11 @@ func TestTimedReadChargesSeekLatencyTransfer(t *testing.T) {
 	if dur != want {
 		t.Fatalf("service time %v, want %v", dur, want)
 	}
-	if d.HeadCylinder(0) != targetCyl {
-		t.Fatalf("head at %d, want %d", d.HeadCylinder(0), targetCyl)
+	if d.HeadCylinder() != targetCyl {
+		t.Fatalf("head at %d, want %d", d.HeadCylinder(), targetCyl)
 	}
 	// A second read at the same cylinder pays no seek.
-	_, dur2, err := timedRead(d, 0, targetCyl*spc+8, 1)
+	_, dur2, err := timedRead(d, targetCyl*spc+8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +149,11 @@ func TestWriteTimeEqualsReadTime(t *testing.T) {
 	d1 := MustNew(g)
 	d2 := MustNew(g)
 	payload := make([]byte, 4*g.SectorSize)
-	wt, err := d1.Write(0, 300, payload)
+	wt, err := d1.Write(300, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rt, err := timedRead(d2, 0, 300, 4)
+	_, rt, err := timedRead(d2, 300, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,31 +162,16 @@ func TestWriteTimeEqualsReadTime(t *testing.T) {
 	}
 }
 
-func TestIndependentHeads(t *testing.T) {
-	g := smallGeometry()
-	d := MustNew(g)
-	spc := g.SectorsPerCylinder()
-	if _, _, err := timedRead(d, 0, 5*spc, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := timedRead(d, 1, 50*spc, 1); err != nil {
-		t.Fatal(err)
-	}
-	if d.HeadCylinder(0) != 5 || d.HeadCylinder(1) != 50 {
-		t.Fatalf("heads at %d/%d, want 5/50", d.HeadCylinder(0), d.HeadCylinder(1))
-	}
-}
-
 func TestPeekServiceTimeDoesNotMoveHead(t *testing.T) {
 	g := smallGeometry()
 	d := MustNew(g)
 	spc := g.SectorsPerCylinder()
-	before := d.HeadCylinder(0)
-	peek := d.PeekServiceTime(0, 30*spc, 2)
-	if d.HeadCylinder(0) != before {
+	before := d.HeadCylinder()
+	peek := d.PeekServiceTime(30*spc, 2)
+	if d.HeadCylinder() != before {
 		t.Fatal("peek moved the head")
 	}
-	_, actual, err := timedRead(d, 0, 30*spc, 2)
+	_, actual, err := timedRead(d, 30*spc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +183,10 @@ func TestPeekServiceTimeDoesNotMoveHead(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	g := smallGeometry()
 	d := MustNew(g)
-	if _, _, err := timedRead(d, 0, 10, 2); err != nil {
+	if _, _, err := timedRead(d, 10, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Write(0, 400, make([]byte, g.SectorSize)); err != nil {
+	if _, err := d.Write(400, make([]byte, g.SectorSize)); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Stats()
@@ -278,7 +262,7 @@ func TestReadViewLendsThePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	scratch := make([]byte, 5*512)
-	view, _, err := d.ReadView(0, 2*spc+4, 5, scratch)
+	view, _, err := d.ReadView(2*spc+4, 5, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package disk implements the storage substrate of the multimedia file
-// system: a sector-addressed disk simulator with an explicit seek,
-// rotation, and transfer-time model, and optional multi-head (p-way)
-// concurrency as required by the paper's "concurrent architecture"
-// (Rangan & Vin, SOSP '91, §3.1).
+// system: a sector-addressed disk simulator with one actuator and an
+// explicit seek, rotation, and transfer-time model, and the striped
+// Array of p such disks that is the paper's "concurrent architecture"
+// of degree p (Rangan & Vin, SOSP '91, §3.1).
 //
 // The paper's continuity equations consume exactly the parameters this
 // model exposes: the data transfer rate r_dt, the bounded inter-block
@@ -35,10 +35,6 @@ type Geometry struct {
 	MinSeek time.Duration
 	// MaxSeek is the full-stroke seek time.
 	MaxSeek time.Duration
-	// Heads is the number of independent head assemblies that can be
-	// in flight concurrently (the paper's degree of concurrency p).
-	// Values < 1 are treated as 1.
-	Heads int
 }
 
 // Validate reports an error if the geometry is not usable.
@@ -187,14 +183,5 @@ func DefaultGeometry() Geometry {
 		RPM:             3600,
 		MinSeek:         2 * time.Millisecond,
 		MaxSeek:         30 * time.Millisecond,
-		Heads:           1,
 	}
-}
-
-// ArrayGeometry returns DefaultGeometry with p independent head
-// assemblies, the substrate for the paper's concurrent architecture.
-func ArrayGeometry(p int) Geometry {
-	g := DefaultGeometry()
-	g.Heads = p
-	return g
 }

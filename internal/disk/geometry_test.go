@@ -132,13 +132,3 @@ func TestAccessTimeBounds(t *testing.T) {
 		t.Fatal("max access mismatch")
 	}
 }
-
-func TestArrayGeometry(t *testing.T) {
-	g := ArrayGeometry(8)
-	if g.Heads != 8 {
-		t.Fatalf("heads %d", g.Heads)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

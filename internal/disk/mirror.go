@@ -240,10 +240,10 @@ func (a *Array) observeRead(sp int, est, t time.Duration, err error) {
 // rt:hotpath
 func (a *Array) readSpan(sp, local, count int, scratch []byte) ([]byte, time.Duration, error) {
 	if !a.Mirrored() {
-		return a.spindles[sp].ReadView(0, local, count, scratch)
+		return a.spindles[sp].ReadView(local, count, scratch)
 	}
-	est := a.spindles[sp].PeekServiceTime(0, local, count)
-	data, t, err := a.spindles[sp].ReadView(0, local, count, scratch)
+	est := a.spindles[sp].PeekServiceTime(local, count)
+	data, t, err := a.spindles[sp].ReadView(local, count, scratch)
 	a.observeRead(sp, est, t, err)
 	return data, t, err
 }

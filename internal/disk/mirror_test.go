@@ -49,8 +49,8 @@ func TestMirrorGeometryHalvesCapacity(t *testing.T) {
 	if g.Cylinders != phys.Cylinders*2 {
 		t.Fatalf("logical cylinders = %d, want %d (p/2 spindles' worth)", g.Cylinders, phys.Cylinders*2)
 	}
-	if a.Heads() != 4 || g.Heads != 4 {
-		t.Fatalf("heads = %d/%d, want 4 (all actuators steerable)", a.Heads(), g.Heads)
+	if a.Spindles() != 4 {
+		t.Fatalf("spindles = %d, want 4 (all actuators steerable)", a.Spindles())
 	}
 	if !a.Mirrored() || a.MirrorGroups() != 2 {
 		t.Fatalf("Mirrored/MirrorGroups = %v/%d", a.Mirrored(), a.MirrorGroups())
@@ -68,7 +68,7 @@ func TestMirrorWriteDuplication(t *testing.T) {
 	for g := 0; g < groups; g++ {
 		lba := g * a.StripeCylinders() * spc
 		data := bytes.Repeat([]byte{byte(g + 1)}, ss)
-		if _, err := a.Write(0, lba, data); err != nil {
+		if _, err := a.Write(lba, data); err != nil {
 			t.Fatalf("write group %d: %v", g, err)
 		}
 		pair := g % 2

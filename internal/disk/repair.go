@@ -45,9 +45,7 @@ func (a *Array) ReplaceSpindle(i int, d Device) error {
 	if a.repair.target == i {
 		return fmt.Errorf("disk: spindle %d is being rebuilt; abort the repair first", i)
 	}
-	g := d.Geometry()
-	g.Heads = a.phys.Heads
-	if g != a.phys {
+	if d.Geometry() != a.phys {
 		return fmt.Errorf("disk: replacement spindle geometry differs from the array's")
 	}
 	a.spindles[i] = d
@@ -141,7 +139,7 @@ func (a *Array) PeekRepairChunk() (time.Duration, bool) {
 		return 0, false
 	}
 	src := a.Twin(a.repair.target)
-	return a.spindles[src].PeekServiceTime(0, a.repair.cyl*a.spc, a.spc), true
+	return a.spindles[src].PeekServiceTime(a.repair.cyl*a.spc, a.spc), true
 }
 
 // RepairChunk copies the next chunk (one spindle cylinder), returning
@@ -159,7 +157,7 @@ func (a *Array) RepairChunk(buf []byte) (t time.Duration, done bool, err error) 
 	if err != nil {
 		return t, false, err
 	}
-	if _, err := a.spindles[tgt].Write(0, local, buf); err != nil {
+	if _, err := a.spindles[tgt].Write(local, buf); err != nil {
 		return t, false, err
 	}
 	a.repair.cyl++

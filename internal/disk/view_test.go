@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mmfs/internal/disk"
@@ -32,13 +33,13 @@ func fillPattern(t *testing.T, lba, n int, devs ...disk.Device) {
 // ReadInto on twin and checks the two are indistinguishable. scratch
 // goes in holding stale bytes. It returns the view and the scratch it
 // was offered.
-func readBoth(t *testing.T, dev, twin disk.Device, h, lba, n int) (view, scratch []byte) {
+func readBoth(t *testing.T, dev, twin disk.Device, lba, n int) (view, scratch []byte) {
 	t.Helper()
 	ss := dev.Geometry().SectorSize
 	scratch = bytes.Repeat([]byte{0xEE}, n*ss)
 	dst := make([]byte, n*ss)
-	view, tv, errv := dev.ReadView(h, lba, n, scratch)
-	ti, erri := twin.ReadInto(h, lba, n, dst)
+	view, tv, errv := dev.ReadView(lba, n, scratch)
+	ti, erri := twin.ReadInto(0, lba, n, dst)
 	if tv != ti || fmt.Sprint(errv) != fmt.Sprint(erri) {
 		t.Fatalf("[%d,+%d): ReadView (%v, %v), ReadInto (%v, %v)", lba, n, tv, errv, ti, erri)
 	}
@@ -61,12 +62,24 @@ func readBoth(t *testing.T, dev, twin disk.Device, h, lba, n int) (view, scratch
 	if dev.Stats() != twin.Stats() {
 		t.Fatalf("[%d,+%d): stats %+v, twin %+v", lba, n, dev.Stats(), twin.Stats())
 	}
-	for i := 0; i < dev.Heads(); i++ {
-		if dev.HeadCylinder(i) != twin.HeadCylinder(i) {
-			t.Fatalf("[%d,+%d): head %d at cylinder %d, twin at %d", lba, n, i, dev.HeadCylinder(i), twin.HeadCylinder(i))
-		}
+	if hs, ht := heads(dev), heads(twin); !slices.Equal(hs, ht) {
+		t.Fatalf("[%d,+%d): heads at cylinders %v, twin at %v", lba, n, hs, ht)
 	}
 	return view, scratch
+}
+
+// heads reports the cylinder under every actuator of dev: a disk's one,
+// or one per spindle of an array.
+func heads(dev disk.Device) []int {
+	a, ok := dev.(*disk.Array)
+	if !ok {
+		return []int{dev.HeadCylinder()}
+	}
+	hs := make([]int, a.Spindles())
+	for i := range hs {
+		hs[i] = a.Spindle(i).HeadCylinder()
+	}
+	return hs
 }
 
 // viewAtBoth performs one access through ViewAt and checks it against
@@ -77,10 +90,7 @@ func viewAtBoth(t *testing.T, dev disk.Device, lba, n int) (view, scratch []byte
 	t.Helper()
 	ss := dev.Geometry().SectorSize
 	scratch = bytes.Repeat([]byte{0xEE}, max(n, 0)*ss)
-	stats, heads := dev.Stats(), make([]int, dev.Heads())
-	for i := range heads {
-		heads[i] = dev.HeadCylinder(i)
-	}
+	stats, before := dev.Stats(), heads(dev)
 	view, errv := dev.ViewAt(lba, n, scratch)
 	want, erra := dev.ReadAt(lba, n)
 	if (errv == nil) != (erra == nil) {
@@ -101,10 +111,8 @@ func viewAtBoth(t *testing.T, dev disk.Device, lba, n int) (view, scratch []byte
 	if dev.Stats() != stats {
 		t.Fatalf("[%d,+%d): an untimed read moved the counters: %+v -> %+v", lba, n, stats, dev.Stats())
 	}
-	for i := range heads {
-		if dev.HeadCylinder(i) != heads[i] {
-			t.Fatalf("[%d,+%d): an untimed read moved head %d", lba, n, i)
-		}
+	if !slices.Equal(heads(dev), before) {
+		t.Fatalf("[%d,+%d): an untimed read moved a head", lba, n)
 	}
 	return view, scratch
 }
@@ -136,34 +144,27 @@ func lent(t *testing.T, dev disk.Device, lba int, view, scratch []byte) bool {
 	return aliased
 }
 
-func viewGeom() disk.Geometry {
-	g := arrayGeom()
-	g.Heads = 2
-	return g
-}
-
 func TestReadViewSingleDisk(t *testing.T) {
-	g := viewGeom()
+	g := arrayGeom()
 	spc := g.SectorsPerCylinder()
 	dev, twin := disk.MustNew(g), disk.MustNew(g)
 	fillPattern(t, 3*spc, 3*spc, dev, twin) // cylinders 3..5; the rest never written
 
 	cases := []struct {
 		name   string
-		h, lba int
-		n      int
+		lba, n int
 		want   bool // lent
 	}{
-		{"inside one cylinder", 0, 3*spc + 5, 9, true},
-		{"whole cylinder", 1, 4 * spc, spc, true},
-		{"crossing a cylinder", 0, 4*spc - 3, 8, false},
-		{"unmaterialised cylinder", 1, 20 * spc, 6, false},
-		{"materialised into unmaterialised", 0, 6*spc - 2, 5, false},
-		{"n == 0", 0, 3*spc + 1, 0, false},
-		{"out of range", 0, g.TotalSectors() - 2, 3, false},
+		{"inside one cylinder", 3*spc + 5, 9, true},
+		{"whole cylinder", 4 * spc, spc, true},
+		{"crossing a cylinder", 4*spc - 3, 8, false},
+		{"unmaterialised cylinder", 20 * spc, 6, false},
+		{"materialised into unmaterialised", 6*spc - 2, 5, false},
+		{"n == 0", 3*spc + 1, 0, false},
+		{"out of range", g.TotalSectors() - 2, 3, false},
 	}
 	for _, c := range cases {
-		view, scratch := readBoth(t, dev, twin, c.h, c.lba, c.n)
+		view, scratch := readBoth(t, dev, twin, c.lba, c.n)
 		if got := lent(t, dev, c.lba, view, scratch); got != c.want {
 			t.Fatalf("%s: lent = %v, want %v", c.name, got, c.want)
 		}
@@ -174,7 +175,7 @@ func TestReadViewSingleDisk(t *testing.T) {
 	}
 
 	// Zeros from an unmaterialised page even though scratch was stale.
-	view, _ := readBoth(t, dev, twin, 0, 20*spc, 6)
+	view, _ := readBoth(t, dev, twin, 20*spc, 6)
 	untimed, _ := viewAtBoth(t, dev, 20*spc, 6)
 	if zeros := make([]byte, 6*g.SectorSize); !bytes.Equal(view, zeros) || !bytes.Equal(untimed, zeros) {
 		t.Fatal("unmaterialised cylinder did not read as zeros")
@@ -186,7 +187,7 @@ func TestReadViewSingleDisk(t *testing.T) {
 		t.Fatal("ViewAt accepted a negative count")
 	}
 	// A short scratch is an error on the fill path, as for ReadInto.
-	if _, _, err := dev.ReadView(0, 4*spc-3, 8, make([]byte, g.SectorSize)); err == nil {
+	if _, _, err := dev.ReadView(4*spc-3, 8, make([]byte, g.SectorSize)); err == nil {
 		t.Fatal("fill into a short scratch accepted")
 	}
 }
@@ -212,7 +213,7 @@ func TestReadViewStripedArray(t *testing.T) {
 		{"n == 0", group, 0, false},
 	}
 	for _, c := range cases {
-		view, scratch := readBoth(t, a, twin, 0, c.lba, c.n)
+		view, scratch := readBoth(t, a, twin, c.lba, c.n)
 		if got := lent(t, a, c.lba, view, scratch); got != c.want {
 			t.Fatalf("%s: lent = %v, want %v", c.name, got, c.want)
 		}
@@ -262,7 +263,7 @@ func TestReadViewMirroredArray(t *testing.T) {
 	sweep := func(wantLent bool) {
 		t.Helper()
 		for lba := 3; lba < 8*group; lba += spc {
-			view, scratch := readBoth(t, a, twin, 0, lba, 2)
+			view, scratch := readBoth(t, a, twin, lba, 2)
 			sameHealth(t, a, twin)
 			if view != nil && lent(t, a, lba, view, scratch) != wantLent {
 				t.Fatalf("lba %d: lent != %v", lba, wantLent)
@@ -272,7 +273,7 @@ func TestReadViewMirroredArray(t *testing.T) {
 				t.Fatalf("lba %d: ViewAt lent != %v", lba, wantLent)
 			}
 		}
-		readBoth(t, a, twin, 0, group-1, 2)
+		readBoth(t, a, twin, group-1, 2)
 		sameHealth(t, a, twin)
 	}
 
@@ -285,7 +286,7 @@ func TestReadViewMirroredArray(t *testing.T) {
 	fd.FailNextReads(6)
 	ftwin.FailNextReads(6)
 	for i := 0; i < 6; i++ {
-		view, _ := readBoth(t, a, twin, 0, 3, 2) // group 0, slot 0 → spindle 0
+		view, _ := readBoth(t, a, twin, 3, 2) // group 0, slot 0 → spindle 0
 		if view != nil {
 			t.Fatal("failed read returned data")
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mmfs/internal/alloc"
 	"mmfs/internal/continuity"
@@ -189,10 +190,10 @@ func (r *rig) recordStrandAtDistance(q, distLo, distHi, blocks int) *strand.Stra
 
 // E3Concurrent regenerates Eq. 3's frontier for p ∈ {2, 4, 8}: with p
 // parallel disk accesses the read of a block may take up to (p−1)
-// block playback durations. The simulation uses p head assemblies
-// fetching batches of p blocks; the Eq. 3 bound is sufficient in the
-// simulator (whose double-buffered discipline tolerates up to p block
-// durations), so zero violations at the bound confirm it conservative.
+// block playback durations. As in EXP-E1, a recurrence over the seek
+// model validates each frontier (concurrentViolations); its device
+// tolerates reads of up to p block durations, so zero late blocks at
+// the bound confirm Eq. 3 conservative.
 func E3Concurrent() Result {
 	res := Result{
 		ID:      "EXP-E3",
@@ -200,32 +201,25 @@ func E3Concurrent() Result {
 		Headers: []string{"p (heads)", "q (frames/blk)", "max l_ds Eq.3 (ms)", "viol @Eq.3 bound", "viol @2p·dur dist"},
 	}
 	m := ntsc()
+	g := disk.DefaultGeometry()
+	dev := msm.DeviceFor(g)
 	for _, p := range []int{2, 4, 8} {
 		cfg := continuity.Config{Arch: continuity.Concurrent, P: p}
 		for _, q := range []int{1, 3} {
-			g := disk.ArrayGeometry(p)
-			dev := msm.DeviceFor(g)
 			lds, ok := continuity.MaxScattering(cfg, q, m, dev)
 			if !ok {
 				res.AddRow(fmt.Sprint(p), fmt.Sprint(q), "infeasible", "-", "-")
 				continue
 			}
-			dist := g.MaxDistanceWithin(continuity.Duration(lds))
-			if dist > g.Cylinders-1 {
-				dist = g.Cylinders - 1
-			}
-			vAt := concurrentViolations(p, q, dist-30, dist)
+			dist := min(g.MaxDistanceWithin(continuity.Duration(lds)), g.Cylinders-1)
+			vAt := concurrentViolations(g, p, q, m, dist)
 			// A separation whose access time exceeds even the
-			// simulator's p·dur tolerance must violate.
+			// device's p·dur tolerance must violate.
 			tooFar := g.MaxDistanceWithin(continuity.Duration(
 				float64(p) * m.PlaybackDuration(q) * 2)) // far past any bound
-			vPast := -1
-			if tooFar > dist && continuity.Seconds(g.AccessTime(tooFar)) > float64(p)*m.PlaybackDuration(q) {
-				vPast = concurrentViolations(p, q, tooFar, tooFar+40)
-			}
 			past := "n/a"
-			if vPast >= 0 {
-				past = fmt.Sprint(vPast)
+			if tooFar > dist && continuity.Seconds(g.AccessTime(tooFar)) > float64(p)*m.PlaybackDuration(q) {
+				past = fmt.Sprint(concurrentViolations(g, p, q, m, tooFar))
 			}
 			res.AddRow(fmt.Sprint(p), fmt.Sprint(q), ms(lds), fmt.Sprint(vAt), past)
 		}
@@ -234,41 +228,43 @@ func E3Concurrent() Result {
 	return res
 }
 
-// concurrentViolations plays a strand with blocks [distLo, distHi]
-// apart on a p-head disk, fetching p blocks in parallel.
-func concurrentViolations(p, q, distLo, distHi int) int {
-	fs, err := core.Format(core.Options{
-		Geometry: disk.ArrayGeometry(p),
-		Arch:     continuity.Config{Arch: continuity.Concurrent, P: p},
-	})
-	if err != nil {
-		panic(err)
+// concurrentViolations simulates Figure 3's concurrent device of
+// degree p over the seek model, blocks dist cylinders apart, and
+// returns the number of blocks of a 200-block strand whose data was
+// not ready by its playback deadline.
+func concurrentViolations(g disk.Geometry, p, q int, m continuity.Media, dist int) (late int) {
+	_, arrive, play := concurrentSchedule(g, p, q, m, dist)
+	for j, a := range arrive {
+		if a > play+float64(j)*m.PlaybackDuration(q)+1e-12 {
+			late++
+		}
 	}
-	r := &rig{fs: fs}
-	s := r.recordStrandAtDistance(q, distLo, distHi, 120)
-	mgr := fs.NewManager()
-	mgr.SetConcurrency(p)
-	// Admission is a multi-request gate; this single-stream bound
-	// validation overrides its scattering estimate so the measured
-	// disk timing alone decides the outcome.
-	plan, err := msm.PlanStrandPlay(fs.Disk(), s, msm.PlanOptions{
-		ReadAhead:  p,
-		Buffers:    2 * p,
-		Scattering: continuity.Seconds(alloc.MinAccessTime(fs.Disk().Geometry())),
-	})
-	if err != nil {
-		panic(err)
+	return late
+}
+
+// concurrentSchedule is the recurrence behind concurrentViolations. p
+// actuators read in parallel, actuator h taking blocks h, h+p, …, each
+// read costing the access time at dist plus the transfer. There are 2p
+// buffers, so block j's read also waits until block j−2p has left its
+// buffer: displayed, or arrived if it came later than its display slot.
+// Playback starts at the p-th arrival. It returns when each block's
+// read starts and arrives, and when playback starts, in seconds.
+func concurrentSchedule(g disk.Geometry, p, q int, m continuity.Media, dist int) (start, arrive []float64, play float64) {
+	read := continuity.Seconds(g.AccessTime(dist)) + msm.DeviceFor(g).TransferTime(m.BlockBits(q))
+	start, arrive = make([]float64, 200), make([]float64, 200)
+	for j := range start {
+		if j >= p {
+			start[j] = arrive[j-p] // the actuator's previous read
+		}
+		if j == p {
+			play = slices.Max(arrive[:p])
+		}
+		if i := j - 2*p; i >= 0 {
+			start[j] = max(start[j], arrive[i], play+float64(i+1)*m.PlaybackDuration(q))
+		}
+		arrive[j] = start[j] + read
 	}
-	id, _, err := mgr.AdmitPlay(plan)
-	if err != nil {
-		return -1
-	}
-	mgr.RunUntilDone()
-	v, err := mgr.Violations(id)
-	if err != nil {
-		panic(err)
-	}
-	return len(v)
+	return start, arrive, play
 }
 
 // E46MixedMedia regenerates Eqs. 4–6: the continuity thresholds for
@@ -378,8 +374,9 @@ func HDTV() Result {
 	randomRate := heads * blockBits / posOverhead
 	res.AddRow("random (paper's example)", "10.00", fmt.Sprintf("%.2f", randomRate/1e9), yesno(randomRate >= hdtvRate))
 
-	// Same array under our seek model with transfer time included.
-	g := disk.ArrayGeometry(heads)
+	// Same array under our seek model, one DefaultGeometry disk per
+	// head, with transfer time included.
+	g := disk.DefaultGeometry()
 	perHead := g.TransferRateBits()
 	xfer := blockBits / perHead
 	avgAccess := continuity.Seconds(g.SeekTime((g.Cylinders-1)/3) + g.AvgRotationalLatency())

@@ -6,8 +6,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"mmfs/internal/continuity"
+	"mmfs/internal/disk"
 	"mmfs/internal/msm"
 )
 
@@ -249,6 +251,65 @@ func TestE3ConcurrentAllClean(t *testing.T) {
 		}
 		if v := cellInt(t, row[3]); v != 0 {
 			t.Fatalf("violations at the Eq. 3 bound: %v", row)
+		}
+	}
+}
+
+// TestConcurrentRecurrenceBites holds EXP-E3's validation column to the
+// device it models: all.golden pins only zeros, which a recurrence that
+// never reports a late block would print too. At every E3 row's bound
+// distance the device is on time, never has more than p reads in flight
+// and never holds more than 2p blocks; on a disk whose access time
+// exceeds p block durations it falls behind, for every p.
+func TestConcurrentRecurrenceBites(t *testing.T) {
+	m := ntsc()
+	g := disk.DefaultGeometry()
+	for _, p := range []int{2, 4, 8} {
+		cfg := continuity.Config{Arch: continuity.Concurrent, P: p}
+		for _, q := range []int{1, 3} {
+			lds, ok := continuity.MaxScattering(cfg, q, m, msm.DeviceFor(g))
+			if !ok {
+				t.Fatalf("p=%d q=%d: Eq. 3 infeasible", p, q)
+			}
+			dist := min(g.MaxDistanceWithin(continuity.Duration(lds)), g.Cylinders-1)
+			if v := concurrentViolations(g, p, q, m, dist); v != 0 {
+				t.Fatalf("p=%d q=%d: %d late blocks at the bound distance %d", p, q, v, dist)
+			}
+			start, arrive, play := concurrentSchedule(g, p, q, m, dist)
+			dur := m.PlaybackDuration(q)
+			for j, now := range start {
+				reading, held := 0, 0
+				for i := range start {
+					if start[i] > now {
+						continue
+					}
+					if now < arrive[i] {
+						reading++
+					}
+					if now < max(arrive[i], play+float64(i+1)*dur) {
+						held++
+					}
+				}
+				if reading > p || held > 2*p {
+					t.Fatalf("p=%d q=%d: when block %d's read starts, %d reads are in flight and %d blocks held",
+						p, q, j, reading, held)
+				}
+			}
+		}
+	}
+
+	slow := disk.DefaultGeometry()
+	slow.MaxSeek = 300 * time.Millisecond
+	const q = 1
+	for _, p := range []int{2, 4, 8} {
+		pdur := float64(p) * m.PlaybackDuration(q)
+		dist := min(slow.MaxDistanceWithin(continuity.Duration(pdur))+1, slow.Cylinders-1)
+		if continuity.Seconds(slow.AccessTime(dist)) <= pdur {
+			t.Fatalf("p=%d: no distance costs more than %d block durations", p, p)
+		}
+		if v := concurrentViolations(slow, p, q, m, dist); v == 0 {
+			t.Fatalf("p=%d: no late block with accesses of %v, over %d block durations",
+				p, slow.AccessTime(dist), p)
 		}
 	}
 }

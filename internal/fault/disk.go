@@ -165,8 +165,8 @@ func (d *Disk) ReadInto(h, lba, n int, dst []byte) (time.Duration, error) {
 // bypass the fault stream. A faulted read returns no data.
 //
 // rt:hotpath
-func (d *Disk) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, error) {
-	data, t, err := d.Disk.ReadView(h, lba, n, scratch)
+func (d *Disk) ReadView(lba, n int, scratch []byte) ([]byte, time.Duration, error) {
+	data, t, err := d.Disk.ReadView(lba, n, scratch)
 	if err != nil {
 		return nil, t, err
 	}
@@ -176,8 +176,8 @@ func (d *Disk) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, e
 // Write performs the base timed write, then injects scenario faults.
 // The simulated store already holds the data when a fault is reported,
 // which mirrors a drive failing on verify rather than on transfer.
-func (d *Disk) Write(h, lba int, data []byte) (time.Duration, error) {
-	t, err := d.Disk.Write(h, lba, data)
+func (d *Disk) Write(lba int, data []byte) (time.Duration, error) {
+	t, err := d.Disk.Write(lba, data)
 	if err != nil {
 		return t, err
 	}

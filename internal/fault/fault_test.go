@@ -20,14 +20,13 @@ func testGeometry() disk.Geometry {
 		RPM:             3600,
 		MinSeek:         2 * time.Millisecond,
 		MaxSeek:         30 * time.Millisecond,
-		Heads:           2,
 	}
 }
 
 // timedRead is ReadInto with a buffer of its own.
-func timedRead(d disk.Device, h, lba, n int) ([]byte, time.Duration, error) {
+func timedRead(d disk.Device, lba, n int) ([]byte, time.Duration, error) {
 	buf := make([]byte, n*d.Geometry().SectorSize)
-	t, err := d.ReadInto(h, lba, n, buf)
+	t, err := d.ReadInto(0, lba, n, buf)
 	return buf, t, err
 }
 
@@ -107,11 +106,11 @@ func TestInactivePassThrough(t *testing.T) {
 	if err := ref.WriteAt(40, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, tGot, err := timedRead(fd, 0, 40, 3)
+	got, tGot, err := timedRead(fd, 40, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, tWant, err := timedRead(ref, 0, 40, 3)
+	want, tWant, err := timedRead(ref, 40, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func TestDeterminism(t *testing.T) {
 		fd := New(disk.MustNew(testGeometry()), Scenario{Seed: 42, ReadErrorRate: 0.3, SlowdownRate: 0.2, SlowdownFactor: 2})
 		var errs []bool
 		for i := 0; i < 200; i++ {
-			_, _, err := timedRead(fd, 0, (i*3)%1024, 1)
+			_, _, err := timedRead(fd, (i*3)%1024, 1)
 			errs = append(errs, err != nil)
 		}
 		return errs, fd.FaultStats()
@@ -156,17 +155,17 @@ func TestDeterminism(t *testing.T) {
 func TestBadSectorPersistent(t *testing.T) {
 	fd := New(disk.MustNew(testGeometry()), Scenario{Seed: 1, BadSectors: []SectorRange{{Start: 10, Count: 4}}})
 	for i := 0; i < 5; i++ {
-		_, _, err := timedRead(fd, 0, 12, 2)
+		_, _, err := timedRead(fd, 12, 2)
 		if !errors.Is(err, ErrBadSector) {
 			t.Fatalf("attempt %d: got %v, want ErrBadSector", i, err)
 		}
 	}
 	// Adjacent-but-disjoint access succeeds.
-	if _, _, err := timedRead(fd, 0, 14, 2); err != nil {
+	if _, _, err := timedRead(fd, 14, 2); err != nil {
 		t.Fatalf("disjoint read: %v", err)
 	}
 	// Writes into the defect fail too.
-	if _, err := fd.Write(0, 11, make([]byte, 512)); !errors.Is(err, ErrBadSector) {
+	if _, err := fd.Write(11, make([]byte, 512)); !errors.Is(err, ErrBadSector) {
 		t.Fatal("write into bad range should fail")
 	}
 	if fd.FaultStats().BadSectors != 6 {
@@ -178,11 +177,11 @@ func TestSlowdownChargesVirtualTime(t *testing.T) {
 	base := disk.MustNew(testGeometry())
 	ref := disk.MustNew(testGeometry())
 	fd := New(base, Scenario{Seed: 1, SlowdownRate: 1, SlowdownFactor: 3})
-	_, tGot, err := timedRead(fd, 0, 100, 2)
+	_, tGot, err := timedRead(fd, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tWant, err := timedRead(ref, 0, 100, 2)
+	_, tWant, err := timedRead(ref, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +200,11 @@ func TestFailNextReadsAndObs(t *testing.T) {
 	fd.SetObs(reg)
 	fd.FailNextReads(2)
 	for i := 0; i < 2; i++ {
-		if _, _, err := timedRead(fd, 0, 0, 1); !errors.Is(err, ErrTransient) {
+		if _, _, err := timedRead(fd, 0, 1); !errors.Is(err, ErrTransient) {
 			t.Fatalf("forced read %d: got %v", i, err)
 		}
 	}
-	if _, _, err := timedRead(fd, 0, 0, 1); err != nil {
+	if _, _, err := timedRead(fd, 0, 1); err != nil {
 		t.Fatalf("after forced failures: %v", err)
 	}
 	if got := reg.Counter("mmfs_fault_read_errors_total").Value(); got != 2 {
@@ -217,7 +216,7 @@ func TestFailNextReadsAndObs(t *testing.T) {
 // service time alongside the error.
 func TestWriteTransient(t *testing.T) {
 	fd := New(disk.MustNew(testGeometry()), Scenario{Seed: 3, WriteErrorRate: 1})
-	tw, err := fd.Write(0, 50, make([]byte, 512))
+	tw, err := fd.Write(50, make([]byte, 512))
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("got %v, want ErrTransient", err)
 	}
@@ -266,7 +265,7 @@ func TestDieRound(t *testing.T) {
 			t.Fatalf("dead read %d: %v, want ErrDeviceDead", i, err)
 		}
 	}
-	if _, err := fd.Write(0, 0, buf); !errors.Is(err, ErrDeviceDead) {
+	if _, err := fd.Write(0, buf); !errors.Is(err, ErrDeviceDead) {
 		t.Fatalf("dead write: %v, want ErrDeviceDead", err)
 	}
 	if st := fd.FaultStats(); st.DeadErrors != 4 {
@@ -322,10 +321,10 @@ func TestReadViewInjectsLikeReadInto(t *testing.T) {
 			view.FailNextReads(3)
 			into.FailNextReads(3)
 		}
-		h, n := pick.Intn(g.Heads), 1+pick.Intn(16)
+		n := 1 + pick.Intn(16)
 		lba := pick.Intn(g.TotalSectors() - n)
-		data, tv, errv := view.ReadView(h, lba, n, scratch)
-		ti, erri := into.ReadInto(h, lba, n, dst)
+		data, tv, errv := view.ReadView(lba, n, scratch)
+		ti, erri := into.ReadInto(0, lba, n, dst)
 		if tv != ti || errv != erri {
 			t.Fatalf("read %d [%d,+%d): ReadView (%v, %v), ReadInto (%v, %v)", i, lba, n, tv, errv, ti, erri)
 		}

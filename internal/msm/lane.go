@@ -15,14 +15,14 @@ import (
 // This file is the service round. The paper has one service algorithm —
 // n requests serviced in rounds of k blocks (§3.4) — and its concurrent
 // retrieval architecture (§3.1, degree p) is that same round run once
-// per head, so there is one round body (serviceRound) and one executor
-// (the lane). Over a disk.Array the round splits into one sub-round per
-// spindle, and the sub-rounds run concurrently in *virtual* time: each
-// starts at the round's opening clock and they are joined at the slowest
-// one's end. Whatever cannot ride one spindle — records, cache-coupled
-// plays, boundary-crossing fetches — is then serviced by the serial lane
-// from where they joined. A single device is the case of zero parallel
-// lanes: everything rides the serial lane.
+// per spindle of a p-spindle disk.Array, so there is one round body
+// (serviceRound) and one executor (the lane). The round splits into one
+// sub-round per spindle, and the sub-rounds run concurrently in *virtual*
+// time: each starts at the round's opening clock and they are joined at
+// the slowest one's end. Whatever cannot ride one spindle — records,
+// cache-coupled plays, boundary-crossing fetches — is then serviced by
+// the serial lane from where they joined. A single device is the case of
+// zero parallel lanes: everything rides the serial lane.
 //
 // Each parallel lane owns its spindle for the round — its requests' next
 // blocks all live on that spindle — runs its own C-SCAN sweep over the
@@ -128,7 +128,7 @@ func (ln *lane) scanSort() {
 	if ln.spindle >= 0 {
 		dev = m.array.Spindle(ln.spindle)
 	}
-	head := dev.HeadCylinder(0)
+	head := dev.HeadCylinder()
 	g := dev.Geometry()
 	nc := g.Cylinders
 	reqs := ln.reqs
@@ -184,8 +184,6 @@ func (ln *lane) serviceRequest(r *request, k int) bool {
 // cylinder, read as one timed access — one positioning, then the
 // transfer — each block arriving as the transfer passes its last sector,
 // so deadlines, the display start and the cache's feed stay per block.
-// With concurrency p > 1 a step is instead p runs of one block, fetched in
-// parallel on distinct heads, all arriving when the slowest completes.
 //
 // A block has three sources. Pure delays and silence holders cost
 // nothing and come from the plan and the strand. A request with an open
@@ -239,34 +237,17 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 		}
 		first := ps.nextFetch
 		got := ln.arrivals(most)
-		var n int
-		var span time.Duration
-		if heads := m.concurrency; heads > 1 && !single {
-			n = min(heads, most)
-			for i := 0; i < n; i++ {
-				_, t, next := ln.readRun(r, i%m.d.Heads(), first+i, 1, got[i:])
-				if next == stopRequest {
-					return true
-				}
-				span = max(span, t)
-			}
-			for i := range got[:n] {
-				got[i].at = span
-			}
-		} else {
-			if single {
-				most = 1
-			} else if !ps.started {
-				most = min(most, max(room, 1))
-			}
-			var next turnStep
-			n, span, next = ln.readRun(r, 0, first, most, got)
-			switch next {
-			case stopRequest:
-				return true
-			case endTurn:
-				return fetched > 0
-			}
+		if single {
+			most = 1
+		} else if !ps.started {
+			most = min(most, max(room, 1))
+		}
+		n, span, next := ln.readRun(r, first, most, got)
+		switch next {
+		case stopRequest:
+			return true
+		case endTurn:
+			return fetched > 0
 		}
 		start := ln.at
 		ln.at += span
@@ -342,7 +323,7 @@ const (
 // readRun is the one read body of the service round: it delivers plan
 // block j and, when j is a stored block the disk must supply, the blocks
 // stored back to back after it — at most most blocks in all — as one
-// timed access by head h. It reports how many blocks it delivered, the
+// timed access. It reports how many blocks it delivered, the
 // step's service time, and how the turn goes on; got[i] receives block
 // j+i's arrival. A lone block is simply a run of one.
 //
@@ -364,7 +345,7 @@ const (
 // slack (the blocks' own Eq. 18 charges pay for their re-reads).
 //
 // rt:hotpath
-func (ln *lane) readRun(r *request, h, j, most int, got []arrival) (int, time.Duration, turnStep) {
+func (ln *lane) readRun(r *request, j, most int, got []arrival) (int, time.Duration, turnStep) {
 	m := ln.m
 	ps := r.play
 	id := uint64(r.id)
@@ -425,7 +406,7 @@ func (ln *lane) readRun(r *request, h, j, most int, got []arrival) (int, time.Du
 		got[n].end = int(end - e.Sector)
 		n++
 	}
-	t, next, faulted := ln.readStored(r, h, j, n, got)
+	t, next, faulted := ln.readStored(r, j, n, got)
 	if !faulted {
 		return n, t, next
 	}
@@ -436,7 +417,7 @@ func (ln *lane) readRun(r *request, h, j, most int, got []arrival) (int, time.Du
 	for i := 0; i < n; i++ {
 		hi := got[i].end
 		got[i].end = hi - lo // the block alone
-		ti, next, _ := ln.readStored(r, h, j+i, 1, got[i:])
+		ti, next, _ := ln.readStored(r, j+i, 1, got[i:])
 		if next != nextStep {
 			return i, span, next
 		}
@@ -455,17 +436,17 @@ func (ln *lane) readRun(r *request, h, j, most int, got []arrival) (int, time.Du
 // reports faulted, with the failed access's time, and delivers nothing.
 //
 // rt:hotpath
-func (ln *lane) readStored(r *request, h, j, n int, got []arrival) (time.Duration, turnStep, bool) {
+func (ln *lane) readStored(r *request, j, n int, got []arrival) (time.Duration, turnStep, bool) {
 	m := ln.m
 	ps := r.play
 	id := uint64(r.id)
 	b := ps.plan.Blocks[j]
-	run, t, err := b.Reader.ReadRun(h, b.Index, n, &ln.blockBuf)
+	run, t, err := b.Reader.ReadRun(b.Index, n, &ln.blockBuf)
 	if err != nil && isFault(err) {
 		if n > 1 {
 			return t, nextStep, true
 		}
-		run, t, err = ln.retryRead(b, h, t, err)
+		run, t, err = ln.retryRead(b, t, err)
 	}
 	if err != nil {
 		if !isFault(err) {
@@ -530,18 +511,18 @@ func (ln *lane) spendSlack(t time.Duration) {
 // attempt's actual service time is deducted. The returned t is the
 // total time across all attempts (the caller's step charges it to the
 // lane cursor); persistent defects (ErrBadSector) are never retried.
-func (ln *lane) retryRead(b PlannedBlock, h int, t0 time.Duration, err0 error) ([]byte, time.Duration, error) {
+func (ln *lane) retryRead(b PlannedBlock, t0 time.Duration, err0 error) ([]byte, time.Duration, error) {
 	m := ln.m
 	total, err := t0, err0
 	for attempt := 0; attempt < m.ft.MaxRetries; attempt++ {
 		if !errors.Is(err, fault.ErrTransient) {
 			break
 		}
-		est, perr := b.Reader.PeekBlockTime(h, b.Index)
+		est, perr := b.Reader.PeekBlockTime(b.Index)
 		if perr != nil || est > ln.retrySlack {
 			break
 		}
-		run, t, rerr := b.Reader.ReadRun(h, b.Index, 1, &ln.blockBuf)
+		run, t, rerr := b.Reader.ReadRun(b.Index, 1, &ln.blockBuf)
 		total += t
 		ln.spendSlack(t)
 		ln.m.stats.Retries++

@@ -301,30 +301,26 @@ func TestSerialLaneJoinsTheClock(t *testing.T) {
 	}
 }
 
-// TestFollowerOnManyHeadsTakesOneBlockAtATime pins what ROADMAP item 1(a)
-// is to change on purpose, not by accident. With p > 1 heads a disk-bound
-// play fetches p blocks a batch; a cache-served follower still takes its
-// blocks one at a time — so a Wait ends its turn with every earlier hit
-// already delivered, and each delivered block is exactly one cache hit —
-// and a load-shed stride it carries is ignored: it plays every block, at
-// full rate, and sheds none.
-func TestFollowerOnManyHeadsTakesOneBlockAtATime(t *testing.T) {
+// TestFollowerTakesOneBlockAtATime pins what ROADMAP item 1(a) is to
+// change on purpose, not by accident. A disk-bound play reads a run of
+// blocks a step; a cache-served follower takes its blocks one at a time
+// — so a Wait ends its turn with every earlier hit already delivered,
+// and each delivered block is exactly one cache hit — and a load-shed
+// stride it carries is ignored: it plays every block, at full rate, and
+// sheds none.
+func TestFollowerTakesOneBlockAtATime(t *testing.T) {
 	for _, stride := range []int{1, 2} {
-		t.Run(fmt.Sprintf("stride %d", stride), func(t *testing.T) { followerOnManyHeads(t, stride) })
+		t.Run(fmt.Sprintf("stride %d", stride), func(t *testing.T) { followerOneAtATime(t, stride) })
 	}
 }
 
-func followerOnManyHeads(t *testing.T, stride int) {
+func followerOneAtATime(t *testing.T, stride int) {
 	const p = 4
-	rig := newRig(t, disk.ArrayGeometry(p))
+	rig := newRig(t, disk.DefaultGeometry())
 	s := rig.recordVideo(t, 450, 18000, 3, 30, 620)
 	c := cache.New(16 << 20)
 	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
 	rig.m.SetCache(c)
-	rig.m.SetConcurrency(p)
-	if rig.m.concurrency != p {
-		t.Fatalf("concurrency %d: the rig is not on p = %d heads", rig.m.concurrency, p)
-	}
 	rig.m.ForceK(p)
 	admit := func(buffers int) (RequestID, continuity.Decision, error) {
 		plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: p, Buffers: buffers, Scattering: rig.scattering()})

@@ -136,11 +136,7 @@ type Manager struct {
 	adm    continuity.Admission
 	k      int
 	policy TransitionPolicy
-	// concurrency is the number of disk heads used in parallel per
-	// request (the paper's p); 1 for sequential/pipelined
-	// architectures.
-	concurrency int
-	order       ServiceOrder
+	order  ServiceOrder
 	// reqs is the live request table in admission order; finishDrained
 	// moves finished requests to retired, which keeps their progress and
 	// violation reports reachable without the per-round loops paying for
@@ -218,12 +214,11 @@ func DeviceFor(g disk.Geometry) continuity.Device {
 }
 
 // New creates a manager over the disk with the given admission
-// controller. Concurrency defaults to 1 head and the fault policy to
-// DefaultFaultPolicy (it only engages on injected faults, so it is
-// safe always-on).
+// controller. The fault policy defaults to DefaultFaultPolicy (it only
+// engages on injected faults, so it is safe always-on).
 func New(d disk.Device, adm continuity.Admission) *Manager {
 	g := d.Geometry()
-	m := &Manager{d: d, adm: adm, k: 1, concurrency: 1, nextID: 1, ft: DefaultFaultPolicy(),
+	m := &Manager{d: d, adm: adm, k: 1, nextID: 1, ft: DefaultFaultPolicy(),
 		spc: g.SectorsPerCylinder(), sectorTime: g.SectorTime()}
 	m.retired = make(map[RequestID]*request)
 	m.serial = &lane{m: m, spindle: -1}
@@ -257,18 +252,6 @@ func (m *Manager) SetPolicy(p TransitionPolicy) { m.policy = p }
 
 // SetServiceOrder selects the within-round service order.
 func (m *Manager) SetServiceOrder(o ServiceOrder) { m.order = o }
-
-// SetConcurrency sets the number of disk heads fetched in parallel per
-// request (clamped to the disk's head count).
-func (m *Manager) SetConcurrency(p int) {
-	if p < 1 {
-		p = 1
-	}
-	if p > m.d.Heads() {
-		p = m.d.Heads()
-	}
-	m.concurrency = p
-}
 
 // Now reports the current virtual time.
 func (m *Manager) Now() time.Duration { return m.clock.Now() }
@@ -346,8 +329,8 @@ func (m *Manager) CacheServed() int {
 // spindle of its extent (Manager.extent; zero, as for a record, means
 // all) against the population admitted there, requests waiting to join
 // included — so an array admits up to p times the single-spindle n_max —
-// and K is the largest any spindle needs; Steps start at kSched. A single
-// device is the striped test at p = 1.
+// and K is the largest any spindle needs. A single device is the
+// striped test at p = 1.
 func (m *Manager) decideAdmit(spindles uint64, candidate continuity.Request, cacheServed bool) continuity.Decision {
 	if cacheServed {
 		return continuity.CacheAware{A: m.adm}.Admit(nil, m.kSched(), candidate, true)

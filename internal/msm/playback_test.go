@@ -100,30 +100,6 @@ func TestRecordBufferOverflowDetected(t *testing.T) {
 	}
 }
 
-func TestConcurrentFetchUsesHeads(t *testing.T) {
-	g := disk.ArrayGeometry(4)
-	rig := newRig(t, g)
-	s := rig.recordVideo(t, 120, 18000, 3, 30, 53)
-	mgr := New(rig.d, continuity.AdmissionFor(rig.dev))
-	mgr.SetConcurrency(4)
-	plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: 4, Buffers: 8, Scattering: rig.scattering()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _, err := mgr.AdmitPlay(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.RunUntilDone()
-	if v, _ := mgr.Violations(id); len(v) != 0 {
-		t.Fatalf("concurrent playback violated %d", len(v))
-	}
-	prog, _ := mgr.Progress(id)
-	if prog.BlocksServed != 40 {
-		t.Fatalf("served %d blocks", prog.BlocksServed)
-	}
-}
-
 func TestSetBuffers(t *testing.T) {
 	rig := newRig(t, disk.DefaultGeometry())
 	s := rig.recordVideo(t, 30, 18000, 3, 30, 54)

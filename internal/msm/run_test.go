@@ -123,7 +123,7 @@ func TestRunIsOneTimedAccess(t *testing.T) {
 				t.Fatal(err)
 			}
 			first, _ := s.Block(0)
-			pos := g.AccessTime(g.CylinderOf(int(first.Sector)) - rig.d.HeadCylinder(0))
+			pos := g.AccessTime(g.CylinderOf(int(first.Sector)) - rig.d.HeadCylinder())
 			block := g.TransferTime(28)
 			before, t0 := rig.d.Stats(), rig.m.Now()
 			rig.m.RunRound()
@@ -407,16 +407,16 @@ type chargeProbe struct {
 	reads, multi int
 }
 
-func (p *chargeProbe) ReadView(h, lba, n int, scratch []byte) ([]byte, time.Duration, error) {
+func (p *chargeProbe) ReadView(lba, n int, scratch []byte) ([]byte, time.Duration, error) {
 	var perBlock time.Duration
 	for off := 0; off < n; off += p.blockSectors {
 		c := min(p.blockSectors, n-off)
-		perBlock += p.shadow.PeekServiceTime(0, lba+off, c)
+		perBlock += p.shadow.PeekServiceTime(lba+off, c)
 		if _, err := p.shadow.ReadInto(0, lba+off, c, p.buf); err != nil {
 			p.t.Fatal(err)
 		}
 	}
-	data, t, err := p.Disk.ReadView(h, lba, n, scratch)
+	data, t, err := p.Disk.ReadView(lba, n, scratch)
 	if t > perBlock {
 		p.t.Errorf("a read of %d sectors at %d cost %v, the per-block path %v", n, lba, t, perBlock)
 	}
@@ -465,7 +465,7 @@ func TestRunChargeNeverExceedsPerBlock(t *testing.T) {
 			strands = append(strands, s)
 		}
 		shadow := disk.MustNew(g)
-		if _, err := shadow.ReadInto(0, rig.d.HeadCylinder(0)*g.SectorsPerCylinder(), 1, make([]byte, g.SectorSize)); err != nil {
+		if _, err := shadow.ReadInto(0, rig.d.HeadCylinder()*g.SectorsPerCylinder(), 1, make([]byte, g.SectorSize)); err != nil {
 			t.Fatal(err)
 		}
 		probe := &chargeProbe{Disk: rig.d, t: t, shadow: shadow, blockSectors: strands[0].BlockSectors(g.SectorSize),

@@ -18,7 +18,7 @@ import (
 // that needs a larger one, neither an admission — PLAY, RECORD, a
 // destructive RESUME, a PLAY negotiated under QoS — nor a demotion runs a
 // round or moves the clock. The rounds after it step k one unit each, and
-// the newcomer is first served in round |Steps|+1: a play fetches there,
+// the newcomer is first served in round K−k+1: a play fetches there,
 // a record's capture starts there. Everyone finishes on time.
 func TestCommandsRunNoRound(t *testing.T) {
 	type setup struct {

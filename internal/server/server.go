@@ -324,7 +324,7 @@ func (s *Server) Handle(op wire.Op, body []byte, e *wire.Encoder) []byte {
 		// recordFinish and play drive the storage manager's virtual
 		// clock to completion under s.mu: the paper's storage manager
 		// is single-ported (§5.2), so all FS access is serialized by
-		// design. Lock sharding is ROADMAP item 5.
+		// design. Removing the lock is ROADMAP item 4.
 		err = s.recordFinish(d, e)
 	case wire.OpPlay:
 		err = s.play(d, e)

@@ -34,7 +34,8 @@ func NewReader(d disk.Device, s *Strand) *Reader { return &Reader{s: s, d: d} }
 // Strand returns the strand being read.
 func (r *Reader) Strand() *Strand { return r.s }
 
-// ReadBlockInto performs the timed read of media block i by head h,
+// ReadBlockInto performs the timed read of media block i (h is
+// ignored: the load generator's layer probe still passes a head),
 // returning the block payload (trimmed to the real unit count for the
 // final partial block), the disk service time, and whether the block
 // was a silence holder (service time zero — a delay holder consumes
@@ -66,7 +67,7 @@ func (r *Reader) ReadBlockInto(h, i int, buf *[]byte) (data []byte, t time.Durat
 		r.fillSilence(sized(buf, n))
 		return (*buf)[:n:n], 0, true, nil
 	}
-	run, t, err := r.ReadRun(h, i, 1, buf)
+	run, t, err := r.ReadRun(i, 1, buf)
 	if err != nil {
 		return nil, t, false, err
 	}
@@ -75,7 +76,7 @@ func (r *Reader) ReadBlockInto(h, i int, buf *[]byte) (data []byte, t time.Durat
 
 // ReadRun performs the timed read of the n media blocks from block i
 // on, which the caller has found stored back to back (each block's first
-// sector follows its predecessor's last), as ONE access by head h: one
+// sector follows its predecessor's last), as ONE access: one
 // positioning, then the transfer of every sector of the run — the
 // amortisation FFS's chunking buys (seeks traded for throughput). A run
 // of more than one block must lie inside one cylinder: the device lends
@@ -88,7 +89,7 @@ func (r *Reader) ReadBlockInto(h, i int, buf *[]byte) (data []byte, t time.Durat
 // the failed access cost.
 //
 // rt:hotpath
-func (r *Reader) ReadRun(h, i, n int, buf *[]byte) (run []byte, t time.Duration, err error) {
+func (r *Reader) ReadRun(i, n int, buf *[]byte) (run []byte, t time.Duration, err error) {
 	first, err := r.s.Block(i)
 	if err != nil {
 		return nil, 0, err
@@ -102,7 +103,7 @@ func (r *Reader) ReadRun(h, i, n int, buf *[]byte) (run []byte, t time.Duration,
 	if n == 1 {
 		scratch = sized(buf, sectors*r.d.Geometry().SectorSize)
 	}
-	return r.d.ReadView(h, int(first.Sector), sectors, scratch)
+	return r.d.ReadView(int(first.Sector), sectors, scratch)
 }
 
 // Payload trims block j's sector span, as a timed read returned it (a
@@ -119,10 +120,10 @@ func (r *Reader) Payload(raw []byte, j int) []byte {
 	return raw[:n:n]
 }
 
-// PeekBlockTime reports the service time head h would pay to read
-// block i from its current position, without moving the head. Silence
+// PeekBlockTime reports the service time a read of block i would pay
+// from the head's current position, without moving the head. Silence
 // holders cost zero.
-func (r *Reader) PeekBlockTime(h, i int) (time.Duration, error) {
+func (r *Reader) PeekBlockTime(i int) (time.Duration, error) {
 	e, err := r.s.Block(i)
 	if err != nil {
 		return 0, err
@@ -130,7 +131,7 @@ func (r *Reader) PeekBlockTime(h, i int) (time.Duration, error) {
 	if e.Silent() {
 		return 0, nil
 	}
-	return r.d.PeekServiceTime(h, int(e.Sector), int(e.SectorCount)), nil
+	return r.d.PeekServiceTime(int(e.Sector), int(e.SectorCount)), nil
 }
 
 // blockPayloadBytes is the number of meaningful bytes in block i: a

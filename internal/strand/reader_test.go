@@ -51,9 +51,9 @@ func TestReadBlockIntoLends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.d.Stats() != twin.d.Stats() || r.d.HeadCylinder(0) != twin.d.HeadCylinder(0) {
+	if r.d.Stats() != twin.d.Stats() || r.d.HeadCylinder() != twin.d.HeadCylinder() {
 		t.Fatalf("stats/head diverged: %+v @%d, twin %+v @%d",
-			r.d.Stats(), r.d.HeadCylinder(0), twin.d.Stats(), twin.d.HeadCylinder(0))
+			r.d.Stats(), r.d.HeadCylinder(), twin.d.Stats(), twin.d.HeadCylinder())
 	}
 }
 

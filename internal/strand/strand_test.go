@@ -145,7 +145,7 @@ func TestTimedReadBlockMatchesDiskModel(t *testing.T) {
 	r := newRig(t)
 	s := r.writeVideo(t, 9, 1024, 3, 8)
 	rd := NewReader(r.d, s)
-	peek, err := rd.PeekBlockTime(0, 1)
+	peek, err := rd.PeekBlockTime(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,6 @@ type WriterConfig struct {
 	// StartCylinder hints where the strand's first block should
 	// land; recording spreads strands across the disk by varying it.
 	StartCylinder int
-	// Head selects the disk head assembly used for timed writes.
-	Head int
 }
 
 func (c WriterConfig) validate() error {
@@ -148,7 +146,7 @@ func (w *Writer) flush() (time.Duration, error) {
 		w.units -= uint64(len(w.pending))
 		return 0, err
 	}
-	t, err := w.d.Write(w.cfg.Head, run.LBA, buf)
+	t, err := w.d.Write(run.LBA, buf)
 	if err != nil {
 		w.a.Free(run)
 		w.units -= uint64(len(w.pending))
