@@ -16,7 +16,7 @@ BENCH_PKGS = . ./internal/cache
 # lent playback is named apart: a -bench pattern with a slash filters
 # every benchmark's sub-benchmarks, so it runs in an invocation of its own.
 RACE_BENCHES = BenchmarkStripedRound|BenchmarkRound1000Streams|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCachedConcurrentPlayback|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
-ALLOC_BENCHES = BenchmarkPlaybackRound|BenchmarkStripedRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
+ALLOC_BENCHES = BenchmarkPlayArrival|BenchmarkPlaybackRound|BenchmarkStripedRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
 ALLOC_BENCH_LENT = BenchmarkCachedConcurrentPlayback/lent
 
 .PHONY: all build test race race-bench lint loc bench bench-baseline bench-compare bench-check mmload-pairs fuzz chaos clean
@@ -112,6 +112,9 @@ bench-compare:
 # decoder) at zero, BenchmarkFetchReply (the FETCH handler into a warmed
 # connection encoder) at its handful of small allocations — it also
 # fails itself at 8 KiB/op, so nothing may scale with the 540 KB reply.
+# An arrival likewise: BenchmarkPlayArrival (a repeat whole-rope PLAY and
+# its STOP at a saturated 4-spindle file system) holds its baseline
+# allocs/op, which the rope's length does not enter.
 # The write path likewise: BenchmarkEditCycle (INSERT + DELETE + Sync on
 # an aged rope) fails itself at 16 KiB allocated per copied 54 KB block,
 # BenchmarkSync (600 strands, 7 ropes) at 16 KiB/op, and both hold their

@@ -9,6 +9,7 @@ package mmfs
 // paper's tables' key values alongside the timing.
 
 import (
+	"errors"
 	"runtime"
 	"strconv"
 	"strings"
@@ -302,6 +303,52 @@ func BenchmarkRopePlanCompile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := fs.Ropes().CompilePlay(fs.Disk(), r, rope.VideoOnly, 0, r.Length(), msm.PlanOptions{ReadAhead: 2}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlayArrival is one arrival at a saturated 4-spindle file
+// system: a whole-rope PLAY admitted into the last free slot, then STOP.
+// The rope's plan was compiled by an earlier PLAY, so what an op costs is
+// the flattening of the range and the admission decision, not a walk of
+// the rope's blocks; make bench-check holds its allocs/op. No round runs,
+// so a stopped play stays in the request table until one would retire
+// it: every 64 arrivals, off the clock, a fresh manager is saturated.
+func BenchmarkPlayArrival(b *testing.B) {
+	fs, r := benchFSWith(b, core.Options{Disks: 4})
+	opts := msm.PlanOptions{ReadAhead: 2}
+	saturate := func() {
+		fs.NewManager()
+		var last core.PlayHandle
+		for n := 0; ; n++ {
+			h, err := fs.Play("bench", r.ID, rope.VideoOnly, 0, 0, opts)
+			if errors.Is(err, msm.ErrAdmissionRejected) {
+				break
+			}
+			if err != nil || n > 1000 {
+				b.Fatalf("saturating: %d admitted, then %v", n, err)
+			}
+			last = h
+		}
+		if err := fs.StopPlay(last); err != nil {
+			b.Fatal(err)
+		}
+	}
+	saturate()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := fs.Play("bench", r.ID, rope.VideoOnly, 0, 0, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := fs.StopPlay(h); err != nil {
+			b.Fatal(err)
+		}
+		if i%64 == 63 {
+			b.StopTimer()
+			saturate()
+			b.StartTimer()
 		}
 	}
 }

@@ -190,5 +190,7 @@ func (fs *FS) DeleteRope(user string, id rope.ID) ([]strand.ID, error) {
 	if err := fs.ropes.Remove(id); err != nil {
 		return nil, err
 	}
+	delete(fs.plays, playKey{id, rope.VideoOnly})
+	delete(fs.plays, playKey{id, rope.AudioOnly})
 	return fs.Collect()
 }

@@ -146,6 +146,9 @@ type FS struct {
 	collector *gc.Collector
 	editor    *rope.Editor
 	mgr       *msm.Manager
+	// plays is the repeat-play memo: per rope medium, the plan the last
+	// PLAY compiled (see playPlan).
+	plays map[playKey]playMemo
 	// cache is the interval cache, nil when Options.CacheMB is 0. It is
 	// the file system's: built once, lent to one storage manager at a
 	// time (see NewManager).
@@ -269,6 +272,7 @@ func build(opts Options, d disk.Device, fd *fault.Disk, a *alloc.Allocator) *FS 
 		dev:       msm.DeviceFor(g),
 		text:      textfs.NewStore(d, a),
 		nextStart: g.Cylinders / 7,
+		plays:     make(map[playKey]playMemo),
 	}
 	fs.obsReg = obs.NewRegistry()
 	fs.obsRing = obs.NewTraceRing(obs.DefaultTraceRounds)

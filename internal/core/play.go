@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mmfs/internal/msm"
@@ -52,7 +53,7 @@ func (fs *FS) Play(user string, id rope.ID, m rope.Medium, start, dur time.Durat
 	hasVideo, hasAudio := r.Components()
 	var h PlayHandle
 	admit := func(mm rope.Medium) (msm.RequestID, error) {
-		plan, err := fs.ropes.CompilePlay(fs.d, r, mm, start, dur, opts)
+		plan, err := fs.playPlan(r, mm, start, dur, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -82,6 +83,54 @@ func (fs *FS) Play(user string, id rope.ID, m rope.Medium, start, dur time.Durat
 		}
 	}
 	return h, nil
+}
+
+// playKey names a rope medium's entry in the repeat-play memo.
+type playKey struct {
+	rope rope.ID
+	m    rope.Medium
+}
+
+// playMemo is the plan the last PLAY of a rope medium compiled, beside
+// the compiler input it came from: the flattened interval list and the
+// options that shape blocks and admission. Strands are immutable, so
+// equal input compiles to an equal plan; an edit changes the list.
+type playMemo struct {
+	ivs  []msm.Interval
+	in   planInput
+	plan msm.PlayPlan
+}
+
+// planInput is the part of msm.PlanOptions the compiled body depends on;
+// the rest (ReadAhead, Buffers, Class) is each play's own.
+type planInput struct {
+	speed, scattering float64
+	skip              bool
+}
+
+// playPlan is one medium of a PLAY's plan. A rope played again over the
+// same intervals with the same input reuses the plan its last PLAY
+// compiled — blocks, admission, map and cache range — with this play's
+// own ReadAhead, Buffers and Class, so an arrival costs the flattening
+// of its range and its admission decision, not a walk of its blocks.
+// Anything else compiles and replaces the rope medium's entry; DeleteRope
+// drops the rope's entries.
+func (fs *FS) playPlan(r *rope.Rope, m rope.Medium, start, dur time.Duration, opts msm.PlanOptions) (msm.PlayPlan, error) {
+	ivs, err := fs.ropes.PlayIntervals(r, m, start, dur)
+	if err != nil {
+		return msm.PlayPlan{}, err
+	}
+	key := playKey{r.ID, m}
+	in := planInput{speed: opts.Speed, scattering: opts.Scattering, skip: opts.Skip}
+	if e, ok := fs.plays[key]; ok && e.in == in && slices.Equal(e.ivs, ivs) {
+		return e.plan.WithOptions(opts), nil
+	}
+	plan, err := msm.PlanPlay(fs.d, rope.PlayName(r.ID, m), ivs, opts)
+	if err != nil {
+		return msm.PlayPlan{}, err
+	}
+	fs.plays[key] = playMemo{ivs: ivs, in: in, plan: plan}
+	return plan, nil
 }
 
 // StopPlay issues STOP on every request of the handle.

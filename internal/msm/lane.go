@@ -741,9 +741,9 @@ func (ps *playState) window(k int) int {
 
 // planPos is what the service round needs to know about plan position j.
 // The plan and the strands it reads are immutable and stored bytes never
-// move (DESIGN §12), so a play's plan map — one entry per position and
-// one past the end — is built once, at admission (Manager.planMap), and
-// only read from then on.
+// move (DESIGN §12), so a plan's map — one entry per position and one past
+// the end — is built once, by the compiler (PlanPlay), and only read from
+// then on, by every play of the plan.
 type planPos struct {
 	// offset is block j's display offset from the display start: its
 	// deadline once the display runs. Past the end it is the plan's
@@ -766,51 +766,6 @@ type planPos struct {
 	sector uint32
 	group  int32
 	other  int32
-}
-
-// planMap builds a play plan's map in one allocation: the display
-// offsets forward, then the layout in one backward pass over the strand
-// index.
-func (m *Manager) planMap(blocks []PlannedBlock) []planPos {
-	n := len(blocks)
-	pm := make([]planPos, n+1)
-	var sum time.Duration
-	for i, b := range blocks {
-		pm[i].offset = sum
-		sum += b.Duration
-	}
-	pm[n].offset, pm[n].next = sum, int32(n)
-	for j := n - 1; j >= 0; j-- {
-		after, p := pm[j+1], &pm[j]
-		p.classes, p.next = after.classes, after.next
-		b := blocks[j]
-		if b.Reader == nil {
-			continue
-		}
-		e, err := b.Reader.Strand().Block(b.Index)
-		if err != nil || e.Silent() {
-			continue
-		}
-		p.next, p.sector, p.other = int32(j), e.Sector, after.next
-		if m.groupSec == 0 {
-			continue // a single device: no lanes, no classes
-		}
-		first := int(e.Sector) / m.groupSec
-		last := (int(e.Sector) + int(e.SectorCount) - 1) / m.groupSec
-		p.group = int32(first)
-		if last != first {
-			p.group = -1
-		}
-		if int(after.next) < n && pm[after.next].group == p.group {
-			p.other = pm[after.next].other
-		}
-		if m.classes > 0 {
-			for g := first; g <= last; g++ {
-				p.classes |= 1 << (g % m.classes)
-			}
-		}
-	}
-	return pm
 }
 
 // nextStored is the map entry of the request's next stored block; ok is

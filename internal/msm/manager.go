@@ -170,10 +170,11 @@ type Manager struct {
 	// decideAdmit lists the sets a candidate touches.
 	resident    [][]continuity.Request
 	scratchSets [][]continuity.Request
-	// classes and groupSec key a play's plan map (planMap), which its
+	// classes and groupSec key a play's plan map (stripeKey), which its
 	// extent and its lane (laneSpindle) read: the array's steering
 	// classes and the sectors in a stripe group. Zero on a single device;
-	// classes is zero too when a word cannot hold a bit per class.
+	// classes is zero too when a word cannot hold a bit per class. A plan
+	// compiled for another key is refused (AdmitPlay).
 	classes  int
 	groupSec int
 	// obs, when set, receives per-round trace records and mirrors the
@@ -230,11 +231,8 @@ func New(d disk.Device, adm continuity.Admission) *Manager {
 		for i := range m.lanes {
 			m.lanes[i] = &lane{m: m, spindle: i}
 		}
-		m.groupSec = a.StripeCylinders() * a.Geometry().SectorsPerCylinder()
-		if c := a.SteerClasses(); c <= 64 {
-			m.classes = c
-		}
 	}
+	m.groupSec, m.classes = stripeKey(d)
 	m.resident = make([][]continuity.Request, max(1, len(m.lanes)))
 	m.rb.rate = DefaultRebuildRate
 	m.probeAdvancers()
@@ -443,10 +441,15 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 	if err := plan.Validate(); err != nil {
 		return 0, continuity.Decision{}, err
 	}
-	pm := m.planMap(plan.Blocks)
+	c := plan.comp
+	if c.groupSec != m.groupSec || c.classes != m.classes {
+		return 0, continuity.Decision{}, fmt.Errorf("msm: play plan %q was compiled for stripe groups of %d sectors in %d classes, not this manager's %d in %d",
+			plan.Name, c.groupSec, c.classes, m.groupSec, m.classes)
+	}
+	pm := c.pm
 	spindles := m.spindlesAt(pm[0].classes)
-	sid, first, end, eligible := planCacheRange(plan)
-	eligible = eligible && m.cache != nil
+	sid, first, end := c.cacheSID, c.cacheFirst, c.cacheEnd
+	eligible := c.cacheOK && m.cache != nil
 	cacheServed := eligible && m.cache.Adoptable(sid, first, plan.Admission.Rate)
 	var dec continuity.Decision
 	var err error

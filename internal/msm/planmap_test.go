@@ -183,37 +183,38 @@ func randomStrand(t *testing.T, rng *rand.Rand, arr *disk.Array, st *strand.Stor
 	return s
 }
 
-// randomPlan strings plan blocks over the strands: stretches of one
-// strand at consecutive indices, junctions to another strand, pure
-// delays, and indices past a strand's end, which its index cannot
-// resolve.
-func randomPlan(rng *rand.Rand, d disk.Device, strands []*strand.Strand, n int) []PlannedBlock {
-	readers := make([]*strand.Reader, len(strands))
-	for i, s := range strands {
-		readers[i] = strand.NewReader(d, s)
-	}
-	blocks := make([]PlannedBlock, n)
+// randomPlan compiles an interval list over the strands: stretches of
+// one strand at consecutive units, junctions to another strand (or to
+// elsewhere in the same one), and gaps, which compile to pure delays.
+func randomPlan(t *testing.T, rng *rand.Rand, d disk.Device, strands []*strand.Strand, n int) PlayPlan {
+	t.Helper()
+	var ivs []Interval
 	cur, idx := 0, 0
-	for j := range blocks {
-		switch c := rng.Intn(25); {
-		case c == 0:
-			blocks[j] = PlannedBlock{Duration: 100 * time.Millisecond}
+	for blocks := 0; blocks < n; {
+		if rng.Intn(12) == 0 {
+			ivs = append(ivs, Interval{Gap: 100 * time.Millisecond})
+			blocks++
 			continue
-		case c == 1:
-			idx = strands[cur].NumBlocks() + rng.Intn(3)
-		case c <= 3: // a junction
+		}
+		if idx >= strands[cur].NumBlocks() || rng.Intn(3) == 0 { // a junction
 			cur = rng.Intn(len(strands))
 			idx = rng.Intn(strands[cur].NumBlocks())
 		}
-		blocks[j] = PlannedBlock{Reader: readers[cur], Index: idx, Duration: 100 * time.Millisecond}
-		idx++
+		units := min(1+rng.Intn(30), strands[cur].NumBlocks()-idx, n-blocks)
+		ivs = append(ivs, Interval{Strand: strands[cur], StartUnit: uint64(idx), NumUnits: uint64(units)})
+		idx += units
+		blocks += units
 	}
-	return blocks
+	plan, err := PlanPlay(d, "random", ivs, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }
 
-// The plan map answers what the per-round walks it replaced answered: at
-// every position of random plans — delays, silence holders, unresolvable
-// entries, junctions across strands, blocks straddling stripe groups — on
+// The compiler's plan map answers what the per-round walks it replaced
+// answered: at every position of random plans — delays, silence holders,
+// junctions across strands, blocks straddling stripe groups — on
 // 2- and 4-spindle arrays and on a mirrored array that loses a spindle
 // mid-play, for k in 1..40 and stride 1..4, the lane router equals the
 // window walk over the stride-corrected window, the extent equals the
@@ -248,10 +249,10 @@ func TestPlanMapMatchesTheWalks(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				strands = append(strands, randomStrand(t, rng, rc.arr, rc.st, m.groupSec, 40+rng.Intn(80)))
 			}
-			blocks := randomPlan(rng, rc.arr, strands, 120)
-			pm := m.planMap(blocks)
+			pl := randomPlan(t, rng, rc.arr, strands, 120)
+			blocks, pm := pl.Blocks, pl.comp.pm
 			ext := m.extentTable(blocks)
-			r := &request{kind: Play, play: &playState{plan: PlayPlan{Blocks: blocks}, pm: pm}}
+			r := &request{kind: Play, play: &playState{plan: pl, pm: pm}}
 			ps := r.play
 			for j := 0; j <= len(blocks); j++ {
 				if j == rc.loseAt {

@@ -8,6 +8,7 @@ import (
 	"mmfs/internal/alloc"
 	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
+	"mmfs/internal/fault"
 	"mmfs/internal/layout"
 	"mmfs/internal/media"
 	"mmfs/internal/strand"
@@ -348,17 +349,50 @@ func TestPlanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := plan.Blocks
-	p := PlayPlan{Name: "x", Blocks: blocks, Buffers: 0,
-		Admission: continuity.Request{Granularity: 3, UnitBits: 8, Rate: 30}}
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	p := plan
+	p.Buffers = 0
 	if err := p.Validate(); err == nil {
 		t.Fatal("zero buffers accepted")
 	}
-	p.Buffers = 2
-	p.Blocks = append([]PlannedBlock{}, blocks...)
-	p.Blocks[0].Duration = 0
+	// Blocks the compiler did not map: built by hand, or edited after.
+	hand := PlayPlan{Name: "x", Blocks: plan.Blocks, Buffers: 2, Admission: plan.Admission}
+	if err := hand.Validate(); err == nil {
+		t.Fatal("a plan PlanPlay did not compile accepted")
+	}
+	p = plan
+	p.Blocks = p.Blocks[1:]
 	if err := p.Validate(); err == nil {
-		t.Fatal("zero-duration block accepted")
+		t.Fatal("a plan whose blocks were cut after compiling accepted")
+	}
+	// A 1 ns gap at 4x rounds to a delay of no duration.
+	p, err = PlanPlay(rig.d, "x", []Interval{{Strand: s, NumUnits: 3}, {Gap: time.Nanosecond}}, PlanOptions{Speed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(); err == nil || p.Blocks[1].Duration != 0 {
+		t.Fatalf("zero-duration block %v accepted (%v)", p.Blocks[1].Duration, err)
+	}
+}
+
+// A plan's map is built for the device it was compiled on; a manager over
+// other stripe groups refuses it rather than route its blocks by a map
+// that does not describe them.
+func TestAdmitRefusesAnotherDevicesPlan(t *testing.T) {
+	one := newRig(t, disk.DefaultGeometry())
+	s := one.recordVideo(t, 6, 18000, 3, 30, 58)
+	plan, err := PlanStrandPlay(one.d, s, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	four := newStripedRig(t, 4, 4, -1, fault.Scenario{})
+	if _, _, err := four.m.AdmitPlay(plan); err == nil {
+		t.Fatal("a 4-spindle manager admitted a plan compiled on one disk")
+	}
+	if _, _, err := New(one.d, continuity.AdmissionFor(one.dev)).AdmitPlay(plan); err != nil {
+		t.Fatalf("the disk the plan was compiled on refused it: %v", err)
 	}
 }
 

@@ -33,7 +33,7 @@ func qosTmpl(m *Manager) continuity.Request {
 func addSyntheticPlay(m *Manager, id RequestID, class continuity.Class, stride int) *request {
 	r := &request{
 		id: id, kind: Play, class: class, adm: qosTmpl(m),
-		play: &playState{stride: stride, pm: m.planMap(nil)},
+		play: &playState{stride: stride, pm: []planPos{{}}},
 	}
 	m.reqs = append(m.reqs, r)
 	return r

@@ -75,6 +75,30 @@ type PlayPlan struct {
 	// best-effort plays may then be admitted load-shed instead of
 	// rejected, and are demoted before higher classes when load rises.
 	Class continuity.Class
+	// comp is what PlanPlay derived from Blocks; nil on a plan it did not
+	// compile, which admission refuses.
+	comp *compiled
+}
+
+// compiled is what the compiler notes about a plan's blocks so that
+// admission reads it instead of walking them. It is immutable once
+// built, and shared by every play of the same compiler input.
+type compiled struct {
+	// pm is the plan map, one entry per plan position and one past the
+	// end, built for stripe groups of groupSec sectors in classes
+	// steering classes (stripeKey).
+	pm                []planPos
+	groupSec, classes int
+	// The interval-cache range: cacheOK when every block reads strand
+	// cacheSID at consecutive indices [cacheFirst, cacheEnd). FF/REW skip
+	// plans, cross-strand rope plans and plans with pure-delay blocks are
+	// ineligible.
+	cacheOK              bool
+	cacheSID             strand.ID
+	cacheFirst, cacheEnd int
+	// badBlock is 1 + the first block whose duration is not positive;
+	// 0 when there is none.
+	badBlock int
 }
 
 // Validate reports an error for an unusable plan.
@@ -85,10 +109,11 @@ func (p PlayPlan) Validate() error {
 	if p.Buffers < 1 {
 		return fmt.Errorf("msm: play plan %q has %d buffers", p.Name, p.Buffers)
 	}
-	for i, b := range p.Blocks {
-		if b.Duration <= 0 {
-			return fmt.Errorf("msm: play plan %q block %d has duration %v", p.Name, i, b.Duration)
-		}
+	if p.comp == nil || len(p.comp.pm) != len(p.Blocks)+1 {
+		return fmt.Errorf("msm: play plan %q was not compiled from its blocks (PlanPlay)", p.Name)
+	}
+	if i := p.comp.badBlock - 1; i >= 0 {
+		return fmt.Errorf("msm: play plan %q block %d has duration %v", p.Name, i, p.Blocks[i].Duration)
 	}
 	return p.Admission.Validate()
 }
@@ -214,15 +239,15 @@ type playState struct {
 	started   bool          // playback (display) has begun
 	startTime time.Duration // display start
 	readAhead int
-	// pm is the plan map (Manager.planMap): per plan position, the
-	// block's display offset and where the plan's stored blocks lie from
-	// there on.
+	// pm is the plan's map (compiled.pm, shared and read-only): per plan
+	// position, the block's display offset and where the plan's stored
+	// blocks lie from there on.
 	pm []planPos
 	// released is releasedBlocks' cursor: its previous answer.
 	released   int
 	violations []Violation
 	// Interval-cache state: a plan is cacheEligible when it reads one
-	// strand at consecutive block indices (see planCacheRange);
+	// strand at consecutive block indices (compiled.cacheOK);
 	// cacheOpen tracks whether the manager currently holds a cache
 	// stream for it.
 	cacheEligible bool
@@ -297,29 +322,4 @@ type Progress struct {
 	// EffectiveRate is the stream's current delivered unit rate,
 	// Admission.Rate divided by the stride.
 	EffectiveRate float64
-}
-
-// planCacheRange reports the strand block range a play plan covers
-// when it is interval-cache eligible: every block read from the same
-// strand at consecutive indices. FF/REW skip plans, cross-strand rope
-// plans, and plans with pure-delay blocks are ineligible.
-func planCacheRange(plan PlayPlan) (sid strand.ID, first, end int, ok bool) {
-	var st *strand.Strand
-	for i, b := range plan.Blocks {
-		if b.Reader == nil {
-			return 0, 0, 0, false
-		}
-		if i == 0 {
-			st = b.Reader.Strand()
-			first = b.Index
-			continue
-		}
-		if b.Reader.Strand() != st || b.Index != first+i {
-			return 0, 0, 0, false
-		}
-	}
-	if st == nil {
-		return 0, 0, 0, false
-	}
-	return st.ID(), first, first + len(plan.Blocks), true
 }

@@ -109,15 +109,16 @@ func TestRunIsOneTimedAccess(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rig, s := runRig(t, k, 16)
-			plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: tc.readAhead, Buffers: 2 * k, Scattering: rig.scattering()})
+			opts := PlanOptions{ReadAhead: tc.readAhead, Buffers: 2 * k, Scattering: rig.scattering()}
+			if tc.squeeze {
+				opts.Speed = 100 // 100 ms blocks play for 1 ms each
+			}
+			plan, err := PlanStrandPlay(rig.d, s, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.squeeze {
-				for i := range plan.Blocks {
-					plan.Blocks[i].Duration = time.Millisecond
-				}
-			}
+			// Admission charges the recording rate either way.
+			plan.Admission.Rate = s.Rate()
 			id, _, err := rig.m.AdmitPlay(plan)
 			if err != nil {
 				t.Fatal(err)

@@ -197,7 +197,7 @@ func TestStraddlingStrand(t *testing.T) {
 
 	// The admission decisions, on a manager that runs no rounds.
 	gate := New(rig.arr, continuity.AdmissionFor(rig.dev))
-	if ext := gate.spindlesAt(gate.planMap(plan.Blocks)[0].classes); ext != 0b0011 {
+	if ext := gate.spindlesAt(plan.comp.pm[0].classes); ext != 0b0011 {
 		t.Fatalf("the straddler's plan touches spindles %04b, want 0 and 1", ext)
 	}
 	var on1 []RequestID

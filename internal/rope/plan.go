@@ -16,17 +16,33 @@ import (
 // plan per medium, started simultaneously — the block-level
 // correspondence plus equal recording rates then keep the media in
 // sync (§4: "the block-level correspondence and the recording rate
-// information together maintain inter-media synchronization").
+// information together maintain inter-media synchronization"). It is
+// PlayIntervals then msm.PlanPlay under PlayName.
 func (s *Store) CompilePlay(d disk.Device, r *Rope, m Medium, start, dur time.Duration, opts msm.PlanOptions) (msm.PlayPlan, error) {
+	ivs, err := s.PlayIntervals(r, m, start, dur)
+	if err != nil {
+		return msm.PlayPlan{}, err
+	}
+	return msm.PlanPlay(d, PlayName(r.ID, m), ivs, opts)
+}
+
+// PlayName is the name CompilePlay compiles medium m of rope id under.
+func PlayName(id ID, m Medium) string { return fmt.Sprintf("rope-%d-%v", id, m) }
+
+// PlayIntervals flattens one medium of a rope's [start, start+dur) range
+// into the compiler's input: an msm.Interval per rope interval the range
+// covers — units of an immutable strand, or a pure delay where the medium
+// is absent. Equal lists compile to equal plans.
+func (s *Store) PlayIntervals(r *Rope, m Medium, start, dur time.Duration) ([]msm.Interval, error) {
 	if m == AudioVisual {
-		return msm.PlayPlan{}, fmt.Errorf("rope: compile one medium at a time")
+		return nil, fmt.Errorf("rope: compile one medium at a time")
 	}
 	if err := r.validateRange(start, dur); err != nil {
-		return msm.PlayPlan{}, err
+		return nil, err
 	}
 	part, err := s.slice(r, m, start, dur)
 	if err != nil {
-		return msm.PlayPlan{}, err
+		return nil, err
 	}
 	ivs := make([]msm.Interval, 0, len(part))
 	hasStrand := false
@@ -38,12 +54,12 @@ func (s *Store) CompilePlay(d disk.Device, r *Rope, m Medium, start, dur time.Du
 		}
 		st, ok := s.strands.Get(ref.Strand)
 		if !ok {
-			return msm.PlayPlan{}, fmt.Errorf("rope %d: unknown strand %d", r.ID, ref.Strand)
+			return nil, fmt.Errorf("rope %d: unknown strand %d", r.ID, ref.Strand)
 		}
 		hasStrand = true
 		units, err := s.unitsIn(ref, iv.Duration)
 		if err != nil {
-			return msm.PlayPlan{}, err
+			return nil, err
 		}
 		var avail uint64
 		if ref.StartUnit < st.UnitCount() {
@@ -60,9 +76,9 @@ func (s *Store) CompilePlay(d disk.Device, r *Rope, m Medium, start, dur time.Du
 		ivs = append(ivs, piece)
 	}
 	if !hasStrand {
-		return msm.PlayPlan{}, fmt.Errorf("rope %d has no %v component in [%v, %v)", r.ID, m, start, start+dur)
+		return nil, fmt.Errorf("rope %d has no %v component in [%v, %v)", r.ID, m, start, start+dur)
 	}
-	return msm.PlanPlay(d, fmt.Sprintf("rope-%d-%v", r.ID, m), ivs, opts)
+	return ivs, nil
 }
 
 // Components reports which media the rope actually contains.
