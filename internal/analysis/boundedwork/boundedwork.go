@@ -11,9 +11,9 @@
 // over channels; loops over slices, arrays, strings, integers, or with
 // an explicit condition are taken as bounded (the condition is the
 // author's stated bound). Summaries propagate by same-package
-// fixpoint, cross-package PathFacts and interface joins
-// (analysis.RunPath), and same-package call-graph cycles that re-enter
-// a hot-path root are reported at the call that closes the cycle.
+// fixpoint, cross-package pathFacts and interface joins (path.go), and
+// same-package call-graph cycles that re-enter a hot-path root are
+// reported at the call that closes the cycle.
 // Deliberate exceptions carry a reasoned //lint:ignore boundedwork.
 package boundedwork
 
@@ -31,24 +31,17 @@ var Analyzer = &analysis.Analyzer{
 	Name: "boundedwork",
 	Doc: "flag unbounded loops (bare for, map/channel ranges) and recursion " +
 		"transitively reachable from // rt:hotpath roots",
-	FactTypes: []analysis.Fact{&analysis.PathFact{}},
+	FactTypes: []analysis.Fact{&pathFact{}},
 	Run:       run,
 }
 
-func run(pass *analysis.Pass) error {
-	return analysis.RunPath(pass, analysis.PathConfig{
-		Seeds:         seeds,
-		RootCycleWhat: "recursion",
-		Advice:        "bound it by admitted state (slice iteration or an explicit condition), or //lint:ignore boundedwork with the design reason",
-	})
-}
-
-// seeds collects the intrinsically unbounded loops of one body.
-func seeds(pass *analysis.Pass, fd *ast.FuncDecl) []analysis.Site {
+// seeds collects the intrinsically unbounded loops of one body (the
+// engine fills in each site's Chain).
+func seeds(pass *analysis.Pass, fd *ast.FuncDecl) []site {
 	info := pass.TypesInfo
-	var sites []analysis.Site
+	var sites []site
 	add := func(pos token.Pos, what string) {
-		sites = append(sites, analysis.Site{Pos: pos, What: what})
+		sites = append(sites, site{Pos: pos, What: what})
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {

@@ -93,6 +93,12 @@ func FuncKey(fn *types.Func) string {
 	return key
 }
 
+// ImportFact retrieves the summary this pass's analyzer exported for
+// fn, from this package or one it imports.
+func (p *Pass) ImportFact(fn *types.Func) (Fact, bool) {
+	return p.facts.get(p.Analyzer.Name, FuncKey(fn))
+}
+
 // ExportFact publishes a summary for fn, visible to later passes of
 // the same analyzer over packages that import this one. Facts must be
 // gob-encodable; a violation is a programming error in the analyzer

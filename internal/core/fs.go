@@ -131,7 +131,7 @@ func (o Options) withDefaults() (Options, error) {
 // FS is a mounted multimedia file system.
 type FS struct {
 	opts Options
-	// d is the device NewStore built: one spindle, or a striped
+	// d is the device newStore built: one spindle, or a striped
 	// disk.Array when Options.Disks > 1. Media and metadata share it;
 	// they part ways inside the fault wrapper, which overrides only the
 	// timed methods the media path uses.
@@ -188,20 +188,15 @@ type FS struct {
 	meta []byte
 }
 
-// NewStore is the one place Options become a device: Disks identical
+// newStore is the one place Options become a device: Disks identical
 // spindles of Geometry, the Fault scenario wrapped around spindle
 // FaultSpindle (so one degraded spindle degrades only the streams
 // resident on it), and — for more than one spindle — a disk.Array over
 // them, striped by Stripe cylinders and mirrored when Mirror is set. A
 // single disk is spindle 0, served bare. The wrapper is returned beside
-// the device; it is nil when no scenario is active. Format builds on
-// it; the experiments that drive a storage manager by hand call it
-// directly.
-func NewStore(opts Options) (disk.Device, *fault.Disk, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, nil, err
-	}
+// the device; it is nil when no scenario is active. opts carries its
+// defaults (Format applies them).
+func newStore(opts Options) (disk.Device, *fault.Disk, error) {
 	var fd *fault.Disk
 	devs := make([]disk.Device, opts.Disks)
 	for i := range devs {
@@ -232,7 +227,7 @@ func Format(opts Options) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, fd, err := NewStore(opts)
+	d, fd, err := newStore(opts)
 	if err != nil {
 		return nil, err
 	}

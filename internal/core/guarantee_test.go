@@ -155,20 +155,24 @@ func TestAdmittedStreamsAreOnTimeOnTheArray(t *testing.T) {
 	}
 }
 
-// The smallest walk that still shows a late block with no fault and no
-// PAUSE: one epoch in 400 (seeds 1–400, this one alone). Cause: service-
-// slot drift across a k transition. Session 7 is admitted at k = 4 and
-// starts its display in a round at k = 7 in which the C-SCAN sweep reaches
-// it early; five more streams are admitted meanwhile, the next round runs
-// at k = 8 with twelve streams and the sweep reaches it late. Both rounds
-// are within Eq. 18's k·γ, but the two services are 0.80 s apart and the
-// seven blocks buffered between them play for 0.70 s. Eq. 18 bounds a
-// round, not the gap between a stream's turns in consecutive rounds when
-// the sweep order changes (EXP-SCAN's note; ROADMAP item 1(a)'s per-turn
-// oracle and item 7's deadline-margin histogram are where it is to be
-// taken up).
+// The walk that once showed a late block with no fault and no PAUSE: one
+// epoch in 400 (seeds 1–400, this one alone). Cause: service-slot drift
+// across a k transition. The file system serves a round in arrival order
+// (it never selects ScanOrder), so a stream's place in the round is fixed
+// but the time of its turn is not: it follows the work of the streams
+// ahead of it. Session 7 is admitted at k = 4 and starts its display in a
+// round at k = 7 in which its turn comes early; five more streams are
+// admitted meanwhile, the next round runs at k = 8 with twelve streams and
+// its turn comes late. Both rounds are within Eq. 18's k·γ, but the two
+// services were 0.80 s apart and the seven blocks buffered between them
+// play for 0.70 s. Eq. 18 bounds a round, not the gap between a stream's
+// turns in consecutive rounds when the work ahead of a turn changes.
+// Since run reads finish rounds well inside their charge this seed plays
+// clean, so lateness no longer detects the drift: ROADMAP item 1(a)'s
+// per-turn oracle and item 7's deadline-margin histogram are where it is
+// to be taken up.
 func TestSlotDriftAcrossAKTransition(t *testing.T) {
-	t.Skip("known residual: C-SCAN service-slot drift while k steps up; see the comment")
+	t.Skip("known residual: service-slot drift while k steps up, hidden by run-read slack; see the comment")
 	fs, cat := walkCatalogue(t)
 	late, _, _ := arrivalWalk(t, fs, cat, 390, 1, 0.10)
 	for _, l := range late {

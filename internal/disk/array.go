@@ -179,7 +179,8 @@ func (a *Array) SpindleRange(lba, n int) (spindle int, ok bool) {
 }
 
 // HeadCylinder reports the logical cylinder under spindle 0's actuator,
-// where the serial lane's C-SCAN starts its sweep. Spindle 0 is the
+// where the serial lane's C-SCAN starts its sweep under a storage
+// manager's ScanOrder. Spindle 0 is the
 // first replica of set 0, so its local group g is logical group g·sets.
 func (a *Array) HeadCylinder() int {
 	localCyl := a.spindles[0].HeadCylinder()

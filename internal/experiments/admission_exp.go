@@ -63,11 +63,7 @@ func NMax() Result {
 	adm := continuity.AdmissionFor(dev)
 	tmpl := stdRequest(q)
 	nmax := adm.NMax(tmpl)
-	reqsMax := make([]continuity.Request, nmax)
-	for i := range reqsMax {
-		reqsMax[i] = tmpl
-	}
-	kFull, _ := adm.KTransient(reqsMax)
+	kFull := kFor(adm, tmpl, nmax)
 	r := newRig()
 	strands := make([]*strand.Strand, nmax+1)
 	for i := range strands {
@@ -76,7 +72,7 @@ func NMax() Result {
 	viol, mgr := r.playStrands(strands[:nmax], kFull, 2*kFull, 0)
 	res.Note("default device, n = n_max = %d streams at k = %d: %d violations (expect 0)", nmax, mgr.K(), viol)
 
-	dec := adm.Admit(reqsMax, kFull, tmpl)
+	dec := adm.Admit(population(tmpl, nmax), kFull, tmpl)
 	verdict := "accepted (BUG: expected rejection)"
 	if !dec.Admitted {
 		verdict = fmt.Sprintf("rejected (expect rejected): %s", dec.Reason)
@@ -105,13 +101,7 @@ func Transition() Result {
 	adm := continuity.AdmissionFor(dev)
 	tmpl := stdRequest(3)
 	nmax := adm.NMax(tmpl)
-	pre := make([]continuity.Request, nmax-1)
-	for i := range pre {
-		pre[i] = tmpl
-	}
-	kOld, _ := adm.KTransient(pre)
-	full := append(append([]continuity.Request(nil), pre...), tmpl)
-	kNew, _ := adm.KTransient(full)
+	kOld, kNew := kFor(adm, tmpl, nmax-1), kFor(adm, tmpl, nmax)
 
 	run := func(policy msm.TransitionPolicy) (steps uint64, violations int) {
 		r := newRig()
@@ -126,59 +116,30 @@ func Transition() Result {
 		for i := range strands {
 			strands[i] = r.recordStrandAtDistance(3, 1, 32, 200)
 		}
-		mgr := r.fs.NewManager()
-		mgr.SetPolicy(msm.Stepwise)
-		var ids []msm.RequestID
 		// Steady-state population at k_old, provisioned per §3.3.2
 		// for the k in force.
-		for _, s := range strands[:nmax-1] {
-			plan, err := msm.PlanStrandPlay(r.fs.Disk(), s, msm.PlanOptions{
-				ReadAhead:  kOld,
-				Buffers:    2 * kOld,
-				Scattering: r.fs.TargetScattering(),
-			})
-			if err != nil {
-				panic(err)
-			}
-			id, _, err := mgr.AdmitPlay(plan)
-			if err != nil {
-				panic(err)
-			}
-			ids = append(ids, id)
+		t := r.trial(r.plan(kOld, 2*kOld))
+		t.mgr.SetPolicy(msm.Stepwise)
+		if _, err := t.admit(strands[:nmax-1]...); err != nil {
+			panic(err)
 		}
-		mgr.RunFor(2 * time.Second)
-		stepsBefore := mgr.Stats().TransitionSteps
+		t.mgr.RunFor(2 * time.Second)
+		stepsBefore := t.mgr.Stats().TransitionSteps
 
 		// The MRS grants the larger buffer allocation that k_new
 		// requires, then admits under the policy being tested.
-		for _, id := range ids {
-			if err := mgr.SetBuffers(id, 2*kNew); err != nil {
+		for _, id := range t.ids {
+			if err := t.mgr.SetBuffers(id, 2*kNew); err != nil {
 				panic(err)
 			}
 		}
-		mgr.SetPolicy(policy)
-		plan, err := msm.PlanStrandPlay(r.fs.Disk(), strands[nmax-1], msm.PlanOptions{
-			ReadAhead:  kNew,
-			Buffers:    2 * kNew,
-			Scattering: r.fs.TargetScattering(),
-		})
-		if err != nil {
+		t.mgr.SetPolicy(policy)
+		t.opts = r.plan(kNew, 2*kNew)
+		if _, err := t.admit(strands[nmax-1]); err != nil {
 			panic(err)
 		}
-		id, _, err := mgr.AdmitPlay(plan)
-		if err != nil {
-			panic(err)
-		}
-		ids = append(ids, id)
-		mgr.RunUntilDone()
-		for _, rid := range ids {
-			v, err := mgr.Violations(rid)
-			if err != nil {
-				panic(err)
-			}
-			violations += len(v)
-		}
-		return mgr.Stats().TransitionSteps - stepsBefore, violations
+		violations = t.run().violations
+		return t.mgr.Stats().TransitionSteps - stepsBefore, violations
 	}
 
 	for _, c := range []struct {
@@ -216,11 +177,7 @@ func ReadAhead() Result {
 	adm := continuity.AdmissionFor(dev)
 	tmpl := stdRequest(3)
 	n := adm.NMax(tmpl)
-	reqs := make([]continuity.Request, n)
-	for i := range reqs {
-		reqs[i] = tmpl
-	}
-	k, _ := adm.KTransient(reqs)
+	k := kFor(adm, tmpl, n)
 
 	r := newRig()
 	strands := make([]*strand.Strand, n)

@@ -24,14 +24,7 @@ func IntervalCache() Result {
 	adm := continuity.AdmissionFor(stdDevice())
 	tmpl := cachePlanRequest()
 	nmax := adm.NMax(tmpl)
-	reqs := make([]continuity.Request, nmax)
-	for i := range reqs {
-		reqs[i] = tmpl
-	}
-	k, ok := adm.KTransient(reqs)
-	if !ok {
-		panic("experiments: no feasible k at n_max")
-	}
+	k := kFor(adm, tmpl, nmax)
 	// n_max + 2 attempts: rounds are atomic, so each stagger step can
 	// advance several seconds of virtual time; more attempts than this
 	// and the earliest plays finish (freeing admission slots) before
@@ -39,50 +32,25 @@ func IntervalCache() Result {
 	attempts := nmax + 2
 
 	for _, mb := range []int{0, 1, 4, 16} {
-		fs, err := core.Format(core.Options{CacheMB: mb})
-		if err != nil {
-			panic(err)
-		}
-		r := &rig{fs: fs}
+		r := formatRig(core.Options{CacheMB: mb})
 		_, s := r.recordVideoRope(20, 4100+int64(mb))
-		mgr := fs.NewManager()
+		t := r.trial(r.plan(2, 4))
 		// Pin k at the saturated population's Eq. 18 value so every
 		// admission is step-free and the population stays concurrent.
-		mgr.ForceK(k)
-		var ids []msm.RequestID
-		admitted, cached, rejected := 0, 0, 0
+		t.mgr.ForceK(k)
+		cached, rejected := 0, 0
 		for i := 0; i < attempts; i++ {
-			plan, err := msm.PlanStrandPlay(fs.Disk(), s, msm.PlanOptions{
-				ReadAhead:  2,
-				Buffers:    4,
-				Scattering: fs.TargetScattering(),
-			})
-			if err != nil {
-				panic(err)
-			}
-			id, dec, err := mgr.AdmitPlay(plan)
-			if err != nil {
+			if dec, err := t.admit(s); err != nil {
 				rejected++
-			} else {
-				admitted++
-				ids = append(ids, id)
-				if dec.CacheServed {
-					cached++
-				}
+			} else if dec.CacheServed {
+				cached++
 			}
-			mgr.RunFor(400 * time.Millisecond)
+			t.mgr.RunFor(400 * time.Millisecond)
 		}
-		diskBound := mgr.ActiveRequests()
-		mgr.RunUntilDone()
-		violations := 0
-		for _, id := range ids {
-			v, err := mgr.Violations(id)
-			if err != nil {
-				panic(err)
-			}
-			violations += len(v)
-		}
-		st := mgr.Stats()
+		admitted := len(t.ids)
+		diskBound := t.mgr.ActiveRequests()
+		violations := t.run().violations
+		st := t.mgr.Stats()
 		hitPct := 0.0
 		if st.BlocksFetched > 0 {
 			hitPct = 100 * float64(st.CacheHits) / float64(st.BlocksFetched)
@@ -106,11 +74,7 @@ func IntervalCache() Result {
 func cachePlanRequest() continuity.Request {
 	r := newRig()
 	_, s := r.recordVideoRope(2, 4099)
-	plan, err := msm.PlanStrandPlay(r.fs.Disk(), s, msm.PlanOptions{
-		ReadAhead:  2,
-		Buffers:    4,
-		Scattering: r.fs.TargetScattering(),
-	})
+	plan, err := msm.PlanStrandPlay(r.fs.Disk(), s, r.plan(2, 4))
 	if err != nil {
 		panic(err)
 	}

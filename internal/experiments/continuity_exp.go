@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -9,7 +8,6 @@ import (
 	"mmfs/internal/continuity"
 	"mmfs/internal/core"
 	"mmfs/internal/disk"
-	"mmfs/internal/layout"
 	"mmfs/internal/media"
 	"mmfs/internal/msm"
 	"mmfs/internal/strand"
@@ -155,36 +153,11 @@ func (r *rig) recordStrandAtDistance(q, distLo, distHi, blocks int) *strand.Stra
 	if distLo > distHi {
 		distLo = distHi
 	}
-	id := r.fs.Strands().NewID()
-	w, err := strand.NewWriter(r.fs.Disk(), r.fs.Allocator(), strand.WriterConfig{
-		ID:          id,
-		Medium:      layout.Video,
-		Rate:        30,
-		UnitBytes:   frameBytes,
-		Granularity: q,
-		Constraint:  alloc.Constraint{MinCylinders: distLo, MaxCylinders: distHi},
-	})
-	if err != nil {
-		panic(err)
+	s := r.record(media.NewVideoSource(blocks*q, frameBytes, 30, int64(distHi*1000+q)),
+		take{q: q, place: alloc.Constraint{MinCylinders: distLo, MaxCylinders: distHi}, untilFull: true})
+	if s.NumBlocks() < 4 {
+		panic(fmt.Sprintf("experiments: only %d blocks fit %d–%d cylinders apart", s.NumBlocks(), distLo, distHi))
 	}
-	src := media.NewVideoSource(blocks*q, frameBytes, 30, int64(distHi*1000+q))
-	for {
-		u, ok := src.Next()
-		if !ok {
-			break
-		}
-		if _, err := w.Append(u); err != nil {
-			if errors.Is(err, alloc.ErrNoSpace) && w.BlocksWritten() >= 4 {
-				break
-			}
-			panic(err)
-		}
-	}
-	s, err := w.Close()
-	if err != nil {
-		panic(err)
-	}
-	r.fs.Strands().Put(s)
 	return s
 }
 
@@ -435,30 +408,16 @@ func FastForward() Result {
 }
 
 // playFF plays the strand at the given speed on a fresh manager and
-// returns the violation count.
+// returns the violation count, -1 when admission rejects it. The plan
+// declares the strand's measured scattering.
 func (r *rig) playFF(s *strand.Strand, speed float64, skip bool) int {
-	mgr := r.fs.NewManager()
 	buffers := 4
 	if !skip && speed > 1 {
 		buffers = int(4 * speed)
 	}
-	plan, err := msm.PlanStrandPlay(r.fs.Disk(), s, msm.PlanOptions{
-		ReadAhead: 2,
-		Buffers:   buffers,
-		Speed:     speed,
-		Skip:      skip,
-	})
-	if err != nil {
-		panic(err)
-	}
-	id, _, err := mgr.AdmitPlay(plan)
-	if err != nil {
+	t := r.trial(msm.PlanOptions{ReadAhead: 2, Buffers: buffers, Speed: speed, Skip: skip})
+	if _, err := t.admit(s); err != nil {
 		return -1
 	}
-	mgr.RunUntilDone()
-	v, err := mgr.Violations(id)
-	if err != nil {
-		panic(err)
-	}
-	return len(v)
+	return t.run().violations
 }

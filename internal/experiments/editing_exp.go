@@ -71,11 +71,7 @@ func EditCopy() Result {
 			viol := -1
 			if err == nil {
 				mgr.RunUntilDone()
-				v, verr := mgr.Violations(id)
-				if verr != nil {
-					panic(verr)
-				}
-				viol = len(v)
+				viol = tally(mgr, []msm.RequestID{id}).violations
 			}
 			res.AddRow(
 				fmt.Sprintf("%.0f%% (occ %.0f%%)", fill*100, occ*100),

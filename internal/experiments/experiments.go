@@ -10,13 +10,16 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 
+	"mmfs/internal/alloc"
 	"mmfs/internal/continuity"
 	"mmfs/internal/core"
 	"mmfs/internal/disk"
+	"mmfs/internal/layout"
 	"mmfs/internal/media"
 	"mmfs/internal/msm"
 	"mmfs/internal/rope"
@@ -168,25 +171,61 @@ func stdRequest(q int) continuity.Request {
 	}
 }
 
-// rig is the standard experimental file system.
+// population is n streams of one request template: the population
+// whose Eq. 16–18 ks the admission experiments evaluate.
+func population(tmpl continuity.Request, n int) []continuity.Request {
+	reqs := make([]continuity.Request, n)
+	for i := range reqs {
+		reqs[i] = tmpl
+	}
+	return reqs
+}
+
+// kFor is Eq. 18's k for n streams of tmpl.
+func kFor(adm continuity.Admission, tmpl continuity.Request, n int) int {
+	k, ok := adm.KTransient(population(tmpl, n))
+	if !ok {
+		panic(fmt.Sprintf("experiments: no feasible k for %d streams", n))
+	}
+	return k
+}
+
+// rig is the experimental file system every table runs on: a core.FS
+// formatted from the table's options — one disk, or an array of
+// opts.Disks spindles — whose storage managers the experiments drive
+// by hand.
 type rig struct {
 	fs *core.FS
 }
 
-func newRig() *rig {
-	fs, err := core.Format(core.Options{})
+// newRig formats the default file system: one disk of the default
+// geometry.
+func newRig() *rig { return formatRig(core.Options{}) }
+
+func formatRig(opts core.Options) *rig {
+	fs, err := core.Format(opts)
 	if err != nil {
 		panic(err)
 	}
 	return &rig{fs: fs}
 }
 
+// scattering is the placement policy's scattering: what the tables'
+// plans declare to admission control.
+func (r *rig) scattering() float64 { return r.fs.TargetScattering() }
+
+// plan is a play plan's shape for the rig: read-ahead and buffers in
+// blocks, the placement policy's scattering.
+func (r *rig) plan(readAhead, buffers int) msm.PlanOptions {
+	return msm.PlanOptions{ReadAhead: readAhead, Buffers: buffers, Scattering: r.scattering()}
+}
+
 // frameBytes is the experiment video frame size (18 KB ≈ 8:1
 // compressed NTSC).
 const frameBytes = 18000
 
-// recordVideoRope records a video-only clip of the given length and
-// returns the rope and its strand.
+// recordVideoRope records a video-only clip of the given length through
+// the file system's RECORD path and returns the rope and its strand.
 func (r *rig) recordVideoRope(seconds int, seed int64) (*rope.Rope, *strand.Strand) {
 	frames := 30 * seconds
 	sess, err := r.fs.Record(core.RecordSpec{
@@ -205,47 +244,146 @@ func (r *rig) recordVideoRope(seconds int, seed int64) (*rope.Rope, *strand.Stra
 	return rp, s
 }
 
-// playStrands admits one PLAY per strand on a fresh manager with the
-// given read-ahead and blocks-per-round override (0 = admission's own
-// k), runs to completion, and returns total violations.
-func (r *rig) playStrands(strands []*strand.Strand, readAhead, buffers, forceK int) (violations int, mgr *msm.Manager) {
-	mgr = r.fs.NewManager()
-	if forceK > 0 {
-		// Forced-k trials bypass the stepwise transition so every
-		// stream is admitted at virtual time zero under the k being
-		// probed.
-		mgr.SetPolicy(msm.NaiveJump)
-		mgr.ForceK(forceK)
+// take is where the recorder lays a video strand down.
+type take struct {
+	q     int              // frames a block
+	place alloc.Constraint // successive-block placement
+	start int              // the first block's cylinder hint
+	// untilFull ends the strand at the first block the placement finds
+	// no room for; otherwise running out of room is a bug.
+	untilFull bool
+}
+
+// record is the one recorder for strands the RECORD path would not
+// lay down: it drains src into a video strand placed as t says,
+// bypassing the storage manager, and registers it.
+func (r *rig) record(src media.Source, t take) *strand.Strand {
+	w, err := strand.NewWriter(r.fs.Disk(), r.fs.Allocator(), strand.WriterConfig{
+		ID:            r.fs.Strands().NewID(),
+		Medium:        layout.Video,
+		Rate:          src.Rate(),
+		UnitBytes:     src.UnitBytes(),
+		Granularity:   t.q,
+		Variable:      media.IsVariable(src),
+		Constraint:    t.place,
+		StartCylinder: t.start,
+	})
+	if err != nil {
+		panic(err)
 	}
-	var ids []msm.RequestID
+	for u, ok := src.Next(); ok; u, ok = src.Next() {
+		if _, err := w.Append(u); err != nil {
+			if t.untilFull && errors.Is(err, alloc.ErrNoSpace) {
+				break
+			}
+			panic(err)
+		}
+	}
+	s, err := w.Close()
+	if err != nil {
+		panic(err)
+	}
+	r.fs.Strands().Put(s)
+	return s
+}
+
+// trial is the one admit-and-run driver: plays planned from strands
+// with opts, compiled for dev and admitted on mgr in order.
+type trial struct {
+	mgr  *msm.Manager
+	dev  disk.Device
+	opts msm.PlanOptions
+	// hold, when positive, is the k re-forced after every admission.
+	hold int
+	ids  []msm.RequestID
+}
+
+// trial starts a driver on a fresh storage manager of the file system.
+func (r *rig) trial(opts msm.PlanOptions) *trial {
+	return &trial{mgr: r.fs.NewManager(), dev: r.fs.Disk(), opts: opts}
+}
+
+// pin services the trial at k: no stepwise transition, and every
+// admission lands at virtual time zero under the k being probed.
+func (t *trial) pin(k int) {
+	t.mgr.SetPolicy(msm.NaiveJump)
+	t.mgr.ForceK(k)
+	t.hold = k
+}
+
+// admit plans and admits each strand in turn, stopping at the first
+// error, which it returns; every admitted request joins t.ids. The
+// decision is the last strand's.
+func (t *trial) admit(strands ...*strand.Strand) (continuity.Decision, error) {
+	var dec continuity.Decision
 	for _, s := range strands {
-		plan, err := msm.PlanStrandPlay(r.fs.Disk(), s, msm.PlanOptions{
-			ReadAhead:  readAhead,
-			Buffers:    buffers,
-			Scattering: r.fs.TargetScattering(),
-		})
+		plan, err := msm.PlanStrandPlay(t.dev, s, t.opts)
 		if err != nil {
 			panic(err)
 		}
-		id, _, err := mgr.AdmitPlay(plan)
-		if err != nil {
-			return -1, mgr // admission rejected
+		var id msm.RequestID
+		if id, dec, err = t.mgr.AdmitPlay(plan); err != nil {
+			return dec, err
 		}
-		ids = append(ids, id)
-		if forceK > 0 {
-			mgr.ForceK(forceK)
+		t.ids = append(t.ids, id)
+		if t.hold > 0 {
+			t.mgr.ForceK(t.hold)
 		}
 	}
-	mgr.RunUntilDone()
-	total := 0
+	return dec, nil
+}
+
+// run services every admitted play to the end and tallies them.
+func (t *trial) run() count {
+	t.mgr.RunUntilDone()
+	return tally(t.mgr, t.ids)
+}
+
+// count is what a trial's plays came to.
+type count struct {
+	completed  int // played every block
+	late       int // CauseLate violations
+	violations int // violations of every cause
+}
+
+// tally counts completed plays and violations across ids.
+func tally(mgr *msm.Manager, ids []msm.RequestID) count {
+	var c count
 	for _, id := range ids {
+		pr, err := mgr.Progress(id)
+		if err != nil {
+			panic(err)
+		}
+		if pr.Done && pr.BlocksServed == pr.BlocksTotal {
+			c.completed++
+		}
 		v, err := mgr.Violations(id)
 		if err != nil {
 			panic(err)
 		}
-		total += len(v)
+		c.violations += len(v)
+		for _, viol := range v {
+			if viol.Cause == msm.CauseLate {
+				c.late++
+			}
+		}
 	}
-	return total, mgr
+	return c
+}
+
+// playStrands plays the strands together with the given read-ahead and
+// buffers on a fresh manager, at k pinned when k > 0 (else admission's
+// own), and returns the total violations — -1 when admission rejects
+// one — and the manager.
+func (r *rig) playStrands(strands []*strand.Strand, readAhead, buffers, k int) (int, *msm.Manager) {
+	t := r.trial(r.plan(readAhead, buffers))
+	if k > 0 {
+		t.pin(k)
+	}
+	if _, err := t.admit(strands...); err != nil {
+		return -1, t.mgr
+	}
+	return t.run().violations, t.mgr
 }
 
 // ms formats seconds as milliseconds.

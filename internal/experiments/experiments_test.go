@@ -516,18 +516,12 @@ func TestQoS(t *testing.T) {
 func TestQoSPeakRound(t *testing.T) {
 	const p = 2
 	r := newQoSRig(p)
-	adm := continuity.AdmissionFor(r.dev)
+	adm := continuity.AdmissionFor(r.fs.Device())
 	tmpl := continuity.Request{
 		Name: "video", Granularity: 3, UnitBits: frameBytes * 8, Rate: 30,
 		Scattering: r.scattering(),
 	}
-	feasible := func(n, k int) bool {
-		set := make([]continuity.Request, n)
-		for i := range set {
-			set[i] = tmpl
-		}
-		return adm.FeasibleTransient(set, k)
-	}
+	feasible := func(n, k int) bool { return adm.FeasibleTransient(population(tmpl, n), k) }
 	k := 1
 	for !feasible(3, k) {
 		k++
@@ -535,9 +529,8 @@ func TestQoSPeakRound(t *testing.T) {
 	if feasible(6, k) {
 		t.Skip("device admits the whole burst at full rate; peak cannot overload")
 	}
-	mgr := msm.New(r.arr, adm)
-	mgr.SetPolicy(msm.NaiveJump)
-	mgr.ForceK(k)
+	tr := r.qosTrial(k)
+	mgr := tr.mgr
 	mgr.SetQoS(msm.QoSPolicy{MaxStride: continuity.DefaultMaxStride})
 	classes := []continuity.Class{
 		continuity.BestEffort, continuity.Standard,
@@ -547,12 +540,11 @@ func TestQoSPeakRound(t *testing.T) {
 	degraded := 0
 	for sp := 0; sp < p; sp++ {
 		for i, c := range classes {
-			a := qosArrival{s: r.record(sp, 150), class: c}
-			_, dec, err := mgr.AdmitPlay(r.planClassed(a, k))
+			tr.opts.Class = c
+			dec, err := tr.admit(r.recordSlot(sp, 150))
 			if err != nil {
 				t.Fatalf("spindle %d arrival %d (%v): %v", sp, i, c, err)
 			}
-			mgr.ForceK(k)
 			if dec.Stride > 1 {
 				degraded++
 			}

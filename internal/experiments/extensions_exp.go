@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mmfs/internal/continuity"
-	"mmfs/internal/layout"
 	"mmfs/internal/media"
 	"mmfs/internal/msm"
 	"mmfs/internal/strand"
@@ -50,9 +49,8 @@ func VBR() Result {
 
 	// Record the stream both ways and compare storage.
 	r := newRig()
-	vbrStrand := r.recordVBRStrand(frames, peakB, diffB, gop, q, 8800)
-	cbr := r.recordStrandSized(frames, peakB, q, 8801)
-	ss := r.fs.Disk().Geometry().SectorSize
+	vbrStrand := r.record(media.NewVBRVideoSource(frames, peakB, diffB, gop, 30, 8800), take{q: q, place: r.fs.Constraint()})
+	cbr := r.record(media.NewVideoSource(frames, peakB, 30, 8801), take{q: q, place: r.fs.Constraint(), start: 600})
 	count := func(s *strand.Strand) int {
 		total := 0
 		for _, run := range s.MediaRuns() {
@@ -63,7 +61,6 @@ func VBR() Result {
 	vbrSectors, cbrSectors := count(vbrStrand), count(cbr)
 	res.AddRow("sectors stored", fmt.Sprint(cbrSectors), fmt.Sprint(vbrSectors))
 	res.AddRow("storage gain", "1.00×", fmt.Sprintf("%.2f×", float64(cbrSectors)/float64(vbrSectors)))
-	_ = ss
 
 	// Playback: strict (read-ahead 1) and burst-buffered.
 	h := continuity.VBRBurstReadAhead(q, prof, dev, 1)
@@ -74,68 +71,6 @@ func VBR() Result {
 	res.Note("paper §6.2: variable-rate compression \"can result in varying but smaller sizes of video frames, thereby yielding better bounds for granularity and scattering\"")
 	res.Note("average provisioning admits %.2f× more stored seconds per disk; intra-frame bursts are absorbed by %d block(s) of anti-jitter read-ahead", float64(cbrSectors)/float64(vbrSectors), h+1)
 	return res
-}
-
-func (r *rig) recordVBRStrand(frames, peak, diff, gop, q int, seed int64) *strand.Strand {
-	w, err := strand.NewWriter(r.fs.Disk(), r.fs.Allocator(), strand.WriterConfig{
-		ID:          r.fs.Strands().NewID(),
-		Medium:      layout.Video,
-		Rate:        30,
-		UnitBytes:   peak,
-		Granularity: q,
-		Variable:    true,
-		Constraint:  r.fs.Constraint(),
-	})
-	if err != nil {
-		panic(err)
-	}
-	src := media.NewVBRVideoSource(frames, peak, diff, gop, 30, seed)
-	for {
-		u, ok := src.Next()
-		if !ok {
-			break
-		}
-		if _, err := w.Append(u); err != nil {
-			panic(err)
-		}
-	}
-	s, err := w.Close()
-	if err != nil {
-		panic(err)
-	}
-	r.fs.Strands().Put(s)
-	return s
-}
-
-func (r *rig) recordStrandSized(frames, frameB, q int, seed int64) *strand.Strand {
-	w, err := strand.NewWriter(r.fs.Disk(), r.fs.Allocator(), strand.WriterConfig{
-		ID:            r.fs.Strands().NewID(),
-		Medium:        layout.Video,
-		Rate:          30,
-		UnitBytes:     frameB,
-		Granularity:   q,
-		Constraint:    r.fs.Constraint(),
-		StartCylinder: 600,
-	})
-	if err != nil {
-		panic(err)
-	}
-	src := media.NewVideoSource(frames, frameB, 30, seed)
-	for {
-		u, ok := src.Next()
-		if !ok {
-			break
-		}
-		if _, err := w.Append(u); err != nil {
-			panic(err)
-		}
-	}
-	s, err := w.Close()
-	if err != nil {
-		panic(err)
-	}
-	r.fs.Strands().Put(s)
-	return s
 }
 
 // Scan regenerates §6.2's request-ordering direction: "servicing
@@ -154,11 +89,7 @@ func Scan() Result {
 	adm := continuity.AdmissionFor(dev)
 	tmpl := stdRequest(3)
 	n := adm.NMax(tmpl)
-	reqs := make([]continuity.Request, n)
-	for i := range reqs {
-		reqs[i] = tmpl
-	}
-	kFull, _ := adm.KTransient(reqs)
+	kFull := kFor(adm, tmpl, n)
 
 	// One shared data set: strands spread across the disk, admitted
 	// in an order that zig-zags the actuator (worst case for
@@ -176,39 +107,16 @@ func Scan() Result {
 		}
 	}
 
-	trial := func(order msm.ServiceOrder, admitOrder []*strand.Strand, k int) (viol int, seek, busy float64, rounds uint64) {
-		mgr := r.fs.NewManager()
+	sweep := func(order msm.ServiceOrder, admitOrder []*strand.Strand, k int) (viol int, seek float64, rounds uint64) {
+		t := r.trial(r.plan(k, 2*k))
 		r.fs.Disk().ResetStats()
-		mgr.SetPolicy(msm.NaiveJump)
-		mgr.SetServiceOrder(order)
-		mgr.ForceK(k)
-		var ids []msm.RequestID
-		for _, s := range admitOrder {
-			plan, err := msm.PlanStrandPlay(r.fs.Disk(), s, msm.PlanOptions{
-				ReadAhead:  k,
-				Buffers:    2 * k,
-				Scattering: r.fs.TargetScattering(),
-			})
-			if err != nil {
-				panic(err)
-			}
-			id, _, err := mgr.AdmitPlay(plan)
-			if err != nil {
-				panic(err)
-			}
-			ids = append(ids, id)
-			mgr.ForceK(k)
+		t.mgr.SetServiceOrder(order)
+		t.pin(k)
+		if _, err := t.admit(admitOrder...); err != nil {
+			panic(err)
 		}
-		mgr.RunUntilDone()
-		for _, id := range ids {
-			v, err := mgr.Violations(id)
-			if err != nil {
-				panic(err)
-			}
-			viol += len(v)
-		}
-		dst := r.fs.Disk().Stats()
-		return viol, float64(dst.SeekTime.Milliseconds()), float64(dst.BusyTime().Milliseconds()), mgr.Stats().Rounds
+		viol = t.run().violations
+		return viol, float64(r.fs.Disk().Stats().SeekTime.Milliseconds()), t.mgr.Stats().Rounds
 	}
 
 	arms := []struct {
@@ -224,7 +132,7 @@ func Scan() Result {
 		kMin := -1
 		var seekAtK, switchPerRound float64
 		for k := 1; k <= kFull+4; k++ {
-			viol, seek, _, rounds := trial(arm.order, arm.admit, k)
+			viol, seek, rounds := sweep(arm.order, arm.admit, k)
 			if viol == 0 {
 				kMin = k
 				seekAtK = seek

@@ -32,10 +32,7 @@ func F4() Result {
 	}
 
 	for n := 1; n <= nmax; n++ {
-		reqs := make([]continuity.Request, n)
-		for i := range reqs {
-			reqs[i] = tmpl
-		}
+		reqs := population(tmpl, n)
 		kSteady, okS := adm.KSteady(reqs)
 		kTrans, okT := adm.KTransient(reqs)
 		if !okS || !okT {

@@ -26,14 +26,7 @@ func FaultTolerance() Result {
 	adm := continuity.AdmissionFor(stdDevice())
 	tmpl := cachePlanRequest()
 	nmax := adm.NMax(tmpl)
-	reqs := make([]continuity.Request, nmax)
-	for i := range reqs {
-		reqs[i] = tmpl
-	}
-	k, ok := adm.KTransient(reqs)
-	if !ok {
-		panic("experiments: no feasible k at n_max")
-	}
+	k := kFor(adm, tmpl, nmax)
 	half := nmax / 2
 	if half < 1 {
 		half = 1
@@ -70,60 +63,28 @@ func FaultTolerance() Result {
 		} else if sc, err = fault.ParseScenario(row.spec); err != nil {
 			panic(err)
 		}
+		// The storm wraps the recorded disk, under a manager of its own.
 		fd := fault.New(r.fs.Disk().(*disk.Disk), sc)
-		mgr := msm.New(fd, adm)
+		t := &trial{mgr: msm.New(fd, adm), dev: fd, opts: r.plan(k, 2*k)}
 		// Forced k with no stepwise transitions: the whole population
 		// is admitted at virtual time zero, exactly at the Eq. 18
 		// operating point the slack-budget retry is derived from.
-		mgr.SetPolicy(msm.NaiveJump)
-		mgr.ForceK(k)
-		ids := make([]msm.RequestID, 0, row.streams)
-		for _, s := range strands {
-			plan, perr := msm.PlanStrandPlay(fd, s, msm.PlanOptions{
-				ReadAhead:  k,
-				Buffers:    2 * k,
-				Scattering: r.fs.TargetScattering(),
-			})
-			if perr != nil {
-				panic(perr)
-			}
-			id, _, aerr := mgr.AdmitPlay(plan)
-			if aerr != nil {
-				panic(fmt.Sprintf("experiments: EXP-FT admission rejected at n=%d: %v", row.streams, aerr))
-			}
-			ids = append(ids, id)
+		t.mgr.SetPolicy(msm.NaiveJump)
+		t.mgr.ForceK(k)
+		if _, err := t.admit(strands...); err != nil {
+			panic(fmt.Sprintf("experiments: EXP-FT admission rejected at n=%d: %v", row.streams, err))
 		}
-		mgr.RunUntilDone()
-
-		completed, late := 0, 0
-		for _, id := range ids {
-			p, perr := mgr.Progress(id)
-			if perr != nil {
-				panic(perr)
-			}
-			if p.Done && p.BlocksServed == p.BlocksTotal {
-				completed++
-			}
-			v, verr := mgr.Violations(id)
-			if verr != nil {
-				panic(verr)
-			}
-			for _, viol := range v {
-				if viol.Cause == msm.CauseLate {
-					late++
-				}
-			}
-		}
-		st := mgr.Stats()
+		c := t.run()
+		st := t.mgr.Stats()
 		fst := fd.FaultStats()
 		faults := fst.ReadErrors + fst.BadSectors
 		label := row.spec
 		if label == "" {
 			label = "bad sector (2 LBAs)"
 		}
-		res.AddRow(label, fmt.Sprint(row.streams), fmt.Sprint(completed),
+		res.AddRow(label, fmt.Sprint(row.streams), fmt.Sprint(c.completed),
 			fmt.Sprint(st.FaultStops), fmt.Sprint(faults),
-			fmt.Sprint(st.Retries), fmt.Sprint(st.DegradedBlocks), fmt.Sprint(late))
+			fmt.Sprint(st.Retries), fmt.Sprint(st.DegradedBlocks), fmt.Sprint(c.late))
 	}
 
 	res.Note("n_max = %d (Eq. 17), k = %d (Eq. 18); each stream plays a 10 s strand (100 blocks)", nmax, k)

@@ -20,44 +20,43 @@ type qosArrival struct {
 	long  bool // 10 s strand (300 frames) vs 5 s peak short
 }
 
-// qosRig wraps the striped rig with per-spindle recording slots so
+// qosRig is the striped rig with per-spindle recording slots so
 // EXP-QOS can place an arbitrary arrival mix without strands colliding
 // or straddling stripe groups.
 type qosRig struct {
-	*arrayRig
+	*rig
 	slot []int // next free recording slot per spindle
-	rng  *rand.Rand
-	seq  int64
 }
 
 func newQoSRig(p int) *qosRig {
-	return &qosRig{
-		arrayRig: newArrayRig(core.Options{Disks: p, Stripe: stripeCyl}),
-		slot:     make([]int, p),
-		rng:      rand.New(rand.NewSource(9300 + seedBase)),
-	}
+	return &qosRig{rig: formatRig(core.Options{Disks: p, Stripe: stripeCyl}), slot: make([]int, p)}
 }
 
-// record writes one strand on the spindle at its next free slot. Each
-// strand gets its own 120-cylinder stripe group (the placement policy
-// scatters blocks across the group), so placements never leak onto a
-// neighbouring spindle; a spindle hosts at most n_max+2 ≤ 10 strands.
-func (r *qosRig) record(spindle, frames int) *strand.Strand {
+// recordSlot writes one strand on the spindle at its next free slot.
+// Each strand gets its own 120-cylinder stripe group (the placement
+// policy scatters blocks across the group), so placements never leak
+// onto a neighbouring spindle; a spindle hosts at most n_max+2 ≤ 10
+// strands. The n-th strand recorded on the rig is seeded
+// 9300+seedBase+n.
+func (r *qosRig) recordSlot(spindle, frames int) *strand.Strand {
 	sl := r.slot[spindle]
-	r.slot[spindle]++
-	if sl >= r.d.Geometry().Cylinders/(r.p*stripeCyl) {
+	if sl >= r.fs.Disk().Geometry().Cylinders/(len(r.slot)*stripeCyl) {
 		panic(fmt.Sprintf("experiments: EXP-QOS spindle %d out of recording slots", spindle))
 	}
-	localCyl := sl * stripeCyl
-	r.seq++
-	return r.recordOn(spindle, localCyl, frames, 9300+seedBase+r.seq)
+	r.slot[spindle]++
+	n := 0
+	for _, used := range r.slot {
+		n += used
+	}
+	return r.recordOn(spindle, sl*stripeCyl, frames, 9300+seedBase+int64(n))
 }
 
-// planClassed compiles the arrival's play plan for the given manager
-// run (plans hold per-manager state and cannot be reused). Read-ahead
-// and buffering match the forced k, the EXP-FT saturation idiom.
-func (r *qosRig) planClassed(a qosArrival, k int) msm.PlayPlan {
-	return r.plan(a.s, msm.PlanOptions{ReadAhead: k, Buffers: 2 * k, Class: a.class})
+// qosTrial is a driver for one EXP-QOS run: plays provisioned for the
+// k every admission pins, the EXP-FT saturation idiom.
+func (r *qosRig) qosTrial(k int) *trial {
+	t := r.trial(r.plan(k, 2*k))
+	t.pin(k)
+	return t
 }
 
 // qosPhaseA builds the off-peak population: nA long streams per
@@ -70,9 +69,9 @@ func (r *qosRig) qosPhaseA(nA, longFrames int) []qosArrival {
 	}
 	var out []qosArrival
 	i := 0
-	for sp := 0; sp < r.p; sp++ {
+	for sp := range r.slot {
 		for j := 0; j < nA; j++ {
-			out = append(out, qosArrival{s: r.record(sp, longFrames), class: mix[i%len(mix)], long: true})
+			out = append(out, qosArrival{s: r.recordSlot(sp, longFrames), class: mix[i%len(mix)], long: true})
 			i++
 		}
 	}
@@ -86,7 +85,7 @@ func (r *qosRig) qosPhaseA(nA, longFrames int) []qosArrival {
 // best-effort probe that can only be admitted degraded. The probe is
 // the recovery witness: it outlives the peak and must be promoted back
 // to full rate once the shorts finish.
-func (r *qosRig) qosPeak(spindle, fill, longFrames, shortFrames int) []qosArrival {
+func (r *qosRig) qosPeak(rng *rand.Rand, spindle, fill, longFrames, shortFrames int) []qosArrival {
 	classes := make([]continuity.Class, fill)
 	for i := range classes {
 		classes[i] = continuity.BestEffort
@@ -94,18 +93,18 @@ func (r *qosRig) qosPeak(spindle, fill, longFrames, shortFrames int) []qosArriva
 			classes[i] = continuity.Standard
 		}
 	}
-	r.rng.Shuffle(len(classes), func(i, j int) { classes[i], classes[j] = classes[j], classes[i] })
+	rng.Shuffle(len(classes), func(i, j int) { classes[i], classes[j] = classes[j], classes[i] })
 	var out []qosArrival
 	for _, c := range classes {
-		out = append(out, qosArrival{s: r.record(spindle, shortFrames), class: c})
+		out = append(out, qosArrival{s: r.recordSlot(spindle, shortFrames), class: c})
 	}
-	out = append(out, qosArrival{s: r.record(spindle, shortFrames), class: continuity.Premium})
-	out = append(out, qosArrival{s: r.record(spindle, longFrames), class: continuity.BestEffort, long: true})
+	out = append(out, qosArrival{s: r.recordSlot(spindle, shortFrames), class: continuity.Premium})
+	out = append(out, qosArrival{s: r.recordSlot(spindle, longFrames), class: continuity.BestEffort, long: true})
 	return out
 }
 
 // qosRun replays the arrival schedule (phase A, then per-spindle peak
-// bursts) against a fresh manager and reports per-phase admission
+// bursts) on the trial's fresh manager and reports per-phase admission
 // outcomes plus the final per-stream progress of everything admitted.
 type qosRunStats struct {
 	admittedA      int
@@ -121,23 +120,20 @@ type qosRunStats struct {
 	stats          msm.Stats
 }
 
-func (r *qosRig) qosRun(mgr *msm.Manager, phaseA []qosArrival, peak [][]qosArrival, qos bool, k int) qosRunStats {
+func qosRun(t *trial, phaseA []qosArrival, peak [][]qosArrival, qos bool) qosRunStats {
 	var out qosRunStats
-	type admitted struct {
-		id    msm.RequestID
-		class continuity.Class
-	}
-	var ids []admitted
+	mgr := t.mgr
+	var classes []continuity.Class // of t.ids, in order
 	for _, a := range phaseA {
-		id, dec, err := mgr.AdmitPlay(r.planClassed(a, k))
+		t.opts.Class = a.class
+		dec, err := t.admit(a.s)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: EXP-QOS off-peak admission rejected: %v", err))
 		}
-		mgr.ForceK(k)
 		if dec.Stride > 1 {
 			panic("experiments: EXP-QOS off-peak stream admitted degraded")
 		}
-		ids = append(ids, admitted{id, a.class})
+		classes = append(classes, a.class)
 		out.admittedA++
 	}
 	// A few service rounds between the phases: the off-peak set is
@@ -147,23 +143,22 @@ func (r *qosRig) qosRun(mgr *msm.Manager, phaseA []qosArrival, peak [][]qosArriv
 	}
 	for _, burst := range peak {
 		for _, a := range burst {
-			id, _, err := mgr.AdmitPlay(r.planClassed(a, k))
-			if err != nil {
+			t.opts.Class = a.class
+			if _, err := t.admit(a.s); err != nil {
 				if qos && a.class == continuity.BestEffort && a.long {
 					panic(fmt.Sprintf("experiments: EXP-QOS probe rejected under QoS: %v", err))
 				}
 				out.rejectedB++
 				continue
 			}
-			mgr.ForceK(k)
-			ids = append(ids, admitted{id, a.class})
+			classes = append(classes, a.class)
 			out.admittedB++
 		}
 		mgr.RunRound()
 	}
 	// Peak snapshot: the burst is fully landed, nothing has drained yet.
-	for _, ad := range ids {
-		p, err := mgr.Progress(ad.id)
+	for _, id := range t.ids {
+		p, err := mgr.Progress(id)
 		if err != nil {
 			panic(err)
 		}
@@ -175,14 +170,11 @@ func (r *qosRig) qosRun(mgr *msm.Manager, phaseA []qosArrival, peak [][]qosArriv
 		}
 		out.shedAtPeak += p.ShedBlocks
 	}
-	mgr.RunUntilDone()
-	for _, ad := range ids {
-		p, err := mgr.Progress(ad.id)
+	out.completed = t.run().completed
+	for i, id := range t.ids {
+		p, err := mgr.Progress(id)
 		if err != nil {
 			panic(err)
-		}
-		if p.Done && p.BlocksServed == p.BlocksTotal {
-			out.completed++
 		}
 		if p.ShedBlocks > 0 {
 			if p.Stride == 1 {
@@ -191,12 +183,12 @@ func (r *qosRig) qosRun(mgr *msm.Manager, phaseA []qosArrival, peak [][]qosArriv
 				out.finishedShed++
 			}
 		}
-		v, err := mgr.Violations(ad.id)
+		v, err := mgr.Violations(id)
 		if err != nil {
 			panic(err)
 		}
 		for _, viol := range v {
-			if ad.class == continuity.Premium {
+			if classes[i] == continuity.Premium {
 				switch viol.Cause {
 				case msm.CauseLate:
 					out.premLate++
@@ -229,7 +221,7 @@ func QoS() Result {
 
 	const p = 4
 	r := newQoSRig(p)
-	adm := continuity.AdmissionFor(r.dev)
+	adm := continuity.AdmissionFor(r.fs.Device())
 	tmpl := continuity.Request{
 		Name: "video", Granularity: 3, UnitBits: frameBytes * 8, Rate: 30,
 		Scattering: r.scattering(),
@@ -245,16 +237,10 @@ func QoS() Result {
 	// the per-round class pass all evaluate Eq. 18 at this k.
 	feasibleN := func(k int) int {
 		n := 0
-		for {
-			set := make([]continuity.Request, n+1)
-			for i := range set {
-				set[i] = tmpl
-			}
-			if !adm.FeasibleTransient(set, k) {
-				return n
-			}
+		for adm.FeasibleTransient(population(tmpl, n+1), k) {
 			n++
 		}
+		return n
 	}
 	k := 2
 	for feasibleN(k) < 4 {
@@ -269,9 +255,10 @@ func QoS() Result {
 	const longFrames, shortFrames = 300, 150
 
 	phaseA := r.qosPhaseA(nA, longFrames)
+	rng := rand.New(rand.NewSource(9300 + seedBase))
 	peak := make([][]qosArrival, p)
 	for sp := 0; sp < p; sp++ {
-		peak[sp] = r.qosPeak(sp, nEff-nA, longFrames, shortFrames)
+		peak[sp] = r.qosPeak(rng, sp, nEff-nA, longFrames, shortFrames)
 	}
 	offeredB := 0
 	for _, b := range peak {
@@ -279,11 +266,9 @@ func QoS() Result {
 	}
 
 	// QoS run: load shedding enabled, stride bound 8.
-	mgr := msm.New(r.d, adm)
-	mgr.SetPolicy(msm.NaiveJump)
-	mgr.ForceK(k)
-	mgr.SetQoS(msm.QoSPolicy{MaxStride: continuity.DefaultMaxStride})
-	q := r.qosRun(mgr, phaseA, peak, true, k)
+	t := r.qosTrial(k)
+	t.mgr.SetQoS(msm.QoSPolicy{MaxStride: continuity.DefaultMaxStride})
+	q := qosRun(t, phaseA, peak, true)
 	if q.degradedAtPeak == 0 {
 		panic("experiments: EXP-QOS no stream degraded at peak")
 	}
@@ -295,10 +280,7 @@ func QoS() Result {
 	}
 
 	// Baseline: identical schedule, binary accept/reject admission.
-	bmgr := msm.New(r.d, adm)
-	bmgr.SetPolicy(msm.NaiveJump)
-	bmgr.ForceK(k)
-	base := r.qosRun(bmgr, phaseA, peak, false, k)
+	base := qosRun(r.qosTrial(k), phaseA, peak, false)
 	if base.rejectedB == 0 {
 		panic("experiments: EXP-QOS baseline rejected nothing — the peak is not a peak")
 	}

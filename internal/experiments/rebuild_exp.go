@@ -23,34 +23,31 @@ const rebuildStripeCyl = 60
 // stripe-group slot (spindle%2 + 2*within) of mirror pair spindle/2,
 // slot parity picking the preferred twin. The data itself is duplicated
 // on both twins.
-func (r *arrayRig) recordPreferring(spindle, within, frames int, seed int64) *strand.Strand {
+func (r *rig) recordPreferring(spindle, within, frames int, seed int64) *strand.Strand {
 	pair, slot := spindle/2, spindle%2+2*within
-	group := slot*r.arr.MirrorGroups() + pair
-	return r.record(group*r.stripe, spindle, frames, seed)
+	group := slot*r.fs.Array().MirrorGroups() + pair
+	return r.recordAt(group*rebuildStripeCyl, spindle, frames, seed)
 }
 
 // rebuildPlan is EXP-REBUILD's per-stream plan shape.
-func rebuildPlan(class continuity.Class) msm.PlanOptions {
-	return msm.PlanOptions{ReadAhead: 1, Buffers: 64, Class: class}
+func (r *rig) rebuildPlan(class continuity.Class) msm.PlanOptions {
+	opts := r.plan(1, 64)
+	opts.Class = class
+	return opts
 }
 
 // probeAdmission counts how many of the probe strands a fresh
 // admission-only manager accepts against the array's current steering
 // (admitting runs no service round, so the fault clock and the virtual
 // clock stay untouched).
-func (r *arrayRig) probeAdmission(adm continuity.Admission, probes []*strand.Strand) int {
-	gate := msm.New(r.d, adm)
-	admitted := 0
+func (r *rig) probeAdmission(probes []*strand.Strand) int {
+	gate := r.trial(r.rebuildPlan(continuity.Standard))
 	for _, s := range probes {
-		if _, _, err := gate.AdmitPlay(r.plan(s, rebuildPlan(continuity.Standard))); err != nil {
-			if !errors.Is(err, msm.ErrAdmissionRejected) {
-				panic(err)
-			}
-			continue
+		if _, err := gate.admit(s); err != nil && !errors.Is(err, msm.ErrAdmissionRejected) {
+			panic(err)
 		}
-		admitted++
 	}
-	return admitted
+	return len(gate.ids)
 }
 
 // Rebuild drives EXP-REBUILD: a 4-spindle mirrored array survives a
@@ -69,17 +66,18 @@ func Rebuild() Result {
 	}
 
 	const p, victim, dieRound = 4, 1, 6
-	r := newArrayRig(core.Options{
+	r := formatRig(core.Options{
 		Disks: p, Stripe: rebuildStripeCyl, Mirror: true,
 		Fault: fault.Scenario{Seed: 42 + seedBase, DieRound: dieRound}, FaultSpindle: victim,
 	})
-	adm := continuity.AdmissionFor(r.dev)
+	adm := continuity.AdmissionFor(r.fs.Device())
+	arr := r.fs.Array()
 	tmpl := continuity.Request{
 		Name: "video", Granularity: 3, UnitBits: frameBytes * 8, Rate: 30,
 		Scattering: r.scattering(),
 	}
 	nmax := adm.NMax(tmpl)
-	slots := r.arr.Geometry().Cylinders / rebuildStripeCyl / p // groups per preferred spindle
+	slots := arr.Geometry().Cylinders / rebuildStripeCyl / p // groups per preferred spindle
 	if nmax > slots {
 		panic(fmt.Sprintf("experiments: EXP-REBUILD needs %d stripe-group slots per spindle, have %d", nmax, slots))
 	}
@@ -95,11 +93,11 @@ func Rebuild() Result {
 
 	// Phase 1 — healthy: all p·n_max probes admitted, one more on a
 	// saturated spindle rejected.
-	healthy := r.probeAdmission(adm, probes)
+	healthy := r.probeAdmission(probes)
 	if healthy != p*nmax {
 		panic(fmt.Sprintf("experiments: EXP-REBUILD healthy array admitted %d, want p·n_max = %d", healthy, p*nmax))
 	}
-	over := r.probeAdmission(adm, append(append([]*strand.Strand{}, probes...), probes[0]))
+	over := r.probeAdmission(append(append([]*strand.Strand{}, probes...), probes[0]))
 	if over != p*nmax {
 		panic(fmt.Sprintf("experiments: EXP-REBUILD admitted %d past the p·n_max bound", over-p*nmax))
 	}
@@ -109,27 +107,23 @@ func Rebuild() Result {
 	// everywhere except the victim. The victim twin dies mid-run; its
 	// stream must be re-steered to the survivor after a bounded
 	// degraded burst, with zero premium violations and zero aborts.
-	mgr := msm.New(r.d, adm)
-	ids := make([]msm.RequestID, p)
+	t := r.trial(msm.PlanOptions{})
 	for sp := 0; sp < p; sp++ {
 		class := continuity.Premium
 		if sp == victim {
 			class = continuity.Standard
 		}
-		var err error
-		if ids[sp], _, err = mgr.AdmitPlay(r.plan(probes[sp], rebuildPlan(class))); err != nil {
+		t.opts = r.rebuildPlan(class)
+		if _, err := t.admit(probes[sp]); err != nil {
 			panic(err)
 		}
 	}
-	mgr.RunUntilDone()
-	completed, premViol, victimDeg := 0, 0, 0
-	for sp, id := range ids {
-		pr, err := mgr.Progress(id)
+	completed := t.run().completed
+	premViol, victimDeg := 0, 0
+	for sp, id := range t.ids {
+		pr, err := t.mgr.Progress(id)
 		if err != nil {
 			panic(err)
-		}
-		if pr.Done && pr.BlocksServed == pr.BlocksTotal {
-			completed++
 		}
 		if sp == victim {
 			victimDeg = pr.DegradedBlocks
@@ -137,6 +131,7 @@ func Rebuild() Result {
 			premViol += pr.Violations
 		}
 	}
+	mgr := t.mgr
 	st := mgr.Stats()
 	if completed != p || premViol != 0 || st.FaultStops != 0 {
 		panic(fmt.Sprintf("experiments: EXP-REBUILD degraded service: completed=%d/%d premViol=%d stops=%d",
@@ -145,7 +140,7 @@ func Rebuild() Result {
 	if victimDeg == 0 {
 		panic("experiments: EXP-REBUILD: the die scenario never fired")
 	}
-	if s := r.arr.SpindleState(victim); s == disk.Healthy {
+	if s := arr.SpindleState(victim); s == disk.Healthy {
 		panic(fmt.Sprintf("experiments: EXP-REBUILD victim still %v after dying", s))
 	}
 	res.AddRow(fmt.Sprintf("die=%d service", dieRound), fmt.Sprint(nmax), fmt.Sprint(p),
@@ -158,9 +153,9 @@ func Rebuild() Result {
 	// pair then charges the surviving twin's lane, so the pair admits
 	// n_max instead of 2·n_max and the array bound drops to
 	// (p-1)·n_max.
-	r.arr.SetSpindleState(victim, disk.Dead)
-	r.arr.RefreshSteering()
-	degraded := r.probeAdmission(adm, probes)
+	arr.SetSpindleState(victim, disk.Dead)
+	arr.RefreshSteering()
+	degraded := r.probeAdmission(probes)
 	if degraded != (p-1)*nmax {
 		panic(fmt.Sprintf("experiments: EXP-REBUILD degraded array admitted %d, want (p-1)·n_max = %d", degraded, (p-1)*nmax))
 	}
@@ -176,7 +171,7 @@ func Rebuild() Result {
 		done, total := mgr.RepairProgress()
 		panic(fmt.Sprintf("experiments: EXP-REBUILD rebuild stalled at %d/%d", done, total))
 	}
-	if got := r.arr.SpindleState(victim); got != disk.Healthy {
+	if got := arr.SpindleState(victim); got != disk.Healthy {
 		panic(fmt.Sprintf("experiments: EXP-REBUILD rebuilt spindle state %v", got))
 	}
 	chunks := mgr.Stats().RebuildBlocks
@@ -188,13 +183,13 @@ func Rebuild() Result {
 	// Phase 5 — rebuilt: steering rebalances, the replacement serves
 	// the victim stream's replay cleanly, and admission returns to the
 	// full p·n_max bound.
-	r.arr.RefreshSteering()
-	id, _, err := mgr.AdmitPlay(r.plan(probes[victim], rebuildPlan(continuity.Premium)))
-	if err != nil {
+	arr.RefreshSteering()
+	t.opts = r.rebuildPlan(continuity.Premium)
+	if _, err := t.admit(probes[victim]); err != nil {
 		panic(err)
 	}
 	mgr.RunUntilDone()
-	pr, err := mgr.Progress(id)
+	pr, err := mgr.Progress(t.ids[len(t.ids)-1])
 	if err != nil {
 		panic(err)
 	}
@@ -202,7 +197,7 @@ func Rebuild() Result {
 		panic(fmt.Sprintf("experiments: EXP-REBUILD post-rebuild replay: done=%v viol=%d degraded=%d",
 			pr.Done, pr.Violations, pr.DegradedBlocks))
 	}
-	rebuilt := r.probeAdmission(adm, probes)
+	rebuilt := r.probeAdmission(probes)
 	if rebuilt != p*nmax {
 		panic(fmt.Sprintf("experiments: EXP-REBUILD rebuilt array admitted %d, want p·n_max = %d", rebuilt, p*nmax))
 	}

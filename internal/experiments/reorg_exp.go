@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"mmfs/internal/alloc"
 	"mmfs/internal/core"
 	"mmfs/internal/disk"
-	"mmfs/internal/layout"
 	"mmfs/internal/media"
 	"mmfs/internal/strand"
 )
@@ -35,42 +32,14 @@ func Reorg() Result {
 		MinSeek:         2 * time.Millisecond,
 		MaxSeek:         25 * time.Millisecond,
 	}
-	fs, err := core.Format(core.Options{Geometry: g, TargetCylinders: 16})
-	if err != nil {
-		panic(err)
-	}
+	r := formatRig(core.Options{Geometry: g, TargetCylinders: 16})
+	fs := r.fs
 
 	// Churn: fill ~90% with small-block strands, then delete every
 	// other one, leaving small scattered holes.
 	writeStrand := func(q, frameB, blocks int, seed int64) *strand.Strand {
-		w, err := strand.NewWriter(fs.Disk(), fs.Allocator(), strand.WriterConfig{
-			ID: fs.Strands().NewID(), Medium: layout.Video, Rate: 30,
-			UnitBytes: frameB, Granularity: q,
-			Constraint:    fs.Constraint(),
-			StartCylinder: int(seed*29) % g.Cylinders,
-		})
-		if err != nil {
-			panic(err)
-		}
-		src := media.NewVideoSource(blocks*q, frameB, 30, seed)
-		for {
-			u, ok := src.Next()
-			if !ok {
-				break
-			}
-			if _, err := w.Append(u); err != nil {
-				if errors.Is(err, alloc.ErrNoSpace) {
-					break
-				}
-				panic(err)
-			}
-		}
-		s, err := w.Close()
-		if err != nil {
-			panic(err)
-		}
-		fs.Strands().Put(s)
-		return s
+		return r.record(media.NewVideoSource(blocks*q, frameB, 30, seed),
+			take{q: q, place: fs.Constraint(), start: int(seed*29) % g.Cylinders, untilFull: true})
 	}
 	var churn []*strand.Strand
 	for i := 0; fs.Occupancy() < 0.88 && i < 500; i++ {

@@ -3,7 +3,6 @@ package msm
 import (
 	"errors"
 	"math/bits"
-	"sort"
 	"time"
 
 	"mmfs/internal/cache"
@@ -25,8 +24,9 @@ import (
 // zero parallel lanes: everything rides the serial lane.
 //
 // Each parallel lane owns its spindle for the round — its requests' next
-// blocks all live on that spindle — runs its own C-SCAN sweep over the
-// spindle's local cylinders, charges service time to a private
+// blocks all live on that spindle — sweeps its requests in the manager's
+// service order (arrival order; a C-SCAN over the spindle's local
+// cylinders only under ScanOrder), charges service time to a private
 // virtual-time cursor, and spends a private Eq. 18 retry-slack budget
 // computed over the spindle's entry in the resident table. The serial
 // lane is a lane like them; it starts at the slowest lane's cursor and
@@ -69,7 +69,8 @@ type lane struct {
 	reqs     []*request
 	got      []arrival
 	blockBuf []byte
-	sorter   scanSorter
+	// keys is scanSort's scratch: each request's sweep key.
+	keys []int
 	// worked reports whether any request transferred this round.
 	worked bool
 	// premium reports whether the round's partition assigned the lane
@@ -78,7 +79,8 @@ type lane struct {
 	premium bool
 }
 
-// sweep services the lane's sub-round: its requests in C-SCAN order, k
+// sweep services the lane's sub-round: its requests in the service
+// order — arrival order unless SetServiceOrder selects ScanOrder — k
 // blocks each. On a parallel lane the partition guarantees disk-bound
 // plays with no open cache stream, so the dispatch never reaches the
 // interval cache or the record path there.
@@ -96,30 +98,14 @@ func (ln *lane) sweep() {
 	}
 }
 
-// scanSorter sorts a round's requests by precomputed sweep key; a
-// persistent instance avoids the per-round closure and reflection
-// allocations of sort.SliceStable.
-type scanSorter struct {
-	reqs []*request
-	keys []int
-}
-
-func (s *scanSorter) Len() int           { return len(s.reqs) }
-func (s *scanSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *scanSorter) Swap(i, j int) {
-	s.reqs[i], s.reqs[j] = s.reqs[j], s.reqs[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
 // scanSort reorders the lane's requests as a C-SCAN sweep: ascending
 // cylinder of each request's next stored block, starting from the
 // actuator's current position and wrapping. A parallel lane sweeps its
 // spindle's local cylinders, the serial lane the logical device's.
 // Requests without a known position (records, pure delays, nothing
 // left) keep their arrival order at the end of the sweep. Keys are
-// computed once per request into the lane's scratch storage, and the
-// typical small round (n ≤ 16) is ordered by a stable insertion sort
-// with no sort.Interface traffic.
+// computed once per request into the lane's scratch storage and ordered
+// by a stable insertion sort: a round holds a handful of requests.
 //
 // rt:hotpath
 func (ln *lane) scanSort() {
@@ -132,7 +118,7 @@ func (ln *lane) scanSort() {
 	g := dev.Geometry()
 	nc := g.Cylinders
 	reqs := ln.reqs
-	keys := ln.sorter.keys[:0]
+	keys := ln.keys[:0]
 	for _, r := range reqs {
 		k := 2 * nc // after every positioned request
 		if p, ok := r.nextStored(); ok {
@@ -147,22 +133,16 @@ func (ln *lane) scanSort() {
 		}
 		keys = append(keys, k)
 	}
-	ln.sorter.keys = keys
-	if len(reqs) <= 16 {
-		for i := 1; i < len(reqs); i++ {
-			k, r := keys[i], reqs[i]
-			j := i - 1
-			for j >= 0 && keys[j] > k {
-				keys[j+1], reqs[j+1] = keys[j], reqs[j]
-				j--
-			}
-			keys[j+1], reqs[j+1] = k, r
+	ln.keys = keys
+	for i := 1; i < len(reqs); i++ {
+		k, r := keys[i], reqs[i]
+		j := i - 1
+		for j >= 0 && keys[j] > k {
+			keys[j+1], reqs[j+1] = keys[j], reqs[j]
+			j--
 		}
-		return
+		keys[j+1], reqs[j+1] = k, r
 	}
-	ln.sorter.reqs = reqs
-	sort.Stable(&ln.sorter)
-	ln.sorter.reqs = nil
 }
 
 // serviceRequest transfers up to k blocks for the request; reports

@@ -482,7 +482,7 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 		// heading for; provision it for those rounds.
 		plan.Buffers = 2 * m.kSched()
 	}
-	ps := &playState{plan: plan, readAhead: ra, stride: stride, pm: pm}
+	ps := &playState{plan: plan, total: len(plan.Blocks), readAhead: ra, stride: stride, pm: pm}
 	if eligible {
 		ps.cacheEligible, ps.cacheSID, ps.cacheEnd = true, sid, end
 	}
@@ -608,8 +608,15 @@ func (m *Manager) Resume(id RequestID) (continuity.Decision, error) {
 	if r.pause == nil {
 		return continuity.Decision{}, fmt.Errorf("msm: resume of running request %d", id)
 	}
+	// A request stopped while destructively paused only leaves its
+	// pause: it takes no slot back, and once retired it has no plan to
+	// admit.
+	readmit := r.pause.destructive && !r.done
+	if r.pause.destructive && r.done {
+		r.cacheServed = false
+	}
 	var dec continuity.Decision
-	if r.pause.destructive {
+	if readmit {
 		// A destructively paused request gave up its slot; try to come
 		// back as a cache-served follower first, else through full
 		// admission.
@@ -625,7 +632,7 @@ func (m *Manager) Resume(id RequestID) (continuity.Decision, error) {
 		r.cacheServed = dec.CacheServed
 	}
 	r.shiftClock(m.clock.Now() - r.pause.at)
-	if r.pause.destructive {
+	if readmit {
 		m.hold(r, dec, true)
 	} else if r.pendingK > 0 { // paused while it waited: wait on
 		r.pendingAt = m.clock.Now()
@@ -689,7 +696,7 @@ func (m *Manager) Progress(id RequestID) (Progress, error) {
 	case Play:
 		p.Violations = len(r.play.violations)
 		p.BlocksServed = r.play.nextFetch
-		p.BlocksTotal = len(r.play.plan.Blocks)
+		p.BlocksTotal = r.play.total
 		p.StartTime = r.play.startTime
 		p.CacheHits = r.play.cacheHits
 		p.CacheServed = r.cacheServed
@@ -812,6 +819,7 @@ func (m *Manager) finishDrained() {
 			}
 		}
 		if r.done {
+			r.retire()
 			m.retired[r.id] = r
 			continue
 		}

@@ -1,6 +1,7 @@
 package msm
 
 import (
+	"reflect"
 	"testing"
 
 	"mmfs/internal/alloc"
@@ -169,6 +170,123 @@ func TestFinishedRequestsLeaveLiveTable(t *testing.T) {
 		if v, _ := rig.m.Violations(id); !p.Done || p.BlocksServed != p.BlocksTotal || len(v) != 0 {
 			t.Fatalf("finished play %d: %+v, %d violations", id, p, len(v))
 		}
+	}
+}
+
+// TestRetiredRequestsLetGoOfTheirData: a finished request keeps only
+// what Progress and Violations report, for as long as the manager runs.
+// A retired play holds no plan blocks (their strand readers) and no plan
+// map; a retired record holds neither its source — on a server, the
+// uploaded frames — nor its writer. A stopped request stays in the live
+// table until the round closes, so what it reported before retirement
+// can be compared with what it reports after.
+func TestRetiredRequestsLetGoOfTheirData(t *testing.T) {
+	rig := newRig(t, disk.DefaultGeometry())
+	s := rig.recordVideo(t, 90, 18000, 3, 30, 44)
+	w, err := strand.NewWriter(rig.d, rig.a, strand.WriterConfig{
+		ID: rig.st.NewID(), Medium: layout.Video, Rate: 30, UnitBytes: 18000, Granularity: 3,
+		Constraint: alloc.Constraint{MinCylinders: 1, MaxCylinders: targetCylinders},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := rig.m.AdmitRecord(PlanRecord("rec", w, media.NewVideoSource(90, 18000, 30, 45), 3, 90, rig.scattering(), 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plays []RequestID
+	var blocks int
+	for i := 0; i < 2; i++ {
+		plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _, err := rig.m.AdmitPlay(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plays, blocks = append(plays, id), len(plan.Blocks)
+	}
+	for i := 0; i < 3; i++ {
+		rig.m.RunRound()
+	}
+	type report struct {
+		p Progress
+		v []Violation
+	}
+	read := func(id RequestID) report {
+		p, err := rig.m.Progress(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := rig.m.Violations(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report{p, v}
+	}
+	stopped := []RequestID{rec, plays[0]}
+	before := map[RequestID]report{}
+	for _, id := range stopped {
+		if err := rig.m.Stop(id); err != nil {
+			t.Fatal(err)
+		}
+		before[id] = read(id)
+	}
+	rig.m.RunUntilDone() // plays[1] keeps the rounds going and finishes
+	for _, id := range stopped {
+		if after := read(id); !reflect.DeepEqual(after, before[id]) {
+			t.Fatalf("request %d reported %+v before retirement, %+v after", id, before[id], after)
+		}
+	}
+	if p := read(plays[1]).p; !p.Done || p.BlocksServed != blocks || p.BlocksTotal != blocks {
+		t.Fatalf("finished play reports %+v, want all %d blocks served", p, blocks)
+	}
+	for _, id := range plays {
+		ps := rig.m.retired[id].play
+		if ps.plan.Blocks != nil || ps.plan.comp != nil || ps.pm != nil {
+			t.Fatalf("retired play %d holds %d plan blocks, plan map %v", id, len(ps.plan.Blocks), ps.pm != nil)
+		}
+	}
+	if rp := rig.m.retired[rec].rec.plan; rp.Source != nil || rp.Writer != nil {
+		t.Fatalf("retired record holds source %v, writer %v", rp.Source != nil, rp.Writer != nil)
+	}
+}
+
+// TestResumeAfterStopTakesNoSlot: a play stopped while destructively
+// paused, then retired, can still be resumed, as before retirement —
+// but it only leaves its pause: no admission, no slot, no round.
+func TestResumeAfterStopTakesNoSlot(t *testing.T) {
+	rig := newRig(t, disk.DefaultGeometry())
+	s := rig.recordVideo(t, 60, 18000, 3, 30, 46)
+	var ids []RequestID
+	for i := 0; i < 2; i++ {
+		plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _, err := rig.m.AdmitPlay(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	rig.m.RunRound()
+	if err := rig.m.Pause(ids[0], true); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.m.Stop(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	rig.m.RunUntilDone()
+	if _, err := rig.m.Resume(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := rig.m.Progress(ids[0]); !p.Done || p.Paused {
+		t.Fatalf("resumed stopped play reports %+v", p)
+	}
+	if len(rig.m.reqs) != 0 || rig.m.RunRound() {
+		t.Fatalf("resuming a stopped play put %d request(s) back in service", len(rig.m.reqs))
 	}
 }
 

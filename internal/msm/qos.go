@@ -208,7 +208,8 @@ func (m *Manager) shedVictim(class continuity.Class) *request {
 // noteDemotion records a committed load-shed demotion on a stream
 // whose stride was already raised: the CauseLoadShed violation marking
 // the quality change, the counters, the effective-rate sample, and the
-// re-anchored skip pattern. A demoted leader stops feeding its cache
+// re-anchored skip pattern. mmfs_violations_total takes the violation
+// from the next round's Stats delta. A demoted leader stops feeding its cache
 // followers (skipped blocks would starve them), so its cache stream
 // closes; promotion back to full rate reopens it.
 func (m *Manager) noteDemotion(r *request) {
@@ -219,7 +220,6 @@ func (m *Manager) noteDemotion(r *request) {
 	m.stats.Violations++
 	m.stats.LoadDemotions++
 	m.closeCacheStream(r)
-	m.obs.violations.Inc()
 	m.obs.classDemotions[r.class].Inc()
 	m.obs.effRate.Observe(r.adm.Rate / float64(strideOf(ps)))
 }

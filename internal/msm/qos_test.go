@@ -5,6 +5,7 @@ import (
 
 	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
+	"mmfs/internal/obs"
 )
 
 // qosTestManager builds a manager on the default geometry with QoS
@@ -285,5 +286,46 @@ func TestQoSStatsPerClass(t *testing.T) {
 	}
 	if got := qs[continuity.BestEffort].EffectiveRate; got != 3.75 {
 		t.Fatalf("best-effort effective rate %v", got)
+	}
+}
+
+// TestViolationCounterCountsADemotionOnce drives one disk past n_max
+// with QoS until a premium arrival sheds a stream, then runs a round:
+// mmfs_violations_total must read Stats().Violations. The round adds
+// the Stats delta, so a demotion that also bumped the counter itself
+// would count twice.
+func TestViolationCounterCountsADemotionOnce(t *testing.T) {
+	rig := newRig(t, disk.DefaultGeometry())
+	tmpl := qosTmpl(rig.m)
+	nmax := rig.m.adm.NMax(tmpl)
+	k := cacheRigK(t, rig.m.adm, tmpl, nmax)
+	s := writeVideo(t, rig.d, rig.a, rig.st, 100, 600, 550)
+	m := rig.m
+	m.SetPolicy(NaiveJump)
+	m.ForceK(k)
+	m.SetQoS(QoSPolicy{MaxStride: 4})
+	reg := obs.NewRegistry()
+	m.SetObs(reg, nil)
+	for i := 0; m.Stats().LoadDemotions == 0; i++ {
+		if i > nmax+4 {
+			t.Fatalf("no stream shed after %d arrivals: %+v", i, m.Stats())
+		}
+		class := continuity.BestEffort
+		if i >= nmax {
+			class = continuity.Premium
+		}
+		plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: 2, Buffers: 2 * k, Scattering: tmpl.Scattering, Class: class})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := m.AdmitPlay(plan); err != nil {
+			t.Fatalf("arrival %d (%v): %v", i, class, err)
+		}
+		m.ForceK(k)
+	}
+	m.RunRound()
+	got, want := reg.Counter("mmfs_violations_total").Value(), m.Stats().Violations
+	if want == 0 || got != want {
+		t.Fatalf("mmfs_violations_total = %d, Stats().Violations = %d after %d demotion(s)", got, want, m.Stats().LoadDemotions)
 	}
 }

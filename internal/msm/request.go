@@ -235,6 +235,7 @@ type request struct {
 // playState tracks a PLAY request.
 type playState struct {
 	plan      PlayPlan
+	total     int           // len(plan.Blocks), kept past retirement
 	nextFetch int           // next plan index to read
 	started   bool          // playback (display) has begun
 	startTime time.Duration // display start
@@ -268,6 +269,18 @@ type playState struct {
 	stride     int
 	strideBase int
 	shed       int
+}
+
+// retire drops from a finished request what only its service reads: a
+// play's plan blocks (their strand readers) and plan map, a record's
+// source (the uploaded units) and writer. What Progress and Violations
+// report stays; the manager keeps retired requests as long as it runs.
+func (r *request) retire() {
+	if r.kind == Play {
+		r.play.plan.Blocks, r.play.plan.comp, r.play.pm = nil, nil, nil
+		return
+	}
+	r.rec.plan.Source, r.rec.plan.Writer = nil, nil
 }
 
 // recordState tracks a RECORD request.
