@@ -16,7 +16,7 @@ BENCH_PKGS = . ./internal/cache
 # lent playback is named apart: a -bench pattern with a slash filters
 # every benchmark's sub-benchmarks, so it runs in an invocation of its own.
 RACE_BENCHES = BenchmarkStripedRound|BenchmarkRound1000Streams|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCachedConcurrentPlayback|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
-ALLOC_BENCHES = BenchmarkPlayArrival|BenchmarkPlaybackRound|BenchmarkStripedRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
+ALLOC_BENCHES = BenchmarkPlayArrival|BenchmarkPlaybackRound|BenchmarkStripedRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCacheFill|BenchmarkCacheAdopt|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
 ALLOC_BENCH_LENT = BenchmarkCachedConcurrentPlayback/lent
 
 .PHONY: all build test race race-bench lint loc bench bench-baseline bench-compare bench-check mmload-pairs fuzz chaos clean
@@ -45,9 +45,9 @@ race:
 # registry's atomics, the trace ring — under the heaviest rounds there
 # are: 1000 admitted streams over the busy lanes (and, in the rebuild
 # benchmark, the online repair engine riding the rounds' slack); the
-# cache-coupled round is the other end, every lane idle and the serial
-# lane alone with the interval cache — which retains the views the lane
-# is lent (BenchmarkCachedConcurrentPlayback's leader and followers, and
+# cache-coupled round is the other end, one play's two strands on their
+# spindles' lanes feeding the interval cache — which retains the views the
+# lanes are lent (BenchmarkCachedConcurrentPlayback's leader and followers, and
 # BenchmarkCacheFill's inserts at capacity). The FETCH handler and the codec
 # ride along: lent platter bytes copied into a reused reply encoder. So
 # does the write path: an edit cycle copying blocks lent from the platters
@@ -123,7 +123,13 @@ bench-compare:
 # of a block the device lent) at zero allocs/op — it fails itself if a byte
 # was copied — and BenchmarkCachedConcurrentPlayback/lent (a leader and
 # three followers on the 4-spindle array, which fails itself if the cache
-# ends owning memory) at its baseline allocs/op. One compare judges them
+# ends owning memory) at its baseline allocs/op. So is the cache's arrival
+# path: BenchmarkCacheAdopt (Adoptable, then OpenStream, Adopt and
+# CloseStream for a follower 8 blocks behind its leader, beside 1 200
+# resident frames and 200 open streams on other strands) holds its
+# baseline allocs/op — the one stream an open allocates; its ns/op is
+# the per-strand index's to keep, a leader search costing the strand's
+# streams and the gap. One compare judges them
 # all: -subset takes the pattern the benchmarks were run with.
 # The gate measures steady state: over 100 iterations a warm-up one-off
 # (a scratch slice growing to its working size) amortises to 0 allocs/op

@@ -436,8 +436,9 @@ func BenchmarkPlaybackRound(b *testing.B) {
 // BenchmarkCacheCoupledRound times single service rounds on the path
 // `mmfsd -disks 4 -cachemb 64` runs for a PLAY: a 4-spindle array, the
 // interval cache on, one AV play. Its two requests hold open cache
-// streams, so the partition hands the parallel lanes nothing and the
-// serial lane does the round: miss, lent read, Put. Steady state is
+// streams and lead no one, so each rides its spindle's lane (the serial
+// lane in a round whose window crosses a stripe group) and feeds the
+// cache from there: miss, lent read, PutView. Steady state is
 // reached the way the daemon and the serve workloads reach it — an
 // earlier play has grown the cache to the clip's residency and every
 // later manager is handed those frames — so the measured rounds allocate

@@ -1,6 +1,6 @@
 // Package dep proves cross-package fact propagation: it holds no
 // hot-path root, but its unbounded-loop summary is exported as a
-// PathFact and absorbed by the root fixture package's hot path.
+// pathFact and absorbed by the root fixture package's hot path.
 package dep
 
 var m map[int]int

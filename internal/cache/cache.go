@@ -18,6 +18,8 @@
 package cache
 
 import (
+	"math/bits"
+
 	"mmfs/internal/obs"
 	"mmfs/internal/strand"
 )
@@ -48,12 +50,6 @@ func (r Result) String() string {
 	return "miss"
 }
 
-// blockKey identifies one cached media block.
-type blockKey struct {
-	sid   strand.ID
-	index int
-}
-
 // entry is one resident block. An entry is either pinned for exactly
 // one claimant stream (the next follower that will consume it) and on
 // that stream's pin list, or it sits on the LRU list: one pair of links
@@ -68,7 +64,8 @@ type blockKey struct {
 // owning copy always lands in frame, never through a view onto the
 // platters.
 type entry struct {
-	key        blockKey
+	rec        *strandRec // the strand's record; nil on the free list
+	index      int        // the block's index in its strand
 	data       []byte
 	frame      []byte
 	lent       bool
@@ -121,20 +118,141 @@ func (l *entryList) moveFront(e *entry) {
 	}
 }
 
-// stream is one open play position over a strand. pos is the next
-// block index the stream will produce (leader fetching from disk) or
-// consume (follower reading from the cache); leader/follower link the
-// interval chain L ← F1 ← F2 ordered by descending pos. pins lists the
-// entries pinned for the stream in ascending block index, so closing it
-// costs its own pins, not a walk of the cache.
+// stream is one open play position over a strand, on the stream list of
+// its strand's record (rec, linked through onNext) from OpenStream to
+// CloseStream. pos is the next block index the stream will produce
+// (leader fetching from disk) or consume (follower reading from the
+// cache); leader/follower link the interval chain L ← F1 ← F2 ordered by
+// descending pos. pins lists the entries pinned for the stream in
+// ascending block index, so closing it costs its own pins, not a walk of
+// the cache.
 type stream struct {
 	id               uint64
-	sid              strand.ID
+	rec              *strandRec
+	onNext           *stream
 	pos              int
 	end              int
 	rate             float64
 	leader, follower *stream
 	pins             entryList
+}
+
+// strandRec is the cache's record of one strand: its resident entries,
+// filed by block index, and its open streams. Every lookup a stream
+// makes goes through its own record, so finding a block is an index into
+// a ring and finding a leader walks the strand's streams, never the
+// cache's. A record exists while it holds an entry or a stream; the last
+// of them to go drops it.
+type strandRec struct {
+	sid strand.ID
+	// slots is a ring over the resident span [lo, hi): block i, when
+	// resident, is slots[i&(len(slots)-1)], every other slot nil. Its
+	// length is a power of two at least hi-lo, so it follows the span
+	// (doubling as it widens), not the strand's length; lo and hi-1 are
+	// resident whenever n > 0.
+	slots   []*entry
+	lo, hi  int
+	n       int     // resident entries
+	streams *stream // head of the open streams' list, in no order
+}
+
+// minRingBits sizes a new record's ring: 1<<minRingBits slots.
+const minRingBits = 4
+
+// at returns the resident entry for block i, or nil.
+func (r *strandRec) at(i int) *entry {
+	if i < r.lo || i >= r.hi {
+		return nil
+	}
+	return r.slots[i&(len(r.slots)-1)]
+}
+
+// file makes e, an entry for one of r's blocks, resident, widening the
+// span — and the ring, from the cache's spares, when the span outgrows it.
+func (c *Cache) file(r *strandRec, e *entry) {
+	i := e.index
+	if r.n == 0 {
+		r.lo, r.hi = i, i+1
+	} else {
+		lo, hi := min(r.lo, i), max(r.hi, i+1)
+		if hi-lo > len(r.slots) {
+			c.regrow(r, hi-lo)
+		}
+		r.lo, r.hi = lo, hi
+	}
+	e.rec = r
+	r.slots[i&(len(r.slots)-1)] = e
+	r.n++
+}
+
+// unfile takes e off its record, narrowing the span past the slots that
+// fall empty at either end, and drops a record left with nothing.
+func (c *Cache) unfile(e *entry) {
+	r, i := e.rec, e.index
+	m := len(r.slots) - 1
+	r.slots[i&m] = nil
+	e.rec = nil
+	r.n--
+	switch {
+	case r.n == 0:
+		r.lo, r.hi = 0, 0
+		c.dropIfIdle(r)
+	case i == r.lo:
+		for r.slots[r.lo&m] == nil {
+			r.lo++
+		}
+	case i == r.hi-1:
+		for r.slots[(r.hi-1)&m] == nil {
+			r.hi--
+		}
+	}
+}
+
+// regrow moves r's entries onto a ring of at least span slots and
+// returns the old ring, emptied, to the spares.
+func (c *Cache) regrow(r *strandRec, span int) {
+	old := r.slots
+	r.slots = c.takeRing(bits.Len(uint(span - 1)))
+	for i := r.lo; i < r.hi; i++ {
+		if e := old[i&(len(old)-1)]; e != nil {
+			r.slots[i&(len(r.slots)-1)] = e
+		}
+	}
+	clear(old)
+	c.giveRing(old)
+}
+
+// takeRing returns an empty ring of 1<<b slots, a spare if there is one.
+func (c *Cache) takeRing(b int) []*entry {
+	if b < len(c.rings) {
+		if n := len(c.rings[b]); n > 0 {
+			ring := c.rings[b][n-1]
+			c.rings[b] = c.rings[b][:n-1]
+			return ring
+		}
+	}
+	return make([]*entry, 1<<b)
+}
+
+// giveRing keeps an empty ring as a spare for the next record that
+// needs one of its size.
+func (c *Cache) giveRing(ring []*entry) {
+	b := bits.Len(uint(len(ring) - 1))
+	for len(c.rings) <= b {
+		c.rings = append(c.rings, nil)
+	}
+	c.rings[b] = append(c.rings[b], ring)
+}
+
+// dropIfIdle forgets a record that holds no entry and no stream; its
+// ring goes to the spares.
+func (c *Cache) dropIfIdle(r *strandRec) {
+	if r.n > 0 || r.streams != nil {
+		return
+	}
+	delete(c.strands, r.sid)
+	c.giveRing(r.slots)
+	r.slots = nil
 }
 
 // Stats counts cache activity.
@@ -160,8 +278,15 @@ type Cache struct {
 	capacity int64
 	bytes    int64
 	pinned   int64
-	entries  map[blockKey]*entry
-	streams  map[uint64]*stream
+	// strands files the resident entries and the open streams by strand
+	// (strandRec); streams finds a stream, and through it its record, by id.
+	strands map[strand.ID]*strandRec
+	streams map[uint64]*stream
+	// rings keeps the rings records outgrew or were dropped with, emptied,
+	// by size (rings[b] holds rings of 1<<b slots): a record's ring is
+	// taken from here first, so once every size a strand's span reaches has
+	// been made, records come and go, widen and reset without allocating.
+	rings [][][]*entry
 	// intervals counts leader←follower links, maintained incrementally
 	// by Adopt/CloseStream so the hot path never walks the stream map.
 	intervals int
@@ -196,7 +321,7 @@ func New(capacity int64) *Cache {
 	}
 	return &Cache{
 		capacity: capacity,
-		entries:  make(map[blockKey]*entry),
+		strands:  make(map[strand.ID]*strandRec),
 		streams:  make(map[uint64]*stream),
 	}
 }
@@ -251,19 +376,26 @@ func (c *Cache) OpenStream(id uint64, sid strand.ID, first, end int, rate float6
 	if _, ok := c.streams[id]; ok {
 		c.CloseStream(id)
 	}
-	c.streams[id] = &stream{id: id, sid: sid, pos: first, end: end, rate: rate}
+	r := c.strands[sid]
+	if r == nil {
+		r = &strandRec{sid: sid, slots: c.takeRing(minRingBits)}
+		c.strands[sid] = r
+	}
+	s := &stream{id: id, rec: r, onNext: r.streams, pos: first, end: end, rate: rate}
+	r.streams = s
+	c.streams[id] = s
 }
 
-// candidateLeader finds the stream a new follower at [first, …) on sid
-// would trail: the hindmost follower-free stream at or ahead of first
-// with a compatible rate, provided every gap block [first, leader.pos)
-// is resident. Choosing the hindmost minimizes the gap (and therefore
-// the pins), and chains followers L ← F1 ← F2 instead of fanning out.
-func (c *Cache) candidateLeader(sid strand.ID, first int, rate float64, self *stream) *stream {
+// candidateLeader finds the stream a new follower at [first, …) of r's
+// strand would trail: the hindmost follower-free stream at or ahead of
+// first with a compatible rate, provided every gap block [first,
+// leader.pos) is resident. Choosing the hindmost minimizes the gap (and
+// therefore the pins), and chains followers L ← F1 ← F2 instead of
+// fanning out. The search costs the strand's own streams plus the gap.
+func candidateLeader(r *strandRec, first int, rate float64, self *stream) *stream {
 	var best *stream
-	//lint:ignore boundedwork the streams map is bounded by admission control (Eq. 17's n_max)
-	for _, t := range c.streams {
-		if t == self || t.sid != sid || t.follower != nil {
+	for t := r.streams; t != nil; t = t.onNext {
+		if t == self || t.follower != nil {
 			continue
 		}
 		if t.pos < first || !rateCompatible(t.rate, rate) {
@@ -280,7 +412,7 @@ func (c *Cache) candidateLeader(sid strand.ID, first int, rate float64, self *st
 	// superset of this one, so no further-ahead candidate can pass
 	// where the hindmost fails.
 	for i := first; i < best.pos; i++ {
-		if _, ok := c.entries[blockKey{sid, i}]; !ok {
+		if r.at(i) == nil {
 			return nil
 		}
 	}
@@ -306,7 +438,8 @@ func (c *Cache) Adoptable(sid strand.ID, first int, rate float64) bool {
 	if c == nil || c.capacity <= 0 {
 		return false
 	}
-	return c.candidateLeader(sid, first, rate, nil) != nil
+	r := c.strands[sid]
+	return r != nil && candidateLeader(r, first, rate, nil) != nil
 }
 
 // Adopt attaches the open stream to a leader, pinning the gap blocks
@@ -322,14 +455,14 @@ func (c *Cache) Adopt(id uint64) bool {
 	if s == nil || s.leader != nil {
 		return false
 	}
-	l := c.candidateLeader(s.sid, s.pos, s.rate, s)
+	l := candidateLeader(s.rec, s.pos, s.rate, s)
 	if l == nil {
 		return false
 	}
 	for i := s.pos; i < l.pos; i++ {
 		// A block already claimed by another chain's follower keeps
 		// that claim; it is resident either way.
-		if e := c.entries[blockKey{s.sid, i}]; e.claimant == nil {
+		if e := s.rec.at(i); e.claimant == nil {
 			c.pin(s, e)
 		}
 	}
@@ -366,10 +499,10 @@ func (c *Cache) Get(id uint64, index int) ([]byte, Result) {
 		return nil, Wait
 	}
 	// A follower's next block is the head of its own ascending pin
-	// list: found without hashing the key.
+	// list; any other is found on the stream's record.
 	e := s.pins.head
-	if e == nil || e.key.index != index {
-		e = c.entries[blockKey{s.sid, index}]
+	if e == nil || e.index != index {
+		e = s.rec.at(index)
 	}
 	if e == nil {
 		c.stats.Misses++
@@ -399,10 +532,10 @@ func (c *Cache) Peek(id uint64, index int) Result {
 		return Wait
 	}
 	// As in Get: a follower's next block heads its pin list.
-	if e := s.pins.head; e != nil && e.key.index == index {
+	if e := s.pins.head; e != nil && e.index == index {
 		return Hit
 	}
-	if c.entries[blockKey{s.sid, index}] == nil {
+	if s.rec.at(index) == nil {
 		return Miss
 	}
 	return Hit
@@ -440,7 +573,7 @@ func (c *Cache) pin(s *stream, e *entry) {
 	}
 	e.claimant = s
 	p := s.pins.tail
-	for p != nil && p.key.index > e.key.index {
+	for p != nil && p.index > e.index {
 		p = p.prev
 	}
 	s.pins.insertAfter(p, e)
@@ -451,7 +584,7 @@ func (c *Cache) pin(s *stream, e *entry) {
 // in the chain) if it still wants the block, else — at the chain tail —
 // the block unpins to the LRU as its most recently used.
 func (c *Cache) handDown(s *stream, e *entry) {
-	if s.follower.wants(e.key.index) {
+	if s.follower.wants(e.index) {
 		c.pin(s.follower, e)
 		return
 	}
@@ -506,8 +639,7 @@ func (c *Cache) insert(id uint64, index int, data []byte, lent bool) {
 		return
 	}
 	c.unpublished = true
-	key := blockKey{s.sid, index}
-	if e := c.entries[key]; e != nil {
+	if e := s.rec.at(index); e != nil {
 		c.hold(e, data, lent)
 		c.claimOrTouch(s, e)
 		return
@@ -525,9 +657,9 @@ func (c *Cache) insert(id uint64, index int, data []byte, lent bool) {
 	} else {
 		e = &entry{}
 	}
-	e.key = key
+	e.index = index
 	c.hold(e, data, lent)
-	c.entries[key] = e
+	c.file(s.rec, e)
 	c.bytes += size
 	c.stats.Inserts++
 	c.obsInserts.Inc()
@@ -559,7 +691,7 @@ func (c *Cache) claimOrTouch(s *stream, e *entry) {
 	switch {
 	case e.claimant != nil:
 		// Another chain's claim stands.
-	case s.follower.wants(e.key.index):
+	case s.follower.wants(e.index):
 		c.pin(s.follower, e)
 	default:
 		c.lru.moveFront(e)
@@ -576,7 +708,7 @@ func (c *Cache) Produced(id uint64, index int) {
 	if s == nil {
 		return
 	}
-	if e := c.entries[blockKey{s.sid, index}]; e != nil && e.claimant == s {
+	if e := s.rec.at(index); e != nil && e.claimant == s {
 		c.handDown(s, e)
 		c.unpublished = true
 	}
@@ -592,8 +724,8 @@ func (c *Cache) Produced(id uint64, index int) {
 // resident, which they do — they were pinned for the follower). Pins
 // are released in ascending block index, so the lowest index ends
 // nearest the LRU tail and is evicted first: the stream's own reading
-// order, the same on every run. The cost is the stream's own pins. Safe
-// to call for unknown ids.
+// order, the same on every run. The cost is the stream's own pins and
+// its strand's streams. Safe to call for unknown ids.
 func (c *Cache) CloseStream(id uint64) {
 	s := c.streams[id]
 	if s == nil {
@@ -603,6 +735,14 @@ func (c *Cache) CloseStream(id uint64) {
 	for e := s.pins.head; e != nil; e = s.pins.head {
 		c.handDown(s, e)
 	}
+	r := s.rec
+	for p := &r.streams; *p != nil; p = &(*p).onNext {
+		if *p == s {
+			*p, s.onNext = s.onNext, nil
+			break
+		}
+	}
+	c.dropIfIdle(r)
 	// Splicing the chain removes exactly one link when the closed
 	// stream participated in any: its own (leader non-nil) or its
 	// follower's (which now trails s.leader, non-nil or not).
@@ -622,11 +762,12 @@ func (c *Cache) CloseStream(id uint64) {
 // InvalidateStrand drops every cached block of a strand: its sectors
 // are returning to the allocator and may be rewritten, under the copies
 // as under the views. Streams over the strand are left open; their next
-// Get misses and the manager demotes them.
+// Get misses and the manager demotes them. The cost is the strand's
+// resident span.
 func (c *Cache) InvalidateStrand(sid strand.ID) {
-	for k, e := range c.entries {
-		if k.sid == sid {
-			c.removeEntry(e)
+	if r := c.strands[sid]; r != nil {
+		for r.n > 0 {
+			c.removeEntry(r.slots[r.lo&(len(r.slots)-1)])
 		}
 	}
 	c.PublishGauges()
@@ -638,19 +779,34 @@ func (c *Cache) InvalidateStrand(sid strand.ID) {
 // already did. Stats restart from zero exactly as a new cache's would
 // (an emptied entry is not an eviction); the cumulative observability
 // counters, which belong to the registry, run on, and the residency
-// gauges drop to zero. The free list's order follows the entries map's;
-// nothing reads a free buffer before Put overwrites it.
+// gauges drop to zero. The walk is the resident entries — the LRU list
+// and the open streams' pin lists — and the records they empty, whose
+// rings become spares.
 func (c *Cache) Reset() {
-	for _, e := range c.entries {
-		e.claimant, e.prev = nil, nil
-		c.release(e)
+	for _, s := range c.streams {
+		c.releaseList(s.pins)
 	}
-	clear(c.entries)
+	c.releaseList(c.lru)
+	for _, r := range c.strands {
+		r.n, r.lo, r.hi, r.streams = 0, 0, 0, nil
+		c.dropIfIdle(r)
+	}
 	clear(c.streams)
 	c.lru = entryList{}
 	c.bytes, c.pinned, c.intervals = 0, 0, 0
 	c.stats = Stats{}
 	c.PublishGauges()
+}
+
+// releaseList empties a list's entries, on Reset, onto the free list.
+func (c *Cache) releaseList(l entryList) {
+	for e := l.head; e != nil; {
+		next := e.next
+		e.rec.slots[e.index&(len(e.rec.slots)-1)] = nil
+		e.claimant, e.prev, e.rec = nil, nil, nil
+		c.release(e)
+		e = next
+	}
 }
 
 // removeEntry unlinks and forgets an entry regardless of pin state,
@@ -662,7 +818,7 @@ func (c *Cache) removeEntry(e *entry) {
 		c.lru.remove(e)
 	}
 	c.bytes -= int64(len(e.data))
-	delete(c.entries, e.key)
+	c.unfile(e)
 	c.release(e)
 }
 

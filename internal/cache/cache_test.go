@@ -411,7 +411,7 @@ func TestCloseStreamReleasesPinsInBlockOrder(t *testing.T) {
 		checkInvariants(t, c)
 		var got []int
 		for i := 0; i < frames+3; i++ {
-			if c.entries[blockKey{sid, i}] != nil {
+			if c.strands[sid].at(i) != nil {
 				got = append(got, i)
 			}
 		}
@@ -473,8 +473,8 @@ func TestReadoptionKeepsPinListInBlockOrder(t *testing.T) {
 	c.CloseStream(4)
 	checkInvariants(t, c)
 	for i, e := 0, c.lru.tail; i < 4; i, e = i+1, e.prev {
-		if e.key.index != i {
-			t.Fatalf("LRU position %d from the tail holds block %d", i, e.key.index)
+		if e.index != i {
+			t.Fatalf("LRU position %d from the tail holds block %d", i, e.index)
 		}
 	}
 }
@@ -680,10 +680,15 @@ func fuzzBlock(sid strand.ID, index int) []byte {
 // fuzzStore lends fuzzBlocks the way a device does: one slice a block,
 // the same one every time, that must read the same at the end of the test
 // as at the start.
-type fuzzStore map[blockKey][]byte
+type fuzzStore map[fuzzKey][]byte
+
+type fuzzKey struct {
+	sid   strand.ID
+	index int
+}
 
 func (fs fuzzStore) view(sid strand.ID, index int) []byte {
-	k := blockKey{sid, index}
+	k := fuzzKey{sid, index}
 	if fs[k] == nil {
 		fs[k] = fuzzBlock(sid, index)
 	}
@@ -730,13 +735,13 @@ func TestRandomOperationSequences(t *testing.T) {
 					switch {
 					case res == Hit:
 						hits++
-						if string(data) != string(fuzzBlock(s.sid, i)) {
+						if string(data) != string(fuzzBlock(s.rec.sid, i)) {
 							t.Fatalf("step %d: Get(%d, %d) returned another block's bytes", step, id, i)
 						}
 					case res == Miss && s.leader == nil:
-						put(id, s.sid, i)
+						put(id, s.rec.sid, i)
 					case res == Miss:
-						c.OpenStream(id, s.sid, i, s.end, s.rate)
+						c.OpenStream(id, s.rec.sid, i, s.end, s.rate)
 						if rng.Intn(2) == 0 {
 							c.Adopt(id)
 						}
@@ -744,7 +749,7 @@ func TestRandomOperationSequences(t *testing.T) {
 				case op < 74 && s.pos > 0 && s.leader == nil:
 					// A producer re-putting a block behind it.
 					i := rng.Intn(s.pos)
-					put(id, s.sid, i)
+					put(id, s.rec.sid, i)
 				case op < 78:
 					c.Produced(id, s.pos)
 				case op < 90:
@@ -754,7 +759,7 @@ func TestRandomOperationSequences(t *testing.T) {
 				case op < 97:
 					c.CloseStream(id)
 				case op < 99:
-					c.InvalidateStrand(s.sid)
+					c.InvalidateStrand(s.rec.sid)
 				default:
 					c.Reset()
 				}
@@ -796,6 +801,43 @@ func BenchmarkCacheCloseStream(b *testing.B) {
 	}
 	b.StopTimer()
 	if st := c.Stats(); st.PinnedBytes != 0 || st.Bytes != frames*blockSize {
+		b.Fatalf("after the run: %+v", st)
+	}
+}
+
+// One arrival of a cache-served follower, the way admission makes it:
+// Adoptable decides before the stream exists, then the stream opens 8
+// blocks behind its leader, adopts — 8 pins — and, for the next op,
+// closes. The cache holds 1 200 resident frames and 200 open streams on
+// 200 other strands, each with a block of its own: a leader search
+// must cost the strand's streams and the gap, never that population.
+func BenchmarkCacheAdopt(b *testing.B) {
+	const frames, pins, others = 1200, 8, 200
+	c := New(frames * blockSize)
+	sid := strand.ID(1)
+	c.OpenStream(1, sid, 0, 1<<30, 10)
+	for i := 0; i < frames-others; i++ {
+		c.Put(1, i, block(i))
+	}
+	for o := uint64(0); o < others; o++ {
+		c.OpenStream(100+o, strand.ID(2+o), 0, 1<<30, 10)
+		c.Put(100+o, 0, block(0))
+	}
+	first := frames - others - pins
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !c.Adoptable(sid, first, 10) {
+			b.Fatal("adoptable")
+		}
+		c.OpenStream(2, sid, first, 1<<30, 10)
+		if !c.Adopt(2) {
+			b.Fatal("adopt")
+		}
+		c.CloseStream(2)
+	}
+	b.StopTimer()
+	if st := c.Stats(); st.PinnedBytes != 0 || st.Bytes != frames*blockSize || st.Streams != others+1 {
 		b.Fatalf("after the run: %+v", st)
 	}
 }

@@ -265,8 +265,8 @@ func TestReorganizeDropsCachedBlocks(t *testing.T) {
 }
 
 // On a 4-spindle array an AV play runs clean both ways through a round:
-// cache-coupled it rides the serial lane for its whole life, without the
-// cache its two strands keep up to two lanes busy. (The test once counted
+// its two strands keep up to two lanes busy, with the cache on feeding it
+// from there. (The test once counted
 // the goroutines rounds spawned for busy lanes; lanes are swept inline
 // now and there is nothing left to count.)
 func TestCachedPlaySpawnsNoLanes(t *testing.T) {

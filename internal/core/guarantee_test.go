@@ -20,11 +20,11 @@ type lateBlock struct {
 
 const walkRopes = 40
 
-// walkCatalogue formats a 4-spindle array and records the catalogue the
-// walks play: forty 10 s video ropes, through fs.Record.
-func walkCatalogue(t *testing.T) (*FS, []rope.ID) {
+// walkCatalogue formats a file system of the given shape and records the
+// catalogue the walks play: forty 10 s video ropes, through fs.Record.
+func walkCatalogue(t *testing.T, opts Options) (*FS, []rope.ID) {
 	t.Helper()
-	fs, err := Format(Options{Disks: 4})
+	fs, err := Format(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func arrivalWalk(t *testing.T, fs *FS, cat []rope.ID, seed int64, epochs int, st
 // the load the array admits. At 4c53fed half of them were: strands walked
 // a cylinder a block, off the spindle they were admitted on.
 func TestAdmittedStreamsAreOnTimeOnTheArray(t *testing.T) {
-	fs, cat := walkCatalogue(t)
+	fs, cat := walkCatalogue(t, Options{Disks: 4})
 	late, admitted, blocks := arrivalWalk(t, fs, cat, 1, 40, 0.10)
 	if admitted < 1000 || blocks < 100*admitted/2 {
 		t.Fatalf("the walk admitted %d session(s) and delivered %d block(s): too few to mean anything", admitted, blocks)
@@ -152,6 +152,44 @@ func TestAdmittedStreamsAreOnTimeOnTheArray(t *testing.T) {
 		l := late[0]
 		t.Fatalf("%d of %d block(s) late; the first: epoch %d session %d block %d by %v",
 			len(late), blocks, l.epoch, l.session, l.v.Block, l.v.Actual-l.v.Deadline)
+	}
+}
+
+// The guarantee on an array with the interval cache: the same walk, with
+// and without stops, on a 4-spindle array carrying a 64 MiB cache, plain
+// and mirrored. A leader feeding the cache reads on its own spindle's
+// lane, the spindle admission charged it to; while leaders rode the
+// serial lane, one timeline carried the whole array's disk work and
+// about a fifth of the blocks were late (ROADMAP item 13(a)). With a
+// 2 MiB cache intervals break often, and a follower that falls back to
+// the disk reads with no admission's charge behind it: item 13(b).
+func TestAdmittedStreamsAreOnTimeOnTheArrayWithACache(t *testing.T) {
+	for _, shape := range []struct {
+		name string
+		opts Options
+		skip string
+	}{
+		{"cache64MiB", Options{Disks: 4, CacheMB: 64}, ""},
+		{"cache64MiB-mirror", Options{Disks: 4, CacheMB: 64, Mirror: true}, ""},
+		{"cache2MiB", Options{Disks: 4, CacheMB: 2}, "known residual: a demoted follower's disk reads are uncharged (ROADMAP item 13(b))"},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			if shape.skip != "" {
+				t.Skip(shape.skip)
+			}
+			fs, cat := walkCatalogue(t, shape.opts)
+			for _, stops := range []float64{0, 0.10} {
+				late, admitted, blocks := arrivalWalk(t, fs, cat, 1, 10, stops)
+				if cs := fs.Manager().Cache().Stats(); admitted < 1000 || cs.Hits == 0 {
+					t.Fatalf("stops %v: the walk admitted %d session(s) and its last epoch hit the cache %d time(s): too few to mean anything", stops, admitted, cs.Hits)
+				}
+				if len(late) > 0 {
+					l := late[0]
+					t.Errorf("stops %v: %d of %d block(s) late; the first: epoch %d session %d block %d by %v",
+						stops, len(late), blocks, l.epoch, l.session, l.v.Block, l.v.Actual-l.v.Deadline)
+				}
+			}
+		})
 	}
 }
 
@@ -173,7 +211,7 @@ func TestAdmittedStreamsAreOnTimeOnTheArray(t *testing.T) {
 // to be taken up.
 func TestSlotDriftAcrossAKTransition(t *testing.T) {
 	t.Skip("known residual: service-slot drift while k steps up, hidden by run-read slack; see the comment")
-	fs, cat := walkCatalogue(t)
+	fs, cat := walkCatalogue(t, Options{Disks: 4})
 	late, _, _ := arrivalWalk(t, fs, cat, 390, 1, 0.10)
 	for _, l := range late {
 		t.Errorf("session %d: block %d late by %v", l.session, l.v.Block, l.v.Actual-l.v.Deadline)

@@ -150,7 +150,7 @@ func Stripe() Result {
 		panic(fmt.Sprintf("experiments: EXP-STRIPE chaos: healthy spindles disturbed (degraded=%d done=%d/3)", healthyDeg, healthyDone))
 	}
 
-	res.Note("array of p spindles, cylinder-group striping (%d-cylinder groups); each round runs one C-SCAN sub-round per spindle concurrently and joins before the round closes", stripeCyl)
+	res.Note("array of p spindles, cylinder-group striping (%d-cylinder groups); each round runs one sub-round per spindle concurrently, in arrival order, and joins before the round closes", stripeCyl)
 	res.Note("admission charges each stream to the spindle holding its blocks, so the aggregate bound is p·n_max (Eq. 17 per spindle); the (p·n_max+1)-th stream on a full spindle is rejected")
 	res.Note("chaos row: every read on spindle 1 fails — its stream zero-fills then stops, while the 3 healthy spindles' streams complete with zero violations and zero degraded blocks")
 	res.Note("extension beyond the paper: Rangan & Vin model a single disk; striping generalises merging (§4) across spindles the way their §6 remarks anticipate for disk arrays")

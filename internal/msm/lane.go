@@ -19,8 +19,9 @@ import (
 // sub-round per spindle, and the sub-rounds run concurrently in *virtual*
 // time: each starts at the round's opening clock and they are joined at
 // the slowest one's end. Whatever cannot ride one spindle — records,
-// cache-coupled plays, boundary-crossing fetches — is then serviced by
-// the serial lane from where they joined. A single device is the case of
+// cache-served followers, boundary-crossing fetches — is then serviced by
+// the serial lane from where they joined. A leader feeding the interval
+// cache rides its spindle's lane like any disk-bound play. A single device is the case of
 // zero parallel lanes: everything rides the serial lane.
 //
 // Each parallel lane owns its spindle for the round — its requests' next
@@ -38,9 +39,10 @@ import (
 // microsecond of bookkeeping; handing it to a goroutine cost a spawn and a
 // futex wake that together outweighed the sweep (DESIGN §13), and the
 // virtual numbers — cursors, join, counters — cannot tell the two
-// apart. The interval cache keeps one timeline for plays on every spindle,
-// so a request with an open cache stream rides the serial lane, after the
-// join.
+// apart. For the same reason the interval cache, which is not safe for
+// concurrent use, can be fed from any lane: a leader reads on its own
+// spindle's lane, and its followers, on the serial lane after the join,
+// find what it fetched this round.
 
 // lane is one spindle's service context. The manager also keeps one
 // "serial" lane (spindle -1) over the whole logical device, which starts
@@ -167,8 +169,9 @@ func (ln *lane) serviceRequest(r *request, k int) bool {
 //
 // A block has three sources. Pure delays and silence holders cost
 // nothing and come from the plan and the strand. A request with an open
-// cache stream asks the interval cache first (serial lane only: open
-// cache streams never ride a parallel lane). What the cache does not
+// cache stream asks the interval cache first, on whichever lane it rides
+// (the lanes are swept one after another, so the cache is never reached
+// from two at once). What the cache does not
 // hold comes from the disk — if the request holds a disk slot. A
 // cache-served follower holds none: a Wait (its leader has not produced
 // the block yet) simply ends its turn with the blocks before it
@@ -650,8 +653,8 @@ func (m *Manager) serviceRound(act []*request, sets [][]continuity.Request) bool
 		}
 	}
 
-	// Join the sub-rounds: the serial lane — records, cache-coupled
-	// plays, and fetch windows the stripe map splits across spindles —
+	// Join the sub-rounds: the serial lane — records, cache-served
+	// followers, and fetch windows the stripe map splits across spindles —
 	// starts where the slowest lane ended, and the round ends, for the
 	// clock, where the serial lane does.
 	worked := false
@@ -674,7 +677,9 @@ func (m *Manager) roundSlack(set []continuity.Request) time.Duration {
 }
 
 // laneSpindle reports the spindle whose lane can service request r this
-// round: r must be a disk-bound play with no open cache stream, and
+// round: r must be a disk-bound play — a leader feeding the cache
+// included: its disk turn is charged to its spindle like any other, and
+// on the serial lane the array's disk work ran on one timeline — and
 // every stored block in its turn's window (window) must lie on that one
 // spindle without straddling a stripe-group boundary. The plan map has
 // cut the plan into stretches of one stripe group, so the walk asks
@@ -684,7 +689,7 @@ func (m *Manager) roundSlack(set []continuity.Request) time.Duration {
 //
 // rt:hotpath
 func (m *Manager) laneSpindle(r *request) (int, bool) {
-	if len(m.lanes) == 0 || r.kind != Play || r.cacheServed || r.play.cacheOpen {
+	if len(m.lanes) == 0 || r.kind != Play || r.cacheServed {
 		return 0, false
 	}
 	ps := r.play

@@ -218,10 +218,13 @@ func traceSilentAudio(t *testing.T, w *bytes.Buffer) {
 	dumpTrace(t, w, "silence-eliminated audio: leader and followers", rig.m, ring, ids)
 }
 
-// traceArray: a 4-spindle striped array carrying one play per spindle on
-// the parallel lanes, a play whose strand crosses stripe groups, a leader
-// and follower under the cache, and a record — the last three on the
-// serial lane — with transient faults on one spindle spending retry slack.
+// traceArray: a 4-spindle striped array under the cache carrying one
+// play per spindle, a play whose strand crosses stripe groups, a second
+// play of one strand with a follower trailing it, and a record, with
+// transient faults on one spindle spending retry slack. Every play that
+// reads the disk from one spindle — a leader feeding the cache included —
+// rides that spindle's lane; the crossing play, the follower and the
+// record ride the serial lane.
 func traceArray(t *testing.T, w *bytes.Buffer) {
 	const p, stripe = 4, 120
 	rig := newStripedRig(t, p, stripe, 2, fault.Scenario{Seed: 5, ReadErrorRate: 0.08, SlowdownRate: 0.05, SlowdownFactor: 3})
