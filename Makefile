@@ -152,7 +152,8 @@ mmload-pairs:
 	bash scripts/mmload-pairs.sh $(PARENT) $(WORKLOAD) $(N) $(PAIR_SEED)
 
 # Short fuzz pass over the wire codec, the server's dispatcher, the rope
-# table codec and the fault-scenario parser; lengthen -fuzztime locally.
+# table codec, the fault-scenario parser and the file system's walk;
+# lengthen -fuzztime locally.
 fuzz:
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wire
@@ -161,6 +162,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzHandle -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz=FuzzRopeTableMatchesReference -fuzztime=10s ./internal/rope
 	$(GO) test -fuzz=FuzzParseScenario -fuzztime=10s ./internal/fault
+	$(GO) test -run '^$$' -fuzz=FuzzWalk -fuzztime=10s ./internal/core
 
 # Replay the EXP-FT chaos storms, the EXP-STRIPE degraded-spindle run,
 # the EXP-QOS overload cycle, and the EXP-REBUILD spindle-loss/rebuild

@@ -333,6 +333,12 @@ func (m *Manager) decideAdmit(spindles uint64, candidate continuity.Request, cac
 	if cacheServed {
 		return continuity.CacheAware{A: m.adm}.Admit(nil, m.kSched(), candidate, true)
 	}
+	return continuity.Striped{A: m.adm, P: len(m.resident)}.Admit(m.touchedSets(spindles), -1, m.kSched(), candidate)
+}
+
+// touchedSets is the admission population — requests waiting to join
+// included — of the spindles in the mask, or of every spindle when it is 0.
+func (m *Manager) touchedSets(spindles uint64) [][]continuity.Request {
 	sets, _ := m.residentSets(true)
 	if spindles != 0 {
 		touched := m.scratchSets[:0]
@@ -341,7 +347,7 @@ func (m *Manager) decideAdmit(spindles uint64, candidate continuity.Request, cac
 		}
 		m.scratchSets, sets = touched, touched
 	}
-	return continuity.Striped{A: m.adm, P: len(m.resident)}.Admit(sets, -1, m.kSched(), candidate)
+	return sets
 }
 
 // commit applies a decision decideAdmit reached: the admission counters

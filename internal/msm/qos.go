@@ -128,16 +128,10 @@ func (m *Manager) admitClassed(sp uint64, cand continuity.Request, class continu
 		v.play.stride = m.nextStride(strideOf(v.play))
 		dec = m.decideAdmit(sp, cand, false)
 	}
-	stride := 1
-	if !dec.Admitted && class <= continuity.Standard {
+	if !dec.Admitted {
 		// Shedding lower classes was not enough (or there were none);
-		// degrade the candidate itself.
-		for s := 2; s <= m.qos.MaxStride; s *= 2 {
-			if d := m.decideAdmit(sp, continuity.Degraded(cand, s), false); d.Admitted {
-				dec, stride = d, s
-				break
-			}
-		}
+		// ClassAware's stride ladder degrades the candidate itself.
+		dec = continuity.ClassAware{A: m.adm, P: len(m.resident), MaxStride: m.qos.MaxStride}.Admit(m.touchedSets(sp), -1, m.kSched(), cand, class)
 	}
 	if !dec.Admitted {
 		// Roll the dry-run demotions back, newest first so repeated
@@ -165,7 +159,7 @@ func (m *Manager) admitClassed(sp uint64, cand continuity.Request, class continu
 		}
 	}
 	dec, err := m.commit(dec)
-	dec.Stride = stride
+	dec.Stride = max(dec.Stride, 1)
 	return dec, err
 }
 
