@@ -63,13 +63,18 @@ race-bench:
 # and under GitHub Actions (which sets GITHUB_ACTIONS) each one
 # annotates the diff. Last,
 # scripts/deadexports.sh: exported functions and methods under internal/
-# that no product code names. This is the CI gate: ci.yml runs it.
+# that no product code names. Then scripts/runpatterns.sh: every -run,
+# -fuzz and -bench alternative here and in .github/workflows must still
+# name a function in its packages (go test -list), so a renamed test
+# cannot quietly drop out of chaos, fuzz or the allocation gate. This
+# is the CI gate: ci.yml runs it.
 lint:
 	@unformatted="$$(gofmt -l . | grep -v '^\.bench_build/')"; \
 		if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/mmfsvet $(if $(GITHUB_ACTIONS),-github) -json mmfsvet.json ./...
 	bash scripts/deadexports.sh
+	bash scripts/runpatterns.sh
 
 # Non-test, non-testdata Go lines per internal/* and cmd/* package — the
 # count ROADMAP item 2's line budget is kept in. With PARENT=<rev> the

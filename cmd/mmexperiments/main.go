@@ -13,36 +13,51 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"mmfs/internal/experiments"
 )
 
-func main() {
-	exp := flag.String("exp", "", "run a single experiment (f4, e1, e2, e3, e46, nmax, trans, edit, ra, sil, hdtv, ff, vbr, scan, reorg, ic, ft, stripe, qos, rebuild)")
-	list := flag.Bool("list", false, "list experiment IDs and exit")
-	seed := flag.Int64("seed", 0, "offset for the seeded chaos workloads (EXP-FT, EXP-STRIPE, EXP-QOS, EXP-REBUILD); 0 keeps the default seeds")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and output streams; it returns
+// the exit status: 2 for a bad flag or an unknown experiment.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("mmexperiments", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	exp := fl.String("exp", "", "run a single experiment ("+strings.Join(experiments.IDs(), ", ")+")")
+	list := fl.Bool("list", false, "list experiment IDs and exit")
+	seed := fl.Int64("seed", 0, "offset for the seeded chaos workloads (EXP-FT, EXP-STRIPE, EXP-QOS, EXP-REBUILD); 0 keeps the default seeds")
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	experiments.SetSeedBase(*seed)
 	if *list {
-		for _, id := range []string{"f4", "e1", "e2", "e3", "e46", "nmax", "trans", "edit", "ra", "sil", "hdtv", "ff", "vbr", "scan", "reorg", "ic", "ft", "stripe", "qos", "rebuild"} {
-			fmt.Println(id)
+		for _, id := range experiments.IDs() {
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return 0
 	}
 	if *exp != "" {
 		run, ok := experiments.ByID(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "mmexperiments: unknown experiment %q (try -list)\n", *exp)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "mmexperiments: unknown experiment %q (try -list)\n", *exp)
+			return 2
 		}
-		experiments.Render(os.Stdout, run())
-		return
+		experiments.Render(stdout, run())
+		return 0
 	}
 	for _, r := range experiments.All() {
-		experiments.Render(os.Stdout, r)
+		experiments.Render(stdout, r)
 	}
+	return 0
 }

@@ -93,59 +93,61 @@ func Render(w io.Writer, r Result) {
 	fmt.Fprintln(w)
 }
 
-// All runs every experiment in DESIGN.md order.
-func All() []Result {
-	return []Result{
-		F4(),
-		E1Sequential(),
-		E2Pipelined(),
-		E3Concurrent(),
-		E46MixedMedia(),
-		NMax(),
-		Transition(),
-		EditCopy(),
-		ReadAhead(),
-		Silence(),
-		HDTV(),
-		FastForward(),
-		VBR(),
-		Scan(),
-		Reorg(),
-		IntervalCache(),
-		FaultTolerance(),
-		Stripe(),
-		QoS(),
-		Rebuild(),
-	}
+// catalogue is every experiment in DESIGN.md order under its short name
+// (the -exp flag of cmd/mmexperiments): the one list All, IDs and ByID
+// read.
+var catalogue = []struct {
+	id  string
+	run func() Result
+}{
+	{"f4", F4},
+	{"e1", E1Sequential},
+	{"e2", E2Pipelined},
+	{"e3", E3Concurrent},
+	{"e46", E46MixedMedia},
+	{"nmax", NMax},
+	{"trans", Transition},
+	{"edit", EditCopy},
+	{"ra", ReadAhead},
+	{"sil", Silence},
+	{"hdtv", HDTV},
+	{"ff", FastForward},
+	{"vbr", VBR},
+	{"scan", Scan},
+	{"reorg", Reorg},
+	{"ic", IntervalCache},
+	{"ft", FaultTolerance},
+	{"stripe", Stripe},
+	{"qos", QoS},
+	{"rebuild", Rebuild},
 }
 
-// ByID looks an experiment runner up by its short name (the -exp flag
-// of cmd/mmexperiments).
-func ByID(id string) (func() Result, bool) {
-	m := map[string]func() Result{
-		"f4":      F4,
-		"e1":      E1Sequential,
-		"e2":      E2Pipelined,
-		"e3":      E3Concurrent,
-		"e46":     E46MixedMedia,
-		"nmax":    NMax,
-		"trans":   Transition,
-		"edit":    EditCopy,
-		"ra":      ReadAhead,
-		"sil":     Silence,
-		"hdtv":    HDTV,
-		"ff":      FastForward,
-		"vbr":     VBR,
-		"scan":    Scan,
-		"reorg":   Reorg,
-		"ic":      IntervalCache,
-		"ft":      FaultTolerance,
-		"stripe":  Stripe,
-		"qos":     QoS,
-		"rebuild": Rebuild,
+// All runs every experiment in DESIGN.md order.
+func All() []Result {
+	out := make([]Result, len(catalogue))
+	for i, e := range catalogue {
+		out[i] = e.run()
 	}
-	f, ok := m[strings.ToLower(id)]
-	return f, ok
+	return out
+}
+
+// IDs lists the experiments' short names in DESIGN.md order.
+func IDs() []string {
+	ids := make([]string, len(catalogue))
+	for i, e := range catalogue {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// ByID looks an experiment runner up by its short name.
+func ByID(id string) (func() Result, bool) {
+	for _, e := range catalogue {
+		if e.id == strings.ToLower(id) {
+			return e.run, true
+		}
+	}
+	return nil, false
 }
 
 // ntsc is the experiment's standard video medium.

@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"mmfs/internal/cache"
 	"mmfs/internal/continuity"
-	"mmfs/internal/disk"
 	"mmfs/internal/strand"
 )
 
@@ -28,21 +26,13 @@ func cacheRigK(t *testing.T, a continuity.Admission, tmpl continuity.Request, n 
 	return k
 }
 
-// admitStaggered admits n plays of the strand, one every stagger of
+// stagger admits n plays of the strand, one every interval of
 // virtual time, and returns the admitted IDs plus the cache-served and
 // rejected counts.
-func admitStaggered(t *testing.T, rig *testRig, s *strand.Strand, n int, stagger time.Duration) (ids []RequestID, cached int, rejected int) {
-	t.Helper()
+func stagger(rig *testRig, s *strand.Strand, n int, every time.Duration) (ids []RequestID, cached int, rejected int) {
+	rig.t.Helper()
 	for i := 0; i < n; i++ {
-		plan, err := PlanStrandPlay(rig.d, s, PlanOptions{
-			ReadAhead:  2,
-			Buffers:    4,
-			Scattering: rig.scattering(),
-		})
-		if err != nil {
-			t.Fatalf("plan %d: %v", i, err)
-		}
-		id, dec, err := rig.m.AdmitPlay(plan)
+		id, dec, err := rig.tryPlay(rig.m, s, rig.std)
 		if err != nil {
 			rejected++
 		} else {
@@ -51,7 +41,7 @@ func admitStaggered(t *testing.T, rig *testRig, s *strand.Strand, n int, stagger
 				cached++
 			}
 		}
-		rig.m.RunFor(stagger)
+		rig.m.RunFor(every)
 	}
 	return ids, cached, rejected
 }
@@ -62,7 +52,7 @@ func admitStaggered(t *testing.T, rig *testRig, s *strand.Strand, n int, stagger
 // cache-served followers) and complete violation-free; without the
 // cache the identical sequence is cut off at n_max.
 func TestCacheAdmitsFollowersPastNMax(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
+	rig := newRig(t, shape{})
 	tmpl := continuity.Request{
 		Name: "video", Granularity: 3, UnitBits: 18000 * 8, Rate: 30,
 		Scattering: rig.scattering(),
@@ -73,12 +63,10 @@ func TestCacheAdmitsFollowersPastNMax(t *testing.T) {
 	}
 	want := nmax + 2
 	k := cacheRigK(t, rig.m.adm, tmpl, nmax)
-	s := rig.recordVideo(t, 600, 18000, 3, 30, 77)
+	s := rig.record(take{units: 600, seed: 77})
 
-	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-	rig.m.SetCache(cache.New(16 << 20))
-	rig.m.ForceK(k)
-	ids, cached, rejected := admitStaggered(t, rig, s, want, 400*time.Millisecond)
+	rig.m = rig.manager(config{cache: 16 << 20, k: k})
+	ids, cached, rejected := stagger(rig, s, want, 400*time.Millisecond)
 	if len(ids) != want || rejected != 0 {
 		t.Fatalf("admitted %d of %d (rejected %d) with cache", len(ids), want, rejected)
 	}
@@ -117,9 +105,8 @@ func TestCacheAdmitsFollowersPastNMax(t *testing.T) {
 	}
 
 	// Control: the identical sequence without a cache stops at n_max.
-	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-	rig.m.ForceK(k)
-	ids, cached, rejected = admitStaggered(t, rig, s, want, 400*time.Millisecond)
+	rig.m = rig.manager(config{k: k})
+	ids, cached, rejected = stagger(rig, s, want, 400*time.Millisecond)
 	if len(ids) != nmax || rejected != want-nmax {
 		t.Fatalf("admitted %d without cache, want n_max = %d", len(ids), nmax)
 	}
@@ -133,12 +120,11 @@ func TestCacheAdmitsFollowersPastNMax(t *testing.T) {
 // through full admission to a disk-bound stream, finishing the play
 // violation-free.
 func TestFollowerDemotedWhenLeaderStops(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
-	s := rig.recordVideo(t, 300, 18000, 3, 30, 78)
-	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-	rig.m.SetCache(cache.New(16 << 20))
+	rig := newRig(t, shape{})
+	s := rig.record(take{units: 300, seed: 78})
+	rig.m = rig.manager(config{cache: 16 << 20})
 
-	ids, cached, rejected := admitStaggered(t, rig, s, 2, 400*time.Millisecond)
+	ids, cached, rejected := stagger(rig, s, 2, 400*time.Millisecond)
 	if len(ids) != 2 || cached != 1 || rejected != 0 {
 		t.Fatalf("setup: ids=%d cached=%d rejected=%d", len(ids), cached, rejected)
 	}
@@ -185,12 +171,11 @@ func TestFollowerDemotedWhenLeaderStops(t *testing.T) {
 // its previous demotion left it must go through full admission. The
 // rounds are bounded so a regression fails instead of hanging.
 func TestOrphanedFollowersDoNotAdoptEachOther(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
-	s := rig.recordVideo(t, 300, 18000, 3, 30, 79)
-	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-	rig.m.SetCache(cache.New(16 << 20))
+	rig := newRig(t, shape{})
+	s := rig.record(take{units: 300, seed: 79})
+	rig.m = rig.manager(config{cache: 16 << 20})
 
-	ids, cached, rejected := admitStaggered(t, rig, s, 3, 0)
+	ids, cached, rejected := stagger(rig, s, 3, 0)
 	if len(ids) != 3 || cached != 2 || rejected != 0 {
 		t.Fatalf("setup: ids=%d cached=%d rejected=%d", len(ids), cached, rejected)
 	}
@@ -227,7 +212,7 @@ func TestOrphanedFollowersDoNotAdoptEachOther(t *testing.T) {
 // population. Once the disk drains it resumes through admission and
 // finishes.
 func TestFollowerDemotedToPauseWhenDiskSaturated(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
+	rig := newRig(t, shape{})
 	tmpl := continuity.Request{
 		Name: "video", Granularity: 3, UnitBits: 18000 * 8, Rate: 30,
 		Scattering: rig.scattering(),
@@ -240,23 +225,21 @@ func TestFollowerDemotedToPauseWhenDiskSaturated(t *testing.T) {
 	// Long ropes: every admitted play is re-provisioned to 2k buffers,
 	// so rounds move ~2k blocks of virtual time per stream and short
 	// ropes would finish during the staggered admissions.
-	lead := rig.recordVideo(t, 900, 18000, 3, 30, 200)
+	lead := rig.record(take{units: 900, seed: 200})
 	others := make([]*strand.Strand, nmax-1)
 	for i := range others {
-		others[i] = rig.recordVideo(t, 600, 18000, 3, 30, int64(201+i))
+		others[i] = rig.record(take{units: 600, seed: int64(201 + i)})
 	}
 
-	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-	rig.m.SetCache(cache.New(32 << 20))
-	rig.m.ForceK(k)
+	rig.m = rig.manager(config{cache: 32 << 20, k: k})
 
-	ids, cached, rejected := admitStaggered(t, rig, lead, 2, 400*time.Millisecond)
+	ids, cached, rejected := stagger(rig, lead, 2, 400*time.Millisecond)
 	if len(ids) != 2 || cached != 1 || rejected != 0 {
 		t.Fatalf("setup: ids=%v cached=%d rejected=%d", ids, cached, rejected)
 	}
 	leader, follower := ids[0], ids[1]
 	for i, s := range others {
-		ids2, _, rej := admitStaggered(t, rig, s, 1, 200*time.Millisecond)
+		ids2, _, rej := stagger(rig, s, 1, 200*time.Millisecond)
 		if len(ids2) != 1 || rej != 0 {
 			t.Fatalf("saturating admission %d rejected", i)
 		}
@@ -312,7 +295,7 @@ func TestFollowerDemotedToPauseWhenDiskSaturated(t *testing.T) {
 // cache enabled but unable to help (distinct strands), the n_max+1-th
 // admission still reports ErrAdmissionRejected.
 func TestCacheRejectionIsCleanError(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
+	rig := newRig(t, shape{})
 	tmpl := continuity.Request{
 		Name: "video", Granularity: 3, UnitBits: 18000 * 8, Rate: 30,
 		Scattering: rig.scattering(),
@@ -321,19 +304,11 @@ func TestCacheRejectionIsCleanError(t *testing.T) {
 	k := cacheRigK(t, rig.m.adm, tmpl, nmax)
 	strands := make([]*strand.Strand, nmax+1)
 	for i := range strands {
-		strands[i] = rig.recordVideo(t, 120, 18000, 3, 30, int64(300+i))
+		strands[i] = rig.record(take{units: 120, seed: int64(300 + i)})
 	}
-	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-	rig.m.SetCache(cache.New(16 << 20))
-	rig.m.ForceK(k)
+	rig.m = rig.manager(config{cache: 16 << 20, k: k})
 	for i, s := range strands {
-		plan, err := PlanStrandPlay(rig.d, s, PlanOptions{
-			ReadAhead: 2, Buffers: 4, Scattering: rig.scattering(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, err = rig.m.AdmitPlay(plan)
+		_, _, err := rig.tryPlay(rig.m, s, rig.std)
 		if i < nmax && err != nil {
 			t.Fatalf("admission %d: %v", i, err)
 		}

@@ -4,12 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"mmfs/internal/cache"
-	"mmfs/internal/continuity"
-	"mmfs/internal/disk"
 	"mmfs/internal/fault"
 	"mmfs/internal/obs"
-	"mmfs/internal/strand"
 )
 
 // inertScenario is active (so the wrapper injects) but never fires on
@@ -19,43 +15,18 @@ func inertScenario() fault.Scenario {
 	return fault.Scenario{Seed: 1, BadSectors: []fault.SectorRange{{Start: 1 << 40, Count: 1}}}
 }
 
-// newFaultRig records a clean strand on the raw disk, then rebuilds the
-// manager over a fault-injection wrapper with the given scenario, so
-// playback (not the recording) sees the faults.
-func newFaultRig(t *testing.T, sc fault.Scenario) (*testRig, *fault.Disk, *strand.Strand) {
-	t.Helper()
-	rig := newRig(t, disk.DefaultGeometry())
-	s := rig.recordVideo(t, 120, 18000, 3, 30, 42)
-	fd := fault.New(rig.d, sc)
-	rig.m = New(fd, continuity.AdmissionFor(rig.dev))
-	return rig, fd, s
-}
-
-// admitFaultPlay plans the strand over the fault disk and admits it.
-func admitFaultPlay(t *testing.T, rig *testRig, fd *fault.Disk, s *strand.Strand) RequestID {
-	t.Helper()
-	plan, err := PlanStrandPlay(fd, s, PlanOptions{ReadAhead: 2, Buffers: 4, Scattering: rig.scattering()})
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	id, _, err := rig.m.AdmitPlay(plan)
-	if err != nil {
-		t.Fatalf("admit play: %v", err)
-	}
-	return id
-}
-
 // TestRetryRecoversTransient verifies the first tier of the ladder: a
 // transient fault is re-read within the round, charged to the round's
 // slack, and the play completes with zero violations and zero degraded
 // blocks.
 func TestRetryRecoversTransient(t *testing.T) {
-	rig, fd, s := newFaultRig(t, inertScenario())
+	rig := newRig(t, shape{fault: inertScenario()})
+	s := rig.record(take{units: 120, seed: 42})
+	rig.m = rig.manager(config{k: 4}) // headroom: slack = 4γ − α − 4β is comfortably positive at n=1
 	reg := obs.NewRegistry()
 	rig.m.SetObs(reg, nil)
-	rig.m.ForceK(4) // headroom: slack = 4γ − α − 4β is comfortably positive at n=1
-	id := admitFaultPlay(t, rig, fd, s)
-	fd.FailNextReads(1)
+	id := rig.play(s, rig.std)
+	rig.fd.FailNextReads(1)
 	rig.m.RunUntilDone()
 
 	st := rig.m.Stats()
@@ -89,10 +60,12 @@ func TestRetryRecoversTransient(t *testing.T) {
 // recorded as Degraded violations, and the stream still plays to
 // completion — no abort, no admission churn.
 func TestDegradationKeepsStreamAdmitted(t *testing.T) {
-	rig, fd, s := newFaultRig(t, inertScenario())
+	rig := newRig(t, shape{fault: inertScenario()})
+	s := rig.record(take{units: 120, seed: 42})
+	rig.m = rig.manager(config{})
 	rig.m.ft = FaultPolicy{MaxRetries: 0, ConsecFailLimit: 0}
-	id := admitFaultPlay(t, rig, fd, s)
-	fd.FailNextReads(3)
+	id := rig.play(s, rig.std)
+	rig.fd.FailNextReads(3)
 	rig.m.RunUntilDone()
 
 	st := rig.m.Stats()
@@ -127,15 +100,15 @@ func TestDegradationKeepsStreamAdmitted(t *testing.T) {
 // the retry tier (re-reading a grown defect cannot succeed) and degrade
 // directly, without stopping the play.
 func TestBadSectorDegradesWithoutRetry(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
-	s := rig.recordVideo(t, 120, 18000, 3, 30, 42)
+	rig := newRig(t, shape{})
+	s := rig.record(take{units: 120, seed: 42})
 	e, err := s.Block(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fd := fault.New(rig.d, fault.Scenario{Seed: 1, BadSectors: []fault.SectorRange{{Start: int(e.Sector), Count: 1}}})
-	rig.m = New(fd, continuity.AdmissionFor(rig.dev))
-	id := admitFaultPlay(t, rig, fd, s)
+	rig.m = rig.manager(config{dev: fd})
+	id := rig.play(s, rig.std)
 	rig.m.RunUntilDone()
 
 	st := rig.m.Stats()
@@ -159,10 +132,11 @@ func TestBadSectorDegradesWithoutRetry(t *testing.T) {
 // deliveries are all degraded is stopped once ConsecFailLimit
 // consecutive failures accumulate, freeing its admission slot.
 func TestEscalationStopsStream(t *testing.T) {
-	rig, fd, s := newFaultRig(t, fault.Scenario{Seed: 1, ReadErrorRate: 1})
-	_ = fd
+	rig := newRig(t, shape{fault: fault.Scenario{Seed: 1, ReadErrorRate: 1}})
+	s := rig.record(take{units: 120, seed: 42})
+	rig.m = rig.manager(config{})
 	rig.m.ft = FaultPolicy{MaxRetries: 0, ConsecFailLimit: 3}
-	id := admitFaultPlay(t, rig, fd, s)
+	id := rig.play(s, rig.std)
 	rig.m.RunUntilDone()
 
 	st := rig.m.Stats()
@@ -186,10 +160,11 @@ func TestEscalationStopsStream(t *testing.T) {
 // clean run at the escalation threshold (consecutive-failure counter
 // resets).
 func TestPauseResumeResetsConsecFails(t *testing.T) {
-	rig, fd, s := newFaultRig(t, fault.Scenario{Seed: 1, ReadErrorRate: 1})
-	_ = fd
+	rig := newRig(t, shape{fault: fault.Scenario{Seed: 1, ReadErrorRate: 1}})
+	s := rig.record(take{units: 120, seed: 42})
+	rig.m = rig.manager(config{})
 	rig.m.ft = FaultPolicy{MaxRetries: 0, ConsecFailLimit: 50}
-	id := admitFaultPlay(t, rig, fd, s)
+	id := rig.play(s, rig.std)
 
 	// Degrade a few deliveries, then pause mid-storm.
 	for i := 0; i < 20; i++ {
@@ -234,10 +209,11 @@ func TestPauseResumeResetsConsecFails(t *testing.T) {
 // the stream is degrading: the request ends without an escalation stop
 // and the manager drains.
 func TestStopMidDegradation(t *testing.T) {
-	rig, fd, s := newFaultRig(t, fault.Scenario{Seed: 1, ReadErrorRate: 1})
-	_ = fd
+	rig := newRig(t, shape{fault: fault.Scenario{Seed: 1, ReadErrorRate: 1}})
+	s := rig.record(take{units: 120, seed: 42})
+	rig.m = rig.manager(config{})
 	rig.m.ft = FaultPolicy{MaxRetries: 0, ConsecFailLimit: 0}
-	id := admitFaultPlay(t, rig, fd, s)
+	id := rig.play(s, rig.std)
 	for i := 0; i < 5; i++ {
 		rig.m.RunRound()
 	}
@@ -263,18 +239,15 @@ func TestStopMidDegradation(t *testing.T) {
 // so its follower misses there, demotes, and finishes from the disk —
 // clean data, no degraded deliveries of its own, no abort.
 func TestFollowerFallsBackWhenLeaderDegrades(t *testing.T) {
-	rig, fd, s := newFaultRig(t, inertScenario())
-	rig.m.SetCache(cache.New(16 << 20))
+	rig := newRig(t, shape{fault: inertScenario()})
+	s := rig.record(take{units: 120, seed: 42})
+	rig.m = rig.manager(config{cache: 16 << 20})
 	rig.m.ft = FaultPolicy{MaxRetries: 0, ConsecFailLimit: 8}
 
-	leader := admitFaultPlay(t, rig, fd, s)
+	leader := rig.play(s, rig.std)
 	rig.m.RunFor(400 * time.Millisecond)
 
-	plan, err := PlanStrandPlay(fd, s, PlanOptions{ReadAhead: 2, Buffers: 4, Scattering: rig.scattering()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	follower, dec, err := rig.m.AdmitPlay(plan)
+	follower, dec, err := rig.tryPlay(rig.m, s, rig.std)
 	if err != nil {
 		t.Fatalf("admit follower: %v", err)
 	}
@@ -282,7 +255,7 @@ func TestFollowerFallsBackWhenLeaderDegrades(t *testing.T) {
 		t.Fatal("setup: follower was not admitted cache-served")
 	}
 
-	fd.FailNextReads(1) // the leader's next disk read degrades
+	rig.fd.FailNextReads(1) // the leader's next disk read degrades
 	rig.m.RunUntilDone()
 
 	st := rig.m.Stats()

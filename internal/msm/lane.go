@@ -84,8 +84,11 @@ type lane struct {
 // sweep services the lane's sub-round: its requests in the service
 // order — arrival order unless SetServiceOrder selects ScanOrder — k
 // blocks each. On a parallel lane the partition guarantees disk-bound
-// plays with no open cache stream, so the dispatch never reaches the
-// interval cache or the record path there.
+// plays, so the dispatch never reaches the record path there; a leader
+// among them feeds the interval cache from the lane (Get, Produced,
+// PutView), which is safe because the lanes are swept one after another
+// on the manager's goroutine. Records and cache-served followers ride
+// the serial lane.
 //
 // rt:hotpath
 func (ln *lane) sweep() {

@@ -6,13 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"mmfs/internal/alloc"
-	"mmfs/internal/cache"
-	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
-	"mmfs/internal/fault"
-	"mmfs/internal/layout"
-	"mmfs/internal/media"
 	"mmfs/internal/strand"
 )
 
@@ -34,8 +28,7 @@ func (p *roundProbe) AdvanceRound() { p.onRound() }
 // received nothing at all. (Video strands only: no silence.)
 type followerLedger struct {
 	t     *testing.T
-	m     *Manager
-	d     *disk.Disk
+	r     *testRig // its manager and disk
 	reads uint64
 	was   map[*request][3]int // nextFetch, cacheHits, 1 if cache-served, 2 if waiting
 	// waiting counts rounds that began with a demoted follower waiting
@@ -56,13 +49,13 @@ func (l *followerLedger) settle() {
 		}
 		fromDisk += uint64(blocks - hits)
 	}
-	reads := l.d.Stats().Reads
+	reads := l.r.d.Stats().Reads
 	if got := reads - l.reads; got != fromDisk {
 		l.t.Fatalf("the device served %d read(s) in a round whose disk-bound requests received %d block(s) from it", got, fromDisk)
 	}
 	l.reads = reads
 	clear(l.was)
-	for _, r := range l.m.reqs {
+	for _, r := range l.r.m.reqs {
 		if r.kind != Play || r.done {
 			continue
 		}
@@ -80,31 +73,6 @@ func (l *followerLedger) settle() {
 	}
 }
 
-// probedRig records the strands on the raw disk, then rebuilds the
-// manager over a roundProbe feeding a followerLedger.
-func probedRig(t *testing.T, cacheBytes int64, frames ...int) (*testRig, *followerLedger, []*strand.Strand) {
-	t.Helper()
-	rig := newRig(t, disk.DefaultGeometry())
-	var strands []*strand.Strand
-	for i, f := range frames {
-		strands = append(strands, rig.recordVideo(t, f, 18000, 3, 30, int64(600+i)))
-	}
-	led := &followerLedger{t: t, d: rig.d, reads: rig.d.Stats().Reads, was: map[*request][3]int{}}
-	rig.m = New(&roundProbe{Device: rig.d, onRound: led.settle}, continuity.AdmissionFor(rig.dev))
-	rig.m.SetCache(cache.New(cacheBytes))
-	led.m = rig.m
-	return rig, led, strands
-}
-
-func (r *testRig) admitPlay(t *testing.T, s *strand.Strand) (RequestID, continuity.Decision, error) {
-	t.Helper()
-	plan, err := PlanStrandPlay(r.m.d, s, PlanOptions{ReadAhead: 2, Buffers: 4, Scattering: r.scattering()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r.m.AdmitPlay(plan)
-}
-
 // TestFollowerNeverReadsTheDisk walks a seeded interleaving of
 // admissions, stops, both kinds of pause, resumes and rounds over a small
 // cache (so intervals break and followers demote through transition
@@ -112,8 +80,21 @@ func (r *testRig) admitPlay(t *testing.T, s *strand.Strand) (RequestID, continui
 // construction: a demoted follower waiting across the transition rounds
 // its re-admission scheduled, and a follower whose cache stream is closed.
 func TestFollowerNeverReadsTheDisk(t *testing.T) {
+	// A rig with the strands recorded, the ledger on its rounds and a
+	// fresh manager with a cache of cacheBytes.
+	probed := func(t *testing.T, cacheBytes int64, frames ...int) (*testRig, *followerLedger, []*strand.Strand) {
+		led := &followerLedger{t: t, was: map[*request][3]int{}}
+		rig := newRig(t, shape{probe: led.settle})
+		led.r = rig
+		var strands []*strand.Strand
+		for i, f := range frames {
+			strands = append(strands, rig.record(take{units: f, seed: int64(600 + i)}))
+		}
+		rig.m = rig.manager(config{cache: cacheBytes})
+		return rig, led, strands
+	}
 	t.Run("seeded walk", func(t *testing.T) {
-		rig, led, strands := probedRig(t, 3<<20, 450, 300, 240)
+		rig, led, strands := probed(t, 3<<20, 450, 300, 240)
 		rng := rand.New(rand.NewSource(20))
 		var live []RequestID
 		pick := func() (RequestID, bool) {
@@ -129,7 +110,7 @@ func TestFollowerNeverReadsTheDisk(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					s = strands[1+rng.Intn(2)]
 				}
-				if id, _, err := rig.admitPlay(t, s); err == nil {
+				if id, _, err := rig.tryPlay(rig.m, s, rig.std); err == nil {
 					live = append(live, id)
 				}
 			case op == 3:
@@ -164,9 +145,9 @@ func TestFollowerNeverReadsTheDisk(t *testing.T) {
 	})
 
 	t.Run("pending demotion across transition rounds", func(t *testing.T) {
-		rig, led, strands := probedRig(t, 16<<20, 450, 450, 450)
+		rig, led, strands := probed(t, 16<<20, 450, 450, 450)
 		admit := func(s *strand.Strand, wantCached bool) RequestID {
-			id, dec, err := rig.admitPlay(t, s)
+			id, dec, err := rig.tryPlay(rig.m, s, rig.std)
 			if err != nil || dec.CacheServed != wantCached {
 				t.Fatalf("admit: cache-served=%v err=%v, want cache-served=%v", dec.CacheServed, err, wantCached)
 			}
@@ -207,12 +188,12 @@ func TestFollowerNeverReadsTheDisk(t *testing.T) {
 	})
 
 	t.Run("closed cache stream", func(t *testing.T) {
-		rig, led, strands := probedRig(t, 16<<20, 300)
-		if _, _, err := rig.admitPlay(t, strands[0]); err != nil {
+		rig, led, strands := probed(t, 16<<20, 300)
+		if _, _, err := rig.tryPlay(rig.m, strands[0], rig.std); err != nil {
 			t.Fatal(err)
 		}
 		rig.m.RunFor(300 * time.Millisecond)
-		id, dec, err := rig.admitPlay(t, strands[0])
+		id, dec, err := rig.tryPlay(rig.m, strands[0], rig.std)
 		if err != nil || !dec.CacheServed {
 			t.Fatalf("admit follower: %+v, %v", dec, err)
 		}
@@ -243,30 +224,12 @@ func TestFollowerNeverReadsTheDisk(t *testing.T) {
 // idle jump to the next request's work.
 func TestSerialLaneJoinsTheClock(t *testing.T) {
 	const p, stripe = 4, 120
-	rig := newStripedRig(t, p, stripe, -1, fault.Scenario{})
-	opts := PlanOptions{ReadAhead: 1, Buffers: 16, Scattering: rig.scattering()}
-	admit := func(s *strand.Strand) {
-		plan, err := PlanStrandPlay(rig.arr, s, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := rig.m.AdmitPlay(plan); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rig := newRig(t, shape{spindles: p, stripe: stripe})
 	for sp := 0; sp < p; sp++ {
-		admit(rig.recordOn(t, sp, 0, 60*(sp+1), int64(700+sp)))
+		rig.play(rig.write(take{units: 60 * (sp + 1), seed: int64(700 + sp), spindle: sp, pin: true}), rig.std)
 	}
-	admit(writeVideo(t, rig.arr, rig.a, rig.st, rig.logicalStart(0, 112), 240, 710)) // crosses stripe groups
-	w, err := strand.NewWriter(rig.arr, rig.a, strand.WriterConfig{
-		ID: rig.st.NewID(), Medium: layout.Video, Rate: 30, UnitBytes: 18000, Granularity: 3,
-		Constraint:    alloc.Constraint{MinCylinders: 1, MaxCylinders: targetCylinders},
-		StartCylinder: rig.logicalStart(3, 60),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := rig.m.AdmitRecord(PlanRecord("rec", w, media.NewVideoSource(300, 18000, 30, 712), 3, 300, rig.scattering(), 4)); err != nil {
+	rig.play(rig.write(take{units: 240, seed: 710, cyl: 112}), rig.std) // crosses stripe groups
+	if _, _, err := rig.m.AdmitRecord(rig.recording(take{units: 300, seed: 712, spindle: 3, cyl: 60})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -316,27 +279,17 @@ func TestFollowerTakesOneBlockAtATime(t *testing.T) {
 
 func followerOneAtATime(t *testing.T, stride int) {
 	const p = 4
-	rig := newRig(t, disk.DefaultGeometry())
-	s := rig.recordVideo(t, 450, 18000, 3, 30, 620)
-	c := cache.New(16 << 20)
-	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-	rig.m.SetCache(c)
-	rig.m.ForceK(p)
-	admit := func(buffers int) (RequestID, continuity.Decision, error) {
-		plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: p, Buffers: buffers, Scattering: rig.scattering()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rig.m.AdmitPlay(plan)
-	}
-
-	if _, _, err := admit(2 * p); err != nil {
-		t.Fatal(err)
-	}
+	rig := newRig(t, shape{})
+	s := rig.record(take{units: 450, seed: 620})
+	rig.m = rig.manager(config{cache: 16 << 20, k: p})
+	c := rig.m.Cache()
+	opts := PlanOptions{ReadAhead: p, Buffers: 2 * p, Scattering: rig.scattering()}
+	rig.play(s, opts)
 	rig.m.RunFor(300 * time.Millisecond)
 	// Room for more blocks than the leader is ahead by: the follower
 	// catches it up and waits.
-	follower, dec, err := admit(8 * p)
+	opts.Buffers = 8 * p
+	follower, dec, err := rig.tryPlay(rig.m, s, opts)
 	if err != nil || !dec.CacheServed {
 		t.Fatalf("second play of the strand: cache-served %v, err %v", dec.CacheServed, err)
 	}

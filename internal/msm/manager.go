@@ -153,8 +153,9 @@ type Manager struct {
 	ft FaultPolicy
 	// Per-round scratch storage, reused to keep the service loop
 	// allocation-free (the round loop is the hot path). Service-time
-	// scratch (the degraded-block marks and the block-payload buffer)
-	// lives on the lanes (lane.deg, lane.blockBuf).
+	// scratch (a step's per-block arrivals, degraded marks included, and
+	// the block-payload buffer) lives on the lanes (lane.got,
+	// lane.blockBuf).
 	scratchAct []*request
 	// serial is the lane over the whole logical device: it services what
 	// no parallel lane can take — on a single device, everything — and

@@ -7,9 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
-	"mmfs/internal/fault"
 	"mmfs/internal/layout"
 	"mmfs/internal/strand"
 )
@@ -229,10 +227,10 @@ func TestPlanMapMatchesTheWalks(t *testing.T) {
 	}
 	var rigs []rigCase
 	for _, p := range []int{2, 4} {
-		rig := newStripedRig(t, p, 4, -1, fault.Scenario{})
+		rig := newRig(t, shape{spindles: p, stripe: 4})
 		rigs = append(rigs, rigCase{fmt.Sprintf("striped p=%d", p), rig.arr, rig.st, rig.m, -1})
 	}
-	mir := newMirroredRig(t, 4, 4, -1, fault.Scenario{})
+	mir := newRig(t, shape{spindles: 4, stripe: 4, mirror: true})
 	rigs = append(rigs, rigCase{"mirrored p=4", mir.arr, mir.st, mir.m, 60})
 
 	for ri, rc := range rigs {
@@ -307,20 +305,11 @@ func TestPlanMapMatchesTheWalks(t *testing.T) {
 // strand from cylinder 2 (it enters a new group every 64 blocks), k = 8.
 func TestLaneRouterCoversTheStride(t *testing.T) {
 	const p, stripe, k, stride, blocks = 2, 4, 8, 2, 400
-	rig := newStripedRig(t, p, stripe, -1, fault.Scenario{})
-	s := writeBackToBack(t, rig.arr, rig.a, rig.st, 2, blocks, 3200)
-	m := New(rig.arr, continuity.AdmissionFor(rig.dev))
-	m.SetPolicy(NaiveJump)
-	m.ForceK(k)
-	plan, err := PlanStrandPlay(rig.arr, s, PlanOptions{ReadAhead: 1, Buffers: 2 * k, Scattering: rig.scattering()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _, err := m.AdmitPlay(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.find(id)
+	rig := newRig(t, shape{spindles: p, stripe: stripe})
+	s := rig.write(take{units: blocks, seed: 3200, backToBack: true, cyl: 2})
+	rig.m = rig.manager(config{policy: NaiveJump, k: k})
+	m := rig.m
+	r, err := m.find(rig.play(s, PlanOptions{ReadAhead: 1, Buffers: 2 * k, Scattering: rig.scattering()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +324,7 @@ func TestLaneRouterCoversTheStride(t *testing.T) {
 		}
 		routed++
 		for _, f := range fetchedPositions(j, k, stride, ps.strideBase, blocks) {
-			e, err := s.Block(plan.Blocks[f].Index)
+			e, err := s.Block(ps.plan.Blocks[f].Index)
 			if err != nil {
 				t.Fatal(err)
 			}

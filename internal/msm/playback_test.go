@@ -5,69 +5,54 @@ import (
 	"testing"
 	"time"
 
-	"mmfs/internal/alloc"
 	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
-	"mmfs/internal/fault"
-	"mmfs/internal/layout"
-	"mmfs/internal/media"
 	"mmfs/internal/strand"
 )
 
 func TestFastForwardNoSkipDoublesPace(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
-	s := rig.recordVideo(t, 120, 18000, 3, 30, 50)
-
-	normal := playOnce(t, rig, s, PlanOptions{ReadAhead: 2})
-	ff := playOnce(t, rig, s, PlanOptions{ReadAhead: 2, Speed: 2, Buffers: 8})
-	if normal.viol != 0 || ff.viol != 0 {
-		t.Fatalf("violations %d/%d", normal.viol, ff.viol)
+	rig := newRig(t, shape{})
+	s := rig.record(take{units: 120, seed: 50})
+	// Each pace plays alone, on a fresh manager.
+	var runs [2]Progress
+	var took [2]time.Duration
+	for i, o := range []PlanOptions{{ReadAhead: 2}, {ReadAhead: 2, Speed: 2, Buffers: 8}} {
+		rig.m = rig.manager(config{})
+		o.Scattering = rig.scattering()
+		id := rig.play(s, o)
+		rig.m.RunUntilDone()
+		runs[i], _ = rig.m.Progress(id)
+		took[i] = rig.m.Now()
+	}
+	if runs[0].Violations != 0 || runs[1].Violations != 0 {
+		t.Fatalf("violations %d/%d", runs[0].Violations, runs[1].Violations)
 	}
 	// 2× playback finishes in roughly half the virtual time.
-	ratio := float64(normal.elapsed) / float64(ff.elapsed)
+	ratio := float64(took[0]) / float64(took[1])
 	if ratio < 1.7 || ratio > 2.3 {
 		t.Fatalf("speedup ratio %.2f, want ≈ 2", ratio)
 	}
 }
 
 func TestFastForwardSkipHalvesFetches(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
-	s := rig.recordVideo(t, 120, 18000, 3, 30, 51)
-	normal := playOnce(t, rig, s, PlanOptions{ReadAhead: 2})
-	skip := playOnce(t, rig, s, PlanOptions{ReadAhead: 2, Speed: 2, Skip: true})
-	if skip.viol != 0 {
-		t.Fatalf("skip playback violated %d", skip.viol)
+	rig := newRig(t, shape{})
+	s := rig.record(take{units: 120, seed: 51})
+	// Each plays alone, on a fresh manager.
+	var runs [2]Progress
+	for i, o := range []PlanOptions{{ReadAhead: 2}, {ReadAhead: 2, Speed: 2, Skip: true}} {
+		rig.m = rig.manager(config{})
+		o.Scattering = rig.scattering()
+		id := rig.play(s, o)
+		rig.m.RunUntilDone()
+		runs[i], _ = rig.m.Progress(id)
 	}
-	if skip.blocks*2 != normal.blocks {
-		t.Fatalf("skip fetched %d blocks, normal %d (want half)", skip.blocks, normal.blocks)
+	normal, skip := runs[0], runs[1]
+	if skip.Violations != 0 {
+		t.Fatalf("skip playback violated %d", skip.Violations)
 	}
-}
-
-type playResult struct {
-	viol    int
-	blocks  int
-	elapsed time.Duration
-}
-
-func playOnce(t *testing.T, rig *testRig, s *strand.Strand, opts PlanOptions) playResult {
-	t.Helper()
-	if opts.Scattering == 0 {
-		opts.Scattering = rig.scattering()
+	if skip.BlocksServed*2 != normal.BlocksServed {
+		t.Fatalf("skip fetched %d blocks, normal %d (want half)", skip.BlocksServed, normal.BlocksServed)
 	}
-	mgr := New(rig.d, continuity.AdmissionFor(rig.dev))
-	plan, err := PlanStrandPlay(rig.d, s, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := mgr.Now()
-	id, _, err := mgr.AdmitPlay(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.RunUntilDone()
-	v, _ := mgr.Violations(id)
-	prog, _ := mgr.Progress(id)
-	return playResult{viol: len(v), blocks: prog.BlocksServed, elapsed: mgr.Now() - start}
 }
 
 func TestRecordBufferOverflowDetected(t *testing.T) {
@@ -77,16 +62,8 @@ func TestRecordBufferOverflowDetected(t *testing.T) {
 	g := disk.DefaultGeometry()
 	g.SectorsPerTrack = 8 // ~7.9 Mbit/s: slower than the 4.3 Mbit/s video? keep close
 	g.RPM = 1200          // 2.6 Mbit/s — slower than the source
-	rig := newRig(t, g)
-	w, err := strand.NewWriter(rig.d, rig.a, strand.WriterConfig{
-		ID: rig.st.NewID(), Medium: layout.Video, Rate: 30, UnitBytes: 18000, Granularity: 3,
-		Constraint: rig.constraint(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := media.NewVideoSource(60, 18000, 30, 52)
-	plan := PlanRecord("slow", w, src, 3, 60, rig.scattering(), 1)
+	rig := newRig(t, shape{geom: g})
+	plan := rig.recording(take{units: 60, seed: 52, buffers: 1})
 	// Admission would reject this (correctly); bypass it to observe
 	// the overflow the admission control exists to prevent.
 	mgr := New(rig.d, continuity.Admission{MaxAccess: 0.001, TransferRate: 1e12})
@@ -102,16 +79,9 @@ func TestRecordBufferOverflowDetected(t *testing.T) {
 }
 
 func TestSetBuffers(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
-	s := rig.recordVideo(t, 30, 18000, 3, 30, 54)
-	plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: 2, Scattering: rig.scattering()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _, err := rig.m.AdmitPlay(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rig := newRig(t, shape{})
+	s := rig.record(take{units: 30, seed: 54})
+	id := rig.play(s, PlanOptions{ReadAhead: 2, Scattering: rig.scattering()})
 	if err := rig.m.SetBuffers(id, 32); err != nil {
 		t.Fatal(err)
 	}
@@ -125,16 +95,9 @@ func TestSetBuffers(t *testing.T) {
 }
 
 func TestStopHaltsService(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
-	s := rig.recordVideo(t, 300, 18000, 3, 30, 55)
-	plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: 2, Scattering: rig.scattering()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _, err := rig.m.AdmitPlay(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rig := newRig(t, shape{})
+	s := rig.record(take{units: 300, seed: 55})
+	id := rig.play(s, PlanOptions{ReadAhead: 2, Scattering: rig.scattering()})
 	rig.m.RunRound()
 	if err := rig.m.Stop(id); err != nil {
 		t.Fatal(err)
@@ -152,8 +115,8 @@ func TestStopHaltsService(t *testing.T) {
 }
 
 func TestRopeStylePlanWithDelayBlocks(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
-	s := rig.recordVideo(t, 30, 18000, 3, 30, 56)
+	rig := newRig(t, shape{})
+	s := rig.record(take{units: 30, seed: 56})
 	// Sandwich a one-second pure delay between two copies of the
 	// strand (an interval whose medium is absent).
 	whole := Interval{Strand: s, NumUnits: 30}
@@ -181,8 +144,8 @@ func TestRopeStylePlanWithDelayBlocks(t *testing.T) {
 }
 
 func TestExpandIntervalPartialEdges(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
-	s := rig.recordVideo(t, 30, 18000, 3, 30, 57)
+	rig := newRig(t, shape{})
+	s := rig.record(take{units: 30, seed: 57})
 	// Units 2..10: covers blocks 0..3 with partial edges.
 	plan, err := PlanPlay(rig.d, "edges", []Interval{{Strand: s, StartUnit: 2, NumUnits: 9}}, PlanOptions{})
 	if err != nil {
@@ -217,10 +180,10 @@ func TestExpandIntervalPartialEdges(t *testing.T) {
 // within a strand, and across a junction the hop from the last block of
 // one interval to the first of the next, gaps looked through.
 func TestPlanPlayMeasuresTheCompiledSequence(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
+	rig := newRig(t, shape{})
 	g := rig.d.Geometry()
-	a := rig.recordVideo(t, 30, 18000, 3, 30, 59)
-	b := rig.recordVideo(t, 30, 18000, 3, 30, 60)
+	a := rig.record(take{units: 30, seed: 59})
+	b := rig.record(take{units: 30, seed: 60})
 	whole, err := PlanStrandPlay(rig.d, a, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -261,37 +224,13 @@ func TestPlanPlayMeasuresTheCompiledSequence(t *testing.T) {
 // that equals the maximum of the per-hop access times over the compiled
 // sequence, and is zero when the sequence has no hop at all.
 func TestPlanPlayScatteringIsThePerHopMaximum(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
+	rig := newRig(t, shape{})
 	g := rig.d.Geometry()
 	strands := []*strand.Strand{
-		writeVideo(t, rig.d, rig.a, rig.st, 100, 90, 61), // a cylinder a block
-		writeVideo(t, rig.d, rig.a, rig.st, 900, 60, 62),
-	}
-	det := media.DefaultSilenceDetector()
-	for _, cfg := range []strand.WriterConfig{
-		{Medium: layout.Video, Rate: 30, UnitBytes: 18000, Granularity: 3, StartCylinder: 400},
-		{Medium: layout.Audio, Rate: 10, UnitBytes: 800, Granularity: 4, StartCylinder: 30, Silence: &det},
-	} {
-		cfg.ID, cfg.Constraint = rig.st.NewID(), alloc.RunPlacement(targetCylinders) // sixteen blocks a cylinder
-		w, err := strand.NewWriter(rig.d, rig.a, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var src media.Source = media.NewVideoSource(150, 18000, 30, 63)
-		if cfg.Silence != nil {
-			src = media.NewAudioSource(200, 800, 10, 0.5, 8, 64)
-		}
-		for u, ok := src.Next(); ok; u, ok = src.Next() {
-			if _, err := w.Append(u); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s, err := w.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig.st.Put(s)
-		strands = append(strands, s)
+		rig.write(take{units: 90, seed: 61, cyl: 100}), // a cylinder a block
+		rig.write(take{units: 60, seed: 62, cyl: 900}),
+		rig.write(take{units: 150, seed: 63, cyl: 400, run: true}), // sixteen blocks a cylinder
+		rig.write(take{units: 200, seed: 64, cyl: 30, run: true, audio: true}),
 	}
 	rng := rand.New(rand.NewSource(7))
 	hopless := 0
@@ -343,8 +282,8 @@ func TestPlanValidation(t *testing.T) {
 	if err := (RecordPlan{}).Validate(); err == nil {
 		t.Fatal("empty record plan accepted")
 	}
-	rig := newRig(t, disk.DefaultGeometry())
-	s := rig.recordVideo(t, 6, 18000, 3, 30, 58)
+	rig := newRig(t, shape{})
+	s := rig.record(take{units: 6, seed: 58})
 	plan, err := PlanStrandPlay(rig.d, s, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -381,22 +320,17 @@ func TestPlanValidation(t *testing.T) {
 // other stripe groups refuses it rather than route its blocks by a map
 // that does not describe them.
 func TestAdmitRefusesAnotherDevicesPlan(t *testing.T) {
-	one := newRig(t, disk.DefaultGeometry())
-	s := one.recordVideo(t, 6, 18000, 3, 30, 58)
+	one := newRig(t, shape{})
+	s := one.record(take{units: 6, seed: 58})
 	plan, err := PlanStrandPlay(one.d, s, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	four := newStripedRig(t, 4, 4, -1, fault.Scenario{})
+	four := newRig(t, shape{spindles: 4, stripe: 4})
 	if _, _, err := four.m.AdmitPlay(plan); err == nil {
 		t.Fatal("a 4-spindle manager admitted a plan compiled on one disk")
 	}
-	if _, _, err := New(one.d, continuity.AdmissionFor(one.dev)).AdmitPlay(plan); err != nil {
+	if _, _, err := one.manager(config{}).AdmitPlay(plan); err != nil {
 		t.Fatalf("the disk the plan was compiled on refused it: %v", err)
 	}
-}
-
-// constraint exposes the test rig's placement constraint.
-func (r *testRig) constraint() alloc.Constraint {
-	return alloc.Constraint{MinCylinders: 1, MaxCylinders: targetCylinders}
 }

@@ -8,15 +8,6 @@ import (
 	"mmfs/internal/obs"
 )
 
-// qosTestManager builds a manager on the default geometry with QoS
-// enabled at the given stride bound.
-func qosTestManager(maxStride int) *Manager {
-	g := disk.DefaultGeometry()
-	m := New(disk.MustNew(g), continuity.AdmissionFor(DeviceFor(g)))
-	m.SetQoS(QoSPolicy{MaxStride: maxStride})
-	return m
-}
-
 // qosTmpl is the admission template the white-box QoS tests charge
 // their synthetic plays at.
 func qosTmpl(m *Manager) continuity.Request {
@@ -123,7 +114,7 @@ func TestShedVictimOrdering(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := qosTestManager(8)
+			m := newRig(t, shape{}).manager(config{qos: 8})
 			for _, p := range tc.plays {
 				r := addSyntheticPlay(m, p.id, p.class, p.stride)
 				r.done = p.done
@@ -172,7 +163,7 @@ func TestPromotesBefore(t *testing.T) {
 // priority: no standard stream loses quality while a best-effort
 // stream still has stride headroom, and premium is never touched.
 func TestClassPassDemotionOrder(t *testing.T) {
-	m := qosTestManager(8)
+	m := newRig(t, shape{}).manager(config{qos: 8})
 	m.ForceK(1) // far below any feasible k for this population
 	addSyntheticPlay(m, 1, continuity.Premium, 1)
 	addSyntheticPlay(m, 2, continuity.Standard, 1)
@@ -209,7 +200,7 @@ func TestClassPassDemotionOrder(t *testing.T) {
 // into overload: the pass must leave every stride alone and record no
 // demotions — at worst the pre-pass violation exposure remains.
 func TestClassPassPremiumOnlyNeverDemotes(t *testing.T) {
-	m := qosTestManager(8)
+	m := newRig(t, shape{}).manager(config{qos: 8})
 	m.ForceK(1)
 	for id := RequestID(1); id <= 4; id++ {
 		addSyntheticPlay(m, id, continuity.Premium, 1)
@@ -230,7 +221,7 @@ func TestClassPassPremiumOnlyNeverDemotes(t *testing.T) {
 // (never deepen one), and with ample slack it restores everyone to
 // full rate.
 func TestClassPassMonotoneRecovery(t *testing.T) {
-	m := qosTestManager(8)
+	m := newRig(t, shape{}).manager(config{qos: 8})
 	m.ForceK(64) // generous round: the small set is easily feasible
 	addSyntheticPlay(m, 1, continuity.Standard, 4)
 	addSyntheticPlay(m, 2, continuity.BestEffort, 8)
@@ -258,7 +249,7 @@ func TestClassPassMonotoneRecovery(t *testing.T) {
 // TestQoSStatsPerClass checks the per-class population snapshot used
 // by the STATS wire reply and the metrics gauges.
 func TestQoSStatsPerClass(t *testing.T) {
-	m := qosTestManager(8)
+	m := newRig(t, shape{}).manager(config{qos: 8})
 	addSyntheticPlay(m, 1, continuity.Premium, 1)
 	addSyntheticPlay(m, 2, continuity.Standard, 1)
 	addSyntheticPlay(m, 3, continuity.Standard, 2)
@@ -295,15 +286,12 @@ func TestQoSStatsPerClass(t *testing.T) {
 // the Stats delta, so a demotion that also bumped the counter itself
 // would count twice.
 func TestViolationCounterCountsADemotionOnce(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
+	rig := newRig(t, shape{})
 	tmpl := qosTmpl(rig.m)
 	nmax := rig.m.adm.NMax(tmpl)
 	k := cacheRigK(t, rig.m.adm, tmpl, nmax)
-	s := writeVideo(t, rig.d, rig.a, rig.st, 100, 600, 550)
-	m := rig.m
-	m.SetPolicy(NaiveJump)
-	m.ForceK(k)
-	m.SetQoS(QoSPolicy{MaxStride: 4})
+	s := rig.write(take{units: 600, seed: 550, cyl: 100})
+	m := rig.manager(config{policy: NaiveJump, k: k, qos: 4})
 	reg := obs.NewRegistry()
 	m.SetObs(reg, nil)
 	for i := 0; m.Stats().LoadDemotions == 0; i++ {
@@ -314,11 +302,7 @@ func TestViolationCounterCountsADemotionOnce(t *testing.T) {
 		if i >= nmax {
 			class = continuity.Premium
 		}
-		plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: 2, Buffers: 2 * k, Scattering: tmpl.Scattering, Class: class})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := m.AdmitPlay(plan); err != nil {
+		if _, _, err := rig.tryPlay(m, s, PlanOptions{ReadAhead: 2, Buffers: 2 * k, Scattering: tmpl.Scattering, Class: class}); err != nil {
 			t.Fatalf("arrival %d (%v): %v", i, class, err)
 		}
 		m.ForceK(k)

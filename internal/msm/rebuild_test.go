@@ -4,99 +4,11 @@ import (
 	"math/bits"
 	"testing"
 
-	"mmfs/internal/alloc"
-	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
 	"mmfs/internal/fault"
 	"mmfs/internal/media"
 	"mmfs/internal/strand"
 )
-
-// mirroredRig bundles the substrate for mirrored-array manager tests:
-// p spindles in p/2 mirror pairs behind one disk.Array, with the
-// allocator and strand store working in the (halved) logical address
-// space.
-type mirroredRig struct {
-	raw []*disk.Disk // physical spindles (under any fault wrapper)
-	arr *disk.Array
-	a   *alloc.Allocator
-	st  *strand.Store
-	m   *Manager
-	dev continuity.Device
-	p   int
-	sc  int // stripe cylinders
-}
-
-// newMirroredRig builds a p-spindle mirrored array with the given
-// stripe. When faultSpindle ≥ 0 and the scenario is active, that one
-// spindle is wrapped in fault injection.
-func newMirroredRig(t *testing.T, p, stripe, faultSpindle int, sc fault.Scenario) *mirroredRig {
-	t.Helper()
-	g := disk.DefaultGeometry()
-	devs := make([]disk.Device, p)
-	raw := make([]*disk.Disk, p)
-	for i := range devs {
-		raw[i] = disk.MustNew(g)
-		if i == faultSpindle && sc.Active() {
-			devs[i] = fault.New(raw[i], sc)
-		} else {
-			devs[i] = raw[i]
-		}
-	}
-	arr := disk.MustNewArray(devs, stripe, true)
-	a, err := alloc.New(arr.Geometry(), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg := arr.Geometry()
-	dev := DeviceFor(lg)
-	return &mirroredRig{
-		raw: raw, arr: arr, a: a,
-		st:  strand.NewStore(arr, a),
-		m:   New(arr, continuity.AdmissionFor(dev)),
-		dev: dev, p: p, sc: stripe,
-	}
-}
-
-func (r *mirroredRig) scattering() float64 {
-	return continuity.Seconds(r.arr.Geometry().AccessTime(targetCylinders))
-}
-
-// recordPreferring writes a synthetic video strand whose blocks the
-// balanced steering reads from exactly the given spindle: the strand
-// is placed in stripe-group slot (spindle%2 + 2*within) of mirror pair
-// spindle/2, and slot parity decides the preferred twin. The data
-// itself lands on both twins of the pair.
-func (r *mirroredRig) recordPreferring(t *testing.T, spindle, within, frames int, seed int64) *strand.Strand {
-	t.Helper()
-	mg := r.arr.MirrorGroups()
-	pair, slot := spindle/2, spindle%2+2*within
-	group := slot*mg + pair
-	s := writeVideo(t, r.arr, r.a, r.st, group*r.sc, frames, seed)
-	for i := 0; i < s.NumBlocks(); i++ {
-		e, err := s.Block(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sp, one := r.arr.SpindleRange(int(e.Sector), int(e.SectorCount)); !one || sp != spindle {
-			t.Fatalf("strand block %d steered to spindle %d (one=%v), want %d", i, sp, one, spindle)
-		}
-	}
-	return s
-}
-
-func (r *mirroredRig) play(t *testing.T, s *strand.Strand, buffers int) RequestID {
-	t.Helper()
-	plan, err := PlanStrandPlay(r.arr, s, PlanOptions{ReadAhead: 1, Buffers: buffers, Scattering: r.scattering()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _, err := r.m.AdmitPlay(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return id
-}
 
 // TestMirroredDegradedService kills one twin mid-run (a scripted
 // die=<round> scenario) while all four spindles carry streams. The
@@ -109,17 +21,18 @@ func (r *mirroredRig) play(t *testing.T, s *strand.Strand, buffers int) RequestI
 // discipline.
 func TestMirroredDegradedService(t *testing.T) {
 	const p, stripe, victim = 4, 120, 1
-	rig := newMirroredRig(t, p, stripe, victim, fault.Scenario{Seed: 7, DieRound: 6})
+	rig := newRig(t, shape{spindles: p, stripe: stripe, mirror: true, fault: fault.Scenario{Seed: 7, DieRound: 6}, faultOn: victim})
+	opts := PlanOptions{ReadAhead: 1, Buffers: 64, Scattering: rig.scattering()}
 
 	// One stream preferring each spindle; the victim's twin (spindle 0)
 	// will carry two streams after the re-steer.
 	ids := make([]RequestID, p)
 	strandsOf := make([]*strand.Strand, p)
 	for sp := 0; sp < p; sp++ {
-		strandsOf[sp] = rig.recordPreferring(t, sp, 0, 150, int64(9300+sp))
+		strandsOf[sp] = rig.write(take{units: 150, seed: int64(9300 + sp), spindle: sp, pin: true})
 	}
 	for sp := 0; sp < p; sp++ {
-		ids[sp] = rig.play(t, strandsOf[sp], 64)
+		ids[sp] = rig.play(strandsOf[sp], opts)
 	}
 	rig.m.RunUntilDone()
 
@@ -176,11 +89,12 @@ func TestMirroredDegradedService(t *testing.T) {
 // transition — counting each step.
 func TestResteerRaisesKStepwise(t *testing.T) {
 	const p, stripe, victim = 2, 120, 1
-	rig := newMirroredRig(t, p, stripe, -1, fault.Scenario{})
+	rig := newRig(t, shape{spindles: p, stripe: stripe, mirror: true})
 	adm := rig.m.adm
+	opts := PlanOptions{ReadAhead: 1, Buffers: 64, Scattering: rig.scattering()}
 
-	first := rig.recordPreferring(t, 0, 0, 300, 9500)
-	plan, err := PlanStrandPlay(rig.arr, first, PlanOptions{ReadAhead: 1, Buffers: 64, Scattering: rig.scattering()})
+	first := rig.write(take{units: 300, seed: 9500, pin: true})
+	plan, err := PlanStrandPlay(rig.arr, first, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +111,9 @@ func TestResteerRaisesKStepwise(t *testing.T) {
 		for w := 0; w < per; w++ {
 			s := first
 			if sp != 0 || w != 0 {
-				s = rig.recordPreferring(t, sp, w, 300, int64(9500+10*sp+w))
+				s = rig.write(take{units: 300, seed: int64(9500 + 10*sp + w), spindle: sp, group: w, pin: true})
 			}
-			rig.play(t, s, 64)
+			rig.play(s, opts)
 		}
 	}
 	if k := rig.m.K(); k != kHalf {
@@ -246,10 +160,11 @@ const deadAfterErrsBudget = 8
 // blocks only it would be steered to.
 func TestMirroredRebuildRestoresService(t *testing.T) {
 	const p, stripe, victim = 4, 120, 1
-	rig := newMirroredRig(t, p, stripe, victim, fault.Scenario{Seed: 7, DieRound: 3})
+	rig := newRig(t, shape{spindles: p, stripe: stripe, mirror: true, fault: fault.Scenario{Seed: 7, DieRound: 3}, faultOn: victim})
+	opts := PlanOptions{ReadAhead: 1, Buffers: 64, Scattering: rig.scattering()}
 
-	s := rig.recordPreferring(t, victim, 0, 150, 9400)
-	id := rig.play(t, s, 64)
+	s := rig.write(take{units: 150, seed: 9400, spindle: victim, pin: true})
+	id := rig.play(s, opts)
 	rig.m.RunUntilDone()
 	if pr, _ := rig.m.Progress(id); !pr.Done {
 		t.Fatalf("pre-rebuild play incomplete: %+v", pr)
@@ -276,7 +191,7 @@ func TestMirroredRebuildRestoresService(t *testing.T) {
 
 	// The replacement device must now serve the replay's steered share.
 	rig.arr.RefreshSteering()
-	id2 := rig.play(t, s, 64)
+	id2 := rig.play(s, opts)
 	rig.m.RunUntilDone()
 	pr, err := rig.m.Progress(id2)
 	if err != nil {
@@ -294,8 +209,8 @@ func TestMirroredRebuildRestoresService(t *testing.T) {
 // come from the twin, not from the empty replacement.
 func TestRebuildOfSuspectSpindleResteersAtOnce(t *testing.T) {
 	const p, stripe, victim = 4, 120, 1
-	rig := newMirroredRig(t, p, stripe, -1, fault.Scenario{})
-	s := rig.recordPreferring(t, victim, 1, 30, 9450) // slot 3: the probe slot
+	rig := newRig(t, shape{spindles: p, stripe: stripe, mirror: true})
+	s := rig.write(take{units: 30, seed: 9450, spindle: victim, group: 1, pin: true}) // slot 3: the probe slot
 	rig.arr.SetSpindleState(victim, disk.Suspect)
 	rig.arr.RefreshSteering()
 	e, _ := s.Block(0)
@@ -321,8 +236,8 @@ func TestRebuildOfSuspectSpindleResteersAtOnce(t *testing.T) {
 // steer table, and comes back with the spindle.
 func TestExtentFollowsSteering(t *testing.T) {
 	const p, stripe, victim = 4, 120, 3
-	rig := newMirroredRig(t, p, stripe, -1, fault.Scenario{})
-	id := rig.play(t, rig.recordPreferring(t, victim, 0, 90, 9600), 16)
+	rig := newRig(t, shape{spindles: p, stripe: stripe, mirror: true})
+	id := rig.play(rig.write(take{units: 90, seed: 9600, spindle: victim, pin: true}), rig.std)
 	r, err := rig.m.find(id)
 	if err != nil {
 		t.Fatal(err)

@@ -9,13 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"mmfs/internal/alloc"
-	"mmfs/internal/cache"
 	"mmfs/internal/continuity"
-	"mmfs/internal/disk"
 	"mmfs/internal/fault"
-	"mmfs/internal/layout"
-	"mmfs/internal/media"
 	"mmfs/internal/obs"
 	"mmfs/internal/strand"
 )
@@ -64,43 +59,13 @@ func dumpTrace(t *testing.T, w *bytes.Buffer, name string, m *Manager, ring *obs
 	}
 }
 
-// admitTraced plans a whole-strand play and admits it; a rejection is
-// part of the trace, not a failure.
-func admitTraced(t *testing.T, w *bytes.Buffer, m *Manager, d disk.Device, s *strand.Strand, opts PlanOptions) RequestID {
-	t.Helper()
-	plan, err := PlanStrandPlay(d, s, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, dec, err := m.AdmitPlay(plan)
+// admitTraced admits a whole-strand play to the rig's manager and
+// writes the outcome: a rejection is part of the trace, not a failure.
+func admitTraced(w *bytes.Buffer, rig *testRig, s *strand.Strand, opts PlanOptions) RequestID {
+	rig.t.Helper()
+	id, dec, err := rig.tryPlay(rig.m, s, opts)
 	fmt.Fprintf(w, "admit strand %d class=%v: id=%d k=%d stride=%d cached=%v err=%v\n", s.ID(), opts.Class, id, dec.K, dec.Stride, dec.CacheServed, err)
 	return id
-}
-
-// writeVideo records a synthetic video strand straight through a writer
-// (no manager rounds), from the given logical cylinder.
-func writeVideo(t *testing.T, d disk.Device, a *alloc.Allocator, st *strand.Store, startCyl, frames int, seed int64) *strand.Strand {
-	t.Helper()
-	w, err := strand.NewWriter(d, a, strand.WriterConfig{
-		ID: st.NewID(), Medium: layout.Video, Rate: 30, UnitBytes: 18000, Granularity: 3,
-		Constraint:    alloc.Constraint{MinCylinders: 1, MaxCylinders: targetCylinders},
-		StartCylinder: startCyl,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := media.NewVideoSource(frames, 18000, 30, seed)
-	for u, ok := src.Next(); ok; u, ok = src.Next() {
-		if _, err := w.Append(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Put(s)
-	return s
 }
 
 // traceIntervalLifecycle: one disk, a leader and three followers of one
@@ -109,25 +74,25 @@ func writeVideo(t *testing.T, d disk.Device, a *alloc.Allocator, st *strand.Stor
 // forceK pins k so the population is concurrent; without it every
 // admission and demotion schedules §3.4's transition rounds.
 func traceIntervalLifecycle(t *testing.T, w *bytes.Buffer, forceK bool) {
-	rig := newRig(t, disk.DefaultGeometry())
-	s := rig.recordVideo(t, 450, 18000, 3, 30, 501)
-	other := rig.recordVideo(t, 240, 18000, 3, 30, 502)
-	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-	rig.m.SetCache(cache.New(16 << 20))
+	rig := newRig(t, shape{})
+	s := rig.record(take{units: 450, seed: 501})
+	other := rig.record(take{units: 240, seed: 502})
+	c := config{cache: 16 << 20}
 	name := "interval lifecycle, stepwise k"
 	if forceK {
 		name = "interval lifecycle, k forced"
 		tmpl := continuity.Request{Name: "video", Granularity: 3, UnitBits: 18000 * 8, Rate: 30, Scattering: rig.scattering()}
-		rig.m.ForceK(cacheRigK(t, rig.m.adm, tmpl, 4))
+		c.k = cacheRigK(t, rig.m.adm, tmpl, 4)
 	}
+	rig.m = rig.manager(c)
 	ring := traced(rig.m)
-	opts := PlanOptions{ReadAhead: 2, Buffers: 4, Scattering: rig.scattering()}
+	opts := rig.std
 	var ids []RequestID
 	for i := 0; i < 4; i++ {
-		ids = append(ids, admitTraced(t, w, rig.m, rig.d, s, opts))
+		ids = append(ids, admitTraced(w, rig, s, opts))
 		rig.m.RunFor(300 * time.Millisecond)
 	}
-	ids = append(ids, admitTraced(t, w, rig.m, rig.d, other, opts))
+	ids = append(ids, admitTraced(w, rig, other, opts))
 	rig.m.RunFor(700 * time.Millisecond)
 	step := func(what string, err error) {
 		fmt.Fprintf(w, "%s at %d: err=%v\n", what, rig.m.Now(), err)
@@ -142,9 +107,9 @@ func traceIntervalLifecycle(t *testing.T, w *bytes.Buffer, forceK bool) {
 	rig.m.RunFor(900 * time.Millisecond)
 	step("stop leader", rig.m.Stop(ids[0]))
 	// Late joiners while the orphans are resolving.
-	ids = append(ids, admitTraced(t, w, rig.m, rig.d, s, opts))
+	ids = append(ids, admitTraced(w, rig, s, opts))
 	rig.m.RunFor(200 * time.Millisecond)
-	ids = append(ids, admitTraced(t, w, rig.m, rig.d, s, opts))
+	ids = append(ids, admitTraced(w, rig, s, opts))
 	rig.m.RunUntilDone()
 	dumpTrace(t, w, name, rig.m, ring, ids)
 }
@@ -154,15 +119,13 @@ func traceIntervalLifecycle(t *testing.T, w *bytes.Buffer, forceK bool) {
 // position, adopt each other once, then each takes full admission and
 // waits out its transition rounds.
 func traceOrphans(t *testing.T, w *bytes.Buffer) {
-	rig := newRig(t, disk.DefaultGeometry())
-	s := rig.recordVideo(t, 300, 18000, 3, 30, 511)
-	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-	rig.m.SetCache(cache.New(16 << 20))
+	rig := newRig(t, shape{})
+	s := rig.record(take{units: 300, seed: 511})
+	rig.m = rig.manager(config{cache: 16 << 20})
 	ring := traced(rig.m)
-	opts := PlanOptions{ReadAhead: 2, Buffers: 4, Scattering: rig.scattering()}
 	var ids []RequestID
 	for i := 0; i < 3; i++ {
-		ids = append(ids, admitTraced(t, w, rig.m, rig.d, s, opts))
+		ids = append(ids, admitTraced(w, rig, s, rig.std))
 	}
 	if err := rig.m.Stop(ids[0]); err != nil {
 		t.Fatal(err)
@@ -175,42 +138,23 @@ func traceOrphans(t *testing.T, w *bytes.Buffer) {
 // asks the cache for every block, silence holders included; a follower
 // regenerates silence without asking.
 func traceSilentAudio(t *testing.T, w *bytes.Buffer) {
-	rig := newRig(t, disk.DefaultGeometry())
-	const units, unitBytes, gran = 480, 800, 4
-	det := media.DefaultSilenceDetector()
-	sw, err := strand.NewWriter(rig.d, rig.a, strand.WriterConfig{
-		ID: rig.st.NewID(), Medium: layout.Audio, Rate: 10, UnitBytes: unitBytes, Granularity: gran,
-		Constraint: alloc.Constraint{MinCylinders: 1, MaxCylinders: 50},
-		Silence:    &det,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rig := newRig(t, shape{})
 	ring := traced(rig.m)
-	rec, _, err := rig.m.AdmitRecord(PlanRecord("audio", sw, media.NewAudioSource(units, unitBytes, 10, 0.5, 8, 11), gran, units, 0.01, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig.m.RunUntilDone()
-	s, err := sw.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig.st.Put(s)
-	dumpTrace(t, w, "silence-eliminated audio: record", rig.m, ring, []RequestID{rec})
+	s := rig.record(take{units: 480, seed: 11, audio: true})
+	// The record is the first request the rig's manager admitted.
+	dumpTrace(t, w, "silence-eliminated audio: record", rig.m, ring, []RequestID{1})
 
-	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-	rig.m.SetCache(cache.New(4 << 20))
+	rig.m = rig.manager(config{cache: 4 << 20})
 	ring = traced(rig.m)
 	opts := PlanOptions{ReadAhead: 2, Buffers: 4, Scattering: 0.01}
 	// A gap holding a silence block is never resident, so followers are
 	// only adopted at the leader's own position: admit them together.
 	var ids []RequestID
 	for i := 0; i < 3; i++ {
-		ids = append(ids, admitTraced(t, w, rig.m, rig.d, s, opts))
+		ids = append(ids, admitTraced(w, rig, s, opts))
 	}
 	rig.m.RunFor(1500 * time.Millisecond)
-	ids = append(ids, admitTraced(t, w, rig.m, rig.d, s, opts))
+	ids = append(ids, admitTraced(w, rig, s, opts))
 	rig.m.RunUntilDone()
 	if st := rig.m.Stats(); rig.m.Cache().Stats().Adoptions != 2 || st.SilenceBlocks == 0 || st.Demotions != 0 {
 		t.Fatalf("the followers did not trail the leader through the silence: %+v, cache %+v", st, rig.m.Cache().Stats())
@@ -227,16 +171,16 @@ func traceSilentAudio(t *testing.T, w *bytes.Buffer) {
 // record ride the serial lane.
 func traceArray(t *testing.T, w *bytes.Buffer) {
 	const p, stripe = 4, 120
-	rig := newStripedRig(t, p, stripe, 2, fault.Scenario{Seed: 5, ReadErrorRate: 0.08, SlowdownRate: 0.05, SlowdownFactor: 3})
-	rig.m.SetCache(cache.New(8 << 20))
+	rig := newRig(t, shape{spindles: p, stripe: stripe, fault: fault.Scenario{Seed: 5, ReadErrorRate: 0.08, SlowdownRate: 0.05, SlowdownFactor: 3}, faultOn: 2})
+	rig.m = rig.manager(config{cache: 8 << 20})
 	ring := traced(rig.m)
-	opts := PlanOptions{ReadAhead: 1, Buffers: 16, Scattering: rig.scattering()}
+	opts := rig.std
 	var ids []RequestID
 	for sp := 0; sp < p; sp++ {
-		s := rig.recordOn(t, sp, 0, 90*(sp+1), int64(520+sp))
-		ids = append(ids, admitTraced(t, w, rig.m, rig.arr, s, opts))
+		s := rig.write(take{units: 90 * (sp + 1), seed: int64(520 + sp), spindle: sp, pin: true})
+		ids = append(ids, admitTraced(w, rig, s, opts))
 	}
-	crossing := writeVideo(t, rig.arr, rig.a, rig.st, rig.logicalStart(0, 112), 300, 530)
+	crossing := rig.write(take{units: 300, seed: 530, cyl: 112})
 	spindles := map[int]bool{}
 	for i := 0; i < crossing.NumBlocks(); i++ {
 		e, err := crossing.Block(i)
@@ -249,21 +193,13 @@ func traceArray(t *testing.T, w *bytes.Buffer) {
 	if len(spindles) < 2 {
 		t.Fatalf("the crossing strand stayed on one spindle: %v", spindles)
 	}
-	ids = append(ids, admitTraced(t, w, rig.m, rig.arr, crossing, opts))
-	shared := rig.recordOn(t, 1, 40, 240, 531)
-	ids = append(ids, admitTraced(t, w, rig.m, rig.arr, shared, opts))
+	ids = append(ids, admitTraced(w, rig, crossing, opts))
+	shared := rig.write(take{units: 240, seed: 531, spindle: 1, cyl: 40, pin: true})
+	ids = append(ids, admitTraced(w, rig, shared, opts))
 	rig.m.RunFor(400 * time.Millisecond)
-	ids = append(ids, admitTraced(t, w, rig.m, rig.arr, shared, opts))
+	ids = append(ids, admitTraced(w, rig, shared, opts))
 
-	rw, err := strand.NewWriter(rig.arr, rig.a, strand.WriterConfig{
-		ID: rig.st.NewID(), Medium: layout.Video, Rate: 30, UnitBytes: 18000, Granularity: 3,
-		Constraint:    alloc.Constraint{MinCylinders: 1, MaxCylinders: targetCylinders},
-		StartCylinder: rig.logicalStart(3, 60),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, dec, err := rig.m.AdmitRecord(PlanRecord("rec", rw, media.NewVideoSource(150, 18000, 30, 532), 3, 150, rig.scattering(), 4))
+	rec, dec, err := rig.m.AdmitRecord(rig.recording(take{units: 150, seed: 532, spindle: 3, cyl: 60}))
 	fmt.Fprintf(w, "admit record: id=%d k=%d err=%v\n", rec, dec.K, err)
 	if err == nil {
 		ids = append(ids, rec)
@@ -277,25 +213,26 @@ func traceArray(t *testing.T, w *bytes.Buffer) {
 // continue, and repair-only rounds finish the copy.
 func traceMirroredRebuild(t *testing.T, w *bytes.Buffer) {
 	const p, stripe, victim = 4, 120, 1
-	rig := newMirroredRig(t, p, stripe, victim, fault.Scenario{Seed: 7, DieRound: 5})
+	rig := newRig(t, shape{spindles: p, stripe: stripe, mirror: true, fault: fault.Scenario{Seed: 7, DieRound: 5}, faultOn: victim})
 	ring := traced(rig.m)
+	opts := PlanOptions{ReadAhead: 1, Buffers: 32, Scattering: rig.scattering()}
 	var ids []RequestID
 	strands := make([]*strand.Strand, p)
 	for sp := 0; sp < p; sp++ {
-		strands[sp] = rig.recordPreferring(t, sp, 0, 240, int64(540+sp))
+		strands[sp] = rig.write(take{units: 240, seed: int64(540 + sp), spindle: sp, pin: true})
 	}
 	for sp := 0; sp < p; sp++ {
-		ids = append(ids, rig.play(t, strands[sp], 32))
+		ids = append(ids, rig.play(strands[sp], opts))
 	}
 	for i := 0; i < 12 && rig.m.RunRound(); i++ {
 	}
 	fmt.Fprintf(w, "rebuild at %d: err=%v\n", rig.m.Now(), rig.m.Rebuild(victim))
-	ids = append(ids, rig.play(t, strands[0], 32))
+	ids = append(ids, rig.play(strands[0], opts))
 	rig.m.RunUntilDone()
 	done, total := rig.m.RepairProgress()
 	fmt.Fprintf(w, "repair %d/%d active=%v victim=%v\n", done, total, rig.m.RepairActive(), rig.arr.SpindleState(victim))
 	rig.arr.RefreshSteering()
-	ids = append(ids, rig.play(t, strands[victim], 32))
+	ids = append(ids, rig.play(strands[victim], opts))
 	rig.m.RunUntilDone()
 	dumpTrace(t, w, "mirrored rebuild", rig.m, ring, ids)
 }
@@ -305,18 +242,15 @@ func traceMirroredRebuild(t *testing.T, w *bytes.Buffer) {
 // admitted sub-sampled themselves, and promoted back as the population
 // drains.
 func traceQoS(t *testing.T, w *bytes.Buffer) {
-	rig := newRig(t, disk.DefaultGeometry())
+	rig := newRig(t, shape{})
 	tmpl := continuity.Request{Name: "video", Granularity: 3, UnitBits: 18000 * 8, Rate: 30, Scattering: rig.scattering()}
 	nmax := rig.m.adm.NMax(tmpl)
 	k := cacheRigK(t, rig.m.adm, tmpl, nmax)
 	var strands []*strand.Strand
 	for i := 0; i < 3; i++ {
-		strands = append(strands, writeVideo(t, rig.d, rig.a, rig.st, 100+300*i, 600+150*i, int64(550+i)))
+		strands = append(strands, rig.write(take{units: 600 + 150*i, seed: int64(550 + i), cyl: 100 + 300*i}))
 	}
-	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-	rig.m.SetPolicy(NaiveJump)
-	rig.m.ForceK(k)
-	rig.m.SetQoS(QoSPolicy{MaxStride: 4})
+	rig.m = rig.manager(config{policy: NaiveJump, k: k, qos: 4})
 	ring := traced(rig.m)
 	var ids []RequestID
 	for i := 0; i < nmax+5; i++ {
@@ -324,7 +258,7 @@ func traceQoS(t *testing.T, w *bytes.Buffer) {
 		if i >= nmax {
 			class = continuity.Class((i + 2) % continuity.NumClasses)
 		}
-		id := admitTraced(t, w, rig.m, rig.d, strands[i%len(strands)], PlanOptions{ReadAhead: 2, Buffers: 2 * k, Scattering: rig.scattering(), Class: class})
+		id := admitTraced(w, rig, strands[i%len(strands)], PlanOptions{ReadAhead: 2, Buffers: 2 * k, Scattering: rig.scattering(), Class: class})
 		rig.m.ForceK(k)
 		if id != 0 {
 			ids = append(ids, id)

@@ -5,90 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"mmfs/internal/alloc"
-	"mmfs/internal/cache"
-	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
 	"mmfs/internal/fault"
 	"mmfs/internal/layout"
-	"mmfs/internal/media"
 	"mmfs/internal/strand"
 )
-
-// backToBackBytes is a one-frame video block of exactly 28 sectors:
-// sixteen of them fill a cylinder of the default geometry (448 sectors)
-// to its last sector, so a strand of them written under the run
-// placement is one unbroken range of sectors whose blocks cross into the
-// next cylinder every sixteen blocks.
-const backToBackBytes = 28 * 2048
-
-// writeBackToBack records a video strand of n such blocks (10 frames a
-// second, 100 ms a block) from cylinder startCyl on, under the run
-// placement, and checks that it is stored back to back.
-func writeBackToBack(t *testing.T, d disk.Device, a *alloc.Allocator, st *strand.Store, startCyl, n int, seed int64) *strand.Strand {
-	t.Helper()
-	w, err := strand.NewWriter(d, a, strand.WriterConfig{
-		ID: st.NewID(), Medium: layout.Video, Rate: 10, UnitBytes: backToBackBytes, Granularity: 1,
-		Constraint: alloc.RunPlacement(targetCylinders), StartCylinder: startCyl,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := media.NewVideoSource(n, backToBackBytes, 10, seed)
-	for u, ok := src.Next(); ok; u, ok = src.Next() {
-		if _, err := w.Append(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Put(s)
-	first, _ := s.Block(0)
-	if g := d.Geometry(); int(first.Sector)%g.SectorsPerCylinder() != 0 {
-		t.Fatalf("strand starts at sector %d, not at a cylinder's first", first.Sector)
-	}
-	for i := 1; i < n; i++ {
-		prev, _ := s.Block(i - 1)
-		e, _ := s.Block(i)
-		if e.Sector != prev.Sector+prev.SectorCount || e.SectorCount != 28 {
-			t.Fatalf("block %d at sector %d (%d sectors) does not follow block %d", i, e.Sector, e.SectorCount, i-1)
-		}
-	}
-	return s
-}
-
-// runRig is a fresh manager at a forced k over a disk holding one
-// back-to-back strand, with NaiveJump so an admission's k is in force at
-// once.
-func runRig(t *testing.T, k, blocks int) (*testRig, *strand.Strand) {
-	t.Helper()
-	rig := newRig(t, disk.DefaultGeometry())
-	s := writeBackToBack(t, rig.d, rig.a, rig.st, 200, blocks, 3100)
-	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-	rig.m.SetPolicy(NaiveJump)
-	rig.m.ForceK(k)
-	return rig, s
-}
-
-// admitRange admits a play of the strand's blocks [first, first+n).
-func admitRange(t *testing.T, rig *testRig, d disk.Device, s *strand.Strand, first, n int, opts PlanOptions) RequestID {
-	t.Helper()
-	q := uint64(s.Granularity())
-	plan, err := PlanPlay(d, "range", []Interval{{Strand: s, StartUnit: uint64(first) * q, NumUnits: uint64(n) * q}}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Scattering == 0 {
-		plan.Admission.Scattering = rig.scattering()
-	}
-	id, _, err := rig.m.AdmitPlay(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return id
-}
 
 // A turn over blocks stored back to back in one cylinder is ONE timed
 // access: the device counts one read, and the turn costs one positioning
@@ -108,7 +29,9 @@ func TestRunIsOneTimedAccess(t *testing.T) {
 		{"per-block arrivals", 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rig, s := runRig(t, k, 16)
+			rig := newRig(t, shape{})
+			s := rig.write(take{units: 16, seed: 3100, backToBack: true, cyl: 200})
+			rig.m = rig.manager(config{policy: NaiveJump, k: k})
 			opts := PlanOptions{ReadAhead: tc.readAhead, Buffers: 2 * k, Scattering: rig.scattering()}
 			if tc.squeeze {
 				opts.Speed = 100 // 100 ms blocks play for 1 ms each
@@ -165,12 +88,22 @@ func TestRunIsOneTimedAccess(t *testing.T) {
 // Every case the run rule names ends a run, so the device counts one
 // read per piece.
 func TestRunEndings(t *testing.T) {
+	// A disk holding one back-to-back strand of the given blocks, under a
+	// fresh manager set up as c says, with NaiveJump so an admission's k is
+	// in force at once.
+	oneStrand := func(t *testing.T, blocks int, c config) (*testRig, *strand.Strand) {
+		rig := newRig(t, shape{})
+		s := rig.write(take{units: blocks, seed: 3100, backToBack: true, cyl: 200})
+		c.policy = NaiveJump
+		rig.m = rig.manager(c)
+		return rig, s
+	}
 	// A gap: fast-forward with skipping reads every other block, and
 	// no two of those are back to back.
 	t.Run("gap", func(t *testing.T) {
-		rig, s := runRig(t, 8, 16)
+		rig, s := oneStrand(t, 16, config{k: 8})
 		before := rig.d.Stats().Reads
-		admitRange(t, rig, rig.d, s, 0, 16, PlanOptions{ReadAhead: 8, Buffers: 16, Speed: 2, Skip: true, Scattering: rig.scattering()})
+		rig.play(s, PlanOptions{ReadAhead: 8, Buffers: 16, Speed: 2, Skip: true, Scattering: rig.scattering()}, 0, 16)
 		rig.m.RunRound()
 		if got := rig.d.Stats().Reads - before; got != 8 {
 			t.Fatalf("8 blocks with gaps between them took %d reads, want 8", got)
@@ -179,9 +112,9 @@ func TestRunEndings(t *testing.T) {
 	// A cylinder crossing: blocks 12..19 are back to back, but 16 is
 	// the next cylinder's first.
 	t.Run("page crossing", func(t *testing.T) {
-		rig, s := runRig(t, 8, 24)
+		rig, s := oneStrand(t, 24, config{k: 8})
 		before := rig.d.Stats().Reads
-		admitRange(t, rig, rig.d, s, 12, 8, PlanOptions{ReadAhead: 8, Buffers: 16})
+		rig.play(s, PlanOptions{ReadAhead: 8, Buffers: 16, Scattering: rig.scattering()}, 12, 8)
 		rig.m.RunRound()
 		if got := rig.d.Stats().Reads - before; got != 2 {
 			t.Fatalf("8 back-to-back blocks across a cylinder took %d reads, want 2", got)
@@ -189,9 +122,9 @@ func TestRunEndings(t *testing.T) {
 	})
 	// The turn's k: 16 blocks in one cylinder, 4 a turn.
 	t.Run("k", func(t *testing.T) {
-		rig, s := runRig(t, 4, 16)
+		rig, s := oneStrand(t, 16, config{k: 4})
 		before := rig.d.Stats().Reads
-		id := admitRange(t, rig, rig.d, s, 0, 16, PlanOptions{ReadAhead: 4, Buffers: 8})
+		id := rig.play(s, PlanOptions{ReadAhead: 4, Buffers: 8, Scattering: rig.scattering()}, 0, 16)
 		rig.m.RunRound()
 		if p, _ := rig.m.Progress(id); p.BlocksServed != 4 || rig.d.Stats().Reads-before != 1 {
 			t.Fatalf("a turn at k=4 delivered %d blocks in %d reads, want 4 in 1", p.BlocksServed, rig.d.Stats().Reads-before)
@@ -199,7 +132,7 @@ func TestRunEndings(t *testing.T) {
 	})
 	// A pure delay between two intervals of the same blocks.
 	t.Run("delay", func(t *testing.T) {
-		rig, s := runRig(t, 8, 16)
+		rig, s := oneStrand(t, 16, config{k: 8})
 		plan, err := PlanPlay(rig.d, "delayed", []Interval{
 			{Strand: s, StartUnit: 0, NumUnits: 3},
 			{Gap: 250 * time.Millisecond},
@@ -221,26 +154,8 @@ func TestRunEndings(t *testing.T) {
 	// stores its sounding blocks back to back — an eliminated block
 	// takes no sectors — yet every silence ends the run before it.
 	t.Run("silence", func(t *testing.T) {
-		rig := newRig(t, disk.DefaultGeometry())
-		det := media.DefaultSilenceDetector()
-		w, err := strand.NewWriter(rig.d, rig.a, strand.WriterConfig{
-			ID: rig.st.NewID(), Medium: layout.Audio, Rate: 10, UnitBytes: 800, Granularity: 4,
-			Constraint: alloc.RunPlacement(targetCylinders), StartCylinder: 300, Silence: &det,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := media.NewAudioSource(400, 800, 10, 0.5, 8, 11)
-		for u, ok := src.Next(); ok; u, ok = src.Next() {
-			if _, err := w.Append(u); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s, err := w.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig.st.Put(s)
+		rig := newRig(t, shape{})
+		s := rig.write(take{units: 400, seed: 11, audio: true, run: true, cyl: 300})
 		// The pieces: stored stretches between silences, cut again where
 		// a cylinder ends; and what the count would be if silence did
 		// not end a run.
@@ -267,11 +182,9 @@ func TestRunEndings(t *testing.T) {
 		if pieces == unsplit {
 			t.Fatalf("no silence falls between back-to-back blocks (%d pieces)", pieces)
 		}
-		rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-		rig.m.SetPolicy(NaiveJump)
-		rig.m.ForceK(s.NumBlocks())
+		rig.m = rig.manager(config{policy: NaiveJump, k: s.NumBlocks()})
 		before := rig.d.Stats()
-		id := admitRange(t, rig, rig.d, s, 0, s.NumBlocks(), PlanOptions{ReadAhead: s.NumBlocks(), Buffers: s.NumBlocks(), Scattering: 0.01})
+		id := rig.play(s, PlanOptions{ReadAhead: s.NumBlocks(), Buffers: s.NumBlocks(), Scattering: 0.01}, 0, s.NumBlocks())
 		rig.m.RunRound()
 		if p, _ := rig.m.Progress(id); p.BlocksServed != s.NumBlocks() {
 			t.Fatalf("one turn delivered %d of %d blocks", p.BlocksServed, s.NumBlocks())
@@ -284,12 +197,11 @@ func TestRunEndings(t *testing.T) {
 	// blocks 4-5 left them in the LRU, so blocks 0-7 come as 0-3 from
 	// the disk, 4-5 from the cache, 6-7 from the disk.
 	t.Run("cache-resident block", func(t *testing.T) {
-		rig, s := runRig(t, 8, 16)
-		rig.m.SetCache(cache.New(16 << 20))
-		admitRange(t, rig, rig.d, s, 4, 2, PlanOptions{ReadAhead: 2, Buffers: 16})
+		rig, s := oneStrand(t, 16, config{k: 8, cache: 16 << 20})
+		rig.play(s, PlanOptions{ReadAhead: 2, Buffers: 16, Scattering: rig.scattering()}, 4, 2)
 		rig.m.RunUntilDone()
 		before := rig.d.Stats().Reads
-		id := admitRange(t, rig, rig.d, s, 0, 8, PlanOptions{ReadAhead: 8, Buffers: 16})
+		id := rig.play(s, PlanOptions{ReadAhead: 8, Buffers: 16, Scattering: rig.scattering()}, 0, 8)
 		rig.m.RunRound()
 		p, _ := rig.m.Progress(id)
 		if p.BlocksServed != 8 || p.CacheHits != 2 || p.CacheServed {
@@ -302,11 +214,10 @@ func TestRunEndings(t *testing.T) {
 	// A follower takes its blocks from the cache, one at a time, and
 	// never reads the disk: the device's reads are the leader's runs.
 	t.Run("follower", func(t *testing.T) {
-		rig, s := runRig(t, 4, 16)
-		rig.m.SetCache(cache.New(16 << 20))
-		leader := admitRange(t, rig, rig.d, s, 0, 16, PlanOptions{ReadAhead: 16, Buffers: 16})
+		rig, s := oneStrand(t, 16, config{k: 4, cache: 16 << 20})
+		leader := rig.play(s, PlanOptions{ReadAhead: 16, Buffers: 16, Scattering: rig.scattering()}, 0, 16)
 		rig.m.RunRound()
-		follower := admitRange(t, rig, rig.d, s, 0, 16, PlanOptions{ReadAhead: 16, Buffers: 16})
+		follower := rig.play(s, PlanOptions{ReadAhead: 16, Buffers: 16, Scattering: rig.scattering()}, 0, 16)
 		if p, _ := rig.m.Progress(follower); !p.CacheServed {
 			t.Fatalf("second play not cache-served: %+v", p)
 		}
@@ -327,8 +238,8 @@ func TestRunEndings(t *testing.T) {
 	})
 	// A load-shed stream reads every other block, one block a step.
 	t.Run("stride 2", func(t *testing.T) {
-		rig, s := runRig(t, 8, 16)
-		id := admitRange(t, rig, rig.d, s, 0, 16, PlanOptions{ReadAhead: 16, Buffers: 16})
+		rig, s := oneStrand(t, 16, config{k: 8})
+		id := rig.play(s, PlanOptions{ReadAhead: 16, Buffers: 16, Scattering: rig.scattering()}, 0, 16)
 		r, _ := rig.m.find(id)
 		r.play.stride = 2
 		before := rig.d.Stats().Reads
@@ -359,19 +270,17 @@ func TestRunFaultFallsBackToBlocks(t *testing.T) {
 		{"no retries", -1, 2, 0, 1, []int{0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rig := newRig(t, disk.DefaultGeometry())
-			s := writeBackToBack(t, rig.d, rig.a, rig.st, 200, 8, 3200)
+			rig := newRig(t, shape{})
+			s := rig.write(take{units: 8, seed: 3200, backToBack: true, cyl: 200})
 			sc := inertScenario()
 			if tc.bad >= 0 {
 				e, _ := s.Block(tc.bad)
 				sc.BadSectors = []fault.SectorRange{{Start: int(e.Sector) + 3, Count: 1}}
 			}
 			fd := fault.New(rig.d, sc)
-			rig.m = New(fd, continuity.AdmissionFor(rig.dev))
-			rig.m.SetPolicy(NaiveJump)
-			rig.m.ForceK(8)
+			rig.m = rig.manager(config{dev: fd, policy: NaiveJump, k: 8})
 			rig.m.ft.MaxRetries = tc.retries
-			id := admitRange(t, rig, fd, s, 0, 4, PlanOptions{ReadAhead: 4, Buffers: 8})
+			id := rig.play(s, PlanOptions{ReadAhead: 4, Buffers: 8, Scattering: rig.scattering()}, 0, 4)
 			fd.FailNextReads(tc.fail)
 			rig.m.RunUntilDone()
 			st := rig.m.Stats()
@@ -437,7 +346,7 @@ func TestRunChargeNeverExceedsPerBlock(t *testing.T) {
 	g := disk.DefaultGeometry()
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		rig := newRig(t, g)
+		rig := newRig(t, shape{geom: g})
 		for i := 0; i < 40; i++ {
 			if _, err := rig.a.AllocateNearCylinder(100+rng.Intn(40), 1+rng.Intn(60)); err != nil {
 				t.Fatal(err)
@@ -445,25 +354,7 @@ func TestRunChargeNeverExceedsPerBlock(t *testing.T) {
 		}
 		var strands []*strand.Strand
 		for i := 0; i < 3; i++ {
-			w, err := strand.NewWriter(rig.d, rig.a, strand.WriterConfig{
-				ID: rig.st.NewID(), Medium: layout.Video, Rate: 30, UnitBytes: 18000, Granularity: 3,
-				Constraint: alloc.RunPlacement(targetCylinders), StartCylinder: 100 + 10*i,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := media.NewVideoSource(300, 18000, 30, seed*10+int64(i))
-			for u, ok := src.Next(); ok; u, ok = src.Next() {
-				if _, err := w.Append(u); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s, err := w.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rig.st.Put(s)
-			strands = append(strands, s)
+			strands = append(strands, rig.write(take{units: 300, seed: seed*10 + int64(i), run: true, cyl: 100 + 10*i}))
 		}
 		shadow := disk.MustNew(g)
 		if _, err := shadow.ReadInto(0, rig.d.HeadCylinder()*g.SectorsPerCylinder(), 1, make([]byte, g.SectorSize)); err != nil {
@@ -471,18 +362,10 @@ func TestRunChargeNeverExceedsPerBlock(t *testing.T) {
 		}
 		probe := &chargeProbe{Disk: rig.d, t: t, shadow: shadow, blockSectors: strands[0].BlockSectors(g.SectorSize),
 			buf: make([]byte, strands[0].BlockSectors(g.SectorSize)*g.SectorSize)}
-		rig.m = New(probe, continuity.AdmissionFor(rig.dev))
-		rig.m.SetPolicy(NaiveJump)
 		k := 2 + rng.Intn(10)
-		rig.m.ForceK(k)
+		rig.m = rig.manager(config{dev: probe, policy: NaiveJump, k: k})
 		for _, s := range strands {
-			plan, err := PlanStrandPlay(probe, s, PlanOptions{ReadAhead: k, Buffers: 2 * k, Scattering: rig.scattering()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := rig.m.AdmitPlay(plan); err != nil {
-				t.Fatal(err)
-			}
+			rig.play(s, PlanOptions{ReadAhead: k, Buffers: 2 * k, Scattering: rig.scattering()})
 		}
 		rig.m.RunUntilDone()
 		if probe.multi == 0 || probe.multi == probe.reads {

@@ -4,12 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"mmfs/internal/alloc"
 	"mmfs/internal/cache"
 	"mmfs/internal/continuity"
-	"mmfs/internal/disk"
-	"mmfs/internal/layout"
-	"mmfs/internal/media"
 	"mmfs/internal/strand"
 )
 
@@ -43,15 +39,7 @@ func TestCommandsRunNoRound(t *testing.T) {
 			return id, dec.K
 		}},
 		{"record", nil, func(t *testing.T, x *setup) (RequestID, int) {
-			w, err := strand.NewWriter(x.rig.d, x.rig.a, strand.WriterConfig{
-				ID: x.rig.st.NewID(), Medium: layout.Video, Rate: 30, UnitBytes: 18000, Granularity: 2,
-				Constraint: alloc.Constraint{MinCylinders: 1, MaxCylinders: targetCylinders},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := media.NewVideoSource(90, 18000, 30, 41)
-			id, dec, err := x.rig.m.AdmitRecord(PlanRecord("rec", w, src, 2, 90, x.rig.scattering(), 4))
+			id, dec, err := x.rig.m.AdmitRecord(x.rig.recording(take{units: 90, seed: 41, gran: 2}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,18 +109,15 @@ func TestCommandsRunNoRound(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rig := newRig(t, disk.DefaultGeometry())
-			a := rig.recordVideo(t, 450, 18000, 2, 30, 31)
-			x := &setup{rig: rig, s: rig.recordVideo(t, 300, 18000, 2, 30, 32)}
-			rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
+			rig := newRig(t, shape{})
+			a := rig.record(take{units: 450, seed: 31, gran: 2})
+			x := &setup{rig: rig, s: rig.record(take{units: 300, seed: 32, gran: 2})}
+			rig.m = rig.manager(config{})
 			var err error
-			if x.plan, err = PlanStrandPlay(rig.d, x.s, PlanOptions{ReadAhead: 2, Buffers: 4, Scattering: rig.scattering()}); err != nil {
+			if x.plan, err = PlanStrandPlay(rig.d, x.s, rig.std); err != nil {
 				t.Fatal(err)
 			}
-			live, _, err := rig.admitPlay(t, a)
-			if err != nil {
-				t.Fatal(err)
-			}
+			live := rig.play(a, rig.std)
 			rig.m.RunFor(300 * time.Millisecond)
 			if tc.prepare != nil {
 				tc.prepare(t, x)
@@ -187,22 +172,12 @@ func TestCommandsRunNoRound(t *testing.T) {
 // uncounted — it holds no round open — and after its resume joins with
 // its clock started no earlier than the resume, so it captures on time.
 func TestPauseWhileWaiting(t *testing.T) {
-	rig := newRig(t, disk.DefaultGeometry())
-	a := rig.recordVideo(t, 450, 18000, 2, 30, 31)
-	rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-	if _, _, err := rig.admitPlay(t, a); err != nil {
-		t.Fatal(err)
-	}
+	rig := newRig(t, shape{})
+	a := rig.record(take{units: 450, seed: 31, gran: 2})
+	rig.m = rig.manager(config{})
+	rig.play(a, rig.std)
 	rig.m.RunFor(300 * time.Millisecond)
-	w, err := strand.NewWriter(rig.d, rig.a, strand.WriterConfig{
-		ID: rig.st.NewID(), Medium: layout.Video, Rate: 30, UnitBytes: 18000, Granularity: 2,
-		Constraint: alloc.Constraint{MinCylinders: 1, MaxCylinders: targetCylinders},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := media.NewVideoSource(90, 18000, 30, 41)
-	id, dec, err := rig.m.AdmitRecord(PlanRecord("rec", w, src, 2, 90, rig.scattering(), 4))
+	id, dec, err := rig.m.AdmitRecord(rig.recording(take{units: 90, seed: 41, gran: 2}))
 	if err != nil || dec.K <= rig.m.K()+1 {
 		t.Fatalf("record admitted at k=%d with the manager at %d (err %v): want two steps", dec.K, rig.m.K(), err)
 	}

@@ -3,10 +3,8 @@ package msm
 import (
 	"testing"
 
-	"mmfs/internal/cache"
 	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
-	"mmfs/internal/fault"
 	"mmfs/internal/strand"
 )
 
@@ -27,34 +25,24 @@ func TestSteadyRoundsAllocateNothing(t *testing.T) {
 		start func(t *testing.T) (m *Manager, held func() bool)
 	}{
 		{"single disk, steady playback", func(t *testing.T) (*Manager, func() bool) {
-			rig := newRig(t, disk.DefaultGeometry())
-			s := rig.recordVideo(t, 600, 18000, 3, 30, 601)
-			rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-			if _, _, err := rig.admitPlay(t, s); err != nil {
-				t.Fatal(err)
-			}
+			rig := newRig(t, shape{})
+			s := rig.record(take{units: 600, seed: 601})
+			rig.m = rig.manager(config{})
+			rig.play(s, rig.std)
 			return rig.m, nil
 		}},
 		{"single disk, turns read runs", func(t *testing.T) (*Manager, func() bool) {
 			// Two plays over back-to-back strands, filling a deep
 			// read-ahead: every turn reads its k blocks as one access.
 			const k = 4
-			rig := newRig(t, disk.DefaultGeometry())
+			rig := newRig(t, shape{})
 			var strands []*strand.Strand
 			for i := 0; i < 2; i++ {
-				strands = append(strands, writeBackToBack(t, rig.d, rig.a, rig.st, 200+100*i, 160, int64(650+i)))
+				strands = append(strands, rig.write(take{units: 160, seed: int64(650 + i), backToBack: true, cyl: 200 + 100*i}))
 			}
-			rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-			rig.m.SetPolicy(NaiveJump)
-			rig.m.ForceK(k)
+			rig.m = rig.manager(config{policy: NaiveJump, k: k})
 			for _, s := range strands {
-				plan, err := PlanStrandPlay(rig.d, s, PlanOptions{ReadAhead: 160, Buffers: 160, Scattering: rig.scattering()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := rig.m.AdmitPlay(plan); err != nil {
-					t.Fatal(err)
-				}
+				rig.play(s, PlanOptions{ReadAhead: 160, Buffers: 160, Scattering: rig.scattering()})
 			}
 			reads, blocks := rig.d.Stats().Reads, rig.m.Stats().BlocksFetched
 			return rig.m, func() bool {
@@ -63,17 +51,10 @@ func TestSteadyRoundsAllocateNothing(t *testing.T) {
 		}},
 		{"4-spindle striped round", func(t *testing.T) (*Manager, func() bool) {
 			const p, stripe = 4, 120
-			rig := newStripedRig(t, p, stripe, -1, fault.Scenario{})
+			rig := newRig(t, shape{spindles: p, stripe: stripe})
 			for sp := 0; sp < p; sp++ {
 				for j := 0; j < 2; j++ {
-					s := rig.recordOn(t, sp, j*stripe, 300, int64(610+2*sp+j))
-					plan, err := PlanStrandPlay(rig.arr, s, PlanOptions{ReadAhead: 1, Buffers: 16, Scattering: rig.scattering()})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, _, err := rig.m.AdmitPlay(plan); err != nil {
-						t.Fatal(err)
-					}
+					rig.play(rig.write(take{units: 300, seed: int64(610 + 2*sp + j), spindle: sp, group: j, pin: true}), rig.std)
 				}
 			}
 			return rig.m, func() bool {
@@ -86,13 +67,11 @@ func TestSteadyRoundsAllocateNothing(t *testing.T) {
 			}
 		}},
 		{"cache-coupled follower round", func(t *testing.T) (*Manager, func() bool) {
-			rig := newRig(t, disk.DefaultGeometry())
-			s := rig.recordVideo(t, 900, 18000, 3, 30, 620)
-			rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-			rig.m.SetCache(cache.New(16 << 20))
+			rig := newRig(t, shape{})
+			s := rig.record(take{units: 900, seed: 620})
 			tmpl := continuity.Request{Name: "video", Granularity: 3, UnitBits: 18000 * 8, Rate: 30, Scattering: rig.scattering()}
-			rig.m.ForceK(cacheRigK(t, rig.m.adm, tmpl, 2))
-			if _, cached, rejected := admitStaggered(t, rig, s, 3, 300e6); cached != 2 || rejected != 0 {
+			rig.m = rig.manager(config{cache: 16 << 20, k: cacheRigK(t, rig.m.adm, tmpl, 2)})
+			if _, cached, rejected := stagger(rig, s, 3, 300e6); cached != 2 || rejected != 0 {
 				t.Fatalf("%d followers, %d rejected; want 2 followers trailing the leader", cached, rejected)
 			}
 			hits := rig.m.Stats().CacheHits
@@ -101,7 +80,7 @@ func TestSteadyRoundsAllocateNothing(t *testing.T) {
 			}
 		}},
 		{"QoS class pass on a degraded population", func(t *testing.T) (*Manager, func() bool) {
-			rig := newRig(t, disk.DefaultGeometry())
+			rig := newRig(t, shape{})
 			tmpl := continuity.Request{Name: "video", Granularity: 3, UnitBits: 18000 * 8, Rate: 30, Scattering: rig.scattering()}
 			const riders, maxStride = 2, 4
 			nStd := rig.m.adm.NMax(tmpl) - riders
@@ -129,21 +108,16 @@ func TestSteadyRoundsAllocateNothing(t *testing.T) {
 			}
 			var strands []*strand.Strand
 			for i := 0; i < 3; i++ {
-				strands = append(strands, writeVideo(t, rig.d, rig.a, rig.st, 100+300*i, 900, int64(630+i)))
+				strands = append(strands, rig.write(take{units: 900, seed: int64(630 + i), cyl: 100 + 300*i}))
 			}
-			rig.m = New(rig.d, continuity.AdmissionFor(rig.dev))
-			rig.m.SetPolicy(NaiveJump)
-			rig.m.SetQoS(QoSPolicy{MaxStride: maxStride})
+			rig.m = rig.manager(config{policy: NaiveJump, qos: maxStride})
 			for i := 0; i < nStd+riders; i++ {
 				class := continuity.Standard
 				if i >= nStd {
 					class = continuity.BestEffort
 				}
-				plan, err := PlanStrandPlay(rig.d, strands[i%len(strands)], PlanOptions{ReadAhead: k, Buffers: 2 * k, Scattering: rig.scattering(), Class: class})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := rig.m.AdmitPlay(plan); err != nil {
+				opts := PlanOptions{ReadAhead: k, Buffers: 2 * k, Scattering: rig.scattering(), Class: class}
+				if _, _, err := rig.tryPlay(rig.m, strands[i%len(strands)], opts); err != nil {
 					t.Fatalf("play %d (%v): %v", i, class, err)
 				}
 			}
@@ -157,20 +131,14 @@ func TestSteadyRoundsAllocateNothing(t *testing.T) {
 			// the Eq. 18 slack a repair chunk (one cylinder) costs; the
 			// healthy pair carries a stream a spindle.
 			const p, stripe, victim, k = 4, 120, 1, 4
-			rig := newMirroredRig(t, p, stripe, -1, fault.Scenario{})
-			rig.m.SetPolicy(NaiveJump)
+			rig := newRig(t, shape{spindles: p, stripe: stripe, mirror: true})
+			rig.m = rig.manager(config{policy: NaiveJump})
 			for sp := 0; sp < p; sp++ {
 				if sp == victim {
 					continue
 				}
-				s := rig.recordPreferring(t, sp, 0, 348, int64(640+sp))
-				plan, err := PlanStrandPlay(rig.arr, s, PlanOptions{ReadAhead: k, Buffers: 2 * k, Scattering: rig.scattering()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := rig.m.AdmitPlay(plan); err != nil {
-					t.Fatal(err)
-				}
+				s := rig.write(take{units: 348, seed: int64(640 + sp), spindle: sp, pin: true})
+				rig.play(s, PlanOptions{ReadAhead: k, Buffers: 2 * k, Scattering: rig.scattering()})
 			}
 			rig.m.ForceK(k)
 			// A dead spindle's factory-fresh replacement, as Manager.Rebuild

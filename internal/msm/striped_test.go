@@ -5,88 +5,10 @@ import (
 	"slices"
 	"testing"
 
-	"mmfs/internal/alloc"
-	"mmfs/internal/cache"
 	"mmfs/internal/continuity"
-	"mmfs/internal/disk"
 	"mmfs/internal/fault"
 	"mmfs/internal/strand"
 )
-
-// stripedRig bundles the substrate for striped-array manager tests:
-// p spindles behind one disk.Array, with the allocator and strand
-// store working in the array's logical address space.
-type stripedRig struct {
-	raw []*disk.Disk // physical spindles (under any fault wrapper)
-	arr *disk.Array
-	a   *alloc.Allocator
-	st  *strand.Store
-	m   *Manager
-	dev continuity.Device
-	p   int
-	sc  int // stripe cylinders
-}
-
-// newStripedRig builds a p-spindle array with the given stripe. When
-// faultSpindle ≥ 0 and the scenario is active, that one spindle is
-// wrapped in fault injection; the others stay healthy.
-func newStripedRig(t *testing.T, p, stripe, faultSpindle int, sc fault.Scenario) *stripedRig {
-	t.Helper()
-	g := disk.DefaultGeometry()
-	devs := make([]disk.Device, p)
-	raw := make([]*disk.Disk, p)
-	for i := range devs {
-		raw[i] = disk.MustNew(g)
-		if i == faultSpindle && sc.Active() {
-			devs[i] = fault.New(raw[i], sc)
-		} else {
-			devs[i] = raw[i]
-		}
-	}
-	arr := disk.MustNewArray(devs, stripe, false)
-	a, err := alloc.New(arr.Geometry(), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg := arr.Geometry()
-	dev := DeviceFor(lg)
-	return &stripedRig{
-		raw: raw, arr: arr, a: a,
-		st:  strand.NewStore(arr, a),
-		m:   New(arr, continuity.AdmissionFor(dev)),
-		dev: dev, p: p, sc: stripe,
-	}
-}
-
-func (r *stripedRig) scattering() float64 {
-	return continuity.Seconds(r.arr.Geometry().AccessTime(targetCylinders))
-}
-
-// logicalStart maps (spindle, spindle-local cylinder) to the logical
-// cylinder a writer must start at for the data to land there.
-func (r *stripedRig) logicalStart(spindle, localCyl int) int {
-	return (localCyl/r.sc*r.p+spindle)*r.sc + localCyl%r.sc
-}
-
-// recordOn writes a synthetic video strand whose blocks land on the
-// given spindle, starting at the given spindle-local cylinder.
-func (r *stripedRig) recordOn(t *testing.T, spindle, localCyl, frames int, seed int64) *strand.Strand {
-	t.Helper()
-	s := writeVideo(t, r.arr, r.a, r.st, r.logicalStart(spindle, localCyl), frames, seed)
-	// The test's placement assumption: the whole strand must sit on
-	// the intended spindle for per-spindle admission and lane routing
-	// to be exercised as designed.
-	for i := 0; i < s.NumBlocks(); i++ {
-		e, err := s.Block(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sp, one := r.arr.SpindleRange(int(e.Sector), int(e.SectorCount)); !one || sp != spindle {
-			t.Fatalf("strand block %d landed on spindle %d (one=%v), want %d", i, sp, one, spindle)
-		}
-	}
-	return s
-}
 
 // TestStripedRoundParallelService admits the per-spindle n_max on every
 // spindle of a 4-way array — p times the single-spindle bound — and
@@ -94,7 +16,7 @@ func (r *stripedRig) recordOn(t *testing.T, spindle, localCyl, frames int, seed 
 // all spindles doing work.
 func TestStripedRoundParallelService(t *testing.T) {
 	const p, stripe = 4, 120
-	rig := newStripedRig(t, p, stripe, -1, fault.Scenario{})
+	rig := newRig(t, shape{spindles: p, stripe: stripe})
 	if got := len(rig.m.resident); got != p {
 		t.Fatalf("resident table has %d sets, want %d", got, p)
 	}
@@ -114,27 +36,20 @@ func TestStripedRoundParallelService(t *testing.T) {
 	}
 	strands := make([]*strand.Strand, total)
 	for j := range strands {
-		strands[j] = rig.recordOn(t, j%p, (j/p)*stripe, 300, int64(9000+j))
-	}
-	mkPlan := func(s *strand.Strand) PlayPlan {
-		plan, err := PlanStrandPlay(rig.arr, s, PlanOptions{ReadAhead: 1, Buffers: 16, Scattering: rig.scattering()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return plan
+		strands[j] = rig.write(take{units: 300, seed: int64(9000 + j), spindle: j % p, group: j / p, pin: true})
 	}
 
 	// Admission math first, on a manager that runs no rounds: the full
 	// p·n_max population is admitted, and the next candidate on a
 	// saturated spindle fails its per-spindle Eq. 18.
-	gate := New(rig.arr, continuity.AdmissionFor(rig.dev))
+	gate := rig.manager(config{})
 	for j, s := range strands {
-		if _, _, err := gate.AdmitPlay(mkPlan(s)); err != nil {
+		if _, _, err := rig.tryPlay(gate, s, rig.std); err != nil {
 			t.Fatalf("stream %d (spindle %d): %v — aggregate should reach p·n_max = %d", j, j%p, err, total)
 		}
 	}
-	extra := rig.recordOn(t, 0, nmax*stripe, 300, 9999)
-	if _, _, err := gate.AdmitPlay(mkPlan(extra)); !errors.Is(err, ErrAdmissionRejected) {
+	extra := rig.write(take{units: 300, seed: 9999, group: nmax, pin: true})
+	if _, _, err := rig.tryPlay(gate, extra, rig.std); !errors.Is(err, ErrAdmissionRejected) {
 		t.Fatalf("stream %d on a full spindle: err = %v, want admission rejection", total, err)
 	}
 
@@ -142,7 +57,7 @@ func TestStripedRoundParallelService(t *testing.T) {
 	// every stream delivered violation-free by the parallel sub-rounds.
 	var ids []RequestID
 	for j, s := range strands {
-		id, _, err := rig.m.AdmitPlay(mkPlan(s))
+		id, _, err := rig.tryPlay(rig.m, s, rig.std)
 		if err != nil {
 			t.Fatalf("stream %d (spindle %d): %v", j, j%p, err)
 		}
@@ -182,32 +97,28 @@ func TestStripedRoundParallelService(t *testing.T) {
 // next block lay — spindle 0 alone — admitted, and late after the crossing.
 func TestStraddlingStrand(t *testing.T) {
 	const p, stripe = 4, 120
-	rig := newStripedRig(t, p, stripe, -1, fault.Scenario{})
-	opts := PlanOptions{ReadAhead: 1, Buffers: 16, Scattering: rig.scattering()}
+	rig := newRig(t, shape{spindles: p, stripe: stripe})
+	opts := rig.std
 	nmax := rig.m.adm.NMax(continuity.Request{Granularity: 3, UnitBits: 18000 * 8, Rate: 30, Scattering: rig.scattering()})
 	full := make([]*strand.Strand, nmax)
 	for j := range full {
-		full[j] = rig.recordOn(t, 1, j*stripe, 300, int64(9400+j))
+		full[j] = rig.write(take{units: 300, seed: int64(9400 + j), spindle: 1, group: j, pin: true})
 	}
 	// 100 blocks, a cylinder each, from 8 cylinders short of the boundary.
-	straddler := writeVideo(t, rig.arr, rig.a, rig.st, rig.logicalStart(0, stripe-8), 300, 9499)
+	straddler := rig.write(take{units: 300, seed: 9499, cyl: stripe - 8})
 	plan, err := PlanStrandPlay(rig.arr, straddler, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The admission decisions, on a manager that runs no rounds.
-	gate := New(rig.arr, continuity.AdmissionFor(rig.dev))
+	gate := rig.manager(config{})
 	if ext := gate.spindlesAt(plan.comp.pm[0].classes); ext != 0b0011 {
 		t.Fatalf("the straddler's plan touches spindles %04b, want 0 and 1", ext)
 	}
 	var on1 []RequestID
 	for _, s := range full {
-		pl, err := PlanStrandPlay(rig.arr, s, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, _, err := gate.AdmitPlay(pl)
+		id, _, err := rig.tryPlay(gate, s, opts)
 		if err != nil {
 			t.Fatalf("filling spindle 1 to n_max = %d: %v", nmax, err)
 		}
@@ -231,13 +142,7 @@ func TestStraddlingStrand(t *testing.T) {
 	// through the crossing with nothing late, and the straddler's charge
 	// leaves spindle 0 with its last block there.
 	for _, s := range full[1:] {
-		pl, err := PlanStrandPlay(rig.arr, s, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := rig.m.AdmitPlay(pl); err != nil {
-			t.Fatal(err)
-		}
+		rig.play(s, opts)
 	}
 	id, _, err := rig.m.AdmitPlay(plan)
 	if err != nil {
@@ -269,19 +174,12 @@ func TestStraddlingStrand(t *testing.T) {
 // stop), while the other spindles' streams play through untouched.
 func TestStripedDegradedSpindleIsolation(t *testing.T) {
 	const p, stripe, sick = 4, 120, 1
-	rig := newStripedRig(t, p, stripe, sick, fault.Scenario{Seed: 42, ReadErrorRate: 1})
+	rig := newRig(t, shape{spindles: p, stripe: stripe, fault: fault.Scenario{Seed: 42, ReadErrorRate: 1}, faultOn: sick})
 
 	ids := make([]RequestID, p)
 	for sp := 0; sp < p; sp++ {
-		s := rig.recordOn(t, sp, 0, 150, int64(9100+sp))
-		plan, err := PlanStrandPlay(rig.arr, s, PlanOptions{ReadAhead: 1, Buffers: 64, Scattering: rig.scattering()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[sp], _, err = rig.m.AdmitPlay(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := rig.write(take{units: 150, seed: int64(9100 + sp), spindle: sp, pin: true})
+		ids[sp] = rig.play(s, PlanOptions{ReadAhead: 1, Buffers: 64, Scattering: rig.scattering()})
 	}
 	rig.m.RunUntilDone()
 
@@ -318,20 +216,13 @@ func TestStripedDegradedSpindleIsolation(t *testing.T) {
 // (laneSpindle reports no single home) and still plays correctly.
 func TestStripedSerialFallback(t *testing.T) {
 	const p, stripe = 2, 4 // tiny groups: strands straddle boundaries
-	rig := newStripedRig(t, p, stripe, -1, fault.Scenario{})
+	rig := newRig(t, shape{spindles: p, stripe: stripe})
 
 	// ~17 cylinders of data across 4-cylinder groups: blocks hop
 	// spindles within any k-window.
-	s := writeVideo(t, rig.arr, rig.a, rig.st, 0, 900, 9200)
+	s := rig.write(take{units: 900, seed: 9200})
 
-	plan, err := PlanStrandPlay(rig.arr, s, PlanOptions{ReadAhead: 1, Buffers: 64, Scattering: rig.scattering()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _, err := rig.m.AdmitPlay(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := rig.play(s, PlanOptions{ReadAhead: 1, Buffers: 64, Scattering: rig.scattering()})
 	rig.m.RunUntilDone()
 	pr, err := rig.m.Progress(id)
 	if err != nil {
@@ -359,22 +250,14 @@ func TestStripedRoundSpawnsOnlyBusyLanes(t *testing.T) {
 	const p, stripe = 4, 120
 	var uncached []int
 	for _, cached := range []bool{false, true} {
-		rig := newStripedRig(t, p, stripe, -1, fault.Scenario{})
+		rig := newRig(t, shape{spindles: p, stripe: stripe})
 		if cached {
-			rig.m.SetCache(cache.New(16 << 20))
+			rig.m = rig.manager(config{cache: 16 << 20})
 		}
 		var ids []RequestID
 		for sp := 0; sp < p; sp++ {
-			s := rig.recordOn(t, sp, 0, 60*(sp+1), int64(9300+sp))
-			plan, err := PlanStrandPlay(rig.arr, s, PlanOptions{ReadAhead: 1, Buffers: 16, Scattering: rig.scattering()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			id, _, err := rig.m.AdmitPlay(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, id)
+			s := rig.write(take{units: 60 * (sp + 1), seed: int64(9300 + sp), spindle: sp, pin: true})
+			ids = append(ids, rig.play(s, rig.std))
 		}
 		seen := make([]int, p+1) // rounds by busy-lane count
 		for rig.m.RunRound() {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net"
 	"sync"
 	"testing"
 
@@ -18,24 +17,7 @@ import (
 // the encoder free list — and every play after the first should be fed
 // by the interval cache's LRU residue.
 func TestConcurrentCachedPlays(t *testing.T) {
-	fs, err := core.Format(core.Options{CacheMB: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(fs)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(lis) }()
-	defer func() { _ = srv.Close() }()
-	addr := lis.Addr().String()
-
-	c0, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c0.Close() }()
+	_, c0, addr := serve(t, core.Options{CacheMB: 8}, nil)
 	video := media.NewVideoSource(120, 18000, 30, 4242)
 	id, _, err := c0.RecordClip("anita", video, nil, false)
 	if err != nil {

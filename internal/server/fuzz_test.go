@@ -22,31 +22,20 @@ const fuzzReplyLimit = 256 << 10
 // a text file, and record session 1 open with one unit uploaded.
 func fuzzServer(t testing.TB) *Server {
 	t.Helper()
-	fs, err := core.Format(core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := fs.Record(core.RecordSpec{
-		Creator: "u",
-		Video:   media.NewVideoSource(30, 18000, 30, 1),
-		Audio:   media.NewAudioSource(10, 800, 10, 0.3, 4, 2),
+	srv := newServer(t, core.Options{}, func(s *Server) {
+		r := recordLocal(t, s.fs, core.RecordSpec{
+			Creator: "u",
+			Video:   media.NewVideoSource(30, 18000, 30, 1),
+			Audio:   media.NewAudioSource(10, 800, 10, 0.3, 4, 2),
+		})
+		if err := s.fs.AddTrigger("u", r.ID, 0, "caption"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.fs.Text().Write("note", []byte("in the gaps")); err != nil {
+			t.Fatal(err)
+		}
+		s.maxReply = fuzzReplyLimit
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.Manager().RunUntilDone()
-	r, err := sess.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.AddTrigger("u", r.ID, 0, "caption"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Text().Write("note", []byte("in the gaps")); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(fs)
-	srv.maxReply = fuzzReplyLimit
 	e := wire.NewEncoder()
 	for _, req := range []struct {
 		op   wire.Op

@@ -12,38 +12,12 @@ import (
 	"mmfs/internal/wire"
 )
 
-// startHardenedServer brings up a server with the given edge policy and
-// returns its address plus the server for direct inspection.
-func startHardenedServer(t *testing.T, configure func(*Server)) (*Server, string) {
-	t.Helper()
-	fs, err := core.Format(core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(fs)
-	if configure != nil {
-		configure(srv)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(lis) }()
-	t.Cleanup(func() { _ = srv.Close() })
-	return srv, lis.Addr().String()
-}
-
 // TestMaxConnsRejectsExcess verifies the connection cap: the excess
 // connection is answered with one ErrServerBusy frame, and the slot
 // frees up when an admitted connection leaves.
 func TestMaxConnsRejectsExcess(t *testing.T) {
-	srv, addr := startHardenedServer(t, func(s *Server) { s.MaxConns = 1 })
-
-	c1, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
+	// The served client holds the one slot.
+	srv, c1, addr := serve(t, core.Options{}, func(s *Server) { s.MaxConns = 1 })
 	if _, err := c1.ListRopes(); err != nil {
 		t.Fatalf("first connection: %v", err)
 	}
@@ -85,7 +59,7 @@ func TestMaxConnsRejectsExcess(t *testing.T) {
 // TestReadTimeoutDropsIdleConn verifies an idle connection is dropped
 // once its per-frame read deadline expires.
 func TestReadTimeoutDropsIdleConn(t *testing.T) {
-	_, addr := startHardenedServer(t, func(s *Server) { s.ReadTimeout = 50 * time.Millisecond })
+	_, _, addr := serve(t, core.Options{}, func(s *Server) { s.ReadTimeout = 50 * time.Millisecond })
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -103,7 +77,7 @@ func TestReadTimeoutDropsIdleConn(t *testing.T) {
 // TestGracefulDrain verifies Close lets an in-flight request finish and
 // deliver its response, while idle connections are released promptly.
 func TestGracefulDrain(t *testing.T) {
-	srv, addr := startHardenedServer(t, nil)
+	srv, _, addr := serve(t, core.Options{}, nil)
 
 	// One idle connection that would block Close forever without the
 	// deadline nudge.
@@ -170,8 +144,7 @@ func TestGracefulDrain(t *testing.T) {
 // TestDrainRefusesNewConns verifies a connection arriving during the
 // drain window is refused with ErrServerBusy rather than wedged.
 func TestDrainRefusesNewConns(t *testing.T) {
-	srv, addr := startHardenedServer(t, nil)
-	_ = addr
+	srv, _, _ := serve(t, core.Options{}, nil)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"net"
@@ -23,10 +24,11 @@ import (
 // units in the reply it read. These tests pin what that must not change
 // (the bytes) and what it promises (who owns what, for how long).
 
-// recordLocal records a rope straight into fs.
-func recordLocal(t *testing.T, fs *core.FS, spec core.RecordSpec) *rope.Rope {
+// recordLocal records a rope straight into fs, as venkat unless the
+// spec names its creator.
+func recordLocal(t testing.TB, fs *core.FS, spec core.RecordSpec) *rope.Rope {
 	t.Helper()
-	spec.Creator = "venkat"
+	spec.Creator = cmp.Or(spec.Creator, "venkat")
 	sess, err := fs.Record(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -106,10 +108,8 @@ func sameUnits(a, b [][]byte) error {
 func TestFetchByteIdentity(t *testing.T) {
 	for name, opts := range map[string]core.Options{"one disk": {}, "4-spindle array": {Disks: 4}} {
 		t.Run(name, func(t *testing.T) {
-			fs, err := core.Format(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			srv, c, _ := serve(t, opts, nil)
+			fs := srv.fs
 			fixed := recordLocal(t, fs, core.RecordSpec{
 				Video: media.NewVideoSource(90, 18000, 30, 501),
 				Audio: media.NewAudioSource(30, 800, 10, 0.3, 4, 502),
@@ -147,7 +147,6 @@ func TestFetchByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, c, _ := serveFS(t, fs)
 
 			ropes := []struct {
 				name  string
@@ -209,15 +208,13 @@ func TestFetchByteIdentity(t *testing.T) {
 // neither the platters nor a later Fetch, and the visitor's lent units
 // have nowhere to be appended into.
 func TestFetchedUnitsAreTheCallersOwn(t *testing.T) {
-	fs, err := core.Format(core.Options{Disks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const seed = 620
-	r := recordLocal(t, fs, core.RecordSpec{Video: media.NewVideoSource(60, 18000, 30, seed)})
-	_, c, _ := serveFS(t, fs)
+	var r *rope.Rope
+	srv, c, _ := serve(t, core.Options{Disks: 4}, func(s *Server) {
+		r = recordLocal(t, s.fs, core.RecordSpec{Video: media.NewVideoSource(60, 18000, 30, seed)})
+	})
 
-	err = fs.VisitUnits("venkat", r.ID, rope.VideoOnly, 0, 0, func(unit []byte) error {
+	err := srv.fs.VisitUnits("venkat", r.ID, rope.VideoOnly, 0, 0, func(unit []byte) error {
 		if cap(unit) != len(unit) {
 			return fmt.Errorf("lent unit has cap %d > len %d", cap(unit), len(unit))
 		}
@@ -252,7 +249,7 @@ func TestFetchedUnitsAreTheCallersOwn(t *testing.T) {
 	}
 	second, err := c.Fetch("venkat", r.ID, rope.VideoOnly, 0, 0)
 	check("a second Fetch", second, err)
-	local, err := fs.FetchUnits("venkat", r.ID, rope.VideoOnly, 0, 0)
+	local, err := srv.fs.FetchUnits("venkat", r.ID, rope.VideoOnly, 0, 0)
 	check("the platters (FetchUnits)", local, err)
 	for _, u := range local {
 		u[0] ^= 0xFF // FetchUnits' bytes are owned too
@@ -267,17 +264,14 @@ func TestFetchedUnitsAreTheCallersOwn(t *testing.T) {
 // on the same client (under -race, a unit that was still a view of the
 // buffer is a reported race; without it, another rope's frame).
 func TestFetchedUnitsSurviveLaterFetches(t *testing.T) {
-	fs, err := core.Format(core.Options{Disks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	seeds := []int64{650, 651, 652}
 	frames := []int{30, 90, 15}
 	ids := make([]rope.ID, len(seeds))
-	for i := range seeds {
-		ids[i] = recordLocal(t, fs, core.RecordSpec{Video: media.NewVideoSource(frames[i], 18000, 30, seeds[i])}).ID
-	}
-	_, c, _ := serveFS(t, fs)
+	_, c, _ := serve(t, core.Options{Disks: 4}, func(s *Server) {
+		for i := range seeds {
+			ids[i] = recordLocal(t, s.fs, core.RecordSpec{Video: media.NewVideoSource(frames[i], 18000, 30, seeds[i])}).ID
+		}
+	})
 	check := func(i int, units [][]byte) error {
 		if len(units) != frames[i] {
 			return fmt.Errorf("rope %d: %d units, want %d", i, len(units), frames[i])
@@ -290,6 +284,7 @@ func TestFetchedUnitsSurviveLaterFetches(t *testing.T) {
 		return nil
 	}
 	kept := make([][][]byte, len(ids))
+	var err error
 	for i, id := range ids {
 		if kept[i], err = c.Fetch("venkat", id, rope.VideoOnly, 0, 0); err != nil {
 			t.Fatal(err)
@@ -329,7 +324,7 @@ func TestFetchedUnitsSurviveLaterFetches(t *testing.T) {
 // other traffic on the same connection — which reuses the connection's
 // reply buffer and reads new request frames — must not disturb them.
 func TestRecordAppendUnitsSurviveLaterRequests(t *testing.T) {
-	c, _ := startServer(t)
+	_, c, _ := serve(t, core.Options{}, nil)
 	other, _, err := c.RecordClip("venkat", media.NewVideoSource(30, 18000, 30, 630), nil, false)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +387,7 @@ func TestRecordAppendUnitsSurviveLaterRequests(t *testing.T) {
 // slice escaping the handler is a reported race; without it, a torn
 // frame.
 func TestFetchWhileRecordingAndCollecting(t *testing.T) {
-	c, _, addr := startServerAddr(t)
+	_, c, addr := serve(t, core.Options{}, nil)
 	const seed = 640
 	keep, _, err := c.RecordClip("venkat", media.NewVideoSource(60, 18000, 30, seed), nil, false)
 	if err != nil {
@@ -473,7 +468,7 @@ func rawCall(t *testing.T, conn net.Conn, op wire.Op, body []byte) ([]byte, erro
 // names was read. It is an error reply now; the connection, and a fresh
 // one, keep being served.
 func TestSetAccessHugeCountIsAnErrorReply(t *testing.T) {
-	c, _, addr := startServerAddr(t)
+	_, c, addr := serve(t, core.Options{}, nil)
 	id, _, err := c.RecordClip("venkat", media.NewVideoSource(30, 18000, 30, 650), nil, false)
 	if err != nil {
 		t.Fatal(err)
@@ -526,13 +521,11 @@ func TestSetAccessHugeCountIsAnErrorReply(t *testing.T) {
 // handler's to keep — and the connection lives on. The limit is lowered
 // so that a two-second rope reaches it.
 func TestFetchPastTheFrameLimitIsAnErrorReply(t *testing.T) {
-	fs, err := core.Format(core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := recordLocal(t, fs, core.RecordSpec{Video: media.NewVideoSource(60, 18000, 30, 660)})
-	srv, c, _ := serveFS(t, fs)
-	srv.maxReply = 4 + 30*(4+18000) // exactly one second of frames
+	var r *rope.Rope
+	srv, c, _ := serve(t, core.Options{}, func(s *Server) {
+		r = recordLocal(t, s.fs, core.RecordSpec{Video: media.NewVideoSource(60, 18000, 30, 660)})
+		s.maxReply = 4 + 30*(4+18000) // exactly one second of frames
+	})
 	if units, err := c.Fetch("venkat", r.ID, rope.VideoOnly, 0, time.Second); err != nil || len(units) != 30 {
 		t.Fatalf("a reply that exactly fits: %d units, %v", len(units), err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mmfs/internal/client"
+	"mmfs/internal/core"
 	"mmfs/internal/media"
 	"mmfs/internal/obs"
 	"mmfs/internal/rope"
@@ -73,7 +74,8 @@ func TestDecodeSnapshotTruncated(t *testing.T) {
 // the METRICS op reflects it: per-op request counters, the storage
 // manager's round/block series, and the disk read histogram.
 func TestMetricsOverWire(t *testing.T) {
-	c, fs := startServer(t)
+	srv, c, _ := serve(t, core.Options{}, nil)
+	fs := srv.fs
 	id, _, err := c.RecordClip("venkat", media.NewVideoSource(60, 18000, 30, 41), nil, false)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +153,8 @@ func TestMetricsOverWire(t *testing.T) {
 // reply buffers retain: each keeps the capacity of its largest reply,
 // the gauge is their sum, and a closed connection gives its share back.
 func TestConnBufferGauge(t *testing.T) {
-	c, fs, addr := startServerAddr(t)
+	srv, c, addr := serve(t, core.Options{}, nil)
+	fs := srv.fs
 	gauge := fs.Metrics().Gauge("mmfs_server_conn_buffer_bytes")
 	waitFor := func(what string, ok func(v int64) bool) int64 {
 		t.Helper()
@@ -224,7 +227,7 @@ func TestConnBufferGauge(t *testing.T) {
 // together add one series, op="unknown"; every opcode the protocol
 // defines keeps a series of its own.
 func TestUnknownOpcodesShareOneSeries(t *testing.T) {
-	c, _, addr := startServerAddr(t)
+	_, c, addr := serve(t, core.Options{}, nil)
 	requestSeries := func() map[string]uint64 {
 		t.Helper()
 		snap, err := c.Metrics()

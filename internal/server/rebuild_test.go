@@ -4,30 +4,18 @@ import (
 	"strings"
 	"testing"
 
-	"mmfs/internal/client"
 	"mmfs/internal/core"
 	"mmfs/internal/disk"
 	"mmfs/internal/media"
 	"mmfs/internal/rope"
 )
 
-// startMirroredServer brings up a server over a mirrored 4-spindle
-// array and returns a connected client.
-func startMirroredServer(t *testing.T) (*client.Client, *core.FS) {
-	t.Helper()
-	fs, err := core.Format(core.Options{Disks: 4, Mirror: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, c, _ := serveFS(t, fs)
-	return c, fs
-}
-
 // TestRebuildOp exercises the REBUILD wire op end to end: a rope is
 // recorded on a mirrored array, a spindle is declared dead, the remote
 // rebuild restores it to Healthy, and the rope still plays cleanly.
 func TestRebuildOp(t *testing.T) {
-	c, fs := startMirroredServer(t)
+	srv, c, _ := serve(t, core.Options{Disks: 4, Mirror: true}, nil)
+	fs := srv.fs
 	video := media.NewVideoSource(60, 18000, 30, 4242)
 	id, _, err := c.RecordClip("venkat", video, nil, false)
 	if err != nil {
@@ -64,7 +52,8 @@ func TestRebuildOp(t *testing.T) {
 // tail: per-spindle health over a mirrored array and the lifetime
 // repair-chunk count after a rebuild.
 func TestStatsMirrorSection(t *testing.T) {
-	c, fs := startMirroredServer(t)
+	srv, c, _ := serve(t, core.Options{Disks: 4, Mirror: true}, nil)
+	fs := srv.fs
 	video := media.NewVideoSource(30, 18000, 30, 4243)
 	if _, _, err := c.RecordClip("venkat", video, nil, false); err != nil {
 		t.Fatalf("record: %v", err)
@@ -114,7 +103,7 @@ func TestStatsMirrorSection(t *testing.T) {
 // TestStatsNoMirrorSection checks the section degrades on a plain
 // single-disk server: zero spindle states, zero rebuild counters.
 func TestStatsNoMirrorSection(t *testing.T) {
-	c, _ := startServer(t)
+	_, c, _ := serve(t, core.Options{}, nil)
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)

@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"mmfs/internal/client"
+	"mmfs/internal/core"
 	"mmfs/internal/media"
 	"mmfs/internal/rope"
 	"mmfs/internal/wire"
 )
 
 func TestServerSurvivesMalformedFrames(t *testing.T) {
-	_, _, addr := startServerAddr(t)
+	_, _, addr := serve(t, core.Options{}, nil)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +57,7 @@ func TestServerSurvivesMalformedFrames(t *testing.T) {
 func TestConcurrentClients(t *testing.T) {
 	// Multiple clients hammer the server at once; the server lock
 	// must serialize cleanly with no lost updates or corruption.
-	cMain, _, addr := startServerAddr(t)
+	_, cMain, addr := serve(t, core.Options{}, nil)
 	id, _, err := cMain.RecordClip("owner", media.NewVideoSource(60, 18000, 30, 31), nil, false)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +121,7 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestRecordSessionUploadInBatches(t *testing.T) {
-	c, _ := startServer(t)
+	_, c, _ := serve(t, core.Options{}, nil)
 	sess, err := c.RecordStart("batch", &client.MediumSpec{UnitBytes: 18000, Rate: 30}, nil, false)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +159,7 @@ func TestRecordSessionUploadInBatches(t *testing.T) {
 }
 
 func TestNetworkHeterogeneousRecord(t *testing.T) {
-	c, _ := startServer(t)
+	_, c, _ := serve(t, core.Options{}, nil)
 	sess, err := c.RecordStartHeterogeneous("het",
 		&client.MediumSpec{UnitBytes: 18000, Rate: 30},
 		&client.MediumSpec{UnitBytes: 800, Rate: 15})
@@ -217,7 +218,7 @@ func TestNetworkHeterogeneousRecord(t *testing.T) {
 }
 
 func TestNetworkTriggersAndFlatten(t *testing.T) {
-	c, _ := startServer(t)
+	_, c, _ := serve(t, core.Options{}, nil)
 	r1, _, err := c.RecordClip("ed", media.NewVideoSource(120, 18000, 30, 61), nil, false)
 	if err != nil {
 		t.Fatal(err)

@@ -11,30 +11,28 @@ import (
 	"mmfs/internal/rope"
 )
 
-// startServer brings up a server on loopback and returns a connected
-// client.
-func startServer(t *testing.T) (*client.Client, *core.FS) {
-	c, fs, _ := startServerAddr(t)
-	return c, fs
-}
-
-// startServerAddr additionally exposes the listen address so tests can
-// open further connections.
-func startServerAddr(t *testing.T) (*client.Client, *core.FS, string) {
+// newServer formats a file system with opts and puts a server on it,
+// set up by configure when that is not nil: the one way the package's
+// tests and its fuzz target build a server.
+func newServer(t testing.TB, opts core.Options, configure func(*Server)) *Server {
 	t.Helper()
-	fs, err := core.Format(core.Options{})
+	fs, err := core.Format(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c, addr := serveFS(t, fs)
-	return c, fs, addr
+	srv := New(fs)
+	if configure != nil {
+		configure(srv)
+	}
+	return srv
 }
 
-// serveFS serves fs on loopback and returns the server, a connected
-// client and the address.
-func serveFS(t *testing.T, fs *core.FS) (*Server, *client.Client, string) {
+// serve serves newServer's server on loopback and returns it, a client
+// connected to it and the address, for tests that open further
+// connections.
+func serve(t *testing.T, opts core.Options, configure func(*Server)) (*Server, *client.Client, string) {
 	t.Helper()
-	srv := New(fs)
+	srv := newServer(t, opts, configure)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +48,7 @@ func serveFS(t *testing.T, fs *core.FS) (*Server, *client.Client, string) {
 }
 
 func TestNetworkRecordPlayFetch(t *testing.T) {
-	c, _ := startServer(t)
+	_, c, _ := serve(t, core.Options{}, nil)
 	video := media.NewVideoSource(60, 18000, 30, 9001)
 	audio := media.NewAudioSource(20, 800, 10, 0.3, 4, 9002)
 	id, length, err := c.RecordClip("venkat", video, audio, true)
@@ -96,7 +94,7 @@ func TestNetworkRecordPlayFetch(t *testing.T) {
 }
 
 func TestNetworkEditingAndText(t *testing.T) {
-	c, _ := startServer(t)
+	_, c, _ := serve(t, core.Options{}, nil)
 	r1, _, err := c.RecordClip("venkat", media.NewVideoSource(90, 18000, 30, 1), nil, false)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +181,7 @@ func TestNetworkEditingAndText(t *testing.T) {
 }
 
 func TestNetworkCheck(t *testing.T) {
-	c, _ := startServer(t)
+	_, c, _ := serve(t, core.Options{}, nil)
 	if _, _, err := c.RecordClip("venkat", media.NewVideoSource(30, 18000, 30, 77), nil, false); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +200,8 @@ func TestNetworkCheck(t *testing.T) {
 // every other op have synced nothing (CHECK, which syncs before it looks,
 // aside).
 func TestMutatingOpsSyncBeforeReply(t *testing.T) {
-	c, fs := startServer(t)
+	srv, c, _ := serve(t, core.Options{}, nil)
+	fs := srv.fs
 	syncs := fs.Metrics().Histogram("mmfs_sync_seconds", nil)
 	step := func(name string, want uint64, err error, before uint64) uint64 {
 		t.Helper()
