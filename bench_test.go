@@ -443,10 +443,26 @@ func BenchmarkPlaybackRound(b *testing.B) {
 // earlier play has grown the cache to the clip's residency and every
 // later manager is handed those frames — so the measured rounds allocate
 // nothing (CI-gated, like PlaybackRound/steady) and spawn nothing.
-func BenchmarkCacheCoupledRound(b *testing.B) {
+func BenchmarkCacheCoupledRound(b *testing.B) { cacheCoupledRounds(b, true) }
+
+// BenchmarkCacheCoupledRoundNoObs is BenchmarkCacheCoupledRound with
+// nothing observed: the manager has no registry and no trace ring, the
+// cache no registry, the disk no latency histograms. What the twin saves
+// is what a round's observability costs.
+func BenchmarkCacheCoupledRoundNoObs(b *testing.B) { cacheCoupledRounds(b, false) }
+
+// cacheCoupledRounds is the body of the cache-coupled round benchmarks;
+// observed keeps the file system's observability wiring.
+func cacheCoupledRounds(b *testing.B, observed bool) {
 	fs, r := benchFSWith(b, core.Options{Disks: 4, CacheMB: 64})
 	admit := func(b *testing.B) *msm.Manager {
 		mgr := fs.NewManager()
+		if !observed {
+			mgr.SetObs(nil, nil)
+			mgr.Cache().SetObs(nil)
+			fs.Disk().SetReadLatencyHistogram(nil)
+			fs.Disk().SetWriteLatencyHistogram(nil)
+		}
 		if _, err := fs.Play("bench", r.ID, rope.AudioVisual, 0, 0, msm.PlanOptions{ReadAhead: 2}); err != nil {
 			b.Fatal(err)
 		}

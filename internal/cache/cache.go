@@ -341,16 +341,25 @@ func (c *Cache) SetObs(reg *obs.Registry) {
 	c.obsIntervals = reg.Gauge("mmfs_cache_intervals")
 	c.obsOwned = reg.Gauge("mmfs_cache_owned_bytes")
 	reg.Gauge("mmfs_cache_capacity_bytes").Set(c.capacity)
+	c.publish()
 }
 
 // PublishGauges copies the residency figures (Stats' Bytes,
-// PinnedBytes, Intervals and OwnedBytes) into the registry's gauges. The
-// per-block paths — Get, Put, PutView, Produced — leave the gauges to
-// the storage manager, which publishes them once at the end of every
-// service round; the cache's entry points a round never calls alone
-// (Adopt and CloseStream, which admission, STOP and PAUSE reach;
-// InvalidateStrand; Reset) publish as they return.
+// PinnedBytes, Intervals and OwnedBytes) into the registry's gauges when
+// the per-block paths — Get, Put, PutView, Produced — changed them since
+// the last publication: those paths leave the gauges to the storage
+// manager, which calls this at the end of every service round. The
+// cache's entry points a round never calls alone (Adopt and CloseStream,
+// which admission, STOP and PAUSE reach; InvalidateStrand; Reset) and
+// SetObs publish as they return.
 func (c *Cache) PublishGauges() {
+	if c.unpublished {
+		c.publish()
+	}
+}
+
+// publish is PublishGauges whatever changed.
+func (c *Cache) publish() {
 	c.unpublished = false
 	c.obsBytes.Set(c.bytes)
 	c.obsPinned.Set(c.pinned)
@@ -470,7 +479,7 @@ func (c *Cache) Adopt(id uint64) bool {
 	c.intervals++
 	c.stats.Adoptions++
 	c.obsAdoptions.Inc()
-	c.PublishGauges()
+	c.publish()
 	return true
 }
 
@@ -756,7 +765,7 @@ func (c *Cache) CloseStream(id uint64) {
 		s.leader.follower = s.follower
 	}
 	s.leader, s.follower = nil, nil
-	c.PublishGauges()
+	c.publish()
 }
 
 // InvalidateStrand drops every cached block of a strand: its sectors
@@ -770,7 +779,7 @@ func (c *Cache) InvalidateStrand(sid strand.ID) {
 			c.removeEntry(r.slots[r.lo&(len(r.slots)-1)])
 		}
 	}
-	c.PublishGauges()
+	c.publish()
 }
 
 // Reset empties the cache for a new owner, keeping its frames: every
@@ -795,7 +804,7 @@ func (c *Cache) Reset() {
 	c.lru = entryList{}
 	c.bytes, c.pinned, c.intervals = 0, 0, 0
 	c.stats = Stats{}
-	c.PublishGauges()
+	c.publish()
 }
 
 // releaseList empties a list's entries, on Reset, onto the free list.

@@ -6,6 +6,7 @@ import (
 
 	"mmfs/internal/media"
 	"mmfs/internal/msm"
+	"mmfs/internal/obs"
 	"mmfs/internal/rope"
 )
 
@@ -52,6 +53,42 @@ func TestFormatRecordPlay(t *testing.T) {
 	}
 	if n != 0 {
 		t.Fatalf("AV playback had %d continuity violations", n)
+	}
+}
+
+// Managers come and go over one device (NewManager) and publish into
+// one registry and trace ring: the ring's busy column, summed over the
+// rounds of both, and the busy counter each move by what the device's
+// Stats().BusyTime() moved.
+func TestTraceBusyAcrossNewManager(t *testing.T) {
+	fs, err := Format(Options{Disks: 4, CacheMB: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := recordClip(t, fs, "venkat", 4, 120)
+	counter := fs.Metrics().Counter("mmfs_disk_busy_ns_total")
+	held, busy, counted := len(fs.Trace().Snapshot()), fs.Disk().Stats().BusyTime(), counter.Value()
+	for i := 0; i < 2; i++ {
+		if _, err := fs.Play("venkat", r.ID, rope.AudioVisual, 0, 0, msm.PlanOptions{ReadAhead: 2}); err != nil {
+			t.Fatal(err)
+		}
+		fs.Manager().RunUntilDone()
+		if i == 0 {
+			fs.NewManager()
+		}
+	}
+	rounds := fs.Trace().Snapshot()
+	if len(rounds) == obs.DefaultTraceRounds {
+		t.Fatalf("the trace ring is full and may have wrapped")
+	}
+	var traced int64
+	for _, tr := range rounds[held:] {
+		traced += tr.DiskBusyNs
+	}
+	moved := fs.Disk().Stats().BusyTime() - busy
+	if moved == 0 || traced != int64(moved) || counter.Value()-counted != uint64(moved) {
+		t.Fatalf("the device's busy time moved %v; the trace's busy column sums to %v, the counter moved %v",
+			moved, time.Duration(traced), time.Duration(counter.Value()-counted))
 	}
 }
 

@@ -14,6 +14,9 @@ import (
 // internal/fault scenario so one degraded spindle degrades only the
 // streams striped onto it.
 //
+// A spindle is a *Disk or a layer embedding one (a fault scenario): the
+// array meters its busy time (BusyTime).
+//
 // Striping is by cylinder group: the array exposes a logical geometry
 // identical to one spindle's but with p times the cylinders, and
 // logical cylinders are dealt to spindles in runs of StripeCylinders()
@@ -51,9 +54,19 @@ type Array struct {
 	sets   int
 	health []spindleHealth // per spindle; observed only when r = 2
 	steer  []steerMode     // per set
+	// steerGen counts the steer table's changes (SteerGeneration).
+	steerGen uint64
+
+	// busy is the spindles' busy time, which each charges as it charges
+	// its own stats (Disk.meterBusy): Stats().BusyTime() without the sum.
+	busy time.Duration
 
 	repair repairState
 }
+
+// busyMeterer is what a spindle must be for the array to meter its busy
+// time: a *Disk, or a layer embedding one.
+type busyMeterer interface{ meterBusy(*time.Duration) }
 
 var _ Device = (*Array)(nil)
 
@@ -71,9 +84,12 @@ func NewArray(spindles []Device, stripeCylinders int, mirror bool) (*Array, erro
 		return nil, fmt.Errorf("disk: mirrored array needs an even spindle count >= 2, have %d", len(spindles))
 	}
 	phys := spindles[0].Geometry()
-	for i, sp := range spindles[1:] {
+	for i, sp := range spindles {
 		if sp.Geometry() != phys {
-			return nil, fmt.Errorf("disk: spindle %d geometry differs from spindle 0", i+1)
+			return nil, fmt.Errorf("disk: spindle %d geometry differs from spindle 0", i)
+		}
+		if _, ok := sp.(busyMeterer); !ok {
+			return nil, fmt.Errorf("disk: spindle %d is not built on a *Disk", i)
 		}
 	}
 	if stripeCylinders < 1 {
@@ -101,7 +117,16 @@ func NewArray(spindles []Device, stripeCylinders int, mirror bool) (*Array, erro
 		sets:     sets,
 		health:   make([]spindleHealth, len(spindles)),
 		steer:    make([]steerMode, sets),
+		steerGen: 1,
 		repair:   repairState{target: -1},
+	}
+	for _, sp := range spindles {
+		sp.(busyMeterer).meterBusy(&a.busy)
+	}
+	if !mirror {
+		for set := range a.steer {
+			a.steer[set] = steerTo0 // a set of one has one replica to read
+		}
 	}
 	a.RefreshSteering()
 	return a, nil
@@ -154,7 +179,8 @@ func (a *Array) Locate(lba int) (spindle, local int) {
 // replica; a mirror pair's steering looks at the low two bits of the
 // slot (readSpindle). The storage manager keys a play's extent on the
 // class, which is fixed when the strand is placed, and asks Locate for
-// the class's spindle under the steering of the moment.
+// each class's spindle again whenever the steering changes
+// (SteerGeneration).
 func (a *Array) SteerClasses() int {
 	if a.r == 1 {
 		return a.sets
@@ -190,6 +216,7 @@ func (a *Array) HeadCylinder() int {
 // Stats returns the sum of every spindle's counters; BusyTime() over it
 // is aggregate spindle-busy time, not wall time (p spindles working in
 // parallel accumulate p seconds of busy time per second of round).
+// A replaced spindle's counters leave the sum with it.
 func (a *Array) Stats() Stats {
 	var sum Stats
 	for _, sp := range a.spindles {
@@ -205,6 +232,9 @@ func (a *Array) Stats() Stats {
 	}
 	return sum
 }
+
+// BusyTime reports Stats().BusyTime(), kept as the spindles charge.
+func (a *Array) BusyTime() time.Duration { return a.busy }
 
 func (a *Array) checkRange(lba, n int) error {
 	if n < 0 || lba < 0 || lba+n > a.logical.TotalSectors() {

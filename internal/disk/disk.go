@@ -69,6 +69,10 @@ type Device interface {
 	ReadAt(lba, n int) ([]byte, error)
 	ViewAt(lba, n int, scratch []byte) ([]byte, error)
 	WriteAt(lba int, data []byte) error
+	// BusyTime is Stats().BusyTime() without the snapshot: a running
+	// total, kept where each access is charged, which the storage
+	// manager reads once a round.
+	BusyTime() time.Duration
 	// Maintenance: counters and the latency histograms every timed
 	// access reports to (nil disables one).
 	ResetStats()
@@ -98,6 +102,10 @@ type Disk struct {
 	// head is the cylinder under the one actuator.
 	head  int
 	stats Stats
+	// meter, when set, is the busy total of the array the disk is a
+	// spindle of (Array.BusyTime): serviceTime charges it as it charges
+	// stats, and ResetStats takes the disk's share back out.
+	meter *time.Duration
 	// readLatency, when set, receives every timed read's service time
 	// in seconds (the mmfs_disk_read_seconds series).
 	readLatency *obs.Histogram
@@ -140,8 +148,30 @@ func (d *Disk) Geometry() Geometry { return d.geom }
 // Stats returns a snapshot of the accumulated counters.
 func (d *Disk) Stats() Stats { return d.stats }
 
+// BusyTime reports Stats().BusyTime().
+func (d *Disk) BusyTime() time.Duration { return d.stats.BusyTime() }
+
 // ResetStats clears the accumulated counters.
-func (d *Disk) ResetStats() { d.stats = Stats{} }
+func (d *Disk) ResetStats() {
+	if d.meter != nil {
+		*d.meter -= d.stats.BusyTime()
+	}
+	d.stats = Stats{}
+}
+
+// meterBusy moves the disk's busy time from the meter it charges, if
+// any, to m (nil: none): from then on every charge lands in m too. An
+// array meters its spindles this way (NewArray, ReplaceSpindle); a
+// fault layer embeds the disk, and with it this method.
+func (d *Disk) meterBusy(m *time.Duration) {
+	if d.meter != nil {
+		*d.meter -= d.stats.BusyTime()
+	}
+	d.meter = m
+	if m != nil {
+		*m += d.stats.BusyTime()
+	}
+}
 
 // SetReadLatencyHistogram installs an observability histogram that
 // every timed read reports its virtual service time to, in seconds.
@@ -163,8 +193,6 @@ func (d *Disk) checkRange(lba, n int) error {
 	return nil
 }
 
-// page returns cylinder cyl's backing store, allocating it when
-// materialize is true; a nil return reads as zeros.
 // CylinderMaterialized reports whether the cylinder has ever been
 // written. A nil page reads as zeros, and mirror twins materialize in
 // lockstep (writes are duplicated), so the repair engine can skip
@@ -173,6 +201,8 @@ func (d *Disk) CylinderMaterialized(cyl int) bool {
 	return cyl >= 0 && cyl < len(d.pages) && d.pages[cyl] != nil
 }
 
+// page returns cylinder cyl's backing store, allocating it when
+// materialize is true; a nil return reads as zeros.
 func (d *Disk) page(cyl int, materialize bool) []byte {
 	if d.pages[cyl] == nil && materialize {
 		d.pages[cyl] = make([]byte, d.spc*d.geom.SectorSize)
@@ -302,7 +332,8 @@ func (d *Disk) WriteAt(lba int, data []byte) error {
 }
 
 // serviceTime charges the positioning and transfer costs of an access
-// to lba for n sectors, moves the head, and updates stats.
+// to lba for n sectors, moves the head, and updates stats and the busy
+// meter.
 func (d *Disk) serviceTime(lba, n int) time.Duration {
 	target := lba / d.spc
 	st := d.geom.SeekTime(target - d.head)
@@ -312,6 +343,9 @@ func (d *Disk) serviceTime(lba, n int) time.Duration {
 	d.stats.SeekTime += st
 	d.stats.RotationTime += rot
 	d.stats.TransferTime += xfer
+	if d.meter != nil {
+		*d.meter += st + rot + xfer
+	}
 	// Leave the head at the cylinder holding the last sector accessed.
 	if n > 0 {
 		d.head = (lba + n - 1) / d.spc

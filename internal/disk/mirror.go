@@ -169,6 +169,9 @@ func (a *Array) readSpindle(set, slot int) int {
 // boundary; between calls the table is frozen, which is what makes the
 // lanes' concurrent Locate calls race-free against health transitions.
 func (a *Array) RefreshSteering() (changed bool) {
+	if !a.Mirrored() {
+		return false // a set of one reads its one replica (NewArray)
+	}
 	for set := range a.steer {
 		m := a.steerFor(set)
 		if m != a.steer[set] {
@@ -176,13 +179,18 @@ func (a *Array) RefreshSteering() (changed bool) {
 			changed = true
 		}
 	}
+	if changed {
+		a.steerGen++
+	}
 	return changed
 }
 
+// SteerGeneration names the steer table's contents: it changes exactly
+// when RefreshSteering changes an entry, so where Locate sends a group
+// can be kept until it does. It is never zero.
+func (a *Array) SteerGeneration() uint64 { return a.steerGen }
+
 func (a *Array) steerFor(pair int) steerMode {
-	if !a.Mirrored() {
-		return steerTo0 // a set of one has one replica to read
-	}
 	s0 := a.health[2*pair].state
 	s1 := a.health[2*pair+1].state
 	r0, r1 := readable(s0), readable(s1)

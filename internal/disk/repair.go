@@ -48,6 +48,14 @@ func (a *Array) ReplaceSpindle(i int, d Device) error {
 	if d.Geometry() != a.phys {
 		return fmt.Errorf("disk: replacement spindle geometry differs from the array's")
 	}
+	fresh, ok := d.(busyMeterer)
+	if !ok {
+		return fmt.Errorf("disk: replacement spindle is not built on a *Disk")
+	}
+	// The old spindle's busy time leaves the array's total with it, as
+	// its stats leave Stats().
+	a.spindles[i].(busyMeterer).meterBusy(nil)
+	fresh.meterBusy(&a.busy)
 	a.spindles[i] = d
 	a.health[i] = spindleHealth{state: Dead}
 	return nil

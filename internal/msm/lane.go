@@ -155,10 +155,18 @@ func (ln *lane) scanSort() {
 //
 // rt:hotpath
 func (ln *lane) serviceRequest(r *request, k int) bool {
-	if r.kind == Play {
-		return ln.servicePlay(r, k)
+	if r.kind != Play {
+		return ln.serviceRecord(r, k)
 	}
-	return ln.serviceRecord(r, k)
+	ps := r.play
+	classes := ps.pm[ps.nextFetch].classes
+	worked := ln.servicePlay(r, k)
+	if ps.pm[ps.nextFetch].classes != classes {
+		// The turn read the play's last block of some stripe-group class:
+		// its extent, and with it the resident table, shrank.
+		ln.m.rt.invalidate()
+	}
+	return worked
 }
 
 // servicePlay delivers up to k blocks to a play request, respecting
@@ -261,8 +269,7 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 			// returns to the admission pool.
 			ln.m.stats.FaultStops++
 			m.obs.faultStops.Inc()
-			r.done = true
-			m.closeCacheStream(r)
+			m.end(r)
 			return true
 		}
 		fetched += n
@@ -346,8 +353,7 @@ func (ln *lane) readRun(r *request, j, most int, got []arrival) (int, time.Durat
 		// A broken plan is a programming error in the layers above;
 		// record it as a violation at this block and stop the request.
 		ln.violate(&ps.violations, Violation{Block: j, Deadline: ln.at, Actual: ln.at})
-		r.done = true
-		m.closeCacheStream(r)
+		m.end(r)
 		return 0, 0, stopRequest
 	}
 	if (r.cacheServed && !e.Silent()) || (!r.cacheServed && ps.cacheOpen) {
@@ -437,8 +443,7 @@ func (ln *lane) readStored(r *request, j, n int, got []arrival) (time.Duration, 
 	if err != nil {
 		if !isFault(err) {
 			ln.violate(&ps.violations, Violation{Block: j, Deadline: ln.at, Actual: ln.at})
-			r.done = true
-			m.closeCacheStream(r)
+			m.end(r)
 			return 0, stopRequest, false
 		}
 		// Graceful degradation: the retry budget is exhausted (or the
@@ -609,11 +614,11 @@ func (ln *lane) serviceRecord(r *request, k int) bool {
 // the per-spindle lanes, sweep the busy lanes, join their cursors,
 // sweep the leftovers on the serial lane from the slowest lane's cursor,
 // advance the clock to where that ends, then let online repair spend
-// what slack remains. sets is the round's resident table (built after
-// the round's re-steer). Reports whether anything transferred.
+// what slack remains. The resident table holds the round's view (built
+// after the round's re-steer). Reports whether anything transferred.
 //
 // rt:hotpath
-func (m *Manager) serviceRound(act []*request, sets [][]continuity.Request) bool {
+func (m *Manager) serviceRound(act []*request) bool {
 	serial := m.serial
 	serial.reqs = serial.reqs[:0]
 	for _, ln := range m.lanes {
@@ -638,11 +643,11 @@ func (m *Manager) serviceRound(act []*request, sets [][]continuity.Request) bool
 	// before the sub-rounds and again after; on a single device, the one
 	// set's.
 	serial.at = m.clock.Now()
-	serial.retrySlack = m.roundSlack(sets[0])
+	serial.retrySlack = m.setSlack(0)
 	for i, ln := range m.lanes {
 		ln.at = serial.at
 		ln.worked = false
-		ln.retrySlack = m.roundSlack(sets[i])
+		ln.retrySlack = m.setSlack(i)
 		serial.retrySlack = min(serial.retrySlack, ln.retrySlack)
 	}
 
@@ -679,16 +684,34 @@ func (m *Manager) roundSlack(set []continuity.Request) time.Duration {
 	return continuity.Duration(m.adm.SlackSeconds(set, m.k))
 }
 
+// setSlack is roundSlack of set i of the resident table, which holds the
+// round's view: worked out again only when the table was rebuilt or k
+// moved since.
+//
+// rt:hotpath
+func (m *Manager) setSlack(i int) time.Duration {
+	t := &m.rt
+	if t.slackK != m.k {
+		t.slack = t.slack[:0]
+		for _, set := range t.sets {
+			t.slack = append(t.slack, m.roundSlack(set))
+		}
+		t.slackK = m.k
+	}
+	return t.slack[i]
+}
+
 // laneSpindle reports the spindle whose lane can service request r this
 // round: r must be a disk-bound play — a leader feeding the cache
 // included: its disk turn is charged to its spindle like any other, and
 // on the serial lane the array's disk work ran on one timeline — and
 // every stored block in its turn's window (window) must lie on that one
 // spindle without straddling a stripe-group boundary. The plan map has
-// cut the plan into stretches of one stripe group, so the walk asks
-// Locate once per stretch the window crosses — usually once — and never
-// looks at a strand index: its cost follows the groups, not k. ok=false
-// routes r to the serial lane — always, on a single device.
+// cut the plan into stretches of one stripe group, so the walk looks up
+// a spindle (classSpindles) once per stretch the window crosses —
+// usually once — and never looks at a strand index: its cost follows the
+// groups, not k. ok=false routes r to the serial lane — always, on a
+// single device.
 //
 // rt:hotpath
 func (m *Manager) laneSpindle(r *request) (int, bool) {
@@ -697,13 +720,14 @@ func (m *Manager) laneSpindle(r *request) (int, bool) {
 	}
 	ps := r.play
 	end := min(ps.nextFetch+ps.window(m.k), len(ps.plan.Blocks))
+	classSp := m.classSpindles()
 	sp := -1
 	for j := int(ps.pm[ps.nextFetch].next); j < end; {
 		p := ps.pm[j]
 		if p.group < 0 {
 			return 0, false
 		}
-		s, _ := m.array.Locate(int(p.group) * m.groupSec)
+		s := classSp[int(p.group)%len(classSp)]
 		if sp >= 0 && s != sp {
 			return 0, false
 		}
@@ -786,43 +810,119 @@ func (m *Manager) extent(r *request) uint64 {
 //
 // rt:hotpath
 func (m *Manager) spindlesAt(classes uint64) uint64 {
+	if classes == 0 {
+		return 0
+	}
+	classSp := m.classSpindles()
 	var sps uint64
 	for c := classes; c != 0; c &= c - 1 {
-		sp, _ := m.array.Locate(bits.TrailingZeros64(c) * m.groupSec)
-		sps |= 1 << sp
+		sps |= 1 << classSp[bits.TrailingZeros64(c)]
 	}
 	return sps
 }
 
-// residentSets rebuilds the resident table — who is charged where: for
-// each spindle (a single device is a table of one set) the requests
-// admission control carries there, at their effective (load-shed)
-// rate. Those are the live disk-bound requests, non-destructively
-// paused ones included (their resources remain allocated); cache-served
-// followers perform no disk work and are absent (CacheServed counts
-// them). A play is charged on every spindle its remaining plan touches
-// (extent) — Eq. 18 must hold on each spindle it will walk onto, not only
-// where its next block lies — and a request of unknown extent on every
-// spindle. n counts the distinct requests in the table. The table is
-// scratch, valid until the next call; admission, QoS feasibility, the
+// classSpindles is the spindle each stripe-group class
+// (disk.Array.SteerClasses) is read from under the array's steering:
+// Locate's answer for the class's first group, asked again only when the
+// steer table's generation moves — whoever refreshed it. A steering
+// change moves extents, so it stales the resident table too.
+//
+// rt:hotpath
+func (m *Manager) classSpindles() []int {
+	if g := m.array.SteerGeneration(); g != m.steerGen {
+		m.steerGen = g
+		for c := range m.steerSp {
+			m.steerSp[c], _ = m.array.Locate(c * m.groupSec)
+		}
+		m.rt.invalidate()
+	}
+	return m.steerSp
+}
+
+// residentTable is the resident table — who is charged where: for each
+// spindle (a single device is a table of one set) the requests admission
+// control carries there, at their effective (load-shed) rate — with what
+// is derived from it. Those are the live disk-bound requests,
+// non-destructively paused ones included (their resources remain
+// allocated); cache-served followers perform no disk work and are absent
+// (cacheServed counts them). A play is charged on every spindle its
+// remaining plan touches (extent) — Eq. 18 must hold on each spindle it
+// will walk onto, not only where its next block lies — and a request of
+// unknown extent on every spindle. Admission, QoS feasibility, the
 // round's retry slack, re-steer and the trace all read this one table:
 // admission's view with the requests waiting to join (pending), a round's
 // without.
 //
+// The table is kept until an event changes what it is built from, and
+// each such event stales it (invalidate): a request entering (register)
+// or leaving (end) the live table, a pause, a resume, a demotion, a
+// waiting request joining, a stride change (setStride), a play's turn
+// reading its last block of a stripe-group class (serviceRequest), a
+// steering change (classSpindles) and a cache handed over (SetCache).
+// The slack follows k besides (setSlack).
+type residentTable struct {
+	sets [][]continuity.Request
+	// n counts the distinct requests in sets; cacheServed the live
+	// cache-served followers, which either view leaves out.
+	n, cacheServed int
+	// admission is the view sets holds; waiting counts the requests only
+	// admission's view holds — with none, the two views are one table.
+	admission bool
+	waiting   int
+	fresh     bool
+	// slack is each set's Eq. 18 slack at k = slackK; slackK is 0 until
+	// setSlack works it out for the table.
+	slack  []time.Duration
+	slackK int
+}
+
+// invalidate marks the table stale: the next read rebuilds it.
+func (t *residentTable) invalidate() { t.fresh = false }
+
+// residentSets returns the resident table in admission's view (pending)
+// or a round's, rebuilding it first when an event staled it or it holds
+// the other view and the two differ; n counts the distinct requests in
+// it. The table is valid until the next call.
+//
 // rt:hotpath
 func (m *Manager) residentSets(pending bool) (sets [][]continuity.Request, n int) {
-	sets = m.resident
+	if m.array != nil {
+		m.classSpindles() // a steering change stales the table
+	}
+	t := &m.rt
+	if !t.fresh || (t.admission != pending && t.waiting > 0) {
+		m.buildResident(pending)
+	}
+	return t.sets, t.n
+}
+
+// buildResident fills the resident table in the given view from the live
+// request table.
+//
+// rt:hotpath
+func (m *Manager) buildResident(pending bool) {
+	t := &m.rt
+	sets := t.sets
 	for i := range sets {
 		sets[i] = sets[i][:0]
 	}
+	t.n, t.cacheServed, t.waiting = 0, 0, 0
 	for _, r := range m.reqs {
-		if r.done || r.cacheServed || (r.pendingK > 0 && !pending) {
+		switch {
+		case r.done:
 			continue
-		}
-		if r.pause != nil && r.pause.destructive {
+		case r.cacheServed:
+			t.cacheServed++
 			continue
+		case r.pause != nil && r.pause.destructive:
+			continue
+		case r.pendingK > 0:
+			t.waiting++
+			if !pending {
+				continue
+			}
 		}
-		n++
+		t.n++
 		e := r.effAdm()
 		sps := m.extent(r)
 		if sps == 0 {
@@ -836,5 +936,5 @@ func (m *Manager) residentSets(pending bool) (sets [][]continuity.Request, n int
 			sets[sp] = append(sets[sp], e)
 		}
 	}
-	return sets, n
+	t.admission, t.fresh, t.slackK = pending, true, 0
 }

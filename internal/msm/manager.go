@@ -166,10 +166,11 @@ type Manager struct {
 	// overlapping the others' in virtual time. A single device has none.
 	array *disk.Array
 	lanes []*lane
-	// resident is the resident table's storage, one set per spindle (one
-	// in all on a single device); see residentSets. scratchSets is where
-	// decideAdmit lists the sets a candidate touches.
-	resident    [][]continuity.Request
+	// rt is the resident table, one set per spindle (one in all on a
+	// single device), and what is derived from it, kept until an event
+	// changes what it is built from; see residentSets. scratchSets is
+	// where decideAdmit lists the sets a candidate touches.
+	rt          residentTable
 	scratchSets [][]continuity.Request
 	// classes and groupSec key a play's plan map (stripeKey), which its
 	// extent and its lane (laneSpindle) read: the array's steering
@@ -178,6 +179,10 @@ type Manager struct {
 	// compiled for another key is refused (AdmitPlay).
 	classes  int
 	groupSec int
+	// steerSp is the spindle each steering class is read from under the
+	// array's steer table of generation steerGen (classSpindles).
+	steerSp  []int
+	steerGen uint64
 	// obs, when set, receives per-round trace records and mirrors the
 	// counters into a metrics registry (see obs.go).
 	obs roundObs
@@ -232,9 +237,10 @@ func New(d disk.Device, adm continuity.Admission) *Manager {
 		for i := range m.lanes {
 			m.lanes[i] = &lane{m: m, spindle: i}
 		}
+		m.steerSp = make([]int, a.SteerClasses())
 	}
 	m.groupSec, m.classes = stripeKey(d)
-	m.resident = make([][]continuity.Request, max(1, len(m.lanes)))
+	m.rt.sets = make([][]continuity.Request, max(1, len(m.lanes)))
 	m.rb.rate = DefaultRebuildRate
 	m.probeAdvancers()
 	if m.RepairActive() {
@@ -296,6 +302,7 @@ func (m *Manager) SetCache(c *cache.Cache) {
 				r.pause.destructive = true
 			}
 		}
+		m.rt.invalidate()
 	}
 	m.cache = c
 }
@@ -313,13 +320,8 @@ func (m *Manager) ActiveRequests() int {
 // CacheServed reports how many live requests are currently served from
 // the interval cache instead of the disk.
 func (m *Manager) CacheServed() int {
-	n := 0
-	for _, r := range m.reqs {
-		if r.cacheServed && !r.done {
-			n++
-		}
-	}
-	return n
+	m.residentSets(m.rt.admission) // either view counts them
+	return m.rt.cacheServed
 }
 
 // decideAdmit evaluates the admission decision for a candidate without
@@ -334,7 +336,7 @@ func (m *Manager) decideAdmit(spindles uint64, candidate continuity.Request, cac
 	if cacheServed {
 		return continuity.CacheAware{A: m.adm}.Admit(nil, m.kSched(), candidate, true)
 	}
-	return continuity.Striped{A: m.adm, P: len(m.resident)}.Admit(m.touchedSets(spindles), -1, m.kSched(), candidate)
+	return continuity.Striped{A: m.adm, P: len(m.rt.sets)}.Admit(m.touchedSets(spindles), -1, m.kSched(), candidate)
 }
 
 // touchedSets is the admission population — requests waiting to join
@@ -392,6 +394,8 @@ func (m *Manager) raiseK(k int) {
 // its decision's K, so the transition rounds run without it (§3.4); one
 // the current k covers joins at once. clockWaits: its clock stops while
 // it waits (a record, a resumed play; not a demoted follower's display).
+// Its callers — admission, Resume, a demotion — have staled the resident
+// table already.
 func (m *Manager) hold(r *request, dec continuity.Decision, clockWaits bool) {
 	r.pendingK = 0
 	if dec.CacheServed || dec.K <= m.k {
@@ -414,6 +418,7 @@ func (m *Manager) joinPending() {
 		default:
 			r.endWait(m.clock.Now())
 			r.pendingK = 0
+			m.rt.invalidate()
 		}
 	}
 	m.pending = n
@@ -494,8 +499,6 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 		ps.cacheEligible, ps.cacheSID, ps.cacheEnd = true, sid, end
 	}
 	r := &request{id: m.newID(), kind: Play, name: plan.Name, adm: plan.Admission, play: ps, class: plan.Class}
-	m.reqs = append(m.reqs, r)
-	m.hold(r, dec, true)
 	m.obs.classAdmitted[r.class].Inc()
 	m.obs.effRate.Observe(plan.Admission.Rate / float64(stride))
 	if eligible && stride == 1 {
@@ -518,6 +521,8 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 			}
 		}
 	}
+	m.register(r)
+	m.hold(r, dec, true)
 	return r.id, dec, nil
 }
 
@@ -539,9 +544,25 @@ func (m *Manager) AdmitRecord(plan RecordPlan) (RequestID, continuity.Decision, 
 	}
 	rs := &recordState{plan: plan, start: m.clock.Now(), blockDur: blockDur, totalBlks: total}
 	r := &request{id: m.newID(), kind: Record, name: plan.Name, adm: plan.Admission, rec: rs}
-	m.reqs = append(m.reqs, r)
+	m.register(r)
 	m.hold(r, dec, true)
 	return r.id, dec, nil
+}
+
+// register enters an admitted request, its state settled, in the live
+// table.
+func (m *Manager) register(r *request) {
+	m.reqs = append(m.reqs, r)
+	m.rt.invalidate()
+}
+
+// end finishes a request: it leaves the admission set, and a play its
+// cache stream — a stopped or finished leader's followers are spliced to
+// its own leader, or left to drain the pinned backlog and demote.
+func (m *Manager) end(r *request) {
+	r.done = true
+	m.closeCacheStream(r)
+	m.rt.invalidate()
 }
 
 func (m *Manager) newID() RequestID {
@@ -571,10 +592,7 @@ func (m *Manager) Stop(id RequestID) error {
 	if err != nil {
 		return err
 	}
-	r.done = true
-	// A stopped leader's followers are spliced to its own leader (or
-	// left to drain the pinned backlog and demote).
-	m.closeCacheStream(r)
+	m.end(r)
 	return nil
 }
 
@@ -596,6 +614,7 @@ func (m *Manager) Pause(id RequestID, destructive bool) error {
 		r.endWait(m.clock.Now()) // the pause holds its clock from here
 	}
 	r.pause = &pauseState{at: m.clock.Now(), destructive: destructive}
+	m.rt.invalidate()
 	// A paused producer stops feeding its followers either way; close
 	// its cache stream so they demote instead of waiting forever. A
 	// paused cache-served request re-enters the cache on resume.
@@ -646,6 +665,7 @@ func (m *Manager) Resume(id RequestID) (continuity.Decision, error) {
 		m.pending++
 	}
 	r.pause = nil
+	m.rt.invalidate()
 	// A resume is an operator-visible fresh start: give the request a
 	// clean run at the escalation threshold.
 	r.consecFails = 0
@@ -764,9 +784,9 @@ func (m *Manager) RunRound() bool {
 	// for the round (every lane's sub-round reads the same one), and who
 	// is resident where follows it. The round charges what it serves.
 	m.resteer()
-	sets, resident := m.residentSets(false)
-	defer m.recordRound(m.clock.Now(), m.k, resident, m.CacheServed(), len(act))
-	worked := m.serviceRound(act, sets)
+	_, resident := m.residentSets(false)
+	defer m.recordRound(m.clock.Now(), m.k, resident, m.rt.cacheServed, len(act))
+	worked := m.serviceRound(act)
 	if !worked {
 		next, ok := m.nextWorkTime()
 		if !ok {
@@ -814,14 +834,13 @@ func (m *Manager) finishDrained() {
 			switch r.kind {
 			case Play:
 				if r.play.nextFetch >= len(r.play.plan.Blocks) {
-					r.done = true
 					// A finished leader's remaining pins stay with its
 					// follower; the chain is spliced around it.
-					m.closeCacheStream(r)
+					m.end(r)
 				}
 			case Record:
 				if r.rec.exhausted {
-					r.done = true
+					m.end(r)
 				}
 			}
 		}
@@ -893,6 +912,7 @@ func (m *Manager) processDemotions() {
 		// Full admission as a disk-bound stream.
 		dec, err := m.commit(m.decideAdmit(m.extent(r), r.adm, false))
 		r.cacheServed = false
+		m.rt.invalidate()
 		if err != nil {
 			m.closeCacheStream(r)
 			r.pause = &pauseState{at: m.clock.Now(), destructive: true}

@@ -62,8 +62,12 @@ type roundObs struct {
 // SetObs wires the manager to an observability registry and service-
 // round trace ring (either may be shared with previous managers over
 // the same disk: counters continue, deltas re-anchor to the current
-// cumulative state). ring may be nil to record metrics without a
-// trace.
+// cumulative state). A shared registry's gauges still hold what the
+// previous manager published; a gauge stores only a value that moved
+// (obs.Gauge.Set compares with the registry's, not with what this
+// manager last wrote), so every gauge the first round sets reads this
+// manager's figure. reg may be nil to publish nothing; ring may be nil
+// to record metrics without a trace.
 func (m *Manager) SetObs(reg *obs.Registry, ring *obs.TraceRing) {
 	m.obs = roundObs{
 		ring:             ring,
@@ -110,14 +114,17 @@ func (m *Manager) SetObs(reg *obs.Registry, ring *obs.TraceRing) {
 	o.lastHits, o.lastViol = m.stats.CacheHits, m.stats.Violations
 	o.lastRetries, o.lastDegrade = m.stats.Retries, m.stats.DegradedBlocks
 	o.lastRebuild = m.stats.RebuildBlocks
-	o.lastBusy = m.d.Stats().BusyTime()
+	o.lastBusy = m.d.BusyTime()
 	o.kGauge.Set(int64(m.k))
 }
 
 // recordRound attributes everything since the previous record to one
 // completed service round and appends its trace entry. It is also where
-// the interval cache's residency gauges are published, once a round: the
-// round's hits and inserts leave them to it.
+// the interval cache's residency gauges are published, when the round's
+// hits and inserts moved them. Its inputs are kept current by the events
+// that change them — the device's busy total, the resident table's
+// counts — so it reads them; counters take only non-zero deltas, and
+// gauges store only values that moved (package obs).
 //
 // rt:hotpath
 func (m *Manager) recordRound(start time.Duration, kAtStart, active, cacheServed, streamsServed int) {
@@ -128,7 +135,7 @@ func (m *Manager) recordRound(start time.Duration, kAtStart, active, cacheServed
 	if o.rounds == nil {
 		return
 	}
-	busy := m.d.Stats().BusyTime()
+	busy := m.d.BusyTime()
 	tr := obs.RoundTrace{
 		Round:         m.stats.Rounds,
 		Start:         int64(start),

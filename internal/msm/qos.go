@@ -125,19 +125,19 @@ func (m *Manager) admitClassed(sp uint64, cand continuity.Request, class continu
 			break
 		}
 		sheds = append(sheds, trial{v, strideOf(v.play)})
-		v.play.stride = m.nextStride(strideOf(v.play))
+		m.setStride(v, m.nextStride(strideOf(v.play)))
 		dec = m.decideAdmit(sp, cand, false)
 	}
 	if !dec.Admitted {
 		// Shedding lower classes was not enough (or there were none);
 		// ClassAware's stride ladder degrades the candidate itself.
-		dec = continuity.ClassAware{A: m.adm, P: len(m.resident), MaxStride: m.qos.MaxStride}.Admit(m.touchedSets(sp), -1, m.kSched(), cand, class)
+		dec = continuity.ClassAware{A: m.adm, P: len(m.rt.sets), MaxStride: m.qos.MaxStride}.Admit(m.touchedSets(sp), -1, m.kSched(), cand, class)
 	}
 	if !dec.Admitted {
 		// Roll the dry-run demotions back, newest first so repeated
 		// demotions of one victim restore its original stride.
 		for i := len(sheds) - 1; i >= 0; i-- {
-			sheds[i].r.play.stride = sheds[i].stride
+			m.setStride(sheds[i].r, sheds[i].stride)
 		}
 		return m.commit(dec)
 	}
@@ -218,11 +218,17 @@ func (m *Manager) noteDemotion(r *request) {
 	m.obs.effRate.Observe(r.adm.Rate / float64(strideOf(ps)))
 }
 
+// setStride sets a play's load-shed stride, which its charge follows.
+func (m *Manager) setStride(r *request, stride int) {
+	r.play.stride = stride
+	m.rt.invalidate()
+}
+
 // notePromotion records a promotion to the given stride (1 = full
 // rate), which the caller has already verified keeps Eq. 18 feasible.
 func (m *Manager) notePromotion(r *request, stride int) {
 	ps := r.play
-	ps.stride = stride
+	m.setStride(r, stride)
 	ps.strideBase = ps.nextFetch
 	m.stats.Promotions++
 	if stride == 1 {
@@ -252,9 +258,9 @@ func (m *Manager) feasibleNow() bool {
 // rt:hotpath
 func (m *Manager) strideFeasible(r *request, stride int) bool {
 	old := r.play.stride
-	r.play.stride = stride
+	m.setStride(r, stride)
 	ok := m.feasibleNow()
-	r.play.stride = old
+	m.setStride(r, old)
 	return ok
 }
 
@@ -279,7 +285,7 @@ func (m *Manager) classPass() {
 		if v == nil {
 			break
 		}
-		v.play.stride = m.nextStride(strideOf(v.play))
+		m.setStride(v, m.nextStride(strideOf(v.play)))
 		m.noteDemotion(v)
 	}
 	m.promotePass()

@@ -27,7 +27,7 @@ func addSyntheticPlay(m *Manager, id RequestID, class continuity.Class, stride i
 		id: id, kind: Play, class: class, adm: qosTmpl(m),
 		play: &playState{stride: stride, pm: []planPos{{}}},
 	}
-	m.reqs = append(m.reqs, r)
+	m.register(r)
 	return r
 }
 

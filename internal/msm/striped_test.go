@@ -17,7 +17,7 @@ import (
 func TestStripedRoundParallelService(t *testing.T) {
 	const p, stripe = 4, 120
 	rig := newRig(t, shape{spindles: p, stripe: stripe})
-	if got := len(rig.m.resident); got != p {
+	if got := len(rig.m.rt.sets); got != p {
 		t.Fatalf("resident table has %d sets, want %d", got, p)
 	}
 

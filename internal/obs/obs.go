@@ -45,9 +45,10 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n.
+// Add adds n. Adding zero writes nothing: a per-round delta is usually
+// zero, and a branch is cheaper than an atomic add.
 func (c *Counter) Add(n uint64) {
-	if c != nil {
+	if c != nil && n != 0 {
 		c.v.Add(n)
 	}
 }
@@ -60,9 +61,11 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the value.
+// Set replaces the value. It stores only a value that differs from the
+// current one: publishers set their gauges every round, and a gauge
+// rarely moves, so the usual Set is a load.
 func (g *Gauge) Set(v int64) {
-	if g != nil {
+	if g != nil && g.v.Load() != v {
 		g.v.Store(v)
 	}
 }
@@ -160,7 +163,8 @@ func (h *Histogram) snapshot() ([]uint64, uint64, float64) {
 // model and may carry an inline label set, e.g.
 // `mmfs_requests_total{op="Play"}`; the registry treats the full
 // string as the series identity and groups series by base name when
-// rendering exposition TYPE/HELP lines.
+// rendering exposition TYPE/HELP lines. A nil registry hands out nil,
+// inert, handles: wiring a subsystem to nil leaves it unobserved.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
@@ -179,6 +183,9 @@ func NewRegistry() *Registry {
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c := r.counters[name]
@@ -191,6 +198,9 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g := r.gauges[name]
@@ -205,6 +215,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 // bucket upper bounds on first use (uppers must be sorted ascending;
 // later calls may pass nil to fetch the existing histogram).
 func (r *Registry) Histogram(name string, uppers []float64) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.histograms[name]

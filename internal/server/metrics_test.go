@@ -6,9 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"mmfs/internal/cache"
 	"mmfs/internal/client"
 	"mmfs/internal/core"
 	"mmfs/internal/media"
+	"mmfs/internal/msm"
 	"mmfs/internal/obs"
 	"mmfs/internal/rope"
 	"mmfs/internal/wire"
@@ -147,6 +149,82 @@ func TestMetricsOverWire(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// Managers share the file system's registry, and a round writes a gauge
+// only when its value moves: so a fresh manager must write every gauge
+// its rounds publish. After a PLAY, with a leader and a cache-served
+// follower mid-play, and again after NewManager and a PLAY on the new
+// manager, the METRICS reply's round gauges read what the manager and its
+// last trace record say, and the cache's residency gauges what the
+// cache's Stats say.
+func TestMetricsGaugesFollowTheManager(t *testing.T) {
+	srv, c, _ := serve(t, core.Options{Disks: 4, CacheMB: 16}, nil)
+	fs := srv.fs
+	id, _, err := c.RecordClip("venkat", media.NewVideoSource(300, 18000, 30, 47), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		snap, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		rounds := fs.Trace().Snapshot()
+		last := rounds[len(rounds)-1]
+		cs := fs.Manager().Cache().Stats()
+		for _, g := range []struct {
+			name string
+			want int64
+		}{
+			{"mmfs_k", int64(fs.Manager().K())},
+			{"mmfs_active_requests", int64(last.Active)},
+			{"mmfs_cache_served_requests", int64(last.CacheServed)},
+			{"mmfs_retry_slack_ns", last.RetrySlackNs},
+			{"mmfs_cache_bytes", cs.Bytes},
+			{"mmfs_cache_pinned_bytes", cs.PinnedBytes},
+			{"mmfs_cache_owned_bytes", cs.OwnedBytes},
+			{"mmfs_cache_intervals", int64(cs.Intervals)},
+		} {
+			if v, ok := snap.Gauge(g.name); !ok || v != g.want {
+				t.Errorf("%s: %s reads %d (%v), want %d", when, g.name, v, ok, g.want)
+			}
+		}
+		if err := cache.CheckInvariants(fs.Manager().Cache()); err != nil {
+			t.Errorf("%s: %v", when, err)
+		}
+	}
+	play := func() {
+		t.Helper()
+		if _, err := c.Play("venkat", id, rope.VideoOnly, 0, 0, 2, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	play()
+	check("after a PLAY")
+
+	srv.mu.Lock()
+	for i := 0; i < 2; i++ {
+		if _, err := fs.Play("venkat", id, rope.VideoOnly, 0, 0, msm.PlanOptions{ReadAhead: 2}); err != nil {
+			t.Fatal(err)
+		}
+		fs.Manager().RunFor(time.Second)
+	}
+	followers := fs.Manager().CacheServed()
+	srv.mu.Unlock()
+	if followers == 0 {
+		t.Fatal("no cache-served follower mid-play: the gauges would read as a fresh manager's")
+	}
+	check("mid-play with a follower")
+
+	srv.mu.Lock()
+	fs.NewManager()
+	srv.mu.Unlock()
+	play()
+	check("after NewManager and a PLAY")
 }
 
 // mmfs_server_conn_buffer_bytes is the memory the open connections'
