@@ -2,10 +2,12 @@ GO ?= go
 
 # The race subset (nightly.yml races the whole tree). server, client and
 # obs are where goroutines meet: connections, the drain, the metrics
-# registry's atomics. The rest is what the server drives under s.mu; a
-# service round starts no goroutine (the lanes are swept inline), so
-# there the detector guards against one coming back unannounced.
-RACE_PKGS = ./internal/server ./internal/msm ./internal/client ./internal/cache ./internal/obs ./internal/fault ./internal/disk ./internal/core
+# registry's atomics; so is cmd/mmedit, whose info reads the file system
+# its in-process server goroutine serves. The rest is what the server
+# drives under s.mu; a service round starts no goroutine (the lanes are
+# swept inline), so there the detector guards against one coming back
+# unannounced.
+RACE_PKGS = ./internal/server ./internal/msm ./internal/client ./internal/cache ./internal/obs ./internal/fault ./internal/disk ./internal/core ./cmd/mmedit
 
 # Where the benchmarks with a baseline entry live: the root package's
 # experiment tables and hot-path micros, and the interval cache's own.
@@ -63,7 +65,7 @@ race-bench:
 # and under GitHub Actions (which sets GITHUB_ACTIONS) each one
 # annotates the diff. Last,
 # scripts/deadexports.sh: exported functions and methods under internal/
-# that no product code names. Then scripts/runpatterns.sh: every -run,
+# and cmd/internal/ that no product code names. Then scripts/runpatterns.sh: every -run,
 # -fuzz and -bench alternative here and in .github/workflows must still
 # name a function in its packages (go test -list), so a renamed test
 # cannot quietly drop out of chaos, fuzz or the allocation gate. This

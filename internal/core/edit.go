@@ -63,6 +63,18 @@ func (fs *FS) editable(user string, id rope.ID) (*rope.Rope, error) {
 	return r, nil
 }
 
+// playable fetches a rope and checks play (read) access.
+func (fs *FS) playable(user string, id rope.ID) (*rope.Rope, error) {
+	r, ok := fs.ropes.Get(id)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown rope %d", id)
+	}
+	if !r.CanPlay(user) {
+		return nil, fmt.Errorf("%w: user %q cannot read rope %d", ErrAccess, user, id)
+	}
+	return r, nil
+}
+
 // Insert implements §4.1's INSERT on a stored rope, then maintains
 // scattering across the junctions the insertion created.
 func (fs *FS) Insert(user string, base rope.ID, position time.Duration, m rope.Medium, with rope.ID, withStart, withDur time.Duration) (EditResult, error) {
@@ -70,12 +82,9 @@ func (fs *FS) Insert(user string, base rope.ID, position time.Duration, m rope.M
 	if err != nil {
 		return EditResult{}, err
 	}
-	wr, ok := fs.ropes.Get(with)
-	if !ok {
-		return EditResult{}, fmt.Errorf("core: unknown rope %d", with)
-	}
-	if !wr.CanPlay(user) {
-		return EditResult{}, fmt.Errorf("%w: user %q cannot read rope %d", ErrAccess, user, with)
+	wr, err := fs.playable(user, with)
+	if err != nil {
+		return EditResult{}, err
 	}
 	if err := fs.ropes.Insert(br, position, m, wr, withStart, withDur); err != nil {
 		return EditResult{}, err
@@ -89,12 +98,9 @@ func (fs *FS) Replace(user string, base rope.ID, m rope.Medium, baseStart, baseD
 	if err != nil {
 		return EditResult{}, err
 	}
-	wr, ok := fs.ropes.Get(with)
-	if !ok {
-		return EditResult{}, fmt.Errorf("core: unknown rope %d", with)
-	}
-	if !wr.CanPlay(user) {
-		return EditResult{}, fmt.Errorf("%w: user %q cannot read rope %d", ErrAccess, user, with)
+	wr, err := fs.playable(user, with)
+	if err != nil {
+		return EditResult{}, err
 	}
 	if err := fs.ropes.Replace(br, m, baseStart, baseDur, wr, withStart, withDur); err != nil {
 		return EditResult{}, err
@@ -104,12 +110,9 @@ func (fs *FS) Replace(user string, base rope.ID, m rope.Medium, baseStart, baseD
 
 // Substring implements §4.1's SUBSTRING, returning the new rope.
 func (fs *FS) Substring(user string, base rope.ID, m rope.Medium, start, dur time.Duration) (*rope.Rope, EditResult, error) {
-	br, ok := fs.ropes.Get(base)
-	if !ok {
-		return nil, EditResult{}, fmt.Errorf("core: unknown rope %d", base)
-	}
-	if !br.CanPlay(user) {
-		return nil, EditResult{}, fmt.Errorf("%w: user %q cannot read rope %d", ErrAccess, user, base)
+	br, err := fs.playable(user, base)
+	if err != nil {
+		return nil, EditResult{}, err
 	}
 	out, err := fs.ropes.Substring(user, br, m, start, dur)
 	if err != nil {
@@ -123,16 +126,13 @@ func (fs *FS) Substring(user string, base rope.ID, m rope.Medium, start, dur tim
 // 10: the junction between the two ropes' strands is where copying may
 // occur).
 func (fs *FS) Concate(user string, r1, r2 rope.ID) (*rope.Rope, EditResult, error) {
-	a, ok := fs.ropes.Get(r1)
-	if !ok {
-		return nil, EditResult{}, fmt.Errorf("core: unknown rope %d", r1)
+	a, err := fs.playable(user, r1)
+	if err != nil {
+		return nil, EditResult{}, err
 	}
-	b, ok := fs.ropes.Get(r2)
-	if !ok {
-		return nil, EditResult{}, fmt.Errorf("core: unknown rope %d", r2)
-	}
-	if !a.CanPlay(user) || !b.CanPlay(user) {
-		return nil, EditResult{}, fmt.Errorf("%w: user %q cannot read ropes %d/%d", ErrAccess, user, r1, r2)
+	b, err := fs.playable(user, r2)
+	if err != nil {
+		return nil, EditResult{}, err
 	}
 	out, err := fs.ropes.Concate(user, a, b)
 	if err != nil {
@@ -167,12 +167,9 @@ func (fs *FS) AddTrigger(user string, id rope.ID, at time.Duration, text string)
 // Triggers lists a rope's synchronized-text triggers with their
 // resolved rope-relative times.
 func (fs *FS) Triggers(user string, id rope.ID) ([]rope.TriggerAt, error) {
-	r, ok := fs.ropes.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown rope %d", id)
-	}
-	if !r.CanPlay(user) {
-		return nil, fmt.Errorf("%w: user %q cannot play rope %d", ErrAccess, user, id)
+	r, err := fs.playable(user, id)
+	if err != nil {
+		return nil, err
 	}
 	return fs.ropes.Triggers(r)
 }
@@ -180,12 +177,8 @@ func (fs *FS) Triggers(user string, id rope.ID) ([]rope.TriggerAt, error) {
 // DeleteRope removes a whole rope; strands it alone referenced are
 // reclaimed by the garbage collector.
 func (fs *FS) DeleteRope(user string, id rope.ID) ([]strand.ID, error) {
-	r, ok := fs.ropes.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown rope %d", id)
-	}
-	if !r.CanEdit(user) {
-		return nil, fmt.Errorf("%w: user %q cannot delete rope %d", ErrAccess, user, id)
+	if _, err := fs.editable(user, id); err != nil {
+		return nil, err
 	}
 	if err := fs.ropes.Remove(id); err != nil {
 		return nil, err

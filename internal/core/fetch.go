@@ -24,12 +24,9 @@ func (fs *FS) VisitUnits(user string, id rope.ID, m rope.Medium, start, dur time
 	if m == rope.AudioVisual {
 		return fmt.Errorf("core: fetch one medium at a time")
 	}
-	r, ok := fs.ropes.Get(id)
-	if !ok {
-		return fmt.Errorf("core: unknown rope %d", id)
-	}
-	if !r.CanPlay(user) {
-		return fmt.Errorf("%w: user %q cannot play rope %d", ErrAccess, user, id)
+	r, err := fs.playable(user, id)
+	if err != nil {
+		return err
 	}
 	if dur == 0 {
 		dur = r.Length() - start

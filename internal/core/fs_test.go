@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -245,20 +246,62 @@ func TestSyncOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// Every read path checks the play list: a user outside PlayAccess is
+// refused with ErrAccess and a listed user is admitted. shared carries
+// the list; open, which everyone may edit, is the rope edited around it.
 func TestAccessControl(t *testing.T) {
-	fs, err := Format(Options{})
-	if err != nil {
-		t.Fatal(err)
+	reads := []struct {
+		name string
+		read func(fs *FS, user string, shared, open rope.ID) error
+	}{
+		{"Play", func(fs *FS, u string, s, _ rope.ID) error {
+			_, err := fs.Play(u, s, rope.VideoOnly, 0, 0, msm.PlanOptions{ReadAhead: 2})
+			fs.Manager().RunUntilDone()
+			return err
+		}},
+		{"VisitUnits", func(fs *FS, u string, s, _ rope.ID) error {
+			return fs.VisitUnits(u, s, rope.VideoOnly, 0, time.Second, func([]byte) error { return nil })
+		}},
+		{"Insert", func(fs *FS, u string, s, o rope.ID) error {
+			_, err := fs.Insert(u, o, time.Second, rope.AudioVisual, s, 0, time.Second)
+			return err
+		}},
+		{"Replace", func(fs *FS, u string, s, o rope.ID) error {
+			_, err := fs.Replace(u, o, rope.AudioVisual, 0, time.Second, s, 0, time.Second)
+			return err
+		}},
+		{"Substring", func(fs *FS, u string, s, _ rope.ID) error {
+			_, _, err := fs.Substring(u, s, rope.AudioVisual, 0, time.Second)
+			return err
+		}},
+		{"ConcateFirst", func(fs *FS, u string, s, o rope.ID) error {
+			_, _, err := fs.Concate(u, s, o)
+			return err
+		}},
+		{"ConcateSecond", func(fs *FS, u string, s, o rope.ID) error {
+			_, _, err := fs.Concate(u, o, s)
+			return err
+		}},
+		{"Triggers", func(fs *FS, u string, s, _ rope.ID) error {
+			_, err := fs.Triggers(u, s)
+			return err
+		}},
 	}
-	r := recordClip(t, fs, "venkat", 2, 800)
-	r.PlayAccess = []string{"harrick"}
-	r.EditAccess = []string{}
-
-	if _, err := fs.Play("mallory", r.ID, rope.VideoOnly, 0, 0, msm.PlanOptions{}); err == nil {
-		t.Fatal("play allowed for user outside PlayAccess")
+	for _, tc := range reads {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, err := Format(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared := recordClip(t, fs, "venkat", 2, 800)
+			shared.PlayAccess = []string{"harrick"}
+			open := recordClip(t, fs, "venkat", 2, 900)
+			if err := tc.read(fs, "mallory", shared.ID, open.ID); !errors.Is(err, ErrAccess) {
+				t.Fatalf("user outside PlayAccess: err %v, want ErrAccess", err)
+			}
+			if err := tc.read(fs, "harrick", shared.ID, open.ID); err != nil {
+				t.Fatalf("listed user refused: %v", err)
+			}
+		})
 	}
-	if _, err := fs.Play("harrick", r.ID, rope.VideoOnly, 0, 0, msm.PlanOptions{ReadAhead: 2}); err != nil {
-		t.Fatalf("play denied for listed user: %v", err)
-	}
-	fs.Manager().RunUntilDone()
 }

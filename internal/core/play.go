@@ -40,12 +40,9 @@ func (h PlayHandle) Requests() []msm.RequestID {
 // reject the request (ErrAdmissionRejected) without disturbing the
 // requests already in service.
 func (fs *FS) Play(user string, id rope.ID, m rope.Medium, start, dur time.Duration, opts msm.PlanOptions) (PlayHandle, error) {
-	r, ok := fs.ropes.Get(id)
-	if !ok {
-		return PlayHandle{}, fmt.Errorf("core: unknown rope %d", id)
-	}
-	if !r.CanPlay(user) {
-		return PlayHandle{}, fmt.Errorf("%w: user %q cannot play rope %d", ErrAccess, user, id)
+	r, err := fs.playable(user, id)
+	if err != nil {
+		return PlayHandle{}, err
 	}
 	if dur == 0 {
 		dur = r.Length() - start
@@ -60,7 +57,6 @@ func (fs *FS) Play(user string, id rope.ID, m rope.Medium, start, dur time.Durat
 		req, _, err := fs.mgr.AdmitPlay(plan)
 		return req, err
 	}
-	var err error
 	wantVideo := (m == rope.AudioVisual || m == rope.VideoOnly) && hasVideo
 	wantAudio := (m == rope.AudioVisual || m == rope.AudioOnly) && hasAudio
 	if !wantVideo && !wantAudio {

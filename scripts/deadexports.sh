@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Exported functions and methods under internal/ that no product code
-# refers to.
+# Exported functions and methods under internal/ and cmd/internal/ that
+# no product code refers to.
 #
 #   scripts/deadexports.sh
 #   make lint
@@ -43,7 +43,7 @@ find . -name '*.go' ! -path './.bench_build/*' | sort | awk -v allow="^($allow)\
 		file = $0
 		if (file ~ /_test\.go$/) next
 		self = ""
-		own = file ~ /^\.\/internal\// && file !~ /\/testdata\//
+		own = file ~ /^\.\/(cmd\/)?internal\// && file !~ /\/testdata\//
 		for (ln = 1; (getline line < file) > 0; ln++) {
 			if (line ~ /^[ \t]*\/\//) continue
 			if (line ~ /^}/) self = ""
