@@ -17,8 +17,8 @@ BENCH_PKGS = . ./internal/cache
 # baseline's allocs/op (each list once: ci.yml calls the targets). The
 # lent playback is named apart: a -bench pattern with a slash filters
 # every benchmark's sub-benchmarks, so it runs in an invocation of its own.
-RACE_BENCHES = BenchmarkStripedRound|BenchmarkRound1000Streams|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCacheCoupledRoundNoObs|BenchmarkCachedConcurrentPlayback|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
-ALLOC_BENCHES = BenchmarkPlayArrival|BenchmarkPlaybackRound|BenchmarkStripedRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCacheCoupledRoundNoObs|BenchmarkCacheFill|BenchmarkCacheAdopt|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
+RACE_BENCHES = BenchmarkStripedRound|BenchmarkRound1000Streams|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCacheCoupledRoundNoObs|BenchmarkFollowerRound|BenchmarkCachedConcurrentPlayback|BenchmarkCacheFill|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
+ALLOC_BENCHES = BenchmarkPlayArrival|BenchmarkPlaybackRound|BenchmarkStripedRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCacheCoupledRoundNoObs|BenchmarkFollowerRound|BenchmarkCacheFill|BenchmarkCacheAdopt|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
 ALLOC_BENCH_LENT = BenchmarkCachedConcurrentPlayback/lent
 
 .PHONY: all build test race race-bench lint loc bench bench-baseline bench-compare bench-check mmload-pairs fuzz chaos clean

@@ -494,6 +494,48 @@ func cacheCoupledRounds(b *testing.B, observed bool) {
 	}
 }
 
+// BenchmarkFollowerRound times single service rounds of the serve-cache
+// shape: one disk, a 64 MiB interval cache, one leader and seven
+// followers admitted behind it 150 ms apart, in steady state. In most of
+// its rounds most requests have nothing to do — a follower waits for its
+// leader's next block, a play's display buffers are full — so what it
+// times is mostly what an idle request costs a round. Steady state is
+// reached as in BenchmarkCacheCoupledRound (an earlier manager grew the
+// cache's frames), the plays are re-admitted off the clock when they
+// drain, and the measured rounds allocate nothing (CI-gated).
+func BenchmarkFollowerRound(b *testing.B) {
+	const plays = 8
+	fs, r := benchFSWith(b, core.Options{CacheMB: 64})
+	admit := func(b *testing.B) *msm.Manager {
+		mgr := fs.NewManager()
+		for i := 0; i < plays; i++ {
+			if _, err := fs.Play("bench", r.ID, rope.VideoOnly, 0, 0, msm.PlanOptions{ReadAhead: 2}); err != nil {
+				b.Fatal(err)
+			}
+			mgr.RunFor(150 * time.Millisecond)
+		}
+		if n := mgr.CacheServed(); n != plays-1 {
+			b.Fatalf("%d of %d plays follow the leader", n, plays-1)
+		}
+		return mgr
+	}
+	admit(b).RunUntilDone()
+	mgr := admit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !mgr.RunRound() {
+			b.StopTimer()
+			mgr = admit(b)
+			b.StartTimer()
+		}
+	}
+	b.StopTimer()
+	if st := mgr.Stats(); st.Violations != 0 {
+		b.Fatalf("%d violation(s) in %d follower rounds", st.Violations, st.Rounds)
+	}
+}
+
 // BenchmarkCachedConcurrentPlayback plays one rope four times at once
 // (a leader plus three staggered followers), with and without the
 // interval cache, and reports how much disk work the cache removes at

@@ -15,7 +15,7 @@
 //	              findings annotate the PR diff
 //
 // The exit status is 0 when the tree is clean, 1 when findings were
-// reported, and 2 when loading or analysis failed. Individual findings
+// reported, and 2 for a bad flag or when loading or analysis failed. Individual findings
 // are suppressed with a `//lint:ignore <analyzer> reason` comment on
 // the flagged line or the line above it, and a directive that names no
 // registered analyzer or suppresses no finding is itself a finding
@@ -25,8 +25,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -43,28 +45,40 @@ type finding struct {
 	Message  string `json:"message"`
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and output streams; it returns
+// the exit status: 0 clean, 1 findings, 2 a bad flag or a load,
+// analysis or write failure.
+func run(args []string, stdout, stderr io.Writer) int {
 	analyzers := all.Analyzers()
-	verbose := flag.Bool("v", false, "list the packages and analyzers as they run")
-	jsonPath := flag.String("json", "", "write findings as a JSON array to this file")
-	github := flag.Bool("github", false, "emit GitHub Actions ::error annotations")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mmfsvet [-v] [-json file] [-github] [packages]\n\nAnalyzers:\n")
+	fl := flag.NewFlagSet("mmfsvet", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	verbose := fl.Bool("v", false, "list the packages and analyzers as they run")
+	jsonPath := fl.String("json", "", "write findings as a JSON array to this file")
+	github := fl.Bool("github", false, "emit GitHub Actions ::error annotations")
+	fl.Usage = func() {
+		fmt.Fprintf(stderr, "usage: mmfsvet [-v] [-json file] [-github] [packages]\n\nAnalyzers:\n")
 		for _, a := range analyzers {
-			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stderr, "  %-14s %s\n", a.Name, a.Doc)
 		}
-		flag.PrintDefaults()
+		fl.PrintDefaults()
 	}
-	flag.Parse()
-	patterns := flag.Args()
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	patterns := fl.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
 	pkgs, err := analysis.Load(".", patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmfsvet: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "mmfsvet: %v\n", err)
+		return 2
 	}
 	if *verbose {
 		for _, pkg := range pkgs {
@@ -74,13 +88,13 @@ func main() {
 					applied = append(applied, a.Name)
 				}
 			}
-			fmt.Fprintf(os.Stderr, "mmfsvet: %s: %v\n", pkg.Path, applied)
+			fmt.Fprintf(stderr, "mmfsvet: %s: %v\n", pkg.Path, applied)
 		}
 	}
 	diags, err := analysis.RunAll(analyzers, pkgs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmfsvet: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "mmfsvet: %v\n", err)
+		return 2
 	}
 	cwd, _ := os.Getwd()
 	findings := make([]finding, 0, len(diags))
@@ -101,9 +115,9 @@ func main() {
 		})
 	}
 	for _, f := range findings {
-		fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
+		fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 		if *github {
-			fmt.Printf("::error file=%s,line=%d,col=%d::[%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
+			fmt.Fprintf(stdout, "::error file=%s,line=%d,col=%d::[%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 		}
 	}
 	if *jsonPath != "" {
@@ -112,11 +126,12 @@ func main() {
 			err = os.WriteFile(*jsonPath, append(buf, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmfsvet: writing %s: %v\n", *jsonPath, err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "mmfsvet: writing %s: %v\n", *jsonPath, err)
+			return 2
 		}
 	}
 	if len(findings) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

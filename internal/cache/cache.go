@@ -69,7 +69,7 @@ type entry struct {
 	data       []byte
 	frame      []byte
 	lent       bool
-	claimant   *stream // non-nil ⇒ pinned: on claimant.pins, off the LRU list
+	claimant   *Stream // non-nil ⇒ pinned: on claimant.pins, off the LRU list
 	prev, next *entry  // links of the one list the entry is on
 }
 
@@ -118,22 +118,27 @@ func (l *entryList) moveFront(e *entry) {
 	}
 }
 
-// stream is one open play position over a strand, on the stream list of
-// its strand's record (rec, linked through onNext) from OpenStream to
-// CloseStream. pos is the next block index the stream will produce
-// (leader fetching from disk) or consume (follower reading from the
-// cache); leader/follower link the interval chain L ← F1 ← F2 ordered by
+// Stream is one open play position over a strand, and the handle its
+// opener keeps (OpenStream) to reach it without an id lookup. It is on
+// the stream list of its strand's record (rec, linked through onNext)
+// from OpenStream to CloseStream; a closed stream — CloseStream, Reset,
+// or an id reopened — has no record and reads as an unknown id: Get
+// misses, Peek reports Miss, and Put, PutView, Produced and Adopt do
+// nothing. pos is the next block index the stream will produce (leader
+// fetching from disk) or consume (follower reading from the cache);
+// leader/follower link the interval chain L ← F1 ← F2 ordered by
 // descending pos. pins lists the entries pinned for the stream in
 // ascending block index, so closing it costs its own pins, not a walk of
 // the cache.
-type stream struct {
+type Stream struct {
+	c                *Cache
 	id               uint64
 	rec              *strandRec
-	onNext           *stream
+	onNext           *Stream
 	pos              int
 	end              int
 	rate             float64
-	leader, follower *stream
+	leader, follower *Stream
 	pins             entryList
 }
 
@@ -153,7 +158,7 @@ type strandRec struct {
 	slots   []*entry
 	lo, hi  int
 	n       int     // resident entries
-	streams *stream // head of the open streams' list, in no order
+	streams *Stream // head of the open streams' list, in no order
 }
 
 // minRingBits sizes a new record's ring: 1<<minRingBits slots.
@@ -279,9 +284,12 @@ type Cache struct {
 	bytes    int64
 	pinned   int64
 	// strands files the resident entries and the open streams by strand
-	// (strandRec); streams finds a stream, and through it its record, by id.
+	// (strandRec); streams finds a stream, and through it its record, by id,
+	// for the id-keyed methods. unknown is the closed stand-in those methods
+	// use for an id with no open stream.
 	strands map[strand.ID]*strandRec
-	streams map[uint64]*stream
+	streams map[uint64]*Stream
+	unknown Stream
 	// rings keeps the rings records outgrew or were dropped with, emptied,
 	// by size (rings[b] holds rings of 1<<b slots): a record's ring is
 	// taken from here first, so once every size a strand's span reaches has
@@ -319,11 +327,13 @@ func New(capacity int64) *Cache {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Cache{
+	c := &Cache{
 		capacity: capacity,
 		strands:  make(map[strand.ID]*strandRec),
-		streams:  make(map[uint64]*stream),
+		streams:  make(map[uint64]*Stream),
 	}
+	c.unknown.c = c
+	return c
 }
 
 // SetObs mirrors the cache's counters into an observability registry
@@ -377,23 +387,36 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// OpenStream registers a play position: the stream will touch strand
-// blocks [first, end) at the given playback rate (blocks/second class;
-// only equality between streams matters). Reopening an id replaces the
-// previous registration.
-func (c *Cache) OpenStream(id uint64, sid strand.ID, first, end int, rate float64) {
-	if _, ok := c.streams[id]; ok {
-		c.CloseStream(id)
-	}
+// OpenStream registers a play position and returns its handle: the
+// stream will touch strand blocks [first, end) at the given playback
+// rate (blocks/second class; only equality between streams matters).
+// Reopening an id closes the previous registration, whose handle then
+// reads as an unknown id.
+func (c *Cache) OpenStream(id uint64, sid strand.ID, first, end int, rate float64) *Stream {
+	c.Stream(id).Close()
 	r := c.strands[sid]
 	if r == nil {
 		r = &strandRec{sid: sid, slots: c.takeRing(minRingBits)}
 		c.strands[sid] = r
 	}
-	s := &stream{id: id, rec: r, onNext: r.streams, pos: first, end: end, rate: rate}
+	s := &Stream{c: c, id: id, rec: r, onNext: r.streams, pos: first, end: end, rate: rate}
 	r.streams = s
 	c.streams[id] = s
+	return s
 }
+
+// Stream returns the handle of the open stream registered under id, or —
+// for an id with none — a closed stand-in that behaves as the unknown id
+// it is. The id-keyed methods are this lookup over the handle's.
+func (c *Cache) Stream(id uint64) *Stream {
+	if s := c.streams[id]; s != nil {
+		return s
+	}
+	return &c.unknown
+}
+
+// Open reports whether the handle names an open stream; false for nil.
+func (s *Stream) Open() bool { return s != nil && s.rec != nil }
 
 // candidateLeader finds the stream a new follower at [first, …) of r's
 // strand would trail: the hindmost follower-free stream at or ahead of
@@ -401,8 +424,8 @@ func (c *Cache) OpenStream(id uint64, sid strand.ID, first, end int, rate float6
 // leader.pos) is resident. Choosing the hindmost minimizes the gap (and
 // therefore the pins), and chains followers L ← F1 ← F2 instead of
 // fanning out. The search costs the strand's own streams plus the gap.
-func candidateLeader(r *strandRec, first int, rate float64, self *stream) *stream {
-	var best *stream
+func candidateLeader(r *strandRec, first int, rate float64, self *Stream) *Stream {
+	var best *Stream
 	for t := r.streams; t != nil; t = t.onNext {
 		if t == self || t.follower != nil {
 			continue
@@ -451,17 +474,17 @@ func (c *Cache) Adoptable(sid strand.ID, first int, rate float64) bool {
 	return r != nil && candidateLeader(r, first, rate, nil) != nil
 }
 
+// Adopt is Stream.Adopt by id.
+func (c *Cache) Adopt(id uint64) bool { return c.Stream(id).Adopt() }
+
 // Adopt attaches the open stream to a leader, pinning the gap blocks
 // for it. It reports false when no leader qualifies (the stream then
 // runs disk-bound). Between an Adoptable check and the matching Adopt
 // the cache must not be mutated; the manager's serial admission path
 // guarantees this.
-func (c *Cache) Adopt(id uint64) bool {
-	if c.capacity <= 0 {
-		return false
-	}
-	s := c.streams[id]
-	if s == nil || s.leader != nil {
+func (s *Stream) Adopt() bool {
+	c := s.c
+	if c.capacity <= 0 || s.rec == nil || s.leader != nil {
 		return false
 	}
 	l := candidateLeader(s.rec, s.pos, s.rate, s)
@@ -483,6 +506,11 @@ func (c *Cache) Adopt(id uint64) bool {
 	return true
 }
 
+// Get is Stream.Get by id.
+//
+// rt:hotpath
+func (c *Cache) Get(id uint64, index int) ([]byte, Result) { return c.Stream(id).Get(index) }
+
 // Get serves the stream's read of the given block. A Hit advances the
 // stream's position and hands down (or releases) the block's pin. A
 // Wait means the block is not yet produced by the leader; a Miss means
@@ -492,19 +520,14 @@ func (c *Cache) Adopt(id uint64) bool {
 // insert (an eviction recycles the entry).
 //
 // rt:hotpath
-func (c *Cache) Get(id uint64, index int) ([]byte, Result) {
-	s := c.streams[id]
-	if s == nil {
+func (s *Stream) Get(index int) ([]byte, Result) {
+	c := s.c
+	if s.rec == nil {
 		c.stats.Misses++
 		c.obsMisses.Inc()
 		return nil, Miss
 	}
-	// Never read at or past the leader's position, even if the block
-	// is resident (it may be pinned for the leader-as-follower one
-	// level up the chain, and consuming it would reorder the chain).
-	if s.leader != nil && index >= s.leader.pos {
-		c.stats.Waits++
-		c.obsWaits.Inc()
+	if s.Waiting(index) {
 		return nil, Wait
 	}
 	// A follower's next block is the head of its own ascending pin
@@ -528,13 +551,35 @@ func (c *Cache) Get(id uint64, index int) ([]byte, Result) {
 	return e.data, Hit
 }
 
+// Waiting reports whether Get would answer Wait for the block — the
+// stream's leader has not produced it yet — and if so counts the wait
+// as that Get would, so a caller can end a follower's turn on it without
+// asking for the block. Never read at or past the leader's position,
+// even if the block is resident: it may be pinned for the
+// leader-as-follower one level up the chain, and consuming it would
+// reorder the chain.
+//
+// rt:hotpath
+func (s *Stream) Waiting(index int) bool {
+	if s.rec == nil || s.leader == nil || index < s.leader.pos {
+		return false
+	}
+	s.c.stats.Waits++
+	s.c.obsWaits.Inc()
+	return true
+}
+
+// Peek is Stream.Peek by id.
+//
+// rt:hotpath
+func (c *Cache) Peek(id uint64, index int) Result { return c.Stream(id).Peek(index) }
+
 // Peek classifies what Get would return, with no side effects. The
 // manager's idle-time scan uses it to skip Wait-blocked streams.
 //
 // rt:hotpath
-func (c *Cache) Peek(id uint64, index int) Result {
-	s := c.streams[id]
-	if s == nil {
+func (s *Stream) Peek(index int) Result {
+	if s.rec == nil {
 		return Miss
 	}
 	if s.leader != nil && index >= s.leader.pos {
@@ -553,7 +598,7 @@ func (c *Cache) Peek(id uint64, index int) Result {
 // consume handles the pin of a block the stream has read or skipped:
 // a claim held for this stream is handed down, any other pin is left
 // alone, and an unpinned block is touched.
-func (c *Cache) consume(s *stream, e *entry) {
+func (c *Cache) consume(s *Stream, e *entry) {
 	switch e.claimant {
 	case s:
 		c.handDown(s, e)
@@ -564,7 +609,7 @@ func (c *Cache) consume(s *stream, e *entry) {
 
 // wants reports whether the stream (nil for none) has yet to consume the
 // block at index.
-func (s *stream) wants(index int) bool {
+func (s *Stream) wants(index int) bool {
 	return s != nil && index >= s.pos && index < s.end
 }
 
@@ -573,7 +618,7 @@ func (s *stream) wants(index int) bool {
 // onto s's pin list at its place in ascending block index. Streams
 // produce and consume in ascending order, so that place is the tail; the
 // walk back only runs when a re-adoption fills in below pins s kept.
-func (c *Cache) pin(s *stream, e *entry) {
+func (c *Cache) pin(s *Stream, e *entry) {
 	if e.claimant != nil {
 		e.claimant.pins.remove(e)
 	} else {
@@ -592,7 +637,7 @@ func (c *Cache) pin(s *stream, e *entry) {
 // closing: the claim transfers to s's own follower (the next consumer
 // in the chain) if it still wants the block, else — at the chain tail —
 // the block unpins to the LRU as its most recently used.
-func (c *Cache) handDown(s *stream, e *entry) {
+func (c *Cache) handDown(s *Stream, e *entry) {
 	if s.follower.wants(e.index) {
 		c.pin(s.follower, e)
 		return
@@ -608,6 +653,11 @@ func (c *Cache) unpin(e *entry) {
 	c.pinned -= int64(len(e.data))
 }
 
+// Put is Stream.Put by id.
+//
+// rt:hotpath
+func (c *Cache) Put(id uint64, index int, data []byte) { c.Stream(id).Put(index, data) }
+
 // Put records a block the stream fetched from disk, making it
 // available to followers (pinned if one needs it) or to the plain LRU.
 // The stream's position advances past the block either way. data is
@@ -617,9 +667,12 @@ func (c *Cache) unpin(e *entry) {
 // go through PutView, which copies nothing.
 //
 // rt:hotpath
-func (c *Cache) Put(id uint64, index int, data []byte) {
-	c.insert(id, index, data, false)
-}
+func (s *Stream) Put(index int, data []byte) { s.insert(index, data, false) }
+
+// PutView is Stream.PutView by id.
+//
+// rt:hotpath
+func (c *Cache) PutView(id uint64, index int, view []byte) { c.Stream(id).PutView(index, view) }
 
 // PutView is Put for a block the device lent (disk.Lent): the entry
 // keeps the view itself — no copy, no frame. The view must stay what it
@@ -629,15 +682,13 @@ func (c *Cache) Put(id uint64, index int, data []byte) {
 // removal hook).
 //
 // rt:hotpath
-func (c *Cache) PutView(id uint64, index int, view []byte) {
-	c.insert(id, index, view, true)
-}
+func (s *Stream) PutView(index int, view []byte) { s.insert(index, view, true) }
 
 // insert is the one bookkeeping body behind Put and PutView; the two
 // differ only in how the entry comes to hold the bytes (hold).
-func (c *Cache) insert(id uint64, index int, data []byte, lent bool) {
-	s := c.streams[id]
-	if s == nil {
+func (s *Stream) insert(index int, data []byte, lent bool) {
+	c := s.c
+	if s.rec == nil {
 		return
 	}
 	if index >= s.pos {
@@ -696,7 +747,7 @@ func (c *Cache) hold(e *entry, data []byte, lent bool) {
 // claimOrTouch pins the (resident) entry for the producing stream's
 // follower if that follower still needs it, else refreshes its LRU
 // position.
-func (c *Cache) claimOrTouch(s *stream, e *entry) {
+func (c *Cache) claimOrTouch(s *Stream, e *entry) {
 	switch {
 	case e.claimant != nil:
 		// Another chain's claim stands.
@@ -707,50 +758,59 @@ func (c *Cache) claimOrTouch(s *stream, e *entry) {
 	}
 }
 
+// Produced is Stream.Produced by id.
+//
+// rt:hotpath
+func (c *Cache) Produced(id uint64, index int) { c.Stream(id).Produced(index) }
+
 // Produced advances the stream's position past a block that was
 // serviced without touching the cache (silence blocks cost no disk
 // time and are regenerated on read, so caching them is pure waste).
 //
 // rt:hotpath
-func (c *Cache) Produced(id uint64, index int) {
-	s := c.streams[id]
-	if s == nil {
+func (s *Stream) Produced(index int) {
+	if s.rec == nil {
 		return
 	}
 	if e := s.rec.at(index); e != nil && e.claimant == s {
-		c.handDown(s, e)
-		c.unpublished = true
+		s.c.handDown(s, e)
+		s.c.unpublished = true
 	}
 	if index >= s.pos {
 		s.pos = index + 1
 	}
 }
 
-// CloseStream removes a play position: every block pinned for it is
-// handed down to its follower or released to the LRU, and the chain is
-// spliced around it (the follower now trails the closed stream's
-// leader; the interval survives exactly when the gap blocks remain
-// resident, which they do — they were pinned for the follower). Pins
-// are released in ascending block index, so the lowest index ends
-// nearest the LRU tail and is evicted first: the stream's own reading
-// order, the same on every run. The cost is the stream's own pins and
-// its strand's streams. Safe to call for unknown ids.
-func (c *Cache) CloseStream(id uint64) {
-	s := c.streams[id]
-	if s == nil {
+// CloseStream is Stream.Close by id; safe to call for unknown ids.
+func (c *Cache) CloseStream(id uint64) { c.Stream(id).Close() }
+
+// Close removes the play position: every block pinned for it is handed
+// down to its follower or released to the LRU, and the chain is spliced
+// around it (the follower now trails the closed stream's leader; the
+// interval survives exactly when the gap blocks remain resident, which
+// they do — they were pinned for the follower). Pins are released in
+// ascending block index, so the lowest index ends nearest the LRU tail
+// and is evicted first: the stream's own reading order, the same on
+// every run. The cost is the stream's own pins and its strand's streams.
+// From here on the handle reads as an unknown id; closing it again does
+// nothing.
+func (s *Stream) Close() {
+	r := s.rec
+	if r == nil {
 		return
 	}
-	delete(c.streams, id)
+	c := s.c
+	delete(c.streams, s.id)
 	for e := s.pins.head; e != nil; e = s.pins.head {
 		c.handDown(s, e)
 	}
-	r := s.rec
 	for p := &r.streams; *p != nil; p = &(*p).onNext {
 		if *p == s {
 			*p, s.onNext = s.onNext, nil
 			break
 		}
 	}
+	s.rec = nil
 	c.dropIfIdle(r)
 	// Splicing the chain removes exactly one link when the closed
 	// stream participated in any: its own (leader non-nil) or its
@@ -788,12 +848,14 @@ func (c *Cache) InvalidateStrand(sid strand.ID) {
 // already did. Stats restart from zero exactly as a new cache's would
 // (an emptied entry is not an eviction); the cumulative observability
 // counters, which belong to the registry, run on, and the residency
-// gauges drop to zero. The walk is the resident entries — the LRU list
+// gauges drop to zero. Every handle reads as an unknown id from here on.
+// The walk is the resident entries — the LRU list
 // and the open streams' pin lists — and the records they empty, whose
 // rings become spares.
 func (c *Cache) Reset() {
 	for _, s := range c.streams {
 		c.releaseList(s.pins)
+		s.rec, s.onNext, s.leader, s.follower, s.pins = nil, nil, nil, nil, entryList{}
 	}
 	c.releaseList(c.lru)
 	for _, r := range c.strands {

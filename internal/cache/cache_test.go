@@ -875,3 +875,146 @@ func BenchmarkCacheFill(b *testing.B) {
 		b.Fatalf("a lent fill copied into %d B of frames", st.OwnedBytes)
 	}
 }
+
+// handleRig is the state the handle tests start from: a leader (id 1)
+// that has put blocks 0–5 of strand 7 into a 16-block cache, and a
+// follower (id 2) adopted at block 0, with their handles.
+func handleRig(t *testing.T) (c *Cache, lead, fol *Stream) {
+	t.Helper()
+	c = New(16 * blockSize)
+	lead = c.OpenStream(1, 7, 0, 100, 10)
+	for i := 0; i < 6; i++ {
+		lead.Put(i, block(i))
+	}
+	fol = c.OpenStream(2, 7, 0, 100, 10)
+	if !fol.Adopt() {
+		t.Fatal("the follower found no leader")
+	}
+	checkInvariants(t, c)
+	return c, lead, fol
+}
+
+// got names what a Get returned: the block's first byte and the result.
+func got(data []byte, res Result) string {
+	if data == nil {
+		return res.String()
+	}
+	return fmt.Sprintf("%v %d", res, data[0])
+}
+
+// Each handle method and the id-keyed method it stands behind do the
+// same: the same answer, the same Stats, the same invariants after.
+func TestStreamHandlesAreTheirIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		handle, byID func(c *Cache, lead, fol *Stream) string
+	}{
+		{"Get a pinned block",
+			func(_ *Cache, _, fol *Stream) string { return got(fol.Get(0)) },
+			func(c *Cache, _, _ *Stream) string { return got(c.Get(2, 0)) }},
+		{"Get past the leader",
+			func(_ *Cache, _, fol *Stream) string { return got(fol.Get(6)) },
+			func(c *Cache, _, _ *Stream) string { return got(c.Get(2, 6)) }},
+		{"Waiting past the leader",
+			func(_ *Cache, _, fol *Stream) string { return fmt.Sprint(fol.Waiting(6)) },
+			func(c *Cache, _, _ *Stream) string { _, res := c.Get(2, 6); return fmt.Sprint(res == Wait) }},
+		{"Waiting behind the leader",
+			func(_ *Cache, _, fol *Stream) string { return fmt.Sprint(fol.Waiting(3)) },
+			func(c *Cache, _, _ *Stream) string { return fmt.Sprint(c.Peek(2, 3) == Wait) }},
+		{"Get a block not resident",
+			func(_ *Cache, lead, _ *Stream) string { return got(lead.Get(40)) },
+			func(c *Cache, _, _ *Stream) string { return got(c.Get(1, 40)) }},
+		{"Peek",
+			func(_ *Cache, lead, fol *Stream) string {
+				return fmt.Sprint(fol.Peek(0), fol.Peek(6), lead.Peek(3), lead.Peek(40))
+			},
+			func(c *Cache, _, _ *Stream) string {
+				return fmt.Sprint(c.Peek(2, 0), c.Peek(2, 6), c.Peek(1, 3), c.Peek(1, 40))
+			}},
+		{"Put",
+			func(_ *Cache, lead, fol *Stream) string { lead.Put(6, block(6)); return got(fol.Get(0)) },
+			func(c *Cache, _, _ *Stream) string { c.Put(1, 6, block(6)); return got(c.Get(2, 0)) }},
+		{"PutView",
+			func(_ *Cache, lead, _ *Stream) string { lead.PutView(6, block(6)); return "" },
+			func(c *Cache, _, _ *Stream) string { c.PutView(1, 6, block(6)); return "" }},
+		{"Produced",
+			func(_ *Cache, lead, fol *Stream) string { lead.Produced(6); fol.Produced(0); return "" },
+			func(c *Cache, _, _ *Stream) string { c.Produced(1, 6); c.Produced(2, 0); return "" }},
+		{"Adopt",
+			func(c *Cache, _, _ *Stream) string { return fmt.Sprint(c.OpenStream(3, 7, 0, 100, 10).Adopt()) },
+			func(c *Cache, _, _ *Stream) string { c.OpenStream(3, 7, 0, 100, 10); return fmt.Sprint(c.Adopt(3)) }},
+		{"Close",
+			func(_ *Cache, lead, fol *Stream) string { lead.Close(); return got(fol.Get(0)) },
+			func(c *Cache, _, _ *Stream) string { c.CloseStream(1); return got(c.Get(2, 0)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, aLead, aFol := handleRig(t)
+			b, bLead, bFol := handleRig(t)
+			if ga, gb := tc.handle(a, aLead, aFol), tc.byID(b, bLead, bFol); ga != gb {
+				t.Fatalf("by handle %q, by id %q", ga, gb)
+			}
+			if sa, sb := a.Stats(), b.Stats(); sa != sb {
+				t.Fatalf("by handle the stats read %+v, by id %+v", sa, sb)
+			}
+			checkInvariants(t, a)
+			checkInvariants(t, b)
+		})
+	}
+}
+
+// A handle whose stream is gone — closed, reset away, its id reopened —
+// reads as an unknown id: every method does what its id-keyed twin does
+// for an id the cache never saw, to the answer and the Stats. Under
+// InvalidateStrand the stream stays open but its blocks go, so a read
+// behind the leader misses as an unknown id's does.
+func TestStaleHandlesReadAsUnknownIDs(t *testing.T) {
+	const unknown = 99
+	uses := []struct {
+		name         string
+		handle, byID func(c *Cache, h *Stream) string
+	}{
+		{"Get", func(_ *Cache, h *Stream) string { return got(h.Get(0)) },
+			func(c *Cache, _ *Stream) string { return got(c.Get(unknown, 0)) }},
+		{"Peek", func(_ *Cache, h *Stream) string { return h.Peek(0).String() },
+			func(c *Cache, _ *Stream) string { return c.Peek(unknown, 0).String() }},
+		{"Waiting", func(_ *Cache, h *Stream) string { return fmt.Sprint(h.Waiting(9)) },
+			func(c *Cache, _ *Stream) string { return fmt.Sprint(c.Peek(unknown, 9) == Wait) }},
+		{"Put", func(_ *Cache, h *Stream) string { h.Put(9, block(9)); return "" },
+			func(c *Cache, _ *Stream) string { c.Put(unknown, 9, block(9)); return "" }},
+		{"PutView", func(_ *Cache, h *Stream) string { h.PutView(9, block(9)); return "" },
+			func(c *Cache, _ *Stream) string { c.PutView(unknown, 9, block(9)); return "" }},
+		{"Produced", func(_ *Cache, h *Stream) string { h.Produced(0); return "" },
+			func(c *Cache, _ *Stream) string { c.Produced(unknown, 0); return "" }},
+		{"Adopt", func(_ *Cache, h *Stream) string { return fmt.Sprint(h.Adopt()) },
+			func(c *Cache, _ *Stream) string { return fmt.Sprint(c.Adopt(unknown)) }},
+		{"Close", func(_ *Cache, h *Stream) string { h.Close(); return "" },
+			func(c *Cache, _ *Stream) string { c.CloseStream(unknown); return "" }},
+	}
+	for _, stale := range []struct {
+		name string
+		do   func(c *Cache)
+		uses int // how many of uses apply
+	}{
+		{"closed", func(c *Cache) { c.CloseStream(2) }, len(uses)},
+		{"reset", func(c *Cache) { c.Reset() }, len(uses)},
+		{"its id reopened", func(c *Cache) { c.OpenStream(2, 7, 0, 100, 10) }, len(uses)},
+		{"its strand invalidated", func(c *Cache) { c.InvalidateStrand(7) }, 2},
+	} {
+		for _, u := range uses[:stale.uses] {
+			t.Run(stale.name+"/"+u.name, func(t *testing.T) {
+				a, _, aFol := handleRig(t)
+				b, _, bFol := handleRig(t)
+				stale.do(a)
+				stale.do(b)
+				if ga, gb := u.handle(a, aFol), u.byID(b, bFol); ga != gb {
+					t.Fatalf("the stale handle gives %q, an unknown id %q", ga, gb)
+				}
+				if sa, sb := a.Stats(), b.Stats(); sa != sb {
+					t.Fatalf("after the stale handle the stats read %+v, after an unknown id %+v", sa, sb)
+				}
+				checkInvariants(t, a)
+				checkInvariants(t, b)
+			})
+		}
+	}
+}

@@ -17,7 +17,9 @@ import (
 // every spare ring empty;
 // an owned entry's bytes are its frame and a lent entry's are not; the
 // byte accounting, modelled and owned; pinned ≤ bytes ≤ capacity; the
-// interval count being the number of leader links; and Stats and — once
+// interval count being the number of leader links; the handle filed
+// under each id open and this cache's, the unknown-id stand-in closed and
+// unlinked; and Stats and — once
 // published (PublishGauges) — the gauges saying the same. It reports the
 // first violation found.
 func CheckInvariants(c *Cache) error {
@@ -25,7 +27,7 @@ func CheckInvariants(c *Cache) error {
 		return err
 	}
 	listed := map[*entry]string{}
-	walk := func(name string, l entryList, claimant *stream) error {
+	walk := func(name string, l entryList, claimant *Stream) error {
 		var prev *entry
 		for e := l.head; e != nil; prev, e = e, e.next {
 			if where, dup := listed[e]; dup {
@@ -55,8 +57,8 @@ func CheckInvariants(c *Cache) error {
 	}
 	intervals := 0
 	for id, s := range c.streams {
-		if s.id != id {
-			return fmt.Errorf("cache: stream %d filed under %d", s.id, id)
+		if s.id != id || s.c != c || s.rec == nil {
+			return fmt.Errorf("cache: stream %d filed under %d is closed or another cache's", s.id, id)
 		}
 		if err := walk(fmt.Sprintf("stream %d's pin list", id), s.pins, s); err != nil {
 			return err
@@ -67,6 +69,9 @@ func CheckInvariants(c *Cache) error {
 				return fmt.Errorf("cache: stream %d trails a stream that is closed or does not lead it", id)
 			}
 		}
+	}
+	if u := &c.unknown; u.c != c || u.rec != nil || u.leader != nil || u.follower != nil || u.pins.head != nil {
+		return fmt.Errorf("cache: the unknown-id stand-in was opened or linked")
 	}
 	if intervals != c.intervals {
 		return fmt.Errorf("cache: intervals = %d, counted %d leader links", c.intervals, intervals)

@@ -28,27 +28,37 @@ func (er EditResult) CopiedBlocks() int {
 	return total
 }
 
-// finishEdit runs the post-edit pipeline on a mutated rope: refresh
-// block-level correspondence, smooth junction scattering, and collect
+// finishEdit runs the post-edit pipeline on a mutated rope: smooth
+// junction scattering, refresh block-level correspondence, and collect
 // garbage.
 func (fs *FS) finishEdit(r *rope.Rope) (EditResult, error) {
 	var res EditResult
+	reports, err := fs.smooth(r)
+	if err != nil {
+		return res, err
+	}
+	res.Smoothed = reports
+	if res.Reclaimed, err = fs.Collect(); err != nil {
+		return res, err
+	}
+	return res, nil
+}
+
+// smooth keeps the editing guarantee on a rope whose junctions may have
+// moved — an edit made them, or a reorganization relocated a strand at
+// one of their ends: it smooths every junction over the bound
+// (rope.Editor.SmoothRope), counts the copies, and refreshes the rope's
+// block-level correspondence.
+func (fs *FS) smooth(r *rope.Rope) ([]rope.JunctionReport, error) {
 	reports, err := fs.editor.SmoothRope(r)
 	for _, j := range reports { // those smoothed before a failure included
 		fs.copiedBlocks.Add(uint64(j.Copied))
 		fs.copiedBytes.Add(uint64(j.CopiedBytes))
 	}
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	res.Smoothed = reports
-	if err := fs.ropes.RefreshCorrespondence(r); err != nil {
-		return res, err
-	}
-	if res.Reclaimed, err = fs.Collect(); err != nil {
-		return res, err
-	}
-	return res, nil
+	return reports, fs.ropes.RefreshCorrespondence(r)
 }
 
 // editable fetches a rope and checks edit access.

@@ -19,9 +19,11 @@ import (
 
 // ReorganizeStrand relocates the strand's media blocks into a new
 // constrained chain starting near startCylinder, rewrites every rope
-// reference to point at the relocated strand, and frees the old
-// blocks. It returns the relocated strand. Strands are immutable, so
-// relocation necessarily mints a new strand ID.
+// reference to point at the relocated strand, frees the old blocks,
+// and re-smooths every junction of the ropes that reference it (the
+// copies count in mmfs_edit_copied_blocks_total, as an edit's do). It
+// returns the relocated strand. Strands are immutable, so relocation
+// necessarily mints a new strand ID.
 //
 // The payloads are staged in memory and the old placement freed
 // *before* re-placement — reorganization exists precisely for disks
@@ -100,7 +102,13 @@ func (fs *FS) ReorganizeStrand(id strand.ID, startCylinder int) (*strand.Strand,
 	if err != nil {
 		return nil, err
 	}
-	fs.ropes.ReplaceStrandRefs(id, relocated.ID())
+	// The relocation moved one end of every junction the strand is at:
+	// the ropes that reference it are smoothed again, as an edit's are.
+	for _, r := range fs.ropes.ReplaceStrandRefs(id, relocated.ID()) {
+		if _, err := fs.smooth(r); err != nil {
+			return relocated, err
+		}
+	}
 	return relocated, nil
 }
 

@@ -743,6 +743,7 @@ var walkOracles = []struct {
 	{"clock", (*walk).clockOracle},
 	{"cache", (*walk).cacheOracle},
 	{"fsck", (*walk).fsckOracle},
+	{"junctions", (*walk).junctionOracle},
 	{"plans", (*walk).planOracle},
 	{"twins", (*walk).twinOracle},
 	{"remount", (*walk).remountOracle},
@@ -837,6 +838,31 @@ func (w *walk) fsckOracle() error {
 	}
 	if problems := w.fs.Check(); len(problems) != 0 {
 		return fmt.Errorf("%d problem(s), the first: %v", len(problems), problems[0])
+	}
+	return nil
+}
+
+// junctionOracle: the editing guarantee (§4.2) — no junction of any
+// rope, in either medium, hops farther than the placement policy's
+// bound, however the rope was made and its strands moved since.
+func (w *walk) junctionOracle() error {
+	if !w.wrote {
+		return nil
+	}
+	ed, bound := w.fs.Editor(), w.fs.Options().TargetCylinders
+	for _, id := range w.fs.Ropes().IDs() {
+		r, _ := w.fs.Ropes().Get(id)
+		for _, m := range []rope.Medium{rope.VideoOnly, rope.AudioOnly} {
+			for i := 0; i+1 < len(r.Intervals); i++ {
+				j, err := ed.Junction(r, m, i)
+				if err != nil {
+					return fmt.Errorf("rope %d %v, junction %d: %w", id, m, i+1, err)
+				}
+				if j.Over(bound) {
+					return fmt.Errorf("rope %d %v: junction %d hops %d cylinders, over the bound of %d", id, m, i+1, j.Cylinders, bound)
+				}
+			}
+		}
 	}
 	return nil
 }
@@ -1180,6 +1206,22 @@ func TestPlatterOracleCatchesSeededMutations(t *testing.T) {
 				}
 			}
 		}), "not a fresh compile's"},
+		{"a relocation left unsmoothed", lifecycleEntry(1), after(stepEdit, func(w *walk) {
+			// The edited ropes' strands move to the disk's two ends while the
+			// editor's bound is lifted: the re-smooth after each finds nothing
+			// to do, as if it had been skipped.
+			ed := w.fs.Editor()
+			bound, far := ed.MaxCylinders, w.fs.Allocator().Geometry().Cylinders-1
+			ed.MaxCylinders = far
+			defer func() { ed.MaxCylinders = bound }()
+			for _, id := range w.touched {
+				if r, ok := w.fs.Ropes().Get(id); ok {
+					for i, sid := range r.Strands() {
+						w.fs.ReorganizeStrand(sid, far*(i%2))
+					}
+				}
+			}
+		}), "junctions: "},
 		{"a remount without Sync", lifecycleEntry(1), after(stepEdit, func(w *walk) {
 			w.mounted = map[rope.ID]string{}
 			for _, id := range w.ropes {

@@ -88,7 +88,9 @@ type lane struct {
 // among them feeds the interval cache from the lane (Get, Produced,
 // PutView), which is safe because the lanes are swept one after another
 // on the manager's goroutine. Records and cache-served followers ride
-// the serial lane.
+// the serial lane. A play whose display buffers stay full past the
+// lane's cursor (request.wake) is passed over: its turn would find no
+// room and do nothing.
 //
 // rt:hotpath
 func (ln *lane) sweep() {
@@ -97,6 +99,9 @@ func (ln *lane) sweep() {
 		ln.scanSort()
 	}
 	for _, r := range ln.reqs {
+		if ln.at < r.wake {
+			continue
+		}
 		if ln.serviceRequest(r, ln.m.k) {
 			ln.worked = true
 		}
@@ -151,16 +156,25 @@ func (ln *lane) scanSort() {
 }
 
 // serviceRequest transfers up to k blocks for the request; reports
-// whether any work happened.
+// whether any work happened. A turn that leaves the request drained — a
+// record's source exhausted, a play's last block read — raises the
+// finish flag for the round's close (finishDrained).
 //
 // rt:hotpath
 func (ln *lane) serviceRequest(r *request, k int) bool {
 	if r.kind != Play {
-		return ln.serviceRecord(r, k)
+		worked := ln.serviceRecord(r, k)
+		if r.rec.exhausted {
+			ln.m.finish = true
+		}
+		return worked
 	}
 	ps := r.play
 	classes := ps.pm[ps.nextFetch].classes
 	worked := ln.servicePlay(r, k)
+	if ps.nextFetch >= len(ps.plan.Blocks) {
+		ln.m.finish = true
+	}
 	if ps.pm[ps.nextFetch].classes != classes {
 		// The turn read the play's last block of some stripe-group class:
 		// its extent, and with it the resident table, shrank.
@@ -192,8 +206,13 @@ func (ln *lane) serviceRequest(r *request, k int) bool {
 // timed read. A follower takes its blocks one at a time (a hit occupies
 // no head), at full rate (a block that costs no disk time is not worth
 // skipping), and never asks the cache for a silence holder, which no
-// leader inserts. A load-shed stream reads one block a step too: its plan
-// is only valid at every stride-th index.
+// leader inserts; a stored block its leader has not produced ends its
+// turn before the step is set up (cache.Stream.Waiting). A load-shed
+// stream reads one block a step too: its plan is only valid at every
+// stride-th index.
+//
+// A turn that finds the display buffers full notes when the next one
+// frees (request.wake).
 //
 // rt:hotpath
 func (ln *lane) servicePlay(r *request, k int) bool {
@@ -225,11 +244,19 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 		room := ps.plan.Buffers - ps.occupancyAt(ln.at)
 		if ps.started {
 			if room <= 0 {
+				if ps.stride <= 1 {
+					// The next buffer frees as the oldest unreleased block
+					// finishes display; occupancyAt just found it.
+					r.wake = ps.startTime + ps.pm[ps.released+1].offset
+				}
 				break
 			}
 			most = min(most, room)
 		}
 		first := ps.nextFetch
+		if r.cacheServed && int(ps.pm[first].next) == first && ps.stream.Waiting(ps.plan.Blocks[first].Index) {
+			return fetched > 0
+		}
 		got := ln.arrivals(most)
 		if single {
 			most = 1
@@ -341,7 +368,6 @@ const (
 func (ln *lane) readRun(r *request, j, most int, got []arrival) (int, time.Duration, turnStep) {
 	m := ln.m
 	ps := r.play
-	id := uint64(r.id)
 	b := ps.plan.Blocks[j]
 	if b.Reader == nil {
 		// Pure delay block (an interval whose medium is absent):
@@ -356,16 +382,17 @@ func (ln *lane) readRun(r *request, j, most int, got []arrival) (int, time.Durat
 		m.end(r)
 		return 0, 0, stopRequest
 	}
-	if (r.cacheServed && !e.Silent()) || (!r.cacheServed && ps.cacheOpen) {
+	open := ps.stream.Open()
+	if (r.cacheServed && !e.Silent()) || (!r.cacheServed && open) {
 		// A block still resident (pinned by an interval or retained by
 		// the LRU from an earlier play) costs zero disk time.
-		if _, res := m.cache.Get(id, b.Index); res == cache.Hit {
+		if _, res := ps.stream.Get(b.Index); res == cache.Hit {
 			ps.cacheHits++
 			ln.m.stats.CacheHits++
 			return 1, 0, nextStep
 		} else if r.cacheServed {
 			if res == cache.Miss {
-				r.needsDemote = true
+				m.flagDemotion(r)
 			}
 			return 0, 0, endTurn
 		}
@@ -373,9 +400,9 @@ func (ln *lane) readRun(r *request, j, most int, got []arrival) (int, time.Durat
 	if e.Silent() {
 		r.consecFails = 0
 		ln.m.stats.SilenceBlocks++
-		if ps.cacheOpen {
+		if open {
 			// Silence is regenerated on read, never cached.
-			m.cache.Produced(id, b.Index)
+			ps.stream.Produced(b.Index)
 		}
 		return 1, 0, nextStep
 	}
@@ -391,7 +418,7 @@ func (ln *lane) readRun(r *request, j, most int, got []arrival) (int, time.Durat
 		if err != nil || ne.Sector != end || int(end+ne.SectorCount-1)/m.spc != cyl {
 			break // a silence holder's NULL sector never follows a run
 		}
-		if ps.cacheOpen && m.cache.Peek(id, nb.Index) == cache.Hit {
+		if open && ps.stream.Peek(nb.Index) == cache.Hit {
 			break
 		}
 		end += ne.SectorCount
@@ -431,7 +458,6 @@ func (ln *lane) readRun(r *request, j, most int, got []arrival) (int, time.Durat
 func (ln *lane) readStored(r *request, j, n int, got []arrival) (time.Duration, turnStep, bool) {
 	m := ln.m
 	ps := r.play
-	id := uint64(r.id)
 	b := ps.plan.Blocks[j]
 	run, t, err := b.Reader.ReadRun(b.Index, n, &ln.blockBuf)
 	if err != nil && isFault(err) {
@@ -453,8 +479,8 @@ func (ln *lane) readStored(r *request, j, n int, got []arrival) (time.Duration, 
 		// cached: a following stream misses here and falls back to disk
 		// through the demotion path.
 		got[0].at, got[0].degraded = t, true
-		if ps.cacheOpen {
-			m.cache.Produced(id, b.Index)
+		if ps.stream.Open() {
+			ps.stream.Produced(b.Index)
 		}
 		return t, nextStep, false
 	}
@@ -462,11 +488,12 @@ func (ln *lane) readStored(r *request, j, n int, got []arrival) (time.Duration, 
 	sectors := got[n-1].end
 	lent, lo := disk.Lent(run, ln.blockBuf), 0
 	ss := len(run) / sectors // a run is whole sectors
+	open := ps.stream.Open()
 	for i := range got[:n] {
 		got[i].at = t - time.Duration(sectors-got[i].end)*m.sectorTime
-		if ps.cacheOpen {
+		if open {
 			pb := ps.plan.Blocks[j+i]
-			ln.feedCache(id, pb.Index, b.Reader.Payload(run[lo*ss:got[i].end*ss], pb.Index), lent)
+			feedCache(ps.stream, pb.Index, b.Reader.Payload(run[lo*ss:got[i].end*ss], pb.Index), lent)
 		}
 		lo = got[i].end
 	}
@@ -483,12 +510,12 @@ func (ln *lane) readStored(r *request, j, n int, got []arrival) (time.Duration, 
 // that arrived in the lane's scratch is copied.
 //
 // rt:hotpath
-func (ln *lane) feedCache(id uint64, index int, data []byte, lent bool) {
+func feedCache(s *cache.Stream, index int, data []byte, lent bool) {
 	if lent {
-		ln.m.cache.PutView(id, index, data)
+		s.PutView(index, data)
 		return
 	}
-	ln.m.cache.Put(id, index, data)
+	s.Put(index, data)
 }
 
 // spendSlack takes t out of the lane's retry budget, down to zero.

@@ -201,6 +201,10 @@ type Manager struct {
 	pending int
 	// rb drives the online rebuild engine (see rebuild.go).
 	rb repairCtl
+	// finish is raised by every event that leaves finishDrained something
+	// to do — an end, a play's last block, a record's exhaustion — and
+	// demoting by every needsDemote set; each pass clears its own.
+	finish, demoting bool
 	// spc and sectorTime are the device's sectors per cylinder and the
 	// time one sector takes past the head: a run never leaves the
 	// cylinder it starts in, and its blocks arrive as its transfer passes
@@ -385,6 +389,7 @@ func (m *Manager) raiseK(k int) {
 	for _, r := range m.reqs {
 		if !r.done && r.kind == Play && r.play.plan.Buffers < 2*k {
 			r.play.plan.Buffers = 2 * k
+			r.wake = 0
 		}
 	}
 	m.kTarget = max(m.kTarget, k)
@@ -435,6 +440,7 @@ func (r *request) endWait(now time.Duration) {
 // shiftClock moves a record's capture start or a started play's display
 // start d later.
 func (r *request) shiftClock(d time.Duration) {
+	r.wake = 0
 	switch {
 	case r.kind == Record:
 		r.rec.start += d
@@ -507,17 +513,14 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 		// load-shed stream cannot lead — its skipped blocks would
 		// starve any follower — so it joins the cache only if promoted
 		// back to full rate.
-		m.cache.OpenStream(uint64(r.id), sid, first, end, plan.Admission.Rate)
-		ps.cacheOpen = true
+		ps.stream = m.cache.OpenStream(uint64(r.id), sid, first, end, plan.Admission.Rate)
 		if dec.CacheServed {
-			if m.cache.Adopt(uint64(r.id)) {
-				r.cacheServed = true
-			} else {
+			r.cacheServed = true
+			if !ps.stream.Adopt() {
 				// Cannot happen: nothing mutates the cache between the
 				// Adoptable check and here. Recover through the
 				// demotion path rather than crash.
-				r.cacheServed = true
-				r.needsDemote = true
+				m.flagDemotion(r)
 			}
 		}
 	}
@@ -558,9 +561,11 @@ func (m *Manager) register(r *request) {
 
 // end finishes a request: it leaves the admission set, and a play its
 // cache stream — a stopped or finished leader's followers are spliced to
-// its own leader, or left to drain the pinned backlog and demote.
+// its own leader, or left to drain the pinned backlog and demote. The
+// round's close retires it (finishDrained).
 func (m *Manager) end(r *request) {
 	r.done = true
+	m.finish = true
 	m.closeCacheStream(r)
 	m.rt.invalidate()
 }
@@ -670,10 +675,10 @@ func (m *Manager) Resume(id RequestID) (continuity.Decision, error) {
 	// clean run at the escalation threshold.
 	r.consecFails = 0
 	m.reopenCacheStream(r)
-	if r.cacheServed && (!r.play.cacheOpen || !m.cache.Adopt(uint64(r.id))) {
+	if r.cacheServed && (!r.play.stream.Open() || !r.play.stream.Adopt()) {
 		// The adoption the admission was based on is gone; resolve
 		// through demotion at the next round.
-		r.needsDemote = true
+		m.flagDemotion(r)
 	}
 	return dec, nil
 }
@@ -695,6 +700,7 @@ func (m *Manager) SetBuffers(id RequestID, buffers int) error {
 		return fmt.Errorf("msm: SetBuffers(%d) on request %d", buffers, id)
 	}
 	r.play.plan.Buffers = buffers
+	r.wake = 0
 	return nil
 }
 
@@ -764,7 +770,9 @@ func (m *Manager) active() []*request {
 //
 // rt:hotpath
 func (m *Manager) RunRound() bool {
-	m.processDemotions()
+	if m.demoting {
+		m.processDemotions()
+	}
 	m.classPass()
 	if m.pending > 0 {
 		m.joinPending()
@@ -826,8 +834,13 @@ func (m *Manager) RunFor(d time.Duration) {
 // requests done once their source is exhausted and flushed, and retires
 // every finished request from the live table (survivors keep their
 // admission order). It closes every round, the one point no loop over
-// the table is in flight.
+// the table is in flight, and walks the table only when an event raised
+// the finish flag since its last walk.
 func (m *Manager) finishDrained() {
+	if !m.finish {
+		return
+	}
+	m.finish = false
 	n := 0
 	for _, r := range m.reqs {
 		if !r.done && r.pause == nil {
@@ -857,13 +870,13 @@ func (m *Manager) finishDrained() {
 }
 
 // closeCacheStream withdraws the request's play position from the
-// interval cache (no-op when it has none).
+// interval cache (no-op when it has none). The closed handle stays: it
+// reads as an unknown id, which is what a follower that has lost its
+// stream must see.
 func (m *Manager) closeCacheStream(r *request) {
-	if m.cache == nil || r.kind != Play || !r.play.cacheOpen {
-		return
+	if r.kind == Play && r.play.stream.Open() {
+		r.play.stream.Close()
 	}
-	m.cache.CloseStream(uint64(r.id))
-	r.play.cacheOpen = false
 }
 
 // reopenCacheStream re-registers an eligible play's position after a
@@ -873,12 +886,18 @@ func (m *Manager) reopenCacheStream(r *request) {
 		return
 	}
 	ps := r.play
-	if !ps.cacheEligible || ps.cacheOpen || ps.nextFetch >= len(ps.plan.Blocks) {
+	if !ps.cacheEligible || ps.stream.Open() || ps.nextFetch >= len(ps.plan.Blocks) {
 		return
 	}
 	b := ps.plan.Blocks[ps.nextFetch]
-	m.cache.OpenStream(uint64(r.id), ps.cacheSID, b.Index, ps.cacheEnd, r.adm.Rate)
-	ps.cacheOpen = true
+	ps.stream = m.cache.OpenStream(uint64(r.id), ps.cacheSID, b.Index, ps.cacheEnd, r.adm.Rate)
+}
+
+// flagDemotion marks a cache-served request for processDemotions at the
+// top of the next round.
+func (m *Manager) flagDemotion(r *request) {
+	r.needsDemote = true
+	m.demoting = true
 }
 
 // processDemotions resolves requests whose interval broke (cache miss
@@ -886,8 +905,11 @@ func (m *Manager) reopenCacheStream(r *request) {
 // failing that goes back through full disk admission — Eq. 18 with its
 // stepwise transition, exactly as a fresh request would. When even that
 // fails the request is destructively paused rather than allowed to
-// violate the admitted population's continuity.
+// violate the admitted population's continuity. RunRound calls it only
+// while a request is flagged (demoting); a flag it leaves — on a finished
+// request — is never read again.
 func (m *Manager) processDemotions() {
+	m.demoting = false
 	if m.cache == nil {
 		return
 	}
@@ -906,7 +928,7 @@ func (m *Manager) processDemotions() {
 		r.demotedAt = r.play.nextFetch + 1
 		m.closeCacheStream(r)
 		m.reopenCacheStream(r)
-		if !stuck && r.play.cacheOpen && m.cache.Adopt(uint64(r.id)) {
+		if !stuck && r.play.stream.Open() && r.play.stream.Adopt() {
 			continue // found a new leader; still cache-served
 		}
 		// Full admission as a disk-bound stream.
@@ -1001,7 +1023,13 @@ func (m *Manager) nextWorkTime() (time.Duration, bool) {
 			// A Wait-blocked follower has no work of its own: its
 			// leader's next fetch (which advances the clock) or its
 			// own demotion will unblock it.
-			if r.cacheServed && !m.cachedCanWork(r) {
+			if r.cacheServed && !cachedCanWork(r) {
+				continue
+			}
+			// Display buffers full until a kept wake: that is the next
+			// release.
+			if m.clock.Now() < r.wake {
+				best, found = noteEarliest(best, found, r.wake)
 				continue
 			}
 			if !ps.started || ps.occupancyAt(m.clock.Now()) < ps.plan.Buffers {
@@ -1036,8 +1064,8 @@ func noteEarliest(best time.Duration, found bool, t time.Duration) (time.Duratio
 // cachedCanWork reports whether a cache-served request's next block is
 // serviceable now (resident, silent, or a miss that triggers
 // demotion) as opposed to waiting on its leader.
-func (m *Manager) cachedCanWork(r *request) bool {
+func cachedCanWork(r *request) bool {
 	ps := r.play
 	j := ps.nextFetch
-	return int(ps.pm[j].next) != j || m.cache.Peek(uint64(r.id), ps.plan.Blocks[j].Index) != cache.Wait
+	return int(ps.pm[j].next) != j || ps.stream.Peek(ps.plan.Blocks[j].Index) != cache.Wait
 }

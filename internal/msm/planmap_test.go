@@ -48,7 +48,7 @@ func stored(b PlannedBlock) bool {
 // stored blocks of the window's span positions from the request's
 // position.
 func (m *Manager) laneSpindleWalk(r *request, span int) (int, bool) {
-	if len(m.lanes) == 0 || r.kind != Play || r.cacheServed || r.play.cacheOpen {
+	if len(m.lanes) == 0 || r.kind != Play || r.cacheServed || r.play.stream.Open() {
 		return 0, false
 	}
 	ps := r.play

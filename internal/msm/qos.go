@@ -218,9 +218,11 @@ func (m *Manager) noteDemotion(r *request) {
 	m.obs.effRate.Observe(r.adm.Rate / float64(strideOf(ps)))
 }
 
-// setStride sets a play's load-shed stride, which its charge follows.
+// setStride sets a play's load-shed stride, which its charge follows,
+// and drops its kept wake: a load-shed turn sheds before it looks for room.
 func (m *Manager) setStride(r *request, stride int) {
 	r.play.stride = stride
+	r.wake = 0
 	m.rt.invalidate()
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"mmfs/internal/cache"
 	"mmfs/internal/continuity"
 	"mmfs/internal/media"
 	"mmfs/internal/strand"
@@ -213,8 +214,16 @@ type request struct {
 	cacheServed bool
 	// needsDemote is set when a cache-served request misses (its
 	// interval broke); processDemotions resolves it at the top of the
-	// next round.
+	// next round (Manager.demoting).
 	needsDemote bool
+	// wake, while a lane's cursor is before it, is when a play whose
+	// display buffers were full frees its next one: until then its turn
+	// would do nothing, so the sweep skips it and nextWorkTime reads it.
+	// servicePlay sets it as the room check fails; the events that move
+	// the release or the room — shiftClock, raiseK, SetBuffers,
+	// setStride — clear it. A load-shed disk-bound play never sets it: its
+	// turn advances past the blocks it sheds before the room check.
+	wake time.Duration
 	// demotedAt is 1 + the plan position of the request's previous
 	// demotion (0: never demoted); see processDemotions.
 	demotedAt int
@@ -248,11 +257,11 @@ type playState struct {
 	released   int
 	violations []Violation
 	// Interval-cache state: a plan is cacheEligible when it reads one
-	// strand at consecutive block indices (compiled.cacheOK);
-	// cacheOpen tracks whether the manager currently holds a cache
-	// stream for it.
+	// strand at consecutive block indices (compiled.cacheOK); stream is
+	// the handle of the cache stream the manager holds for it — nil, or
+	// closed, when it holds none.
 	cacheEligible bool
-	cacheOpen     bool
+	stream        *cache.Stream
 	cacheSID      strand.ID
 	cacheEnd      int
 	cacheHits     int

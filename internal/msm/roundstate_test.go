@@ -19,9 +19,10 @@ import (
 
 // The round state the manager keeps between rounds instead of rebuilding
 // it every round — the resident table with its counts and per-set slack,
-// and the class → spindle table — held after every round to what a fresh
-// computation says, on four rigs that between them cause every event that
-// stales it.
+// the class → spindle table, every play's wake and cache-stream handle,
+// and the finish and demotion flags — held after every round and command
+// to what a fresh computation says, on five rigs that between them cause
+// every event that stales it.
 
 // freshResident is the resident table as residentSets built it on every
 // call before the table was kept: from the live request table, each play's
@@ -95,7 +96,7 @@ func laneLocate(m *Manager, r *request) (int, bool) {
 // was built with freshResident in its view — its sets, its request and
 // cache-served counts, and, when it holds a round's view, the slack a
 // round would read at the current k; CacheServed with a walk of the
-// requests; and every live play's lane with laneLocate.
+// requests; every live play's lane with laneLocate; and requestFindings.
 func roundStateFindings(m *Manager) error {
 	if m.array != nil {
 		for c, sp := range m.classSpindles() {
@@ -133,6 +134,55 @@ func roundStateFindings(m *Manager) error {
 		if wsp, wok := laneLocate(m, r); ok != wok || (ok && sp != wsp) {
 			return fmt.Errorf("round state: request %d rides lane (%d, %v), afresh (%d, %v)", r.id, sp, ok, wsp, wok)
 		}
+	}
+	for _, r := range m.reqs {
+		if err := requestFindings(m, r); err != nil {
+			return fmt.Errorf("round state: request %d: %w", r.id, err)
+		}
+	}
+	return nil
+}
+
+// requestFindings holds what the manager keeps of one request to a fresh
+// look: a request finishDrained would end or retire has raised the finish
+// flag, and one processDemotions would resolve the demotion flag; a
+// play's cache-stream handle is open exactly when the cache holds an
+// open stream under its id, and is that stream; and a wake later than the
+// clock belongs to a started play, not load-shed, whose display buffers
+// are full now and whose next release — searched afresh — is that wake.
+func requestFindings(m *Manager, r *request) error {
+	drained := r.kind == Play && r.play.nextFetch >= len(r.play.plan.Blocks) || r.kind == Record && r.rec.exhausted
+	if (r.done || r.pause == nil && drained) && !m.finish {
+		return fmt.Errorf("finished (done=%v) with the finish flag down", r.done)
+	}
+	if r.needsDemote && !r.done && r.pause == nil && !m.demoting {
+		return fmt.Errorf("flagged for demotion with the demotion flag down")
+	}
+	if r.kind != Play || r.done {
+		return nil
+	}
+	ps := r.play
+	if m.cache != nil {
+		if h := m.cache.Stream(uint64(r.id)); h.Open() != ps.stream.Open() || h.Open() && h != ps.stream {
+			return fmt.Errorf("holds a handle open=%v, the cache files one open=%v under its id, the same: %v", ps.stream.Open(), h.Open(), h == ps.stream)
+		}
+	}
+	if r.cacheServed && ps.stream == nil {
+		return fmt.Errorf("cache-served with no cache-stream handle")
+	}
+	now := m.Now()
+	if now >= r.wake {
+		return nil
+	}
+	if !ps.started || ps.stride > 1 {
+		return fmt.Errorf("keeps a wake of %v at %v, started=%v, stride %d", r.wake, now, ps.started, ps.stride)
+	}
+	rel := ps.searchReleased(now - ps.startTime)
+	if ps.nextFetch-rel < ps.plan.Buffers {
+		return fmt.Errorf("keeps a wake of %v at %v with %d of %d buffers full", r.wake, now, ps.nextFetch-rel, ps.plan.Buffers)
+	}
+	if next := ps.startTime + ps.pm[rel+1].offset; r.wake != next {
+		return fmt.Errorf("keeps a wake of %v, its next release is at %v", r.wake, next)
 	}
 	return nil
 }
@@ -194,8 +244,35 @@ func stopChecked(t *testing.T, m *Manager, id RequestID) {
 	checkState(t, m, "a stop")
 }
 
-// TestRoundStateOracle runs the four rigs with the round state checked
-// after every round and command. One disk with an interval cache at
+// fullPlay runs rounds, the state checked after each, until a live play
+// waits on full display buffers past the clock (its kept wake) — the
+// play a command that moves its release or its room must wake — and
+// returns the one that waits longest. The test fails when a thousand
+// rounds find none.
+func fullPlay(t *testing.T, m *Manager) *request {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		var full *request
+		for _, r := range m.reqs {
+			if !r.done && r.pause == nil && r.kind == Play && m.Now() < r.wake && (full == nil || r.wake > full.wake) {
+				full = r
+			}
+		}
+		if full != nil {
+			return full
+		}
+		m.RunRound()
+		checkState(t, m, "a round")
+	}
+	t.Fatalf("at %v no play waits on full display buffers", m.Now())
+	return nil
+}
+
+// TestRoundStateOracle runs the five rigs with the round state checked
+// after every round and command. Full display buffers: disk-bound plays
+// admitted one at a time as k steps up (a raise grows their grants), a
+// grant renegotiated and a short pause, each of a play that waits on its
+// buffers. One disk with an interval cache at
 // stepwise k: admissions that wait out k steps, followers, pauses both
 // ways, a stopped leader and its orphans' demotions. Four spindles of
 // 4-cylinder stripe groups: plays that cross groups and give up their
@@ -204,6 +281,42 @@ func stopChecked(t *testing.T, m *Manager, id RequestID) {
 // sub-sampled admissions and promotions, with a STOP, a PAUSE and a
 // RESUME among them.
 func TestRoundStateOracle(t *testing.T) {
+	t.Run("full buffers", func(t *testing.T) {
+		rig := newRig(t, shape{})
+		var strands []*strand.Strand
+		for i := 0; i < 4; i++ {
+			strands = append(strands, rig.write(take{units: 900, seed: int64(610 + i), cyl: 150 * i}))
+		}
+		playChecked(t, rig, strands[0], rig.std)
+		runChecked(t, rig.m, 100*time.Millisecond)
+		playChecked(t, rig, strands[1], rig.std)
+		// A pause that ends before the play's wake: the resume moves its
+		// release later.
+		r := fullPlay(t, rig.m)
+		if err := rig.m.Pause(r.id, false); err != nil {
+			t.Fatal(err)
+		}
+		checkState(t, rig.m, "a pause")
+		rig.m.RunRound()
+		checkState(t, rig.m, "a round")
+		if rig.m.Now() >= r.wake {
+			t.Fatalf("the pause outlasted the wake")
+		}
+		if _, err := rig.m.Resume(r.id); err != nil {
+			t.Fatal(err)
+		}
+		checkState(t, rig.m, "a resume")
+		for _, s := range strands[2:] {
+			runChecked(t, rig.m, 100*time.Millisecond)
+			playChecked(t, rig, s, rig.std) // a raise of k grows the grants
+		}
+		r = fullPlay(t, rig.m)
+		if err := rig.m.SetBuffers(r.id, r.play.plan.Buffers+2); err != nil {
+			t.Fatal(err)
+		}
+		checkState(t, rig.m, "SetBuffers")
+		runChecked(t, rig.m, 0)
+	})
 	t.Run("one disk", func(t *testing.T) {
 		rig := newRig(t, shape{})
 		s := rig.record(take{units: 450, seed: 501})
@@ -303,8 +416,8 @@ func TestRoundStateOracle(t *testing.T) {
 }
 
 // roundStateMutations each drop the invalidation one event makes of the
-// kept round state: the first occurrence of old after the declaration in
-// the file becomes new.
+// kept round state — a stale mark, a wake cleared, a flag raised: the
+// first occurrence of old after the declaration in the file becomes new.
 var roundStateMutations = []struct {
 	event, file, decl, old, new string
 }{
@@ -316,6 +429,13 @@ var roundStateMutations = []struct {
 	{"stride change", "qos.go", "func (m *Manager) setStride(", "\tm.rt.invalidate()\n", ""},
 	{"steering change", "lane.go", "func (m *Manager) classSpindles(", "g != m.steerGen", "m.steerGen == 0"},
 	{"extent crossing a stripe group", "lane.go", "func (ln *lane) serviceRequest(", "\t\tln.m.rt.invalidate()\n", ""},
+	{"SetBuffers", "manager.go", "func (m *Manager) SetBuffers(", "\tr.wake = 0\n", ""},
+	{"raiseK", "manager.go", "func (m *Manager) raiseK(", "\t\t\tr.wake = 0\n", ""},
+	{"shiftClock", "manager.go", "func (r *request) shiftClock(", "\tr.wake = 0\n", ""},
+	{"setStride", "qos.go", "func (m *Manager) setStride(", "\tr.wake = 0\n", ""},
+	{"end", "manager.go", "func (m *Manager) end(", "\tm.finish = true\n", ""},
+	{"a play's last block", "lane.go", "func (ln *lane) serviceRequest(", "len(ps.plan.Blocks) {\n\t\tln.m.finish = true\n", "len(ps.plan.Blocks) {\n"},
+	{"a demotion flagged", "manager.go", "func (m *Manager) flagDemotion(", "\tm.demoting = true\n", ""},
 }
 
 // TestRoundStateOracleCatchesMutations builds the package once per

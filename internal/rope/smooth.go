@@ -91,13 +91,18 @@ func (e *Editor) SmoothRope(r *Rope) ([]JunctionReport, error) {
 		// Junction indices shift as smoothing splits intervals, so
 		// walk with an explicit index over the live list.
 		for i := 0; i+1 < len(r.Intervals); i++ {
-			rep, smoothed, err := e.smoothJunction(r, m, i)
+			j, err := e.Junction(r, m, i)
 			if err != nil {
 				return reports, err
 			}
-			if smoothed {
-				reports = append(reports, rep)
+			if !j.Over(e.MaxCylinders) {
+				continue
 			}
+			rep, err := e.copyJunction(r, m, i, j)
+			if err != nil {
+				return reports, err
+			}
+			reports = append(reports, rep)
 		}
 	}
 	return reports, nil
@@ -142,26 +147,48 @@ func (e *Editor) junctionEnds(r *Rope, m Medium, i int) (cylA int, ok bool, err 
 	return 0, false, nil // all silence: no seek constraint
 }
 
-// smoothJunction checks and, if needed, smooths the junction between
-// intervals i and i+1 for medium m.
-func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool, error) {
+// Junction is one junction of a rope's medium as Editor.Junction finds
+// it: the hop, in cylinders, from the last stored block before it to the
+// first stored block after it. Constrained is false when there is no such
+// hop — a component missing on either side, or a side all silence — and
+// then nothing else is set. The unexported fields are what smoothing the
+// junction starts from.
+type Junction struct {
+	Constrained bool
+	Cylinders   int
+	// cylA is the cylinder of the last stored block before the junction;
+	// ns the strand the following interval's component reads, its blocks
+	// [rawFirst, rawLast] covering the interval's nextUnits units.
+	cylA              int
+	next              *ComponentRef
+	ns                *strand.Strand
+	q, nextUnits      uint64
+	rawFirst, rawLast int
+}
+
+// Over reports whether the junction's hop exceeds a bound of
+// maxCylinders: the placement guarantee the editor keeps.
+func (j Junction) Over(maxCylinders int) bool {
+	return j.Constrained && j.Cylinders > maxCylinders
+}
+
+// Junction checks the junction between intervals i and i+1 for medium
+// m, copying nothing: SmoothRope smooths those Over the editor's bound,
+// and an integrity check can ask it of any rope.
+func (e *Editor) Junction(r *Rope, m Medium, i int) (Junction, error) {
 	cylA, constrained, err := e.junctionEnds(r, m, i)
 	if err != nil || !constrained {
-		return JunctionReport{}, false, err
+		return Junction{}, err
 	}
 	next := r.Intervals[i+1].Component(m)
 	ns, found := e.ropes.strands.Get(next.Strand)
 	if !found {
-		return JunctionReport{}, false, fmt.Errorf("rope %d: unknown strand %d", r.ID, next.Strand)
+		return Junction{}, fmt.Errorf("rope %d: unknown strand %d", r.ID, next.Strand)
 	}
-	g := e.d.Geometry()
 	q := uint64(ns.Granularity())
 	nextUnits, err := e.ropes.unitsIn(next, r.Intervals[i+1].Duration)
-	if err != nil {
-		return JunctionReport{}, false, err
-	}
-	if nextUnits == 0 {
-		return JunctionReport{}, false, nil
+	if err != nil || nextUnits == 0 {
+		return Junction{}, err
 	}
 	rawFirst := int(next.StartUnit / q)
 	lastUnit := next.StartUnit + nextUnits - 1
@@ -171,29 +198,29 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 	rawLast := int(lastUnit / q)
 
 	// First non-silent block of the next range.
-	firstNS := -1
 	for b := rawFirst; b <= rawLast; b++ {
 		entry, err := ns.Block(b)
 		if err != nil {
-			return JunctionReport{}, false, err
+			return Junction{}, err
 		}
 		if !entry.Silent() {
-			firstNS = b
-			break
+			dist := e.d.Geometry().CylinderOf(int(entry.Sector)) - cylA
+			return Junction{Constrained: true, Cylinders: max(dist, -dist), cylA: cylA, next: next, ns: ns,
+				q: q, nextUnits: nextUnits, rawFirst: rawFirst, rawLast: rawLast}, nil
 		}
 	}
-	if firstNS < 0 {
-		return JunctionReport{}, false, nil // all silence
-	}
-	eFirst, err := ns.Block(firstNS)
-	if err != nil {
-		return JunctionReport{}, false, err
-	}
-	dist := g.CylinderOf(int(eFirst.Sector)) - cylA
-	dist = max(dist, -dist)
-	if dist <= e.MaxCylinders {
-		return JunctionReport{}, false, nil // within bounds already
-	}
+	return Junction{}, nil // all silence
+}
+
+// copyJunction smooths junction j, which Junction found between
+// intervals i and i+1 for medium m and over the bound: it copies a prefix
+// of the following interval's blocks into a fresh strand, placed evenly
+// between the junction's ends, and points the covered prefix of the
+// interval at the copy.
+func (e *Editor) copyJunction(r *Rope, m Medium, i int, j Junction) (JunctionReport, error) {
+	g := e.d.Geometry()
+	cylA, next, ns, q := j.cylA, j.next, j.ns, j.q
+	nextUnits, rawFirst, rawLast := j.nextUnits, j.rawFirst, j.rawLast
 
 	// Choose the copy prefix length c (in raw blocks) such that the
 	// copied non-silent blocks, redistributed equally between cylA
@@ -204,7 +231,7 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 	for c = 1; rawFirst+c <= rawLast+1; c++ {
 		entry, err := ns.Block(rawFirst + c - 1)
 		if err != nil {
-			return JunctionReport{}, false, err
+			return JunctionReport{}, err
 		}
 		if !entry.Silent() {
 			copiedNS++
@@ -218,7 +245,7 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 		for b := rawFirst + c; b <= rawLast; b++ {
 			en, err := ns.Block(b)
 			if err != nil {
-				return JunctionReport{}, false, err
+				return JunctionReport{}, err
 			}
 			if !en.Silent() {
 				a = b
@@ -231,7 +258,7 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 		}
 		ea, err := ns.Block(a)
 		if err != nil {
-			return JunctionReport{}, false, err
+			return JunctionReport{}, err
 		}
 		anchorCyl = g.CylinderOf(int(ea.Sector))
 		if copiedNS > 0 {
@@ -248,13 +275,13 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 	// part-way returns the runs already placed to the allocator.
 	newID := e.ropes.strands.NewID()
 	var entries []layout.PrimaryEntry
-	fail := func(err error) (JunctionReport, bool, error) {
+	fail := func(err error) (JunctionReport, error) {
 		for _, en := range entries {
 			if !en.Silent() {
 				e.a.Free(alloc.Run{LBA: int(en.Sector), Sectors: int(en.SectorCount)})
 			}
 		}
-		return JunctionReport{}, false, err
+		return JunctionReport{}, err
 	}
 	nsIdx, copiedBytes := 0, 0
 	rd := strand.NewReader(e.d, ns)
@@ -320,7 +347,7 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 		d1 := continuity.Duration(float64(coveredPlay) / ns.Rate())
 		a, b, err := e.ropes.splitInterval(iv, d1)
 		if err != nil {
-			return JunctionReport{}, false, err
+			return JunctionReport{}, err
 		}
 		a.setComponent(m, &ComponentRef{Strand: copyStrand.ID(), StartUnit: offset})
 		r.Intervals = append(r.Intervals[:i+1], append([]Interval{a, b}, r.Intervals[i+2:]...)...)
@@ -328,16 +355,16 @@ func (e *Editor) smoothJunction(r *Rope, m Medium, i int) (JunctionReport, bool,
 
 	sparse, dense, err := e.Bounds()
 	if err != nil {
-		return JunctionReport{}, false, err
+		return JunctionReport{}, err
 	}
 	return JunctionReport{
 		Medium:        m,
 		Interval:      i + 1,
-		DistCylinders: dist,
+		DistCylinders: j.Cylinders,
 		Copied:        copiedNS,
 		CopiedBytes:   copiedBytes,
 		NewStrand:     copyStrand.ID(),
 		BoundSparse:   sparse,
 		BoundDense:    dense,
-	}, true, nil
+	}, nil
 }

@@ -105,28 +105,29 @@ func (s *Store) SyncInterests(r *Rope) {
 // ReplaceStrandRefs rewrites every rope reference from the old strand
 // to the new one (used when reorganization relocates a strand's
 // blocks; the unit numbering is preserved, so StartUnit fields carry
-// over unchanged). Interests move with the references.
-func (s *Store) ReplaceStrandRefs(old, new strand.ID) int {
-	replaced := 0
-	for _, r := range s.ropes {
-		touched := false
+// over unchanged). Interests move with the references. It returns the
+// ropes it rewrote, by ascending ID.
+func (s *Store) ReplaceStrandRefs(old, new strand.ID) []*Rope {
+	var touched []*Rope
+	for _, id := range s.IDs() {
+		r := s.ropes[id]
+		hit := false
 		for i := range r.Intervals {
 			if v := r.Intervals[i].Video; v != nil && v.Strand == old {
 				v.Strand = new
-				touched = true
-				replaced++
+				hit = true
 			}
 			if a := r.Intervals[i].Audio; a != nil && a.Strand == old {
 				a.Strand = new
-				touched = true
-				replaced++
+				hit = true
 			}
 		}
-		if touched {
+		if hit {
 			s.SyncInterests(r)
+			touched = append(touched, r)
 		}
 	}
-	return replaced
+	return touched
 }
 
 // rate resolves a component ref's recording rate (units/second).
