@@ -6,8 +6,9 @@ GO ?= go
 # its in-process server goroutine serves. The rest is what the server
 # drives under s.mu; a service round starts no goroutine (the lanes are
 # swept inline), so there the detector guards against one coming back
-# unannounced.
-RACE_PKGS = ./internal/server ./internal/msm ./internal/client ./internal/cache ./internal/obs ./internal/fault ./internal/disk ./internal/core ./cmd/mmedit
+# unannounced. internal/simtest is the file system's walk: core's
+# interleavings, driven the way the server drives them.
+RACE_PKGS = ./internal/server ./internal/msm ./internal/client ./internal/cache ./internal/obs ./internal/fault ./internal/disk ./internal/core ./internal/simtest ./cmd/mmedit
 
 # Where the benchmarks with a baseline entry live: the root package's
 # experiment tables and hot-path micros, and the interval cache's own.
@@ -169,7 +170,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzHandle -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz=FuzzRopeTableMatchesReference -fuzztime=10s ./internal/rope
 	$(GO) test -fuzz=FuzzParseScenario -fuzztime=10s ./internal/fault
-	$(GO) test -run '^$$' -fuzz=FuzzWalk -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz=FuzzWalk -fuzztime=10s ./internal/simtest
 
 # Replay the EXP-FT chaos storms, the EXP-STRIPE degraded-spindle run,
 # the EXP-QOS overload cycle, and the EXP-REBUILD spindle-loss/rebuild

@@ -975,7 +975,6 @@ type stripedBench struct {
 	arr *disk.Array
 	a   *alloc.Allocator
 	dev continuity.Device
-	p   int
 }
 
 // newStripedBench builds the array rig; mirror pairs the spindles into
@@ -997,33 +996,17 @@ func newStripedBench(b *testing.B, g disk.Geometry, p, stripe int, mirror bool) 
 	}
 	lg := arr.Geometry()
 	return &stripedBench{
-		arr: arr, a: a, p: p,
+		arr: arr, a: a,
 		dev: msm.DeviceFor(lg),
 	}
 }
 
-// record writes one strand onto the given spindle starting at the given
-// spindle-local cylinder of a stripe-group (stripe cylinders wide).
-func (sb *stripedBench) record(b *testing.B, cfg strand.WriterConfig, spindle, localCyl, stripe, units int, payload int) *strand.Strand {
+// record writes one strand from the start of the group-th stripe group
+// the given spindle serves (disk.Array.GroupStart).
+func (sb *stripedBench) record(b *testing.B, cfg strand.WriterConfig, spindle, group, units, payload int) *strand.Strand {
 	b.Helper()
-	cfg.StartCylinder = sb.start(spindle, localCyl, stripe)
-	return sb.write(b, cfg, media.NewVideoSource(units, payload, cfg.Rate, int64(1000*spindle+localCyl)))
-}
-
-// start is the logical cylinder a strand starts at to land on the given
-// spindle at the given spindle-local cylinder.
-func (sb *stripedBench) start(spindle, localCyl, stripe int) int {
-	return (localCyl/stripe*sb.p+spindle)*stripe + localCyl%stripe
-}
-
-// recordMirrored writes one strand into the within'th stripe group
-// whose balanced steering prefers the given spindle of a mirrored
-// array: pair spindle/2, slot spindle%2 + 2*within.
-func (sb *stripedBench) recordMirrored(b *testing.B, cfg strand.WriterConfig, spindle, within, units, payload int) *strand.Strand {
-	b.Helper()
-	group := (spindle%2+2*within)*sb.arr.MirrorGroups() + spindle/2
-	cfg.StartCylinder = group * sb.arr.StripeCylinders()
-	return sb.write(b, cfg, media.NewVideoSource(units, payload, cfg.Rate, int64(1000*spindle+within)))
+	cfg.StartCylinder = sb.arr.GroupStart(spindle, group)
+	return sb.write(b, cfg, media.NewVideoSource(units, payload, cfg.Rate, int64(1000*spindle+group*sb.arr.StripeCylinders())))
 }
 
 // write records the source's units into a fresh strand at
@@ -1102,8 +1085,8 @@ func BenchmarkStripedRound(b *testing.B) {
 	}
 	for j := range plans {
 		cfg.ID, run.ID = strand.ID(j+1), strand.ID(total+j+1)
-		plans[j] = planOf(sb.record(b, cfg, j%p, (j/p)*stripe, stripe, 300, 18000))
-		run.StartCylinder = sb.start(j%p, (nmax+j/p)*stripe, stripe)
+		plans[j] = planOf(sb.record(b, cfg, j%p, j/p, 300, 18000))
+		run.StartCylinder = sb.arr.GroupStart(j%p, nmax+j/p)
 		runs[j] = planOf(sb.write(b, run, media.NewSliceSource(frames, 30, 18000)))
 	}
 	// admitAll admits a population to a fresh manager and reports the k
@@ -1255,7 +1238,7 @@ func BenchmarkRound1000Streams(b *testing.B) {
 			ID: strand.ID(sp + 1), Medium: layout.Video, Rate: 1,
 			UnitBytes: 2048, Granularity: 1,
 			Constraint: alloc.Constraint{MaxCylinders: 1}, // contiguous: minimal l_ds
-		}, sp, 0, stripe, units, 2048)
+		}, sp, 0, units, 2048)
 		plan, err := msm.PlanStrandPlay(sb.arr, s, msm.PlanOptions{
 			ReadAhead: k, Buffers: 2 * k, Scattering: scattering,
 		})
@@ -1369,7 +1352,7 @@ func BenchmarkQoSClassPass(b *testing.B) {
 			ID: strand.ID(sp + 1), Medium: layout.Video, Rate: 16,
 			UnitBytes: 2048, Granularity: 8,
 			Constraint: alloc.Constraint{MaxCylinders: 1}, // contiguous: minimal l_ds
-		}, sp, 0, stripe, units, 2048)
+		}, sp, 0, units, 2048)
 		for i := 0; i < nStd+nBE; i++ {
 			class := continuity.Standard
 			if i >= nStd {
@@ -1475,7 +1458,7 @@ func BenchmarkRebuildRound(b *testing.B) {
 	// Eq. 18 retry slack positive, which is the budget the repair step
 	// charges its copies against (an idle lane has zero slack and
 	// would starve the rebuild).
-	src := sb.recordMirrored(b, strand.WriterConfig{
+	src := sb.record(b, strand.WriterConfig{
 		ID: strand.ID(99), Medium: layout.Video, Rate: 1,
 		UnitBytes: 2048, Granularity: 1,
 		Constraint: alloc.Constraint{MaxCylinders: 1},
@@ -1492,7 +1475,7 @@ func BenchmarkRebuildRound(b *testing.B) {
 		plans = append(plans, srcPlan)
 	}
 	for sp := 2; sp < p; sp++ {
-		s := sb.recordMirrored(b, strand.WriterConfig{
+		s := sb.record(b, strand.WriterConfig{
 			ID: strand.ID(sp + 1), Medium: layout.Video, Rate: 1,
 			UnitBytes: 2048, Granularity: 1,
 			Constraint: alloc.Constraint{MaxCylinders: 1},

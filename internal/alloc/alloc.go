@@ -240,6 +240,18 @@ func (a *Allocator) MarshalBitmap(dst []byte) []byte { return a.bm.marshal(dst) 
 // UnmarshalBitmap restores the occupancy bitmap.
 func (a *Allocator) UnmarshalBitmap(data []byte) error { return a.bm.unmarshal(data) }
 
+// LargestFreeRun is the longest contiguous free extent in sectors: the
+// fragmentation metric reorganization improves.
+func (a *Allocator) LargestFreeRun() int {
+	best, all := 0, ^uint64(0)
+	for free := a.bm.next(0, a.bm.n, all); free < a.bm.n; {
+		taken := a.bm.next(free, a.bm.n, 0)
+		best = max(best, taken-free)
+		free = a.bm.next(taken, a.bm.n, all)
+	}
+	return best
+}
+
 // InUse reports whether the sector is allocated; tests and the
 // integrity checker use it.
 func (a *Allocator) InUse(sector int) bool { return a.bm.get(sector) }

@@ -569,11 +569,6 @@ func (s *Stream) Waiting(index int) bool {
 	return true
 }
 
-// Peek is Stream.Peek by id.
-//
-// rt:hotpath
-func (c *Cache) Peek(id uint64, index int) Result { return c.Stream(id).Peek(index) }
-
 // Peek classifies what Get would return, with no side effects. The
 // manager's idle-time scan uses it to skip Wait-blocked streams.
 //
@@ -669,11 +664,6 @@ func (c *Cache) Put(id uint64, index int, data []byte) { c.Stream(id).Put(index,
 // rt:hotpath
 func (s *Stream) Put(index int, data []byte) { s.insert(index, data, false) }
 
-// PutView is Stream.PutView by id.
-//
-// rt:hotpath
-func (c *Cache) PutView(id uint64, index int, view []byte) { c.Stream(id).PutView(index, view) }
-
 // PutView is Put for a block the device lent (disk.Lent): the entry
 // keeps the view itself — no copy, no frame. The view must stay what it
 // is for as long as the entry is resident, which is the caller's to
@@ -757,11 +747,6 @@ func (c *Cache) claimOrTouch(s *Stream, e *entry) {
 		c.lru.moveFront(e)
 	}
 }
-
-// Produced is Stream.Produced by id.
-//
-// rt:hotpath
-func (c *Cache) Produced(id uint64, index int) { c.Stream(id).Produced(index) }
 
 // Produced advances the stream's position past a block that was
 // serviced without touching the cache (silence blocks cost no disk

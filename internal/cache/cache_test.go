@@ -179,11 +179,11 @@ func TestEvictionOrderIsLRU(t *testing.T) {
 	}
 	c.Put(1, 3, block(3))
 	checkInvariants(t, c)
-	if c.Peek(2, 1) != Miss {
+	if c.Stream(2).Peek(1) != Miss {
 		t.Fatal("block 1 should have been evicted first")
 	}
 	for _, want := range []int{0, 2, 3} {
-		if c.Peek(2, want) != Hit {
+		if c.Stream(2).Peek(want) != Hit {
 			t.Fatalf("block %d should be resident", want)
 		}
 	}
@@ -266,7 +266,7 @@ func TestInvalidateStrandDropsPinnedBlocks(t *testing.T) {
 	if _, res := c.Get(2, 0); res != Miss {
 		t.Fatal("invalidated block should miss")
 	}
-	if c.Peek(11, 0) != Miss {
+	if c.Stream(11).Peek(0) != Miss {
 		t.Fatal("unknown stream should miss")
 	}
 	// The other strand is untouched.
@@ -495,7 +495,7 @@ func TestGaugesFollowStats(t *testing.T) {
 		t.Fatal("adopt")
 	}
 	checkInvariants(t, c)
-	c.Produced(2, 0)
+	c.Stream(2).Produced(0)
 	checkInvariants(t, c)
 	c.CloseStream(2)
 	checkInvariants(t, c)
@@ -599,9 +599,9 @@ func TestOwningPutAfterViewNeverWritesThePlatter(t *testing.T) {
 	c := New(2 * blockSize)
 	c.SetObs(obs.NewRegistry())
 	sid := strand.ID(4)
-	c.OpenStream(1, sid, 0, 1<<30, 10)
-	c.PutView(1, 0, p.view(0))
-	c.PutView(1, 1, p.view(1))
+	lead := c.OpenStream(1, sid, 0, 1<<30, 10)
+	lead.PutView(0, p.view(0))
+	lead.PutView(1, p.view(1))
 	checkInvariants(t, c)
 	if st := c.Stats(); st.Bytes != 2*blockSize || st.OwnedBytes != 0 {
 		t.Fatalf("two views resident: %+v; want their lengths modelled and nothing owned", st)
@@ -644,9 +644,9 @@ func TestOwnedBytesGaugeCountsFramesNotViews(t *testing.T) {
 		return v
 	}
 	sid := strand.ID(6)
-	c.OpenStream(1, sid, 0, 1<<30, 10)
+	lead := c.OpenStream(1, sid, 0, 1<<30, 10)
 	for i := 0; i < 3*n; i++ {
-		c.PutView(1, i, p.view(i))
+		lead.PutView(i, p.view(i))
 	}
 	checkInvariants(t, c)
 	if owned, bytes := gauge("mmfs_cache_owned_bytes"), gauge("mmfs_cache_bytes"); owned != 0 || bytes != n*blockSize {
@@ -714,7 +714,7 @@ func TestRandomOperationSequences(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					c.Put(id, i, fuzzBlock(sid, i))
 				} else {
-					c.PutView(id, i, store.view(sid, i))
+					c.Stream(id).PutView(i, store.view(sid, i))
 				}
 			}
 			var hits, adoptions int
@@ -751,7 +751,7 @@ func TestRandomOperationSequences(t *testing.T) {
 					i := rng.Intn(s.pos)
 					put(id, s.rec.sid, i)
 				case op < 78:
-					c.Produced(id, s.pos)
+					s.Produced(s.pos)
 				case op < 90:
 					if c.Adopt(id) {
 						adoptions++
@@ -856,14 +856,14 @@ func BenchmarkCacheFill(b *testing.B) {
 		return store[o : o+blockBytes : o+blockBytes]
 	}
 	c := New(frames * blockBytes)
-	c.OpenStream(1, strand.ID(1), 0, 1<<30, 10)
+	s := c.OpenStream(1, strand.ID(1), 0, 1<<30, 10)
 	for i := 0; i < frames; i++ {
-		c.PutView(1, i, view(i))
+		s.PutView(i, view(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.PutView(1, frames+i, view(frames+i))
+		s.PutView(frames+i, view(frames+i))
 	}
 	b.StopTimer()
 	st := c.Stats()
@@ -902,8 +902,9 @@ func got(data []byte, res Result) string {
 	return fmt.Sprintf("%v %d", res, data[0])
 }
 
-// Each handle method and the id-keyed method it stands behind do the
-// same: the same answer, the same Stats, the same invariants after.
+// Each handle method and the same method reached by id — the id-keyed
+// wrapper where one is kept, Cache.Stream otherwise — do the same: the
+// same answer, the same Stats, the same invariants after.
 func TestStreamHandlesAreTheirIDs(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -920,7 +921,7 @@ func TestStreamHandlesAreTheirIDs(t *testing.T) {
 			func(c *Cache, _, _ *Stream) string { _, res := c.Get(2, 6); return fmt.Sprint(res == Wait) }},
 		{"Waiting behind the leader",
 			func(_ *Cache, _, fol *Stream) string { return fmt.Sprint(fol.Waiting(3)) },
-			func(c *Cache, _, _ *Stream) string { return fmt.Sprint(c.Peek(2, 3) == Wait) }},
+			func(c *Cache, _, _ *Stream) string { return fmt.Sprint(c.Stream(2).Peek(3) == Wait) }},
 		{"Get a block not resident",
 			func(_ *Cache, lead, _ *Stream) string { return got(lead.Get(40)) },
 			func(c *Cache, _, _ *Stream) string { return got(c.Get(1, 40)) }},
@@ -929,17 +930,17 @@ func TestStreamHandlesAreTheirIDs(t *testing.T) {
 				return fmt.Sprint(fol.Peek(0), fol.Peek(6), lead.Peek(3), lead.Peek(40))
 			},
 			func(c *Cache, _, _ *Stream) string {
-				return fmt.Sprint(c.Peek(2, 0), c.Peek(2, 6), c.Peek(1, 3), c.Peek(1, 40))
+				return fmt.Sprint(c.Stream(2).Peek(0), c.Stream(2).Peek(6), c.Stream(1).Peek(3), c.Stream(1).Peek(40))
 			}},
 		{"Put",
 			func(_ *Cache, lead, fol *Stream) string { lead.Put(6, block(6)); return got(fol.Get(0)) },
 			func(c *Cache, _, _ *Stream) string { c.Put(1, 6, block(6)); return got(c.Get(2, 0)) }},
 		{"PutView",
 			func(_ *Cache, lead, _ *Stream) string { lead.PutView(6, block(6)); return "" },
-			func(c *Cache, _, _ *Stream) string { c.PutView(1, 6, block(6)); return "" }},
+			func(c *Cache, _, _ *Stream) string { c.Stream(1).PutView(6, block(6)); return "" }},
 		{"Produced",
 			func(_ *Cache, lead, fol *Stream) string { lead.Produced(6); fol.Produced(0); return "" },
-			func(c *Cache, _, _ *Stream) string { c.Produced(1, 6); c.Produced(2, 0); return "" }},
+			func(c *Cache, _, _ *Stream) string { c.Stream(1).Produced(6); c.Stream(2).Produced(0); return "" }},
 		{"Adopt",
 			func(c *Cache, _, _ *Stream) string { return fmt.Sprint(c.OpenStream(3, 7, 0, 100, 10).Adopt()) },
 			func(c *Cache, _, _ *Stream) string { c.OpenStream(3, 7, 0, 100, 10); return fmt.Sprint(c.Adopt(3)) }},
@@ -963,8 +964,8 @@ func TestStreamHandlesAreTheirIDs(t *testing.T) {
 }
 
 // A handle whose stream is gone — closed, reset away, its id reopened —
-// reads as an unknown id: every method does what its id-keyed twin does
-// for an id the cache never saw, to the answer and the Stats. Under
+// reads as an unknown id: every method does what it does reached by an id
+// the cache never saw, to the answer and the Stats. Under
 // InvalidateStrand the stream stays open but its blocks go, so a read
 // behind the leader misses as an unknown id's does.
 func TestStaleHandlesReadAsUnknownIDs(t *testing.T) {
@@ -976,15 +977,15 @@ func TestStaleHandlesReadAsUnknownIDs(t *testing.T) {
 		{"Get", func(_ *Cache, h *Stream) string { return got(h.Get(0)) },
 			func(c *Cache, _ *Stream) string { return got(c.Get(unknown, 0)) }},
 		{"Peek", func(_ *Cache, h *Stream) string { return h.Peek(0).String() },
-			func(c *Cache, _ *Stream) string { return c.Peek(unknown, 0).String() }},
+			func(c *Cache, _ *Stream) string { return c.Stream(unknown).Peek(0).String() }},
 		{"Waiting", func(_ *Cache, h *Stream) string { return fmt.Sprint(h.Waiting(9)) },
-			func(c *Cache, _ *Stream) string { return fmt.Sprint(c.Peek(unknown, 9) == Wait) }},
+			func(c *Cache, _ *Stream) string { return fmt.Sprint(c.Stream(unknown).Peek(9) == Wait) }},
 		{"Put", func(_ *Cache, h *Stream) string { h.Put(9, block(9)); return "" },
 			func(c *Cache, _ *Stream) string { c.Put(unknown, 9, block(9)); return "" }},
 		{"PutView", func(_ *Cache, h *Stream) string { h.PutView(9, block(9)); return "" },
-			func(c *Cache, _ *Stream) string { c.PutView(unknown, 9, block(9)); return "" }},
+			func(c *Cache, _ *Stream) string { c.Stream(unknown).PutView(9, block(9)); return "" }},
 		{"Produced", func(_ *Cache, h *Stream) string { h.Produced(0); return "" },
-			func(c *Cache, _ *Stream) string { c.Produced(unknown, 0); return "" }},
+			func(c *Cache, _ *Stream) string { c.Stream(unknown).Produced(0); return "" }},
 		{"Adopt", func(_ *Cache, h *Stream) string { return fmt.Sprint(h.Adopt()) },
 			func(c *Cache, _ *Stream) string { return fmt.Sprint(c.Adopt(unknown)) }},
 		{"Close", func(_ *Cache, h *Stream) string { h.Close(); return "" },

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mmfs/internal/rope"
 	"mmfs/internal/strand"
@@ -10,7 +11,7 @@ import (
 // Problem is one inconsistency found by Check.
 type Problem struct {
 	// Kind is a short category ("leak", "overlap", "unallocated",
-	// "dangling-ref", "interest", "range").
+	// "dangling-ref", "interest", "range", "memo").
 	Kind string
 	// Detail describes the finding.
 	Detail string
@@ -44,8 +45,9 @@ func (c claimant) String() string {
 // index blocks, text-file extents — is marked allocated, that no two
 // structures overlap, that the allocator tracks no unreachable
 // sectors, that every rope reference resolves to a registered strand
-// within range, and that the interests table matches the ropes. It is
-// read-only; callers decide what to do about findings.
+// within range, that the interests table matches the ropes, and that
+// the repeat-play memo holds plans of live ropes' video and audio alone.
+// It is read-only; callers decide what to do about findings.
 func (fs *FS) Check() []Problem {
 	var problems []Problem
 	total := fs.a.TotalSectors()
@@ -144,6 +146,17 @@ func (fs *FS) Check() []Problem {
 	// Interests match the ropes exactly.
 	if err := fs.interests.Audit(truth); err != nil {
 		problems = append(problems, Problem{Kind: "interest", Detail: err.Error()})
+	}
+
+	// The memo holds no plan a PLAY could not ask for.
+	var stale []string
+	for key := range fs.plays {
+		if _, ok := fs.ropes.Get(key.rope); !ok || key.m != rope.VideoOnly && key.m != rope.AudioOnly {
+			stale = append(stale, fmt.Sprintf("rope %d %v", key.rope, key.m))
+		}
+	}
+	if slices.Sort(stale); len(stale) > 0 {
+		problems = append(problems, Problem{Kind: "memo", Detail: fmt.Sprintf("the repeat-play memo holds plans of %v", stale)})
 	}
 
 	// Leak detection: allocated sectors nothing claims.

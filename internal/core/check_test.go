@@ -2,9 +2,7 @@ package core
 
 import (
 	"testing"
-	"time"
 
-	"mmfs/internal/rope"
 	"mmfs/internal/strand"
 )
 
@@ -15,54 +13,20 @@ func checkClean(t *testing.T, fs *FS) {
 		t.Fatal(err)
 	}
 	if problems := fs.Check(); len(problems) != 0 {
-		for _, p := range problems {
-			t.Logf("  %s", p)
-		}
-		t.Fatalf("fsck found %d problem(s)", len(problems))
+		t.Fatalf("fsck found %d problem(s): %v", len(problems), problems)
 	}
 }
 
-func TestCheckCleanAfterLifecycle(t *testing.T) {
-	fs, err := Format(Options{})
-	if err != nil {
-		t.Fatal(err)
+// wantProblem asserts fsck reports a problem of the kind.
+func wantProblem(t *testing.T, fs *FS, kind string) {
+	t.Helper()
+	problems := fs.Check()
+	for _, p := range problems {
+		if p.Kind == kind {
+			return
+		}
 	}
-	checkClean(t, fs)
-
-	// Record, edit, delete, text files, GC, reorganize — then fsck.
-	r1 := recordClip(t, fs, "venkat", 3, 6100)
-	r2 := recordClip(t, fs, "venkat", 2, 6200)
-	checkClean(t, fs)
-
-	if _, err := fs.Insert("venkat", r1.ID, time.Second, rope.AudioVisual, r2.ID, 0, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	checkClean(t, fs)
-
-	if err := fs.Text().Write("note", []byte("in the gaps")); err != nil {
-		t.Fatal(err)
-	}
-	sub, _, err := fs.Substring("venkat", r1.ID, rope.VideoOnly, 0, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.DeleteRope("venkat", r2.ID); err != nil {
-		t.Fatal(err)
-	}
-	checkClean(t, fs)
-
-	if _, err := fs.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	checkClean(t, fs)
-
-	if _, err := fs.DeleteRope("venkat", sub.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.DeleteRope("venkat", r1.ID); err != nil {
-		t.Fatal(err)
-	}
-	checkClean(t, fs)
+	t.Fatalf("fsck found no %s problem: %v", kind, problems)
 }
 
 func TestCheckDetectsLeak(t *testing.T) {
@@ -77,16 +41,7 @@ func TestCheckDetectsLeak(t *testing.T) {
 	if _, err := fs.Allocator().Allocate(8); err != nil {
 		t.Fatal(err)
 	}
-	problems := fs.Check()
-	found := false
-	for _, p := range problems {
-		if p.Kind == "leak" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("leak not detected: %v", problems)
-	}
+	wantProblem(t, fs, "leak")
 }
 
 func TestCheckDetectsDanglingRef(t *testing.T) {
@@ -100,16 +55,7 @@ func TestCheckDetectsDanglingRef(t *testing.T) {
 	}
 	// Corrupt a reference.
 	r.Intervals[0].Video.Strand = strand.ID(4242)
-	problems := fs.Check()
-	found := false
-	for _, p := range problems {
-		if p.Kind == "dangling-ref" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("dangling reference not detected: %v", problems)
-	}
+	wantProblem(t, fs, "dangling-ref")
 }
 
 func TestCheckDetectsUnallocatedUse(t *testing.T) {
@@ -122,17 +68,6 @@ func TestCheckDetectsUnallocatedUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Free a media run behind the file system's back.
-	s := fs.Strands().MustGet(r.Intervals[0].Video.Strand)
-	runs := s.MediaRuns()
-	fs.Allocator().Free(runs[0])
-	problems := fs.Check()
-	found := false
-	for _, p := range problems {
-		if p.Kind == "unallocated" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("unallocated use not detected: %v", problems)
-	}
+	fs.Allocator().Free(fs.Strands().MustGet(r.Intervals[0].Video.Strand).MediaRuns()[0])
+	wantProblem(t, fs, "unallocated")
 }

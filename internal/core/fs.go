@@ -147,7 +147,7 @@ type FS struct {
 	editor    *rope.Editor
 	mgr       *msm.Manager
 	// plays is the repeat-play memo: per rope medium, the plan the last
-	// PLAY compiled (see playPlan).
+	// PLAY compiled (see PlayPlan).
 	plays map[playKey]playMemo
 	// cache is the interval cache, nil when Options.CacheMB is 0. It is
 	// the file system's: built once, lent to one storage manager at a

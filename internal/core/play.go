@@ -50,7 +50,7 @@ func (fs *FS) Play(user string, id rope.ID, m rope.Medium, start, dur time.Durat
 	hasVideo, hasAudio := r.Components()
 	var h PlayHandle
 	admit := func(mm rope.Medium) (msm.RequestID, error) {
-		plan, err := fs.playPlan(r, mm, start, dur, opts)
+		plan, err := fs.PlayPlan(r, mm, start, dur, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -104,14 +104,15 @@ type planInput struct {
 	skip              bool
 }
 
-// playPlan is one medium of a PLAY's plan. A rope played again over the
-// same intervals with the same input reuses the plan its last PLAY
-// compiled — blocks, admission, map and cache range — with this play's
-// own ReadAhead, Buffers and Class, so an arrival costs the flattening
-// of its range and its admission decision, not a walk of its blocks.
-// Anything else compiles and replaces the rope medium's entry; DeleteRope
-// drops the rope's entries.
-func (fs *FS) playPlan(r *rope.Rope, m rope.Medium, start, dur time.Duration, opts msm.PlanOptions) (msm.PlayPlan, error) {
+// PlayPlan is one medium of a PLAY's plan: what Play admits, exported so
+// that an oracle can hold the memo to a fresh compile. A rope played
+// again over the same intervals with the same input reuses the plan its
+// last PLAY compiled — blocks, admission, map and cache range — with
+// this play's own ReadAhead, Buffers and Class, so an arrival costs the
+// flattening of its range and its admission decision, not a walk of its
+// blocks. Anything else compiles and replaces the rope medium's entry;
+// DeleteRope drops the rope's entries.
+func (fs *FS) PlayPlan(r *rope.Rope, m rope.Medium, start, dur time.Duration, opts msm.PlanOptions) (msm.PlayPlan, error) {
 	ivs, err := fs.ropes.PlayIntervals(r, m, start, dur)
 	if err != nil {
 		return msm.PlayPlan{}, err

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"mmfs/internal/msm"
 	"mmfs/internal/rope"
@@ -17,13 +19,11 @@ func TestArrivalCostIsScaleFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records 70 s of video")
 	}
-	w, err := runWalk(walkEntry{shape: walkShape{Disks: 4}, clips: []clip{{clipCBR, 10}, {clipCBR, 60}}}, []step{})
+	fs, err := Format(Options{Disks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := w.fs
-	short, _ := fs.Ropes().Get(w.ropes[0])
-	long, _ := fs.Ropes().Get(w.ropes[1])
+	short, long := recordClip(t, fs, "memo", 10, 1), recordClip(t, fs, "memo", 60, 2)
 	opts := msm.PlanOptions{ReadAhead: 2}
 	play := func(r *rope.Rope) (PlayHandle, error) {
 		return fs.Play("memo", r.ID, rope.VideoOnly, 0, 0, opts)
@@ -80,4 +80,47 @@ func TestArrivalCostIsScaleFree(t *testing.T) {
 				tc.name, la, lb, sa, sb)
 		}
 	}
+}
+
+// PlayPlan reads the repeat-play memo as it is held, which is what lets
+// the walk's plan oracle hold it to a fresh compile: after an edit, an
+// entry forged to match the edited rope's intervals and input but keeping
+// the old plan is handed out. DeleteRope drops the rope's entries, and
+// fsck finds one left behind.
+func TestPlayPlanReadsTheMemo(t *testing.T) {
+	fs, err := Format(Options{Disks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, with := recordClip(t, fs, "memo", 3, 1), recordClip(t, fs, "memo", 2, 2)
+	opts := msm.PlanOptions{ReadAhead: 2, Scattering: fs.TargetScattering()}
+	before, err := fs.PlayPlan(r, rope.VideoOnly, 0, r.Length(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Insert("memo", r.ID, time.Second, rope.AudioVisual, with.ID, 0, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	r, _ = fs.Ropes().Get(r.ID)
+	ivs, err := fs.ropes.PlayIntervals(r, rope.VideoOnly, 0, r.Length())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The mutation: an edit that leaves the memo in place.
+	fs.plays[playKey{r.ID, rope.VideoOnly}] = playMemo{ivs: ivs, in: planInput{opts.Speed, opts.Scattering, opts.Skip}, plan: before}
+	got, _ := fs.PlayPlan(r, rope.VideoOnly, 0, r.Length(), opts)
+	want, err := fs.Ropes().CompilePlay(fs.Disk(), r, rope.VideoOnly, 0, r.Length(), opts)
+	if err != nil || reflect.DeepEqual(got, want) || &got.Blocks[0] != &before.Blocks[0] {
+		t.Fatalf("a memo an edit left in place: PlayPlan gave %d blocks, the compiler %d (%v); want the held %d", len(got.Blocks), len(want.Blocks), err, len(before.Blocks))
+	}
+	// The rope's video and audio plans leave with it; fsck finds one left.
+	if _, err := fs.PlayPlan(r, rope.AudioOnly, 0, r.Length(), opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.DeleteRope("memo", r.ID); err != nil || len(fs.plays) != 0 {
+		t.Fatalf("DELETE of rope %d: %v, %d plan(s) left in the memo", r.ID, err, len(fs.plays))
+	}
+	checkClean(t, fs)
+	fs.plays[playKey{r.ID, rope.AudioOnly}] = playMemo{}
+	wantProblem(t, fs, "memo")
 }

@@ -132,7 +132,7 @@ type CompactReport struct {
 // calls for when constrained allocation starts failing on a
 // fragmented disk.
 func (fs *FS) Compact() (CompactReport, error) {
-	rep := CompactReport{LargestFreeRunBefore: fs.largestFreeRun()}
+	rep := CompactReport{LargestFreeRunBefore: fs.a.LargestFreeRun()}
 	for _, id := range fs.strands.IDs() {
 		moved, err := fs.ReorganizeStrand(id, 0)
 		if err != nil {
@@ -143,24 +143,6 @@ func (fs *FS) Compact() (CompactReport, error) {
 			rep.SectorsMoved += run.Sectors
 		}
 	}
-	rep.LargestFreeRunAfter = fs.largestFreeRun()
+	rep.LargestFreeRunAfter = fs.a.LargestFreeRun()
 	return rep, nil
-}
-
-// largestFreeRun scans the allocator for the longest contiguous free
-// extent, the fragmentation metric reorganization improves.
-func (fs *FS) largestFreeRun() int {
-	best, run := 0, 0
-	total := fs.a.TotalSectors()
-	for i := 0; i < total; i++ {
-		if fs.a.InUse(i) {
-			run = 0
-			continue
-		}
-		run++
-		if run > best {
-			best = run
-		}
-	}
-	return best
 }

@@ -173,6 +173,17 @@ func (a *Array) Locate(lba int) (spindle, local int) {
 	return a.readSpindle(set, slot), localCyl*a.spc + off
 }
 
+// GroupStart is Locate's inverse: the first logical cylinder of the
+// group-th stripe group spindle serves — mirrored, of the group-th slot
+// of its pair that the balanced steering reads from it.
+func (a *Array) GroupStart(spindle, group int) int {
+	slot := group
+	if a.r == 2 {
+		slot = spindle%2 + 2*group // the slot's parity picks the twin
+	}
+	return (slot*a.sets + spindle/a.r) * a.sc
+}
+
 // SteerClasses reports after how many stripe groups the group → spindle
 // map repeats, whatever the steering: group g is read from the spindle
 // group g mod SteerClasses() is read from. A set of one reads its one

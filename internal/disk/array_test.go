@@ -126,8 +126,11 @@ func TestArrayAddressRoundTrip(t *testing.T) {
 // spindle g%p in slot g/p; mirrored, group g on pair g%(p/2) in slot
 // g/(p/2), read from twin slot&1 while both are healthy. Locate must be
 // a bijection from logical cylinders onto (replica set, local cylinder),
-// a read must leave the spindle it moved on the local cylinder, and
-// HeadCylinder must invert the map when that spindle is spindle 0.
+// a read must leave the spindle it moved on the local cylinder,
+// HeadCylinder must invert the map when that spindle is spindle 0, and
+// GroupStart must invert it too: a group starts where GroupStart puts the
+// slot/r-th group its spindle serves (mirrored, a slot's parity picks the
+// twin, so each twin serves every other slot).
 func TestArrayLayoutTable(t *testing.T) {
 	const stripe = 4
 	phys := arrayGeom()
@@ -148,11 +151,14 @@ func TestArrayLayoutTable(t *testing.T) {
 			for cyl := 0; cyl < a.Geometry().Cylinders; cyl++ {
 				group, inGroup := cyl/stripe, cyl%stripe
 				var wantSp, wantCyl int
+				slot := group / sets
 				if r == 1 {
-					wantSp, wantCyl = group%p, (group/p)*stripe+inGroup
+					wantSp, wantCyl = group%p, slot*stripe+inGroup
 				} else {
-					pair, slot := group%(p/2), group/(p/2)
-					wantSp, wantCyl = 2*pair+slot&1, slot*stripe+inGroup
+					wantSp, wantCyl = 2*(group%sets)+slot&1, slot*stripe+inGroup
+				}
+				if got := a.GroupStart(wantSp, slot/r); inGroup == 0 && got != cyl {
+					t.Fatalf("r=%d p=%d: GroupStart(%d, %d) = %d, want %d", r, p, wantSp, slot/r, got, cyl)
 				}
 				off := cyl % spc
 				sp, local := a.Locate(cyl*spc + off)

@@ -111,15 +111,6 @@ func readable(s SpindleState) bool { return s == Healthy || s == Suspect }
 // layout.
 func (a *Array) Mirrored() bool { return a.r == 2 }
 
-// MirrorGroups reports the number of mirror pairs (p/2; 0 when not
-// mirrored).
-func (a *Array) MirrorGroups() int {
-	if !a.Mirrored() {
-		return 0
-	}
-	return a.sets
-}
-
 // Twin reports the mirror twin of spindle i.
 func (a *Array) Twin(i int) int { return i ^ 1 }
 

@@ -308,6 +308,7 @@ func E46MixedMedia() Result {
 			panic(err)
 		}
 		mgr.RunUntilDone()
+		check(r.fs)
 		viol, err := r.fs.PlayViolations(h)
 		if err != nil {
 			panic(err)

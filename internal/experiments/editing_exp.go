@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"mmfs/internal/alloc"
 	"mmfs/internal/core"
 	"mmfs/internal/media"
 	"mmfs/internal/msm"
@@ -30,11 +31,6 @@ func EditCopy() Result {
 		rp1, _ := r.recordVideoRope(8, 5001)
 		rp2, _ := r.recordVideoRope(8, 5002)
 
-		if fill > 0 {
-			fillDisk(r, fill)
-		}
-		occ := r.fs.Occupancy()
-
 		maxCyl := r.fs.Options().TargetCylinders
 		worst := (r.fs.Disk().Geometry().Cylinders-1)/maxCyl + 1
 		for _, pair := range []struct {
@@ -44,6 +40,8 @@ func EditCopy() Result {
 			{"fwd", rp1.ID, rp2.ID},
 			{"rev", rp2.ID, rp1.ID},
 		} {
+			filler := fillDisk(r, fill)
+			occ := r.fs.Occupancy()
 			cat, er, err := r.fs.Concate("exp", pair.a, pair.b)
 			if err != nil {
 				panic(err)
@@ -82,8 +80,13 @@ func EditCopy() Result {
 				fmt.Sprint(worst),
 				fmt.Sprint(viol),
 			)
-			// Remove the derived rope so the next trial sees the
-			// same strand population.
+			// The filler leaves before the oracles ask (fsck would
+			// count it leaked); removing the derived rope, and with it
+			// the copies, gives the next trial the same disk to fill.
+			for _, run := range filler {
+				r.fs.Allocator().Free(run)
+			}
+			check(r.fs)
 			if _, err := r.fs.DeleteRope("exp", cat.ID); err != nil {
 				panic(err)
 			}
@@ -109,8 +112,8 @@ func timeBounds() (sparse, dense int) {
 // fillDisk raises disk occupancy to roughly the target fraction with
 // filler extents spread uniformly across the cylinders (deterministic
 // PRNG), modeling a disk shared by many other strands and text files
-// rather than one filled front-to-back.
-func fillDisk(r *rig, target float64) {
+// rather than one filled front-to-back, and returns the extents.
+func fillDisk(r *rig, target float64) (filler []alloc.Run) {
 	g := r.fs.Disk().Geometry()
 	a := r.fs.Allocator()
 	rng := rand.New(rand.NewSource(4099))
@@ -118,11 +121,14 @@ func fillDisk(r *rig, target float64) {
 	for a.Occupancy() < target && fails < 64 {
 		cyl := rng.Intn(g.Cylinders)
 		n := 4 + rng.Intn(24)
-		if _, err := a.AllocateNearCylinder(cyl, n); err != nil {
+		run, err := a.AllocateNearCylinder(cyl, n)
+		if err != nil {
 			fails++
 			continue
 		}
+		filler = append(filler, run)
 	}
+	return filler
 }
 
 // Silence regenerates §4's silence elimination: audio recorded at
@@ -176,6 +182,7 @@ func Silence() Result {
 			panic(err)
 		}
 		r.fs.Manager().RunUntilDone()
+		check(r.fs)
 		viol, err := r.fs.PlayViolations(h)
 		if err != nil {
 			panic(err)

@@ -23,6 +23,7 @@ import (
 	"mmfs/internal/media"
 	"mmfs/internal/msm"
 	"mmfs/internal/rope"
+	"mmfs/internal/simtest"
 	"mmfs/internal/strand"
 )
 
@@ -200,6 +201,15 @@ type rig struct {
 	fs *core.FS
 }
 
+// check ends a trial that ran rounds or wrote: it asks the file system's
+// state oracles (simtest.Check), which move nothing, and panics on a
+// finding, as the tables do on any other error.
+func check(fs *core.FS) {
+	if err := simtest.Check(fs); err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+}
+
 // newRig formats the default file system: one disk of the default
 // geometry.
 func newRig() *rig { return formatRig(core.Options{}) }
@@ -242,6 +252,7 @@ func (r *rig) recordVideoRope(seconds int, seed int64) (*rope.Rope, *strand.Stra
 	if err != nil {
 		panic(err)
 	}
+	check(r.fs)
 	s := r.fs.Strands().MustGet(rp.Intervals[0].Video.Strand)
 	return rp, s
 }
@@ -290,8 +301,9 @@ func (r *rig) record(src media.Source, t take) *strand.Strand {
 }
 
 // trial is the one admit-and-run driver: plays planned from strands
-// with opts, compiled for dev and admitted on mgr in order.
+// with opts, compiled for dev and admitted on mgr in order, over fs.
 type trial struct {
+	fs   *core.FS
 	mgr  *msm.Manager
 	dev  disk.Device
 	opts msm.PlanOptions
@@ -302,7 +314,7 @@ type trial struct {
 
 // trial starts a driver on a fresh storage manager of the file system.
 func (r *rig) trial(opts msm.PlanOptions) *trial {
-	return &trial{mgr: r.fs.NewManager(), dev: r.fs.Disk(), opts: opts}
+	return &trial{fs: r.fs, mgr: r.fs.NewManager(), dev: r.fs.Disk(), opts: opts}
 }
 
 // pin services the trial at k: no stepwise transition, and every
@@ -335,9 +347,11 @@ func (t *trial) admit(strands ...*strand.Strand) (continuity.Decision, error) {
 	return dec, nil
 }
 
-// run services every admitted play to the end and tallies them.
+// run services every admitted play to the end, asks the oracles and
+// tallies the plays.
 func (t *trial) run() count {
 	t.mgr.RunUntilDone()
+	check(t.fs)
 	return tally(t.mgr, t.ids)
 }
 

@@ -11,6 +11,7 @@ import (
 	"mmfs/internal/continuity"
 	"mmfs/internal/disk"
 	"mmfs/internal/msm"
+	"mmfs/internal/strand"
 )
 
 // cell parses a table cell as an int, tolerating decorations.
@@ -35,6 +36,21 @@ func TestRenderProducesTable(t *testing.T) {
 			t.Fatalf("render missing %q in:\n%s", want, out)
 		}
 	}
+}
+
+// A trial ends by asking the file system's oracles: in a rig where a
+// strand's run was freed behind the allocator's back, the trial that
+// plays the strand panics with fsck's finding.
+func TestTrialsAskTheOracles(t *testing.T) {
+	r := newRig()
+	_, s := r.recordVideoRope(2, 4099)
+	r.fs.Allocator().Free(s.MediaRuns()[0])
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "fsck: ") {
+			t.Fatalf("the trial after a run was freed behind the allocator: %q; want an fsck finding", msg)
+		}
+	}()
+	r.playStrands([]*strand.Strand{s}, 2, 4, 0)
 }
 
 func TestByID(t *testing.T) {

@@ -65,7 +65,7 @@ func FaultTolerance() Result {
 		}
 		// The storm wraps the recorded disk, under a manager of its own.
 		fd := fault.New(r.fs.Disk().(*disk.Disk), sc)
-		t := &trial{mgr: msm.New(fd, adm), dev: fd, opts: r.plan(k, 2*k)}
+		t := &trial{fs: r.fs, mgr: msm.New(fd, adm), dev: fd, opts: r.plan(k, 2*k)}
 		// Forced k with no stepwise transitions: the whole population
 		// is admitted at virtual time zero, exactly at the Eq. 18
 		// operating point the slack-budget retry is derived from.

@@ -18,17 +18,6 @@ import (
 // admission probe.
 const rebuildStripeCyl = 60
 
-// recordPreferring writes a video strand whose blocks the balanced
-// steering of a mirrored rig reads from exactly the given spindle:
-// stripe-group slot (spindle%2 + 2*within) of mirror pair spindle/2,
-// slot parity picking the preferred twin. The data itself is duplicated
-// on both twins.
-func (r *rig) recordPreferring(spindle, within, frames int, seed int64) *strand.Strand {
-	pair, slot := spindle/2, spindle%2+2*within
-	group := slot*r.fs.Array().MirrorGroups() + pair
-	return r.recordAt(group*rebuildStripeCyl, spindle, frames, seed)
-}
-
 // rebuildPlan is EXP-REBUILD's per-stream plan shape.
 func (r *rig) rebuildPlan(class continuity.Class) msm.PlanOptions {
 	opts := r.plan(1, 64)
@@ -87,7 +76,7 @@ func Rebuild() Result {
 	probes := make([]*strand.Strand, 0, p*nmax)
 	for within := 0; within < nmax; within++ {
 		for sp := 0; sp < p; sp++ {
-			probes = append(probes, r.recordPreferring(sp, within, 150, seedBase+int64(9600+100*within+sp)))
+			probes = append(probes, r.recordAt(arr.GroupStart(sp, within), sp, 150, seedBase+int64(9600+100*within+sp)))
 		}
 	}
 
@@ -167,6 +156,7 @@ func Rebuild() Result {
 		panic(err)
 	}
 	mgr.RunUntilDone()
+	check(r.fs)
 	if mgr.RepairActive() {
 		done, total := mgr.RepairProgress()
 		panic(fmt.Sprintf("experiments: EXP-REBUILD rebuild stalled at %d/%d", done, total))
@@ -189,6 +179,7 @@ func Rebuild() Result {
 		panic(err)
 	}
 	mgr.RunUntilDone()
+	check(r.fs)
 	pr, err := mgr.Progress(t.ids[len(t.ids)-1])
 	if err != nil {
 		panic(err)

@@ -58,7 +58,7 @@ func Reorg() Result {
 		s := writeStrand(12, 4500, wantBlocks, seed)
 		return s, s.NumBlocks()
 	}
-	occBefore, freeBefore := fs.Occupancy(), largestFree(fs)
+	occBefore, freeBefore := fs.Occupancy(), fs.Allocator().LargestFreeRun()
 	before, placedBefore := attempt(9000)
 	res.AddRow("fragmented", fmt.Sprintf("%.0f%%", occBefore*100),
 		fmt.Sprint(freeBefore), fmt.Sprint(placedBefore), fmt.Sprint(wantBlocks))
@@ -71,8 +71,9 @@ func Reorg() Result {
 	if err != nil {
 		panic(err)
 	}
-	occAfter, freeAfter := fs.Occupancy(), largestFree(fs)
+	occAfter, freeAfter := fs.Occupancy(), fs.Allocator().LargestFreeRun()
 	_, placedAfter := attempt(9001)
+	check(fs)
 	res.AddRow("after Compact()", fmt.Sprintf("%.0f%%", occAfter*100),
 		fmt.Sprint(freeAfter), fmt.Sprint(placedAfter), fmt.Sprint(wantBlocks))
 
@@ -80,21 +81,4 @@ func Reorg() Result {
 	res.Note("compaction relocated %d strand(s) (%d sectors), growing the largest free run %d → %d sectors",
 		rep.Moved, rep.SectorsMoved, rep.LargestFreeRunBefore, rep.LargestFreeRunAfter)
 	return res
-}
-
-// largestFree mirrors core's fragmentation metric for reporting.
-func largestFree(fs *core.FS) int {
-	best, run := 0, 0
-	a := fs.Allocator()
-	for i := 0; i < a.TotalSectors(); i++ {
-		if a.InUse(i) {
-			run = 0
-			continue
-		}
-		run++
-		if run > best {
-			best = run
-		}
-	}
-	return best
 }

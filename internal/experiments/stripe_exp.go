@@ -22,8 +22,11 @@ const stripeCyl = 120
 // cylinder (stripe-group aligned placement, as the allocator would do
 // for -disks p).
 func (r *rig) recordOn(spindle, localCyl, frames int, seed int64) *strand.Strand {
-	o := r.fs.Options()
-	start := (localCyl/o.Stripe*o.Disks+spindle)*o.Stripe + localCyl%o.Stripe
+	start := localCyl // one spindle: its cylinders are the disk's
+	if arr := r.fs.Array(); arr != nil {
+		stripe := arr.StripeCylinders()
+		start = arr.GroupStart(spindle, localCyl/stripe) + localCyl%stripe
+	}
 	return r.recordAt(start, spindle, frames, seed)
 }
 

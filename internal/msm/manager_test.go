@@ -129,22 +129,6 @@ func (r *testRig) scattering() float64 {
 	return continuity.Seconds(r.dev.Geometry().AccessTime(targetCylinders))
 }
 
-// at is the logical cylinder cyl cylinders into the group-th stripe group
-// spindle serves: on a striped array every p-th group from the spindle's
-// first; on a mirrored one the group-th of its pair's groups that the
-// balanced steering reads from it (the slot's parity picks the twin); on
-// one disk, cylinder cyl.
-func (r *testRig) at(spindle, group, cyl int) int {
-	switch {
-	case r.arr == nil:
-		return cyl
-	case r.mirror:
-		slot := spindle%2 + 2*group
-		return (slot*r.arr.MirrorGroups()+spindle/2)*r.stripe + cyl
-	}
-	return (group*r.spindles+spindle)*r.stripe + cyl
-}
-
 // backToBackBytes is a one-frame video block of exactly 28 sectors:
 // sixteen of them fill a cylinder of the default geometry (448 sectors)
 // to its last sector, so a strand of them written under the run
@@ -169,8 +153,8 @@ type take struct {
 	// run stores the blocks under the run placement.
 	run bool
 	// The writer starts cyl cylinders into the group-th stripe group that
-	// spindle serves (at); with pin, write checks every block landed on
-	// spindle.
+	// spindle serves (disk.Array.GroupStart; on one disk, at cylinder
+	// cyl); with pin, write checks every block landed on spindle.
 	spindle, group, cyl int
 	pin                 bool
 	buffers             int // a record's capture buffers, when not 4
@@ -184,7 +168,10 @@ func (r *testRig) recording(k take) RecordPlan {
 	cfg := strand.WriterConfig{
 		ID: r.st.NewID(), Medium: layout.Video, Rate: 30, UnitBytes: 18000, Granularity: cmp.Or(k.gran, 3),
 		Constraint:    alloc.Constraint{MinCylinders: 1, MaxCylinders: targetCylinders},
-		StartCylinder: r.at(k.spindle, k.group, k.cyl),
+		StartCylinder: k.cyl,
+	}
+	if r.arr != nil {
+		cfg.StartCylinder += r.arr.GroupStart(k.spindle, k.group)
 	}
 	name, scattering := "rec", r.scattering()
 	if k.audio {

@@ -30,8 +30,6 @@ ImportFrom                 # analysis: satisfies types.ImporterFrom; the type ch
 MustNew                    # disk: the panicking constructor every test rig and benchmark starts from
 MustNewArray               # disk: the same, for array rigs
 FreeSectors                # alloc: the leak oracle of the strand, textfs and core write-path tests
-CheckInvariants            # cache: the structural checker the seeded walks run after every step
-VisitEntries               # cache: how the platter oracle reads what is resident
 FailNextReads              # fault: forces a fault at a chosen read, where a seeded rate cannot
 RecordStartHeterogeneous   # client: the only sender of RECORDSTART's heterogeneous form (mmfsctl has no verb for it)
 StartupDelay               # continuity: the start-up latency model ROADMAP item 1(c) is to predict with

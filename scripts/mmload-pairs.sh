@@ -3,7 +3,10 @@
 # (or ruling out) a performance change the way the choosing-metrics rule
 # asks: the parent commit and the working tree run the same benchmark
 # code alternately, which side goes first alternating too, so a slow
-# drift of the machine lands on both sides alike.
+# drift of the machine lands on both sides alike. Each pair starts with
+# one more run of the side that goes first, which is discarded: one set
+# found a pair's first run the slower in 8 of 10 serve-striped pairs, a
+# pattern later sets did not show, with this run or without it.
 #
 #   scripts/mmload-pairs.sh <parent-rev> <workload>[,<workload>…]|all [pairs] [seed]
 #   make mmload-pairs PARENT=<rev> WORKLOAD=<name> [N=10] [PAIR_SEED=1]
@@ -19,7 +22,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,18p' "$0" >&2
+	sed -n '2,21p' "$0" >&2
 	exit 2
 fi
 parent_rev="$1"
@@ -49,18 +52,25 @@ run_side() { # <checkout> <json> <workload>
 	bash "$1/bench/mmload/run.sh" -workload "$3" -seed "$seed" -json "$2" >/dev/null
 }
 
+# pair <first checkout> <its json> <second checkout> <its json> <workload>:
+# a discarded warm-up run of the first side, then one run of each.
+pair() {
+	run_side "$1" "$out/warmup.json" "$5"
+	run_side "$1" "$2" "$5"
+	run_side "$3" "$4" "$5"
+}
+
 for w in ${workloads//,/ }; do
 	for i in $(seq 1 "$pairs"); do
 		if [ $((i % 2)) -eq 1 ]; then
-			run_side "$parent" "$out/parent.json" "$w"
-			run_side "$root" "$out/change.json" "$w"
+			pair "$parent" "$out/parent.json" "$root" "$out/change.json" "$w"
 		else
-			run_side "$root" "$out/change.json" "$w"
-			run_side "$parent" "$out/parent.json" "$w"
+			pair "$root" "$out/change.json" "$parent" "$out/parent.json" "$w"
 		fi
 		echo "mmload-pairs: $w pair $i/$pairs done" >&2
 	done
 done
+rm -f "$out/warmup.json"
 
 {
 	printf '{"parent_rev":"%s","pairs":%d,"seed":%d,"workloads":"%s","parent":' "$sha" "$pairs" "$seed" "$workloads"
