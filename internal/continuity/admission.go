@@ -71,69 +71,64 @@ func AdmissionFor(d Device) Admission {
 	return Admission{MaxAccess: d.MaxAccess, TransferRate: d.TransferRate}
 }
 
-// avgBlockXfer is the mean block transfer time avg(q_i·s_i)/r_dt over
-// the requests.
-func (a Admission) avgBlockXfer(reqs []Request) float64 {
-	if len(reqs) == 0 {
-		return 0
+// terms is Eqs. 12–14 in one pass: n, α, β and γ over reqs followed,
+// when cand is not nil, by *cand as the set's last request — the order
+// append(reqs, *cand) sums them in, without building that slice. Every
+// quantity of the round analysis reads its α, β and γ here, so they
+// agree digit for digit.
+func (a Admission) terms(reqs []Request, cand *Request) (n, alpha, beta, gamma float64) {
+	var bits, lds float64
+	gamma = math.Inf(1)
+	add := func(r *Request) {
+		bits += r.BlockBits()
+		lds += r.Scattering
+		if d := r.BlockDuration(); d < gamma {
+			gamma = d
+		}
 	}
-	var sum float64
-	for _, r := range reqs {
-		sum += r.BlockBits()
+	for i := range reqs {
+		add(&reqs[i])
 	}
-	return sum / float64(len(reqs)) / a.TransferRate
+	count := len(reqs)
+	if cand != nil {
+		add(cand)
+		count++
+	}
+	if count == 0 {
+		return 0, a.MaxAccess, 0, gamma
+	}
+	n = float64(count)
+	xfer := bits / n / a.TransferRate // avg(q·s)/r_dt
+	return n, a.MaxAccess + xfer, lds/n + xfer, gamma
 }
 
 // Alpha is Eq. 12: α = l_max_seek + avg(q·s)/r_dt, the worst-case time
 // to switch to a request and transfer its first block of the round.
 func (a Admission) Alpha(reqs []Request) float64 {
-	return a.MaxAccess + a.avgBlockXfer(reqs)
+	_, alpha, _, _ := a.terms(reqs, nil)
+	return alpha
 }
 
 // Beta is Eq. 13: β = avg(l_ds) + avg(q·s)/r_dt, the steady per-block
 // service time within a request's run of k blocks.
 func (a Admission) Beta(reqs []Request) float64 {
-	if len(reqs) == 0 {
-		return 0
-	}
-	var lds float64
-	for _, r := range reqs {
-		lds += r.Scattering
-	}
-	return lds/float64(len(reqs)) + a.avgBlockXfer(reqs)
+	_, _, beta, _ := a.terms(reqs, nil)
+	return beta
 }
 
 // Gamma is Eq. 14: γ = min_i(q_i/R_i), the playback duration of the
 // request with the fastest display rate.
 func (a Admission) Gamma(reqs []Request) float64 {
-	if len(reqs) == 0 {
-		return math.Inf(1)
-	}
-	g := math.Inf(1)
-	for _, r := range reqs {
-		if d := r.BlockDuration(); d < g {
-			g = d
-		}
-	}
-	return g
+	_, _, _, gamma := a.terms(reqs, nil)
+	return gamma
 }
 
 // RoundTime is the left-hand side of Eq. 15: the worst-case time to
 // service one round of n requests at k blocks each,
 // n·α + n·(k−1)·β.
 func (a Admission) RoundTime(reqs []Request, k int) float64 {
-	n := float64(len(reqs))
-	return n*a.Alpha(reqs) + n*float64(k-1)*a.Beta(reqs)
-}
-
-// FeasibleK is Eq. 15: servicing the round at k blocks per request
-// must not exceed the playback duration of k blocks of the fastest
-// request, n·α + n·(k−1)·β ≤ k·γ.
-func (a Admission) FeasibleK(reqs []Request, k int) bool {
-	if k < 1 {
-		return false
-	}
-	return a.RoundTime(reqs, k) <= float64(k)*a.Gamma(reqs)
+	n, alpha, beta, _ := a.terms(reqs, nil)
+	return n*alpha + n*float64(k-1)*beta
 }
 
 // KSteady is Eq. 16: the minimum k satisfying steady-state continuity,
@@ -142,11 +137,10 @@ func (a Admission) FeasibleK(reqs []Request, k int) bool {
 // exceeded). The paper notes the minimum k is desirable because k also
 // sets the startup delay of new requests.
 func (a Admission) KSteady(reqs []Request) (int, bool) {
-	n := float64(len(reqs))
+	n, alpha, beta, gamma := a.terms(reqs, nil)
 	if n == 0 {
 		return 0, true
 	}
-	alpha, beta, gamma := a.Alpha(reqs), a.Beta(reqs), a.Gamma(reqs)
 	den := gamma - n*beta
 	if den <= 0 {
 		return 0, false
@@ -155,7 +149,7 @@ func (a Admission) KSteady(reqs []Request) (int, bool) {
 	if k < 1 {
 		k = 1
 	}
-	for !a.FeasibleK(reqs, k) { // absorb rounding at the boundary
+	for !(n*alpha+n*float64(k-1)*beta <= float64(k)*gamma) { // Eq. 15; absorb rounding at the boundary
 		k++
 	}
 	return k, true
@@ -168,11 +162,14 @@ func (a Admission) KSteady(reqs []Request) (int, bool) {
 // this bound yields an admission algorithm that "guarantees both
 // transient and steady state continuity".
 func (a Admission) KTransient(reqs []Request) (int, bool) {
-	n := float64(len(reqs))
+	return kTransient(a.terms(reqs, nil))
+}
+
+// kTransient solves Eq. 18 over one set's terms.
+func kTransient(n, alpha, beta, gamma float64) (int, bool) {
 	if n == 0 {
 		return 0, true
 	}
-	alpha, beta, gamma := a.Alpha(reqs), a.Beta(reqs), a.Gamma(reqs)
 	den := gamma - n*beta
 	if den <= 0 {
 		return 0, false
@@ -181,10 +178,28 @@ func (a Admission) KTransient(reqs []Request) (int, bool) {
 	if k < 1 {
 		k = 1
 	}
-	for !a.feasibleTransient(reqs, k) {
+	for k > 1 && transientOK(n, alpha, beta, gamma, k-1) { // the quotient can round up past a tie
+		k--
+	}
+	for !transientOK(n, alpha, beta, gamma, k) {
 		k++
 	}
 	return k, true
+}
+
+// FeasibleTransient is Eq. 18's test n·α + n·k·β ≤ k·γ: whether the
+// request set is serviceable at k with transient-safe headroom. The
+// per-round QoS promotion/demotion pass uses it to probe candidate
+// stride assignments against the measured slack without running the
+// admission algorithm.
+func (a Admission) FeasibleTransient(reqs []Request, k int) bool {
+	n, alpha, beta, gamma := a.terms(reqs, nil)
+	return transientOK(n, alpha, beta, gamma, k)
+}
+
+// transientOK is Eq. 18 over one set's terms.
+func transientOK(n, alpha, beta, gamma float64, k int) bool {
+	return k >= 1 && n*alpha+n*float64(k)*beta <= float64(k)*gamma
 }
 
 // SlackSeconds is the virtual time the transient-safe bound (Eq. 18)
@@ -193,27 +208,13 @@ func (a Admission) KTransient(reqs []Request) (int, bool) {
 // every access its worst case, so an admitted population always leaves
 // this much measured slack per round; the storage manager's
 // fault-tolerant service path spends it on in-round retries without
-// endangering any admitted stream's continuity.
-//
-// The storage manager asks for it for every spindle every round, so α,
-// β and γ come out of one pass over the set: the same sums in the same
-// order as Alpha, Beta and Gamma, hence the same digits.
+// endangering any admitted stream's continuity. The storage manager
+// asks for it for every spindle every round.
 func (a Admission) SlackSeconds(reqs []Request, k int) float64 {
 	if len(reqs) == 0 || k < 1 {
 		return 0
 	}
-	var bits, lds float64
-	gamma := math.Inf(1)
-	for _, r := range reqs {
-		bits += r.BlockBits()
-		lds += r.Scattering
-		if d := r.BlockDuration(); d < gamma {
-			gamma = d
-		}
-	}
-	n := float64(len(reqs))
-	xfer := bits / n / a.TransferRate
-	alpha, beta := a.MaxAccess+xfer, lds/n+xfer
+	n, alpha, beta, gamma := a.terms(reqs, nil)
 	s := float64(k)*gamma - (n*alpha + n*float64(k)*beta)
 	if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 		return 0
@@ -221,22 +222,11 @@ func (a Admission) SlackSeconds(reqs []Request, k int) float64 {
 	return s
 }
 
-// feasibleTransient checks n·α + n·k·β ≤ k·γ.
-func (a Admission) feasibleTransient(reqs []Request, k int) bool {
-	if k < 1 {
-		return false
-	}
-	n := float64(len(reqs))
-	return n*a.Alpha(reqs)+n*float64(k)*a.Beta(reqs) <= float64(k)*a.Gamma(reqs)
-}
-
 // NMax is Eq. 17: the maximum number of simultaneous requests the file
 // system can service, n_max = ⌈γ/β⌉ − 1, evaluated for a homogeneous
 // population described by the template request.
 func (a Admission) NMax(template Request) int {
-	reqs := []Request{template}
-	beta := a.Beta(reqs)
-	gamma := a.Gamma(reqs)
+	_, _, beta, gamma := a.terms(nil, &template)
 	if beta <= 0 {
 		return math.MaxInt32
 	}
@@ -262,31 +252,150 @@ type Decision struct {
 	// so it is excluded from the request sets of later Eq. 15/18
 	// evaluations until demoted.
 	CacheServed bool
-	// Stride is the sub-sampling stride the request was admitted at
-	// under QoS load shedding (ClassAware.Admit): 1 is full rate, a
-	// larger value means only every Stride-th block is fetched and
-	// the stream's disk charge is the Degraded() view. Zero when the
-	// deciding controller was not class-aware, or on rejection.
+	// Stride is the sub-sampling stride a class-aware Admit (maxStride
+	// ≥ 2) admitted a disk-bound request at: 1 is full rate, a larger
+	// value means only every Stride-th block is fetched and the
+	// stream's disk charge is the Degraded() view. Zero when the call
+	// was not class-aware, for a cache-served request, or on rejection.
 	Stride int
 }
 
-// Admit runs the paper's admission control algorithm: given the
-// currently serviced requests and a candidate, it determines whether
-// the expanded set is serviceable and, if so, the k it needs. The
-// current blocks-per-round kOld does not enter the decision: how k gets
-// from kOld to K is the round loop's business.
-func (a Admission) Admit(current []Request, kOld int, candidate Request) Decision {
-	if err := candidate.Validate(); err != nil {
+// Admit is the paper's admission control algorithm (§3.4), the one
+// place Eq. 18 is decided. sets lists, for each device the candidate
+// will be served from, the disk-bound requests already admitted there
+// (cache-served followers excluded); k is the blocks-per-round the
+// schedule is heading for.
+//
+// A cacheServed candidate — an interval-cache follower served entirely
+// from the blocks its leader fetches — is validated and admitted at k:
+// it adds no α or β term to any set, so Eq. 18 is evaluated over the
+// disk-bound population n_d only, n_d·α + n_d·k·β ≤ k·γ, and the total
+// admitted population may exceed n_max while every disk-bound stream
+// keeps its guarantee. The admission is conditional: if the interval
+// breaks — the leader stops, pauses, or a FF/REW repositioning changes
+// the follower's rate or range — the follower is demoted back through
+// Admit's disk-charging path, and paused destructively if that fails.
+//
+// Any other candidate must pass Eq. 18 on every set with itself as the
+// set's last term, and K is the largest k any set needs. On a striped
+// array of degree p each spindle runs its own sub-round over the
+// requests resident on it, so the aggregate bound is p times Eq. 17's
+// n_max. One k governs every spindle's sub-round, which is sound
+// because transient feasibility is monotone in k: for an admitted set
+// γ − n·β > 0, so n·α ≤ k·(γ − n·β) at some k holds at every larger k.
+// Raising k for the spindle that needs it never breaks the others, and
+// the stepwise transition's intermediate k values stay feasible
+// everywhere. How k gets from its current value to K is the round
+// loop's business.
+//
+// When no set has room at full rate, class tolerates load shedding
+// (Standard or BestEffort) and maxStride ≥ 2, the candidate is retried
+// at the sub-sampling strides 2, 4, … up to maxStride (Degraded). A
+// call with maxStride ≥ 2 is class-aware: its admissions record their
+// stride, 1 at full rate; any other leaves Stride 0. Premium candidates
+// are never degraded here: making room for them by demoting lower
+// classes is the storage manager's job, since it owns the live stream
+// table.
+func Admit(a Admission, sets [][]Request, k int, cand Request, class Class, maxStride int, cacheServed bool) Decision {
+	if err := cand.Validate(); err != nil {
 		return Decision{Reason: err.Error()}
 	}
-	next := make([]Request, 0, len(current)+1)
-	next = append(next, current...)
-	next = append(next, candidate)
-	kNew, ok := a.KTransient(next)
-	if !ok {
-		return Decision{Reason: fmt.Sprintf("γ ≤ n·β for n=%d: device saturated (n_max exceeded)", len(next))}
+	if cacheServed {
+		return Decision{Admitted: true, K: k, CacheServed: true}
 	}
-	return Decision{Admitted: true, K: kNew}
+	full := a.admitAt(sets, cand)
+	if maxStride < 2 {
+		return full
+	}
+	if full.Admitted {
+		full.Stride = 1
+		return full
+	}
+	for s := 2; class <= Standard && s <= maxStride; s *= 2 {
+		if d := a.admitAt(sets, Degraded(cand, s)); d.Admitted {
+			d.Stride = s
+			return d
+		}
+	}
+	return full
+}
+
+// admitAt is Eq. 18 on every set with cand as its last term, one pass
+// over each; K is the largest k any set needs.
+func (a Admission) admitAt(sets [][]Request, cand Request) Decision {
+	out := Decision{Reason: "continuity: no request set to admit against"}
+	for _, set := range sets {
+		k, ok := kTransient(a.terms(set, &cand))
+		if !ok {
+			return Decision{Reason: fmt.Sprintf("γ ≤ n·β for n=%d: device saturated (n_max exceeded)", len(set)+1)}
+		}
+		if !out.Admitted || k > out.K {
+			out = Decision{Admitted: true, K: k}
+		}
+	}
+	return out
+}
+
+// Admit is the package's Admit over current alone, with no stride
+// ladder. It is kept only for bench/mmload until ROADMAP item 10.
+func (a Admission) Admit(current []Request, kOld int, candidate Request) Decision {
+	return Admit(a, [][]Request{current}, kOld, candidate, Premium, 0, false)
+}
+
+// CacheAware is Admit over one disk-bound set. It is kept only for
+// bench/mmload until ROADMAP item 10.
+type CacheAware struct {
+	// A is the device's admission controller.
+	A Admission
+}
+
+// Admit is Admit over diskBound alone.
+func (c CacheAware) Admit(diskBound []Request, kOld int, candidate Request, cacheServed bool) Decision {
+	return Admit(c.A, [][]Request{diskBound}, kOld, candidate, Premium, 0, cacheServed)
+}
+
+// Striped is Admit over an array's per-spindle sets. It is kept only
+// for bench/mmload until ROADMAP item 10.
+type Striped struct {
+	// A is the per-spindle admission controller.
+	A Admission
+	// P is the spindle count; Admit does not read it.
+	P int
+}
+
+// Admit is Admit over perSpindle[spindle], or over every set when
+// spindle is negative.
+func (s Striped) Admit(perSpindle [][]Request, spindle, kOld int, candidate Request) Decision {
+	if spindle >= len(perSpindle) {
+		return Decision{Reason: "striped admission: spindle index out of range"}
+	}
+	if spindle >= 0 {
+		perSpindle = perSpindle[spindle : spindle+1]
+	}
+	return Admit(s.A, perSpindle, kOld, candidate, Premium, 0, false)
+}
+
+// ClassAware is Admit with the stride ladder. It is kept only for
+// bench/mmload until ROADMAP item 10.
+type ClassAware struct {
+	// A is the per-spindle (or single-device) admission controller.
+	A Admission
+	// P is the spindle count; Admit does not read it.
+	P int
+	// MaxStride bounds the ladder; values < 2 mean DefaultMaxStride.
+	MaxStride int
+}
+
+// Admit is Admit over perSpindle[spindle], or over every set when
+// spindle is negative, with the class's stride ladder.
+func (c ClassAware) Admit(perSpindle [][]Request, spindle, kOld int, candidate Request, class Class) Decision {
+	if spindle >= 0 {
+		perSpindle = perSpindle[spindle : spindle+1]
+	}
+	if c.MaxStride < 2 {
+		c.MaxStride = DefaultMaxStride
+	}
+	return Admit(c.A, perSpindle, kOld, candidate, class, c.MaxStride, false)
 }
 
 // StartupDelay estimates the worst-case delay before a newly admitted

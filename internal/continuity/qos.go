@@ -79,77 +79,7 @@ func Degraded(r Request, stride int) Request {
 	return r
 }
 
-// FeasibleTransient is the exported form of Eq. 18's test
-// n·α + n·k·β ≤ k·γ: whether the request set is serviceable at k with
-// transient-safe headroom. The per-round QoS promotion/demotion pass
-// uses it to probe candidate stride assignments against the measured
-// slack without re-running the full admission algorithm.
-func (a Admission) FeasibleTransient(reqs []Request, k int) bool {
-	return a.feasibleTransient(reqs, k)
-}
-
 // DefaultMaxStride bounds load shedding: a stream sub-sampled past
 // 1/8th of its blocks is closer to a slideshow than a video, so beyond
 // this the controller rejects rather than degrades further.
 const DefaultMaxStride = 8
-
-// ClassAware layers the QoS class lattice over a base admission
-// controller (single device) or a striped array of degree P. It is the
-// degradation-side counterpart of CacheAware: where CacheAware admits
-// overflow load for free when the cache can serve it (the first-line
-// degraded mode — a cache-only follower costs no disk time at all),
-// ClassAware admits overflow load at a sub-sampling stride when the
-// disk must still be touched.
-type ClassAware struct {
-	// A is the per-spindle (or single-device) admission controller.
-	A Admission
-	// P is the spindle count; values < 2 mean a single device.
-	P int
-	// MaxStride bounds the sub-sampling stride offered to degraded
-	// streams; 0 means DefaultMaxStride.
-	MaxStride int
-}
-
-func (c ClassAware) maxStride() int {
-	if c.MaxStride < 2 {
-		return DefaultMaxStride
-	}
-	return c.MaxStride
-}
-
-// admitFull runs the base (full-rate) admission for the candidate.
-func (c ClassAware) admitFull(perSpindle [][]Request, spindle, kOld int, candidate Request) Decision {
-	if c.P > 1 {
-		return Striped{A: c.A, P: c.P}.Admit(perSpindle, spindle, kOld, candidate)
-	}
-	return c.A.Admit(perSpindle[0], kOld, candidate)
-}
-
-// Admit runs the class-ordered admission negotiation. perSpindle lists
-// the disk-bound requests resident on each spindle — with requests that
-// are already degraded listed at their Degraded() charge — and spindle
-// locates the candidate as in Striped.Admit (a single device passes
-// one set and spindle 0). The candidate is tried at full rate first;
-// if Eq. 18 has no room and the class tolerates load shedding
-// (standard or best-effort), it is retried at doubling sub-sampling
-// strides up to MaxStride. The returned Decision's Stride records the
-// admitted quality: 1 is full rate. Premium candidates are never
-// degraded here — making room for them by demoting lower classes is
-// the storage manager's job, since it owns the live stream table.
-func (c ClassAware) Admit(perSpindle [][]Request, spindle, kOld int, candidate Request, class Class) Decision {
-	d := c.admitFull(perSpindle, spindle, kOld, candidate)
-	if d.Admitted {
-		d.Stride = 1
-		return d
-	}
-	if class > Standard {
-		return d
-	}
-	for s := 2; s <= c.maxStride(); s *= 2 {
-		if dd := c.admitFull(perSpindle, spindle, kOld, Degraded(candidate, s)); dd.Admitted {
-			dd.Stride = s
-			return dd
-		}
-	}
-	return d
-}

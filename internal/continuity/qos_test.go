@@ -75,10 +75,10 @@ func TestDegradedWidensSlack(t *testing.T) {
 	}
 	// The saturated full-rate set rejects one more stream, but the
 	// same set with every stream shed at stride 2 accepts it.
-	if d := a.Admit(full, k, videoRequest()); d.Admitted {
+	if d := Admit(a, [][]Request{full}, k, videoRequest(), Premium, 0, false); d.Admitted {
 		t.Fatal("n_max+1 full-rate stream admitted")
 	}
-	if d := a.Admit(shed, k, Degraded(videoRequest(), 2)); !d.Admitted {
+	if d := Admit(a, [][]Request{shed}, k, Degraded(videoRequest(), 2), Premium, 0, false); !d.Admitted {
 		t.Fatalf("degraded overflow stream rejected: %s", d.Reason)
 	}
 }
@@ -98,87 +98,5 @@ func TestFeasibleTransientMatchesKTransient(t *testing.T) {
 	}
 	if a.FeasibleTransient(reqs, 0) {
 		t.Fatal("k=0 reported feasible")
-	}
-}
-
-func TestClassAwareAdmit(t *testing.T) {
-	a := AdmissionFor(testDevice())
-	nmax := a.NMax(videoRequest())
-	full := repeatReq(videoRequest(), nmax)
-	k, _ := a.KTransient(full)
-	ca := ClassAware{A: a}
-	set := [][]Request{full}
-
-	for _, tc := range []struct {
-		name  string
-		class Class
-	}{{"best-effort degrades", BestEffort}, {"standard degrades", Standard}} {
-		t.Run(tc.name, func(t *testing.T) {
-			d := ca.Admit(set, 0, k, videoRequest(), tc.class)
-			if !d.Admitted {
-				t.Fatalf("rejected: %s", d.Reason)
-			}
-			if d.Stride < 2 || d.Stride > DefaultMaxStride {
-				t.Fatalf("stride = %d outside (1, %d]", d.Stride, DefaultMaxStride)
-			}
-			// The stride must be minimal: one notch less must not fit.
-			if half := a.Admit(full, k, Degraded(videoRequest(), d.Stride/2)); half.Admitted {
-				t.Fatalf("stride %d admitted but %d would have sufficed", d.Stride, d.Stride/2)
-			}
-		})
-	}
-	t.Run("premium rejects rather than degrade", func(t *testing.T) {
-		d := ca.Admit(set, 0, k, videoRequest(), Premium)
-		if d.Admitted || d.Stride != 0 {
-			t.Fatalf("admitted=%v stride=%d, want rejection", d.Admitted, d.Stride)
-		}
-	})
-
-	// With room to spare, every class is admitted at full rate.
-	few := repeatReq(videoRequest(), 1)
-	kFew, _ := a.KTransient(few)
-	for _, c := range []Class{BestEffort, Standard, Premium} {
-		d := ca.Admit([][]Request{few}, 0, kFew, videoRequest(), c)
-		if !d.Admitted || d.Stride != 1 {
-			t.Fatalf("class %v under light load: admitted=%v stride=%d", c, d.Admitted, d.Stride)
-		}
-	}
-}
-
-// Past MaxStride the controller gives up: a population so oversubscribed
-// that even 1/MaxStride sub-sampling cannot fit is rejected.
-func TestClassAwareMaxStrideBound(t *testing.T) {
-	a := AdmissionFor(testDevice())
-	nmax := a.NMax(videoRequest())
-	// 3× oversubscribed at full rate: the modest stride-2 relief the
-	// tightened MaxStride allows cannot make Eq. 18 hold.
-	ca := ClassAware{A: a, MaxStride: 2}
-	d := ca.Admit([][]Request{repeatReq(videoRequest(), 3*nmax)}, 0, 4, videoRequest(), BestEffort)
-	if d.Admitted {
-		t.Fatal("admitted into a population beyond MaxStride relief")
-	}
-	if ca.maxStride() != 2 {
-		t.Fatalf("maxStride() = %d", ca.maxStride())
-	}
-	if (ClassAware{A: a}).maxStride() != DefaultMaxStride {
-		t.Fatal("zero MaxStride should default")
-	}
-}
-
-// On a striped array the class-aware controller degrades against the
-// candidate's home spindle only: a full spindle triggers shedding even
-// when the other spindles are idle, exactly as Striped.Admit rejects.
-func TestClassAwareStriped(t *testing.T) {
-	a := AdmissionFor(testDevice())
-	nmax := a.NMax(videoRequest())
-	full := repeatReq(videoRequest(), nmax)
-	k, _ := a.KTransient(full)
-	ca := ClassAware{A: a, P: 2}
-	set := [][]Request{full, nil}
-	if d := ca.Admit(set, 0, k, videoRequest(), BestEffort); !d.Admitted || d.Stride < 2 {
-		t.Fatalf("full spindle: admitted=%v stride=%d (%s)", d.Admitted, d.Stride, d.Reason)
-	}
-	if d := ca.Admit(set, 1, k, videoRequest(), BestEffort); !d.Admitted || d.Stride != 1 {
-		t.Fatalf("idle spindle: admitted=%v stride=%d (%s)", d.Admitted, d.Stride, d.Reason)
 	}
 }

@@ -72,7 +72,7 @@ func NMax() Result {
 	viol, mgr := r.playStrands(strands[:nmax], kFull, 2*kFull, 0)
 	res.Note("default device, n = n_max = %d streams at k = %d: %d violations (expect 0)", nmax, mgr.K(), viol)
 
-	dec := adm.Admit(population(tmpl, nmax), kFull, tmpl)
+	dec := continuity.Admit(adm, [][]continuity.Request{population(tmpl, nmax)}, kFull, tmpl, continuity.Premium, 0, false)
 	verdict := "accepted (BUG: expected rejection)"
 	if !dec.Admitted {
 		verdict = fmt.Sprintf("rejected (expect rejected): %s", dec.Reason)

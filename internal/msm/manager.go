@@ -329,18 +329,18 @@ func (m *Manager) CacheServed() int {
 }
 
 // decideAdmit evaluates the admission decision for a candidate without
-// side effects (the QoS negotiation probes with it). A cacheServed
-// candidate charges no disk time. Any other must pass Eq. 18 on every
-// spindle of its extent (Manager.extent; zero, as for a record, means
-// all) against the population admitted there, requests waiting to join
-// included — so an array admits up to p times the single-spindle n_max —
-// and K is the largest any spindle needs. A single device is the
-// striped test at p = 1.
+// side effects and without the stride ladder: continuity.Admit over the
+// admission population of every spindle of the candidate's extent
+// (Manager.extent; zero, as for a record, means all), requests waiting
+// to join included — so an array admits up to p times the
+// single-spindle n_max, and a single device is the case p = 1. A
+// cacheServed candidate charges no disk time and reads no set.
 func (m *Manager) decideAdmit(spindles uint64, candidate continuity.Request, cacheServed bool) continuity.Decision {
-	if cacheServed {
-		return continuity.CacheAware{A: m.adm}.Admit(nil, m.kSched(), candidate, true)
+	var sets [][]continuity.Request
+	if !cacheServed {
+		sets = m.touchedSets(spindles)
 	}
-	return continuity.Striped{A: m.adm, P: len(m.rt.sets)}.Admit(m.touchedSets(spindles), -1, m.kSched(), candidate)
+	return continuity.Admit(m.adm, sets, m.kSched(), candidate, continuity.Premium, 0, cacheServed)
 }
 
 // touchedSets is the admission population — requests waiting to join
@@ -481,10 +481,7 @@ func (m *Manager) AdmitPlay(plan PlayPlan) (RequestID, continuity.Decision, erro
 	if err != nil {
 		return 0, dec, err
 	}
-	stride := dec.Stride
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max(dec.Stride, 1) // 0 unless the negotiation was classed
 	ra := plan.ReadAhead
 	if ra < 1 {
 		ra = 1

@@ -118,20 +118,23 @@ func (m *Manager) admitClassed(sp uint64, cand continuity.Request, class continu
 		stride int // stride before the dry run
 	}
 	var sheds []trial
-	dec := m.decideAdmit(sp, cand, false)
-	for !dec.Admitted {
+	var dec continuity.Decision
+	for {
+		// While a lower class is left to shed, the candidate is probed
+		// as premium: at full rate only. Once none is, Admit's stride
+		// ladder degrades the candidate itself. A probe is one Eq. 18
+		// pass over each touched set, and none is repeated.
 		v := m.shedVictim(class)
-		if v == nil {
+		probe := class
+		if v != nil {
+			probe = continuity.Premium
+		}
+		dec = continuity.Admit(m.adm, m.touchedSets(sp), m.kSched(), cand, probe, m.qos.MaxStride, false)
+		if dec.Admitted || v == nil {
 			break
 		}
 		sheds = append(sheds, trial{v, strideOf(v.play)})
 		m.setStride(v, m.nextStride(strideOf(v.play)))
-		dec = m.decideAdmit(sp, cand, false)
-	}
-	if !dec.Admitted {
-		// Shedding lower classes was not enough (or there were none);
-		// ClassAware's stride ladder degrades the candidate itself.
-		dec = continuity.ClassAware{A: m.adm, P: len(m.rt.sets), MaxStride: m.qos.MaxStride}.Admit(m.touchedSets(sp), -1, m.kSched(), cand, class)
 	}
 	if !dec.Admitted {
 		// Roll the dry-run demotions back, newest first so repeated
@@ -158,9 +161,7 @@ func (m *Manager) admitClassed(sp uint64, cand continuity.Request, class continu
 			m.noteDemotion(t.r)
 		}
 	}
-	dec, err := m.commit(dec)
-	dec.Stride = max(dec.Stride, 1)
-	return dec, err
+	return m.commit(dec)
 }
 
 // nextStride is one demotion step: the next power-of-two stride,

@@ -3,10 +3,7 @@
 # (or ruling out) a performance change the way the choosing-metrics rule
 # asks: the parent commit and the working tree run the same benchmark
 # code alternately, which side goes first alternating too, so a slow
-# drift of the machine lands on both sides alike. Each pair starts with
-# one more run of the side that goes first, which is discarded: one set
-# found a pair's first run the slower in 8 of 10 serve-striped pairs, a
-# pattern later sets did not show, with this run or without it.
+# drift of the machine lands on both sides alike.
 #
 #   scripts/mmload-pairs.sh <parent-rev> <workload>[,<workload>…]|all [pairs] [seed]
 #   make mmload-pairs PARENT=<rev> WORKLOAD=<name> [N=10] [PAIR_SEED=1]
@@ -22,7 +19,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,21p' "$0" >&2
+	sed -n '2,18p' "$0" >&2
 	exit 2
 fi
 parent_rev="$1"
@@ -53,9 +50,8 @@ run_side() { # <checkout> <json> <workload>
 }
 
 # pair <first checkout> <its json> <second checkout> <its json> <workload>:
-# a discarded warm-up run of the first side, then one run of each.
+# one run of each side, in that order.
 pair() {
-	run_side "$1" "$out/warmup.json" "$5"
 	run_side "$1" "$2" "$5"
 	run_side "$3" "$4" "$5"
 }
@@ -70,7 +66,6 @@ for w in ${workloads//,/ }; do
 		echo "mmload-pairs: $w pair $i/$pairs done" >&2
 	done
 done
-rm -f "$out/warmup.json"
 
 {
 	printf '{"parent_rev":"%s","pairs":%d,"seed":%d,"workloads":"%s","parent":' "$sha" "$pairs" "$seed" "$workloads"
