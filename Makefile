@@ -22,7 +22,7 @@ RACE_BENCHES = BenchmarkStripedRound|BenchmarkRound1000Streams|BenchmarkRebuildR
 ALLOC_BENCHES = BenchmarkPlayArrival|BenchmarkPlaybackRound|BenchmarkStripedRound|BenchmarkQoSClassPass|BenchmarkRebuildRound|BenchmarkCacheCoupledRound|BenchmarkCacheCoupledRoundNoObs|BenchmarkFollowerRound|BenchmarkCacheFill|BenchmarkCacheAdopt|BenchmarkFetchReply|BenchmarkCodecSmall|BenchmarkEditCycle|BenchmarkSync
 ALLOC_BENCH_LENT = BenchmarkCachedConcurrentPlayback/lent
 
-.PHONY: all build test race race-bench lint loc bench bench-baseline bench-compare bench-check mmload-pairs fuzz chaos clean
+.PHONY: all build test race race-bench lint loc bench bench-baseline bench-compare bench-check obs-overhead mmload-pairs fuzz chaos clean
 
 all: build lint test
 
@@ -150,6 +150,16 @@ bench-check:
 	{ $(GO) test -run '^$$' -bench='$(ALLOC_BENCHES)' -benchmem -benchtime=100x $(BENCH_PKGS) && \
 	  $(GO) test -run '^$$' -bench='$(ALLOC_BENCH_LENT)' -benchmem -benchtime=100x . ; } | $(GO) run ./cmd/benchjson -out bench/allocs.json
 	$(GO) run ./cmd/benchjson -compare -subset '$(ALLOC_BENCHES)|$(ALLOC_BENCH_LENT)' bench/baseline.json bench/allocs.json
+
+# What observing a service round costs (ROADMAP 17): the cache-coupled
+# round with the file system's registry, trace ring and histograms, and
+# its twin observing nothing, N interleaved pairs of 200 000 rounds from
+# one root test binary built once; prints every run, each median and the
+# ratio of the medians. Information only: it gates nothing.
+OBS_BENCHES = BenchmarkCacheCoupledRound|BenchmarkCacheCoupledRoundNoObs
+obs-overhead:
+	$(GO) test -c -o .bench_build/obs.test -run '^$$' -bench '$(OBS_BENCHES)' .
+	bash scripts/obs-overhead.sh .bench_build/obs.test $(N)
 
 # Paired end-to-end runs of the BENCHMARK.json harness: PARENT (a git
 # revision) against the working tree, N alternating pairs of WORKLOAD

@@ -309,17 +309,15 @@ type Cache struct {
 	free *entry
 	// owned is the sum of the frames' capacities (Stats.OwnedBytes).
 	owned int64
-	stats Stats
-	// obs mirrors the Stats counters into an observability registry;
-	// all fields nil, hence inert, when SetObs was never called.
-	obsHits, obsMisses, obsWaits      *obs.Counter
-	obsInserts, obsEvictions          *obs.Counter
-	obsAdoptions                      *obs.Counter
-	obsBytes, obsPinned, obsIntervals *obs.Gauge
-	obsOwned                          *obs.Gauge
-	// unpublished marks residency changes the gauges do not show yet:
-	// set by the per-block paths, cleared by PublishGauges.
-	unpublished bool
+	// stats is the one count of the cache's events; published, the part
+	// the registry shows. The obs* handles (nil, hence inert, before
+	// SetObs) publish it; unpublished marks a count or a residency
+	// change they do not show yet.
+	stats, published Stats
+	unpublished      bool
+
+	obsHits, obsMisses, obsWaits, obsInserts, obsEvictions, obsAdoptions *obs.Counter
+	obsBytes, obsPinned, obsIntervals, obsOwned                          *obs.Gauge
 }
 
 // New creates a cache with the given capacity in bytes.
@@ -336,9 +334,10 @@ func New(capacity int64) *Cache {
 	return c
 }
 
-// SetObs mirrors the cache's counters into an observability registry
+// SetObs publishes the cache's Stats into an observability registry
 // (hit/miss/wait lookups, inserts, evictions, interval adoptions, and
-// residency gauges). Call once, at wiring time.
+// residency gauges): each counter moves by its field's growth from here
+// on. Call once, at wiring time.
 func (c *Cache) SetObs(reg *obs.Registry) {
 	c.obsHits = reg.Counter("mmfs_cache_hits_total")
 	c.obsMisses = reg.Counter("mmfs_cache_misses_total")
@@ -351,17 +350,16 @@ func (c *Cache) SetObs(reg *obs.Registry) {
 	c.obsIntervals = reg.Gauge("mmfs_cache_intervals")
 	c.obsOwned = reg.Gauge("mmfs_cache_owned_bytes")
 	reg.Gauge("mmfs_cache_capacity_bytes").Set(c.capacity)
+	c.published = c.stats
 	c.publish()
 }
 
-// PublishGauges copies the residency figures (Stats' Bytes,
-// PinnedBytes, Intervals and OwnedBytes) into the registry's gauges when
-// the per-block paths — Get, Put, PutView, Produced — changed them since
-// the last publication: those paths leave the gauges to the storage
-// manager, which calls this at the end of every service round. The
-// cache's entry points a round never calls alone (Adopt and CloseStream,
-// which admission, STOP and PAUSE reach; InvalidateStrand; Reset) and
-// SetObs publish as they return.
+// PublishGauges sends the registry what the per-block paths (Get,
+// Waiting, Put, PutView, Produced) counted or moved since the last
+// publication: the counters' growth and the residency gauges. The storage
+// manager calls it as every RunRound returns; Adopt, CloseStream,
+// InvalidateStrand, Reset and SetObs, which no round calls, publish as
+// they return.
 func (c *Cache) PublishGauges() {
 	if c.unpublished {
 		c.publish()
@@ -371,6 +369,14 @@ func (c *Cache) PublishGauges() {
 // publish is PublishGauges whatever changed.
 func (c *Cache) publish() {
 	c.unpublished = false
+	s, p := &c.stats, &c.published
+	c.obsHits.Add(s.Hits - p.Hits)
+	c.obsMisses.Add(s.Misses - p.Misses)
+	c.obsWaits.Add(s.Waits - p.Waits)
+	c.obsInserts.Add(s.Inserts - p.Inserts)
+	c.obsEvictions.Add(s.Evictions - p.Evictions)
+	c.obsAdoptions.Add(s.Adoptions - p.Adoptions)
+	*p = *s
 	c.obsBytes.Set(c.bytes)
 	c.obsPinned.Set(c.pinned)
 	c.obsIntervals.Set(int64(c.intervals))
@@ -501,7 +507,6 @@ func (s *Stream) Adopt() bool {
 	s.leader, l.follower = l, s
 	c.intervals++
 	c.stats.Adoptions++
-	c.obsAdoptions.Inc()
 	c.publish()
 	return true
 }
@@ -524,7 +529,7 @@ func (s *Stream) Get(index int) ([]byte, Result) {
 	c := s.c
 	if s.rec == nil {
 		c.stats.Misses++
-		c.obsMisses.Inc()
+		c.unpublished = true
 		return nil, Miss
 	}
 	if s.Waiting(index) {
@@ -538,7 +543,7 @@ func (s *Stream) Get(index int) ([]byte, Result) {
 	}
 	if e == nil {
 		c.stats.Misses++
-		c.obsMisses.Inc()
+		c.unpublished = true
 		return nil, Miss
 	}
 	c.consume(s, e)
@@ -547,7 +552,6 @@ func (s *Stream) Get(index int) ([]byte, Result) {
 		s.pos = index + 1
 	}
 	c.stats.Hits++
-	c.obsHits.Inc()
 	return e.data, Hit
 }
 
@@ -565,7 +569,7 @@ func (s *Stream) Waiting(index int) bool {
 		return false
 	}
 	s.c.stats.Waits++
-	s.c.obsWaits.Inc()
+	s.c.unpublished = true
 	return true
 }
 
@@ -712,7 +716,6 @@ func (s *Stream) insert(index int, data []byte, lent bool) {
 	c.file(s.rec, e)
 	c.bytes += size
 	c.stats.Inserts++
-	c.obsInserts.Inc()
 	c.lru.pushFront(e)
 	c.claimOrTouch(s, e)
 }
@@ -832,11 +835,11 @@ func (c *Cache) InvalidateStrand(sid strand.ID) {
 // frame, so the new owner's inserts allocate nothing the old one's
 // already did. Stats restart from zero exactly as a new cache's would
 // (an emptied entry is not an eviction); the cumulative observability
-// counters, which belong to the registry, run on, and the residency
-// gauges drop to zero. Every handle reads as an unknown id from here on.
-// The walk is the resident entries — the LRU list
-// and the open streams' pin lists — and the records they empty, whose
-// rings become spares.
+// counters, which belong to the registry, take what the old owner
+// counted and run on, and the residency gauges drop to zero. Every handle
+// reads as an unknown id from here on. The walk is the resident entries
+// — the LRU list and the open streams' pin lists — and the records they
+// empty, whose rings become spares.
 func (c *Cache) Reset() {
 	for _, s := range c.streams {
 		c.releaseList(s.pins)
@@ -850,8 +853,8 @@ func (c *Cache) Reset() {
 	clear(c.streams)
 	c.lru = entryList{}
 	c.bytes, c.pinned, c.intervals = 0, 0, 0
-	c.stats = Stats{}
 	c.publish()
+	c.stats, c.published = Stats{}, Stats{}
 }
 
 // releaseList empties a list's entries, on Reset, onto the free list.
@@ -894,6 +897,5 @@ func (c *Cache) evictOne() bool {
 	}
 	c.removeEntry(e)
 	c.stats.Evictions++
-	c.obsEvictions.Inc()
 	return true
 }

@@ -230,7 +230,6 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 				ps.nextFetch++
 				ps.shed++
 				ln.m.stats.ShedBlocks++
-				m.obs.shedBlocks.Inc()
 			}
 		}
 		if ps.nextFetch >= len(ps.plan.Blocks) {
@@ -295,7 +294,6 @@ func (ln *lane) servicePlay(r *request, k int) bool {
 			// the shared slack round after round. Stop it; its slot
 			// returns to the admission pool.
 			ln.m.stats.FaultStops++
-			m.obs.faultStops.Inc()
 			m.end(r)
 			return true
 		}
@@ -431,7 +429,6 @@ func (ln *lane) readRun(r *request, j, most int, got []arrival) (int, time.Durat
 	}
 	ln.spendSlack(t)
 	ln.m.stats.Retries++
-	m.obs.retries.Inc()
 	span, lo := t, 0
 	for i := 0; i < n; i++ {
 		hi := got[i].end
@@ -544,7 +541,6 @@ func (ln *lane) retryRead(b PlannedBlock, t0 time.Duration, err0 error) ([]byte,
 		total += t
 		ln.spendSlack(t)
 		ln.m.stats.Retries++
-		m.obs.retries.Inc()
 		if rerr == nil {
 			return run, total, nil
 		}
@@ -566,7 +562,6 @@ func (ln *lane) degradeBlock(r *request, j int, arrival time.Duration) {
 	ps.degraded++
 	r.consecFails++
 	ln.m.stats.DegradedBlocks++
-	ln.m.obs.degraded.Inc()
 }
 
 // violate records one continuity violation on a request and in the

@@ -183,8 +183,8 @@ type Manager struct {
 	// array's steer table of generation steerGen (classSpindles).
 	steerSp  []int
 	steerGen uint64
-	// obs, when set, receives per-round trace records and mirrors the
-	// counters into a metrics registry (see obs.go).
+	// obs, when set, publishes Stats and per-round trace records into a
+	// metrics registry (see obs.go).
 	obs roundObs
 	// qos enables load-driven graceful degradation (see qos.go); the
 	// zero policy keeps admission binary. scratchQoS is the promotion
@@ -763,10 +763,12 @@ func (m *Manager) active() []*request {
 // to the next time one will. It reports false when no active request
 // remains and none waits to join. It alone moves k (ForceK and NaiveJump
 // aside), one step a round towards kTarget; a transition round with
-// nobody to serve counts no round and advances no clock.
+// nobody to serve counts no round and advances no clock. Every return
+// publishes what the round counted (publish).
 //
 // rt:hotpath
 func (m *Manager) RunRound() bool {
+	defer m.publish()
 	if m.demoting {
 		m.processDemotions()
 	}
@@ -778,7 +780,6 @@ func (m *Manager) RunRound() bool {
 	if m.kTarget > m.k {
 		m.k++
 		m.stats.TransitionSteps++
-		m.obs.transitions.Inc()
 	}
 	act := m.active()
 	if len(act) == 0 {
@@ -790,7 +791,7 @@ func (m *Manager) RunRound() bool {
 	// is resident where follows it. The round charges what it serves.
 	m.resteer()
 	_, resident := m.residentSets(false)
-	defer m.recordRound(m.clock.Now(), m.k, resident, m.rt.cacheServed, len(act))
+	m.openRound(m.clock.Now(), m.k, resident, m.rt.cacheServed, len(act))
 	worked := m.serviceRound(act)
 	if !worked {
 		next, ok := m.nextWorkTime()
@@ -916,7 +917,6 @@ func (m *Manager) processDemotions() {
 		}
 		r.needsDemote = false
 		m.stats.Demotions++
-		m.obs.demotions.Inc()
 		// Missing again where the previous demotion left it means the
 		// leader adopted then fed it nothing — orphans of one stopped
 		// leader sit at the same position and would adopt each other in

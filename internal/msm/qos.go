@@ -204,9 +204,10 @@ func (m *Manager) shedVictim(class continuity.Class) *request {
 // whose stride was already raised: the CauseLoadShed violation marking
 // the quality change, the counters, the effective-rate sample, and the
 // re-anchored skip pattern. mmfs_violations_total takes the violation
-// from the next round's Stats delta. A demoted leader stops feeding its cache
-// followers (skipped blocks would starve them), so its cache stream
-// closes; promotion back to full rate reopens it.
+// from the next publication of Stats (the admission's or the round's). A
+// demoted leader stops feeding its cache followers (skipped blocks would
+// starve them), so its cache stream closes; promotion back to full rate
+// reopens it.
 func (m *Manager) noteDemotion(r *request) {
 	ps := r.play
 	ps.strideBase = ps.nextFetch

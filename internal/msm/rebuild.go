@@ -258,7 +258,6 @@ func (m *Manager) repairStep(budget time.Duration) (spent time.Duration, copied 
 		m.rb.fails = 0
 		copied++
 		m.stats.RebuildBlocks++
-		m.obs.rebuildBlocks.Inc()
 		if done {
 			break
 		}
@@ -275,10 +274,9 @@ func (m *Manager) runRepairOnlyRound() bool {
 		return false
 	}
 	m.stats.Rounds++
-	start := m.clock.Now()
+	m.openRound(m.clock.Now(), m.k, 0, 0, 0)
 	spent, copied := m.repairStep(repairIdleBudget)
 	m.clock.Advance(spent)
-	m.recordRound(start, m.k, 0, 0, 0)
 	// spent > 0 with copied == 0 is the error path: keep rounds coming
 	// until the fail limit aborts the repair.
 	return copied > 0 || spent > 0

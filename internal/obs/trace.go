@@ -72,7 +72,7 @@ func NewTraceRing(n int) *TraceRing {
 
 // Append records one round, evicting the oldest when full. The ring's
 // full capacity is reserved at construction, so appending is a
-// reslice, never an allocation — Append sits on the msm recordRound
+// reslice, never an allocation — Append sits on the msm publish
 // hot path. A nil ring records nothing.
 //
 // rt:hotpath
